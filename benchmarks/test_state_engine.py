@@ -5,9 +5,11 @@ Records per-size timings and payload bytes into
 ``benchmarks/results/state_engine.txt`` and the repo-root
 ``BENCH_state.json``, and asserts the PR's headline claim: on a
 100k-entry map, checkpoint take plus lane-payload construction is at
-least 10× faster than the deep-copy baseline.  The CoW-counter smoke
-at the bottom is the regression guard CI runs: a checkpoint take that
-materialises copies has regressed to O(state).
+least 10× faster than the deep-copy baseline.  The scaling guards at
+the bottom are what CI runs: counts showing that a checkpoint take, a
+first write after a fork, and the account/nonce books stay O(touched),
+plus one wide-margin wall-clock check that a serial epoch is flat in
+state size.
 """
 
 import json
@@ -35,6 +37,7 @@ def test_state_bench_records_results(save_result):
         [1_000, 10_000, 100_000]
     for row in payload["rows"]:
         assert row["checkpoint_take_ns"]["new"] > 0
+        assert row["first_write_after_fork_ns"] > 0
         assert row["payload_bytes"]["new_sliced"] < \
             row["payload_bytes"]["old"]
 
@@ -50,33 +53,169 @@ def test_state_bench_records_results(save_result):
     assert at_100k.bytes_ratio < 0.05
 
 
-def test_checkpoint_take_is_o1_zero_cow_copies():
-    """Network-level CoW guard: taking (and releasing) a checkpoint on
-    a large state must not materialise a single copy-on-write dict.
-    A regression to eager copying trips the counter long before it
-    shows up as wall-clock noise."""
-    from repro.chain.network import Network
+def _big_network(entries: int):
+    from repro.chain.network import DeployedContract, Network
+    from repro.eval.state_bench import _big_state
 
     net = Network(4, use_signatures=False)
-    from repro.eval.state_bench import _big_state
-    state = _big_state(100_000)
+    state = _big_state(entries)
     state.journal = net.journal
-    from repro.chain.network import DeployedContract
     net.contracts[state.address] = DeployedContract(
         state.address, None, None, state)
+    return net, state
 
-    before = scilla_values.COW_COPIES
+
+def test_checkpoint_take_is_o1_nothing_copied():
+    """Network-level guard: taking (and releasing) a checkpoint on a
+    large state must not copy, fold or journal anything, and a take →
+    write burst → restore cycle must leave the very same entry dict in
+    place — the journal undoes the writes, nothing O(entries) runs.
+    Counts, not wall time, so it cannot flake."""
+    net, state = _big_network(100_000)
+    entries = state.fields["balances"].entries
+    before = (scilla_values.COW_COPIES, scilla_values.OVERLAY_FOLDS,
+              scilla_values.OVERLAY_FOLDED_ENTRIES)
     for _ in range(10):
         checkpoint = NetworkCheckpoint.take(net)
+        assert net.journal.depth == 0
         checkpoint.release(net)
-    assert scilla_values.COW_COPIES == before
 
-    # And a take → write burst → restore cycle pays exactly the writes'
-    # CoW materialisations (bounded by map depth), never O(entries).
     checkpoint = NetworkCheckpoint.take(net)
     for i in range(32):
         state.write(("balances", (StringVal(f"0x{i:040x}"),)),
                     uint(999))
+    assert net.journal.depth == 32
     checkpoint.restore(net)
     checkpoint.release(net)
-    assert scilla_values.COW_COPIES - before <= 4
+    assert net.journal.depth == 0
+    assert state.fields["balances"].entries is entries
+    assert entries[StringVal(f"0x{5:040x}")] == uint(5)
+    assert before == (scilla_values.COW_COPIES,
+                      scilla_values.OVERLAY_FOLDS,
+                      scilla_values.OVERLAY_FOLDED_ENTRIES)
+
+
+def test_first_write_after_fork_allocates_o1():
+    """The half a bare fork timing leaves out: the first write through
+    a fork of a 10^5-entry map lays a one-entry overlay over the
+    *source's own dict* — no container of size n is built."""
+    _, state = _big_network(100_000)
+    source = state.fields["balances"].entries
+    folded = scilla_values.OVERLAY_FOLDED_ENTRIES
+    fork = state.fork()
+    key = StringVal(f"0x{7:040x}")
+    fork.write(("balances", (key,)), uint(1))
+    overlay = fork.fields["balances"].entries
+    assert overlay.base is source
+    assert (len(overlay.over), len(overlay.dead)) == (1, 0)
+    assert len(overlay) == 100_000
+    assert scilla_values.OVERLAY_FOLDED_ENTRIES == folded
+    assert state.read(("balances", (key,))) == uint(7)
+    # A fork of the fork copies the overlay, never the base.
+    second = fork.fork()
+    second.write(("balances", (StringVal(f"0x{8:040x}"),)), uint(2))
+    again = second.fields["balances"].entries
+    assert again.base is source and len(again.over) == 2
+    assert len(overlay.over) == 1
+
+
+class _CountingDict(dict):
+    """A dict that counts whole-container walks."""
+
+    walks = 0
+
+    def _walk(self):
+        type(self).walks += 1
+
+    def __iter__(self):
+        self._walk()
+        return super().__iter__()
+
+    def items(self):
+        self._walk()
+        return super().items()
+
+    def keys(self):
+        self._walk()
+        return super().keys()
+
+    def values(self):
+        self._walk()
+        return super().values()
+
+    def copy(self):
+        self._walk()
+        return super().copy()
+
+
+def test_checkpoint_take_walks_no_account_and_no_nonce_table():
+    """``take`` used to copy every account's (balance, portions) and
+    every sender's nonce set; now the journal records the few that
+    move.  With 10^5 accounts and senders, take/restore/release walk
+    none of the tables."""
+    from repro.chain.network import Network
+
+    net = Network(4, use_signatures=False)
+    for i in range(100_000):
+        net.create_account(f"0x{i + 0x1000:040x}")
+        net.nonces.try_accept(f"0x{i + 0x1000:040x}", 1, i % 4)
+    net.accounts = _CountingDict(net.accounts)
+    net.nonces.used = _CountingDict(net.nonces.used)
+    net.nonces.last_global = _CountingDict(net.nonces.last_global)
+    net.nonces.last_per_lane = _CountingDict(net.nonces.last_per_lane)
+
+    checkpoint = NetworkCheckpoint.take(net)
+    sender = f"0x{0x1000 + 5:040x}"
+    assert net._account(sender).charge(0, 7)
+    net._account("0x" + "ee" * 20).credit(7, 0)     # lazily created
+    assert net.nonces.try_accept(sender, 2, 1)
+    assert net.journal.depth == 3
+    checkpoint.restore(net)
+    checkpoint.release(net)
+    assert _CountingDict.walks == 0
+    assert len(net.accounts) == 100_000
+    assert net.accounts[sender].balance == 10**12
+    assert net.nonces.used[sender] == {1}
+
+
+def _ft_epoch_seconds(n_users: int, txns: int = 100,
+                      epochs: int = 7) -> float:
+    """Median wall time of a serial FT-transfer epoch over a balances
+    map seeded directly (minting 10^5 balances through the interpreter
+    would dominate the test)."""
+    import time
+    from statistics import median
+
+    from repro.chain.network import Network
+    from repro.scilla.values import addr
+    from repro.workloads.generators import FTTransfer
+
+    class SeededFT(FTTransfer):
+        def prepare(self, net):
+            balances = net.contracts[self.contract_addr] \
+                .state.fields["balances"]
+            for user in self.users:
+                balances.put(addr(user), uint(10**9))
+
+    wl = SeededFT(n_users=n_users, txns_per_epoch=txns, seed=3)
+    net = Network(4, executor="serial", state_backend="none")
+    wl.setup(net)
+    times = []
+    for epoch in range(epochs):
+        batch = wl.transactions(epoch)
+        t0 = time.perf_counter()
+        block = net.process_epoch(batch)
+        times.append(time.perf_counter() - t0)
+        assert block.n_committed == txns
+    return median(times[2:])
+
+
+def test_serial_epoch_time_is_flat_in_state_size():
+    """The end-to-end guard, with a wide margin: a serial FT epoch over
+    10^5 balances takes at most 2x one over 10^3 (6.7x before forks
+    became overlays and checkpoints journal marks)."""
+    small = _ft_epoch_seconds(1_000)
+    large = _ft_epoch_seconds(100_000)
+    assert large <= 2 * small, (
+        f"FT epoch {large * 1e3:.1f} ms at 10^5 balances vs "
+        f"{small * 1e3:.1f} ms at 10^3")

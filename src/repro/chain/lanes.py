@@ -173,23 +173,17 @@ class LaneResult:
             for shard, d in portions_d.items():
                 account.shard_portions[shard] = \
                     account.shard_portions.get(shard, 0) + d
-        nonces = net.nonces
-        for sender, added in self.nonce_used_added.items():
-            nonces.used.setdefault(sender, set()).update(added)
-        for sender, value in self.nonce_last_global.items():
-            if value > nonces.last_global.get(sender, 0):
-                nonces.last_global[sender] = value
-        for sender, value in self.nonce_last_lane.items():
-            nonces.last_per_lane[(sender, self.lane)] = value
         # Resident replicas must learn these nonce moves at the next
         # sync (account moves are already recorded via net._account).
         tracker = getattr(net, "_resident_tracker", None)
-        if tracker is not None:
-            for sender in self.nonce_used_added:
-                tracker.touch_nonce(sender)
-            for sender in self.nonce_last_global:
-                tracker.touch_nonce(sender)
-            for sender in self.nonce_last_lane:
+        for sender in dict.fromkeys((*self.nonce_used_added,
+                                     *self.nonce_last_global,
+                                     *self.nonce_last_lane)):
+            net.nonces.absorb(sender, self.lane,
+                              self.nonce_used_added.get(sender, ()),
+                              self.nonce_last_global.get(sender),
+                              self.nonce_last_lane.get(sender))
+            if tracker is not None:
                 tracker.touch_nonce(sender)
 
 

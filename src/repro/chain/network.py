@@ -199,12 +199,27 @@ class _NetworkMeters:
         # non-deterministic by design.
         self.cow_copies = m.counter("state.cow.copies",
                                     deterministic=False)
+        # Overlay folds (repro.scilla.values.OverlayDict): each is one
+        # O(map) dict copy, so a fold storm shows here, not in a
+        # profile.  Process-wide like state.cow.copies — folds inside
+        # worker processes are not seen by the coordinator.
+        self.overlay_folds = m.counter("state.overlay.folds",
+                                       deterministic=False)
+        self.overlay_folded_entries = m.counter(
+            "state.overlay.folded_entries", deterministic=False)
         self.journal_depth = m.gauge("state.journal.depth",
                                      deterministic=False)
         self.checkpoint_take_ns = m.histogram(
             "net.checkpoint.take_ns", NS_BUCKETS, deterministic=False)
         self.checkpoint_restore_ns = m.histogram(
             "net.checkpoint.restore_ns", NS_BUCKETS, deterministic=False)
+        # Journal entries a checkpoint held when it was released: the
+        # size of the epoch's undo log (a journal that stopped
+        # truncating shows as ever-growing observations).
+        self.checkpoint_undo_entries = m.histogram(
+            "net.checkpoint.undo_entries",
+            (1, 10, 100, 1_000, 10_000, 100_000, 1_000_000),
+            deterministic=False)
         self.payload_states_full = m.counter("lane.payload.states_full",
                                              deterministic=False)
         self.payload_states_sliced = m.counter(
@@ -386,14 +401,16 @@ class Network:
                 os.environ.get("REPRO_SLICE_LANES", "1") != "0"
         self.slice_payloads = slice_payloads
         # Network-wide undo journal: every write to a globally-visible
-        # contract state records its reversal here, making checkpoints
-        # O(1) marks (repro.chain.recovery).
+        # contract state, and every account and nonce move, records its
+        # reversal here, making checkpoints O(1) marks
+        # (repro.chain.recovery).
         self.journal = StateJournal()
-        self._cow_copies_seen = scilla_values.COW_COPIES
+        self._state_counters_seen = self._state_counters()
         self.dispatcher = Dispatcher(n_shards, use_signatures)
         self.accounts: dict[str, Account] = {}
         self.contracts: dict[str, DeployedContract] = {}
         self.nonces = NonceTracker(strict=strict_nonces)
+        self.nonces.journal = self.journal
         self.epoch = 0
         self.blocks: list[FinalBlock] = []
         # Opt-in mempool: transactions deferred by a lane's gas limit
@@ -547,6 +564,13 @@ class Network:
             self.state_backend.stats.snapshot()
             if self.state_backend is not None else None)
 
+    @staticmethod
+    def _state_counters() -> tuple[int, int, int]:
+        """The state engine's process-wide counters, as drained into
+        ``state.cow.copies`` / ``state.overlay.*`` at each commit."""
+        return (scilla_values.COW_COPIES, scilla_values.OVERLAY_FOLDS,
+                scilla_values.OVERLAY_FOLDED_ENTRIES)
+
     # -- setup ----------------------------------------------------------------
 
     def create_account(self, address: str, balance: int = 10**12) -> Account:
@@ -556,6 +580,8 @@ class Network:
 
     def _create_account(self, address: str, balance: int) -> Account:
         address = _pad(address)
+        self.journal.record_account(self.accounts, address,
+                                    self.accounts.get(address))
         account = Account(address, balance)
         account.split_across(self.n_shards, self.dispatcher.home_shard(address))
         self.accounts[address] = account
@@ -565,16 +591,20 @@ class Network:
 
     def _account(self, address: str) -> Account:
         address = _pad(address)
-        if address not in self.accounts:
+        account = self.accounts.get(address)
+        if account is None:
             # Lazily-created zero-balance accounts are a deterministic
             # consequence of execution; they are not WAL inputs.
             return self._create_account(address, balance=0)
+        # Every account mutation goes through here (apply_effects,
+        # serial lanes, DS lane, payouts): the handout is where the
+        # journal takes the account's pre-image for checkpoint
+        # rollback, and it over-approximates the epoch's
+        # touched-account set for the resident replicas.
+        self.journal.record_account(self.accounts, address, account)
         if self._resident_tracker is not None:
-            # Every account mutation goes through here (apply_effects,
-            # serial lanes, DS lane, payouts), so recording the handout
-            # over-approximates the epoch's touched-account set.
             self._resident_tracker.touch_account(address)
-        return self.accounts[address]
+        return account
 
     def deploy(self, source: str, address: str,
                params: dict[str, Value],
@@ -657,16 +687,26 @@ class Network:
     # -- out-of-core state (repro.scilla.backend) -------------------------------
 
     def _adopt_state(self, state: ContractState) -> None:
-        """Move a freshly built (never-forked) state's top-level map
-        fields into the paged backend.  No-op without a backend; maps
-        that already page, or that are CoW-shared, are left alone."""
+        """Move a freshly built state's top-level map fields into the
+        paged backend.  No-op without a backend; maps that already
+        page are left alone.  A field initialiser may have written
+        through a fork (``builtin put`` on ``Emp``), leaving an overlay
+        or a still-shared dict: those are adopted too, so no map is
+        left resident by accident."""
         backend = self.state_backend
         if backend is None:
             return
         for value in state.fields.values():
-            if (isinstance(value, MapVal) and not value._cow
-                    and isinstance(value.entries, dict)):
-                value.entries = PagedDict.adopt(backend, value.entries)
+            if not isinstance(value, MapVal) \
+                    or isinstance(value.entries, PagedDict):
+                continue
+            entries = value.entries
+            if value._cow or not isinstance(entries, dict):
+                # Other holders can reach these children: pin forks.
+                entries = {k: (v.copy() if isinstance(v, MapVal) else v)
+                           for k, v in entries.items()}
+            value.entries = PagedDict.adopt(backend, entries)
+            value._cow = False
 
     def _flush_backend(self) -> None:
         """Write dirty overlay rows back and trim resident sets.
@@ -965,11 +1005,14 @@ class Network:
                        wal_tag: str) -> FinalBlock:
         # The WAL barrier here is the durability point of the epoch:
         # once it returns, the epoch's inputs survive any crash.
-        self._wal_append("epoch", {
-            "epoch": self.epoch + 1, "unlimited": unlimited,
-            "tag": wal_tag,
-            "txns": [transaction_to_obj(tx) for tx in txns],
-        }, barrier=True)
+        # (Guarded here as well as in _wal_append so a network without
+        # a WAL never serialises its batch.)
+        if self.wal is not None and not self._replaying:
+            self._wal_append("epoch", {
+                "epoch": self.epoch + 1, "unlimited": unlimited,
+                "tag": wal_tag,
+                "txns": [transaction_to_obj(tx) for tx in txns],
+            }, barrier=True)
         self.epoch += 1
         shard_limit = 10**15 if unlimited else self.cost.shard_gas_limit
         ds_limit = 10**15 if unlimited else self.cost.ds_gas_limit
@@ -1086,9 +1129,11 @@ class Network:
         meters.fallback_dropped.set(
             getattr(self.executor_fallback_details, "dropped", 0))
         meters.journal_depth.set(self.journal.depth)
-        cow_now = scilla_values.COW_COPIES
-        meters.cow_copies.inc(cow_now - self._cow_copies_seen)
-        self._cow_copies_seen = cow_now
+        now, seen = self._state_counters(), self._state_counters_seen
+        meters.cow_copies.inc(now[0] - seen[0])
+        meters.overlay_folds.inc(now[1] - seen[1])
+        meters.overlay_folded_entries.inc(now[2] - seen[2])
+        self._state_counters_seen = now
         # Epoch commit is the writeback point for paged state — but
         # only when the journal retains nothing (an outstanding caller
         # checkpoint could still roll contract states back past this

@@ -6,10 +6,10 @@ network survives.  Three mechanisms, mirrored on real deployments:
 
 * **Per-epoch checkpoints** (:class:`NetworkCheckpoint`) — a *mark*
   into the network's :class:`~repro.scilla.state.StateJournal` plus
-  cheap scalar snapshots (account partitions, nonce tracker, backlog,
-  counters), taken before the shard phase.  ``take`` is O(accounts),
-  never O(state): contract states are covered by the journal, which
-  records an undo entry per write.  A FinalBlock is the only commit
+  copies of the small bookkeeping that bypasses it (backlog, counters),
+  taken before the shard phase.  ``take`` is O(1) in contract state,
+  accounts and senders: all three are covered by the journal, which
+  records an undo entry per mutation.  A FinalBlock is the only commit
   point: if the DS committee has to exclude a lane mid-epoch (view
   change), the whole epoch attempt is rolled back to the checkpoint —
   replaying the undo journal down to the mark — and retried without
@@ -128,11 +128,12 @@ def validate_delta(delta: StateDelta, contract, dispatcher
 class NetworkCheckpoint:
     """Everything an epoch attempt can mutate, as a rollback point.
 
-    Contract states are *not* copied: ``journal_mark`` pins a position
-    in the network's :class:`~repro.scilla.state.StateJournal`, and
-    :meth:`restore` replays the undo entries recorded above it.  Only
-    the scalar bookkeeping that bypasses the journal (accounts,
-    nonces, mempool, counters, telemetry) is snapshotted eagerly.
+    Contract states, user accounts and nonce records are *not* copied:
+    ``journal_mark`` pins a position in the network's
+    :class:`~repro.scilla.state.StateJournal`, and :meth:`restore`
+    replays the undo entries recorded above it.  Only the bookkeeping
+    that bypasses the journal (mempool backlog, dead letters, executor
+    counters, telemetry) is snapshotted eagerly.
 
     Restoring is idempotent and repeatable: after a rollback the
     journal head sits exactly at the mark, so one checkpoint supports
@@ -149,10 +150,6 @@ class NetworkCheckpoint:
     # Addresses deployed at take-time: restore drops contracts (and
     # their dispatcher registrations) created by an aborted attempt.
     contract_addrs: frozenset[str]
-    accounts: dict[str, tuple[int, dict[int, int]]]
-    nonce_used: dict[str, set[int]]
-    nonce_last_global: dict[str, int]
-    nonce_last_per_lane: dict[tuple[str, int], int]
     backlog: list
     # An aborted attempt must not leak dead-lettered transactions or
     # inflated executor counters into the committed epoch.
@@ -174,11 +171,6 @@ class NetworkCheckpoint:
             epoch=net.epoch,
             journal_mark=net.journal.mark(),
             contract_addrs=frozenset(net.contracts),
-            accounts={addr: (acc.balance, dict(acc.shard_portions))
-                      for addr, acc in net.accounts.items()},
-            nonce_used={s: set(v) for s, v in net.nonces.used.items()},
-            nonce_last_global=dict(net.nonces.last_global),
-            nonce_last_per_lane=dict(net.nonces.last_per_lane),
             backlog=list(net.backlog),
             dead_letter=list(net.dead_letter),
             executor_fallbacks=net.executor_fallbacks,
@@ -193,6 +185,8 @@ class NetworkCheckpoint:
 
     def restore(self, net) -> None:
         t0 = time.perf_counter_ns() if net.metrics.enabled else 0
+        # Contract states, accounts (lazily created ones disappear)
+        # and nonce records all unwind through the journal.
         net.journal.rollback_to(self.journal_mark)
         # Contracts deployed after the checkpoint (e.g. during an
         # attempt that is now being discarded) must disappear entirely:
@@ -202,18 +196,6 @@ class NetworkCheckpoint:
             del net.contracts[addr]
             net.dispatcher.contracts.pop(addr, None)
             net.dispatcher._field_level_cache.pop(addr, None)
-        # Accounts created lazily during the aborted attempt would
-        # otherwise keep credits from discarded lanes.
-        for addr in list(net.accounts):
-            if addr not in self.accounts:
-                del net.accounts[addr]
-        for addr, (balance, portions) in self.accounts.items():
-            account = net.accounts[addr]
-            account.balance = balance
-            account.shard_portions = dict(portions)
-        net.nonces.used = {s: set(v) for s, v in self.nonce_used.items()}
-        net.nonces.last_global = dict(self.nonce_last_global)
-        net.nonces.last_per_lane = dict(self.nonce_last_per_lane)
         net.backlog = list(self.backlog)
         net.dead_letter = list(self.dead_letter)
         net.executor_fallbacks = self.executor_fallbacks
@@ -230,6 +212,8 @@ class NetworkCheckpoint:
     def release(self, net) -> None:
         """Commit past this checkpoint: the journal may truncate every
         entry no other outstanding checkpoint still needs."""
+        net._meters.checkpoint_undo_entries.observe(
+            net.journal.seq - self.journal_mark)
         net.journal.release(self.journal_mark)
 
 

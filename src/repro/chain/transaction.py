@@ -126,18 +126,72 @@ class NonceTracker:
         self.used: dict[str, set[int]] = {}
         self.last_global: dict[str, int] = {}
         self.last_per_lane: dict[tuple[str, int], int] = {}
+        # The owning network's StateJournal, if any: every move below
+        # reports its pre-image there, so a checkpoint restore rolls
+        # nonces back with everything else.
+        self.journal = None
+
+    def _record(self, sender: str, lane: int, had_entry: bool,
+                added: tuple) -> None:
+        if self.journal is not None:
+            self.journal.record_nonce(
+                self, sender, lane, had_entry, added,
+                self.last_global.get(sender),
+                self.last_per_lane.get((sender, lane)))
 
     def try_accept(self, sender: str, nonce: int, lane: int) -> bool:
-        used = self.used.setdefault(sender, set())
-        if nonce in used:
+        used = self.used.get(sender)
+        had_entry = used is not None
+        if had_entry and nonce in used:
             return False  # replay
         if self.strict:
-            if nonce != self.last_global.get(sender, 0) + 1:
-                return False
+            accept = nonce == self.last_global.get(sender, 0) + 1
         else:
-            if nonce <= self.last_per_lane.get((sender, lane), 0):
-                return False
+            accept = nonce > self.last_per_lane.get((sender, lane), 0)
+        if had_entry and not accept:
+            return False
+        self._record(sender, lane, had_entry, (nonce,) if accept else ())
+        if not had_entry:
+            # Even a rejection leaves the sender an (empty) record.
+            used = self.used[sender] = set()
+        if not accept:
+            return False
         used.add(nonce)
         self.last_global[sender] = max(self.last_global.get(sender, 0), nonce)
         self.last_per_lane[(sender, lane)] = nonce
         return True
+
+    def absorb(self, sender: str, lane: int, added,
+               last_global: int | None,
+               last_lane: int | None) -> None:
+        """Fold in what an isolated lane did to ``sender``'s record:
+        the nonces it accepted — new here, or the epoch would not have
+        run in parallel lanes — and where it left the high-water marks
+        (``LaneResult.apply_effects``)."""
+        used = self.used.get(sender)
+        self._record(sender, lane, used is not None, tuple(added))
+        if added:
+            if used is None:
+                used = self.used[sender] = set()
+            used.update(added)
+        if last_global is not None and \
+                last_global > self.last_global.get(sender, 0):
+            self.last_global[sender] = last_global
+        if last_lane is not None:
+            self.last_per_lane[(sender, lane)] = last_lane
+
+    def revert(self, sender: str, lane: int, had_entry: bool,
+               added: list, last_global: int | None,
+               last_lane: int | None) -> None:
+        """Undo one recorded move (``StateJournal.rollback_to``)."""
+        if not had_entry:
+            self.used.pop(sender, None)
+        elif added and sender in self.used:
+            self.used[sender].difference_update(added)
+        for table, key, old in (
+                (self.last_global, sender, last_global),
+                (self.last_per_lane, (sender, lane), last_lane)):
+            if old is None:
+                table.pop(key, None)
+            else:
+                table[key] = old

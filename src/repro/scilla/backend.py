@@ -52,7 +52,7 @@ import time
 import weakref
 from typing import Any, Iterable, Iterator
 
-from .values import MapVal, Value
+from .values import MapVal, OverlayDict, Value
 
 # Resident entries a single paged map keeps before evicting clean
 # scalar rows, oldest-touched first.  Override per-network with
@@ -666,7 +666,7 @@ class PagedDict:
     def __eq__(self, other) -> bool:
         if other is self:
             return True
-        if isinstance(other, (PagedDict, dict)):
+        if isinstance(other, (PagedDict, dict, OverlayDict)):
             if len(other) != len(self):
                 return False
             sentinel = object()
@@ -688,11 +688,15 @@ class PagedDict:
 
     # -- paging API ------------------------------------------------------
 
-    def mark_dirty(self, key: Value) -> None:
-        """An already-resident (nested-map) value is about to be
-        mutated in place; make sure the row is written back."""
+    def own_child(self, key: Value) -> Value:
+        """The (present) nested map at ``key``, about to be mutated in
+        place (``ContractState._descend``): it is pinned in the
+        overlay and private to it — ``private_copy`` forks every
+        resident child — so only the writeback needs arranging."""
+        child = self[key]
         if key in self._local:
             self._dirty.add(key)
+        return child
 
     def prefetch(self, keys: Iterable[Value]) -> int:
         """Batch-fault ``keys`` into the overlay (footprint oracle).

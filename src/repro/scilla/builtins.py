@@ -406,8 +406,9 @@ def _get(args: list[Value]) -> Value:
     m, k = args
     if not isinstance(m, MapVal):
         raise EvalError("get expects a map")
-    if k in m.entries:
-        return some(m.entries[k], m.value_type)
+    v = m.entries.get(k)
+    if v is not None:
+        return some(v, m.value_type)
     return none(m.value_type)
 
 

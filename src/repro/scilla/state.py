@@ -8,18 +8,20 @@ substrate can compute per-shard state deltas without diffing whole
 maps.
 
 Copies are structural (copy-on-write): :meth:`ContractState.fork` is
-O(number of fields), sharing every map's entry dict with the source
-until one side is first written.  All mutation flows through the owned
-write paths below (``write`` / ``map_put`` / ``map_delete``), which
-materialise private dicts along the written path only — so a fork of a
-million-entry token map costs a dict-wrapper per field, not a deep
-copy (docs/STATE.md).
+O(number of fields), sharing every map's entries with the source.  All
+mutation flows through the owned write paths below (``write`` /
+``map_put`` / ``map_delete``), which lay a private overlay over the
+shared entries along the written path only — so a fork of a
+million-entry token map costs a wrapper per field, and a write through
+it a few overlay entries, never a copy of the map (docs/STATE.md).
 
 :class:`StateJournal` generalises the per-transition undo log to the
-network level: every write to a journal-attached state appends an undo
-entry, and a :class:`~repro.chain.recovery.NetworkCheckpoint` becomes
-a mark into that log — ``take`` is O(1), ``restore`` replays the undo
-entries above the mark in reverse.
+network level: every write to a journal-attached state — and, while a
+mark is outstanding, every account and nonce move the network reports —
+appends an undo entry, and a
+:class:`~repro.chain.recovery.NetworkCheckpoint` becomes a mark into
+that log — ``take`` is O(1), ``restore`` replays the undo entries above
+the mark in reverse.
 """
 
 from __future__ import annotations
@@ -120,7 +122,8 @@ class ContractState:
         checkpoints, lane payloads, and the serial lane path.
 
         O(number of fields): each map field becomes a CoW wrapper over
-        the shared entry dict.  The fork is unjournaled; behaviour is
+        the shared entries, and the first write through one costs an
+        overlay, not a copy.  The fork is unjournaled; behaviour is
         indistinguishable from a deep copy as long as every mutation
         flows through the owned write paths (which it does — see
         tests/test_state_journal.py for the aliasing property tests).
@@ -150,9 +153,10 @@ class ContractState:
 
         With ``create=True`` missing intermediate maps are created, as
         Scilla's in-place map update semantics prescribes.  With
-        ``own=True`` (write paths) every map along the walk first
-        materialises a private entry dict, so the mutation can never
-        leak into a structurally-shared fork.
+        ``own=True`` (write paths) every map along the walk is first
+        privatised, and each child is taken through its container's
+        ``own_child`` hook (a plain dict owns its children outright),
+        so the mutation can never leak into a structurally-shared fork.
         """
         current = self.get_field(name)
         typ = self.field_types.get(name)
@@ -161,20 +165,18 @@ class ContractState:
                 raise ExecError(f"field {name!r} is not a nested map")
             if own:
                 current._own()
-            if key not in current.entries:
+            entries = current.entries
+            child = entries.get(key, MISSING)
+            if child is MISSING:
                 if not create:
                     return None
                 if not isinstance(typ, MapType) or not isinstance(typ.value, MapType):
                     raise ExecError(f"cannot create nested map in {name!r}")
-                current.entries[key] = MapVal(typ.value.key, typ.value.value)
-            child = current.entries[key]
+                child = entries[key] = MapVal(typ.value.key, typ.value.value)
             if own:
-                # Paged parent: the nested map is about to be mutated in
-                # place, which its __setitem__ will never see — flag the
-                # row for writeback explicitly.
-                mark_dirty = getattr(current.entries, "mark_dirty", None)
-                if mark_dirty is not None:
-                    mark_dirty(key)
+                own_child = getattr(entries, "own_child", None)
+                if own_child is not None:
+                    child = own_child(key)
             current = child
             typ = typ.value if isinstance(typ, MapType) else None
         if not isinstance(current, MapVal):
@@ -185,9 +187,9 @@ class ContractState:
 
     def map_get(self, name: str, keys: tuple[Value, ...]) -> Value | _Missing:
         leaf = self._descend(name, keys, create=False)
-        if leaf is None or keys[-1] not in leaf.entries:
+        if leaf is None:
             return MISSING
-        return leaf.entries[keys[-1]]
+        return leaf.entries.get(keys[-1], MISSING)
 
     def map_put(self, name: str, keys: tuple[Value, ...], value: Value) -> None:
         self._journal_write((name, keys))
@@ -238,16 +240,21 @@ def _capture_undo(state: ContractState, key: StateKey
     reference*: a replaced value drops out of the live tree at the
     write, and everything still in the tree is only ever mutated
     through the owned (CoW-safe) write paths — so the reference stays
-    valid without a deep copy.
+    valid without a deep copy.  A captured map is flagged shared: it
+    may sit in a frozen overlay base, so whoever gets it back on
+    rollback must fork it before writing through it.
     """
     name, keys = key
-    if not keys:
-        return key, state.fields.get(name, MISSING)
     current: Value | _Missing = state.fields.get(name, MISSING)
     for i, k in enumerate(keys):
-        if not isinstance(current, MapVal) or k not in current.entries:
+        if isinstance(current, MapVal):
+            current = current.entries.get(k, MISSING)
+        else:
+            current = MISSING
+        if current is MISSING:
             return (name, keys[: i + 1]), MISSING
-        current = current.entries[k]
+    if isinstance(current, MapVal):
+        current._cow = True
     return key, current
 
 
@@ -302,7 +309,20 @@ class StateJournal:
       captured with the same prefix-deletion logic as ``WriteLog``;
     * ``("balance", state, old)`` — a native-balance change;
     * ``("rebind", holder, old_state)`` — a ``DeployedContract`` whose
-      ``state`` attribute was swapped (the FSD merge does this).
+      ``state`` attribute was swapped (the FSD merge does this);
+    * ``("account", accounts, address, account, balance, portions)`` —
+      a user account about to be handed out for mutation, replaced, or
+      (``account`` None) created;
+    * ``("nonce", tracker, sender, lane, had_entry, added, last_global,
+      last_lane)`` — one sender's nonce record in one lane about to
+      move; ``added`` collects the nonces accepted since.
+
+    The last two are the network's bookkeeping outside contract state.
+    They are recorded only while a mark is outstanding (between
+    checkpoints nothing could ever replay them), and once per address
+    or (sender, lane) since the newest mark: the first pre-image after
+    a mark is the one a rollback to it must reinstate, so an admin
+    sending a whole epoch costs one entry, not one per transaction.
 
     Positions are *absolute* sequence numbers, so entries can be
     truncated from the front without invalidating marks: a mark is
@@ -318,6 +338,10 @@ class StateJournal:
         self._base = 0          # absolute sequence of _entries[0]
         self._marks: list[int] = []   # outstanding marks (absolute)
         self._suspended = False
+        # Accounts (by address) and nonce records (by (sender, lane),
+        # mapped to the entry's ``added`` list) journaled since the
+        # newest mark.
+        self._seen: dict = {}
 
     @property
     def depth(self) -> int:
@@ -359,12 +383,40 @@ class StateJournal:
             return
         self._entries.append(("rebind", holder, old_state))
 
+    def record_account(self, accounts: dict, address: str,
+                       account) -> None:
+        """``accounts[address]`` — now ``account``, None when absent —
+        is about to be mutated, replaced or created."""
+        if self._suspended or not self._marks or address in self._seen:
+            return
+        self._seen[address] = None
+        balance, portions = (0, None) if account is None else (
+            account.balance, dict(account.shard_portions))
+        self._entries.append(("account", accounts, address, account,
+                              balance, portions))
+
+    def record_nonce(self, tracker, sender: str, lane: int,
+                     had_entry: bool, added: tuple, last_global,
+                     last_lane) -> None:
+        """``tracker``'s record for ``sender`` is about to gain the
+        nonces ``added`` and move its high-water marks (given as they
+        stand, None when unset); ``tracker.revert`` undoes it."""
+        if self._suspended or not self._marks:
+            return
+        log = self._seen.get((sender, lane))
+        if log is None:
+            log = self._seen[(sender, lane)] = []
+            self._entries.append(("nonce", tracker, sender, lane,
+                                  had_entry, log, last_global, last_lane))
+        log.extend(added)
+
     # -- marks (checkpoint protocol) ----------------------------------------
 
     def mark(self) -> int:
         """Open a rollback point; pair with :meth:`release`."""
         m = self.seq
         self._marks.append(m)
+        self._seen.clear()
         return m
 
     def release(self, mark: int) -> None:
@@ -398,6 +450,7 @@ class StateJournal:
                 f"mark {mark} was truncated (journal base {self._base}); "
                 f"the checkpoint was already released")
         self._suspended = True
+        self._seen.clear()
         try:
             while self.seq > mark:
                 entry = self._entries.pop()
@@ -408,8 +461,18 @@ class StateJournal:
                 elif kind == "balance":
                     _, state, old = entry
                     state._balance = old
-                else:  # "rebind"
+                elif kind == "rebind":
                     _, holder, old_state = entry
                     holder.state = old_state
+                elif kind == "account":
+                    _, accounts, address, account, balance, portions = entry
+                    if account is None:
+                        accounts.pop(address, None)
+                    else:
+                        accounts[address] = account
+                        account.balance = balance
+                        account.shard_portions = portions
+                else:  # "nonce"
+                    entry[1].revert(*entry[2:])
         finally:
             self._suspended = False

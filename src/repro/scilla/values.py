@@ -3,8 +3,10 @@
 Values are deliberately simple wrappers.  Primitive values are frozen
 (hashable, usable as map keys); maps are mutable dictionaries owned by
 the contract state.  Maps copy structurally (copy-on-write): a
-``copy()`` is O(1) and shares the entry dict with its source until one
-side is first written (see docs/STATE.md for the aliasing invariant).
+``copy()`` is O(1) and shares the entry container with its source;
+the first write through either side lays a small private overlay
+(:class:`OverlayDict`) over the shared, from then on frozen, entries
+(see docs/STATE.md for the aliasing invariant).
 """
 
 from __future__ import annotations
@@ -92,10 +94,204 @@ class ADTVal(Value):
         return f"({self.constructor} {' '.join(str(a) for a in self.args)})"
 
 
-# Process-wide count of copy-on-write materialisations (``_own`` dict
-# copies).  Read by the chain telemetry (``state.cow.copies``) and by
-# the CI bench smoke guarding that checkpoint ``take`` stays O(1).
+# Process-wide count of copy-on-write privatisations (``MapVal._own``
+# calls that found the wrapper shared).  Read by the chain telemetry
+# (``state.cow.copies``) and by the benchmark's golden values.
 COW_COPIES = 0
+
+# An overlay folds into a fresh flat base once it holds more than
+# len(base) // OVERLAY_FOLD_DIVISOR + OVERLAY_FOLD_SLACK pending
+# writes and tombstones: each fold is one C-speed dict copy, so a write
+# costs amortised O(1) whatever the map's size.
+OVERLAY_FOLD_DIVISOR = 8
+OVERLAY_FOLD_SLACK = 64
+
+# Process-wide fold count and entries those folds copied
+# (``state.overlay.folds`` / ``state.overlay.folded_entries``).
+OVERLAY_FOLDS = 0
+OVERLAY_FOLDED_ENTRIES = 0
+
+_ABSENT = object()
+
+
+class OverlayDict:
+    """A private overlay over a shared, frozen entry dict.
+
+    Drop-in for ``MapVal.entries`` (full dict protocol, pickles to a
+    plain dict).  ``base`` is never mutated once an overlay wraps it —
+    any number of overlays may share it — and every write lands in
+    ``over`` (``dead`` holds tombstones of deleted base keys), so
+    privatising a shared map costs O(overlay), never O(map).
+
+    Iteration order equals the plain dict's the overlay stands in for:
+    base order, an overwrite keeps its position, new keys follow in
+    insertion order, and a deleted-then-reinserted base key (in both
+    ``dead`` and ``over``) moves to the end.  A fold preserves exactly
+    that order, so *when* it happens is unobservable.
+
+    Map-valued children: those in ``base`` are shared with every other
+    overlay on it and are never mutated in place; :meth:`own_child`
+    copies one *up* into ``over`` before a nested write goes through
+    it.  ``kids`` names the keys of ``over`` holding a ``MapVal``; a
+    child there with ``_cow`` clear belongs to this overlay alone.
+    """
+
+    __slots__ = ("base", "over", "dead", "kids", "_count")
+
+    def __init__(self, base: dict):
+        self.base = base
+        self.over: dict[Value, Value] = {}
+        self.dead: set[Value] = set()
+        self.kids: set[Value] = set()
+        self._count = len(base)
+
+    # -- reads ---------------------------------------------------------------
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __contains__(self, key: Value) -> bool:
+        if key in self.over:
+            return True
+        return key in self.base and key not in self.dead
+
+    def get(self, key: Value, default=None):
+        value = self.over.get(key, _ABSENT)
+        if value is not _ABSENT:
+            return value
+        if self.dead and key in self.dead:
+            return default
+        return self.base.get(key, default)
+
+    def __getitem__(self, key: Value) -> Value:
+        value = self.get(key, _ABSENT)
+        if value is _ABSENT:
+            raise KeyError(key)
+        return value
+
+    def _flat(self) -> dict:
+        """Every live entry as one dict in iteration order; ``base``
+        itself (read-only!) while nothing is pending."""
+        if not self.over and not self.dead:
+            return self.base
+        flat = self.base.copy()
+        for key in self.dead:
+            del flat[key]
+        flat.update(self.over)
+        return flat
+
+    def __iter__(self):
+        return iter(self._flat())
+
+    def keys(self):
+        return self._flat().keys()
+
+    def values(self):
+        return self._flat().values()
+
+    def items(self):
+        return self._flat().items()
+
+    def __eq__(self, other) -> bool:
+        if other is self:
+            return True
+        if isinstance(other, OverlayDict):
+            other = other._flat()
+        elif not isinstance(other, dict):
+            return NotImplemented
+        return self._flat() == other
+
+    def __repr__(self) -> str:
+        return (f"OverlayDict(n={self._count}, base={len(self.base)}, "
+                f"over={len(self.over)}, dead={len(self.dead)})")
+
+    def __reduce__(self):
+        return (dict, (self._flat(),))
+
+    # -- writes --------------------------------------------------------------
+
+    def __setitem__(self, key: Value, value: Value) -> None:
+        over = self.over
+        held = len(over)
+        over[key] = value
+        if type(value) is MapVal:
+            self.kids.add(key)
+        elif self.kids:
+            self.kids.discard(key)
+        if len(over) != held:
+            if key not in self.base or key in self.dead:
+                self._count += 1
+            self._fold_if_due()
+
+    def pop(self, key: Value, *default):
+        value = self.over.pop(key, _ABSENT)
+        if value is _ABSENT:
+            if key not in self.base or key in self.dead:
+                if default:
+                    return default[0]
+                raise KeyError(key)
+            value = self.base[key]
+            self.dead.add(key)
+        else:
+            self.kids.discard(key)
+            if key in self.base:
+                self.dead.add(key)
+        self._count -= 1
+        self._fold_if_due()
+        return value
+
+    def __delitem__(self, key: Value) -> None:
+        self.pop(key)
+
+    def _fold_if_due(self) -> None:
+        # Owned children stay in ``over`` across a fold, so they do not
+        # count as pending (or one fold would trigger the next).
+        pending = len(self.over) + len(self.dead) - len(self.kids)
+        if pending > (len(self.base) // OVERLAY_FOLD_DIVISOR
+                      + OVERLAY_FOLD_SLACK):
+            self._fold()
+
+    def _fold(self) -> None:
+        global OVERLAY_FOLDS, OVERLAY_FOLDED_ENTRIES
+        flat = self._flat()
+        OVERLAY_FOLDS += 1
+        OVERLAY_FOLDED_ENTRIES += len(flat)
+        over = self.over
+        # The new base first: every intermediate state reads the same.
+        self.base = flat
+        self.over = {key: over[key] for key in self.kids}
+        self.dead = set()
+
+    # -- copy-on-write hooks (MapVal._own / ContractState._descend) ----------
+
+    def private_copy(self) -> "OverlayDict":
+        """The privatisation step of ``MapVal._own``: a fresh overlay
+        on the same base.  Children owned so far become shared by the
+        two sides, so they are flagged; either side copies them up
+        again before writing through them."""
+        over = self.over
+        for key in self.kids:
+            over[key]._cow = True
+        clone = OverlayDict(self.base)
+        clone.over = over.copy()
+        clone.dead = self.dead.copy()
+        clone.kids = self.kids.copy()
+        clone._count = self._count
+        return clone
+
+    def own_child(self, key: Value) -> Value:
+        """The (present) entry at ``key`` as a child this overlay may
+        mutate in place: a base child, or one flagged shared, is
+        replaced in ``over`` by a fork of itself first."""
+        child = self.over.get(key, _ABSENT)
+        shared = child is _ABSENT
+        if shared:
+            child = self.base[key]
+        if type(child) is MapVal and (shared or child._cow):
+            child = child.copy()
+            self.over[key] = child
+            self.kids.add(key)
+        return child
 
 
 @dataclass
@@ -103,12 +299,14 @@ class MapVal(Value):
     """A mutable finite map; contract state owns these.
 
     Copies share structure: ``copy()`` returns a new wrapper over the
-    *same* entry dict, marking both sides copy-on-write.  The first
-    write through either wrapper materialises a private shallow copy
-    of the dict (``_own``), re-wrapping map-valued children so the
-    protection propagates lazily down the tree.  The invariant: a
-    ``MapVal`` whose ``_cow`` flag is clear is referenced by exactly
-    one owner chain, so in-place mutation of its dict is private.
+    *same* entry container, marking both sides copy-on-write.  The
+    first write through either wrapper privatises it (``_own``): the
+    shared container becomes the frozen base of a small private
+    :class:`OverlayDict` — O(1) over a plain dict, O(overlay) over a
+    container with its own ``private_copy`` — and map-valued children
+    are forked lazily, when a nested write walks through them.  The
+    invariant: a ``MapVal`` whose ``_cow`` flag is clear is referenced
+    by exactly one owner chain, so writing its entries is private.
 
     Mutate only through :meth:`put` / :meth:`remove` or the owned
     write paths of ``ContractState``; writing ``entries`` directly is
@@ -128,28 +326,16 @@ class MapVal(Value):
         return fork
 
     def _own(self) -> None:
-        """Make this wrapper the sole owner of its entry dict.
-
-        Map-valued children are re-wrapped in fresh CoW forks: the
-        other holder of the old dict still references the original
-        child objects, so handing out the same objects unflagged
-        would alias two logical owners.
-        """
+        """Make this wrapper the sole writer of its entries: the shared
+        container is left to the other holders and a private overlay
+        on it takes its place."""
         if self._cow:
             global COW_COPIES
             COW_COPIES += 1
             entries = self.entries
             private_copy = getattr(entries, "private_copy", None)
-            if private_copy is not None:
-                # Paged map (repro.scilla.backend.PagedDict): copy the
-                # resident overlay only; both sides keep sharing the
-                # backend rows read-only.
-                self.entries = private_copy()
-            else:
-                self.entries = {
-                    k: (v.copy() if type(v) is MapVal else v)
-                    for k, v in entries.items()
-                }
+            self.entries = (private_copy() if private_copy is not None
+                            else OverlayDict(entries))
             self._cow = False
 
     def put(self, key: Value, value: Value) -> None:

@@ -244,6 +244,38 @@ class TestDurabilitySpine:
         a.close()
         b.close()
 
+    def test_no_map_stays_resident_and_sidecar_holds_every_entry(
+            self, tmp_path):
+        """No silent resident fallback: FungibleToken's ``balances``
+        initialiser writes through a fork (``builtin put`` on ``Emp``),
+        so the map reaches ``_adopt_state`` as an overlay — it must be
+        paged all the same, stay paged across epochs, and the snapshot
+        sidecar must hold exactly the live entries."""
+        d = str(tmp_path)
+        wl = FTTransfer(n_users=10, txns_per_epoch=20, seed=5)
+        net = Network(2, use_signatures=True, executor="serial",
+                      data_dir=d, snapshot_every=2,
+                      state_backend="sqlite")
+        wl.setup(net)
+        for epoch in range(1, 7):       # epoch 6 ends on a snapshot
+            net.process_epoch(wl.transactions(epoch))
+        live = 0
+        for contract in net.contracts.values():
+            for name, value in contract.state.fields.items():
+                if isinstance(value, MapVal):
+                    assert isinstance(value.entries, PagedDict), name
+                    assert net.state_backend.count(
+                        value.entries.map_id) == len(value.entries)
+                    live += len(value.entries)
+        net.close()
+        assert live >= 10
+        conn = sqlite3.connect(self._newest_sidecar(d))
+        try:
+            rows = conn.execute("SELECT COUNT(*) FROM kv").fetchone()[0]
+        finally:
+            conn.close()
+        assert rows == live
+
     def _newest_sidecar(self, data_dir):
         store = SnapshotStore(data_dir)
         sidecars = store.backend_paths()

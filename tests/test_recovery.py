@@ -1,13 +1,19 @@
 """Recovery tests: checkpoints, delta validation, view changes,
 retry backoff and dead-lettering, and dispatch/execution agreement."""
 
+import copy
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.chain import Network, call, payment
+from repro.chain.blocks import MicroBlock
 from repro.chain.consensus import CostModel
 from repro.chain.delta import DeltaEntry, StateDelta
 from repro.chain.dispatch import DS, _pad
 from repro.chain.faults import FaultEvent, FaultKind, FaultPlan
+from repro.chain.lanes import LaneResult
 from repro.chain.recovery import (
     NetworkCheckpoint, network_fingerprint, state_fingerprint,
     validate_delta,
@@ -173,6 +179,140 @@ def test_view_change_after_dead_letter_keeps_it_exact():
     assert sum(b.stats.dead_lettered for b in faulty.blocks) == \
         len(faulty.dead_letter)
     assert network_fingerprint(faulty) == network_fingerprint(clean)
+
+
+# -- checkpoint properties: the journal is the only rollback mechanism --------
+
+def _books(net):
+    """Everything a checkpoint must reinstate, by value."""
+    return {
+        "accounts": {a: (acc.balance, dict(acc.shard_portions))
+                     for a, acc in net.accounts.items()},
+        "used": copy.deepcopy(net.nonces.used),
+        "last_global": dict(net.nonces.last_global),
+        "last_per_lane": dict(net.nonces.last_per_lane),
+        "states": network_fingerprint(net),
+    }
+
+
+_STRANGERS = ["0x" + f"{0xeeee0000 + i:040x}" for i in range(3)]
+_LANES = st.sampled_from([0, 1, 2, DS])
+_WHO = st.integers(0, 5)
+
+_BOOK_OPS = st.one_of(
+    st.tuples(st.just("charge"), _WHO, _LANES, st.integers(0, 10**13)),
+    st.tuples(st.just("credit"), _WHO, _LANES, st.integers(0, 500)),
+    # A recipient nobody created: _account makes it on the fly.
+    st.tuples(st.just("lazy"), st.integers(0, 2), _LANES,
+              st.integers(1, 500)),
+    st.tuples(st.just("recreate"), _WHO, _LANES, st.integers(0, 500)),
+    # Fresh nonces are accepted; low ones and replays are rejected.
+    st.tuples(st.just("nonce"), st.integers(0, 7), _LANES,
+              st.integers(0, 6)),
+    st.tuples(st.just("effects"), _WHO, st.sampled_from([0, 1, 2]),
+              st.integers(1, 40)),
+    st.tuples(st.just("epoch"), _WHO, _LANES, st.integers(1, 5)),
+    # A view change mid-epoch: roll back, then keep going.
+    st.tuples(st.just("retry"), _WHO, _LANES, st.just(0)),
+)
+
+
+def _apply_book_op(net, op, checkpoint, pre) -> None:
+    kind, who, lane, n = op
+    user = USERS[who % len(USERS)]
+    if kind == "charge":
+        net._account(user).charge(lane, n)     # may fail: also fine
+    elif kind == "credit":
+        net._account(user).credit(n, lane)
+    elif kind == "lazy":
+        net._account(_STRANGERS[who]).credit(n, lane)
+    elif kind == "recreate":
+        net.create_account(user, balance=n)
+    elif kind == "nonce":
+        sender = (USERS + _STRANGERS)[who]
+        net.nonces.try_accept(_pad(sender), n, lane)
+    elif kind == "effects":
+        sender = _pad(user)
+        # A lane only reports nonces the coordinator has not seen.
+        top = max(net.nonces.used.get(sender) or {0})
+        LaneResult(
+            lane=lane, microblock=MicroBlock(shard=lane, epoch=net.epoch),
+            deltas=[], balance_deltas={}, deferred=[],
+            account_deltas={sender: (-n, {lane: -n}),
+                            _pad(_STRANGERS[0]): (n, {lane: n})},
+            nonce_used_added={sender: {top + 1, top + 2}},
+            nonce_last_global={sender: top + 2},
+            nonce_last_lane={sender: top + 2},
+        ).apply_effects(net)
+    elif kind == "epoch":
+        nonce = net.nonces.last_global.get(_pad(user), 0) + 1
+        net.process_epoch([call(
+            user, TOKEN, "Transfer",
+            {"to": addr(USERS[(who + 1) % len(USERS)]),
+             "amount": uint(n)}, nonce=nonce)])
+    else:  # retry
+        checkpoint.restore(net)
+        assert _books(net) == pre
+
+
+@pytest.fixture(scope="module")
+def minted_net():
+    net = ft_network()
+    mint_all(net)
+    return net
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_BOOK_OPS, max_size=14))
+def test_checkpoint_restore_equals_preimage(minted_net, ops):
+    net = minted_net
+    pre = _books(net)
+    checkpoint = NetworkCheckpoint.take(net)
+    for op in ops:
+        _apply_book_op(net, op, checkpoint, pre)
+    checkpoint.restore(net)
+    assert _books(net) == pre
+    checkpoint.restore(net)            # restoring twice is a no-op
+    assert _books(net) == pre
+    checkpoint.release(net)
+    assert net.journal.depth == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_BOOK_OPS, max_size=8), st.lists(_BOOK_OPS, max_size=8),
+       st.sampled_from(["inner-first", "outer-first", "outer-released"]))
+def test_two_outstanding_checkpoints(minted_net, first_ops, second_ops,
+                                     order):
+    net = minted_net
+    pre = _books(net)
+    outer = NetworkCheckpoint.take(net)
+    for op in first_ops:
+        _apply_book_op(net, op, outer, pre)
+    middle = _books(net)
+    inner = NetworkCheckpoint.take(net)
+    for op in second_ops:
+        _apply_book_op(net, op, inner, middle)
+    if order == "inner-first":
+        inner.restore(net)
+        assert _books(net) == middle
+        outer.restore(net)
+        assert _books(net) == pre
+    elif order == "outer-first":
+        # Out of order: everything above the older mark is gone, so
+        # the newer checkpoint has nothing left to undo.
+        outer.restore(net)
+        assert _books(net) == pre
+        inner.restore(net)
+        assert _books(net) == pre
+    else:
+        # The older one commits first; the newer still rolls back to
+        # where *it* was taken.
+        outer.release(net)
+        inner.restore(net)
+        assert _books(net) == middle
+    inner.release(net)
+    outer.release(net)
+    assert net.journal.depth == 0
 
 
 def test_state_fingerprint_is_insertion_order_independent():

@@ -9,14 +9,20 @@ Three laws the state engine rests on:
   to an inner mark then to an outer one equals undoing straight to the
   outer one.
 * **CoW isolation** — writes through a fork never leak into the
-  source (or vice versa), at any nesting depth, even though the fork
-  is O(fields) and shares every entry dict at birth.
+  source (or vice versa), at any nesting depth and through forks of
+  forks, even though the fork is O(fields) and shares every entry
+  container at birth; and an overlaid map is observationally a plain
+  dict (order, ``len``, ``==``, pickle), whenever its overlay folds.
 
 Plus the O(1)-take guard: marking the journal must not materialise a
 single CoW copy nor touch any map entry.
 """
 
 from __future__ import annotations
+
+import contextlib
+import copy
+import pickle
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -119,27 +125,134 @@ def test_nested_marks_compose(outer_ops, inner_ops):
     assert snapshot(state) == base
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(_OPS, max_size=12), st.lists(_OPS, max_size=12))
-def test_cow_fork_never_leaks_writes(source_ops, fork_ops):
-    source = fresh_state()
-    _apply(source, ("put", ("m", (StringVal("a"),)), 7))
-    _apply(source, ("put", ("nested", (StringVal("a"), StringVal("x"))), 8))
-    fork = source.fork()
-    source_before = snapshot(source)
-    fork_before = snapshot(fork)
-    assert fork_before == source_before
+# -- CoW forks vs. a plain-dict model ---------------------------------------
+#
+# Worlds are (ContractState, model) pairs; the model is nested plain
+# dicts driven by the same operations, so it also fixes the *order*
+# entries must iterate in (``builtin to_list`` / ``size`` are
+# contract-visible).  Forks add worlds; every world must equal its own
+# model at the end, whatever the others did and whenever overlays fold.
 
-    for op in fork_ops:
-        _apply(fork, op)
-    # Nothing the fork did is visible through the source.
-    assert snapshot(source) == source_before
+_FLAT = [StringVal(c) for c in "abcd"]
+_OUTER = [StringVal(c) for c in "ab"]
+_INNER = [StringVal(c) for c in "xy"]
 
-    fork_after = snapshot(fork)
-    for op in source_ops:
-        _apply(source, op)
-    # And nothing the source does afterwards reaches the fork.
-    assert snapshot(fork) == fork_after
+_WORLD_OPS = st.one_of(
+    st.tuples(st.just("put"), st.sampled_from(_FLAT), st.integers(0, 50)),
+    st.tuples(st.just("remove"), st.sampled_from(_FLAT), st.just(0)),
+    st.tuples(st.just("nput"),
+              st.tuples(st.sampled_from(_OUTER), st.sampled_from(_INNER)),
+              st.integers(0, 50)),
+    st.tuples(st.just("nremove"),
+              st.tuples(st.sampled_from(_OUTER), st.sampled_from(_INNER)),
+              st.just(0)),
+    st.tuples(st.just("ndrop"), st.sampled_from(_OUTER), st.just(0)),
+    # MapVal.copy() + put, as ``builtin put`` on a loaded field does,
+    # stored back whole.
+    st.tuples(st.just("store"), st.sampled_from(_FLAT), st.integers(0, 50)),
+    st.tuples(st.just("fork"), st.none(), st.just(0)),
+)
+
+
+def _apply_world(state: ContractState, model: dict, op) -> None:
+    kind, key, value = op
+    if kind == "put":
+        state.write(("m", (key,)), uint(value))
+        model["m"][key] = value
+    elif kind == "remove":
+        state.write(("m", (key,)), MISSING)
+        model["m"].pop(key, None)
+    elif kind == "nput":
+        state.write(("nested", key), uint(value))
+        model["nested"].setdefault(key[0], {})[key[1]] = value
+    elif kind == "nremove":
+        state.write(("nested", key), MISSING)
+        if key[0] in model["nested"]:
+            model["nested"][key[0]].pop(key[1], None)
+    elif kind == "ndrop":
+        state.write(("nested", (key,)), MISSING)
+        model["nested"].pop(key, None)
+    else:  # store
+        updated = state.fields["m"].copy()
+        updated.put(key, uint(value))
+        state.write(("m", ()), updated)
+        model["m"][key] = value
+
+
+def _model_map(model: dict, nested: bool) -> MapVal:
+    if nested:
+        return MapVal(ty.STRING, ty.MapType(ty.STRING, ty.UINT128),
+                      {k: _model_map(v, False) for k, v in model.items()})
+    return MapVal(ty.STRING, ty.UINT128,
+                  {k: uint(v) for k, v in model.items()})
+
+
+def _assert_world_matches(state: ContractState, model: dict) -> None:
+    for name in ("m", "nested"):
+        got = state.fields[name]
+        want = _model_map(model[name], name == "nested")
+        assert list(got.entries) == list(want.entries)          # order
+        assert list(got.entries.items()) == list(want.entries.items())
+        assert len(got.entries) == len(want.entries)
+        assert got == want and want == got
+        assert scilla_values.values_equal(got, want)
+        assert canonical(got) == canonical(want)
+        for k, child in want.entries.items():
+            assert k in got.entries
+            assert got.entries[k] == child
+            if name == "nested":
+                assert list(got.entries[k].entries) == list(child.entries)
+        thawed = pickle.loads(pickle.dumps(got))
+        assert type(thawed.entries) is dict
+        assert list(thawed.entries.items()) == list(want.entries.items())
+
+
+@contextlib.contextmanager
+def fold_slack(slack: int):
+    """Overlay fold threshold override: -1 folds on every write to a
+    small map, a huge value never folds."""
+    old = scilla_values.OVERLAY_FOLD_SLACK
+    scilla_values.OVERLAY_FOLD_SLACK = slack
+    try:
+        yield
+    finally:
+        scilla_values.OVERLAY_FOLD_SLACK = old
+
+
+def _run_worlds(steps, slack: int) -> int:
+    """Drive the worlds under one fold threshold, check each against
+    its model, and return how many CoW privatisations it took."""
+    root = fresh_state()
+    model = {"m": {}, "nested": {}}
+    for op in (("put", _FLAT[0], 7), ("put", _FLAT[1], 9),
+               ("nput", (_OUTER[0], _INNER[0]), 8)):
+        _apply_world(root, model, op)
+    worlds = [(root, model)]
+    before = scilla_values.COW_COPIES
+    with fold_slack(slack):
+        for who, op in steps:
+            state, model = worlds[who % len(worlds)]
+            if op[0] == "fork":
+                # Fork of a fork, at any depth; both sides keep going.
+                worlds.append((state.fork(), copy.deepcopy(model)))
+            else:
+                _apply_world(state, model, op)
+        # Writes never leaked between forks, in either direction, and
+        # every observable of each map equals the plain dict's.
+        for state, model in worlds:
+            _assert_world_matches(state, model)
+    return scilla_values.COW_COPIES - before
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), _WORLD_OPS), max_size=40))
+def test_cow_fork_never_leaks_writes(steps):
+    # Never folding, the shipped threshold, folding on every write:
+    # same contents, same order — and the same privatisation count, so
+    # not even the CoW counter can tell when a fold happened.
+    copies = {_run_worlds(steps, slack)
+              for slack in (10**9, scilla_values.OVERLAY_FOLD_SLACK, -1)}
+    assert len(copies) == 1
 
 
 def test_release_truncates_only_below_oldest_outstanding_mark():
