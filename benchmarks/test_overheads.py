@@ -2,8 +2,8 @@
 
 Micro-benchmarks for the two operations the paper measures (dispatch,
 delta merging) plus the justification measurement: merging a delta is
-orders of magnitude cheaper than re-executing the transactions that
-produced it.
+cheaper than re-executing the transactions that produced it (orders of
+magnitude in the paper, a small multiple here).
 """
 
 from repro.chain.transaction import call
@@ -23,7 +23,9 @@ def test_overheads_report(benchmark, save_result):
     # per field than plain application, and merging beats re-execution.
     assert result.dispatch_slowdown > 3
     assert result.merge_per_field_joins_us > 0
-    assert result.merge_speedup_vs_execution > 5
+    # 2-2.6x with compiled transitions (9-10x when they were
+    # tree-walked: the merge did not get slower, re-execution faster).
+    assert result.merge_speedup_vs_execution > 1
 
 
 def test_benchmark_dispatch_default(benchmark):

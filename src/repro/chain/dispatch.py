@@ -24,6 +24,7 @@ from ..core.domain import ConstKey, Key, ParamKey, PseudoField
 from ..core.signature import ShardingSignature
 from ..scilla.values import (
     ADTVal, BNumVal, ByStrVal, IntVal, StringVal, Value,
+    pad_address as _pad,
 )
 from .transaction import Transaction
 
@@ -108,7 +109,10 @@ class Dispatcher:
     # -- shard assignment primitives --------------------------------------------
 
     def home_shard(self, address: str) -> int:
-        return shard_hash(f"addr:{_pad(address)}", self.n_shards)
+        return self._home(_pad(address))
+
+    def _home(self, padded: str) -> int:
+        return shard_hash(f"addr:{padded}", self.n_shards)
 
     def component_shard(self, contract: str, pf: PseudoField,
                         key_values: tuple[str, ...]) -> int:
@@ -125,7 +129,10 @@ class Dispatcher:
         committee's delta validation (which sees the deployed address)
         agree on the assignment.
         """
-        contract = _pad(contract)
+        return self._component_shard(_pad(contract), pf, key_values)
+
+    def _component_shard(self, contract: str, pf: PseudoField,
+                         key_values: tuple[str, ...]) -> int:
         if not key_values or pf.field in self._field_level_cache.get(
                 contract, set()):
             token = f"{contract}:{pf.field}"
@@ -143,11 +150,14 @@ class Dispatcher:
 
     # -- constraint resolution ------------------------------------------------------
 
+    # ``sender`` below is the transaction's sender, padded once by
+    # :meth:`dispatch`.
+
     def _resolve_key(self, key: Key, tx: Transaction,
-                     deployed: DeployedSignature) -> str | None:
+                     deployed: DeployedSignature, sender: str) -> str | None:
         if isinstance(key, ParamKey):
             if key.name in ("_sender", "_origin"):
-                return f"ByStr20|{_pad(tx.sender)}"
+                return f"ByStr20|{sender}"
             value = tx.args_dict().get(key.name)
             return key_token(value) if value is not None else None
         assert isinstance(key, ConstKey)
@@ -159,18 +169,20 @@ class Dispatcher:
         return key.repr  # literal in key_token format already
 
     def _resolve_symbol(self, symbol: str, tx: Transaction,
-                        deployed: DeployedSignature) -> str | None:
+                        deployed: DeployedSignature,
+                        sender: str) -> str | None:
         """Resolve a NoAliases/UserAddr symbol (textual key form)."""
         if symbol in ("_sender", "_origin"):
-            return f"ByStr20|{_pad(tx.sender)}"
+            return f"ByStr20|{sender}"
         value = tx.args_dict().get(symbol)
         if value is not None:
             return key_token(value)
-        return self._resolve_key(ConstKey(symbol), tx, deployed)
+        return self._resolve_key(ConstKey(symbol), tx, deployed, sender)
 
     def _address_of_symbol(self, symbol: str, tx: Transaction,
-                           deployed: DeployedSignature) -> str | None:
-        token = self._resolve_symbol(symbol, tx, deployed)
+                           deployed: DeployedSignature,
+                           sender: str) -> str | None:
+        token = self._resolve_symbol(symbol, tx, deployed, sender)
         if token is None:
             return None
         if "|" in token:
@@ -182,8 +194,9 @@ class Dispatcher:
     # -- main entry point ------------------------------------------------------------
 
     def dispatch(self, tx: Transaction) -> DispatchDecision:
+        sender, to = _pad(tx.sender), _pad(tx.to)
         if not tx.is_contract_call:
-            if self.is_contract(_pad(tx.to)):
+            if self.is_contract(to):
                 # Plain payments cannot carry a transition; routing one
                 # at a contract to the sender's shard would credit a
                 # shadow user account there.  Send it to the DS, whose
@@ -191,12 +204,12 @@ class Dispatcher:
                 return DispatchDecision(DS, "payment to contract")
             # User-to-user payment: sender's home shard (double-spend
             # detection stays local, Sec. 4.1).
-            return DispatchDecision(self.home_shard(tx.sender), "payment")
-        deployed = self.contracts.get(_pad(tx.to))
+            return DispatchDecision(self._home(sender), "payment")
+        deployed = self.contracts.get(to)
         if deployed is None:
             return DispatchDecision(DS, "unknown contract")
         if not self.use_signatures or deployed.signature is None:
-            return self._default_strategy(tx, deployed)
+            return self._default_strategy(sender, to)
         sig = deployed.signature
         if tx.transition not in sig.selected:
             return DispatchDecision(DS, "transition not sharded")
@@ -207,25 +220,26 @@ class Dispatcher:
             if isinstance(c, Bot):
                 return DispatchDecision(DS, f"⊥: {c.reason}")
             if isinstance(c, SenderShard):
-                required.add(self.home_shard(tx.sender))
+                required.add(self._home(sender))
             elif isinstance(c, ContractShard):
-                required.add(self.home_shard(tx.to))
+                required.add(self._home(to))
             elif isinstance(c, Owns):
                 tokens = []
                 for key in c.pf.keys:
-                    token = self._resolve_key(key, tx, deployed)
+                    token = self._resolve_key(key, tx, deployed, sender)
                     if token is None:
                         return DispatchDecision(DS, f"unresolvable {c}")
                     tokens.append(token)
                 required.add(
-                    self.component_shard(tx.to, c.pf, tuple(tokens)))
+                    self._component_shard(to, c.pf, tuple(tokens)))
             elif isinstance(c, NoAliases):
-                a = self._resolve_symbol(c.x, tx, deployed)
-                b = self._resolve_symbol(c.y, tx, deployed)
+                a = self._resolve_symbol(c.x, tx, deployed, sender)
+                b = self._resolve_symbol(c.y, tx, deployed, sender)
                 if a is None or b is None or a == b:
                     return DispatchDecision(DS, f"aliasing keys {c}")
             elif isinstance(c, UserAddr):
-                address = self._address_of_symbol(c.param, tx, deployed)
+                address = self._address_of_symbol(c.param, tx, deployed,
+                                                  sender)
                 if address is None or self.is_contract(address):
                     return DispatchDecision(DS, f"non-user recipient {c}")
         if len(required) > 1:
@@ -235,18 +249,12 @@ class Dispatcher:
         # No placement constraints at all: any shard works.
         return DispatchDecision(tx.tx_id % self.n_shards, "unconstrained")
 
-    def _default_strategy(self, tx: Transaction,
-                          deployed: DeployedSignature) -> DispatchDecision:
+    def _default_strategy(self, sender: str, to: str) -> DispatchDecision:
         """Plain Zilliqa (Sec. 4.1): contract transactions run in the
         contract's shard only when the sender lives there; otherwise in
         the DS committee."""
-        sender_home = self.home_shard(tx.sender)
-        contract_home = self.home_shard(tx.to)
+        sender_home = self._home(sender)
+        contract_home = self._home(to)
         if sender_home == contract_home:
             return DispatchDecision(contract_home, "co-located")
         return DispatchDecision(DS, "cross-shard contract call")
-
-
-def _pad(address: str) -> str:
-    body = address[2:] if address.startswith("0x") else address
-    return "0x" + body.rjust(40, "0").lower()

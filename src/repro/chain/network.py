@@ -33,7 +33,7 @@ from ..scilla.interpreter import Interpreter, TxContext
 from ..scilla.backend import PagedDict, resolve_backend
 from ..scilla.state import ContractState, StateJournal, StateKey
 from ..scilla import values as scilla_values
-from ..scilla.values import MapVal, Value
+from ..scilla.values import ByStrVal, MapVal, Value
 from ..scilla import types as ty
 from .blocks import FinalBlock, MicroBlock, Receipt
 from .consensus import DEFAULT_COST_MODEL, CostModel
@@ -193,6 +193,13 @@ class _NetworkMeters:
                                         deterministic=False)
         self.deploy_ns = m.histogram("net.deploy_ns", NS_BUCKETS,
                                      deterministic=False)
+        # Compiled transitions (repro.scilla.compile), counted at
+        # deploy from the source's shared unit: static properties of
+        # the source, whichever process later runs it.
+        self.compile_units = m.counter("interp.compile.units")
+        self.compile_delegated = m.counter("interp.compile.delegated_exprs")
+        self.compile_ns = m.histogram("interp.compile_ns", NS_BUCKETS,
+                                      deterministic=False)
         # State-engine instruments (PR 5): copy-on-write and journal
         # activity varies with executor scheduling and checkpoint
         # lifetimes, payload shapes with the slicing toggle — all
@@ -590,7 +597,10 @@ class Network:
         return account
 
     def _account(self, address: str) -> Account:
-        address = _pad(address)
+        return self._account_at(_pad(address))
+
+    def _account_at(self, address: str) -> Account:
+        """The account at a canonical (already padded) address."""
         account = self.accounts.get(address)
         if account is None:
             # Lazily-created zero-balance accounts are a deterministic
@@ -653,6 +663,13 @@ class Network:
         meters.deploy_cache_hits.inc(GLOBAL_CACHE.stats.hits - hits0)
         meters.deploy_cache_misses.inc(GLOBAL_CACHE.stats.misses - misses0)
         interpreter = Interpreter(result.module)
+        if self.metrics.enabled:
+            # Unmetered, the unit is built by the first call instead.
+            t0 = time.perf_counter_ns()
+            unit = interpreter.unit
+            meters.compile_ns.observe(time.perf_counter_ns() - t0)
+            meters.compile_units.inc(unit.units)
+            meters.compile_delegated.inc(unit.delegated)
         state = interpreter.deploy(address, params, balance)
         signature = None
         if proposed_signature is not None and self.use_signatures:
@@ -1498,16 +1515,17 @@ class Network:
 
     def _execute(self, tx: Transaction, lane: int, state_for,
                  touched: dict[str, set[StateKey]]) -> Receipt:
-        sender = self._account(tx.sender)
+        sender_addr, to_addr = _pad(tx.sender), _pad(tx.to)
+        sender = self._account_at(sender_addr)
         if self._resident_tracker is not None:
             # try_accept moves this sender's nonce record (even a
             # rejection touches the used-set table).
-            self._resident_tracker.touch_nonce(_pad(tx.sender))
-        if not self.nonces.try_accept(_pad(tx.sender), tx.nonce, lane):
+            self._resident_tracker.touch_nonce(sender_addr)
+        if not self.nonces.try_accept(sender_addr, tx.nonce, lane):
             return Receipt(tx, False, 0, lane, error="bad nonce")
 
         if not tx.is_contract_call:
-            if _pad(tx.to) in self.contracts:
+            if to_addr in self.contracts:
                 # Mirrors the dispatcher's "payment to contract"
                 # routing: the funds stay with the sender instead of
                 # landing in a shadow user account under the contract's
@@ -1518,17 +1536,18 @@ class Network:
             if not sender.charge(lane, tx.amount + fee):
                 return Receipt(tx, False, PAYMENT_GAS, lane,
                                error="insufficient balance")
-            self._account(tx.to).credit(tx.amount, lane)
+            self._account_at(to_addr).credit(tx.amount, lane)
             return Receipt(tx, True, PAYMENT_GAS, lane)
 
-        contract = self.contracts.get(_pad(tx.to))
+        contract = self.contracts.get(to_addr)
         if contract is None:
             return Receipt(tx, False, 0, lane, error="unknown contract")
 
         chain = _CallChain(self, lane, state_for, tx.gas_limit)
         try:
             chain.invoke(contract, tx.transition or "", tx.args_dict(),
-                         caller=_pad(tx.sender), amount=tx.amount,
+                         caller=ByStrVal(sender_addr, ty.BYSTR20),
+                         amount=tx.amount,
                          payer_account=sender, depth=0)
         except _ChainFailed as exc:
             chain.rollback()
@@ -1622,7 +1641,7 @@ class _CallChain:
                                            ContractState, object]] = []
 
     def invoke(self, contract: DeployedContract, transition: str,
-               args: dict, caller: str, amount: int,
+               args: dict, caller: ByStrVal, amount: int,
                payer_account, depth: int) -> None:
         from ..scilla.errors import ExecError
         state = self.state_for(contract.address)
@@ -1657,7 +1676,7 @@ class _CallChain:
                 self._undo.append(("account-debit", payer_account,
                                    result.accepted))
             else:
-                caller_state = self.state_for(caller)
+                caller_state = self.state_for(caller.hex)
                 if caller_state.balance < result.accepted:
                     raise _ChainFailed(
                         "insufficient contract balance for transfer")
@@ -1678,14 +1697,15 @@ class _CallChain:
                 if depth + 1 >= MAX_CALL_DEPTH:
                     raise _ChainFailed("call depth exceeded")
                 self.invoke(callee, msg.tag, dict(msg.params),
-                            caller=contract.address, amount=msg.amount,
+                            caller=ByStrVal(contract.address, ty.BYSTR20),
+                            amount=msg.amount,
                             payer_account=None, depth=depth + 1)
             elif msg.amount > 0:
                 if state.balance < msg.amount:
                     raise _ChainFailed(
                         "insufficient contract balance for payout")
                 state.balance -= msg.amount
-                account = self.net._account(recipient)
+                account = self.net._account_at(recipient)
                 account.credit(msg.amount, self.lane)
                 self._undo.append(("payout", state, account, msg.amount))
 

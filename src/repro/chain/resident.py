@@ -327,18 +327,18 @@ def _run_epoch_on_replica(replica: _Replica, task: ResidentEpochTask
     net.epoch = task.epoch
 
     # Copy-on-first-touch undo map over account access: every account
-    # the lane reads or mutates goes through Network._account, so
-    # recording there is complete.  None marks "did not exist".
+    # the lane reads or mutates goes through Network._account_at (the
+    # canonical-address end of Network._account), so recording there
+    # is complete.  None marks "did not exist".
     undo: dict[str, tuple[int, dict[int, int]] | None] = {}
 
-    def recording_account(address: str) -> Account:
-        addr = _pad(address)
+    def recording_account(addr: str) -> Account:
         if addr not in undo:
             account = net.accounts.get(addr)
             undo[addr] = (None if account is None
                           else (account.balance,
                                 dict(account.shard_portions)))
-        return Network._account(net, addr)
+        return Network._account_at(net, addr)
 
     senders = {_pad(tx.sender) for tx in task.queue}
     nonces = net.nonces
@@ -348,12 +348,12 @@ def _run_epoch_on_replica(replica: _Replica, task: ResidentEpochTask
             nonces.last_per_lane.get((s, task.lane)))
         for s in senders}
 
-    net._account = recording_account     # instance attr shadows the method
+    net._account_at = recording_account  # instance attr shadows the method
     try:
         mb, local_states, touched, deferred = net._run_lane(
             task.lane, task.queue, task.gas_limit)
     finally:
-        del net.__dict__["_account"]
+        del net.__dict__["_account_at"]
 
     deltas = []
     balance_deltas: dict[str, int] = {}

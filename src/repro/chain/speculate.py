@@ -359,8 +359,7 @@ class _Sandbox:
             self._start_balance[addr] = st.balance
         return st
 
-    def _account(self, address: str) -> Account:
-        address = _pad(address)
+    def _account_at(self, address: str) -> Account:
         entry = self._accounts.get(address)
         if entry is None:
             net = self.spec.net

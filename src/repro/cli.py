@@ -4,6 +4,7 @@ Usage (also via ``python -m repro``):
 
     repro analyze   <file.scilla | corpus:Name>     effect summaries
     repro signature <file|corpus:Name> T1 T2 …      derive a signature
+    repro compile   <file|corpus:Name> Transition   generated Python source
     repro solve     <file|corpus:Name>              GE-signature report
     repro diagnose  <file|corpus:Name>              why sharding fails
     repro repair    <file|corpus:Name> [Transition] rewrite + print
@@ -21,6 +22,7 @@ Usage (also via ``python -m repro``):
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .contracts import CORPUS, contract_loc
@@ -65,6 +67,30 @@ def cmd_signature(args) -> int:
     sig = result.signature(selection, weak_reads=weak,
                            allow_commutativity=not args.ownership_only)
     print(sig.describe())
+    return 0
+
+
+def cmd_compile(args) -> int:
+    """Print the Python a transition compiles to, with everything it
+    reaches (procedures, library functions) and a constants legend."""
+    from .scilla.interpreter import Interpreter
+
+    source, name = _load_source(args.contract)
+    interp = Interpreter(run_pipeline(source, name).module)
+    known = [t.name for t in interp.contract.transitions]
+    if args.transition not in known:
+        raise SystemExit(f"unknown transition {args.transition!r}; "
+                         f"{name} has {known}")
+    unit = interp.unit
+    text = unit.source(args.transition)
+    print(f"# {name}.{args.transition}: {unit.units} units in this source, "
+          f"{unit.delegated} expressions delegated to eval_expr")
+    for const in sorted(set(re.findall(r"\bK\d+\b", text)),
+                        key=lambda k: int(k[1:])):
+        value = unit.ns[const]
+        shown = getattr(value, "__qualname__", None) or str(value)
+        print(f"# {const} = {shown if len(shown) <= 70 else shown[:67] + '...'}")
+    print("\n" + text, end="")
     return 0
 
 
@@ -383,6 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ownership-only", action="store_true",
                    help="disable the commutativity strategy")
     p.set_defaults(func=cmd_signature)
+
+    p = sub.add_parser(
+        "compile", help="show the Python a transition compiles to")
+    p.add_argument("contract")
+    p.add_argument("transition")
+    p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("solve", help="good-enough signature report")
     p.add_argument("contract")

@@ -463,6 +463,10 @@ class Module:
     library: Library | None
     contract: Contract
     source_name: str = "<unknown>"
+    # SHA-256 of the text ``parse_module`` read; "" for a module built
+    # any other way.  The content address compiled units are shared
+    # under (repro.scilla.compile), not part of the module's identity.
+    source_hash: str = field(default="", compare=False)
 
 
 # Implicit parameters available in every transition body.

@@ -113,7 +113,7 @@ def _check_int(value: int, typ: PrimType, op: str) -> IntVal:
     lo, hi = int_bounds(typ)
     if not lo <= value <= hi:
         raise OutOfBoundsError(f"{op} out of bounds for {typ}: {value}")
-    return IntVal(value, typ)
+    return IntVal.checked(value, typ)
 
 
 def _int_args(args: list[Value], op: str) -> tuple[int, int, PrimType]:
@@ -349,7 +349,7 @@ def _register_conversions() -> None:
                 lo, hi = int_bounds(target)
                 if not lo <= value <= hi:
                     return none(target)
-                return some(IntVal(value, target), target)
+                return some(IntVal.checked(value, target), target)
 
             name = f"to_{prefix.lower()}{width}"
             REGISTRY[name] = BuiltinDef(

@@ -34,7 +34,7 @@ from .types import (
 )
 from .values import (
     ADTVal, BNumVal, ByStrVal, Closure, Env, IntVal, MapVal, MsgVal,
-    StringVal, TypeClosure, Value, bool_val, none, some, value_to_list,
+    StringVal, TypeClosure, Value, addr, bool_val, none, some, value_to_list,
 )
 
 # --------------------------------------------------------------------------
@@ -63,9 +63,9 @@ class OutMsg:
 class TxContext:
     """Blockchain-provided context for one transition invocation."""
 
-    sender: str
+    sender: str | ByStrVal
     amount: int = 0
-    origin: str | None = None
+    origin: str | ByStrVal | None = None
     block_number: int = 1
     timestamp: int = 0
     chain_id: int = 1
@@ -252,7 +252,12 @@ class Interpreter:
         # Gas hook installed by _Run while a transition executes, so
         # builtin applications inside pure expressions are metered too.
         self._charge = None
+        self._unit = None
         self.lib_env = self._build_library_env()
+
+    def __getstate__(self):
+        # Compiled functions do not pickle: the unit stays process-local.
+        return {**self.__dict__, "_unit": None, "_charge": None}
 
     # -- setup ----------------------------------------------------------------
 
@@ -279,7 +284,7 @@ class Interpreter:
                 f"got {sorted(given)}")
         env = self.lib_env
         immutables = dict(params)
-        immutables.setdefault("_this_address", ByStrVal(_pad_addr(address), ty.BYSTR20))
+        immutables.setdefault("_this_address", addr(address))
         for name, value in immutables.items():
             env = env.bind(name, value)
         fields: dict[str, Value] = {}
@@ -470,10 +475,7 @@ class Interpreter:
 
     # -- transition execution -------------------------------------------------------
 
-    def run_transition(self, state: ContractState, name: str,
-                       args: dict[str, Value], ctx: TxContext,
-                       gas_limit: int = 100_000) -> TransitionResult:
-        """Execute a transition; rolls state back on failure."""
+    def _transition(self, name: str, args: dict[str, Value]) -> ast.Component:
         try:
             component = self.contract.component(name)
         except KeyError as exc:
@@ -485,35 +487,34 @@ class Interpreter:
             raise ExecError(
                 f"transition {name} parameter mismatch: expected "
                 f"{sorted(expected)}, got {sorted(args)}")
+        return component
 
+    @property
+    def unit(self):
+        """This source's compiled unit (repro.scilla.compile), shared
+        process-wide and looked up on first use."""
+        if self._unit is None:
+            from .compile import unit_for
+            self._unit = unit_for(self)
+        return self._unit
+
+    def run_transition(self, state: ContractState, name: str,
+                       args: dict[str, Value], ctx: TxContext,
+                       gas_limit: int = 100_000) -> TransitionResult:
+        """Execute a transition; rolls state back on failure.  Runs
+        its compiled unit: the entry point of the chain and the lanes."""
+        self._transition(name, args)
         run = _Run(self, state, ctx, gas_limit)
-        env = self.lib_env
-        for pname, pvalue in state.immutables.items():
-            env = env.bind(pname, pvalue)
-        env = env.bind("_sender", ByStrVal(_pad_addr(ctx.sender), ty.BYSTR20))
-        env = env.bind("_origin", ByStrVal(_pad_addr(ctx.origin or ctx.sender), ty.BYSTR20))
-        env = env.bind("_amount", IntVal(ctx.amount, ty.UINT128))
-        self._charge = run.charge
-        try:
-            run.charge(GAS_TRANSITION_BASE)
-            for pname, pvalue in args.items():
-                env = env.bind(pname, pvalue)
-            run.exec_stmts(component.body, env)
-        except ScillaError as exc:
-            run.log.rollback(state)
-            return TransitionResult(
-                success=False, gas_used=run.gas_used, error=str(exc))
-        finally:
-            self._charge = None
-        state.balance += run.accepted
-        return TransitionResult(
-            success=True, gas_used=run.gas_used, accepted=run.accepted,
-            messages=run.messages, events=run.events, write_log=run.log)
+        return run.finish(self.unit.entry(name), run, args)
 
-
-def _pad_addr(address: str) -> str:
-    body = address[2:] if address.startswith("0x") else address
-    return "0x" + body.rjust(40, "0").lower()
+    def interpret_transition(self, state: ContractState, name: str,
+                             args: dict[str, Value], ctx: TxContext,
+                             gas_limit: int = 100_000) -> TransitionResult:
+        """:meth:`run_transition` by definition: walk the AST.  The
+        reference the differential oracle holds compiled units to."""
+        component = self._transition(name, args)
+        run = _Run(self, state, ctx, gas_limit)
+        return run.finish(run.interpret, component, args)
 
 
 class _Run:
@@ -530,11 +531,48 @@ class _Run:
         self.messages: list[OutMsg] = []
         self.events: list[MsgVal] = []
         self.log = WriteLog()
+        # The implicit parameters (the chain hands the sender over as
+        # a ready ByStr20 value, built once per transaction).
+        self.sender = addr(ctx.sender)
+        self.origin = self.sender if ctx.origin == ctx.sender \
+            else addr(ctx.origin)
+        self.amount = IntVal(ctx.amount, ty.UINT128)
 
     def charge(self, amount: int) -> None:
         self.gas_used += amount
         if self.gas_used > self.gas_limit:
             raise GasError(f"out of gas (limit {self.gas_limit})")
+
+    def finish(self, body, *args) -> TransitionResult:
+        """Run ``body(*args)`` as the transition: meter builtins inside
+        pure expressions, roll back on failure, credit on success."""
+        interp, state = self.interp, self.state
+        interp._charge = self.charge
+        try:
+            body(*args)
+        except ScillaError as exc:
+            self.log.rollback(state)
+            return TransitionResult(
+                success=False, gas_used=self.gas_used, error=str(exc))
+        finally:
+            interp._charge = None
+        state.balance += self.accepted
+        return TransitionResult(
+            success=True, gas_used=self.gas_used, accepted=self.accepted,
+            messages=self.messages, events=self.events, write_log=self.log)
+
+    def interpret(self, component: ast.Component, args) -> None:
+        env = self.interp.lib_env
+        for pname, pvalue in self.state.immutables.items():
+            env = env.bind(pname, pvalue)
+        env = env.bind("_sender", self.sender)
+        env = env.bind("_origin", self.origin)
+        # What every procedure starts from, whoever calls it.
+        self.entry_env = env = env.bind("_amount", self.amount)
+        self.charge(GAS_TRANSITION_BASE)
+        for pname, pvalue in args.items():
+            env = env.bind(pname, pvalue)
+        self.exec_stmts(component.body, env)
 
     # -- statement execution ---------------------------------------------------
 
@@ -649,10 +687,8 @@ class _Run:
         values = [interp.eval_atom(a, env) for a in stmt.args]
         # Procedures see library/contract/implicit bindings plus their own
         # params, not the caller's locals.
-        penv = env
         pairs = [(p.name, v) for p, v in zip(proc.params, values)]
-        penv = penv.bind_many(pairs)
-        self.exec_stmts(proc.body, penv)
+        self.exec_stmts(proc.body, self.entry_env.bind_many(pairs))
         return env
 
 

@@ -9,6 +9,9 @@ Fig. 4 (loads, stores, map operations, ``accept``/``send``/``event``/
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 from .ast import (
     Accept, App, Atom, Bind, BinderPat, Builtin, CallProc, Component,
     Constr, ConstructorPat, Contract, Event, Expr, Field, Fun, Ident,
@@ -553,7 +556,9 @@ class Parser:
 
 def parse_module(source: str, source_name: str = "<unknown>") -> Module:
     """Parse a complete ``.scilla`` module from source text."""
-    return Parser(tokenize(source), source_name).parse_module()
+    module = Parser(tokenize(source), source_name).parse_module()
+    return replace(module, source_hash=hashlib.sha256(
+        source.encode()).hexdigest())
 
 
 def parse_expression(source: str) -> Expr:

@@ -156,12 +156,20 @@ def int_width(t: ScillaType) -> int:
     return int(t.name.removeprefix("Uint").removeprefix("Int"))
 
 
+# Inclusive (min, max) per integer type name, worked out once: every
+# IntVal construction and arithmetic builtin asks.
+_INT_BOUNDS: dict[str, tuple[int, int]] = {
+    **{f"Int{w}": (-(1 << (w - 1)), (1 << (w - 1)) - 1) for w in INT_WIDTHS},
+    **{f"Uint{w}": (0, (1 << w) - 1) for w in INT_WIDTHS},
+}
+
+
 def int_bounds(t: ScillaType) -> tuple[int, int]:
     """Inclusive (min, max) representable values of an integer type."""
-    w = int_width(t)
-    if is_signed(t):
-        return -(1 << (w - 1)), (1 << (w - 1)) - 1
-    return 0, (1 << w) - 1
+    bounds = _INT_BOUNDS.get(t.name) if isinstance(t, PrimType) else None
+    if bounds is None:
+        raise ValueError(f"not an integer type: {t}")
+    return bounds
 
 
 def bystr_width(t: ScillaType) -> int | None:

@@ -38,6 +38,16 @@ class IntVal(Value):
         if not lo <= self.value <= hi:
             raise EvalError(f"integer {self.value} out of bounds for {self.typ}")
 
+    @classmethod
+    def checked(cls, value: int, typ: PrimType) -> "IntVal":
+        """An IntVal whose bounds the caller has already checked (the
+        arithmetic builtins do, to raise their own error)."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["value"] = value
+        fields["typ"] = typ
+        return self
+
     def __str__(self) -> str:
         return f"{self.typ} {self.value}"
 
@@ -475,11 +485,18 @@ def sint(value: int, width: int = 128) -> IntVal:
     return IntVal(value, PrimType(f"Int{width}"))
 
 
-def addr(hexstr: str) -> ByStrVal:
-    """Build a ByStr20 address value from a hex string (0x-prefixed)."""
-    body = hexstr[2:] if hexstr.startswith("0x") else hexstr
-    body = body.rjust(40, "0").lower()
-    return ByStrVal("0x" + body, ty.BYSTR20)
+def pad_address(address: str) -> str:
+    """The canonical form of an address: ``0x`` + 40 lowercase hex."""
+    body = address[2:] if address.startswith("0x") else address
+    return "0x" + body.rjust(40, "0").lower()
+
+
+def addr(hexstr: "str | ByStrVal") -> ByStrVal:
+    """Build a ByStr20 address value from a hex string (0x-prefixed);
+    a ready value passes through."""
+    if isinstance(hexstr, ByStrVal):
+        return hexstr
+    return ByStrVal(pad_address(hexstr), ty.BYSTR20)
 
 
 def type_of_value(v: Value) -> ScillaType:

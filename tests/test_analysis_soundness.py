@@ -308,13 +308,18 @@ def test_corpus_journal_writes_fall_inside_static_footprints():
     from repro.scilla.state import StateJournal
     from repro.scilla.errors import ScillaError
 
+    from .test_interpreter import SHADOWED_LIBRARY_NAMES
+
+    # Beside the corpus: a procedure whose map key is a library name
+    # its caller shadows — under dynamic scoping the write escapes.
+    sources = {**CORPUS, "~Shadow": SHADOWED_LIBRARY_NAMES}
     probe = "0x" + "ab" * 20   # contract params, sender and origin
     deployed = 0
     executed = 0
     succeeded = 0
     violations = []
-    for name in sorted(CORPUS):
-        module = parse_module(CORPUS[name], name)
+    for name in sorted(sources):
+        module = parse_module(sources[name], name)
         params = {p.name: _synth_value(p.typ, probe)
                   for p in module.contract.params}
         if any(v is None for v in params.values()):

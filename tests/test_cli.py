@@ -56,6 +56,24 @@ def test_signature_unknown_transition():
         main(["signature", "corpus:FungibleToken", "Ghost"])
 
 
+def test_compile_prints_generated_source(capsys):
+    code, out = run_cli(capsys, "compile", "corpus:FungibleToken",
+                        "Transfer")
+    assert code == 0
+    assert "13 units in this source, 0 expressions delegated" in out
+    # The transition, the procedures and the library function it reaches.
+    for name in ("def t_Transfer(run, args):", "def p_MoveBalance(run, ",
+                 "def p_ThrowIfPaused(run):", "_one_msg(run, "):
+        assert name in out
+    assert '= "TransferSuccess"' in out          # the constants legend
+    compile(out, "<repro compile>", "exec")       # valid Python
+
+
+def test_compile_unknown_transition():
+    with pytest.raises(SystemExit):
+        main(["compile", "corpus:FungibleToken", "Ghost"])
+
+
 def test_solve(capsys):
     code, out = run_cli(capsys, "solve", "corpus:NonfungibleToken")
     assert code == 0

@@ -99,8 +99,9 @@ def test_overheads_direction_matches_paper():
     assert result.dispatch_signature_us > result.dispatch_default_us
     # Join-aware merging costs more per field than plain application...
     assert result.merge_per_field_joins_us > 0
-    # ...but merging stays far cheaper than re-execution.
-    assert result.merge_speedup_vs_execution > 3
+    # ...but merging stays cheaper than re-execution: 2.0-2.4x once the
+    # transition is compiled (7-10x tree-walked; EXPERIMENTS.md E8).
+    assert result.merge_speedup_vs_execution > 1
     assert "overheads" in format_overheads(result)
 
 

@@ -280,6 +280,46 @@ def test_procedure_calls_share_state():
     assert state.fields["total"] == uint(20)
 
 
+# A well-typed contract whose transition shadows two library names a
+# procedure uses.  Procedures are lexically scoped: ``Reset`` must see
+# the library's ``zero`` and ``slot``, not the caller's locals.
+SHADOWED_LIBRARY_NAMES = """
+scilla_version 0
+
+library Shadow
+
+let zero = Uint128 0
+let slot = Uint128 1
+
+contract Shadow ()
+
+field f : Uint128 = Uint128 7
+field m : Map Uint128 Uint128 = Emp Uint128 Uint128
+
+procedure Reset ()
+  f := zero;
+  m[slot] := zero
+end
+
+transition Go (k: Uint128)
+  zero = Uint128 42;
+  slot = k;
+  Reset
+end
+"""
+
+
+@pytest.mark.parametrize("method", ["run_transition", "interpret_transition"])
+def test_procedures_do_not_see_the_callers_locals(method):
+    interp = Interpreter(parse_module(SHADOWED_LIBRARY_NAMES))
+    state = interp.deploy("0x01", {})
+    result = getattr(interp, method)(state, "Go", {"k": uint(9)},
+                                     TxContext(sender="0xbb"))
+    assert result.success, result.error
+    assert state.fields["f"] == uint(0)
+    assert dict(state.fields["m"].entries) == {uint(1): uint(0)}
+
+
 def test_blocknumber_visible():
     src = """
     scilla_version 0
