@@ -21,11 +21,14 @@ def test_overheads_report(benchmark, save_result):
     # Directions must match the paper even though absolute numbers are
     # Python-scale: signature dispatch costs more, merging costs more
     # per field than plain application, and merging beats re-execution.
-    assert result.dispatch_slowdown > 3
+    # Both sides are best-of-k under gc.freeze.  Measured 9.6-13.3x:
+    # lowering dispatch to plans brought the signature path (15 µs, most
+    # of it the JSON boundary) and the default one (1.3 µs) down alike.
+    assert result.dispatch_slowdown > 5
     assert result.merge_per_field_joins_us > 0
-    # 2-2.6x with compiled transitions (9-10x when they were
-    # tree-walked: the merge did not get slower, re-execution faster).
-    assert result.merge_speedup_vs_execution > 1
+    # Measured 2.0-2.8x with compiled transitions (9-10x when they
+    # were tree-walked: re-execution got faster, not the merge slower).
+    assert result.merge_speedup_vs_execution > 1.5
 
 
 def test_benchmark_dispatch_default(benchmark):

@@ -13,11 +13,14 @@ commutative monoid of Sec. 2.3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import takewhile
 
 from ..core.joins import (
     JoinKind, MergeConflict, apply_int_delta, int_delta,
 )
-from ..scilla.state import ContractState, MISSING, StateKey, _Missing
+from ..scilla.state import (
+    ContractState, MISSING, StateKey, WriteLog, _Missing,
+)
 from ..scilla.values import IntVal, MapVal, Value
 
 
@@ -48,20 +51,43 @@ class StateDelta:
 
 
 def compute_delta(contract: str, shard: int, base: ContractState,
-                  final: ContractState, touched: set[StateKey],
+                  final: ContractState, logs: list[WriteLog],
                   joins: dict[str, JoinKind]) -> StateDelta:
-    """Diff the shard-local final state against the epoch-start state.
+    """The shard's delta against the epoch-start state, folded from
+    the write logs of the lane's *successful* transactions, in order.
 
-    Only ``touched`` locations (union of successful transactions'
-    write sets) are inspected, so the cost is proportional to activity
-    rather than state size — matching the paper's per-changed-field
-    merge cost accounting.
+    Only written locations are inspected, so the cost is proportional
+    to activity rather than state size — matching the paper's
+    per-changed-field merge cost accounting.  A location's new value
+    is its last logged write and its old value its earliest undo entry
+    — MISSING if a proper prefix of it was logged (an intermediate map
+    was absent; the location's own entry is then an in-lane value).
+    Both are read back from ``base`` and ``final`` instead for a field
+    written at two key depths (a write through a prefix changes what
+    lies under it) and for a map-valued location (a logged ``MapVal``
+    may be stale): docs/STATE.md, "Deltas from write logs".
     """
+    first, last = {}, {}   # location -> earliest pre-image / last value
+    for log in logs:
+        last.update(log.writes)
+    for log in reversed(logs):
+        first.update(log.undo)
+    shapes = [name for name, _ in {(name, len(keys)) for name, keys in last}]
+    mixed = {name for name in shapes if shapes.count(name) > 1}
     delta = StateDelta(contract, shard)
-    for key in sorted(touched, key=_key_sort):
-        kind = joins.get(key[0], JoinKind.OWN_OVERWRITE)
-        new = final.read(key)
-        old = base.read(key)
+    for key, new in sorted(last.items(), key=_item_sort):
+        name, keys = key
+        if name in mixed:
+            old = new = None    # read back below
+        elif len(keys) > 1 and any((name, keys[:i]) in first
+                                   for i in range(1, len(keys))):
+            old = MISSING
+        else:
+            old = first[key]
+        if old is None or type(old) is MapVal or type(new) is MapVal:
+            new = final.read(key)
+            old = base.read(key)
+        kind = joins.get(name, JoinKind.OWN_OVERWRITE)
         if kind is JoinKind.INT_MERGE:
             if not isinstance(new, (IntVal, _Missing)) or \
                     not isinstance(old, (IntVal, _Missing)):
@@ -93,47 +119,61 @@ def merge_deltas(base: ContractState,
     """
     merged = base.copy()
     overwritten: dict[StateKey, int] = {}
-    int_accum: dict[StateKey, tuple[int, Value]] = {}
+    int_accum: dict[StateKey, list] = {}   # key -> [summed diff, template]
+    fresh: list = [0, None]
     changed = 0
-    int_shards: dict[StateKey, list[int]] = {}
     for delta in deltas:
+        shard = delta.shard
+        changed += len(delta.entries)
         for entry in delta.entries:
-            changed += 1
+            key = entry.key
             if entry.kind is JoinKind.INT_MERGE:
-                diff, template = int_accum.get(entry.key, (0, entry.template))
                 assert entry.template is not None
-                int_accum[entry.key] = (diff + entry.int_diff, entry.template)
-                int_shards.setdefault(entry.key, []).append(delta.shard)
-                if entry.key in overwritten:
-                    raise MergeConflict(
-                        f"shard {delta.shard} merges into {entry.key} "
-                        f"overwritten by shard {overwritten[entry.key]}",
-                        contract=delta.contract, key=entry.key,
-                        shards=(overwritten[entry.key], delta.shard))
+                slot = int_accum.setdefault(key, fresh)
+                if slot is fresh:
+                    # First sighting — the only one an overwrite can
+                    # precede: one that follows raises below.
+                    fresh = [0, None]
+                    if overwritten and key in overwritten:
+                        raise MergeConflict(
+                            f"shard {shard} merges into {key} "
+                            f"overwritten by shard {overwritten[key]}",
+                            contract=delta.contract, key=key,
+                            shards=(overwritten[key], shard))
+                slot[0] += entry.int_diff
+                slot[1] = entry.template
             else:
-                prev = overwritten.get(entry.key)
-                if prev is not None and prev != delta.shard:
+                prev = overwritten.get(key)
+                if prev is not None and prev != shard:
                     raise MergeConflict(
-                        f"shards {prev} and {delta.shard} both overwrote "
-                        f"{entry.key}",
-                        contract=delta.contract, key=entry.key,
-                        shards=(prev, delta.shard))
-                if entry.key in int_accum:
+                        f"shards {prev} and {shard} both overwrote {key}",
+                        contract=delta.contract, key=key,
+                        shards=(prev, shard))
+                if key in int_accum:
                     raise MergeConflict(
-                        f"shard {delta.shard} overwrites {entry.key} "
+                        f"shard {shard} overwrites {key} "
                         f"also merged into by another shard",
-                        contract=delta.contract, key=entry.key,
-                        shards=(*int_shards.get(entry.key, ()),
-                                delta.shard))
-                overwritten[entry.key] = delta.shard
-                merged.write(entry.key, entry.new_value)
+                        contract=delta.contract, key=key,
+                        shards=(*_shards_merging(deltas, key, entry),
+                                shard))
+                overwritten[key] = shard
+                merged.write(key, entry.new_value)
     for key, (diff, template) in int_accum.items():
         merged.write(key, apply_int_delta(base.read(key), diff, template))
     return merged, changed
 
 
-def _key_sort(key: StateKey):
-    name, keys = key
+def _shards_merging(deltas: list[StateDelta], key: StateKey,
+                    until: DeltaEntry) -> list[int]:
+    """Shards with an IntMerge entry for ``key`` ahead of ``until``."""
+    ahead = takewhile(lambda pair: pair[1] is not until,
+                      ((d.shard, e) for d in deltas for e in d.entries))
+    return [shard for shard, entry in ahead
+            if entry.kind is JoinKind.INT_MERGE and entry.key == key]
+
+
+def _item_sort(item):
+    name, keys = item[0]
     return (name, tuple(str(k) for k in keys))
 
 

@@ -452,16 +452,16 @@ def _runtime_for(lane: int, payload: LaneContractPayload,
 
 
 def _footprint_escapes(task: LaneTask,
-                       touched: dict[str, set]) -> list[str]:
+                       touched: dict[str, list]) -> list[str]:
     """Touched locations outside the shipped slice (writes of
     successful transactions; reads are covered by the same footprints
     by construction — the plan ships ``reads ∪ writes``)."""
     escapes: list[str] = []
-    for addr, keys in touched.items():
+    for addr, logs in touched.items():
         shipped = task.contracts[addr].shipped
         if shipped is None:
             continue
-        for name, path in keys:
+        for name, path in {key for log in logs for key in log.writes}:
             spec = shipped.get(name)
             if name not in shipped:
                 escapes.append(f"{addr}: write to unshipped field "
@@ -566,7 +566,7 @@ def run_lane_task(task: LaneTask) -> LaneResult:
     for addr, local in local_states.items():
         base = net.contracts[addr].state
         delta = compute_delta(addr, task.lane, base, local,
-                              touched.get(addr, set()),
+                              touched.get(addr, ()),
                               net.contracts[addr].joins)
         if delta.entries:
             deltas.append(delta)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import defaultdict
 from dataclasses import (
     asdict, dataclass, field as dc_field, replace as dc_replace,
 )
@@ -29,16 +30,17 @@ from ..obs.metrics import (
 from ..obs.tracing import NULL_TRACER
 from ..core.signature import ShardingSignature
 from ..scilla.ast import Module
+from ..scilla.errors import ExecError
 from ..scilla.interpreter import Interpreter, TxContext
 from ..scilla.backend import PagedDict, resolve_backend
-from ..scilla.state import ContractState, StateJournal, StateKey
+from ..scilla.state import ContractState, StateJournal
 from ..scilla import values as scilla_values
-from ..scilla.values import ByStrVal, MapVal, Value
+from ..scilla.values import ByStrVal, IntVal, MapVal, Value
 from ..scilla import types as ty
 from .blocks import FinalBlock, MicroBlock, Receipt
 from .consensus import DEFAULT_COST_MODEL, CostModel
 from .delta import StateDelta, compute_delta, merge_deltas
-from .dispatch import DS, DeployedSignature, Dispatcher, _pad
+from .dispatch import DS, REASON_KINDS, DeployedSignature, Dispatcher, _pad
 from .faults import FaultInjector, FaultPlan
 from .lanes import LaneResult, run_lanes
 from .recovery import (
@@ -114,6 +116,8 @@ class EpochStats:
     deferred: int = 0
     to_ds: int = 0
     per_shard: dict[int, int] = dc_field(default_factory=dict)
+    # Why: dispatch reason class (dispatch.REASON_KINDS) -> count.
+    reasons: dict[str, int] = dc_field(default_factory=dict)
     # Offered-load accounting for mempool-drained (service) epochs:
     # ``offered`` counts only this epoch's fresh submissions;
     # ``carried_in`` the backlog retries prepended to them.  Their sum
@@ -151,6 +155,8 @@ class _NetworkMeters:
         self.tx_deferred = m.counter("net.tx.deferred")
         self.tx_carried = m.counter("net.tx.carried")
         self.tx_to_ds = m.counter("net.tx.to_ds")
+        self.dispatch_reasons = {k: m.counter(f"net.dispatch.reason.{k}")
+                                 for k in REASON_KINDS}
         self.tx_recovered = m.counter("net.tx.recovered")
         self.tx_reexecuted = m.counter("net.tx.reexecuted")
         self.tx_dead_lettered = m.counter("net.tx.dead_lettered")
@@ -1133,6 +1139,8 @@ class Network:
         meters.tx_deferred.inc(stats.deferred)
         meters.tx_carried.inc(carried)
         meters.tx_to_ds.inc(stats.to_ds)
+        for kind, count in stats.reasons.items():
+            meters.dispatch_reasons[kind].inc(count)
         meters.tx_recovered.inc(stats.recovered)
         meters.tx_reexecuted.inc(stats.reexecuted)
         meters.tx_dead_lettered.inc(stats.dead_lettered)
@@ -1239,16 +1247,17 @@ class Network:
         with self.tracer.span("dispatch"):
             for tx in incoming:
                 decision = self.dispatcher.dispatch(tx)
-                if decision.is_ds:
+                shard, kind = decision.shard, decision.kind
+                stats.reasons[kind] = stats.reasons.get(kind, 0) + 1
+                if shard == DS:
                     ds_queue.append(tx)
-                    stats.to_ds += 1
                 else:
-                    queues[decision.shard].append(tx)
-                    stats.per_shard[decision.shard] = \
-                        stats.per_shard.get(decision.shard, 0) + 1
-                    if decision.shard in excluded:
+                    queues[shard].append(tx)
+                    if shard in excluded:
                         ds_queue.append(tx)
                         recovered.append(tx)
+        stats.to_ds = len(ds_queue) - len(recovered)
+        stats.per_shard = {s: len(q) for s, q in queues.items() if q}
 
         mb_faults = (injector.microblock_faults(self.epoch)
                      if injector else {})
@@ -1327,7 +1336,7 @@ class Network:
                 for addr, local in local_states.items():
                     base = self.contracts[addr].state
                     delta = compute_delta(addr, shard, base, local,
-                                          touched.get(addr, set()),
+                                          touched.get(addr, ()),
                                           self.contracts[addr].joins)
                     if delta.entries:
                         lane_deltas.append(delta)
@@ -1411,8 +1420,9 @@ class Network:
         if tracker is not None:
             # The DS lane mutates the merged global state directly;
             # its write set is part of the epoch's sync.
-            for addr, keys in ds_touched.items():
-                tracker.touch_state(addr, keys)
+            for addr, logs in ds_touched.items():
+                for log in logs:
+                    tracker.touch_state(addr, log.writes)
         stats.deferred += len(ds_deferred)
         deferred.extend((DS, tx) for tx in ds_deferred)
         stats.recovered = len(recovered)
@@ -1485,16 +1495,16 @@ class Network:
             return run_speculative_lane(self, lane, queue, gas_limit)
         mb = MicroBlock(shard=lane, epoch=self.epoch)
         local_states: dict[str, ContractState] = {}
-        touched: dict[str, set[StateKey]] = {}
+        touched = defaultdict(list)   # contract -> successful write logs
 
         def state_for(addr: str) -> ContractState:
             if use_global_state:
                 return self.contracts[addr].state
-            if addr not in local_states:
-                local_states[addr] = self.contracts[addr].state.fork()
-            return local_states[addr]
+            state = local_states.get(addr)
+            if state is None:
+                state = local_states[addr] = self.contracts[addr].state.fork()
+            return state
 
-        meters = self._meters
         t0 = time.perf_counter_ns() if self.metrics.enabled else 0
         deferred: list[Transaction] = []
         for position, tx in enumerate(queue):
@@ -1504,17 +1514,25 @@ class Network:
             receipt = self._execute(tx, lane, state_for, touched)
             mb.receipts.append(receipt)
             mb.gas_used += receipt.gas_used
-            meters.lane_tx_executed.inc()
-            (meters.lane_tx_ok if receipt.success
-             else meters.lane_tx_failed).inc()
-            meters.lane_gas.inc(receipt.gas_used)
-            meters.lane_gas_per_tx.observe(receipt.gas_used)
-        if self.metrics.enabled:
-            meters.lane_exec_ns.observe(time.perf_counter_ns() - t0)
+        self._record_lane(mb, t0)
         return mb, local_states, touched, deferred
 
+    def _record_lane(self, mb: MicroBlock, t0: int) -> None:
+        """The ``lane.*`` meters, once per finished lane that started
+        at ``t0`` (an abandoned speculative lane records nothing)."""
+        meters, n, ok = self._meters, len(mb.receipts), mb.n_committed
+        meters.lane_tx_executed.inc(n)
+        meters.lane_tx_ok.inc(ok)
+        meters.lane_tx_failed.inc(n - ok)
+        meters.lane_gas.inc(mb.gas_used)
+        if self.metrics.enabled:
+            for receipt in mb.receipts:
+                meters.lane_gas_per_tx.observe(receipt.gas_used)
+            meters.lane_exec_ns.observe(time.perf_counter_ns() - t0)
+
     def _execute(self, tx: Transaction, lane: int, state_for,
-                 touched: dict[str, set[StateKey]]) -> Receipt:
+                 touched: defaultdict) -> Receipt:
+        """Run one transaction; success appends its logs to ``touched``."""
         sender_addr, to_addr = _pad(tx.sender), _pad(tx.to)
         sender = self._account_at(sender_addr)
         if self._resident_tracker is not None:
@@ -1524,7 +1542,7 @@ class Network:
         if not self.nonces.try_accept(sender_addr, tx.nonce, lane):
             return Receipt(tx, False, 0, lane, error="bad nonce")
 
-        if not tx.is_contract_call:
+        if tx.transition is None:
             if to_addr in self.contracts:
                 # Mirrors the dispatcher's "payment to contract"
                 # routing: the funds stay with the sender instead of
@@ -1545,10 +1563,9 @@ class Network:
 
         chain = _CallChain(self, lane, state_for, tx.gas_limit)
         try:
-            chain.invoke(contract, tx.transition or "", tx.args_dict(),
-                         caller=ByStrVal(sender_addr, ty.BYSTR20),
-                         amount=tx.amount,
-                         payer_account=sender, depth=0)
+            chain.invoke(contract, tx.transition, dict(tx.args),
+                         ByStrVal(sender_addr, ty.BYSTR20), tx.amount,
+                         sender, 0)
         except _ChainFailed as exc:
             chain.rollback()
             sender.charge(lane, chain.gas_used * tx.gas_price)
@@ -1569,8 +1586,8 @@ class Network:
             return Receipt(tx, False, chain.gas_used, lane,
                            error="overflow guard: rerouted")
 
-        for addr, keys in chain.touched.items():
-            touched.setdefault(addr, set()).update(keys)
+        for contract, _, log in chain.logs:
+            touched[contract.address].append(log)
         return Receipt(tx, True, chain.gas_used, lane,
                        events=chain.events)
 
@@ -1626,6 +1643,9 @@ class _CallChain:
     is atomic: any failure undoes every state write and balance move.
     """
 
+    __slots__ = ("net", "lane", "state_for", "gas_limit", "gas_used",
+                 "events", "logs", "_refunds")
+
     def __init__(self, net: "Network", lane: int, state_for,
                  gas_limit: int):
         self.net = net
@@ -1634,16 +1654,14 @@ class _CallChain:
         self.gas_limit = gas_limit
         self.gas_used = 0
         self.events: list = []
-        self.touched: dict[str, set[StateKey]] = {}
-        # Undo entries, applied in reverse on rollback.
-        self._undo: list = []
-        self._overflow_results: list[tuple[DeployedContract,
-                                           ContractState, object]] = []
+        # (contract, state, write log) per call, in order; and balance
+        # moves to undo on rollback: (state or account, amount to add).
+        self.logs: list = []
+        self._refunds: list = []
 
     def invoke(self, contract: DeployedContract, transition: str,
                args: dict, caller: ByStrVal, amount: int,
                payer_account, depth: int) -> None:
-        from ..scilla.errors import ExecError
         state = self.state_for(contract.address)
         ctx = TxContext(sender=caller, amount=amount,
                         block_number=self.net.epoch)
@@ -1657,35 +1675,28 @@ class _CallChain:
         if not result.success:
             raise _ChainFailed(result.error or "transition failed")
 
-        log = result.write_log
-        self._undo.append(("writes", state, log))
-        self.events.extend(result.events)
-        self.touched.setdefault(contract.address, set()).update(
-            log.writes.keys())
-        self._overflow_results.append((contract, state, result))
+        self.logs.append((contract, state, result.write_log))
+        if result.events:
+            self.events.extend(result.events)
 
-        if result.accepted:
+        accepted = result.accepted
+        if accepted:   # funds offered but not accepted stay with the payer
             # The interpreter already credited the contract; that credit
             # must be undone too if the chain later fails.
-            self._undo.append(("contract-credit", state, result.accepted))
+            self._refunds.append((state, -accepted))
             # Debit the payer (the user for the first hop, the calling
             # contract afterwards).
             if payer_account is not None:
-                if not payer_account.charge(self.lane, result.accepted):
+                if not payer_account.charge(self.lane, accepted):
                     raise _ChainFailed("insufficient balance for transfer")
-                self._undo.append(("account-debit", payer_account,
-                                   result.accepted))
+                self._refunds.append((payer_account, accepted))
             else:
                 caller_state = self.state_for(caller.hex)
-                if caller_state.balance < result.accepted:
+                if caller_state.balance < accepted:
                     raise _ChainFailed(
                         "insufficient contract balance for transfer")
-                caller_state.balance -= result.accepted
-                self._undo.append(("contract-debit", caller_state,
-                                   result.accepted))
-        else:
-            # Funds offered but not accepted stay with the payer.
-            pass
+                caller_state.balance -= accepted
+                self._refunds.append((caller_state, accepted))
 
         for msg in result.messages:
             recipient = _pad(msg.recipient)
@@ -1697,9 +1708,8 @@ class _CallChain:
                 if depth + 1 >= MAX_CALL_DEPTH:
                     raise _ChainFailed("call depth exceeded")
                 self.invoke(callee, msg.tag, dict(msg.params),
-                            caller=ByStrVal(contract.address, ty.BYSTR20),
-                            amount=msg.amount,
-                            payer_account=None, depth=depth + 1)
+                            ByStrVal(contract.address, ty.BYSTR20),
+                            msg.amount, None, depth + 1)
             elif msg.amount > 0:
                 if state.balance < msg.amount:
                     raise _ChainFailed(
@@ -1707,39 +1717,27 @@ class _CallChain:
                 state.balance -= msg.amount
                 account = self.net._account_at(recipient)
                 account.credit(msg.amount, self.lane)
-                self._undo.append(("payout", state, account, msg.amount))
+                self._refunds += ((state, msg.amount),
+                                  (account, -msg.amount))
 
     def rollback(self) -> None:
-        for entry in reversed(self._undo):
-            kind = entry[0]
-            if kind == "writes":
-                _, state, log = entry
-                log.rollback(state)
-            elif kind == "account-debit":
-                _, account, amount = entry
-                account.credit(amount, self.lane)
-            elif kind == "contract-debit":
-                _, state, amount = entry
-                state.balance += amount
-            elif kind == "contract-credit":
-                _, state, amount = entry
-                state.balance -= amount
-            elif kind == "payout":
-                _, state, account, amount = entry
-                state.balance += amount
-                account.balance -= amount
-                account.shard_portions[self.lane] = \
-                    account.shard_portions.get(self.lane, 0) - amount
-        self._undo.clear()
+        for _, state, log in reversed(self.logs):
+            log.rollback(state)
+        for target, amount in reversed(self._refunds):
+            if isinstance(target, Account):
+                target.credit(amount, self.lane)
+            else:
+                target.balance += amount
+        self.logs.clear()
+        self._refunds.clear()
 
     def within_overflow_budget(self) -> bool:
         """Sec. 6's conservative per-shard overflow budget for IntMerge
         components: a transaction may move a component at most
         ``(MAX - v) / N`` away from its epoch-start value ``v``."""
-        from ..scilla.values import IntVal
-        for contract, state, result in self._overflow_results:
+        for contract, state, log in self.logs:
             base = self.net.contracts[contract.address].state
-            for key in result.write_log.writes:
+            for key in log.writes:
                 if contract.joins.get(key[0]) is not JoinKind.INT_MERGE:
                     continue
                 new = state.read(key)

@@ -194,8 +194,7 @@ class NetworkCheckpoint:
         for addr in [a for a in net.contracts
                      if a not in self.contract_addrs]:
             del net.contracts[addr]
-            net.dispatcher.contracts.pop(addr, None)
-            net.dispatcher._field_level_cache.pop(addr, None)
+            net.dispatcher.unregister_contract(addr)
         net.backlog = list(self.backlog)
         net.dead_letter = list(self.dead_letter)
         net.executor_fallbacks = self.executor_fallbacks

@@ -360,7 +360,7 @@ def _run_epoch_on_replica(replica: _Replica, task: ResidentEpochTask
     for addr, local in local_states.items():
         base = net.contracts[addr].state
         delta = compute_delta(addr, task.lane, base, local,
-                              touched.get(addr, set()),
+                              touched.get(addr, ()),
                               net.contracts[addr].joins)
         if delta.entries:
             deltas.append(delta)

@@ -54,6 +54,7 @@ are the correctness story; ``docs/SCHEDULER.md`` is the prose version.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 
 from ..core.domain import ConstKey, Key, ParamKey
@@ -343,7 +344,7 @@ class _Sandbox:
         # addr -> (clone, pre_balance, pre_portions, existed),
         # insertion == touch order (the commit pass replays it).
         self._accounts: dict[str, tuple] = {}
-        self.touched: dict[str, set[StateKey]] = {}
+        self.touched = defaultdict(list)
         self.receipt: Receipt | None = None
         self.crashed: BaseException | None = None
         self._view = None
@@ -495,7 +496,7 @@ class _LaneSpeculation:
         self.workers = max(0, net.spec_workers)
         self.mb = MicroBlock(shard=lane, epoch=net.epoch)
         self.local_states: dict[str, ContractState] = {}
-        self.touched: dict[str, set[StateKey]] = {}
+        self.touched = defaultdict(list)
         self.deferred: list[Transaction] = []
         self.pos = 0
         self.serial_mode = False
@@ -514,14 +515,6 @@ class _LaneSpeculation:
         self.nonce_undo: list[tuple] = []
         self._pool: ThreadPoolExecutor | None = None
         self._interp_cache: dict[tuple[int, str], Interpreter] = {}
-        # Deterministic lane meters are buffered and flushed once at
-        # lane end, so an abandoned lane leaves them untouched and the
-        # serial redo counts each receipt exactly once.
-        self._n_executed = 0
-        self._n_ok = 0
-        self._n_failed = 0
-        self._gas_total = 0
-        self._gas_obs: list[int] = []
 
     # -- shared lookups -----------------------------------------------------
 
@@ -578,9 +571,9 @@ class _LaneSpeculation:
                 self._serial_step()
                 continue
             self._round(window)
-        self._flush_lane_meters()
-        if net.metrics.enabled:
-            self.meters.lane_exec_ns.observe(time.perf_counter_ns() - t0)
+        # Lane meters are recorded once, at lane end: an abandoned lane
+        # leaves them untouched, the serial redo counts each receipt once.
+        net._record_lane(self.mb, t0)
         return self.mb, self.local_states, self.touched, self.deferred
 
     def _form_window(self) -> list[tuple[Transaction, frozenset]]:
@@ -631,7 +624,7 @@ class _LaneSpeculation:
         jmark = self.journal.mark()
         acct_mark = len(self.acct_undo)
         nonce_mark = len(self.nonce_undo)
-        touched_snapshot = {a: set(v) for a, v in self.touched.items()}
+        touched_snapshot = {a: list(v) for a, v in self.touched.items()}
         states_snapshot = set(self.local_states)
 
         committed = 0
@@ -673,7 +666,6 @@ class _LaneSpeculation:
         for tx, receipt in round_receipts:
             self.mb.receipts.append(receipt)
             self.mb.gas_used += receipt.gas_used
-            self._record_receipt(receipt)
             if self.retries.get(tx.tx_id):
                 meters.spec_retries.inc()
         meters.spec_commits.inc(committed)
@@ -750,8 +742,8 @@ class _LaneSpeculation:
                 if d:
                     real.shard_portions[shard] = \
                         real.shard_portions.get(shard, 0) + d
-        for addr, keys in sb.touched.items():
-            self.touched.setdefault(addr, set()).update(keys)
+        for addr, logs in sb.touched.items():
+            self.touched[addr] += logs
 
     # -- undo ---------------------------------------------------------------
 
@@ -821,34 +813,9 @@ class _LaneSpeculation:
                                     self.touched)
         self.mb.receipts.append(receipt)
         self.mb.gas_used += receipt.gas_used
-        self._record_receipt(receipt)
         if self.retries.get(tx.tx_id):
             self.meters.spec_retries.inc()
         self.pos += 1
-
-    # -- deterministic lane meters ------------------------------------------
-
-    def _record_receipt(self, receipt: Receipt) -> None:
-        self._n_executed += 1
-        if receipt.success:
-            self._n_ok += 1
-        else:
-            self._n_failed += 1
-        self._gas_total += receipt.gas_used
-        self._gas_obs.append(receipt.gas_used)
-
-    def _flush_lane_meters(self) -> None:
-        meters = self.meters
-        if self._n_executed:
-            meters.lane_tx_executed.inc(self._n_executed)
-        if self._n_ok:
-            meters.lane_tx_ok.inc(self._n_ok)
-        if self._n_failed:
-            meters.lane_tx_failed.inc(self._n_failed)
-        if self._gas_total:
-            meters.lane_gas.inc(self._gas_total)
-        for gas in self._gas_obs:
-            meters.lane_gas_per_tx.observe(gas)
 
 
 def run_speculative_lane(net, lane: int, queue: list[Transaction],

@@ -282,8 +282,7 @@ class WriteLog:
     def record(self, state: ContractState, key: StateKey,
                new_value: Value | _Missing) -> None:
         undo_key, undo_val = _capture_undo(state, key)
-        if undo_key not in self.undo:
-            self.undo[undo_key] = undo_val
+        self.undo.setdefault(undo_key, undo_val)   # the first one stays
         self.writes[key] = new_value
 
     def rollback(self, state: ContractState) -> None:

@@ -33,6 +33,9 @@ class PrimType(ScillaType):
 
     name: str
 
+    def __hash__(self) -> int:
+        return hash(self.name)
+
     def __str__(self) -> str:
         return self.name
 

@@ -48,6 +48,10 @@ class IntVal(Value):
         fields["typ"] = typ
         return self
 
+    # Payload-only: the generated hash builds a tuple and hashes the type.
+    def __hash__(self) -> int:
+        return hash(self.value)
+
     def __str__(self) -> str:
         return f"{self.typ} {self.value}"
 
@@ -70,6 +74,9 @@ class ByStrVal(Value):
     def __post_init__(self) -> None:
         if not self.hex.startswith("0x"):
             raise EvalError(f"malformed byte string {self.hex!r}")
+
+    def __hash__(self) -> int:
+        return hash(self.hex)
 
     @property
     def nbytes(self) -> int:
@@ -487,6 +494,8 @@ def sint(value: int, width: int = 128) -> IntVal:
 
 def pad_address(address: str) -> str:
     """The canonical form of an address: ``0x`` + 40 lowercase hex."""
+    if len(address) == 42 and address[:2] == "0x":
+        return address.lower()   # full length already: nothing to pad
     body = address[2:] if address.startswith("0x") else address
     return "0x" + body.rjust(40, "0").lower()
 

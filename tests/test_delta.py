@@ -3,15 +3,15 @@ property-checked (invariant 2 of DESIGN.md)."""
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from repro.core.joins import JoinKind, MergeConflict
+from repro.core.joins import JoinKind, MergeConflict, int_delta
 from repro.chain.delta import (
-    DeltaEntry, StateDelta, compute_delta, merge_deltas,
+    DeltaEntry, StateDelta, _values_same, compute_delta, merge_deltas,
 )
-from repro.scilla.state import ContractState, MISSING
+from repro.scilla.state import ContractState, MISSING, WriteLog, _Missing
 from repro.scilla import types as ty
-from repro.scilla.values import MapVal, StringVal, uint
+from repro.scilla.values import IntVal, MapVal, StringVal, canonical, uint
 
 
 def token_state(**balances) -> ContractState:
@@ -34,7 +34,9 @@ def delta_between(base, final, joins, shard=0, keys=None):
                 for k in set(base.fields["bal"].entries)
                 | set(final.fields["bal"].entries)}
         keys.add(("supply", ()))
-    return compute_delta("0xc", shard, base, final, keys, joins)
+    log = WriteLog({key: base.read(key) for key in keys},
+                   {key: final.read(key) for key in keys})
+    return compute_delta("0xc", shard, base, final, [log], joins)
 
 
 def test_compute_delta_int_diffs():
@@ -171,3 +173,162 @@ def test_merge_order_independent(w1, w2, w3):
             str(k): v.value
             for k, v in merged.fields["bal"].entries.items()})
     assert all(r == results[0] for r in results)
+
+
+# -- deltas folded from write logs ≡ deltas read back ----------------------------
+#
+# ``compute_delta`` builds a lane's delta from the write logs of its
+# successful transactions and reads state only
+# where the fold is not exact.  The oracle below is the read-diff it
+# replaced: every touched location read from the lane-final and the
+# epoch-start state.
+
+def _key_sort(key):
+    name, keys = key
+    return (name, tuple(str(k) for k in keys))
+
+
+def read_diff_delta(contract, shard, base, final, touched, joins):
+    delta = StateDelta(contract, shard)
+    for key in sorted(touched, key=_key_sort):
+        kind = joins.get(key[0], JoinKind.OWN_OVERWRITE)
+        new = final.read(key)
+        old = base.read(key)
+        if kind is JoinKind.INT_MERGE:
+            if not isinstance(new, (IntVal, _Missing)) or \
+                    not isinstance(old, (IntVal, _Missing)):
+                raise MergeConflict(
+                    f"IntMerge declared for non-integer location {key}",
+                    contract=contract, key=key, shards=(shard,))
+            diff = int_delta(old, new)
+            if diff == 0:
+                continue
+            template = new if isinstance(new, IntVal) else old
+            delta.entries.append(DeltaEntry(key, kind, int_diff=diff,
+                                            template=template))
+        else:
+            if _values_same(old, new):
+                continue
+            delta.entries.append(DeltaEntry(key, kind, new_value=new))
+    return delta
+
+
+NESTED = ty.MapType(ty.STRING, ty.MapType(ty.STRING, ty.UINT128))
+FOLD_JOINS = {"n": JoinKind.INT_MERGE, "bal": JoinKind.INT_MERGE}
+
+
+def _map(entries: dict, value_type=ty.UINT128) -> MapVal:
+    m = MapVal(ty.STRING, value_type)
+    for k, v in entries.items():
+        m.entries[StringVal(k)] = v if isinstance(v, MapVal) else uint(v)
+    return m
+
+
+def nested_state() -> ContractState:
+    """A scalar and a map merged as integers, a map and a nested map
+    overwritten by their owner."""
+    inner = ty.MapType(ty.STRING, ty.UINT128)
+    return ContractState("0xc", {
+        "n": uint(4), "bal": _map({"a": 3, "b": 0}),
+        "own": _map({"a": 1}),
+        "nest": _map({"a": _map({"a": 1, "b": 2}), "b": _map({})}, inner),
+    }, {"n": ty.UINT128, "bal": ty.MapType(ty.STRING, ty.UINT128),
+        "own": ty.MapType(ty.STRING, ty.UINT128), "nest": NESTED})
+
+
+_k = st.sampled_from(["a", "b", "c"])
+_v = st.integers(0, 4)
+_small_map = st.dictionaries(_k, _v, max_size=2)
+# (field, key path, value): None deletes, a dict writes a whole map.
+_op = st.one_of(
+    st.tuples(st.sampled_from(["bal", "own"]), st.tuples(_k),
+              st.one_of(st.none(), _v)),
+    st.tuples(st.just("nest"), st.tuples(_k, _k), st.one_of(st.none(), _v)),
+    # A whole subtree deleted or replaced (a prefix of deeper writes).
+    st.tuples(st.just("nest"), st.tuples(_k), st.one_of(st.none(),
+                                                        _small_map)),
+    st.tuples(st.just("n"), st.just(()), _v),
+    st.tuples(st.just("own"), st.just(()), _small_map),
+)
+_txn = st.tuples(st.lists(_op, min_size=1, max_size=4), st.booleans())
+
+
+def _run(state, log, op) -> None:
+    """One write, recorded and applied as the interpreter does."""
+    field, path, value = op
+    key = (field, tuple(StringVal(k) for k in path))
+    if isinstance(value, dict):
+        value = _map(value)
+    elif value is not None:
+        value = uint(value)
+    log.record(state, key, MISSING if value is None else value)
+    state.write(key, MISSING if value is None else value)
+
+
+def _entry_view(delta):
+    return [(e.key, e.kind, e.int_diff,
+             None if e.template is None else canonical(e.template),
+             "MISSING" if e.new_value is MISSING
+             else canonical(e.new_value)) for e in delta.entries]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_txn, min_size=1, max_size=6))
+# A logged map goes stale: the failing transaction writes into it,
+# then its rollback copies it up and undoes the write in the copy.
+@example([([("nest", ("b",), {})], True),
+          ([("nest", ("b", "a"), 0), ("nest", ("b",), None)], False)])
+@example([([("nest", ("b",), {"a": 0})], True),
+          ([("nest", ("b",), None)], False),
+          ([("nest", ("b", "a"), None)], False)])
+def test_folded_delta_equals_read_diff(txns):
+    """Prefix creation, delete then re-insert, a whole-field write then
+    an entry write, a write back to the original value, map-valued
+    writes, failing transactions in between: entry for entry the same
+    delta, and the same merged state."""
+    base = nested_state()
+    final = base.fork()
+    logs = []
+    for ops, succeeds in txns:
+        log = WriteLog()
+        for op in ops:
+            _run(final, log, op)
+        if succeeds:
+            logs.append(log)
+        else:
+            log.rollback(final)     # failed chains fold nothing
+    written = {key for log in logs for key in log.writes}
+    want = read_diff_delta("0xc", 0, base, final, written, FOLD_JOINS)
+    got = compute_delta("0xc", 0, base, final, logs, FOLD_JOINS)
+    assert _entry_view(got) == _entry_view(want)
+    # A map-valued entry carries the lane-final object itself: the
+    # logged one may be a stale twin (copied up since by a write
+    # through it that a failing transaction then rolled back).
+    for g, w in zip(got.entries, want.entries):
+        assert g.new_value is w.new_value or \
+            not isinstance(w.new_value, MapVal)
+
+    def merged(delta):
+        state, _ = merge_deltas(base, [delta])
+        return {name: canonical(v) for name, v in state.fields.items()}
+    assert merged(got) == merged(want)
+
+
+def test_fold_takes_the_prefix_pre_image_not_the_in_transaction_one():
+    """``m[c][a] := 1; m[c][a] := 2`` with ``m[c]`` absent logs the
+    absent prefix ``m[c]`` first and then ``undo[m[c][a]] = 1`` — an
+    in-transaction value.  The location's pre-image is MISSING, so the
+    entry is a creation, whichever transaction of the lane wrote it."""
+    key = ("nest", (StringVal("c"), StringVal("a")))
+    for split in (False, True):
+        base = nested_state()
+        final = base.fork()
+        logs = [WriteLog()]
+        _run(final, logs[-1], ("nest", ("c", "a"), 1))
+        if split:
+            logs.append(WriteLog())
+        _run(final, logs[-1], ("nest", ("c", "a"), 2))
+        assert logs[-1].undo[key] == uint(1)
+        delta = compute_delta("0xc", 0, base, final, logs, {})
+        assert delta.entries == [DeltaEntry(
+            key, JoinKind.OWN_OVERWRITE, new_value=uint(2))]

@@ -46,7 +46,7 @@ def _two_shard_runs(join_kind):
             TxContext(sender=ADMIN))
         assert r.success
         deltas.append(compute_delta(
-            "0xc0", shard, base, local, set(r.write_log.writes),
+            "0xc0", shard, base, local, [r.write_log],
             {f: join_kind for f in base.fields}))
     return base, deltas
 

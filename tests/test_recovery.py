@@ -118,6 +118,44 @@ def test_checkpoint_drops_contracts_deployed_after_take():
     assert not decision.is_ds
 
 
+def test_rolled_back_deploy_leaves_no_dispatch_plans():
+    """The plans lowered for a deploy that a checkpoint restore rolls
+    back go with it: calls to the address are unknown again, and a
+    *different* signature deployed there afterwards is the one that
+    dispatches."""
+    net = ft_network()
+    checkpoint = NetworkCheckpoint.take(net)
+    second = "0x" + "c1" * 20
+    params = {
+        "contract_owner": addr(ADMIN), "name": StringVal("U"),
+        "symbol": StringVal("U"), "decimals": IntVal(6, ty.UINT32),
+        "init_supply": uint(0),
+    }
+    transfer = call(USERS[0], second, "Transfer",
+                    {"to": addr(USERS[1]), "amount": uint(1)}, nonce=1)
+    mint = call(ADMIN, second, "Mint",
+                {"recipient": addr(USERS[0]), "amount": uint(5)}, nonce=1)
+
+    net.deploy(CORPUS["FungibleToken"], second, params,
+               sharded_transitions=("Mint", "Transfer"))
+    dispatcher = net.dispatcher
+    assert dispatcher.dispatch(transfer).reason == "constraints satisfied"
+    assert dispatcher.dispatch(mint).reason != "transition not sharded"
+
+    checkpoint.restore(net)
+    for tx in (transfer, mint):
+        assert dispatcher.dispatch(tx).reason == "unknown contract"
+        assert dispatcher.dispatch_reference(tx).reason == "unknown contract"
+
+    net.deploy(CORPUS["FungibleToken"], second, params,
+               sharded_transitions=("Mint",))
+    for tx in (transfer, mint):
+        assert dispatcher.dispatch(tx).reason == \
+            dispatcher.dispatch_reference(tx).reason
+    assert dispatcher.dispatch(transfer).reason == "transition not sharded"
+    assert dispatcher.dispatch(mint).reason != "transition not sharded"
+
+
 def test_checkpoint_restores_dead_letter_and_executor_counters():
     """An aborted epoch attempt must not leak dead-lettered
     transactions or inflated executor counters into the commit."""

@@ -29,6 +29,12 @@ def _fingerprint(workload: str, executor: str) -> str:
     run = run_instrumented(workload=workload, executor=executor,
                            **RUN_PARAMS)
     assert run.committed > 0
+    # Every dispatched transaction is counted under exactly one reason
+    # class (``net.dispatch.reason.*`` are part of the compared subset).
+    counters = run.deterministic["counters"]
+    assert sum(c["value"] for name, c in counters.items()
+               if name.startswith("net.dispatch.reason.")) \
+        == counters["net.tx.dispatched"]["value"] > 0
     return json.dumps(run.deterministic, sort_keys=True)
 
 
@@ -136,3 +142,7 @@ def test_view_change_rolls_back_lane_counters():
             == clean["net.tx.committed"]["value"])
     # And the faulty run really exercised the rollback path.
     assert faulty["net.view_changes"]["value"] > 0
+    # Discarded attempts dispatched too; only the surviving one counts.
+    for name in clean:
+        if name.startswith("net.dispatch.reason."):
+            assert faulty[name] == clean[name], name

@@ -119,3 +119,39 @@ def test_canonical_rejects_closures():
     closure = Closure("x", ty.UINT128, Var("x"), Env())
     with pytest.raises(EvalError):
         canonical(closure)
+
+
+# -- the hash contract of the primitive values ---------------------------------
+#
+# ``IntVal``, ``ByStrVal`` and ``PrimType`` hash their payload only
+# (state keys are hashed ~40 times per transaction); equality is the
+# generated one and still compares the type.
+
+def test_equal_values_hash_equal():
+    assert uint(7) == IntVal(7, ty.PrimType("Uint128"))
+    assert hash(uint(7)) == hash(IntVal.checked(7, ty.PrimType("Uint128")))
+    a = ByStrVal("0x" + "ab" * 20, ty.BYSTR20)
+    assert a == addr("0x" + "AB" * 20) and hash(a) == hash(addr(a.hex))
+    assert hash(ty.PrimType("Uint32")) == hash(ty.UINT32)
+    assert {uint(7): "x"}[IntVal(7, ty.UINT128)] == "x"
+
+
+def test_one_payload_under_two_types_collides_but_stays_unequal():
+    narrow, wide = IntVal(7, ty.UINT32), uint(7)
+    assert hash(narrow) == hash(wide) and narrow != wide
+    assert len({narrow, wide}) == 2
+    assert {narrow: "narrow", wide: "wide"}[wide] == "wide"
+    short = ByStrVal("0xab", ty.PrimType("ByStr1"))
+    assert short != ByStrVal("0xab", ty.PrimType("ByStr"))
+
+
+def test_hashes_survive_pickling_and_nest_in_adts():
+    import pickle
+    key = ("balances", (addr("0x" + "01" * 20), uint(3)))
+    table = {key: 1}
+    assert pickle.loads(pickle.dumps(table))[key] == 1
+    clone = pickle.loads(pickle.dumps(key))
+    assert clone == key and hash(clone) == hash(key)
+    both = pair(uint(3), addr("0x" + "01" * 20), ty.UINT128, ty.BYSTR20)
+    assert hash(both) == hash(pickle.loads(pickle.dumps(both)))
+    assert {some(uint(1), ty.UINT128): "x"}[some(uint(1), ty.UINT128)] == "x"
