@@ -7,9 +7,10 @@ Records per-size timings and payload bytes into
 100k-entry map, checkpoint take plus lane-payload construction is at
 least 10× faster than the deep-copy baseline.  The scaling guards at
 the bottom are what CI runs: counts showing that a checkpoint take, a
-first write after a fork, and the account/nonce books stay O(touched),
-plus one wide-margin wall-clock check that a serial epoch is flat in
-state size.
+first write after a fork, the account/nonce books, and a durable
+commit with its restore points stay O(touched), plus wide-margin
+wall-clock checks that a serial epoch — in memory and durable — is
+flat in state size.
 """
 
 import json
@@ -178,14 +179,10 @@ def test_checkpoint_take_walks_no_account_and_no_nonce_table():
     assert net.nonces.used[sender] == {1}
 
 
-def _ft_epoch_seconds(n_users: int, txns: int = 100,
-                      epochs: int = 7) -> float:
-    """Median wall time of a serial FT-transfer epoch over a balances
-    map seeded directly (minting 10^5 balances through the interpreter
-    would dominate the test)."""
-    import time
-    from statistics import median
-
+def _seeded_ft(n_users: int, txns: int, **net_kwargs):
+    """A serial FT-transfer network over a balances map seeded directly
+    (minting 10^5 balances through the interpreter would dominate the
+    test), and the workload driving it."""
     from repro.chain.network import Network
     from repro.scilla.values import addr
     from repro.workloads.generators import FTTransfer
@@ -198,8 +195,19 @@ def _ft_epoch_seconds(n_users: int, txns: int = 100,
                 balances.put(addr(user), uint(10**9))
 
     wl = SeededFT(n_users=n_users, txns_per_epoch=txns, seed=3)
-    net = Network(4, executor="serial", state_backend="none")
+    net = Network(4, executor="serial", state_backend="none",
+                  **net_kwargs)
     wl.setup(net)
+    return wl, net
+
+
+def _ft_epoch_seconds(n_users: int, txns: int = 100,
+                      epochs: int = 7) -> float:
+    """Median wall time of a serial FT-transfer epoch."""
+    import time
+    from statistics import median
+
+    wl, net = _seeded_ft(n_users, txns)
     times = []
     for epoch in range(epochs):
         batch = wl.transactions(epoch)
@@ -218,4 +226,70 @@ def test_serial_epoch_time_is_flat_in_state_size():
     large = _ft_epoch_seconds(100_000)
     assert large <= 2 * small, (
         f"FT epoch {large * 1e3:.1f} ms at 10^5 balances vs "
+        f"{small * 1e3:.1f} ms at 10^3")
+
+
+def _durable_ft_run(n_users: int, data_dir, full_walks: list,
+                    txns: int = 100, epochs: int = 16):
+    """16 durable epochs (``snapshot_every=8``: two restore points)
+    after the first base.  Returns seconds per epoch, snapshot share
+    included, and the rows each restore point wrote."""
+    import time
+
+    from repro.chain.recovery import ChangeLedger
+    from repro.obs import MetricsRegistry
+
+    metrics = MetricsRegistry()
+    wl, net = _seeded_ft(n_users, txns, data_dir=str(data_dir),
+                         snapshot_every=8, metrics=metrics)
+    # The balances were seeded behind the ledger's back.
+    net._ledger = ChangeLedger(net)
+    net.snapshot()
+    rows_before = metrics.counter("net.snapshot.rows").value
+    batches = [wl.transactions(epoch) for epoch in range(epochs)]
+    del full_walks[:]
+    t0 = time.perf_counter()
+    for batch in batches:
+        assert net.process_epoch(batch).n_committed == txns
+    seconds = (time.perf_counter() - t0) / epochs
+    assert not full_walks, full_walks
+    counters = metrics.snapshot()["counters"]
+    assert counters["net.digest.full_recomputes"]["value"] == 0
+    assert counters["net.commit.changed_locations"]["value"] \
+        <= 2 * txns * epochs
+    written = counters["net.snapshot.rows"]["value"] - rows_before
+    kinds = (counters["net.snapshot.bases"]["value"] - 1,
+             counters["net.snapshot.deltas"]["value"])
+    net.close()
+    return seconds, written, kinds
+
+
+def test_durable_commit_and_restore_points_are_o_touched(tmp_path,
+                                                         monkeypatch):
+    """A steady-state durable commit walks no state — zero
+    ``state_fingerprint`` / ``state_accumulator`` / from-scratch
+    recomputations, by count — and a delta restore point writes what
+    the interval touched, not what the network holds.  So a durable
+    epoch over 10^5 balances, its share of the restore points included,
+    takes at most 2x one over 10^3."""
+    from repro.chain import recovery
+
+    full_walks: list = []
+    for name in ("state_fingerprint", "state_accumulator", "_fields_sum"):
+        real = getattr(recovery, name)
+        monkeypatch.setattr(
+            recovery, name,
+            lambda state, real=real, name=name: (
+                full_walks.append(name), real(state))[1])
+    txns, epochs = 100, 16
+    small, _, _ = _durable_ft_run(1_000, tmp_path / "small", full_walks)
+    large, written, kinds = _durable_ft_run(100_000, tmp_path / "large",
+                                            full_walks)
+    # Both restore points are deltas, and each transfer accounts for at
+    # most two balances, one account and one nonce record: nothing near
+    # the 3 x 10^5 rows a base holds.
+    assert kinds == (0, 2)
+    assert written <= 4 * txns * epochs
+    assert large <= 2 * small, (
+        f"durable FT epoch {large * 1e3:.1f} ms at 10^5 balances vs "
         f"{small * 1e3:.1f} ms at 10^3")

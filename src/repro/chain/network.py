@@ -21,6 +21,7 @@ from collections import defaultdict
 from dataclasses import (
     asdict, dataclass, field as dc_field, replace as dc_replace,
 )
+from operator import attrgetter
 
 from ..core.joins import JoinKind
 from ..core.pipeline import run_pipeline_cached
@@ -44,7 +45,8 @@ from .dispatch import DS, REASON_KINDS, DeployedSignature, Dispatcher, _pad
 from .faults import FaultInjector, FaultPlan
 from .lanes import LaneResult, run_lanes
 from .recovery import (
-    DeltaViolation, NetworkCheckpoint, fingerprint_digest, validate_delta,
+    ChangeLedger, DeltaViolation, NetworkCheckpoint, fingerprint_digest,
+    validate_delta,
 )
 from .speculate import SpeculationError
 from .supervise import (
@@ -58,6 +60,7 @@ from .transaction import Account, NonceTracker, Transaction
 from .wal import WALError, WriteAheadLog
 
 PAYMENT_GAS = 50
+_ENTRY_KEY = attrgetter("key")
 
 # Lane executor strategies for Network.process_epoch.  "serial" is the
 # reference implementation; "thread"/"process" execute independent
@@ -199,6 +202,22 @@ class _NetworkMeters:
                                         deterministic=False)
         self.deploy_ns = m.histogram("net.deploy_ns", NS_BUCKETS,
                                      deterministic=False)
+        # O(touched) durability (recovery.ChangeLedger).  The change
+        # set is a function of the workload; replay takes no snapshots
+        # and a resume recomputes accumulators, so the rest is not.
+        self.commit_changed = m.counter("net.commit.changed_locations")
+        self.commit_digest_ns = m.histogram(
+            "net.commit.digest_ns", NS_BUCKETS, deterministic=False)
+        self.digest_full_recomputes = m.counter(
+            "net.digest.full_recomputes", deterministic=False)
+        (self.snapshot_bases, self.snapshot_deltas, self.snapshot_rows,
+         self.snapshot_bytes) = (
+            m.counter(f"net.snapshot.{what}", deterministic=False)
+            for what in ("bases", "deltas", "rows", "bytes"))
+        self.snapshot_ns = m.histogram("net.snapshot_ns", NS_BUCKETS,
+                                       deterministic=False)
+        self.resume_skipped = m.gauge(
+            "net.resume.skipped_restore_points", deterministic=False)
         # Compiled transitions (repro.scilla.compile), counted at
         # deploy from the source's shared unit: static properties of
         # the source, whichever process later runs it.
@@ -366,6 +385,11 @@ class _EpochAttempt:
     deferred: list[tuple[int, Transaction]]
     newly_faulty: dict[int, str]
     rejected_deltas: int
+    # The DS lane's successful write logs per contract, and every
+    # touched contract's pre-epoch state (durable networks only): with
+    # the microblocks' deltas, the sources of the epoch's change set.
+    ds_logs: dict = dc_field(default_factory=dict)
+    pre_states: dict | None = None
 
 
 class Network:
@@ -540,6 +564,9 @@ class Network:
         # How many epochs committed under each caller-supplied WAL tag
         # (the durable harness uses this to fast-forward generators).
         self.epoch_tags: dict[str, int] = {}
+        # Deltas in the restore-point chain Network.resume restored
+        # from (the files it rejected, and why: ``store.skipped``).
+        self.restored_deltas = 0
         # Free-form durable annotations (repro.eval.chaos marks setup
         # completion here); replicated into snapshots and the WAL.
         self.wal_notes: list = []
@@ -550,6 +577,8 @@ class Network:
         self.snapshot_every = snapshot_every
         self._replaying = False
         self._commits_since_snapshot = 0
+        # Accumulators + dirty set; kept while durable or replaying.
+        self._ledger: ChangeLedger | None = None
         if data_dir is not None:
             from .store import SnapshotStore
             wal = WriteAheadLog(data_dir, fsync=fsync,
@@ -563,6 +592,7 @@ class Network:
                     f"use Network.resume to continue it")
             self.wal = wal
             self.store = store
+            self._ledger = ChangeLedger(self)
             self._wal_append("init", self._config_obj(), barrier=True)
         # Out-of-core state (repro.scilla.backend): page cold map
         # entries to a pluggable row store, faulting them back on
@@ -589,6 +619,8 @@ class Network:
     def create_account(self, address: str, balance: int = 10**12) -> Account:
         self._wal_append("account", {"address": address,
                                      "balance": balance})
+        if self._ledger is not None:
+            self._ledger.accounts.add(_pad(address))
         return self._create_account(address, balance)
 
     def _create_account(self, address: str, balance: int) -> Account:
@@ -699,6 +731,10 @@ class Network:
         deployed = DeployedContract(address, result.module, interpreter,
                                     state, signature, source, footprints)
         self.contracts[address] = deployed
+        if self._ledger is not None:
+            # A structure change, as for resident replicas: no delta
+            # can express it, so the next restore point is a base.
+            self._ledger.add_contract(state)
         if self._resident_tracker is not None:
             # No sync can express a new contract: resident replicas
             # reinstall from scratch at the next dispatch.
@@ -792,10 +828,13 @@ class Network:
         self._wal_append("note", data, barrier=True)
 
     def snapshot(self) -> None:
-        """Persist a durable snapshot now, rotate the WAL, and drop
-        segments and snapshots the retention policy no longer needs."""
+        """Persist a restore point now — a base, or a delta against
+        the previous one (``store.snapshot_network`` decides) — rotate
+        the WAL, and drop the segments and restore points no retained
+        one needs."""
         if self.wal is None or self.store is None:
             return
+        t0 = time.perf_counter_ns() if self.metrics.enabled else 0
         if self._commit_barrier_pending:
             # A pipelined commit record is still unflushed; the
             # snapshot below must not claim durability past it.
@@ -812,11 +851,23 @@ class Network:
                 wal_seq=self.wal.last_seq)
         obj = snapshot_network(self, wal_seq=self.wal.last_seq,
                                backend_obj=backend_obj)
-        self.store.save(obj)
+        path = self.store.save(obj)
+        is_base = "parent" not in obj
+        # Paged state keeps writing bases (PagedMap references).
+        self._ledger.restore_point_written(
+            self.store.tip if backend_obj is None else None,
+            obj["wal_seq"], obj["rows"], is_base)
         self.wal.rotate()
-        self.wal.compact(keep_from_seq=obj["wal_seq"] + 1)
         self.store.compact()
+        # Never past the oldest restore point resume could fall back to.
+        self.wal.compact(keep_from_seq=self.store.wal_floor() + 1)
         self._commits_since_snapshot = 0
+        meters = self._meters
+        (meters.snapshot_bases if is_base else meters.snapshot_deltas).inc()
+        meters.snapshot_rows.inc(obj["rows"])
+        if self.metrics.enabled:
+            meters.snapshot_bytes.inc(path.stat().st_size)
+            meters.snapshot_ns.observe(time.perf_counter_ns() - t0)
 
     def close(self) -> None:
         if self.wal is not None:
@@ -881,18 +932,26 @@ class Network:
         shutdown.
 
         Opens the WAL (validating every record and physically
-        truncating a torn tail), loads the newest snapshot whose digest
-        verifies, deterministically re-executes the logged records past
-        it, and re-attaches durability so the returned network keeps
-        logging where the dead process stopped.
+        truncating a torn tail), loads the newest restorable chain of
+        restore points (a base, then each delta whose digest and parent
+        link verify), deterministically re-executes the logged records
+        past it, and re-attaches durability so the returned network
+        keeps logging where the dead process stopped.  The accumulators
+        behind the commit digest are checked against a from-scratch
+        recomputation twice: as adopted from the chain, and after
+        replay.
         """
-        from .store import SnapshotStore, network_from_snapshot
+        from .store import (
+            SnapshotError, SnapshotStore, apply_delta_snapshot,
+            network_from_snapshot,
+        )
         wal = WriteAheadLog(data_dir, fsync=fsync,
                             crash_at_barrier=crash_at_barrier,
                             crash_at_append=crash_at_append)
         try:
             store = SnapshotStore(data_dir, keep=keep_snapshots)
-            snap = store.load_newest()
+            chain = store.load_chain()
+            snap = chain[0] if chain else None
             # The live backend file is never trusted across a crash
             # (its pragmas skip fsync): restore_backend rebuilds it
             # from the snapshot's digest-verified sidecar, or fresh
@@ -905,7 +964,9 @@ class Network:
                                             state_backend=backend,
                                             metrics=metrics,
                                             tracer=tracer)
-                start_seq = snap["wal_seq"]
+                for delta in chain[1:]:
+                    apply_delta_snapshot(net, delta)
+                start_seq = chain[-1]["wal_seq"]
             else:
                 if not wal.recovered or wal.recovered[0].type != "init":
                     raise WALError(
@@ -918,6 +979,15 @@ class Network:
                                        metrics=metrics,
                                        tracer=tracer)
                 start_seq = wal.recovered[0].seq
+            net._meters.resume_skipped.set(len(store.skipped))
+            net.restored_deltas = max(len(chain) - 1, 0)
+            ledger = net._ledger = ChangeLedger(net)
+            net._meters.digest_full_recomputes.inc()
+            embedded = chain[-1].get("accumulators") if chain else None
+            if embedded is not None and embedded != ledger.accumulators(net):
+                raise SnapshotError(
+                    f"restore point at WAL sequence {start_seq} embeds "
+                    f"accumulators its own state does not reproduce")
             net._replaying = True
             try:
                 for record in wal.recovered:
@@ -925,6 +995,11 @@ class Network:
                         net._replay_record(record)
             finally:
                 net._replaying = False
+            net._meters.digest_full_recomputes.inc()
+            if ChangeLedger(net).fields != ledger.fields:
+                raise WALError(
+                    "incremental accumulators diverged from a "
+                    "from-scratch recomputation during replay")
         except BaseException:
             wal.close()
             raise
@@ -970,7 +1045,10 @@ class Network:
                 for tx in data["txns"]:
                     self.restored_mempool.pop(tx["id"], None)
         elif record.type == "commit":
-            digest = fingerprint_digest(self)
+            # A record without "scheme" predates the accumulator and
+            # pins the full-walk fingerprint digest.
+            digest = (self._ledger.digest(self) if "scheme" in data
+                      else fingerprint_digest(self))
             if digest != data["digest"]:
                 raise WALError(
                     f"replay diverged at epoch {data['epoch']}: "
@@ -1084,10 +1162,26 @@ class Network:
                 fault_log.append(
                     f"epoch {self.epoch}: view change — retrying without "
                     f"lane(s) {sorted(outcome.newly_faulty)}")
+            # Cut from the surviving attempt only, and before the
+            # release below truncates the journal.
+            changed = (self._cut_changes(outcome, checkpoint)
+                       if self._ledger is not None
+                       or self._resident_tracker is not None else None)
         finally:
             # The epoch is the commit point: nothing restores to this
             # checkpoint afterwards, so its journal entries may go.
             checkpoint.release(self)
+
+        if self._ledger is not None:
+            # Before the paged-state writeback below: the pre-epoch
+            # states read here share the backend's rows.
+            t0 = time.perf_counter_ns() if self.metrics.enabled else 0
+            self._ledger.commit(self, outcome.pre_states, *changed)
+            self._meters.commit_changed.inc(
+                sum(map(len, changed[0].values())))
+            if self.metrics.enabled:
+                self._meters.commit_digest_ns.observe(
+                    time.perf_counter_ns() - t0)
 
         stats = outcome.stats
         stats.view_changes = attempt - 1
@@ -1200,12 +1294,13 @@ class Network:
         # epoch from its durable inputs — it merely skips one digest
         # check, never state.
         if self.wal is not None and not self._replaying:
-            # Only durable networks pay for the digest: _wal_append is
-            # a no-op without a WAL, and the fingerprint walk is O(full
-            # state) per epoch.
+            # Only durable networks pay for the digest, and they pay
+            # per changed location: the accumulators were advanced by
+            # the epoch's change set above.
             self._wal_append("commit", {
                 "epoch": self.epoch,
-                "digest": fingerprint_digest(self),
+                "digest": self._ledger.digest(self),
+                "scheme": 1,
             }, barrier=not self.pipeline)
             if self.pipeline:
                 self._commit_barrier_pending = True
@@ -1215,12 +1310,38 @@ class Network:
             # asynchronously — the pipelining overlap: syncs apply in
             # the workers while the coordinator finalises the block and
             # prepares the next epoch.
-            self._resident_tracker.commit_epoch(self)
+            self._resident_tracker.commit_epoch(self, changed[0])
         if self.wal is not None and not self._replaying:
             self._commits_since_snapshot += 1
             if self._commits_since_snapshot >= self.snapshot_every:
                 self.snapshot()
         return block
+
+    def _cut_changes(self, outcome: _EpochAttempt,
+                     checkpoint: NetworkCheckpoint):
+        """The committed epoch's change set, from what the surviving
+        attempt already produced: contract locations (state keys per
+        contract) from the merged deltas and the DS lane's write logs;
+        touched accounts and senders from the journal entries above the
+        checkpoint's mark (recorded once per address / (sender, lane);
+        an attempt rolled back left none)."""
+        locations: dict[str, set] = {}
+        for mb in outcome.microblocks:
+            for delta in mb.deltas:
+                locations.setdefault(delta.contract, set()).update(
+                    map(_ENTRY_KEY, delta.entries))
+        for addr, logs in outcome.ds_logs.items():
+            keys = locations.setdefault(addr, set())
+            for log in logs:
+                keys.update(log.writes)
+        accounts, senders = set(), set()
+        depth = self.journal.seq - checkpoint.journal_mark
+        for entry in self.journal.entries[-depth:] if depth else ():
+            if entry[0] == "account":
+                accounts.add(entry[2])
+            elif entry[0] == "nonce":
+                senders.add(entry[2])
+        return locations, accounts, senders
 
     def _attempt_epoch(self, incoming: list[Transaction],
                        excluded: dict[int, str], shard_limit: int,
@@ -1390,19 +1511,18 @@ class Network:
         # Phase 2: DS merges shard deltas (FSD).
         t_merge = time.perf_counter_ns() if self.metrics.enabled else 0
         merged_locations = 0
-        tracker = self._resident_tracker
+        # Pre-epoch states, for the ledger's pre-images: a merged
+        # contract's stays intact (the merge is fork + rebind); one only
+        # the DS lane touches is forked when first handed out.
+        pre_states = {} if self._ledger is not None else None
         with self.tracer.span("merge"):
             for addr, deltas in all_deltas.items():
                 contract = self.contracts[addr]
+                if pre_states is not None:
+                    pre_states[addr] = contract.state
                 merged, changed = merge_deltas(contract.state, deltas)
                 self._rebind_state(contract, merged)
                 merged_locations += changed
-                if tracker is not None:
-                    # Resident replicas learn exactly these locations
-                    # at the post-commit sync.
-                    for delta in deltas:
-                        tracker.touch_state(
-                            addr, (e.key for e in delta.entries))
             for addr, bdelta in balance_deltas.items():
                 if bdelta:
                     self.contracts[addr].state.balance += bdelta
@@ -1416,13 +1536,8 @@ class Network:
         recovered_ids = {tx.tx_id for tx in recovered}
         with self.tracer.span("ds lane"):
             ds_block, _, ds_touched, ds_deferred = self._run_lane(
-                DS, ds_queue, ds_limit, use_global_state=True)
-        if tracker is not None:
-            # The DS lane mutates the merged global state directly;
-            # its write set is part of the epoch's sync.
-            for addr, logs in ds_touched.items():
-                for log in logs:
-                    tracker.touch_state(addr, log.writes)
+                DS, ds_queue, ds_limit, use_global_state=True,
+                pre_states=pre_states)
         stats.deferred += len(ds_deferred)
         deferred.extend((DS, tx) for tx in ds_deferred)
         stats.recovered = len(recovered)
@@ -1430,7 +1545,8 @@ class Network:
                                if r.tx.tx_id in recovered_ids)
         return _EpochAttempt(stats, microblocks, ds_block,
                              merged_locations, shard_exec_times,
-                             deferred, newly_faulty, rejected)
+                             deferred, newly_faulty, rejected,
+                             ds_touched, pre_states)
 
     def _rebind_state(self, contract: DeployedContract,
                       new_state: ContractState) -> None:
@@ -1478,7 +1594,8 @@ class Network:
 
     def _run_lane(self, lane: int, queue: list[Transaction],
                   gas_limit: int, use_global_state: bool = False,
-                  speculate: bool | None = None):
+                  speculate: bool | None = None,
+                  pre_states: dict | None = None):
         """Execute a queue sequentially, as one shard (or the DS) does.
 
         With speculation enabled the lane is handed to the optimistic
@@ -1499,7 +1616,11 @@ class Network:
 
         def state_for(addr: str) -> ContractState:
             if use_global_state:
-                return self.contracts[addr].state
+                state = self.contracts[addr].state
+                if pre_states is not None and addr not in pre_states:
+                    # Written in place from here on: pin the pre-image.
+                    pre_states[addr] = state.fork()
+                return state
             state = local_states.get(addr)
             if state is None:
                 state = local_states[addr] = self.contracts[addr].state.fork()

@@ -29,6 +29,14 @@ network survives.  Three mechanisms, mirrored on real deployments:
   order-independent hash of a contract state, used by the ``chaos``
   consistency verdict to compare a faulty run against the fault-free
   run.
+
+* **The change ledger** (:class:`ChangeLedger`) — what a durable
+  network keeps so that a commit costs what the epoch touched: a
+  set-homomorphic accumulator per contract (the WAL commit record's
+  digest, updated from the epoch's change set; :func:`state_accumulator`
+  is its from-scratch specification) and the union of the change sets
+  since the last restore point (what the next delta restore point
+  writes).  docs/FAULTS.md, "Crash recovery & durability".
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from dataclasses import dataclass, field as dc_field
 
 from ..core.domain import PseudoField
 from ..core.joins import JoinKind
-from ..scilla.state import ContractState, StateKey
+from ..scilla.state import MISSING, ContractState, StateKey
 from ..scilla.values import MapVal, Value
 from .delta import StateDelta
 from .dispatch import DS, key_token
@@ -256,3 +264,164 @@ def fingerprint_digest(net) -> str:
     each epoch."""
     blob = json.dumps(network_fingerprint(net), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+# --------------------------------------------------------------------------
+# The incremental commit digest and the dirty set behind delta restore
+# points (docs/FAULTS.md, "Crash recovery & durability").
+# --------------------------------------------------------------------------
+
+_MASK = (1 << 256) - 1
+
+
+def _encode(value: Value) -> str:
+    """An injective text form of :func:`_canonical` (framed by length,
+    tokens being arbitrary strings): maps sorted by key token, so
+    insertion order is irrelevant and an empty map is not nothing."""
+    if isinstance(value, MapVal):
+        items = sorted((key_token(k), _encode(v))
+                       for k, v in value.entries.items())
+        return "{" + "".join(f"{len(k)}:{k}{len(v)}:{v}"
+                             for k, v in items)
+    return "=" + key_token(value)
+
+
+def _term(text: str) -> int:
+    return int.from_bytes(hashlib.sha256(text.encode()).digest(), "big")
+
+
+def _field_terms(address: str, name: str, value: Value) -> int:
+    """Every term of one field: a scalar's single term, or a map's
+    marker (an empty map differs from no field) plus one per entry —
+    the whole value under a first key is one term, so nested maps need
+    no interior bookkeeping."""
+    prefix = f"{address}|{name}|"
+    if not isinstance(value, MapVal):
+        return _term(prefix + _encode(value))
+    tokens = ((key_token(k), _encode(v)) for k, v in value.entries.items())
+    return _term(prefix + "{") + sum(
+        _term(f"{prefix}{len(token)}:{token}{text}")
+        for token, text in tokens)
+
+
+def _fields_sum(state: ContractState) -> int:
+    return sum(_field_terms(state.address, name, value)
+               for name, value in state.fields.items()) & _MASK
+
+
+def _with_balance(state: ContractState, fields: int) -> int:
+    return (fields + _term(f"{state.address}||{state.balance}")) & _MASK
+
+
+def state_accumulator(state: ContractState) -> int:
+    """The sum mod 2^256 of one SHA-256 term per scalar field, map
+    field, first-level map entry, and the native balance: equal for two
+    states iff (up to hash collision) their :func:`state_fingerprint`
+    is.  Computed from scratch here, this is the specification of the
+    sum :class:`ChangeLedger` maintains.  Addition, not XOR, so a term
+    added twice does not cancel; it detects divergence over a
+    CRC-framed log, it is not an authenticated structure."""
+    return _with_balance(state, _fields_sum(state))
+
+
+# A restore point is a base once the deltas since the last base would
+# hold, with this one, at least 1/DIVISOR of that base's rows: resume
+# applies a bounded chain, no delta outgrows the base it spares, and
+# each row is rewritten O(1) times per doubling.
+DELTA_FOLD_DIVISOR = 1
+
+
+class ChangeLedger:
+    """Per-contract field accumulators, and what changed since the
+    last restore point.  One per durable (or replaying) network."""
+
+    def __init__(self, net):
+        self.fields = {addr: _fields_sum(c.state)
+                       for addr, c in net.contracts.items()}
+        # (file name, digest) of the restore point the next delta
+        # builds on; None makes the next restore point a base (none
+        # written yet, a resumed network, a deploy, paged state).
+        self.parent: tuple[str, str] | None = None
+        self.parent_seq = self.base_rows = self.delta_rows = 0
+        self.locations: dict[str, set] = {}
+        self.accounts: set[str] = set()
+        self.senders: set[str] = set()
+
+    def add_contract(self, state: ContractState) -> None:
+        """A deploy: no delta can express it, so it forces a base."""
+        self.fields[state.address] = _fields_sum(state)
+        self.parent = None
+
+    def accumulators(self, net) -> dict[str, str]:
+        """Every contract's accumulator (hex), sorted by address."""
+        return {addr: f"{_with_balance(net.contracts[addr].state, acc):064x}"
+                for addr, acc in sorted(self.fields.items())}
+
+    def digest(self, net) -> str:
+        """The commit record's digest: O(contracts), never O(state)."""
+        blob = json.dumps(self.accumulators(net)).encode()
+        return hashlib.sha256(blob).hexdigest()
+
+    def commit(self, net, pre_states: dict, locations: dict[str, set],
+               accounts: set[str], senders: set[str]) -> None:
+        """Fold one committed epoch's change set in: per changed
+        ``(field, first key)`` subtract the term of its pre-epoch value
+        (read from the contract's pinned pre-epoch state) and add the
+        term of its post-epoch value."""
+        for addr, keys in locations.items():
+            pre = pre_states[addr].fields
+            post = net.contracts[addr].state.fields
+            by_field: dict[str, list] = {}
+            for name, path in keys:
+                by_field.setdefault(name, []).append(path)
+            acc = self.fields[addr]
+            for name, paths in by_field.items():
+                if (name, ()) in keys:  # subsumes the entries under it
+                    acc += (_field_terms(addr, name, post[name])
+                            - _field_terms(addr, name, pre[name]))
+                    continue
+                if max(map(len, paths)) > 1:    # nested: one term per
+                    paths = {path[:1] for path in paths}    # first key
+                prefix = f"{addr}|{name}|"
+                old_of, new_of = pre[name].entries.get, post[name].entries.get
+                # An entry's term as in _field_terms, _term written
+                # out: the calls were 0.5 of the 4 us a location costs.
+                sha, to_int = hashlib.sha256, int.from_bytes
+                for key, in paths:
+                    old, new = old_of(key, MISSING), new_of(key, MISSING)
+                    if old is new:
+                        continue
+                    token = key_token(key)
+                    head = f"{prefix}{len(token)}:{token}"
+                    if new is not MISSING:
+                        text = head + _encode(new)
+                        acc += to_int(sha(text.encode()).digest(), "big")
+                    if old is not MISSING:
+                        text = head + _encode(old)
+                        acc -= to_int(sha(text.encode()).digest(), "big")
+            self.fields[addr] = acc & _MASK
+        if self.parent is not None:
+            for addr, keys in locations.items():
+                self.locations.setdefault(addr, set()).update(keys)
+            self.accounts |= accounts
+            self.senders |= senders
+
+    def pending_rows(self) -> int:
+        return (sum(map(len, self.locations.values()))
+                + len(self.accounts) + len(self.senders))
+
+    def wants_base(self, wal_seq: int) -> bool:
+        """Also with nothing logged since the parent: file names carry
+        the WAL sequence, and a delta's would sort before its own."""
+        return self.parent is None or wal_seq == self.parent_seq or (
+            (self.delta_rows + self.pending_rows()) * DELTA_FOLD_DIVISOR
+            >= self.base_rows)
+
+    def restore_point_written(self, parent, wal_seq: int, rows: int,
+                              is_base: bool) -> None:
+        self.parent, self.parent_seq = parent, wal_seq
+        if is_base:
+            self.base_rows, self.delta_rows = rows, 0
+        else:
+            self.delta_rows += rows
+        self.locations, self.accounts, self.senders = {}, set(), set()

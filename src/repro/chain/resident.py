@@ -32,10 +32,10 @@ simulator:
   structurally impossible.
 
 The coordinator-side bookkeeping lives in :class:`ResidentTracker`
-(owned by the network): it accumulates the epoch's touched locations
-(merge-phase delta keys, the DS lane's touched set, every account and
-nonce the coordinator mutated), cuts a :class:`ResidentSync` at each
-commit, and pushes it to installed replicas *while the next epoch is
+(owned by the network): it takes the committed epoch's changed contract
+locations from the network's change set (merged delta keys and the DS
+lane's writes), accumulates every account and nonce the coordinator
+mutated, cuts a :class:`ResidentSync` at each commit, and pushes it to installed replicas *while the next epoch is
 being prepared* — the epoch-pipelining half of this module.  Ordering
 is preserved by the per-lane FIFO slots of
 :class:`~repro.core.parallel.ResidentSlotPool`: a sync push enqueued
@@ -437,9 +437,10 @@ class ResidentTracker:
     sync, plus the version counter and the installed-replica map.
 
     Touch recording is an over-approximation (syncs ship absolute
-    values, so extra locations are harmless): merge-phase delta keys,
-    the DS lane's touched set, every account ``Network._account``
-    handed out, and every sender whose nonce record moved.  A deploy
+    values, so extra locations are harmless): the epoch change set's
+    contract locations (``commit_epoch``), every account
+    ``Network._account`` handed out, and every sender whose nonce
+    record moved.  A deploy
     is a *structure* change — no sync can express it, so it clears the
     installed map and every lane reinstalls.
     """
@@ -453,7 +454,6 @@ class ResidentTracker:
         self.installed: dict[tuple[str, int], int] = {}
         self.structure_changed = False
         self.last_push_ns = 0
-        self._state_keys: dict[str, set[StateKey]] = {}
         self._accounts: set[str] = set()
         self._nonce_senders: set[str] = set()
 
@@ -465,35 +465,32 @@ class ResidentTracker:
     def touch_nonce(self, sender: str) -> None:
         self._nonce_senders.add(sender)
 
-    def touch_state(self, address: str, keys) -> None:
-        self._state_keys.setdefault(address, set()).update(keys)
-
     def mark_structure_change(self) -> None:
         self.structure_changed = True
 
     # -- version advance -------------------------------------------------
 
     def has_pending(self) -> bool:
-        return bool(self._state_keys or self._accounts
-                    or self._nonce_senders or self.structure_changed)
+        return bool(self._accounts or self._nonce_senders
+                    or self.structure_changed)
 
-    def commit_epoch(self, net) -> None:
-        """Cut the epoch's sync record, bump the version, and push the
-        sync to every current replica — asynchronously, overlapping
-        with whatever the coordinator does next (epoch pipelining)."""
-        self._advance(net)
+    def commit_epoch(self, net, locations: dict[str, set]) -> None:
+        """Cut the epoch's sync record from its change set's contract
+        locations (``Network._cut_changes``), bump the version, and
+        push the sync to every current replica — asynchronously,
+        overlapping with whatever the coordinator does next (epoch
+        pipelining)."""
+        self._advance(net, locations)
 
     def flush_out_of_band(self, net) -> None:
         """Fold changes made *between* epochs (create_account, deploy)
         into a version bump before dispatching on top of them."""
         if self.has_pending():
-            self._advance(net)
+            self._advance(net, {})
 
-    def _advance(self, net) -> None:
-        state_keys, accounts, senders = (
-            self._state_keys, self._accounts, self._nonce_senders)
-        self._state_keys, self._accounts, self._nonce_senders = (
-            {}, set(), set())
+    def _advance(self, net, state_keys: dict[str, set[StateKey]]) -> None:
+        accounts, senders = self._accounts, self._nonce_senders
+        self._accounts, self._nonce_senders = set(), set()
         prev = self.version
         self.version = prev + 1
         if self.structure_changed:

@@ -36,11 +36,11 @@ from .transaction import Transaction
 
 def value_to_json(v: Value) -> Any:
     if isinstance(v, IntVal):
-        return {"t": str(v.typ), "v": str(v.value)}
+        return {"t": v.typ.name, "v": str(v.value)}
     if isinstance(v, StringVal):
         return {"t": "String", "v": v.value}
     if isinstance(v, ByStrVal):
-        return {"t": str(v.typ), "v": v.hex}
+        return {"t": v.typ.name, "v": v.hex}
     if isinstance(v, BNumVal):
         return {"t": "BNum", "v": str(v.value)}
     if isinstance(v, ADTVal):
@@ -249,6 +249,37 @@ def state_from_obj(data: Any, backend=None) -> ContractState:
                     for name, v in data["immutables"].items()},
         balance=data["balance"],
     )
+
+
+def locations_to_obj(state: ContractState, keys) -> list:
+    """Delta restore-point rows for the locations ``keys`` —
+    ``[key, value | None]`` in the StateDelta key/value wire format —
+    read from the live state.  Prefix-minimal keys only: a location
+    written under another written one travels inside its value.  A
+    nested entry that is gone travels as its whole first-level entry:
+    a delete can leave empty maps above it, which differ from absent
+    keys."""
+    rows = []
+    for key in keys:
+        name, path = key
+        if any((name, path[:i]) in keys for i in range(len(path))):
+            continue
+        value = state.read(key)
+        if len(path) > 1 and isinstance(value, _Missing):
+            key = (name, path[:1])
+            value = state.read(key)
+        rows.append([_state_key_to_json(key),
+                     None if isinstance(value, _Missing)
+                     else value_to_json(value)])
+    return rows
+
+
+def apply_locations(state: ContractState, rows: list) -> None:
+    """Replay :func:`locations_to_obj` rows through the owned write
+    paths (``None`` deletes the entry)."""
+    for key, value in rows:
+        state.write(_state_key_from_json(key),
+                    MISSING if value is None else value_from_json(value))
 
 
 # --------------------------------------------------------------------------

@@ -1,22 +1,29 @@
-"""Durable epoch snapshots for the sharded network simulator.
+"""Durable restore points for the sharded network simulator.
 
-A snapshot is a *self-contained* JSON image of everything a
+A *base* restore point is a self-contained JSON image of everything a
 :class:`~repro.chain.network.Network` can mutate — contract states,
 account balance partitions, the nonce tracker, the retry backlog and
 dead-letter list, the fault injector's counters, and the network's
 own configuration (including the fault plan) — pinned to the WAL
-sequence number it covers.  ``Network.resume`` loads the newest valid
-snapshot and deterministically re-executes only the WAL records past
-it, so snapshots bound replay time and let
-:meth:`~repro.chain.wal.WriteAheadLog.compact` drop old segments.
+sequence number it covers.  A *delta* (``snap-….delta.json``) names
+its parent restore point and the parent's digest and holds only what
+changed since: the contract locations, accounts and nonce records of
+the epochs' change sets (``recovery.ChangeLedger``), read from live
+state when it is written, plus the small sections in full.
+``Network.resume`` loads the newest restorable chain — a base, then
+each delta whose digest and parent link verify — and deterministically
+re-executes only the WAL records past it, so restore points bound
+replay time and let :meth:`~repro.chain.wal.WriteAheadLog.compact`
+drop old segments.
 
-Snapshots are written atomically: the JSON body (with an embedded
-SHA-256 digest) goes to a temporary file that is fsynced and then
-``os.replace``d into place, so a crash can never leave a
-half-written snapshot visible — a reader either sees the old set of
-snapshots or the new one.  Retention keeps the newest ``keep``
-snapshots; loading walks newest-to-oldest and skips any file whose
-digest does not verify.
+Restore points are written atomically: the JSON body (the payload,
+serialised once, behind the SHA-256 of its bytes) goes to a temporary
+file that is fsynced and then ``os.replace``d into place, so a crash
+can never leave a half-written file visible — a reader either sees
+the old set or the new one.  Retention keeps the newest ``keep``
+restore points and everything one of them builds on; loading verifies
+the raw bytes before parsing and records every file it rejects, and
+why, in :attr:`SnapshotStore.skipped`.
 
 What is *not* in a snapshot: the block history (``Network.blocks``)
 and per-epoch fault logs — they are outputs, not inputs, and resuming
@@ -33,14 +40,21 @@ import shutil
 from pathlib import Path
 from typing import Any
 
+from ..scilla.values import MapVal
+from .dispatch import DS
 from .serialization import (
-    signature_from_obj, signature_to_obj, state_from_obj, state_to_obj,
+    apply_locations, locations_to_obj, signature_from_obj,
+    signature_to_obj, state_from_obj, state_to_obj,
     transaction_from_obj, transaction_to_obj,
 )
 
-SNAPSHOT_VERSION = 1
+# Version 1 files (no accumulators, digest over a sort_keys re-dump)
+# still load; anything else is refused loudly, not skipped.
+SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSIONS = (1, 2)
 SNAPSHOT_PREFIX = "snap-"
 SNAPSHOT_SUFFIX = ".json"
+DELTA_SUFFIX = ".delta" + SNAPSHOT_SUFFIX
 BACKEND_PREFIX = "state-"
 BACKEND_SUFFIX = ".sqlite"
 BACKEND_LIVE_NAME = "state.sqlite"
@@ -64,44 +78,28 @@ class StoreError(SnapshotError):
 # Network <-> snapshot object.
 # --------------------------------------------------------------------------
 
+def _account_row(account) -> list:
+    return [account.balance, {str(shard): amount for shard, amount
+                              in account.shard_portions.items()}]
+
+
 def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
-    """Capture the network's full mutable state as a JSON-able object.
+    """Capture the network's mutable state as a JSON-able object: a
+    delta against the previous restore point when the network's change
+    ledger allows one, the full state otherwise.
 
     ``backend_obj`` is the descriptor returned by
     :meth:`SnapshotStore.save_backend` when the network pages state
     through an external backend: contract map fields then serialise as
     compact ``PagedMap`` references (dirty overlay + tombstones only)
     against the sidecar the descriptor pins by digest, instead of
-    inlining every entry.
+    inlining every entry — always as a base.
     """
-    paged_backend = (net.state_backend
-                     if backend_obj is not None else None)
+    ledger, nonces = net._ledger, net.nonces
     obj: dict[str, Any] = {
         "version": SNAPSHOT_VERSION,
         "epoch": net.epoch,
         "wal_seq": wal_seq,
-        "config": net._config_obj(),
-        "contracts": {
-            addr: {
-                "source": c.source,
-                "state": state_to_obj(c.state, backend=paged_backend),
-                "signature": (signature_to_obj(c.signature)
-                              if c.signature is not None else None),
-            }
-            for addr, c in net.contracts.items()
-        },
-        "accounts": {
-            addr: [acc.balance,
-                   {str(shard): amount
-                    for shard, amount in acc.shard_portions.items()}]
-            for addr, acc in net.accounts.items()
-        },
-        "nonces": {
-            "used": {s: sorted(v) for s, v in net.nonces.used.items()},
-            "last_global": dict(net.nonces.last_global),
-            "last_per_lane": [[s, lane, v] for (s, lane), v
-                              in net.nonces.last_per_lane.items()],
-        },
         "backlog": [[transaction_to_obj(e.tx), e.retries, e.not_before]
                     for e in net.backlog],
         "dead_letter": [transaction_to_obj(tx) for tx in net.dead_letter],
@@ -119,6 +117,8 @@ def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
         "metrics": (net.metrics.snapshot()
                     if net.metrics.enabled else None),
     }
+    if ledger is not None:
+        obj["accumulators"] = ledger.accumulators(net)
     if net.injector is not None:
         obj["injector"] = {
             "injected": net.injector.injected,
@@ -131,6 +131,53 @@ def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
         # with the snapshot (WAL compaction may drop their svc-admit
         # records), in global drain order.
         obj["mempool"] = net.mempool.to_obj()
+    if ledger is not None and backend_obj is None \
+            and not ledger.wants_base(wal_seq):
+        senders = ledger.senders
+        lanes = (*range(net.n_shards), DS)
+        obj["parent"] = list(ledger.parent)
+        obj["rows"] = ledger.pending_rows()
+        obj["contracts"] = {
+            addr: {"balance": net.contracts[addr].state.balance,
+                   "writes": locations_to_obj(net.contracts[addr].state,
+                                              ledger.locations.get(addr, ()))}
+            for addr in net.contracts}
+        obj["accounts"] = {addr: _account_row(net.accounts[addr])
+                           for addr in ledger.accounts}
+        obj["nonces"] = {
+            "used": {s: sorted(nonces.used[s]) for s in senders
+                     if s in nonces.used},
+            "last_global": {s: nonces.last_global[s] for s in senders
+                            if s in nonces.last_global},
+            "last_per_lane": [
+                [s, lane, nonces.last_per_lane[s, lane]]
+                for s in senders for lane in lanes
+                if (s, lane) in nonces.last_per_lane],
+        }
+        return obj
+    paged_backend = (net.state_backend
+                     if backend_obj is not None else None)
+    obj["rows"] = len(net.accounts) + len(nonces.used) + sum(
+        len(v.entries) if isinstance(v, MapVal) else 1
+        for c in net.contracts.values() for v in c.state.fields.values())
+    obj["config"] = net._config_obj()
+    obj["contracts"] = {
+        addr: {
+            "source": c.source,
+            "state": state_to_obj(c.state, backend=paged_backend),
+            "signature": (signature_to_obj(c.signature)
+                          if c.signature is not None else None),
+        }
+        for addr, c in net.contracts.items()
+    }
+    obj["accounts"] = {addr: _account_row(acc)
+                       for addr, acc in net.accounts.items()}
+    obj["nonces"] = {
+        "used": {s: sorted(v) for s, v in nonces.used.items()},
+        "last_global": dict(nonces.last_global),
+        "last_per_lane": [[s, lane, v] for (s, lane), v
+                          in nonces.last_per_lane.items()],
+    }
     if backend_obj is not None:
         obj["backend"] = backend_obj
     return obj
@@ -140,11 +187,12 @@ def network_from_snapshot(obj: Any, executor: str | None = None,
                           lane_workers: int | None = None,
                           metrics=None, tracer=None,
                           state_backend=None):
-    """Rebuild a live (non-durable) Network from a snapshot object.
+    """Rebuild a live (non-durable) Network from a base snapshot object.
 
     Contract runtimes are rebuilt from source through the cached
     deployment pipeline; everything else is restored verbatim.  The
-    caller (``Network.resume``) attaches durability afterwards.
+    caller (``Network.resume``) applies the chain's deltas
+    (:func:`apply_delta_snapshot`) and attaches durability afterwards.
 
     ``state_backend`` is the page store the snapshot's ``PagedMap``
     references resolve against (a restored sidecar); snapshots that
@@ -154,18 +202,15 @@ def network_from_snapshot(obj: Any, executor: str | None = None,
     from ..core.pipeline import run_pipeline_cached
     from ..scilla.interpreter import Interpreter
     from .dispatch import DeployedSignature
-    from .network import BacklogEntry, DeployedContract, Network
+    from .network import DeployedContract, Network
 
-    if obj.get("version") != SNAPSHOT_VERSION:
+    if obj.get("version") not in SNAPSHOT_VERSIONS:
         raise SnapshotError(
             f"unsupported snapshot version {obj.get('version')!r}")
     net = Network._from_config(obj["config"], executor=executor,
                                lane_workers=lane_workers,
                                metrics=metrics, tracer=tracer,
                                state_backend=state_backend)
-    net.epoch = obj["epoch"]
-    if net.metrics.enabled and obj.get("metrics") is not None:
-        net.metrics.reset_to(obj["metrics"])
     from .lanes import transition_footprints
     for addr, payload in obj["contracts"].items():
         result = run_pipeline_cached(payload["source"], addr)
@@ -182,23 +227,45 @@ def network_from_snapshot(obj: Any, executor: str | None = None,
             signature, payload["source"], footprints)
         net.dispatcher.register_contract(DeployedSignature(
             addr, signature, dict(state.immutables)))
+    _restore_tables(net, obj)
+    return net
+
+
+def apply_delta_snapshot(net, obj: Any) -> None:
+    """Advance a network restored from a delta's parent to the delta:
+    changed locations go through the ordinary owned write paths, rows
+    replace the accounts and nonce records they name."""
+    for addr, part in obj["contracts"].items():
+        state = net.contracts[addr].state
+        apply_locations(state, part["writes"])
+        state.balance = part["balance"]
+        net._adopt_state(state)
+    _restore_tables(net, obj)
+
+
+def _restore_tables(net, obj: Any) -> None:
+    """What a base and a delta restore alike: the account and nonce
+    rows they carry (all of them, in a base) and the small sections."""
+    from .network import BacklogEntry
+    from .supervise import BoundedLog
     from .transaction import Account
-    net.accounts = {
-        addr: Account(addr, balance,
-                      {int(shard): amount
-                       for shard, amount in portions.items()})
-        for addr, (balance, portions) in obj["accounts"].items()}
+    net.epoch = obj["epoch"]
+    if net.metrics.enabled and obj.get("metrics") is not None:
+        net.metrics.reset_to(obj["metrics"])
+    for addr, (balance, portions) in obj["accounts"].items():
+        net.accounts[addr] = Account(
+            addr, balance, {int(shard): amount
+                            for shard, amount in portions.items()})
     nonces = obj["nonces"]
-    net.nonces.used = {s: set(v) for s, v in nonces["used"].items()}
-    net.nonces.last_global = dict(nonces["last_global"])
-    net.nonces.last_per_lane = {(s, lane): v for s, lane, v
-                                in nonces["last_per_lane"]}
+    net.nonces.used.update((s, set(v)) for s, v in nonces["used"].items())
+    net.nonces.last_global.update(nonces["last_global"])
+    net.nonces.last_per_lane.update(
+        ((s, lane), v) for s, lane, v in nonces["last_per_lane"])
     net.backlog = [BacklogEntry(transaction_from_obj(tx), retries,
                                 not_before)
                    for tx, retries, not_before in obj["backlog"]]
     net.dead_letter = [transaction_from_obj(tx)
                        for tx in obj["dead_letter"]]
-    from .supervise import BoundedLog
     net.executor_fallbacks = obj["counters"]["executor_fallbacks"]
     net.epoch_tags = dict(obj["counters"]["epoch_tags"])
     net.executor_fallback_details = BoundedLog(
@@ -211,27 +278,32 @@ def network_from_snapshot(obj: Any, executor: str | None = None,
         net.injector.skipped = injector_obj["skipped"]
         net.injector.dropped = [transaction_from_obj(tx)
                                 for tx in injector_obj["dropped"]]
-    mempool_obj = obj.get("mempool")
-    if mempool_obj is not None:
-        # Pending service-pool entries; WAL replay past the snapshot
-        # adds/removes against this and ServiceLoop.adopt drains it.
-        net.restored_mempool = {
-            entry["tx"]["id"]: entry
-            for entry in mempool_obj["entries"]}
-    return net
+    # Pending service-pool entries; WAL replay past the snapshot
+    # adds/removes against this and ServiceLoop.adopt drains it.
+    net.restored_mempool = {
+        entry["tx"]["id"]: entry
+        for entry in obj.get("mempool", {"entries": ()})["entries"]}
 
 
 # --------------------------------------------------------------------------
 # Durable storage (atomic writes, digest validation, retention).
 # --------------------------------------------------------------------------
 
-def _digest(obj: Any) -> str:
+def _legacy_digest(obj: Any) -> str:
+    """What version-1 files pin: the hash of a ``sort_keys`` re-dump."""
     return hashlib.sha256(
         json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
+# A restore-point file is ``{"digest": "<64 hex>", "snapshot": <payload>}``
+# built by concatenation: the digest is over the payload's bytes, so
+# loading slices the payload back out and verifies it before parsing.
+_FRAME = ('{"digest": "', '", "snapshot": ', '}')
+_PAYLOAD_AT = len(_FRAME[0]) + 64 + len(_FRAME[1])
+
+
 class SnapshotStore:
-    """Durable, atomically-written, digest-checked epoch snapshots."""
+    """Durable, atomically-written, digest-checked restore points."""
 
     def __init__(self, data_dir: str | os.PathLike, keep: int = 3):
         if keep < 1:
@@ -239,13 +311,18 @@ class SnapshotStore:
         self.dir = Path(data_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.keep = keep
+        # (file name, digest) of the last restore point saved: what a
+        # delta written next names as its parent.
+        self.tip: tuple[str, str] | None = None
+        # Restore points a load rejected: file name -> reason.
+        self.skipped: dict[str, str] = {}
 
-    def _path(self, epoch: int, wal_seq: int) -> Path:
-        return self.dir / (f"{SNAPSHOT_PREFIX}{epoch:010d}-"
-                           f"{wal_seq:010d}{SNAPSHOT_SUFFIX}")
+    def _path(self, epoch: int, wal_seq: int, delta: bool = False) -> Path:
+        return self.dir / (f"{SNAPSHOT_PREFIX}{epoch:010d}-{wal_seq:010d}"
+                           f"{DELTA_SUFFIX if delta else SNAPSHOT_SUFFIX}")
 
     def paths(self) -> list[Path]:
-        """Snapshot files, oldest first (temp files excluded)."""
+        """Restore-point files, oldest first (temp files excluded)."""
         return sorted(p for p in self.dir.iterdir()
                       if p.name.startswith(SNAPSHOT_PREFIX)
                       and p.name.endswith(SNAPSHOT_SUFFIX))
@@ -334,17 +411,20 @@ class SnapshotStore:
         return SqliteBackend(live)
 
     def save(self, obj: Any) -> Path:
-        """Atomically persist one snapshot object (write-temp, fsync,
-        rename, fsync directory).  An ``OSError`` anywhere in the
-        sequence surfaces as :class:`StoreError`; the temp file is
-        removed best-effort and the previous snapshot set is intact.
+        """Atomically persist one restore point (write-temp, fsync,
+        rename, fsync directory), serialising it once.  An ``OSError``
+        anywhere in the sequence surfaces as :class:`StoreError`; the
+        temp file is removed best-effort and the previous set of
+        restore points is intact.
         """
-        target = self._path(obj["epoch"], obj["wal_seq"])
-        body = json.dumps({"digest": _digest(obj), "snapshot": obj})
+        target = self._path(obj["epoch"], obj["wal_seq"],
+                            delta="parent" in obj)
+        payload = json.dumps(obj, separators=(",", ":"))
+        digest = hashlib.sha256(payload.encode()).hexdigest()
         tmp = target.with_name(target.name + ".tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(body)
+                handle.write(digest.join(_FRAME[:2]) + payload + _FRAME[2])
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, target)
@@ -361,36 +441,93 @@ class SnapshotStore:
             raise StoreError(
                 f"snapshot write failed for {target.name}: "
                 f"{type(exc).__name__}: {exc}") from exc
+        self.tip = (target.name, digest)
         return target
 
-    def load_newest(self) -> Any | None:
-        """The newest snapshot whose digest verifies, or ``None``.
+    def _load(self, path: Path) -> tuple[Any, str] | None:
+        """``(payload object, digest)`` of one restore-point file, or
+        ``None`` — with the reason recorded in :attr:`skipped` — when
+        it is unreadable or its digest does not verify.  An unknown
+        *version* is not corruption: it raises."""
+        try:
+            raw = path.read_text(encoding="utf-8")
+            digest, payload = raw[len(_FRAME[0]):][:64], raw[_PAYLOAD_AT:-1]
+            if raw[:_PAYLOAD_AT] != digest.join(_FRAME[:2]) \
+                    or raw[-1:] != _FRAME[2]:
+                raise ValueError("not a restore-point file")
+            verified = hashlib.sha256(payload.encode()).hexdigest() == digest
+            obj = json.loads(payload)
+            if not verified and _legacy_digest(obj) != digest:
+                raise ValueError("digest mismatch")
+        except (OSError, ValueError) as exc:
+            self.skipped[path.name] = f"{type(exc).__name__}: {exc}"
+            return None
+        version = obj.get("version") if isinstance(obj, dict) else None
+        if version is not None and version not in SNAPSHOT_VERSIONS:
+            raise SnapshotError(
+                f"{path.name} has unsupported snapshot version "
+                f"{version!r}")
+        return obj, digest
 
-        Unreadable or tampered snapshot files are skipped (older
-        snapshots plus a longer WAL replay still recover the state).
+    def load_newest(self) -> Any | None:
+        """The newest restore point whose digest verifies (a base or a
+        delta), or ``None``; rejected files land in :attr:`skipped`.
         """
         for path in reversed(self.paths()):
-            try:
-                body = json.loads(path.read_text(encoding="utf-8"))
-                obj = body["snapshot"]
-                if body["digest"] == _digest(obj):
-                    return obj
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
+            loaded = self._load(path)
+            if loaded is not None:
+                return loaded[0]
         return None
 
+    def load_chain(self) -> list:
+        """The newest restorable chain, base first (``[]`` if none):
+        from each candidate tip, newest first, follow parent links down
+        to a base.  A tip with an unusable file anywhere below it — or
+        a parent whose digest is not the one the link names — is
+        rejected as a whole, never partly applied; the WAL, kept back
+        to the oldest retained restore point, covers the fall-back."""
+        cache: dict[str, tuple[Any, str] | None] = {}
+        for tip in reversed(self.paths()):
+            chain, name, want = [], tip.name, None
+            while True:
+                if name not in cache:
+                    cache[name] = self._load(self.dir / name)
+                loaded = cache[name]
+                if loaded is None or want not in (None, loaded[1]):
+                    self.skipped.setdefault(
+                        tip.name, f"builds on unusable restore point "
+                                  f"{name}")
+                    break
+                chain.append(loaded[0])
+                if "parent" not in loaded[0]:
+                    return chain[::-1]
+                name, want = loaded[0]["parent"]
+        return []
+
+    def wal_floor(self) -> int:
+        """The WAL sequence number the oldest retained restore point (a
+        base, after :meth:`compact`) covers: the log must stay
+        replayable from there, or a retained restore point could not
+        be fallen back to."""
+        name = self.paths()[0].name
+        return int(name[len(SNAPSHOT_PREFIX):].split(".")[0].split("-")[1])
+
     def compact(self) -> list[str]:
-        """Drop all but the newest ``keep`` snapshots, plus any
-        backend sidecars whose paired snapshot is gone (same
-        ``epoch-walseq`` stem); returns the deleted file names."""
+        """Drop every restore point older than the newest ``keep`` and
+        what they build on (back to the base under the oldest kept
+        one), plus any backend sidecars whose paired snapshot is gone
+        (same ``epoch-walseq`` stem); returns the deleted file names."""
         paths = self.paths()
+        first = max(len(paths) - self.keep, 0)
+        while first and paths[first].name.endswith(DELTA_SUFFIX):
+            first -= 1
         deleted = []
-        for path in paths[:-self.keep] if len(paths) > self.keep else []:
+        for path in paths[:first]:
             path.unlink()
             deleted.append(path.name)
         kept_stems = {
             p.name[len(SNAPSHOT_PREFIX):-len(SNAPSHOT_SUFFIX)]
-            for p in self.paths()}
+            for p in paths[first:]}
         for sidecar in self.backend_paths():
             stem = sidecar.name[len(BACKEND_PREFIX):-len(BACKEND_SUFFIX)]
             if stem not in kept_stems:

@@ -303,6 +303,8 @@ def _run_durable_cmd(args, require_existing: bool) -> int:
             "epochs_done": result.epochs_done,
             "resumed": result.resumed, "restarted": result.restarted,
             "barriers": result.barriers, "appends": result.appends,
+            "skipped_restore_points": result.skipped_restore_points,
+            "restored_deltas": result.restored_deltas,
         }))
         return 0
     how = ("resumed" if result.resumed
@@ -311,6 +313,8 @@ def _run_durable_cmd(args, require_existing: bool) -> int:
     print(f"{result.workload!r}: {how}, {result.epochs_done} measured "
           f"epochs done, {result.appends} WAL records across "
           f"{result.barriers} barriers")
+    for name, reason in sorted(result.skipped_restore_points.items()):
+        print(f"  skipped restore point {name}: {reason}")
     for addr, digest in sorted(result.fingerprint.items()):
         print(f"  {addr}: {digest}")
     return 0

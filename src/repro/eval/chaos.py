@@ -249,6 +249,10 @@ class DurableRunResult:
     restarted: bool = False   # found a half-set-up dir and wiped it
     barriers: int = 0
     appends: int = 0
+    # Restore points the resume rejected (file name -> reason), and how
+    # many deltas the chain it restored from held.
+    skipped_restore_points: dict[str, str] = dc_field(default_factory=dict)
+    restored_deltas: int = 0
 
 
 def _durable_files(data_dir: str) -> list[Path]:
@@ -360,7 +364,9 @@ def run_durable(workload: str = "FT transfer", *,
         fingerprint=network_fingerprint(net),
         epochs_done=net.epoch_tags.get("measure", 0),
         resumed=resumed, restarted=restarted,
-        barriers=net.wal.barriers, appends=net.wal.appends)
+        barriers=net.wal.barriers, appends=net.wal.appends,
+        skipped_restore_points=net.store.skipped,
+        restored_deltas=net.restored_deltas)
     net.close()
     return result
 

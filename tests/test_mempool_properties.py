@@ -17,7 +17,7 @@ re-admission, and shedding:
 """
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.chain.mempool import (
     Mempool, MempoolConfig, TerminalKind,
@@ -50,7 +50,16 @@ configs = st.builds(
 
 
 class Driver:
-    """Replays one op sequence against a pool, tracking every tx id."""
+    """Replays one op sequence against a pool, tracking every tx id.
+
+    ``defer`` readmits nonce *n* only in front of a pending *n + 1* (or
+    into an empty queue), and only once no later nonce of its sender is
+    still inflight.  That mirrors the one ordering production uses:
+    ``ServiceLoop._absorb_outcomes`` readmits an epoch's deferrals
+    nonce-descending after the whole epoch has settled, so a readmitted
+    transaction never jumps a later one of its sender that is still
+    inflight (which would leave a gap in the pending queue).
+    """
 
     def __init__(self, config: MempoolConfig):
         self.pool = Mempool(config)
@@ -96,8 +105,11 @@ class Driver:
                 if entry is None:
                     return
                 head = pool.queues.get(tx.sender)
-                if head and head[0].tx.nonce < tx.nonce:
+                if head and head[0].tx.nonce != tx.nonce + 1:
                     return   # disorder readmit is unit-tested to raise
+                if any(e.tx.sender == tx.sender and e.tx.nonce > tx.nonce
+                       for e in pool.inflight.values()):
+                    return   # the loop readmits nonce-descending
                 pool.inflight.pop(tx.tx_id)
                 pool.readmit(tx, entry.deferrals + 1)
         elif kind == "drop_leftovers":
@@ -142,6 +154,19 @@ class Driver:
 
 @settings(max_examples=80, deadline=None)
 @given(configs, ops)
+# Found by Hypothesis against the looser guard (head nonce >= n): nonce
+# 1 readmitted while 2 is inflight and 3 pending left pending [1, 3].
+@example(MempoolConfig(capacity=12, per_sender=6, high_water=1.0,
+                       low_water=0.5),
+         [("submit", 0, 1, 1)] * 3 + [("drain", 0, 2, 1),
+                                      ("defer", 0, 1, 1)])
+# Its sibling through an empty queue: 2 and 3 inflight, 1 readmitted,
+# then a fresh submission of 4 left pending [1, 4].
+@example(MempoolConfig(capacity=12, per_sender=6, high_water=1.0,
+                       low_water=0.5),
+         [("submit", 0, 1, 1)] * 3 + [("drain", 0, 3, 1),
+                                      ("defer", 0, 1, 1),
+                                      ("submit", 0, 1, 1)])
 def test_invariants_hold_under_arbitrary_interleavings(config, sequence):
     driver = Driver(config)
     for op in sequence:

@@ -69,6 +69,23 @@ def test_counters_identical_across_crash_resume(tmp_path, workload):
             == json.dumps(full.deterministic_snapshot(), sort_keys=True))
 
 
+def test_durable_counters_identical_across_executors(tmp_path):
+    """``net.commit.changed_locations`` only counts with a WAL (the
+    change set is not cut without one), so the executor comparison
+    above sees it at 0: compare it where it moves."""
+    snapshots = {}
+    for executor in ("serial", "process"):
+        registry = MetricsRegistry()
+        run_durable("UD config", data_dir=str(tmp_path / executor),
+                    epochs=3, executor=executor, metrics=registry,
+                    **DURABLE_PARAMS)
+        snapshots[executor] = registry.deterministic_snapshot()
+    counters = snapshots["serial"]["counters"]
+    assert counters["net.commit.changed_locations"]["value"] > 0
+    assert (json.dumps(snapshots["process"], sort_keys=True)
+            == json.dumps(snapshots["serial"], sort_keys=True))
+
+
 def test_metrics_survive_mid_run_snapshot(tmp_path):
     """A forced durable snapshot mid-run embeds the registry; resume
     restores it and replay re-records only the epochs past it."""
