@@ -21,14 +21,18 @@ def test_overheads_report(benchmark, save_result):
     # Directions must match the paper even though absolute numbers are
     # Python-scale: signature dispatch costs more, merging costs more
     # per field than plain application, and merging beats re-execution.
-    # Both sides are best-of-k under gc.freeze.  Measured 9.6-13.3x:
-    # lowering dispatch to plans brought the signature path (15 µs, most
-    # of it the JSON boundary) and the default one (1.3 µs) down alike.
+    # Both sides are best-of-k under gc.freeze.  Measured 9.0-10.1x over
+    # seven runs (9.6-13.3x before the wire decode got leaner: the
+    # signature path, 10.6-11.6 µs, is mostly its JSON boundary; the
+    # default one is 1.1-1.2 µs).
     assert result.dispatch_slowdown > 5
     assert result.merge_per_field_joins_us > 0
-    # Measured 2.0-2.8x with compiled transitions (9-10x when they
-    # were tree-walked: re-execution got faster, not the merge slower).
-    assert result.merge_speedup_vs_execution > 1.5
+    # Measured 1.71-2.13x over seven runs (EXPERIMENTS.md E8): both
+    # layers moved — re-execution 25 -> 12.5-14.2 µs per transfer (the
+    # second lowering pass), decode + merge 12.3 -> 6.6-7.9 µs per field.
+    # With the old decode it would be 1.1x; 9-10x while transitions
+    # were tree-walked.  Nothing got slower, the numerator got faster.
+    assert result.merge_speedup_vs_execution > 1.3
 
 
 def test_benchmark_dispatch_default(benchmark):

@@ -19,7 +19,7 @@ from ..core.joins import (
     JoinKind, MergeConflict, apply_int_delta, int_delta,
 )
 from ..scilla.state import (
-    ContractState, MISSING, StateKey, WriteLog, _Missing,
+    ContractState, MISSING, StateKey, WriteLog, _Missing, owned_entries,
 )
 from ..scilla.values import IntVal, MapVal, Value
 
@@ -122,6 +122,21 @@ def merge_deltas(base: ContractState,
     int_accum: dict[StateKey, list] = {}   # key -> [summed diff, template]
     fresh: list = [0, None]
     changed = 0
+    # Map field -> (its entries in ``base``, its privatised entries in
+    # ``merged``), resolved on the field's first one-key location
+    # instead of two walks per entry; None for a field that is no map.
+    leaves: dict[str, tuple | None] = {}
+
+    def leaf(key: StateKey) -> tuple | None:
+        name, keys = key
+        if len(keys) != 1:
+            return None
+        if name not in leaves:
+            owned = owned_entries(merged, name)
+            leaves[name] = None if owned is None else (
+                base.fields[name].entries, owned)
+        return leaves[name]
+
     for delta in deltas:
         shard = delta.shard
         changed += len(delta.entries)
@@ -157,9 +172,21 @@ def merge_deltas(base: ContractState,
                         shards=(*_shards_merging(deltas, key, entry),
                                 shard))
                 overwritten[key] = shard
-                merged.write(key, entry.new_value)
+                pair = leaf(key)
+                if pair is None:
+                    merged.write(key, entry.new_value)
+                elif entry.new_value is MISSING:
+                    pair[1].pop(key[1][0], None)
+                else:
+                    pair[1][key[1][0]] = entry.new_value
     for key, (diff, template) in int_accum.items():
-        merged.write(key, apply_int_delta(base.read(key), diff, template))
+        pair = leaf(key)
+        if pair is None:
+            merged.write(key, apply_int_delta(base.read(key), diff, template))
+        else:
+            k = key[1][0]
+            pair[1][k] = apply_int_delta(pair[0].get(k, MISSING), diff,
+                                         template)
     return merged, changed
 
 

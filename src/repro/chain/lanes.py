@@ -222,11 +222,11 @@ def _value_from_token(token: str) -> Value | None:
         return None
     try:
         if kind.startswith(("Int", "Uint")):
-            return IntVal(int(payload), ty.PrimType(kind))
+            return IntVal(int(payload), ty.prim(kind))
         if kind == "String":
             return StringVal(payload)
         if kind.startswith("ByStr"):
-            return ByStrVal(payload, ty.PrimType(kind))
+            return ByStrVal(payload, ty.prim(kind))
         if kind == "BNum":
             return BNumVal(int(payload))
     except (ValueError, EvalError):

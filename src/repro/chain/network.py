@@ -31,6 +31,7 @@ from ..obs.metrics import (
 from ..obs.tracing import NULL_TRACER
 from ..core.signature import ShardingSignature
 from ..scilla.ast import Module
+from ..scilla.compile import STATS as COMPILE_STATS
 from ..scilla.errors import ExecError
 from ..scilla.interpreter import Interpreter, TxContext
 from ..scilla.backend import PagedDict, resolve_backend
@@ -223,6 +224,8 @@ class _NetworkMeters:
         # the source, whichever process later runs it.
         self.compile_units = m.counter("interp.compile.units")
         self.compile_delegated = m.counter("interp.compile.delegated_exprs")
+        self.compile_did = {key: m.counter(f"interp.compile.{key}")
+                            for key in COMPILE_STATS}
         self.compile_ns = m.histogram("interp.compile_ns", NS_BUCKETS,
                                       deterministic=False)
         # State-engine instruments (PR 5): copy-on-write and journal
@@ -708,6 +711,8 @@ class Network:
             meters.compile_ns.observe(time.perf_counter_ns() - t0)
             meters.compile_units.inc(unit.units)
             meters.compile_delegated.inc(unit.delegated)
+            for key, n in unit.totals.items():
+                meters.compile_did[key].inc(n)
         state = interpreter.deploy(address, params, balance)
         signature = None
         if proposed_signature is not None and self.use_signatures:

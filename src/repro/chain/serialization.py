@@ -21,6 +21,7 @@ from ..core.domain import ConstKey, Key, ParamKey, PseudoField
 from ..core.joins import JoinKind
 from ..core.signature import ShardingSignature
 from ..scilla.errors import EvalError
+from ..scilla.parser import parse_type_str
 from ..scilla.state import MISSING, ContractState, StateKey, _Missing
 from ..scilla import types as ty
 from ..scilla.values import (
@@ -54,9 +55,19 @@ def value_to_json(v: Value) -> Any:
     raise EvalError(f"cannot serialise value {v!r}")
 
 
+# Integer type name -> (its shared type instance, its bounds).
+_INTS = {name: (ty.prim(name), bounds)
+         for name, bounds in ty._INT_BOUNDS.items()}
+_JOIN_KINDS = {kind.value: kind for kind in JoinKind}
+
+
 def value_from_json(data: Any) -> Value:
-    from ..scilla.parser import parse_type_str
     t = data["t"]
+    known = _INTS.get(t)
+    if known is not None:       # most of a delta, so first and lean
+        value, (typ, (lo, hi)) = int(data["v"]), known
+        return IntVal.checked(value, typ) if lo <= value <= hi \
+            else IntVal(value, typ)     # raises
     if t == "String":
         return StringVal(data["v"])
     if t == "BNum":
@@ -72,8 +83,8 @@ def value_from_json(data: Any) -> Value:
             out.entries[value_from_json(k)] = value_from_json(v)
         return out
     if t.startswith("ByStr"):
-        return ByStrVal(data["v"], ty.PrimType(t))
-    return IntVal(int(data["v"]), ty.PrimType(t))
+        return ByStrVal(data["v"], ty.prim(t))
+    return IntVal(int(data["v"]), ty.prim(t))    # no such type: raises
 
 
 # --------------------------------------------------------------------------
@@ -110,15 +121,13 @@ def delta_from_json(text: str) -> StateDelta:
     data = json.loads(text)
     entries = []
     for e in data["entries"]:
+        new, template = e["new"], e["template"]
         entries.append(DeltaEntry(
-            key=_state_key_from_json(e["key"]),
-            kind=JoinKind(e["kind"]),
-            new_value=(MISSING if e["new"] is None
-                       else value_from_json(e["new"])),
-            int_diff=e["diff"],
-            template=(value_from_json(e["template"])
-                      if e["template"] is not None else None),
-        ))
+            _state_key_from_json(e["key"]),
+            _JOIN_KINDS[e["kind"]],
+            MISSING if new is None else value_from_json(new),
+            e["diff"],
+            None if template is None else value_from_json(template)))
     return StateDelta(data["contract"], data["shard"], entries)
 
 
@@ -190,7 +199,6 @@ def _paged_map_to_json(v: MapVal) -> Any:
 
 def _paged_map_from_json(data: Any, backend) -> MapVal:
     from ..scilla.backend import PagedDict
-    from ..scilla.parser import parse_type_str
     if backend is None:
         raise EvalError(
             "snapshot contains PagedMap references but no state "
@@ -233,7 +241,6 @@ def state_to_obj(state: ContractState, backend=None) -> Any:
 
 
 def state_from_obj(data: Any, backend=None) -> ContractState:
-    from ..scilla.parser import parse_type_str
     fields = {}
     for name, v in data["fields"].items():
         if isinstance(v, dict) and v.get("t") == "PagedMap":

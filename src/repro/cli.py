@@ -83,8 +83,15 @@ def cmd_compile(args) -> int:
                          f"{name} has {known}")
     unit = interp.unit
     text = unit.source(args.transition)
+    did = unit.stats[f"t_{args.transition}"]
     print(f"# {name}.{args.transition}: {unit.units} units in this source, "
-          f"{unit.delegated} expressions delegated to eval_expr")
+          f"{unit.delegated} expressions delegated to eval_expr; here "
+          f"{did['charges']} charges at {did['charge_sites']} sites, "
+          f"{did['unboxed_options']}/{did['options']} Options and "
+          f"{did['unboxed_bools']} Bools unboxed, "
+          f"{did['guarded_builtins']} class-guarded builtins, "
+          f"{did['static_sends']} static sends, "
+          f"{did['fused_writes']} fused writes")
     for const in sorted(set(re.findall(r"\bK\d+\b", text)),
                         key=lambda k: int(k[1:])):
         value = unit.ns[const]

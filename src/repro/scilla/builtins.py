@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,7 +29,7 @@ from .types import (
     is_int_type, int_bounds,
 )
 from .values import (
-    ADTVal, BNumVal, ByStrVal, IntVal, MapVal, StringVal, Value,
+    ADTVal, BNumVal, ByStrVal, IntVal, MapVal, StringVal, TRUE, Value,
     bool_val, list_to_value, pair, some, none, values_equal, canonical,
 )
 
@@ -100,8 +101,8 @@ def _concat_rule(args: list[ScillaType]) -> ScillaType:
         wa, wb = ty.bystr_width(a), ty.bystr_width(b)
         if wa is not None and wb is not None:
             name = f"ByStr{wa + wb}"
-            return PrimType(name if name in ty.BYSTR_NAMES else "ByStr")
-        return PrimType("ByStr")
+            return ty.prim(name if name in ty.BYSTR_NAMES else "ByStr")
+        return ty.BYSTR
     raise EvalError(f"concat applied to {a}, {b}")
 
 
@@ -199,6 +200,64 @@ def _eq(args: list[Value]) -> Value:
 
 
 # --------------------------------------------------------------------------
+# Two-argument fast paths for compiled transitions (repro.scilla.compile).
+# Guarded on the operands' *class*, not on a static type: transaction
+# arguments and stored state are unchecked.  Whenever a guard or a bounds
+# test fails they call the registry ``impl`` above, which raises the
+# reference's error — so they agree with it by construction.
+# --------------------------------------------------------------------------
+
+def _fast_arith(op, impl: Impl):
+    bounds = ty._INT_BOUNDS
+
+    def fast(a: Value, b: Value) -> Value:
+        if a.__class__ is IntVal and b.__class__ is IntVal:
+            typ = a.typ
+            if typ is b.typ or typ == b.typ:
+                value = op(a.value, b.value)
+                lo, hi = bounds[typ.name]
+                if lo <= value <= hi:
+                    return IntVal.checked(value, typ)
+        return impl([a, b])
+    return fast
+
+
+def _fast_compare(op, impl: Impl):
+    def fast(a: Value, b: Value) -> bool:
+        if a.__class__ is IntVal and b.__class__ is IntVal and (
+                a.typ is b.typ or a.typ == b.typ):
+            return op(a.value, b.value)
+        return impl([a, b]) is TRUE
+    return fast
+
+
+def _fast_eq(a: Value, b: Value) -> bool:
+    cls = a.__class__
+    if cls is b.__class__:      # what the dataclass ``__eq__`` compares
+        if cls is ByStrVal:
+            return a.hex == b.hex and (a.typ is b.typ or a.typ == b.typ)
+        if cls is IntVal:
+            return a.value == b.value and (a.typ is b.typ or a.typ == b.typ)
+    return _eq([a, b]) is TRUE
+
+
+def _fast_blt(a: Value, b: Value) -> bool:
+    if a.__class__ is BNumVal and b.__class__ is BNumVal:
+        return a.value < b.value
+    return _blt([a, b]) is TRUE
+
+
+# builtin name -> fast path: those returning the value, and the tests,
+# which return a Python bool (``TRUE if … else FALSE`` boxes it).
+FAST_VALUES = {"add": _fast_arith(operator.add, _add),
+               "sub": _fast_arith(operator.sub, _sub),
+               "mul": _fast_arith(operator.mul, _mul)}
+FAST_TESTS = {"lt": _fast_compare(operator.lt, _lt),
+              "uint_le": _fast_compare(operator.le, _uint_le),
+              "eq": _fast_eq, "blt": _fast_blt}
+
+
+# --------------------------------------------------------------------------
 # Strings and byte strings.
 # --------------------------------------------------------------------------
 
@@ -211,7 +270,7 @@ def _concat(args: list[Value]) -> Value:
         joined = a.hex + b.hex[2:]
         nbytes = (len(joined) - 2) // 2
         name = f"ByStr{nbytes}"
-        typ = PrimType(name if name in ty.BYSTR_NAMES else "ByStr")
+        typ = ty.prim(name if name in ty.BYSTR_NAMES else "ByStr")
         return ByStrVal(joined, typ)
     raise EvalError("concat expects two strings or two byte strings")
 
@@ -260,22 +319,22 @@ def _to_string(args: list[Value]) -> Value:
 def _hash_value(v: Value, algo: str) -> ByStrVal:
     payload = json.dumps(canonical(v), sort_keys=True).encode()
     digest = hashlib.new(algo, payload).hexdigest()
-    return ByStrVal("0x" + digest[:64], PrimType("ByStr32"))
+    return ByStrVal("0x" + digest[:64], ty.BYSTR32)
 
 
-@register("sha256hash", 1, lambda ts: PrimType("ByStr32"), gas=12)
+@register("sha256hash", 1, lambda ts: ty.BYSTR32, gas=12)
 def _sha256hash(args: list[Value]) -> Value:
     return _hash_value(args[0], "sha256")
 
 
-@register("keccak256hash", 1, lambda ts: PrimType("ByStr32"), gas=12)
+@register("keccak256hash", 1, lambda ts: ty.BYSTR32, gas=12)
 def _keccak256hash(args: list[Value]) -> Value:
     # Python's hashlib lacks keccak; sha3_256 is a faithful stand-in for
     # a 32-byte collision-resistant digest, which is all contracts need.
     return _hash_value(args[0], "sha3_256")
 
 
-@register("ripemd160hash", 1, lambda ts: PrimType("ByStr20"), gas=12)
+@register("ripemd160hash", 1, lambda ts: ty.BYSTR20, gas=12)
 def _ripemd160hash(args: list[Value]) -> Value:
     payload = json.dumps(canonical(args[0]), sort_keys=True).encode()
     digest = hashlib.sha256(payload).hexdigest()
@@ -321,12 +380,12 @@ def _badd(args: list[Value]) -> Value:
     return BNumVal(a.value + b.value)
 
 
-@register("bsub", 2, lambda ts: PrimType("Int256"), gas=4)
+@register("bsub", 2, lambda ts: ty.INT256, gas=4)
 def _bsub(args: list[Value]) -> Value:
     a, b = args
     if not isinstance(a, BNumVal) or not isinstance(b, BNumVal):
         raise EvalError("bsub expects two block numbers")
-    return IntVal(a.value - b.value, PrimType("Int256"))
+    return IntVal(a.value - b.value, ty.INT256)
 
 
 # --------------------------------------------------------------------------
@@ -336,7 +395,7 @@ def _bsub(args: list[Value]) -> Value:
 def _register_conversions() -> None:
     for width in ty.INT_WIDTHS:
         for prefix in ("Uint", "Int"):
-            target = PrimType(f"{prefix}{width}")
+            target = ty.prim(f"{prefix}{width}")
 
             def impl(args: list[Value], target: PrimType = target) -> Value:
                 (a,) = args

@@ -503,9 +503,11 @@ class Interpreter:
                        gas_limit: int = 100_000) -> TransitionResult:
         """Execute a transition; rolls state back on failure.  Runs
         its compiled unit: the entry point of the chain and the lanes."""
-        self._transition(name, args)
+        unit = self._unit or self.unit
+        if unit.params.get(name) != args.keys():
+            self._transition(name, args)    # raises the reference's error
         run = _Run(self, state, ctx, gas_limit)
-        return run.finish(self.unit.entry(name), run, args)
+        return run.finish(unit.entry(name), run, args)
 
     def interpret_transition(self, state: ContractState, name: str,
                              args: dict[str, Value], ctx: TxContext,
@@ -517,8 +519,16 @@ class Interpreter:
         return run.finish(run.interpret, component, args)
 
 
+_MAX_AMOUNT = ty.int_bounds(ty.UINT128)[1]
+_NO_AMOUNT = IntVal(0, ty.UINT128)
+
+
 class _Run:
     """Mutable per-invocation execution context."""
+
+    __slots__ = ("interp", "state", "ctx", "gas_limit", "gas_used",
+                 "accepted", "messages", "events", "log", "sender",
+                 "origin", "amount", "entry_env")
 
     def __init__(self, interp: Interpreter, state: ContractState,
                  ctx: TxContext, gas_limit: int):
@@ -533,10 +543,16 @@ class _Run:
         self.log = WriteLog()
         # The implicit parameters (the chain hands the sender over as
         # a ready ByStr20 value, built once per transaction).
-        self.sender = addr(ctx.sender)
-        self.origin = self.sender if ctx.origin == ctx.sender \
-            else addr(ctx.origin)
-        self.amount = IntVal(ctx.amount, ty.UINT128)
+        raw, origin, amount = ctx.sender, ctx.origin, ctx.amount
+        self.sender = sender = addr(raw)
+        self.origin = sender if origin is raw or origin == raw \
+            else addr(origin)
+        if amount == 0:
+            self.amount = _NO_AMOUNT
+        elif 0 < amount <= _MAX_AMOUNT:     # the bounds check, done
+            self.amount = IntVal.checked(amount, ty.UINT128)
+        else:                               # raises what it always did
+            self.amount = IntVal(amount, ty.UINT128)
 
     def charge(self, amount: int) -> None:
         self.gas_used += amount

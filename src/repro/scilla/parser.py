@@ -22,8 +22,8 @@ from .ast import (
 from .errors import ParseError
 from .lexer import Token, tokenize
 from .types import (
-    ADTType, FunType, MapType, PrimType, ScillaType, TypeVar,
-    BYSTR_NAMES, INT_TYPE_NAMES, PRIM_TYPE_NAMES, STRING, int_bounds,
+    ADTType, FunType, MapType, ScillaType, TypeVar,
+    BYSTR_NAMES, INT_TYPE_NAMES, PRIM_TYPE_NAMES, STRING, int_bounds, prim,
 )
 
 BLOCKCHAIN_ENTRIES = {"BLOCKNUMBER", "TIMESTAMP", "CHAINID"}
@@ -80,7 +80,7 @@ class Parser:
                 return MapType(kt, vt)
             if name in PRIM_TYPE_NAMES:
                 self.next()
-                return PrimType(name)
+                return prim(name)
             # ADT, possibly applied to type atoms.
             self.next()
             targs: list[ScillaType] = []
@@ -103,7 +103,7 @@ class Parser:
             if name == "Map":
                 raise ParseError("Map requires parentheses in atom position", tok.loc)
             if name in PRIM_TYPE_NAMES:
-                return PrimType(name)
+                return prim(name)
             return ADTType(name)
         if self.at("sym", "("):
             self.next()
@@ -118,7 +118,7 @@ class Parser:
         """Parse ``Uint128 42``-style literal; the CID was just consumed."""
         tok = self.expect("int")
         value = int(tok.value)
-        typ = PrimType(type_name)
+        typ = prim(type_name)
         if type_name != "BNum":
             lo, hi = int_bounds(typ)
             if not lo <= value <= hi:
@@ -134,7 +134,7 @@ class Parser:
             raise ParseError("hex literal must have an even number of digits", tok.loc)
         nbytes = len(body) // 2
         name = f"ByStr{nbytes}" if f"ByStr{nbytes}" in BYSTR_NAMES else "ByStr"
-        return LitAtom(tok.value, PrimType(name), tok.loc)
+        return LitAtom(tok.value, prim(name), tok.loc)
 
     def _at_atom(self) -> bool:
         if self.at("id") or self.at("string") or self.at("hex"):

@@ -272,7 +272,7 @@ def _apply_undo(state: ContractState, key: StateKey,
         state.map_put(name, keys, old)
 
 
-@dataclass
+@dataclass(slots=True)
 class WriteLog:
     """Undo + redo information for a single transition execution."""
 
@@ -293,6 +293,79 @@ class WriteLog:
             _apply_undo(state, key, old)
         self.undo.clear()
         self.writes.clear()
+
+
+# --------------------------------------------------------------------------
+# The owned write: ``log.record(state, key, value)`` followed by
+# ``state.write(key, value)`` — its two-walk specification — in one walk
+# for the shapes compiled transitions and the FSD merge spend their time
+# on.  Everything the two calls do happens, in their order: the pre-image
+# is captured (a captured map flagged shared), ``log.undo`` keeps the
+# first one, ``log.writes`` the last value, the journal is told the same
+# ``("write", state, undo_key, old)``, the map is privatised through
+# ``MapVal._own`` (never inlined: the benchmark shims that method) and
+# the store goes through the container's own ``__setitem__`` / ``pop``.
+# --------------------------------------------------------------------------
+
+def owned_put(state: ContractState, log: WriteLog, m: MapVal,
+              key: StateKey, value: Value | _Missing) -> None:
+    """The owned write of a one-key ``key`` (MISSING deletes), given
+    ``m``: the field it names, which the caller has checked is a
+    ``MapVal``.  A single key has no prefix to create or delete."""
+    k = key[1][0]
+    old = m.entries.get(k, MISSING)
+    if old.__class__ is MapVal:
+        old._cow = True
+    log.undo.setdefault(key, old)
+    log.writes[key] = value
+    j = state.journal
+    if j is not None:
+        j.record_undo(state, key, old)
+    if m._cow:
+        m._own()
+    if value is MISSING:
+        m.entries.pop(k, None)
+    else:
+        m.entries[k] = value
+
+
+def owned_write(state: ContractState, log: WriteLog, key: StateKey,
+                value: Value | _Missing) -> None:
+    """The owned write of any location: whole fields and one-key map
+    entries in one walk, anything else (deeper paths, a field that is
+    not a map, deleting a whole field) through the specification, which
+    also raises its errors."""
+    name, keys = key
+    if not keys:
+        if value is not MISSING:
+            old = state.fields.get(name, MISSING)
+            if old.__class__ is MapVal:
+                old._cow = True
+            log.undo.setdefault(key, old)
+            log.writes[key] = value
+            j = state.journal
+            if j is not None:
+                j.record_undo(state, key, old)
+            state.fields[name] = value
+            return
+    elif len(keys) == 1:
+        m = state.fields.get(name)
+        if m.__class__ is MapVal:
+            return owned_put(state, log, m, key, value)
+    log.record(state, key, value)
+    state.write(key, value)
+
+
+def owned_entries(state: ContractState, name: str):
+    """The container one-key writes into map field ``name`` store into,
+    privatised — resolved once for a run of them (the FSD merge); None
+    when the field is not a map."""
+    m = state.fields.get(name)
+    if m.__class__ is not MapVal:
+        return None
+    if m._cow:
+        m._own()
+    return m.entries
 
 
 class JournalError(Exception):
@@ -366,10 +439,15 @@ class StateJournal:
     # -- recording ----------------------------------------------------------
 
     def record_write(self, state: ContractState, key: StateKey) -> None:
-        if self._suspended:
-            return
-        undo_key, undo_val = _capture_undo(state, key)
-        self._entries.append(("write", state, undo_key, undo_val))
+        if not self._suspended:
+            self.record_undo(state, *_capture_undo(state, key))
+
+    def record_undo(self, state: ContractState, undo_key: StateKey,
+                    old: Value | _Missing) -> None:
+        """A write whose ``_capture_undo`` pair the caller holds already
+        (the owned write)."""
+        if not self._suspended:
+            self._entries.append(("write", state, undo_key, old))
 
     def record_balance(self, state: ContractState, old: int) -> None:
         if self._suspended:

@@ -129,6 +129,22 @@ MESSAGE = PrimType("Message")
 EVENT = PrimType("Event")
 EXCEPTION = PrimType("Exception")
 
+# One shared instance per well-known name: values decoded from the wire,
+# parsed from source or built by ``uint()`` then carry the *same* type
+# object, so ``a.typ is b.typ`` holds on the arithmetic fast paths and a
+# large map does not hold one PrimType per entry.
+_PRIMS: dict[str, PrimType] = {t.name: t for t in (
+    INT32, INT64, INT128, INT256, UINT32, UINT64, UINT128, UINT256, STRING,
+    BNUM, BYSTR20, BYSTR32, BYSTR, MESSAGE, EVENT, EXCEPTION,
+    PrimType("ByStr33"), PrimType("ByStr64"))}
+
+
+def prim(name: str) -> PrimType:
+    """The primitive type called ``name``: the shared instance of a
+    well-known one, a fresh (equal, unshared) one for any other."""
+    return _PRIMS.get(name) or PrimType(name)
+
+
 SIGNED_INT_NAMES = {f"Int{w}" for w in INT_WIDTHS}
 UNSIGNED_INT_NAMES = {f"Uint{w}" for w in INT_WIDTHS}
 INT_TYPE_NAMES = SIGNED_INT_NAMES | UNSIGNED_INT_NAMES

@@ -485,11 +485,11 @@ def pair(a: Value, b: Value, ta: ScillaType, tb: ScillaType) -> ADTVal:
 
 
 def uint(value: int, width: int = 128) -> IntVal:
-    return IntVal(value, PrimType(f"Uint{width}"))
+    return IntVal(value, ty.prim(f"Uint{width}"))
 
 
 def sint(value: int, width: int = 128) -> IntVal:
-    return IntVal(value, PrimType(f"Int{width}"))
+    return IntVal(value, ty.prim(f"Int{width}"))
 
 
 def pad_address(address: str) -> str:

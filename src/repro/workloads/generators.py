@@ -211,7 +211,7 @@ class NFTMint(Workload):
             to = self.rng.choice(self.users)
             out.append(call(
                 self.admin, self.contract_addr, "Mint",
-                {"to": addr(to), "token_id": IntVal(token, ty.PrimType("Uint256"))},
+                {"to": addr(to), "token_id": IntVal(token, ty.UINT256)},
                 nonce=self.next_nonce(self.admin)))
         return out
 
@@ -243,7 +243,7 @@ class NFTTransfer(Workload):
             txns.append(call(
                 self.admin, self.contract_addr, "Mint",
                 {"to": addr(owner),
-                 "token_id": IntVal(token, ty.PrimType("Uint256"))},
+                 "token_id": IntVal(token, ty.UINT256)},
                 nonce=self.next_nonce(self.admin)))
         net.process_epoch(txns, unlimited=True)
         net.blocks.pop()
@@ -261,7 +261,7 @@ class NFTTransfer(Workload):
             out.append(call(
                 owner, self.contract_addr, "Transfer",
                 {"token_owner": addr(owner), "to": addr(to),
-                 "token_id": IntVal(token, ty.PrimType("Uint256"))},
+                 "token_id": IntVal(token, ty.UINT256)},
                 nonce=self.next_nonce(owner)))
             self.token_owner[token] = to
         return out
@@ -293,7 +293,7 @@ class ProofIPFSRegister(Workload):
             h = self._next_hash
             self._next_hash += 1
             sender = self.rng.choice(self.users)
-            ipfs_hash = ByStrVal("0x" + f"{h:064x}", ty.PrimType("ByStr32"))
+            ipfs_hash = ByStrVal("0x" + f"{h:064x}", ty.BYSTR32)
             out.append(call(
                 sender, self.contract_addr, "Register",
                 {"ipfs_hash": ipfs_hash}, nonce=self.next_nonce(sender)))
@@ -327,7 +327,7 @@ class UDBestow(Workload):
             node_id = self._next_node
             self._next_node += 1
             owner = self.rng.choice(self.users)
-            node = ByStrVal("0x" + f"{node_id:064x}", ty.PrimType("ByStr32"))
+            node = ByStrVal("0x" + f"{node_id:064x}", ty.BYSTR32)
             out.append(call(
                 self.admin, self.contract_addr, "Bestow",
                 {"node": node, "owner": addr(owner),
@@ -359,7 +359,7 @@ class UDConfig(Workload):
         for node_id in range(n_nodes):
             owner = self.users[node_id % self.n_users]
             self.node_owner[node_id] = owner
-            node = ByStrVal("0x" + f"{node_id:064x}", ty.PrimType("ByStr32"))
+            node = ByStrVal("0x" + f"{node_id:064x}", ty.BYSTR32)
             txns.append(call(
                 self.admin, self.contract_addr, "Bestow",
                 {"node": node, "owner": addr(owner),
@@ -376,7 +376,7 @@ class UDConfig(Workload):
                                     len(self.node_owner)))
         for node_id in nodes:
             owner = self.node_owner[node_id]
-            node = ByStrVal("0x" + f"{node_id:064x}", ty.PrimType("ByStr32"))
+            node = ByStrVal("0x" + f"{node_id:064x}", ty.BYSTR32)
             new_resolver = self.rng.choice(self.users)
             out.append(call(
                 owner, self.contract_addr, "ConfigureResolver",

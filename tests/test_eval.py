@@ -99,8 +99,11 @@ def test_overheads_direction_matches_paper():
     assert result.dispatch_signature_us > result.dispatch_default_us
     # Join-aware merging costs more per field than plain application...
     assert result.merge_per_field_joins_us > 0
-    # ...but merging stays cheaper than re-execution: 2.0-2.4x once the
-    # transition is compiled (7-10x tree-walked; EXPERIMENTS.md E8).
+    # ...but merging stays cheaper than re-execution: 1.8-2.2x over ten
+    # runs at this size (1.7-2.1x at the benchmark's, which carries the
+    # numeric bound; 7-10x tree-walked; EXPERIMENTS.md E8).  Both sides
+    # are best-of-k with the heap frozen, so the direction is not a
+    # coin-flip.
     assert result.merge_speedup_vs_execution > 1
     assert "overheads" in format_overheads(result)
 

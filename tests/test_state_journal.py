@@ -14,6 +14,11 @@ Three laws the state engine rests on:
   container at birth; and an overlaid map is observationally a plain
   dict (order, ``len``, ``==``, pickle), whenever its overlay folds.
 
+* **The owned write** — ``owned_write`` is ``WriteLog.record`` followed
+  by ``ContractState.write``, its two-walk specification, in everything
+  either leaves behind: undo log, write set, journal entries, CoW
+  privatisations, state, errors — over plain, overlaid and paged maps.
+
 Plus the O(1)-take guard: marking the journal must not materialise a
 single CoW copy nor touch any map entry.
 """
@@ -30,8 +35,11 @@ from hypothesis import given, settings
 import pytest
 
 from repro.scilla import types as ty, values as scilla_values
+from repro.scilla.backend import MemoryBackend, PagedDict
+from repro.scilla.errors import ExecError
 from repro.scilla.state import (
-    ContractState, JournalError, MISSING, StateJournal,
+    ContractState, JournalError, MISSING, StateJournal, WriteLog,
+    owned_write,
 )
 from repro.scilla.values import MapVal, StringVal, canonical, uint
 
@@ -253,6 +261,130 @@ def test_cow_fork_never_leaks_writes(steps):
     copies = {_run_worlds(steps, slack)
               for slack in (10**9, scilla_values.OVERLAY_FOLD_SLACK, -1)}
     assert len(copies) == 1
+
+
+# -- the owned write ≡ record + write ------------------------------------------
+
+_SK = [StringVal(c) for c in "abc"]
+_INNER_MAPS = st.dictionaries(st.sampled_from("xy"), st.integers(0, 9), max_size=2)
+_SEEDS = st.fixed_dictionaries({
+    "m": st.dictionaries(st.sampled_from("abc"), st.integers(0, 9),
+                         max_size=3),
+    "nested": st.dictionaries(st.sampled_from("abc"), _INNER_MAPS, max_size=3)})
+# (location, value): an int, None to delete, a dict for a whole inner
+# map (a map-valued new value, and later a map-valued pre-image).  The
+# last two locations are ill-formed and must fail alike.
+_WRITES = st.one_of(
+    st.tuples(st.just(("n", ())), st.integers(0, 9)),
+    st.tuples(st.tuples(st.just("m"), st.tuples(st.sampled_from(_SK))),
+              st.one_of(st.none(), st.integers(0, 9))),
+    st.tuples(st.tuples(st.just("nested"), st.tuples(st.sampled_from(_SK))),
+              st.one_of(st.none(), _INNER_MAPS)),
+    st.tuples(st.tuples(st.just("nested"), st.tuples(
+        st.sampled_from(_SK), st.sampled_from([StringVal(c) for c in "xy"]))),
+        st.one_of(st.none(), st.integers(0, 9))),
+    st.tuples(st.tuples(st.just("m"), st.tuples(
+        st.sampled_from(_SK), st.sampled_from(_SK))), st.integers(0, 9)),
+    st.tuples(st.just(("n", (_SK[0],))), st.one_of(st.none(), st.integers(0, 9))),
+)
+
+
+def _inner_map(entries: dict) -> MapVal:
+    return MapVal(ty.STRING, ty.UINT128,
+                  {StringVal(k): uint(v) for k, v in entries.items()})
+
+
+def _write_world(kind: str, seed: dict):
+    """A state of the given container kind holding ``seed``, plus
+    whatever must stay alive (and unchanged) beside it."""
+    state = fresh_state()
+    flat = {StringVal(k): uint(v) for k, v in seed["m"].items()}
+    nested = {StringVal(k): _inner_map(v) for k, v in seed["nested"].items()}
+    if kind == "paged":
+        backend = MemoryBackend()
+        flat = PagedDict.adopt(backend, flat, cache_limit=2)
+        nested = PagedDict.adopt(backend, nested, cache_limit=2)
+    state.fields["m"].entries = flat
+    state.fields["nested"].entries = nested
+    if kind == "overlay":           # a fork of a fork: everything shared
+        parent = state.fork()
+        return parent.fork(), (state, parent)
+    return state, ()
+
+
+def _plain(value):
+    return "MISSING" if value is MISSING else canonical(value)
+
+
+def _spec_write(state, log, key, value) -> None:
+    log.record(state, key, value)
+    state.write(key, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=_SEEDS, kind=st.sampled_from(["plain", "overlay", "paged"]),
+       journaled=st.booleans(),
+       txns=st.lists(st.tuples(st.lists(_WRITES, max_size=6), st.booleans()),
+                     max_size=4))
+def test_owned_write_is_record_then_write(seed, kind, journaled, txns):
+    traces = []
+    for write in (owned_write, _spec_write):
+        state, kin = _write_world(kind, seed)
+        kin_before = [snapshot(s) for s in kin]
+        journal = state.journal = StateJournal() if journaled else None
+        mark = journal.mark() if journaled else None
+        trace = []
+        for writes, roll_back in txns:
+            log = WriteLog()
+            copies = scilla_values.COW_COPIES
+            for key, value in writes:
+                value = MISSING if value is None else \
+                    _inner_map(value) if isinstance(value, dict) else \
+                    uint(value)
+                try:
+                    write(state, log, key, value)
+                except ExecError as exc:
+                    trace.append(str(exc))
+            trace.append((
+                [(k, _plain(v)) for k, v in log.undo.items()],
+                [(k, _plain(v)) for k, v in log.writes.items()],
+                scilla_values.COW_COPIES - copies, snapshot(state),
+                journaled and [(e[2], _plain(e[3]))
+                               for e in journal.entries]))
+            if roll_back:
+                try:
+                    log.rollback(state)
+                except ExecError as exc:    # an ill-formed location's undo
+                    trace.append(str(exc))
+                trace.append(snapshot(state))
+        if journaled:
+            try:
+                journal.rollback_to(mark)
+            except ExecError as exc:        # likewise
+                trace.append(str(exc))
+            trace.append(snapshot(state))
+        assert [snapshot(s) for s in kin] == kin_before
+        traces.append(trace)
+    assert traces[0] == traces[1]
+
+
+def test_owned_write_flags_a_captured_map_shared():
+    """A map-valued pre-image may sit in a frozen base other forks
+    read.  Rollback puts that very object back into this fork's
+    overlay, so it must come back flagged ``_cow`` — or the next write
+    through it would land in the parent's map."""
+    for write in (owned_write, _spec_write):
+        state, kin = _write_world(
+            "overlay", {"m": {}, "nested": {"a": {"x": 1}}})
+        kin_before = [snapshot(s) for s in kin]
+        log = WriteLog()
+        write(state, log, ("nested", (_SK[0],)), MISSING)
+        captured = log.undo["nested", (_SK[0],)]
+        assert captured is kin[0].fields["nested"].entries[_SK[0]]
+        assert captured._cow
+        log.rollback(state)
+        state.write(("nested", (_SK[0], StringVal("x"))), uint(7))
+        assert [snapshot(s) for s in kin] == kin_before
 
 
 def test_release_truncates_only_below_oldest_outstanding_mark():
