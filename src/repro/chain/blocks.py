@@ -8,7 +8,7 @@ from .delta import StateDelta
 from .transaction import Transaction
 
 
-@dataclass
+@dataclass(slots=True)
 class Receipt:
     """Outcome of one transaction."""
 

@@ -12,8 +12,10 @@ commutative monoid of Sec. 2.3.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from itertools import takewhile
+from typing import NamedTuple
 
 from ..core.joins import (
     JoinKind, MergeConflict, apply_int_delta, int_delta,
@@ -24,8 +26,7 @@ from ..scilla.state import (
 from ..scilla.values import IntVal, MapVal, Value
 
 
-@dataclass(frozen=True)
-class DeltaEntry:
+class DeltaEntry(NamedTuple):
     """One changed state location in a shard's delta."""
 
     key: StateKey
@@ -99,12 +100,12 @@ def compute_delta(contract: str, shard: int, base: ContractState,
                 continue
             template = new if isinstance(new, IntVal) else old
             assert isinstance(template, IntVal)
-            delta.entries.append(DeltaEntry(key, kind, int_diff=diff,
-                                            template=template))
+            delta.entries.append(
+                DeltaEntry(key, kind, MISSING, diff, template))
         else:
             if _values_same(old, new):
                 continue
-            delta.entries.append(DeltaEntry(key, kind, new_value=new))
+            delta.entries.append(DeltaEntry(key, kind, new))
     return delta
 
 
@@ -126,13 +127,17 @@ def merge_deltas(base: ContractState,
     # ``merged``), resolved on the field's first one-key location
     # instead of two walks per entry; None for a field that is no map.
     leaves: dict[str, tuple | None] = {}
+    # Entries per field: the merge knows a field's write count before
+    # its first write, so a fold that is due happens first.
+    writes = Counter(entry.key[0] for delta in deltas
+                     for entry in delta.entries)
 
     def leaf(key: StateKey) -> tuple | None:
         name, keys = key
         if len(keys) != 1:
             return None
         if name not in leaves:
-            owned = owned_entries(merged, name)
+            owned = owned_entries(merged, name, writes[name])
             leaves[name] = None if owned is None else (
                 base.fields[name].entries, owned)
         return leaves[name]

@@ -38,9 +38,9 @@ def key_token(value: Value) -> str:
     (``repro.core.summary._const_repr``).
     """
     if isinstance(value, ByStrVal):
-        return f"{value.typ.name}|{value.hex}"
+        return f"{value.typ!s}|{value.hex}"
     if isinstance(value, IntVal):
-        return f"{value.typ.name}|{value.value}"
+        return f"{value.typ!s}|{value.value}"
     if isinstance(value, StringVal):
         return f"String|{value.value}"
     if isinstance(value, BNumVal):

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass
 
 from ..core.joins import JoinKind
 from ..scilla.values import (
@@ -395,8 +395,8 @@ class FaultInjector:
                         perturbed = _perturb_key(keys[0], step)
                         if perturbed is None:
                             break
-                        bads.append(replace(
-                            entry, key=(field, (perturbed,) + keys[1:])))
+                        bads.append(entry._replace(
+                            key=(field, (perturbed,) + keys[1:])))
                 # Join-kind forgery: claim the opposite merge semantics.
                 bads.append(self._flip_kind(entry))
                 for bad in bads:

@@ -37,11 +37,11 @@ from .transaction import Transaction
 
 def value_to_json(v: Value) -> Any:
     if isinstance(v, IntVal):
-        return {"t": v.typ.name, "v": str(v.value)}
+        return {"t": str(v.typ), "v": str(v.value)}
     if isinstance(v, StringVal):
         return {"t": "String", "v": v.value}
     if isinstance(v, ByStrVal):
-        return {"t": v.typ.name, "v": v.hex}
+        return {"t": str(v.typ), "v": v.hex}
     if isinstance(v, BNumVal):
         return {"t": "BNum", "v": str(v.value)}
     if isinstance(v, ADTVal):

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from ..scilla.values import pad_address
 from .mempool import (
     Mempool, MempoolConfig, PoolEntry, SubmitReceipt, TerminalKind,
 )
@@ -129,14 +130,17 @@ class ServiceLoop:
         """Admit one producer submission (and journal it)."""
         receipt = self.mempool.submit(tx)
         if receipt.admitted:
+            # Both tables are keyed by the canonical address, whatever
+            # spelling the submission used.
+            sender = pad_address(tx.sender)
             if self.config.auto_fund and \
-                    tx.sender not in self.net.accounts and \
-                    tx.sender not in self.net.contracts:
+                    sender not in self.net.accounts and \
+                    sender not in self.net.contracts:
                 # Unknown senders get a funded gas account at the door
                 # (a WAL-logged input, so resume re-creates it).  With
                 # population 10^5-10^6 this is what makes setup O(1)
                 # per *touched* sender instead of O(population).
-                self.net.create_account(tx.sender)
+                self.net.create_account(sender)
             queue = self.mempool.queues[tx.sender]
             self._admit_buffer.append(queue[-1])
         return receipt

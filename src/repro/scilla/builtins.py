@@ -215,7 +215,7 @@ def _fast_arith(op, impl: Impl):
             typ = a.typ
             if typ is b.typ or typ == b.typ:
                 value = op(a.value, b.value)
-                lo, hi = bounds[typ.name]
+                lo, hi = bounds[typ]
                 if lo <= value <= hi:
                     return IntVal.checked(value, typ)
         return impl([a, b])
@@ -233,11 +233,8 @@ def _fast_compare(op, impl: Impl):
 
 def _fast_eq(a: Value, b: Value) -> bool:
     cls = a.__class__
-    if cls is b.__class__:      # what the dataclass ``__eq__`` compares
-        if cls is ByStrVal:
-            return a.hex == b.hex and (a.typ is b.typ or a.typ == b.typ)
-        if cls is IntVal:
-            return a.value == b.value and (a.typ is b.typ or a.typ == b.typ)
+    if cls is b.__class__ and (cls is ByStrVal or cls is IntVal):
+        return a == b           # one tuple comparison, in C
     return _eq([a, b]) is TRUE
 
 

@@ -49,7 +49,7 @@ GAS_SEND_PER_MSG = 8
 GAS_EVENT = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutMsg:
     """An outgoing message emitted by ``send``."""
 
@@ -59,7 +59,7 @@ class OutMsg:
     params: tuple[tuple[str, Value], ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class TxContext:
     """Blockchain-provided context for one transition invocation."""
 
@@ -75,7 +75,7 @@ class TxContext:
             self.origin = self.sender
 
 
-@dataclass
+@dataclass(slots=True)
 class TransitionResult:
     success: bool
     gas_used: int

@@ -356,15 +356,15 @@ def owned_write(state: ContractState, log: WriteLog, key: StateKey,
     state.write(key, value)
 
 
-def owned_entries(state: ContractState, name: str):
+def owned_entries(state: ContractState, name: str, writes: int = 0):
     """The container one-key writes into map field ``name`` store into,
-    privatised — resolved once for a run of them (the FSD merge); None
-    when the field is not a map."""
+    privatised — resolved once for a run of ``writes`` of them (the FSD
+    merge); None when the field is not a map."""
     m = state.fields.get(name)
     if m.__class__ is not MapVal:
         return None
     if m._cow:
-        m._own()
+        m._own(writes)
     return m.entries
 
 

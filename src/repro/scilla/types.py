@@ -27,17 +27,27 @@ class ScillaType:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class PrimType(ScillaType):
-    """A primitive type such as ``Uint128`` or ``String``."""
+class PrimType(ScillaType, str):
+    """A primitive type such as ``Uint128`` or ``String``: its name, as
+    a ``str`` subclass, so that the type tag inside every runtime value
+    hashes and compares in C.  A ``PrimType`` therefore equals the plain
+    string of its name (and hashes like it); nothing in ``src/``
+    compares the two.  Unpickling goes through :func:`prim`, which keeps
+    ``a.typ is b.typ`` true across a process boundary."""
 
-    name: str
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        return hash(self.name)
+    def __new__(cls, name: str) -> "PrimType":
+        return str.__new__(cls, name)
 
-    def __str__(self) -> str:
-        return self.name
+    __str__ = str.__str__       # the plain string, without a Python frame
+    name = property(str.__str__)
+
+    def __repr__(self) -> str:
+        return f"PrimType(name={str.__repr__(self)})"
+
+    def __reduce__(self):
+        return prim, (str.__str__(self),)
 
 
 @dataclass(frozen=True)
@@ -185,7 +195,7 @@ _INT_BOUNDS: dict[str, tuple[int, int]] = {
 
 def int_bounds(t: ScillaType) -> tuple[int, int]:
     """Inclusive (min, max) representable values of an integer type."""
-    bounds = _INT_BOUNDS.get(t.name) if isinstance(t, PrimType) else None
+    bounds = _INT_BOUNDS.get(t) if isinstance(t, PrimType) else None
     if bounds is None:
         raise ValueError(f"not an integer type: {t}")
     return bounds

@@ -1,8 +1,9 @@
 """Runtime values for the Scilla definitional interpreter.
 
-Values are deliberately simple wrappers.  Primitive values are frozen
-(hashable, usable as map keys); maps are mutable dictionaries owned by
-the contract state.  Maps copy structurally (copy-on-write): a
+Values are deliberately simple wrappers.  The immutable data values
+are named tuples (hashed and compared in C, usable as map keys:
+docs/LANGUAGE.md, "Runtime values"); maps are mutable dictionaries
+owned by the contract state.  Maps copy structurally (copy-on-write): a
 ``copy()`` is O(1) and shares the entry container with its source;
 the first write through either side lays a small private overlay
 (:class:`OverlayDict`) over the shared, from then on frozen, entries
@@ -11,6 +12,7 @@ the first write through either side lays a small private overlay
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -26,57 +28,58 @@ class Value:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntVal(Value):
+class TupleValue(Value):
+    """Mixin of the six immutable data values, each a named tuple of its
+    fields: hashing, equality and allocation stay in C and no value
+    carries an instance dict.  None of them may define ``__hash__`` or
+    ``__eq__``; two values are equal iff their fields are (values of
+    two classes never are: arity or payload class differs).  Validation
+    lives in ``__new__``; only ``IntVal.checked`` and unpickling
+    (``_make``) go around it."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return self._make, (tuple(self),)
+
+
+class IntVal(namedtuple("IntVal", "value typ"), TupleValue):
     """A bounded signed/unsigned integer."""
 
-    value: int
-    typ: PrimType
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        lo, hi = ty.int_bounds(self.typ)
-        if not lo <= self.value <= hi:
-            raise EvalError(f"integer {self.value} out of bounds for {self.typ}")
+    def __new__(cls, value: int, typ: PrimType) -> "IntVal":
+        lo, hi = ty.int_bounds(typ)
+        if not lo <= value <= hi:
+            raise EvalError(f"integer {value} out of bounds for {typ}")
+        return tuple.__new__(cls, (value, typ))
 
     @classmethod
     def checked(cls, value: int, typ: PrimType) -> "IntVal":
         """An IntVal whose bounds the caller has already checked (the
         arithmetic builtins do, to raise their own error)."""
-        self = object.__new__(cls)
-        fields = self.__dict__
-        fields["value"] = value
-        fields["typ"] = typ
-        return self
-
-    # Payload-only: the generated hash builds a tuple and hashes the type.
-    def __hash__(self) -> int:
-        return hash(self.value)
+        return tuple.__new__(cls, (value, typ))
 
     def __str__(self) -> str:
         return f"{self.typ} {self.value}"
 
 
-@dataclass(frozen=True)
-class StringVal(Value):
-    value: str
+class StringVal(namedtuple("StringVal", "value"), TupleValue):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f'"{self.value}"'
 
 
-@dataclass(frozen=True)
-class ByStrVal(Value):
+class ByStrVal(namedtuple("ByStrVal", "hex typ"), TupleValue):
     """A byte string, stored as a ``0x…`` lowercase hex literal."""
 
-    hex: str
-    typ: PrimType
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.hex.startswith("0x"):
-            raise EvalError(f"malformed byte string {self.hex!r}")
-
-    def __hash__(self) -> int:
-        return hash(self.hex)
+    def __new__(cls, hex: str, typ: PrimType) -> "ByStrVal":
+        if not hex.startswith("0x"):
+            raise EvalError(f"malformed byte string {hex!r}")
+        return tuple.__new__(cls, (hex, typ))
 
     @property
     def nbytes(self) -> int:
@@ -86,24 +89,20 @@ class ByStrVal(Value):
         return self.hex
 
 
-@dataclass(frozen=True)
-class BNumVal(Value):
+class BNumVal(namedtuple("BNumVal", "value"), TupleValue):
     """A block number."""
 
-    value: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"BNum {self.value}"
 
 
-@dataclass(frozen=True)
-class ADTVal(Value):
+class ADTVal(namedtuple("ADTVal", "adt constructor targs args",
+                        defaults=((),)), TupleValue):
     """A saturated constructor application (Bool, Option, List, …)."""
 
-    adt: str
-    constructor: str
-    targs: tuple[ScillaType, ...]
-    args: tuple[Value, ...] = ()
+    __slots__ = ()
 
     def __str__(self) -> str:
         if not self.args:
@@ -260,17 +259,23 @@ class OverlayDict:
     def __delitem__(self, key: Value) -> None:
         self.pop(key)
 
-    def _fold_if_due(self) -> None:
+    def _fold_if_due(self, writes: int = 0) -> bool:
+        """Fold, and say so, once what is pending — plus ``writes`` the
+        caller is about to make — passes the threshold."""
         # Owned children stay in ``over`` across a fold, so they do not
         # count as pending (or one fold would trigger the next).
-        pending = len(self.over) + len(self.dead) - len(self.kids)
-        if pending > (len(self.base) // OVERLAY_FOLD_DIVISOR
-                      + OVERLAY_FOLD_SLACK):
+        pending = len(self.over) + len(self.dead) - len(self.kids) + writes
+        due = pending > (len(self.base) // OVERLAY_FOLD_DIVISOR
+                         + OVERLAY_FOLD_SLACK)
+        if due:
             self._fold()
+        return due
 
     def _fold(self) -> None:
         global OVERLAY_FOLDS, OVERLAY_FOLDED_ENTRIES
         flat = self._flat()
+        if flat is self.base:       # nothing pending: a fold ahead of writes
+            flat = flat.copy()
         OVERLAY_FOLDS += 1
         OVERLAY_FOLDED_ENTRIES += len(flat)
         over = self.over
@@ -342,17 +347,26 @@ class MapVal(Value):
         fork._cow = True
         return fork
 
-    def _own(self) -> None:
+    def _own(self, writes: int = 0) -> None:
         """Make this wrapper the sole writer of its entries: the shared
         container is left to the other holders and a private overlay
-        on it takes its place."""
+        on it takes its place.  A writer that knows how many ``writes``
+        it is about to make (the FSD merge) says so: when they would
+        fold the overlay anyway it folds first — one flat copy — and
+        the writes land in that plain private dict.  Never for a map
+        of maps: a flat copy shares the children an overlay copies up."""
         if self._cow:
             global COW_COPIES
             COW_COPIES += 1
             entries = self.entries
             private_copy = getattr(entries, "private_copy", None)
-            self.entries = (private_copy() if private_copy is not None
-                            else OverlayDict(entries))
+            entries = (private_copy() if private_copy is not None
+                       else OverlayDict(entries))
+            if (writes and entries.__class__ is OverlayDict
+                    and not isinstance(self.value_type, ty.MapType)
+                    and entries._fold_if_due(writes)):
+                entries = entries.base
+            self.entries = entries
             self._cow = False
 
     def put(self, key: Value, value: Value) -> None:
@@ -393,11 +407,10 @@ class TypeClosure(Value):
         return f"<tfun {self.tvar}>"
 
 
-@dataclass(frozen=True)
-class MsgVal(Value):
+class MsgVal(namedtuple("MsgVal", "fields"), TupleValue):
     """A message, event or exception record."""
 
-    fields: tuple[tuple[str, Value], ...]
+    __slots__ = ()
 
     def get(self, name: str) -> Value | None:
         for k, v in self.fields:

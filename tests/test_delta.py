@@ -5,7 +5,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from repro.core.joins import JoinKind, MergeConflict, int_delta
+from repro.core.joins import (
+    JoinKind, MergeConflict, apply_int_delta, int_delta,
+)
 from repro.chain.delta import (
     DeltaEntry, StateDelta, _values_same, compute_delta, merge_deltas,
 )
@@ -332,3 +334,108 @@ def test_fold_takes_the_prefix_pre_image_not_the_in_transaction_one():
         delta = compute_delta("0xc", 0, base, final, logs, {})
         assert delta.entries == [DeltaEntry(
             key, JoinKind.OWN_OVERWRITE, new_value=uint(2))]
+
+
+# -- the merge folds first: same state as the overlay path ----------------------
+
+def _ordered(value):
+    """A value with every map's entries in *iteration* order."""
+    if isinstance(value, MapVal):
+        return [(canonical(k), _ordered(v)) for k, v in value.entries.items()]
+    return canonical(value)
+
+
+def _image(state: ContractState) -> str:
+    return repr([(name, _ordered(v)) for name, v in state.fields.items()])
+
+
+def _merge_by_writes(base, deltas):
+    """``merge_deltas`` through the general write path, which never
+    announces its write count: every privatised map is an overlay."""
+    merged = base.copy()
+    sums: dict = {}
+    for delta in deltas:
+        for e in delta.entries:
+            if e.kind is JoinKind.INT_MERGE:
+                sums[e.key] = (sums.get(e.key, (0,))[0] + e.int_diff,
+                               e.template)
+            else:
+                merged.write(e.key, e.new_value)
+    for key, (diff, template) in sums.items():
+        merged.write(key, apply_int_delta(base.read(key), diff, template))
+    return merged
+
+
+def _fold_first_deltas(state, rng, n):
+    """Two shards' deltas of ``n`` entries per field: IntMerge into
+    ``bal`` (old and new keys, some from both shards), overwrites,
+    deletions and creations in ``own``, and in ``nest`` whole subtrees
+    replaced or deleted (one key) and entries beneath others (two)."""
+    def keys_of(name, fresh):
+        old = [k.value for k in state.fields[name].entries]
+        return rng.sample(old, n - fresh) + [
+            f"{name}{rng.randrange(10**9)}" for _ in range(fresh)]
+
+    shards = ([], [])
+    for k in keys_of("bal", n // 4):
+        for shard in rng.sample((0, 1), rng.choice((1, 1, 2))):
+            shards[shard].append(DeltaEntry(
+                ("bal", (StringVal(k),)), JoinKind.INT_MERGE,
+                int_diff=rng.randrange(1, 9), template=uint(0)))
+    for k in keys_of("own", n // 4):
+        gone = rng.random() < 0.3
+        shards[0].append(DeltaEntry(
+            ("own", (StringVal(k),)), JoinKind.OWN_OVERWRITE,
+            new_value=MISSING if gone else uint(rng.randrange(100))))
+    for i, k in enumerate(keys_of("nest", n // 4)):
+        if i % 2:
+            key, new = (StringVal(k), StringVal("x")), uint(i)
+        else:
+            key, new = (StringVal(k),), rng.choice(
+                (MISSING, _map({"y": i}), _map({})))
+        shards[1].append(DeltaEntry(("nest", key), JoinKind.OWN_OVERWRITE,
+                                    new_value=new))
+    return [StateDelta("0xc", shard, entries)
+            for shard, entries in enumerate(shards)]
+
+
+def test_merge_folds_first_into_the_state_the_overlay_path_builds():
+    import random
+    from repro.scilla import values
+    size = 400
+    limit = size // values.OVERLAY_FOLD_DIVISOR + values.OVERLAY_FOLD_SLACK
+    rng = random.Random(19)
+    names = [f"k{i}" for i in range(size)]
+    state = ContractState("0xc", {
+        "bal": _map({k: i for i, k in enumerate(names)}),
+        "own": _map({k: 1 for k in names}),
+        "nest": _map({k: _map({"x": 1}) for k in names},
+                     ty.MapType(ty.STRING, ty.UINT128)),
+    }, {"bal": ty.MapType(ty.STRING, ty.UINT128),
+        "own": ty.MapType(ty.STRING, ty.UINT128), "nest": NESTED})
+    want = state.copy()
+    # Below the threshold, above it (the shared container an overlay
+    # with pending writes), above it again (a plain dict), below.
+    for n in (limit // 3, limit + 30, limit + 30, limit // 3):
+        deltas = _fold_first_deltas(state, rng, n)
+        before = _image(state)
+        folds = values.OVERLAY_FOLDS, values.OVERLAY_FOLDED_ENTRIES
+        copies = values.COW_COPIES
+        merged, changed = merge_deltas(state, deltas)
+        got_copies = values.COW_COPIES - copies
+        folds = (values.OVERLAY_FOLDS - folds[0],
+                 values.OVERLAY_FOLDED_ENTRIES - folds[1])
+        assert changed == sum(len(d) for d in deltas)
+        assert _image(state) == before      # the parent, byte for byte
+        copies = values.COW_COPIES
+        want = _merge_by_writes(want, deltas)
+        assert got_copies == values.COW_COPIES - copies
+        assert _image(merged) == _image(want)
+        assert _image(state) == before
+        flat = [type(merged.fields[f].entries) is dict
+                for f in ("bal", "own", "nest")]
+        # A map of maps is never copied flat, whatever the count.
+        assert flat == [n > limit, n > limit, False]
+        if n > limit:
+            assert folds[0] >= 2 and folds[1] >= 2 * size
+        state = merged

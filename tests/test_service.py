@@ -12,10 +12,13 @@ from repro.chain.faults import FaultEvent, FaultKind, FaultPlan
 from repro.chain.mempool import AdmissionStatus, MempoolConfig
 from repro.chain.network import Network
 from repro.chain.service import ServiceConfig, ServiceLoop
+from repro.chain.transaction import payment
+from repro.chain.wal import read_wal
 from repro.cli import main
 from repro.eval.service import (
     format_service, iter_stream, run_service, write_stream,
 )
+from repro.scilla.values import pad_address
 from repro.workloads import ScaledFTTransfer
 
 # Small gas limits so a modest batch already saturates a lane and the
@@ -68,6 +71,34 @@ class TestServiceLoop:
         for tx in txs:
             loop.submit(tx)
         assert users <= set(net.accounts)
+
+    def test_auto_fund_funds_one_sender_once_whatever_its_spelling(
+            self, tmp_path):
+        # ``accounts`` is keyed by the canonical address: an upper-case
+        # or short spelling used to look unknown at every admission and
+        # was re-funded (a fresh 10^12 and one WAL record) each time.
+        for sender in ("0x" + "AB" * 20, "0x12"):
+            data_dir = tmp_path / sender
+            net = make_net(data_dir=data_dir)
+            loop = make_loop(net)
+            to = "0x" + "cd" * 20
+            before = net.wal.appends
+            balances = []
+            for nonce in range(1, 4):
+                assert loop.submit(
+                    payment(sender, to, 10**11, nonce)).admitted
+                assert loop.tick().committed == 1
+                balances.append(net.accounts[pad_address(sender)].balance)
+            fee = 10**12 - 10**11 - balances[0]
+            assert 0 <= fee < 10**6
+            assert balances == [10**12 - n * (10**11 + fee)
+                                for n in (1, 2, 3)]
+            assert net.accounts[to].balance == 3 * 10**11
+            net.wal.barrier()
+            funded = [r for r in read_wal(data_dir)[before:]
+                      if r.type == "account"]
+            assert [r.data["address"] for r in funded] == \
+                [pad_address(sender)]
 
     def test_idle_tick_charges_modeled_time(self):
         net = make_net()

@@ -1,5 +1,9 @@
 """Type-representation tests: substitution, bounds, storability."""
 
+import copy
+import json
+import pickle
+
 import pytest
 
 from repro.scilla import types as ty
@@ -26,6 +30,60 @@ def test_int_bounds():
 def test_int_bounds_rejects_non_int():
     with pytest.raises(ValueError):
         int_bounds(ty.STRING)
+
+
+def test_int_bounds_rejects_the_bare_name_and_other_types():
+    # A PrimType equals its name, but only a PrimType has bounds.
+    for not_a_prim in ("Uint128", TypeVar("Uint128"), ADTType("Uint128")):
+        with pytest.raises(ValueError):
+            int_bounds(not_a_prim)
+
+
+def test_prim_type_is_its_name_as_a_str():
+    # Hash and equality are ``str``'s own, so every type tag inside a
+    # runtime value hashes and compares in C (docs/LANGUAGE.md,
+    # "Runtime values"); re-adding a Python-level one must fail here.
+    assert PrimType.__hash__ is str.__hash__
+    assert PrimType.__eq__ is str.__eq__ and PrimType.__ne__ is str.__ne__
+    assert PrimType.__str__ is str.__str__
+    assert not hasattr(ty.UINT128, "__dict__")
+    fresh = PrimType(name="Uint128")
+    assert fresh is not ty.UINT128
+    assert fresh == ty.UINT128 and hash(fresh) == hash(ty.UINT128)
+    assert {ty.UINT128: "x"}[fresh] == "x"
+    assert ty.UINT128 != ty.UINT32 and ty.BYSTR != PrimType("ByStr1")
+    # The documented consequence: it equals the plain string too ...
+    assert ty.UINT128 == "Uint128" and hash(ty.UINT128) == hash("Uint128")
+    # ... but no other kind of type that happens to share the name.
+    assert ty.UINT128 != TypeVar("Uint128") and TypeVar("Uint128") != fresh
+    assert ty.UINT128 != ADTType("Uint128")
+    assert isinstance(ty.UINT128, ty.ScillaType)
+
+
+def test_prim_type_renders_as_the_dataclass_did():
+    t = ty.UINT128
+    assert repr(t) == "PrimType(name='Uint128')"
+    assert (str(t), f"{t}", "%s" % t, t.name) == ("Uint128",) * 4
+    assert type(t.name) is str and type(str(t)) is str
+    assert repr(MapType(ty.BYSTR20, t)) == (
+        "MapType(key=PrimType(name='ByStr20'), "
+        "value=PrimType(name='Uint128'))")
+    assert json.dumps({"t": str(t)}) == '{"t": "Uint128"}'
+
+
+def test_prim_types_unpickle_to_the_shared_instance():
+    for protocol in (2, pickle.HIGHEST_PROTOCOL):
+        for name, shared in ty._PRIMS.items():
+            assert pickle.loads(pickle.dumps(shared, protocol)) is shared
+            assert ty.prim(name) is shared
+        # Not a well-known name: equal, same class, nothing to share.
+        odd = pickle.loads(pickle.dumps(PrimType("ByStr7"), protocol))
+        assert odd == PrimType("ByStr7") and type(odd) is PrimType
+        nested = MapType(ty.BYSTR20, ADTType("Option", (ty.UINT128,)))
+        clone = pickle.loads(pickle.dumps(nested, protocol))
+        assert clone == nested and clone.key is ty.BYSTR20
+        assert clone.value.targs[0] is ty.UINT128
+    assert copy.deepcopy(ty.UINT64) is ty.UINT64
 
 
 def test_bystr_width():
