@@ -80,11 +80,6 @@ class LaneContractPayload:
     # the address needs to exist (payment-to-contract rejection and the
     # no-cross-contract-calls check), so an empty state ships.
     stub: bool = False
-    # Static transition footprints from deploy-time analysis (None when
-    # the contract deployed without a signature).  The speculative
-    # scheduler derives its lock sets from these, so workers need them
-    # too (repro.chain.speculate).
-    footprints: dict | None = None
 
 
 @dataclass
@@ -118,12 +113,6 @@ class LaneTask:
     # WorkerKilled.  The supervisor attaches it to first attempts only
     # and never to tasks it runs inline in the coordinator.
     worker_fault: tuple[str, float] | None = None
-    # Speculative intra-shard scheduling (repro.chain.speculate): the
-    # owning network's toggle and (batch, retries, workers) knobs.  The
-    # supervisor clears the toggle on rescue retries so a speculation
-    # failure is never replayed speculatively.
-    speculate: bool = False
-    spec_knobs: tuple[int, int, int] = (8, 3, 0)
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -379,7 +368,6 @@ def build_lane_task(net, lane: int, queue: list[Transaction],
             module=c.module if (ship_modules or not src) else None,
             state=c.state,                  # placeholder, replaced below
             signature=c.signature,
-            footprints=c.footprints,
         )
         txs = targeted.get(addr)
         plan = None
@@ -415,8 +403,6 @@ def build_lane_task(net, lane: int, queue: list[Transaction],
         nonce_used=nonce_used, nonce_last_lane=nonce_last_lane,
         runtime_cache=net._runtime_cache if ship_modules else None,
         metrics_enabled=net.metrics.enabled,
-        speculate=net.speculate,
-        spec_knobs=(net.spec_batch, net.spec_retries, net.spec_workers),
     )
 
 
@@ -499,23 +485,19 @@ def instantiate_lane_network(task: LaneTask, registry=None):
     # up its own page store per lane.
     net = Network(task.n_shards, use_signatures=task.use_signatures,
                   overflow_guard=task.overflow_guard, executor="serial",
-                  metrics=registry, speculate=task.speculate,
-                  state_backend="none")
-    net.spec_batch, net.spec_retries, net.spec_workers = task.spec_knobs
+                  metrics=registry, state_backend="none")
     net.epoch = task.epoch
     for addr, payload in task.contracts.items():
         if payload.stub:
             # Only the address must exist (payment-to-contract and
             # cross-contract-call checks); the lane never invokes it.
             net.contracts[addr] = DeployedContract(
-                addr, None, None, payload.state, payload.signature,
-                footprints=payload.footprints)
+                addr, None, None, payload.state, payload.signature)
             continue
         module, interp = _runtime_for(task.lane, payload,
                                       task.runtime_cache)
         net.contracts[addr] = DeployedContract(
-            addr, module, interp, payload.state, payload.signature,
-            footprints=payload.footprints)
+            addr, module, interp, payload.state, payload.signature)
     net.accounts = {
         addr: Account(addr, balance, dict(portions))
         for addr, (balance, portions) in task.accounts.items()}

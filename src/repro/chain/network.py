@@ -49,7 +49,6 @@ from .recovery import (
     ChangeLedger, DeltaViolation, NetworkCheckpoint, fingerprint_digest,
     validate_delta,
 )
-from .speculate import SpeculationError
 from .supervise import (
     BoundedLog, LaneFailureKind, LaneSupervisor, SuperviseConfig,
 )
@@ -71,13 +70,6 @@ _ENTRY_KEY = attrgetter("key")
 # oracle).  The default comes from the REPRO_EXECUTOR env var so a
 # whole test run can be pointed at a parallel path.
 EXECUTOR_STRATEGIES = ("serial", "thread", "process")
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ[name])
-    except (KeyError, ValueError):
-        return default
 
 
 @dataclass
@@ -324,36 +316,6 @@ class _NetworkMeters:
                                         deterministic=False)
         self.pipeline_overlap_ns = m.histogram(
             "pipeline.overlap_ns", NS_BUCKETS, deterministic=False)
-        self.pipeline_commit_deferrals = m.counter(
-            "pipeline.commit_deferrals", deterministic=False)
-        # Speculative intra-shard scheduling (repro.chain.speculate):
-        # window sizes, conflicts and aborts depend on queue shapes
-        # and the retry history, which the serial baseline never has —
-        # every instrument is non-deterministic by design (the
-        # deterministic telemetry subset stays byte-identical with
-        # speculation on or off; tests/test_speculative_differential
-        # is the oracle).
-        self.spec_batches = m.counter("spec.batches",
-                                      deterministic=False)
-        self.spec_attempts = m.counter("spec.attempts",
-                                       deterministic=False)
-        self.spec_commits = m.counter("spec.commits",
-                                      deterministic=False)
-        self.spec_conflicts = m.counter("spec.conflicts",
-                                        deterministic=False)
-        self.spec_aborts = m.counter("spec.aborts",
-                                     deterministic=False)
-        self.spec_retries = m.counter("spec.retries",
-                                      deterministic=False)
-        self.spec_serial_fallbacks = m.counter("spec.serial_fallbacks",
-                                               deterministic=False)
-        self.spec_rescues = m.counter("spec.rescues",
-                                      deterministic=False)
-        self.spec_batch_size = m.histogram(
-            "spec.batch_size", (1, 2, 4, 8, 16, 32),
-            deterministic=False)
-        self.spec_rollback_ns = m.histogram(
-            "spec.rollback_ns", NS_BUCKETS, deterministic=False)
         # Out-of-core state backend (repro.scilla.backend): fault,
         # eviction and writeback counts follow cache-residency history
         # (executor scheduling, payload shapes, prior epochs), and the
@@ -415,12 +377,10 @@ class Network:
                  keep_snapshots: int = 3,
                  crash_at_barrier: int | None = None,
                  crash_at_append: int | None = None,
-                 slice_payloads: bool | None = None,
+                 slice_payloads: bool = True,
                  lane_deadline_s: float | None = None,
                  supervise: SuperviseConfig | None = None,
-                 resident: bool | None = None,
-                 pipeline: bool | None = None,
-                 speculate: bool | None = None,
+                 resident: bool = True,
                  state_backend=None,
                  clock=None,
                  metrics=None,
@@ -436,9 +396,6 @@ class Network:
         # name.  A runtime choice like the executor strategy — results
         # are byte-identical either way (tests/test_slicing_differential
         # is the oracle) — so it is not part of the durable config.
-        if slice_payloads is None:
-            slice_payloads = \
-                os.environ.get("REPRO_SLICE_LANES", "1") != "0"
         self.slice_payloads = slice_payloads
         # Network-wide undo journal: every write to a globally-visible
         # contract state, and every account and nonce move, records its
@@ -485,41 +442,18 @@ class Network:
                 f"{EXECUTOR_STRATEGIES}")
         self.executor = executor
         self.lane_workers = lane_workers
+        if lane_workers is None and executor != "serial":
+            # A malformed REPRO_WORKERS raises here, at construction,
+            # not inside the supervisor's catch-all at the first epoch.
+            from ..core.parallel import default_workers
+            default_workers()
         # Resident shard workers (repro.chain.resident): long-lived
         # per-lane worker replicas holding installed shard state, fed
         # only transactions + merge-delta syncs per epoch.  Like the
         # executor and slicing, a pure runtime choice — results are
         # byte-identical either way (tests/test_resident_differential
-        # is the oracle) — defaulting on via REPRO_RESIDENT_LANES.
-        if resident is None:
-            resident = os.environ.get("REPRO_RESIDENT_LANES", "1") != "0"
+        # is the oracle) — on by default.
         self.resident = resident
-        # Epoch pipelining (opt-in via REPRO_PIPELINE): the commit
-        # record's fsync is deferred into the next epoch's input
-        # barrier, overlapping commit durability with dispatch.  Crash
-        # safety is unchanged — inputs are still fsynced before
-        # execution, and a lost trailing commit record only skips the
-        # replay digest check for that epoch, never loses inputs.
-        if pipeline is None:
-            pipeline = os.environ.get("REPRO_PIPELINE", "0") == "1"
-        self.pipeline = pipeline
-        # Speculative intra-shard scheduling (repro.chain.speculate,
-        # opt-in via REPRO_SPECULATE): footprint lock sets, sandboxed
-        # optimistic execution, in-order commit with exact conflict
-        # detection, bounded retries, strict-serial fallback.  A pure
-        # runtime choice — results are serial-equivalent by
-        # construction (tests/test_speculative_differential.py is the
-        # oracle) — so it is not part of the durable config.
-        if speculate is None:
-            speculate = os.environ.get("REPRO_SPECULATE", "0") == "1"
-        self.speculate = speculate
-        self.spec_batch = _env_int("REPRO_SPEC_BATCH", 8)
-        self.spec_retries = _env_int("REPRO_SPEC_RETRIES", 3)
-        self.spec_workers = _env_int("REPRO_SPEC_WORKERS", 0)
-        # Test hook: the last lane's private speculation journal, for
-        # the no-mark-leak property (tests/test_speculate_properties).
-        self._spec_last_journal = None
-        self._commit_barrier_pending = False
         self._resident_tracker = None
         if resident and self.executor != "serial":
             from .resident import ResidentTracker
@@ -528,15 +462,9 @@ class Network:
         # hung-worker watchdog, retry with backoff, and the executor
         # circuit-breaker ladder.  The deadline defaults to the cost
         # model's consensus timeout — the same bound after which the
-        # protocol declares a MicroBlock missing — with the
-        # REPRO_LANE_DEADLINE env var as a runtime override.  Like the
-        # executor itself this is a runtime choice, not durable config.
-        if lane_deadline_s is None:
-            env = os.environ.get("REPRO_LANE_DEADLINE", "")
-            try:
-                lane_deadline_s = float(env) if env else None
-            except ValueError:
-                lane_deadline_s = None
+        # protocol declares a MicroBlock missing — unless
+        # ``lane_deadline_s`` overrides it.  Like the executor itself
+        # this is a runtime choice, not durable config.
         if supervise is None:
             supervise = SuperviseConfig(
                 deadline_s=(lane_deadline_s if lane_deadline_s is not None
@@ -601,7 +529,7 @@ class Network:
         # entries to a pluggable row store, faulting them back on
         # demand.  Like the executor strategy a pure runtime choice —
         # results are byte-identical with or without a backend (the
-        # slicing/resident/speculative differentials are the oracle) —
+        # slicing/resident differentials are the oracle) —
         # defaulting off, opt-in via REPRO_STATE_BACKEND.  Created
         # after the durability attach so a WALError on a reused
         # data_dir never clobbers an existing backend file.
@@ -822,9 +750,6 @@ class Network:
         meters.wal_appends.inc()
         if barrier:
             meters.wal_barriers.inc()
-            # A WAL barrier fsyncs every earlier append, including a
-            # pipelined commit record whose own fsync was deferred.
-            self._commit_barrier_pending = False
 
     def wal_note(self, data) -> None:
         """Record a durable, application-level annotation (replayed on
@@ -840,11 +765,6 @@ class Network:
         if self.wal is None or self.store is None:
             return
         t0 = time.perf_counter_ns() if self.metrics.enabled else 0
-        if self._commit_barrier_pending:
-            # A pipelined commit record is still unflushed; the
-            # snapshot below must not claim durability past it.
-            self.wal.barrier()
-            self._commit_barrier_pending = False
         from .store import snapshot_network
         backend_obj = None
         if self.state_backend is not None and self.state_backend.external:
@@ -876,9 +796,6 @@ class Network:
 
     def close(self) -> None:
         if self.wal is not None:
-            if self._commit_barrier_pending:
-                self._commit_barrier_pending = False
-                self.wal.barrier()
             self.wal.close()
 
     def _config_obj(self):
@@ -1293,11 +1210,7 @@ class Network:
         self.epoch_tags[wal_tag] = self.epoch_tags.get(wal_tag, 0) + 1
         # The commit record pins the post-epoch fingerprint so replay
         # can detect divergence instead of silently continuing from a
-        # wrong state.  Under pipelining its fsync rides the *next*
-        # epoch's input barrier (or the next snapshot/close): a crash
-        # in the gap loses only this record, and replay re-executes the
-        # epoch from its durable inputs — it merely skips one digest
-        # check, never state.
+        # wrong state.
         if self.wal is not None and not self._replaying:
             # Only durable networks pay for the digest, and they pay
             # per changed location: the accumulators were advanced by
@@ -1306,10 +1219,7 @@ class Network:
                 "epoch": self.epoch,
                 "digest": self._ledger.digest(self),
                 "scheme": 1,
-            }, barrier=not self.pipeline)
-            if self.pipeline:
-                self._commit_barrier_pending = True
-                self._meters.pipeline_commit_deferrals.inc()
+            }, barrier=True)
         if self._resident_tracker is not None:
             # Push this epoch's merge-deltas to the resident replicas
             # asynchronously — the pipelining overlap: syncs apply in
@@ -1441,22 +1351,8 @@ class Network:
                 lane_deferred = lane_result.deferred
             else:
                 with self.tracer.span(f"lane {shard}"):
-                    try:
-                        mb, local_states, touched, lane_deferred = \
-                            self._run_lane(shard, queue, shard_limit)
-                    except SpeculationError as exc:
-                        # The speculative scheduler abandoned the lane
-                        # after restoring the pre-lane state — redo it
-                        # on the strict serial path (docs/SCHEDULER.md).
-                        self._meters.lane_failures[
-                            LaneFailureKind.SPECULATION].inc()
-                        self.executor_fallback_details.append(
-                            f"epoch {self.epoch}: lane {shard} "
-                            f"speculation abandoned ({exc}); redone "
-                            f"serially")
-                        mb, local_states, touched, lane_deferred = \
-                            self._run_lane(shard, queue, shard_limit,
-                                           speculate=False)
+                    mb, local_states, touched, lane_deferred = \
+                        self._run_lane(shard, queue, shard_limit)
                 lane_deltas = []
                 lane_balance = {}
                 for addr, local in local_states.items():
@@ -1599,22 +1495,8 @@ class Network:
 
     def _run_lane(self, lane: int, queue: list[Transaction],
                   gas_limit: int, use_global_state: bool = False,
-                  speculate: bool | None = None,
                   pre_states: dict | None = None):
-        """Execute a queue sequentially, as one shard (or the DS) does.
-
-        With speculation enabled the lane is handed to the optimistic
-        scheduler instead (repro.chain.speculate), which returns the
-        same quadruple with serial-equivalent contents.  The DS lane
-        (use_global_state) always runs serially: it executes directly
-        on merged global state, which the sandbox commit path does not
-        model — and it is the designated home of non-commuting work.
-        """
-        if speculate is None:
-            speculate = self.speculate
-        if speculate and not use_global_state and len(queue) > 1:
-            from .speculate import run_speculative_lane
-            return run_speculative_lane(self, lane, queue, gas_limit)
+        """Execute a queue sequentially, as one shard (or the DS) does."""
         mb = MicroBlock(shard=lane, epoch=self.epoch)
         local_states: dict[str, ContractState] = {}
         touched = defaultdict(list)   # contract -> successful write logs
@@ -1640,12 +1522,7 @@ class Network:
             receipt = self._execute(tx, lane, state_for, touched)
             mb.receipts.append(receipt)
             mb.gas_used += receipt.gas_used
-        self._record_lane(mb, t0)
-        return mb, local_states, touched, deferred
-
-    def _record_lane(self, mb: MicroBlock, t0: int) -> None:
-        """The ``lane.*`` meters, once per finished lane that started
-        at ``t0`` (an abandoned speculative lane records nothing)."""
+        # The lane.* meters: once per finished lane, not per receipt.
         meters, n, ok = self._meters, len(mb.receipts), mb.n_committed
         meters.lane_tx_executed.inc(n)
         meters.lane_tx_ok.inc(ok)
@@ -1655,6 +1532,7 @@ class Network:
             for receipt in mb.receipts:
                 meters.lane_gas_per_tx.observe(receipt.gas_used)
             meters.lane_exec_ns.observe(time.perf_counter_ns() - t0)
+        return mb, local_states, touched, deferred
 
     def _execute(self, tx: Transaction, lane: int, state_for,
                  touched: defaultdict) -> Receipt:

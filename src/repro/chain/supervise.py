@@ -52,7 +52,6 @@ from dataclasses import dataclass, replace as dc_replace
 
 from .faults import FaultKind, WorkerKilled
 from .lanes import LaneResult, build_lane_task, run_lane_task
-from .speculate import SpeculationError
 
 
 # --------------------------------------------------------------------------
@@ -65,7 +64,6 @@ class LaneFailureKind(enum.Enum):
     PICKLE = "pickle"                        # task or result not picklable
     FOOTPRINT_ESCAPE = "footprint-escape"    # lane wrote outside its slice
     POOL_BROKEN = "pool-broken"              # submit/pool-level failure
-    SPECULATION = "speculation"              # speculative lane abandoned
 
     def __str__(self) -> str:
         return self.value
@@ -76,9 +74,6 @@ class LaneFailureKind(enum.Enum):
 # FOOTPRINT_ESCAPE are deterministic properties of the payload — a
 # retry through the same pool cannot fix them, so they route straight
 # to the in-coordinator serial path without tripping anything.
-# SPECULATION behaves the same way: the abandoned lane restored its
-# pre-lane state, and the inline rescue reruns it with speculation
-# off, which cannot fail the same way again.
 INFRA_FAILURES = frozenset({
     LaneFailureKind.TIMEOUT, LaneFailureKind.WORKER_DEATH,
     LaneFailureKind.POOL_BROKEN,
@@ -247,8 +242,8 @@ class SuperviseConfig:
     """Tuning knobs of the lane supervisor (see docs/FAULTS.md)."""
 
     # Per-lane deadline for one pool attempt.  Network.__init__ defaults
-    # it to CostModel.microblock_timeout_s (REPRO_LANE_DEADLINE
-    # overrides).
+    # it to CostModel.microblock_timeout_s (its lane_deadline_s
+    # argument overrides).
     deadline_s: float = 12.0
     # Pool re-submissions per lane per epoch beyond the first attempt;
     # a lane still failing afterwards runs serially in the coordinator.
@@ -444,30 +439,21 @@ class LaneSupervisor:
             kill_process_pool, reset_process_pool, shared_process_pool,
             shared_thread_pool,
         )
-        cfg = self.config
         meters = net._meters
         ship_modules = strategy == "thread"
-        clock = self.clock
 
         worker_faults = (net.injector.worker_faults(net.epoch)
                          if net.injector is not None else {})
 
-        def make_task(lane, attempt, inject, sliced=True):
+        def make_task(lane, attempt):
             # A fresh snapshot per attempt: a timed-out thread attempt
             # may still be running, and must never share payload forks
             # or an interpreter with its replacement.
-            saved = net.slice_payloads
-            if not sliced:
-                net.slice_payloads = False
-            try:
-                task = build_lane_task(net, lane, queues[lane],
-                                       gas_limit,
-                                       ship_modules=ship_modules)
-            finally:
-                net.slice_payloads = saved
+            task = build_lane_task(net, lane, queues[lane], gas_limit,
+                                   ship_modules=ship_modules)
             if ship_modules and attempt > 0:
                 task.runtime_cache = {}
-            if inject and attempt == 0:
+            if attempt == 0:
                 kind = worker_faults.get(lane)
                 if kind is not None:
                     task.worker_fault = self._fault_payload(kind,
@@ -496,14 +482,14 @@ class LaneSupervisor:
             if round_no > 1:
                 delay = self.backoff_delay(net.epoch, round_no - 1)
                 meters.supervise_backoff_ms.observe(delay * 1000.0)
-                clock.sleep(delay)
+                self.clock.sleep(delay)
             pool = (shared_thread_pool(net.lane_workers) if ship_modules
                     else shared_process_pool(net.lane_workers))
             futures = {}
             failures: dict[int, LaneFailure] = {}
             for lane in sorted(pending):
                 try:
-                    task = make_task(lane, attempts[lane], inject=True)
+                    task = make_task(lane, attempts[lane])
                     if strategy == "process" and net.metrics.enabled:
                         meters.payload_bytes.inc(len(pickle.dumps(task)))
                     futures[lane] = pool.submit(run_lane_task, task)
@@ -517,67 +503,23 @@ class LaneSupervisor:
                         net.epoch, attempts[lane],
                         f"submit failed: {type(exc).__name__}: {exc!r}")
 
-            start = clock.monotonic()
-            deadline = start + cfg.deadline_s
-            hung = False
-            for lane in sorted(futures):
-                future = futures[lane]
-                remaining = max(0.0, deadline - clock.monotonic())
-                try:
-                    result = future.result(timeout=remaining)
-                except FutureTimeout:
-                    if ship_modules:
-                        # Dequeue a not-yet-started thread task.  For a
-                        # process pool the kill below reaps everything;
-                        # cancelling here would race its own reaper.
-                        future.cancel()
-                    hung = True
-                    failures[lane] = LaneFailure(
-                        lane, LaneFailureKind.TIMEOUT, strategy,
-                        net.epoch, attempts[lane],
-                        f"no result within {cfg.deadline_s:.3g}s")
-                except WorkerKilled as exc:
-                    failures[lane] = LaneFailure(
-                        lane, LaneFailureKind.WORKER_DEATH, strategy,
-                        net.epoch, attempts[lane], str(exc))
-                except BrokenExecutor as exc:
-                    failures[lane] = LaneFailure(
-                        lane, LaneFailureKind.WORKER_DEATH, strategy,
-                        net.epoch, attempts[lane],
-                        f"{type(exc).__name__}: {exc}")
-                except pickle.PickleError as exc:
-                    failures[lane] = LaneFailure(
-                        lane, LaneFailureKind.PICKLE, strategy,
-                        net.epoch, attempts[lane], repr(exc))
-                except SpeculationError as exc:
-                    # The worker's speculative scheduler abandoned the
-                    # lane after restoring its snapshot state; the
-                    # inline rescue reruns it with speculation off.
-                    failures[lane] = LaneFailure(
-                        lane, LaneFailureKind.SPECULATION, strategy,
-                        net.epoch, attempts[lane], str(exc))
-                except Exception as exc:
-                    failures[lane] = LaneFailure(
-                        lane, LaneFailureKind.POOL_BROKEN, strategy,
-                        net.epoch, attempts[lane],
-                        f"{type(exc).__name__}: {exc!r}")
+            replies = self._await_replies(net, strategy, futures,
+                                          attempts, failures)
+            for lane, result in replies.items():
+                if result.footprint_escapes:
+                    self._record(net, LaneFailure(
+                        lane, LaneFailureKind.FOOTPRINT_ESCAPE,
+                        strategy, net.epoch, attempts[lane],
+                        "; ".join(result.footprint_escapes)))
+                    inline[lane] = "footprint-escape"
                 else:
-                    if clock.monotonic() - start > cfg.deadline_s / 2:
-                        meters.slow_lanes.inc()
-                    if result.footprint_escapes:
-                        self._record(net, LaneFailure(
-                            lane, LaneFailureKind.FOOTPRINT_ESCAPE,
-                            strategy, net.epoch, attempts[lane],
-                            "; ".join(result.footprint_escapes)))
-                        inline[lane] = "footprint-escape"
-                    else:
-                        results[lane] = result
+                    results[lane] = result
 
             # Watchdog: reap a pool that a hang or death has wedged
             # before the retry round resubmits into it.
             if strategy == "process" and failures:
                 kinds = {f.kind for f in failures.values()}
-                if hung:
+                if LaneFailureKind.TIMEOUT in kinds:
                     kill_process_pool()
                     meters.pool_rebuilds.inc()
                 elif kinds & {LaneFailureKind.WORKER_DEATH,
@@ -586,26 +528,9 @@ class LaneSupervisor:
                     meters.pool_rebuilds.inc()
 
             pending = []
-            for lane in sorted(failures):
-                failure = failures[lane]
-                self._record(net, failure)
-                if failure.kind in INFRA_FAILURES:
-                    infra_seen = True
-                attempts[lane] += 1
-                if failure.kind is LaneFailureKind.PICKLE:
-                    inline[lane] = "pickle"    # a retry cannot fix it
-                    strike_failures[lane] = failure
-                elif failure.kind is LaneFailureKind.SPECULATION:
-                    # Straight to the serial-path rescue (speculation
-                    # off); no strike — the worker itself is healthy.
-                    inline[lane] = "speculation"
-                elif attempts[lane] <= cfg.max_lane_retries:
-                    meters.lane_retries.inc()
-                    pending.append(lane)
-                else:
-                    inline[lane] = "retries-exhausted"
-                    if failure.kind in INFRA_FAILURES:
-                        strike_failures[lane] = failure
+            if self._triage(net, failures, attempts, inline,
+                            strike_failures, pending):
+                infra_seen = True
 
         # Last resort: re-execute irrecoverable lanes serially in the
         # coordinator, from fresh fault-free snapshots.  Sibling lanes'
@@ -619,6 +544,84 @@ class LaneSupervisor:
         self._update_quarantine(net, lanes, strike_failures)
         self._finish_breakers(net, strategy, infra_seen)
         return results
+
+    def _await_replies(self, net, strategy, futures, attempts,
+                       failures) -> dict[int, object]:
+        """Collect one round's futures under the shared per-lane
+        deadline.
+
+        Returns ``{lane: reply}``, in lane order, for the lanes that
+        answered in time — what a reply means is the caller's business
+        — and classifies every other lane into ``failures``.
+        """
+        cfg = self.config
+        clock = self.clock
+        replies = {}
+        start = clock.monotonic()
+        deadline = start + cfg.deadline_s
+        for lane in sorted(futures):
+            future = futures[lane]
+            remaining = max(0.0, deadline - clock.monotonic())
+            try:
+                replies[lane] = future.result(timeout=remaining)
+            except FutureTimeout:
+                if strategy == "thread":
+                    # Dequeue a not-yet-started thread task.  For
+                    # processes the caller's kill (whole pool or slot)
+                    # reaps everything; cancelling here would race its
+                    # own reaper.
+                    future.cancel()
+                failures[lane] = LaneFailure(
+                    lane, LaneFailureKind.TIMEOUT, strategy,
+                    net.epoch, attempts[lane],
+                    f"no result within {cfg.deadline_s:.3g}s")
+            except WorkerKilled as exc:
+                failures[lane] = LaneFailure(
+                    lane, LaneFailureKind.WORKER_DEATH, strategy,
+                    net.epoch, attempts[lane], str(exc))
+            except BrokenExecutor as exc:
+                failures[lane] = LaneFailure(
+                    lane, LaneFailureKind.WORKER_DEATH, strategy,
+                    net.epoch, attempts[lane],
+                    f"{type(exc).__name__}: {exc}")
+            except pickle.PickleError as exc:
+                failures[lane] = LaneFailure(
+                    lane, LaneFailureKind.PICKLE, strategy,
+                    net.epoch, attempts[lane], repr(exc))
+            except Exception as exc:
+                failures[lane] = LaneFailure(
+                    lane, LaneFailureKind.POOL_BROKEN, strategy,
+                    net.epoch, attempts[lane],
+                    f"{type(exc).__name__}: {exc!r}")
+            else:
+                if clock.monotonic() - start > cfg.deadline_s / 2:
+                    net._meters.slow_lanes.inc()
+        return replies
+
+    def _triage(self, net, failures, attempts, inline, strike_failures,
+                pending) -> list[int]:
+        """Settle one round's failed lanes: record each, then send it
+        to the inline rescue (``inline``), back to the pool
+        (``pending``) or — when it never recovered — to the quarantine
+        strikes.  Returns the lanes that failed on infrastructure."""
+        infra = []
+        for lane in sorted(failures):
+            failure = failures[lane]
+            self._record(net, failure)
+            if failure.kind in INFRA_FAILURES:
+                infra.append(lane)
+            attempts[lane] += 1
+            if failure.kind is LaneFailureKind.PICKLE:
+                inline[lane] = "pickle"    # a retry cannot fix it
+                strike_failures[lane] = failure
+            elif attempts[lane] <= self.config.max_lane_retries:
+                net._meters.lane_retries.inc()
+                pending.append(lane)
+            else:
+                inline[lane] = "retries-exhausted"
+                if failure.kind in INFRA_FAILURES:
+                    strike_failures[lane] = failure
+        return infra
 
     def _inline_rescue(self, net, queues, gas_limit, strategy, inline,
                        attempts, results) -> bool:
@@ -643,9 +646,6 @@ class LaneSupervisor:
                 # Never share an interpreter with a pool attempt that
                 # may still be limping along in the background.
                 task.runtime_cache = {}
-            # Rescues always run the strict serial loop: a lane that
-            # already failed under speculation must not replay it.
-            task.speculate = False
             return task
 
         for lane in sorted(inline):
@@ -711,10 +711,8 @@ class LaneSupervisor:
             ResidentEpochTask, ResidentStale, build_install_task,
             run_resident_epoch,
         )
-        cfg = self.config
         meters = net._meters
         ship_modules = strategy == "thread"
-        clock = self.clock
         tracker = net._resident_tracker
 
         # Fold setup-time changes (create_account, deploy) into a
@@ -748,7 +746,7 @@ class LaneSupervisor:
                 if tracker.installed.get((strategy, lane)) != version:
                     force_install.add(lane)
 
-        def make_task(lane, attempt, inject):
+        def make_task(lane, attempt):
             install = None
             if lane in force_install:
                 install = build_install_task(net, lane, ship_modules)
@@ -760,7 +758,7 @@ class LaneSupervisor:
                 version=version, queue=queues[lane],
                 gas_limit=gas_limit, install=install,
                 metrics_enabled=net.metrics.enabled)
-            if inject and attempt == 0:
+            if attempt == 0:
                 kind = worker_faults.get(lane)
                 if kind is not None:
                     task.worker_fault = self._fault_payload(kind,
@@ -773,13 +771,12 @@ class LaneSupervisor:
             if round_no > 1:
                 delay = self.backoff_delay(net.epoch, round_no - 1)
                 meters.supervise_backoff_ms.observe(delay * 1000.0)
-                clock.sleep(delay)
+                self.clock.sleep(delay)
             futures = {}
             failures: dict[int, LaneFailure] = {}
-            stale_again: list[int] = []
             for lane in sorted(pending):
                 try:
-                    task = make_task(lane, attempts[lane], inject=True)
+                    task = make_task(lane, attempts[lane])
                     if strategy == "process" and net.metrics.enabled \
                             and task.install is not None:
                         meters.resident_install_bytes.inc(
@@ -796,72 +793,32 @@ class LaneSupervisor:
                         net.epoch, attempts[lane],
                         f"submit failed: {type(exc).__name__}: {exc!r}")
 
-            start = clock.monotonic()
-            deadline = start + cfg.deadline_s
-            for lane in sorted(futures):
-                future = futures[lane]
-                remaining = max(0.0, deadline - clock.monotonic())
-                try:
-                    result = future.result(timeout=remaining)
-                except FutureTimeout:
-                    if ship_modules:
-                        # Dequeue a not-yet-started thread task; the
-                        # slot kill below handles process slots.
-                        future.cancel()
-                    failures[lane] = LaneFailure(
-                        lane, LaneFailureKind.TIMEOUT, strategy,
-                        net.epoch, attempts[lane],
-                        f"no result within {cfg.deadline_s:.3g}s")
-                except WorkerKilled as exc:
-                    failures[lane] = LaneFailure(
-                        lane, LaneFailureKind.WORKER_DEATH, strategy,
-                        net.epoch, attempts[lane], str(exc))
-                except BrokenExecutor as exc:
-                    failures[lane] = LaneFailure(
-                        lane, LaneFailureKind.WORKER_DEATH, strategy,
-                        net.epoch, attempts[lane],
-                        f"{type(exc).__name__}: {exc}")
-                except pickle.PickleError as exc:
-                    failures[lane] = LaneFailure(
-                        lane, LaneFailureKind.PICKLE, strategy,
-                        net.epoch, attempts[lane], repr(exc))
-                except SpeculationError as exc:
-                    # The worker's speculative scheduler abandoned the
-                    # lane after restoring its snapshot state; the
-                    # inline rescue reruns it with speculation off.
-                    failures[lane] = LaneFailure(
-                        lane, LaneFailureKind.SPECULATION, strategy,
-                        net.epoch, attempts[lane], str(exc))
-                except Exception as exc:
-                    failures[lane] = LaneFailure(
-                        lane, LaneFailureKind.POOL_BROKEN, strategy,
-                        net.epoch, attempts[lane],
-                        f"{type(exc).__name__}: {exc!r}")
-                else:
-                    if clock.monotonic() - start > cfg.deadline_s / 2:
-                        meters.slow_lanes.inc()
-                    if isinstance(result, ResidentStale):
-                        # Restarted worker, evicted replica, or a sync
-                        # push that never landed: never wrong, just
-                        # behind.  One retry with an install attached;
-                        # a second stale means the slot is churning —
-                        # rescue inline and let the next epoch install.
-                        meters.resident_stale.inc()
-                        tracker.installed.pop((strategy, lane), None)
-                        net.executor_fallback_details.append(
-                            f"supervise: lane {lane} resident replica "
-                            f"stale (found v{result.found_version}, "
-                            f"want v{version}); reinstalling")
-                        if lane in stale_retried:
-                            inline[lane] = "resident-stale"
-                        else:
-                            stale_retried.add(lane)
-                            force_install.add(lane)
-                            meters.lane_retries.inc()
-                            stale_again.append(lane)
+            replies = self._await_replies(net, strategy, futures,
+                                          attempts, failures)
+            pending = []
+            for lane, result in replies.items():
+                if isinstance(result, ResidentStale):
+                    # Restarted worker, evicted replica, or a sync
+                    # push that never landed: never wrong, just
+                    # behind.  One retry with an install attached;
+                    # a second stale means the slot is churning —
+                    # rescue inline and let the next epoch install.
+                    meters.resident_stale.inc()
+                    tracker.installed.pop((strategy, lane), None)
+                    net.executor_fallback_details.append(
+                        f"supervise: lane {lane} resident replica "
+                        f"stale (found v{result.found_version}, "
+                        f"want v{version}); reinstalling")
+                    if lane in stale_retried:
+                        inline[lane] = "resident-stale"
                     else:
-                        results[lane] = result
-                        tracker.installed[(strategy, lane)] = version
+                        stale_retried.add(lane)
+                        force_install.add(lane)
+                        meters.lane_retries.inc()
+                        pending.append(lane)
+                else:
+                    results[lane] = result
+                    tracker.installed[(strategy, lane)] = version
 
             # Watchdog: reap wedged/broken *slots* (not the whole
             # pool), and forget every replica that lived in them.
@@ -887,30 +844,12 @@ class LaneSupervisor:
                                 and pool.slot_for(k[1]) in acted_slots]:
                         del tracker.installed[key]
 
-            pending = stale_again
-            for lane in sorted(failures):
-                failure = failures[lane]
-                self._record(net, failure)
-                if failure.kind in INFRA_FAILURES:
-                    infra_seen = True
-                    # Whatever the worker was holding is suspect.
-                    tracker.installed.pop((strategy, lane), None)
-                    force_install.add(lane)
-                attempts[lane] += 1
-                if failure.kind is LaneFailureKind.PICKLE:
-                    inline[lane] = "pickle"    # a retry cannot fix it
-                    strike_failures[lane] = failure
-                elif failure.kind is LaneFailureKind.SPECULATION:
-                    # Straight to the serial-path rescue (speculation
-                    # off); no strike — the worker itself is healthy.
-                    inline[lane] = "speculation"
-                elif attempts[lane] <= cfg.max_lane_retries:
-                    meters.lane_retries.inc()
-                    pending.append(lane)
-                else:
-                    inline[lane] = "retries-exhausted"
-                    if failure.kind in INFRA_FAILURES:
-                        strike_failures[lane] = failure
+            for lane in self._triage(net, failures, attempts, inline,
+                                     strike_failures, pending):
+                infra_seen = True
+                # Whatever the worker was holding is suspect.
+                tracker.installed.pop((strategy, lane), None)
+                force_install.add(lane)
 
         if not self._inline_rescue(net, queues, gas_limit, strategy,
                                    inline, attempts, results):

@@ -266,8 +266,7 @@ def cmd_chaos(args) -> int:
                        hang_rate=args.hang_rate,
                        kill_rate=args.kill_rate,
                        slow_rate=args.slow_rate,
-                       lane_deadline_s=args.lane_deadline,
-                       speculate=args.speculate)
+                       lane_deadline_s=args.lane_deadline)
     print(format_chaos_report(result))
     return 0 if (result.churn or result.consistent) else 1
 
@@ -517,9 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lane-deadline", type=float, default=None,
                    help="per-lane deadline in seconds (default: the "
                         "cost model's microblock timeout)")
-    p.add_argument("--speculate", action="store_true",
-                   help="enable the speculative intra-shard scheduler "
-                        "on the faulty run (baseline stays serial)")
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(

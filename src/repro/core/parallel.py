@@ -31,11 +31,22 @@ EXECUTORS = ("serial", "thread", "process")
 
 
 def default_workers() -> int:
-    """Worker count: ``REPRO_WORKERS`` env override, else CPU count."""
+    """Worker count: ``REPRO_WORKERS`` env override, else CPU count.
+
+    Unset or empty means no override; any other value must be a
+    positive integer (a typo must not silently become ``cpu_count``).
+    """
     env = os.environ.get("REPRO_WORKERS", "")
-    if env.isdigit() and int(env) > 0:
-        return int(env)
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers <= 0:
+        raise ValueError(
+            f"REPRO_WORKERS must be a positive integer, got {env!r}")
+    return workers
 
 
 # --------------------------------------------------------------------------

@@ -58,7 +58,6 @@ class ChaosResult:
     dead_lettered: int = 0
     churn: bool = False
     executor: str | None = None
-    speculate: bool = False
     # Registry snapshots of the two runs (repro.obs) — the recovery
     # counters the report prints, machine-readable.
     baseline_metrics: dict = dc_field(default_factory=dict)
@@ -87,12 +86,10 @@ def _run(workload: Workload, epochs: int,
          plan: FaultPlan | None, shards: int,
          metrics: MetricsRegistry | None = None,
          executor: str | None = None,
-         lane_deadline_s: float | None = None,
-         speculate: bool = False) -> Network:
+         lane_deadline_s: float | None = None) -> Network:
     net = Network(shards, carry_backlog=True, fault_plan=plan,
                   metrics=metrics, executor=executor,
-                  lane_deadline_s=lane_deadline_s,
-                  speculate=speculate)
+                  lane_deadline_s=lane_deadline_s)
     workload.setup(net)
     for epoch in range(epochs):
         net.process_epoch(workload.transactions(epoch))
@@ -109,8 +106,7 @@ def run_chaos(seed: int = 0, epochs: int = 5, shards: int = 4,
               executor: str | None = None,
               hang_rate: float = 0.0, kill_rate: float = 0.0,
               slow_rate: float = 0.0,
-              lane_deadline_s: float | None = None,
-              speculate: bool = False) -> ChaosResult:
+              lane_deadline_s: float | None = None) -> ChaosResult:
     """Run the fault-free and faulty networks and diff their ends.
 
     The plan's window is ``epochs + 2`` from epoch 1, so it also
@@ -124,11 +120,6 @@ def run_chaos(seed: int = 0, epochs: int = 5, shards: int = 4,
     ``lane_deadline_s`` makes hangs trip the watchdog quickly.  The
     baseline run stays fault-free and serial, so the verdict checks
     the supervised run against the strictest reference.
-
-    ``speculate`` enables the speculative intra-shard scheduler on the
-    *faulty* run only — the baseline stays strictly serial, so the
-    verdict also certifies the scheduler's serial equivalence under
-    injected faults.
     """
     cls = workload_by_name(workload)
     plan = FaultPlan.random(
@@ -141,8 +132,7 @@ def run_chaos(seed: int = 0, epochs: int = 5, shards: int = 4,
                     epochs, None, shards, metrics=baseline_reg)
     faulty = _run(cls(n_users=users, txns_per_epoch=txns, seed=seed),
                   epochs, plan, shards, metrics=faulty_reg,
-                  executor=executor, lane_deadline_s=lane_deadline_s,
-                  speculate=speculate)
+                  executor=executor, lane_deadline_s=lane_deadline_s)
 
     result = ChaosResult(
         seed=seed, epochs=epochs, shards=shards, workload=workload,
@@ -151,7 +141,6 @@ def run_chaos(seed: int = 0, epochs: int = 5, shards: int = 4,
         faulty_fp=network_fingerprint(faulty),
         churn=churn,
         executor=executor,
-        speculate=speculate,
         baseline_metrics=baseline_reg.snapshot(),
         faulty_metrics=faulty_reg.snapshot(),
     )
@@ -175,8 +164,6 @@ def run_chaos(seed: int = 0, epochs: int = 5, shards: int = 4,
 
 def format_chaos_report(result: ChaosResult) -> str:
     mode = f", executor {result.executor}" if result.executor else ""
-    if result.speculate:
-        mode += ", speculative scheduler"
     lines = [
         f"chaos report — seed {result.seed}, {result.epochs} epochs, "
         f"{result.shards} shards, workload {result.workload!r}{mode}",
@@ -219,18 +206,6 @@ def format_chaos_report(result: ChaosResult) -> str:
             lines.append("")
             lines.append("lane supervision (faulty run):")
             for name, value in supervise.items():
-                lines.append(f"  {name:32s} {value:>8d}")
-        # Speculative-scheduler activity (windows, conflicts, aborts).
-        # Same nonzero-only convention: with speculation off (the
-        # default) the report is byte-identical to older runs.
-        speculation = {
-            name: meter["value"]
-            for name, meter in sorted(faulty.items())
-            if name.startswith("spec.") and meter.get("value")}
-        if speculation:
-            lines.append("")
-            lines.append("speculation (faulty run):")
-            for name, value in speculation.items():
                 lines.append(f"  {name:32s} {value:>8d}")
     lines.append(f"consistency: {result.verdict}")
     return "\n".join(lines)

@@ -11,12 +11,6 @@ fixed shard/worker count:
   state (``Network(resident=True)``): a one-time install, then only
   the lane's transactions plus merge-deltas cross the boundary.
 
-A fourth, non-headline run re-times the resident configuration with
-the speculative intra-shard scheduler enabled
-(``Network(speculate=True)``) and records its per-workload window,
-conflict, abort and retry counters — the JSON artifact's
-``speculation`` block.
-
 The headline ``speedup`` is **fresh ÷ resident at equal worker
 counts** — the win attributable to resident state, measurable even on
 a single-core runner.  ``speedup_vs_serial`` is also recorded and is
@@ -74,9 +68,6 @@ class WorkloadTiming:
     serial_s: float
     fresh_s: float
     resident_s: float
-    speculative_s: float = 0.0
-    # spec.* counter values from the speculative run's registry.
-    spec_counters: dict[str, int] = dc_field(default_factory=dict)
 
     @property
     def speedup(self) -> float:
@@ -85,26 +76,6 @@ class WorkloadTiming:
     @property
     def speedup_vs_serial(self) -> float:
         return self.serial_s / self.resident_s if self.resident_s else 0.0
-
-    def _spec(self, name: str) -> int:
-        return self.spec_counters.get(f"spec.{name}", 0)
-
-    @property
-    def conflict_rate(self) -> float:
-        """Conflicted windows per formed window."""
-        batches = self._spec("batches")
-        return self._spec("conflicts") / batches if batches else 0.0
-
-    @property
-    def abort_rate(self) -> float:
-        """Aborted executions per speculative execution attempt."""
-        attempts = self._spec("attempts")
-        return self._spec("aborts") / attempts if attempts else 0.0
-
-    @property
-    def retry_rate(self) -> float:
-        attempts = self._spec("attempts")
-        return self._spec("retries") / attempts if attempts else 0.0
 
 
 @dataclass
@@ -176,35 +147,6 @@ class ParallelBenchResult:
             },
             "fallbacks": self.fallbacks,
             "resident": dict(sorted(self.resident_counters.items())),
-            "speculation": {
-                "note": ("resident lanes re-timed with the speculative "
-                         "intra-shard scheduler enabled; rates are "
-                         "conflicts/windows, aborts/attempts and "
-                         "retries/attempts"),
-                "workloads": [
-                    {
-                        "workload": r.workload,
-                        "speculative_s": round(r.speculative_s, 4),
-                        "batches": r._spec("batches"),
-                        "attempts": r._spec("attempts"),
-                        "commits": r._spec("commits"),
-                        "conflicts": r._spec("conflicts"),
-                        "aborts": r._spec("aborts"),
-                        "retries": r._spec("retries"),
-                        "serial_fallbacks": r._spec("serial_fallbacks"),
-                        "conflict_rate": round(r.conflict_rate, 4),
-                        "abort_rate": round(r.abort_rate, 4),
-                        "retry_rate": round(r.retry_rate, 4),
-                    }
-                    for r in self.rows
-                ],
-                "totals": {
-                    name: sum(r._spec(name) for r in self.rows)
-                    for name in ("batches", "attempts", "commits",
-                                 "conflicts", "aborts", "retries",
-                                 "serial_fallbacks")
-                },
-            },
         }
 
 
@@ -223,9 +165,7 @@ def _time_mode(cls: type[Workload], mode: str, n_users: int, txns: int,
                       metrics=registry)
     else:
         net = Network(n_shards, use_signatures=True, executor=executor,
-                      lane_workers=workers,
-                      resident=(mode in ("resident", "speculative")),
-                      speculate=(mode == "speculative"),
+                      lane_workers=workers, resident=(mode == "resident"),
                       metrics=registry)
     workload = cls(n_users=n_users, txns_per_epoch=txns, seed=11)
     workload.setup(net)
@@ -269,20 +209,10 @@ def run_parallel_bench(workers: int | None = None,
         resident_s, resident_net = _time_mode(cls, "resident", n_users,
                                               txns, epochs, n_shards,
                                               executor, effective)
-        spec_s, spec_net = _time_mode(cls, "speculative", n_users,
-                                      txns, epochs, n_shards,
-                                      executor, effective)
         result.fallbacks += fresh_net.executor_fallbacks
         result.fallbacks += resident_net.executor_fallbacks
-        result.fallbacks += spec_net.executor_fallbacks
-        spec_counters = {
-            name: payload["value"]
-            for name, payload
-            in spec_net.metrics.snapshot()["counters"].items()
-            if name.startswith("spec.")}
         result.rows.append(WorkloadTiming(
-            cls.name, n_users, txns, serial_s, fresh_s, resident_s,
-            speculative_s=spec_s, spec_counters=spec_counters))
+            cls.name, n_users, txns, serial_s, fresh_s, resident_s))
         counters = resident_net.metrics.snapshot()["counters"]
         for name, payload in counters.items():
             if name.startswith("lane.resident."):
@@ -315,16 +245,7 @@ def format_parallel_bench(result: ParallelBenchResult) -> str:
         "",
         f"  speedup (fresh/resident): {result.speedup:.2f}x",
         f"  speedup vs serial:        {result.speedup_vs_serial:.2f}x",
-        "",
-        "  speculative scheduler (resident lanes, speculation on):",
-        f"  {'workload':16s} {'spec':>9s} {'conflicts':>9s} "
-        f"{'aborts':>7s} {'abort%':>7s}",
     ]
-    for r in result.rows:
-        lines.append(
-            f"  {r.workload:16s} {r.speculative_s:>8.3f}s "
-            f"{r._spec('conflicts'):>9d} {r._spec('aborts'):>7d} "
-            f"{100 * r.abort_rate:>6.1f}%")
     if result.fallbacks:
         lines.append(
             f"  WARNING: {result.fallbacks} lane run(s) silently fell "

@@ -64,12 +64,19 @@ _IN_CHUNK = 400
 
 
 def _cache_limit_from_env() -> int:
+    """``REPRO_PAGE_CACHE`` if set (a positive integer, or an error:
+    a typo must not silently become the default), else the default."""
     raw = os.environ.get("REPRO_PAGE_CACHE", "")
+    if not raw:
+        return DEFAULT_PAGE_CACHE
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_PAGE_CACHE
-    return value if raw and value > 0 else DEFAULT_PAGE_CACHE
+        value = 0
+    if value <= 0:
+        raise ValueError(
+            f"REPRO_PAGE_CACHE must be a positive integer, got {raw!r}")
+    return value
 
 
 # --------------------------------------------------------------------------

@@ -429,10 +429,8 @@ class StateJournal:
     def entries(self) -> tuple:
         """Read-only view of the retained undo entries, oldest first.
 
-        The speculative scheduler reads a sandbox's private journal
-        through this to derive its exact write set, and the footprint
-        soundness oracle checks every entry against the static
-        analysis (tests/test_analysis_soundness.py).
+        The footprint soundness oracle checks every entry against
+        the static analysis (tests/test_analysis_soundness.py).
         """
         return tuple(self._entries)
 

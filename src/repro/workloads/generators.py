@@ -425,16 +425,15 @@ class Payments(Workload):
 
 
 class FTHammer(Workload):
-    """Single-key contention hammer: distinct senders all crediting
-    ONE shared recipient's ``balances`` entry.  Every pair of
-    transactions conflicts on that key, so the speculative scheduler
-    must measure a nonzero abort rate here — while staying
-    serial-equivalent (tests/test_speculate_contention.py)."""
+    """Single-key hammer: distinct senders all crediting ONE shared
+    recipient's ``balances`` entry.  The senders' home shards differ,
+    so every lane ``IntMerge``s the *same* key — the only workload
+    that does (an input of tests/test_parallel_equivalence.py)."""
 
     name = "FT hammer"
     contract_name = "FungibleToken"
     selection = ("Mint", "Transfer", "TransferFrom")
-    hot = "0x" + "07" * 20   # never a sender, so windows stay wide
+    hot = "0x" + "07" * 20   # never a sender
 
     def contract_params(self) -> dict[str, Value]:
         return {
@@ -464,49 +463,6 @@ class FTHammer(Workload):
         return out
 
 
-class FTDisjoint(Workload):
-    """The hammer's commuting twin: the first half of the users each
-    send to a private recipient in the second half, so every lock set
-    in a lane is pairwise disjoint and the speculative scheduler must
-    commit with zero aborts (the other direction of the conflict
-    oracle)."""
-
-    name = "FT disjoint"
-    contract_name = "FungibleToken"
-    selection = ("Mint", "Transfer", "TransferFrom")
-
-    def contract_params(self) -> dict[str, Value]:
-        return {
-            "contract_owner": addr(self.admin), "name": StringVal("Two"),
-            "symbol": StringVal("TWO"), "decimals": IntVal(6, ty.UINT32),
-            "init_supply": uint(0),
-        }
-
-    def prepare(self, net: Network) -> None:
-        txns = [
-            call(self.admin, self.contract_addr, "Mint",
-                 {"recipient": addr(u), "amount": uint(10**9)},
-                 nonce=self.next_nonce(self.admin))
-            for u in self.users
-        ]
-        net.process_epoch(txns, unlimited=True)
-        net.blocks.pop()
-
-    def transactions(self, epoch: int) -> list[Transaction]:
-        half = max(1, self.n_users // 2)
-        out = []
-        for k in range(self.txns_per_epoch):
-            i = k % half
-            sender = self.users[i]
-            to = self.users[half + i] if half + i < self.n_users \
-                else self.users[i]
-            out.append(call(
-                sender, self.contract_addr, "Transfer",
-                {"to": addr(to), "amount": uint(1)},
-                nonce=self.next_nonce(sender)))
-        return out
-
-
 ALL_WORKLOADS: list[type[Workload]] = [
     FTFund, FTTransfer, CFDonate, NFTMint, NFTTransfer,
     ProofIPFSRegister, UDBestow, UDConfig,
@@ -515,9 +471,7 @@ ALL_WORKLOADS: list[type[Workload]] = [
 # Workloads registered outside the Fig. 14 battery (the service-mode
 # scale workload lives in repro.workloads.scale); resolvable by name
 # without enlarging every ALL_WORKLOADS-driven differential battery.
-# The contention pair guards both directions of the speculative
-# scheduler's conflict detection (docs/SCHEDULER.md).
-EXTRA_WORKLOADS: list[type[Workload]] = [FTHammer, FTDisjoint]
+EXTRA_WORKLOADS: list[type[Workload]] = [FTHammer]
 
 
 def workload_by_name(name: str) -> type[Workload]:

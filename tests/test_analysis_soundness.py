@@ -228,13 +228,13 @@ def test_corpus_comm_marked_writes_commute_under_random_pairs():
 
 # -- corpus-wide footprint oracle against the StateJournal ---------------------
 #
-# The speculative scheduler (repro.chain.speculate) derives its lock
-# sets from ``transition_footprints`` at exactly this granularity: a
-# whole-field token, or a (field, first-map-key) token.  Its soundness
-# axiom is that every location a transition touches at runtime falls
-# inside that static over-approximation — checked here end-to-end over
-# the whole corpus, against the same StateJournal entries the sandbox
-# commit path reads, rather than hand-picked transitions.
+# Lane payload slicing (repro.chain.lanes) ships state by
+# ``transition_footprints`` at exactly this granularity: a whole-field
+# token, or a (field, first-map-key) token.  Its soundness axiom is
+# that every location a transition touches at runtime falls inside
+# that static over-approximation — checked here end-to-end over the
+# whole corpus, against the StateJournal's own entries, rather than
+# hand-picked transitions.
 
 
 def _synth_value(t, probe_addr):
@@ -266,8 +266,8 @@ def _synth_value(t, probe_addr):
 
 
 def _footprint_tokens(pfs, args, sender, immutables, this_address):
-    """The (field, first-key-token) lock tokens the scheduler would
-    derive — ``(field, None)`` is the whole-field token."""
+    """The (field, first-key-token) tokens of a static footprint —
+    ``(field, None)`` is the whole-field token."""
     from repro.chain.lanes import _value_from_token
     from repro.scilla.values import ByStrVal
     tokens = set()
@@ -298,13 +298,9 @@ def _footprint_tokens(pfs, args, sender, immutables, this_address):
 
 
 def test_corpus_journal_writes_fall_inside_static_footprints():
-    """Every StateJournal write/balance entry recorded while running
-    the corpus transitions lies inside ``transition_footprints`` —
-    the axiom the speculative lock sets rest on."""
-    from types import SimpleNamespace
-
+    """Every StateJournal write entry recorded while running the
+    corpus transitions lies inside ``transition_footprints``."""
     from repro.chain.lanes import transition_footprints
-    from repro.chain.speculate import transition_sends
     from repro.scilla.state import StateJournal
     from repro.scilla.errors import ScillaError
 
@@ -331,7 +327,6 @@ def test_corpus_journal_writes_fall_inside_static_footprints():
             continue   # init expressions reject the synthetic params
         deployed += 1
         footprints = transition_footprints(analyze_module(module))
-        send_scan = SimpleNamespace(module=module)
         for comp in module.contract.transitions:
             args = {p.name: _synth_value(p.typ, probe)
                     for p in comp.params}
@@ -353,11 +348,7 @@ def test_corpus_journal_writes_fall_inside_static_footprints():
                 continue   # ⊤ summary: everything is covered
             tokens = _footprint_tokens(pfs, args, probe,
                                        state.immutables, "0xc0")
-            balance_olds = []
             for entry in journal.entries:
-                if entry[0] == "balance":
-                    balance_olds.append(entry[2])
-                    continue
                 if entry[0] != "write":
                     continue
                 _, _st, (fld, keys), _old = entry
@@ -372,15 +363,6 @@ def test_corpus_journal_writes_fall_inside_static_footprints():
                         f"{name}.{comp.name} wrote {fld}"
                         f"{[str(k) for k in keys]} outside its "
                         f"static footprint")
-            # Balance soundness: a decrease (payout) requires the
-            # transition body to contain a send — the condition under
-            # which the scheduler takes the contract-balance lock.
-            seq = balance_olds + [state.balance]
-            decreased = any(a > b for a, b in zip(seq, seq[1:]))
-            if decreased and not transition_sends(send_scan, comp.name):
-                violations.append(
-                    f"{name}.{comp.name} decreased the contract "
-                    f"balance without a send in its body")
     assert not violations, "\n".join(violations)
     # Vacuity floor: the corpus-wide sweep must actually exercise the
     # corpus, not skip its way to green.

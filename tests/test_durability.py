@@ -8,6 +8,7 @@ reproduce their recorded commits.
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,26 @@ def test_resume_after_torn_tail_drops_the_torn_epoch(tmp_path):
     assert resumed.epoch_tags == {"epoch": 1, "measure": 2}
     assert network_fingerprint(resumed) == network_fingerprint(net)
     resumed.close()
+
+
+def test_commit_record_is_on_disk_when_the_epoch_returns(tmp_path):
+    """A crash right after ``process_epoch`` returns — the data dir
+    copied while the log is still open, no close and no later barrier
+    — finds the epoch's commit record: the commit append carries its
+    own fsync, so an epoch costs two barriers (inputs, commit)."""
+    live, image = tmp_path / "live", tmp_path / "image"
+    net = build_and_run(epochs=1, data_dir=live, snapshot_every=10**9)
+    barriers = net.wal.barriers
+    net.process_epoch(transfer_round(nonce=2), wal_tag="measure")
+    assert net.wal.barriers == barriers + 2
+    shutil.copytree(live, image)
+    last = read_wal(image)[-1]
+    assert (last.type, last.data["epoch"]) == ("commit", net.epoch)
+    resumed = Network.resume(str(image))
+    assert resumed.epoch_tags == {"epoch": 1, "measure": 2}
+    assert network_fingerprint(resumed) == network_fingerprint(net)
+    resumed.close()
+    net.close()
 
 
 def test_replay_rejects_divergent_commit_digest(tmp_path):

@@ -284,3 +284,41 @@ def test_tps_zero_when_no_time():
     block = FinalBlock(epoch=1)
     assert block.tps == 0.0
     assert block.n_committed == 0
+
+
+def _paged_dict():
+    from repro.scilla.backend import MemoryBackend, PagedDict
+    return PagedDict.adopt(MemoryBackend(), {})
+
+
+# What first reads each variable.
+ENV_KNOB_READERS = {
+    "REPRO_EXECUTOR": lambda: Network(2),
+    "REPRO_STATE_BACKEND": lambda: Network(2),
+    "REPRO_WORKERS": lambda: Network(2, executor="thread"),
+    "REPRO_PAGE_CACHE": _paged_dict,
+}
+
+
+@pytest.mark.parametrize("name, value, error", [
+    pytest.param(name, value, error, id=f"{name}={value}")
+    for name, value, error in [
+        ("REPRO_EXECUTOR", "foo", "unknown executor"),
+        ("REPRO_STATE_BACKEND", "foo", "unknown state backend"),
+        ("REPRO_WORKERS", "two", "REPRO_WORKERS must be"),
+        ("REPRO_WORKERS", "0", "REPRO_WORKERS must be"),
+        ("REPRO_WORKERS", "-1", "REPRO_WORKERS must be"),
+        ("REPRO_PAGE_CACHE", "4k", "REPRO_PAGE_CACHE must be"),
+        ("REPRO_PAGE_CACHE", "0", "REPRO_PAGE_CACHE must be"),
+        # Empty means unset: the default applies.
+        ("REPRO_WORKERS", "", None),
+        ("REPRO_PAGE_CACHE", "", None),
+    ]])
+def test_env_knobs_reject_malformed_values(monkeypatch, name, value,
+                                           error):
+    monkeypatch.setenv(name, value)
+    if error is None:
+        ENV_KNOB_READERS[name]()
+        return
+    with pytest.raises(ValueError, match=f"{error}.*{value!r}"):
+        ENV_KNOB_READERS[name]()

@@ -19,8 +19,11 @@ import pytest
 from repro.chain.faults import FaultPlan
 from repro.chain.network import EXECUTOR_STRATEGIES, Network
 from repro.chain.recovery import network_fingerprint
-from repro.workloads.generators import ALL_WORKLOADS
+from repro.workloads.generators import ALL_WORKLOADS, FTHammer
 
+# The Fig. 14 battery plus the hot-key hammer: the one workload whose
+# every lane IntMerges the same ``balances`` entry.
+WORKLOADS = ALL_WORKLOADS + [FTHammer]
 N_SHARDS = 4
 EPOCHS = 3
 PARALLEL = tuple(s for s in EXECUTOR_STRATEGIES if s != "serial")
@@ -63,8 +66,8 @@ def _observe(workload_cls, executor: str, fault_seed: int | None):
 
 
 @pytest.mark.parametrize("executor", PARALLEL)
-@pytest.mark.parametrize("workload_cls", ALL_WORKLOADS,
-                         ids=[c.__name__ for c in ALL_WORKLOADS])
+@pytest.mark.parametrize("workload_cls", WORKLOADS,
+                         ids=[c.__name__ for c in WORKLOADS])
 def test_parallel_matches_serial(workload_cls, executor):
     serial, _ = _observe(workload_cls, "serial", fault_seed=None)
     parallel, net = _observe(workload_cls, executor, fault_seed=None)
@@ -76,8 +79,8 @@ def test_parallel_matches_serial(workload_cls, executor):
 
 
 @pytest.mark.parametrize("executor", PARALLEL)
-@pytest.mark.parametrize("workload_cls", ALL_WORKLOADS,
-                         ids=[c.__name__ for c in ALL_WORKLOADS])
+@pytest.mark.parametrize("workload_cls", WORKLOADS,
+                         ids=[c.__name__ for c in WORKLOADS])
 def test_parallel_matches_serial_under_faults(workload_cls, executor):
     serial, _ = _observe(workload_cls, "serial", fault_seed=11)
     parallel, _ = _observe(workload_cls, executor, fault_seed=11)

@@ -320,10 +320,8 @@ def test_fig14_incremental_matches_scratch_every_epoch(tmp_path, cls):
     resumed.close()
 
 
-@pytest.mark.parametrize("leg", [{"executor": "process"},
-                                 {"executor": "serial",
-                                  "speculate": True}],
-                         ids=["process", "speculate"])
+@pytest.mark.parametrize("leg", [{"executor": "process"}],
+                         ids=["process"])
 def test_fig14_incremental_matches_scratch_other_modes(tmp_path, leg):
     # UD config: sharded and DS-routed traffic on nested state.
     cls = next(c for c in ALL_WORKLOADS if c.name == "UD config")
