@@ -6,7 +6,9 @@ as a deterministic simulator that really executes every transaction
 through the Scilla interpreter.
 """
 
-from .blocks import FinalBlock, MicroBlock, Receipt
+from .blocks import (
+    BlockBodyReleased, BlockHeader, FinalBlock, MicroBlock, Receipt,
+)
 from .consensus import CostModel, DEFAULT_COST_MODEL
 from .delta import DeltaEntry, StateDelta, compute_delta, merge_deltas
 from .dispatch import (
@@ -39,7 +41,8 @@ from .wal import (
 )
 
 __all__ = [
-    "FinalBlock", "MicroBlock", "Receipt",
+    "BlockBodyReleased", "BlockHeader", "FinalBlock", "MicroBlock",
+    "Receipt",
     "CostModel", "DEFAULT_COST_MODEL",
     "DeltaEntry", "StateDelta", "compute_delta", "merge_deltas",
     "DS", "DeployedSignature", "DispatchDecision", "Dispatcher",

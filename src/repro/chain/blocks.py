@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 from .delta import StateDelta
 from .transaction import Transaction
@@ -35,13 +35,28 @@ class MicroBlock:
         return sum(1 for r in self.receipts if r.success)
 
 
+# How many of its newest blocks a network keeps whole; older entries of
+# ``Network.blocks`` are headers.  Chosen by measurement (EXPERIMENTS.md
+# E12: 2 beats 4, 16 and 64 on wall clock, collector share and peak RSS
+# alike — a body freed while still cache-warm is cheaper to free).
+BODY_WINDOW = 2
+
+
+class BlockBodyReleased(LookupError):
+    """The receipts and deltas of a block the network no longer keeps.
+
+    MicroBlocks and StateDeltas are messages of one epoch (Fig. 10):
+    once merged, only the state carries forward.  A caller that needs a
+    block's receipts later keeps the block ``process_epoch`` returned.
+    """
+
+
 @dataclass
-class FinalBlock:
-    """The DS committee's combination of all MicroBlocks (FB + FSD)."""
+class BlockHeader:
+    """What a network keeps of every FinalBlock: the epoch's statistics
+    and fault record, a few objects however many transactions it held."""
 
     epoch: int
-    microblocks: list[MicroBlock] = dc_field(default_factory=list)
-    ds_receipts: list[Receipt] = dc_field(default_factory=list)
     merged_locations: int = 0
     epoch_seconds: float = 0.0
     stats: object = None  # EpochStats: dispatch routing breakdown
@@ -57,6 +72,36 @@ class FinalBlock:
     tag: str = "epoch"
 
     @property
+    def n_committed(self) -> int:
+        """The committed count, as stored at commit."""
+        return self.stats.committed if self.stats is not None else 0
+
+    @property
+    def tps(self) -> float:
+        if self.epoch_seconds <= 0:
+            return 0.0
+        return self.n_committed / self.epoch_seconds
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails: on a bare header, for
+        # the body a FinalBlock carries as instance attributes.
+        if name in ("microblocks", "ds_receipts", "all_receipts"):
+            raise BlockBodyReleased(
+                f"epoch {self.epoch}: {name} released — a network keeps "
+                f"the bodies of its newest {BODY_WINDOW} blocks; keep "
+                f"the block process_epoch returned to read it later")
+        raise AttributeError(name)
+
+
+@dataclass
+class FinalBlock(BlockHeader):
+    """The DS committee's combination of all MicroBlocks (FB + FSD):
+    a header plus the epoch's body."""
+
+    microblocks: list[MicroBlock] = dc_field(default_factory=list)
+    ds_receipts: list[Receipt] = dc_field(default_factory=list)
+
+    @property
     def all_receipts(self) -> list[Receipt]:
         out: list[Receipt] = []
         for mb in self.microblocks:
@@ -64,12 +109,7 @@ class FinalBlock:
         out.extend(self.ds_receipts)
         return out
 
-    @property
-    def n_committed(self) -> int:
-        return sum(1 for r in self.all_receipts if r.success)
-
-    @property
-    def tps(self) -> float:
-        if self.epoch_seconds <= 0:
-            return 0.0
-        return self.n_committed / self.epoch_seconds
+    def header(self) -> BlockHeader:
+        """This block without its body, sharing the header's values."""
+        return BlockHeader(*(getattr(self, f.name)
+                             for f in fields(BlockHeader)))

@@ -205,8 +205,13 @@ def _shards_merging(deltas: list[StateDelta], key: StateKey,
 
 
 def _item_sort(item):
+    """Field name, then the key path as strings: flat, which orders as
+    the nested ``(name, (str, ...))`` does, and without a generator for
+    the one-key paths that are nearly all of them."""
     name, keys = item[0]
-    return (name, tuple(str(k) for k in keys))
+    if len(keys) == 1:
+        return name, str(keys[0])
+    return name, *[str(k) for k in keys]
 
 
 def _values_same(a: Value | _Missing, b: Value | _Missing) -> bool:

@@ -39,7 +39,9 @@ from ..scilla.state import ContractState, StateJournal
 from ..scilla import values as scilla_values
 from ..scilla.values import ByStrVal, IntVal, MapVal, Value
 from ..scilla import types as ty
-from .blocks import FinalBlock, MicroBlock, Receipt
+from .blocks import (
+    BODY_WINDOW, BlockHeader, FinalBlock, MicroBlock, Receipt,
+)
 from .consensus import DEFAULT_COST_MODEL, CostModel
 from .delta import StateDelta, compute_delta, merge_deltas
 from .dispatch import DS, REASON_KINDS, DeployedSignature, Dispatcher, _pad
@@ -409,7 +411,10 @@ class Network:
         self.nonces = NonceTracker(strict=strict_nonces)
         self.nonces.journal = self.journal
         self.epoch = 0
-        self.blocks: list[FinalBlock] = []
+        # One entry per epoch, for reporting: the newest BODY_WINDOW
+        # are the FinalBlocks process_epoch returned, older ones their
+        # headers — receipts and deltas do not outlive their epoch here.
+        self.blocks: list[BlockHeader] = []
         # Opt-in mempool: transactions deferred by a lane's gas limit
         # are retried in later epochs instead of being dropped, with
         # per-transaction backoff (retry_backoff ** retries epochs,
@@ -1206,7 +1211,15 @@ class Network:
             with_cosplit=self.use_signatures,
             timeouts=len(excluded),
         )
-        self.blocks.append(block)
+        # The list entry leaving the body window becomes its header;
+        # the block that was returned for it is never touched.  (After
+        # a caller's ``blocks.pop()`` that entry is a header already.)
+        blocks = self.blocks
+        blocks.append(block)
+        if len(blocks) > BODY_WINDOW:
+            aged = blocks[-1 - BODY_WINDOW]
+            if type(aged) is FinalBlock:
+                blocks[-1 - BODY_WINDOW] = aged.header()
         self.epoch_tags[wal_tag] = self.epoch_tags.get(wal_tag, 0) + 1
         # The commit record pins the post-epoch fingerprint so replay
         # can detect divergence instead of silently continuing from a
@@ -1281,10 +1294,11 @@ class Network:
         ds_queue: list[Transaction] = []
         recovered: list[Transaction] = []
         with self.tracer.span("dispatch"):
+            dispatch, reasons = self.dispatcher.dispatch, stats.reasons
             for tx in incoming:
-                decision = self.dispatcher.dispatch(tx)
+                decision = dispatch(tx)
                 shard, kind = decision.shard, decision.kind
-                stats.reasons[kind] = stats.reasons.get(kind, 0) + 1
+                reasons[kind] = reasons.get(kind, 0) + 1
                 if shard == DS:
                     ds_queue.append(tx)
                 else:
@@ -1592,8 +1606,7 @@ class Network:
 
         for contract, _, log in chain.logs:
             touched[contract.address].append(log)
-        return Receipt(tx, True, chain.gas_used, lane,
-                       events=chain.events)
+        return Receipt(tx, True, chain.gas_used, lane, None, chain.events)
 
     # -- reporting ----------------------------------------------------------------
 
@@ -1667,8 +1680,9 @@ class _CallChain:
                args: dict, caller: ByStrVal, amount: int,
                payer_account, depth: int) -> None:
         state = self.state_for(contract.address)
-        ctx = TxContext(sender=caller, amount=amount,
-                        block_number=self.net.epoch)
+        # (sender, amount, origin, block_number), positionally: keyword
+        # calls of a dataclass __init__ cost twice as much.
+        ctx = TxContext(caller, amount, None, self.net.epoch)
         try:
             result = contract.interpreter.run_transition(
                 state, transition, args, ctx,

@@ -62,7 +62,9 @@ class ServiceConfig:
     max_deferrals: int = 12    # gas deferrals before dead-lettering
     auto_fund: bool = True     # create unknown sender accounts at admission
     record_committed: bool = False  # keep per-epoch committed batches
-    keep_blocks: int | None = 256   # trim net.blocks beyond this many
+    # Headers net.blocks lists before the oldest is dropped; bodies
+    # are the network's BODY_WINDOW (repro.chain.blocks).
+    keep_blocks: int | None = 256
     wal_tag: str = "serve"
 
 

@@ -131,34 +131,33 @@ class NonceTracker:
         # nonces back with everything else.
         self.journal = None
 
-    def _record(self, sender: str, lane: int, had_entry: bool,
-                added: tuple) -> None:
-        if self.journal is not None:
-            self.journal.record_nonce(
-                self, sender, lane, had_entry, added,
-                self.last_global.get(sender),
-                self.last_per_lane.get((sender, lane)))
-
     def try_accept(self, sender: str, nonce: int, lane: int) -> bool:
         used = self.used.get(sender)
         had_entry = used is not None
         if had_entry and nonce in used:
             return False  # replay
+        slot = (sender, lane)
+        last_global = self.last_global.get(sender)
+        last_lane = self.last_per_lane.get(slot)
         if self.strict:
-            accept = nonce == self.last_global.get(sender, 0) + 1
+            accept = nonce == (last_global or 0) + 1
         else:
-            accept = nonce > self.last_per_lane.get((sender, lane), 0)
+            accept = nonce > (last_lane or 0)
         if had_entry and not accept:
             return False
-        self._record(sender, lane, had_entry, (nonce,) if accept else ())
+        if self.journal is not None:
+            self.journal.record_nonce(
+                self, slot, had_entry, (nonce,) if accept else (),
+                last_global, last_lane)
         if not had_entry:
             # Even a rejection leaves the sender an (empty) record.
             used = self.used[sender] = set()
         if not accept:
             return False
         used.add(nonce)
-        self.last_global[sender] = max(self.last_global.get(sender, 0), nonce)
-        self.last_per_lane[(sender, lane)] = nonce
+        if last_global is None or nonce > last_global:
+            self.last_global[sender] = nonce
+        self.last_per_lane[slot] = nonce
         return True
 
     def absorb(self, sender: str, lane: int, added,
@@ -169,7 +168,11 @@ class NonceTracker:
         run in parallel lanes — and where it left the high-water marks
         (``LaneResult.apply_effects``)."""
         used = self.used.get(sender)
-        self._record(sender, lane, used is not None, tuple(added))
+        slot = (sender, lane)
+        if self.journal is not None:
+            self.journal.record_nonce(
+                self, slot, used is not None, tuple(added),
+                self.last_global.get(sender), self.last_per_lane.get(slot))
         if added:
             if used is None:
                 used = self.used[sender] = set()
@@ -178,7 +181,7 @@ class NonceTracker:
                 last_global > self.last_global.get(sender, 0):
             self.last_global[sender] = last_global
         if last_lane is not None:
-            self.last_per_lane[(sender, lane)] = last_lane
+            self.last_per_lane[slot] = last_lane
 
     def revert(self, sender: str, lane: int, had_entry: bool,
                added: list, last_global: int | None,

@@ -40,8 +40,13 @@ def _load_source(spec: str) -> tuple[str, str]:
             raise SystemExit(f"unknown corpus contract {name!r}; run "
                              f"`repro corpus` to list them")
         return CORPUS[name], name
-    with open(spec, encoding="utf-8") as handle:
-        return handle.read(), spec
+    try:
+        with open(spec, encoding="utf-8") as handle:
+            return handle.read(), spec
+    except FileNotFoundError:
+        hint = (f"did you mean corpus:{spec}?" if spec in CORPUS
+                else "`repro corpus` lists the built-in contracts")
+        raise SystemExit(f"no such file: {spec!r}; {hint}") from None
 
 
 def cmd_analyze(args) -> int:
@@ -92,10 +97,18 @@ def cmd_compile(args) -> int:
           f"{did['guarded_builtins']} class-guarded builtins, "
           f"{did['static_sends']} static sends, "
           f"{did['fused_writes']} fused writes")
-    for const in sorted(set(re.findall(r"\bK\d+\b", text)),
+    # A hoisted message pair — ('_eventname', K) — is shown by the name
+    # of its value, which is then listed too.
+    used = set(re.findall(r"\bK\d+\b", text))
+    names = {id(v): k for k, v in unit.ns.items()}
+    pairs = {k: names[id(v[1])] for k in used
+             if type(v := unit.ns[k]) is tuple and len(v) == 2
+             and id(v[1]) in names}
+    for const in sorted(used.union(pairs.values()),
                         key=lambda k: int(k[1:])):
         value = unit.ns[const]
-        shown = getattr(value, "__qualname__", None) or str(value)
+        shown = (f"({value[0]!r}, {pairs[const]})" if const in pairs else
+                 getattr(value, "__qualname__", None) or str(value))
         print(f"# {const} = {shown if len(shown) <= 70 else shown[:67] + '...'}")
     print("\n" + text, end="")
     return 0

@@ -70,4 +70,10 @@ def apply_int_delta(base: Value | _Missing, delta: int,
     if not isinstance(template, IntVal):
         raise MergeConflict(f"IntMerge on non-integer value {template}")
     base_v = base.value if isinstance(base, IntVal) else 0
-    return IntVal(base_v + delta, template.typ)
+    total = base_v + delta
+    if total == template.value:
+        # Some shard's final value — the location's only writer's,
+        # nearly always: in bounds and of this type, so shared, not
+        # rebuilt.
+        return template
+    return IntVal(total, template.typ)

@@ -134,7 +134,6 @@ def run_service(workload: str = "FT transfer @scale", *,
                 client_buffer: int | None = None,
                 snapshot_every: int = 8,
                 state_backend=None,
-                keep_blocks: int | None = None,
                 setup_hook=None,
                 stream=None) -> ServiceRun:
     """Run a bounded service-mode session and report on it.
@@ -146,9 +145,7 @@ def run_service(workload: str = "FT transfer @scale", *,
     ``state_backend`` selects the out-of-core page store for contract
     map state (``"sqlite"``/``"memory"``/``"none"``, a
     ``StateBackend`` instance, or None for the ``REPRO_STATE_BACKEND``
-    environment default); ``keep_blocks`` bounds the retained block
-    history (out-of-core soaks keep it small so the backend's bounded
-    memory is not undone by block receipts).
+    environment default).
     """
     if cost_model is None:
         from .throughput import FIG14_COST_MODEL
@@ -194,9 +191,7 @@ def run_service(workload: str = "FT transfer @scale", *,
         batch_max=(batch_max if batch_max is not None
                    else max(ServiceConfig.batch_min, txns_per_tick)),
         max_deferrals=max_deferrals,
-        record_committed=record_committed,
-        keep_blocks=(keep_blocks if keep_blocks is not None
-                     else ServiceConfig.keep_blocks))
+        record_committed=record_committed)
     loop = ServiceLoop(net, config=svc_cfg, pool_config=pool_cfg)
 
     buffer_cap = (client_buffer if client_buffer is not None

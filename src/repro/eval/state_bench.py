@@ -406,8 +406,8 @@ def run_oocore_soak(entries: int = 1_000_000, *, ticks: int = 12,
         run = run_service(
             "FT transfer @scale", shards=shards, ticks=ticks,
             txns_per_tick=txns_per_tick, population=entries,
-            seed=seed, state_backend="sqlite", keep_blocks=32,
-            executor=executor, setup_hook=seed_rows)
+            seed=seed, state_backend="sqlite", executor=executor,
+            setup_hook=seed_rows)
     finally:
         if prior_cache is None:
             os.environ.pop("REPRO_PAGE_CACHE", None)

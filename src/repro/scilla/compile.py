@@ -186,8 +186,10 @@ class _Msg:
         if all(_CONST_RE.fullmatch(py) for _, py in self.fields):
             return fn.unit.const(MsgVal(tuple(
                 (k, ns[py]) for k, py in self.fields)))
+        # A pair of two constants (``_eventname``, ``_tag``) is one too.
         return "MsgVal((%s))" % "".join(
-            f"({k!r}, {py}), " for k, py in self.fields)
+            f"{fn.unit.const((k, ns[py]))}, " if _CONST_RE.fullmatch(py)
+            else f"({k!r}, {py}), " for k, py in self.fields)
 
     def get(self, name: str) -> str | None:
         return next((py for k, py in self.fields if k == name), None)

@@ -65,14 +65,10 @@ class TxContext:
 
     sender: str | ByStrVal
     amount: int = 0
-    origin: str | ByStrVal | None = None
+    origin: str | ByStrVal | None = None    # None: the sender
     block_number: int = 1
     timestamp: int = 0
     chain_id: int = 1
-
-    def __post_init__(self) -> None:
-        if self.origin is None:
-            self.origin = self.sender
 
 
 @dataclass(slots=True)
@@ -545,8 +541,8 @@ class _Run:
         # a ready ByStr20 value, built once per transaction).
         raw, origin, amount = ctx.sender, ctx.origin, ctx.amount
         self.sender = sender = addr(raw)
-        self.origin = sender if origin is raw or origin == raw \
-            else addr(origin)
+        self.origin = sender if origin is None or origin is raw \
+            or origin == raw else addr(origin)
         if amount == 0:
             self.amount = _NO_AMOUNT
         elif 0 < amount <= _MAX_AMOUNT:     # the bounds check, done
@@ -573,9 +569,10 @@ class _Run:
         finally:
             interp._charge = None
         state.balance += self.accepted
-        return TransitionResult(
-            success=True, gas_used=self.gas_used, accepted=self.accepted,
-            messages=self.messages, events=self.events, write_log=self.log)
+        # Positionally: a keyword call of a dataclass __init__ costs
+        # twice as much, and this one runs per transaction.
+        return TransitionResult(True, self.gas_used, self.accepted,
+                                self.messages, self.events, None, self.log)
 
     def interpret(self, component: ast.Component, args) -> None:
         env = self.interp.lib_env

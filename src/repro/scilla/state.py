@@ -470,19 +470,19 @@ class StateJournal:
         self._entries.append(("account", accounts, address, account,
                               balance, portions))
 
-    def record_nonce(self, tracker, sender: str, lane: int,
-                     had_entry: bool, added: tuple, last_global,
-                     last_lane) -> None:
-        """``tracker``'s record for ``sender`` is about to gain the
-        nonces ``added`` and move its high-water marks (given as they
-        stand, None when unset); ``tracker.revert`` undoes it."""
+    def record_nonce(self, tracker, slot: tuple, had_entry: bool,
+                     added: tuple, last_global, last_lane) -> None:
+        """``tracker``'s record for ``slot`` — a ``(sender, lane)`` —
+        is about to gain the nonces ``added`` and move its high-water
+        marks (given as they stand, None when unset);
+        ``tracker.revert`` undoes it."""
         if self._suspended or not self._marks:
             return
-        log = self._seen.get((sender, lane))
+        log = self._seen.get(slot)
         if log is None:
-            log = self._seen[(sender, lane)] = []
-            self._entries.append(("nonce", tracker, sender, lane,
-                                  had_entry, log, last_global, last_lane))
+            log = self._seen[slot] = []
+            self._entries.append(("nonce", tracker, *slot, had_entry, log,
+                                  last_global, last_lane))
         log.extend(added)
 
     # -- marks (checkpoint protocol) ----------------------------------------

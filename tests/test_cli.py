@@ -35,6 +35,19 @@ def test_analyze_unknown_corpus_name():
         main(["analyze", "corpus:Nonexistent"])
 
 
+@pytest.mark.parametrize("argv, said", [
+    (["signature", "ProofIPFS", "Register"],
+     "did you mean corpus:ProofIPFS?"),
+    (["analyze", "no/such/file.scilla"], "`repro corpus` lists"),
+])
+def test_missing_file_exits_with_one_line(argv, said):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = str(exc.value.code)
+    assert "no such file" in message and said in message
+    assert "\n" not in message
+
+
 def test_signature_with_selection(capsys):
     code, out = run_cli(capsys, "signature", "corpus:FungibleToken",
                         "Mint", "Transfer")
