@@ -19,6 +19,13 @@ class Receipt:
     error: str | None = None
     events: list = dc_field(default_factory=list)
 
+    @property
+    def deferred(self) -> bool:
+        """Never ran — its lane was out of epoch gas — so this is a
+        retry, not an executed failure (``Network._process_epoch``)."""
+        return not self.success and \
+            (self.error or "").startswith("deferred:")
+
 
 @dataclass
 class MicroBlock:
@@ -108,6 +115,15 @@ class FinalBlock(BlockHeader):
             out.extend(mb.receipts)
         out.extend(self.ds_receipts)
         return out
+
+    def deferred_ids(self) -> set[int]:
+        """The transactions this block deferred.  A transaction's first
+        receipt is its outcome, as the service loop settles it: a churn
+        duplicate's later receipts do not count."""
+        outcome: dict[int, bool] = {}
+        for receipt in self.all_receipts:
+            outcome.setdefault(receipt.tx.tx_id, receipt.deferred)
+        return {tx_id for tx_id, deferred in outcome.items() if deferred}
 
     def header(self) -> BlockHeader:
         """This block without its body, sharing the header's values."""

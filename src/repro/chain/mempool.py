@@ -241,8 +241,6 @@ class Mempool:
             self._shed_entry(victim)
         elif self._under_backpressure():
             self.counters["backpressured"] += 1
-            if self._meters:
-                self._meters.backpressured.inc()
             return SubmitReceipt(
                 tx.tx_id, sender, tx.nonce,
                 AdmissionStatus.BACKPRESSURE,
@@ -251,13 +249,12 @@ class Mempool:
         entry = PoolEntry(
             tx, self._next_seq(), admit_tick=self.now_tick,
             admit_ns=self._clock() if self._meters else 0)
-        self.queues.setdefault(sender, deque()).append(entry)
+        if queue is None:
+            queue = self.queues[sender] = deque()
+        queue.append(entry)
         self.nonce_floor[sender] = tx.nonce
         self.count += 1
         self.counters["admitted"] += 1
-        if self._meters:
-            self._meters.admitted.inc()
-            self._refresh_gauges()
         return SubmitReceipt(tx.tx_id, sender, tx.nonce,
                              AdmissionStatus.ADMITTED)
 
@@ -286,9 +283,6 @@ class Mempool:
             self.nonce_floor.get(sender, 0), tx.nonce)
         self.count += 1
         self.counters["readmitted"] += 1
-        if self._meters:
-            self._meters.readmitted.inc()
-            self._refresh_gauges()
 
     def restore(self, entries: list[PoolEntry],
                 nonce_floor: dict[str, int] | None = None) -> None:
@@ -319,7 +313,10 @@ class Mempool:
                 self.nonce_floor[sender] = max(
                     self.nonce_floor.get(sender, 0), floor)
         if self._meters:
-            self._refresh_gauges()
+            # Restored entries were metered as admissions before the
+            # crash (the registry came back with the restore point).
+            self._meters.seen["admitted"] += len(entries)
+            self.sync_meters()
 
     # -- draining and outcomes ---------------------------------------------
 
@@ -344,8 +341,7 @@ class Mempool:
                 heapq.heappush(heap, (queue[0].seq, sender))
             else:
                 del self.queues[sender]
-        if self._meters:
-            self._refresh_gauges()
+        self.sync_meters()
         return out
 
     def resolve(self, tx_id: int,
@@ -403,10 +399,18 @@ class Mempool:
                 self._backpressure_on = False
         elif self.count >= self.config.high_mark:
             self._backpressure_on = True
-        if self._meters:
-            self._meters.backpressure_on.set(
-                1 if self._backpressure_on else 0)
         return self._backpressure_on
+
+    def sync_meters(self) -> None:
+        """Bring the registry up to date with :attr:`counters` and the
+        pool's size.  Nothing between ``submit`` and a terminal outcome
+        touches an instrument: ``drain`` calls this (so a restore point
+        cut inside the epoch it feeds carries every admission up to
+        it), ``restore`` does, and the service loop does when a tick
+        settles.  In between the registry lags by the submissions and
+        outcomes since."""
+        if self._meters:
+            self._meters.sync(self)
 
     # -- persistence -------------------------------------------------------
 
@@ -454,8 +458,6 @@ class Mempool:
     def _reject(self, tx: Transaction,
                 reason: RejectReason) -> SubmitReceipt:
         self.counters[f"rejected_{reason.value}"] += 1
-        if self._meters:
-            self._meters.rejected.inc()
         return SubmitReceipt(tx.tx_id, tx.sender, tx.nonce,
                              AdmissionStatus.REJECTED, reason=reason)
 
@@ -500,22 +502,9 @@ class Mempool:
     def _count_terminal(self, entry: PoolEntry,
                         kind: TerminalKind) -> None:
         self.counters[kind.value] += 1
-        if self._meters:
-            self._meters.terminal[kind].inc()
-            if kind in (TerminalKind.COMMITTED, TerminalKind.FAILED):
-                self._meters.latency_ticks.observe(
-                    max(self.now_tick - entry.admit_tick, 0))
-                if entry.admit_ns:
-                    self._meters.latency_ms.observe(
-                        (self._clock() - entry.admit_ns) / 1e6)
-            self._refresh_gauges()
-
-    def _refresh_gauges(self) -> None:
-        m = self._meters
-        m.occupancy.set(self.count)
-        m.sender_queues.set(len(self.queues))
-        m.saturation.set(
-            round(1000 * self.count / self.config.capacity))
+        if self._meters and kind in _EXECUTED:
+            self._meters.executed.append(
+                (max(self.now_tick - entry.admit_tick, 0), entry.admit_ns))
 
 
 # Submit→commit latency in service ticks (logical epochs): these are
@@ -526,21 +515,28 @@ LAT_MS_BUCKETS = (0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000,
                   2500, 5000)
 
 
+_EXECUTED = (TerminalKind.COMMITTED, TerminalKind.FAILED)
+
+
 class _MempoolMeters:
-    """Instruments for one pool (NULL_REGISTRY makes these no-ops)."""
+    """One pool's instruments, written only by :meth:`sync`."""
 
     def __init__(self, metrics):
         c, g, h = metrics.counter, metrics.gauge, metrics.histogram
-        self.admitted = c("mempool.admitted")
-        self.readmitted = c("mempool.readmitted")
-        self.rejected = c("mempool.rejected")
-        self.backpressured = c("mempool.backpressured")
-        self.terminal = {
-            kind: c(f"mempool.terminal.{kind.value}")
+        # Registry counter per ``Mempool.counters`` key ("rejected":
+        # all its reasons), and how much of each the registry holds.
+        self.counters = {
+            key: c(f"mempool.{key}") for key in
+            ("admitted", "readmitted", "rejected", "backpressured")}
+        self.counters.update(
+            (kind.value, c(f"mempool.terminal.{kind.value}"))
             for kind in TerminalKind
             if kind not in (TerminalKind.REJECTED,
-                            TerminalKind.BACKPRESSURED)
-        }
+                            TerminalKind.BACKPRESSURED))
+        self.seen = dict.fromkeys(self.counters, 0)
+        # (latency in ticks, admission stamp) of every transaction
+        # executed since the last sync.
+        self.executed: list[tuple[int, int]] = []
         self.occupancy = g("mempool.occupancy")
         self.sender_queues = g("mempool.senders")
         self.saturation = g("mempool.saturation_permille")
@@ -549,3 +545,27 @@ class _MempoolMeters:
         self.latency_ticks = h("mempool.latency_ticks", TICK_BUCKETS)
         self.latency_ms = h("mempool.latency_ms", LAT_MS_BUCKETS,
                             deterministic=False)
+
+    def sync(self, pool: Mempool) -> None:
+        totals, seen = dict(pool.counters), self.seen
+        totals["rejected"] = pool.rejected_total()
+        for key, counter in self.counters.items():
+            if totals[key] != seen[key]:
+                counter.inc(totals[key] - seen[key])
+                seen[key] = totals[key]
+        if totals["admitted"] or totals["readmitted"]:
+            # The size gauges stay unset until the pool has held
+            # something (``Gauge.set_``).
+            self.occupancy.set(pool.count)
+            self.sender_queues.set(len(pool.queues))
+            self.saturation.set(
+                round(1000 * pool.count / pool.config.capacity))
+        self.backpressure_on.set(1 if pool.backpressure_active else 0)
+        if self.executed:
+            now = pool._clock()
+            self.latency_ticks.observe_many(
+                [ticks for ticks, _ in self.executed])
+            self.latency_ms.observe_many(
+                [(now - stamp) / 1e6 for _, stamp in self.executed
+                 if stamp])
+            self.executed = []

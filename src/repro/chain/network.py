@@ -63,6 +63,7 @@ from .wal import WALError, WriteAheadLog
 
 PAYMENT_GAS = 50
 _ENTRY_KEY = attrgetter("key")
+FUNDING = 10**12    # what a created account holds unless told otherwise
 
 # Lane executor strategies for Network.process_epoch.  "serial" is the
 # reference implementation; "thread"/"process" execute independent
@@ -432,6 +433,9 @@ class Network:
         # ServiceLoop adopting this network drains it.
         self.mempool = None
         self.restored_mempool: dict[int, dict] = {}
+        # Senders ``auto_fund`` created whose WAL input is not yet
+        # logged: they go, as one record, ahead of the next one.
+        self._unlogged_accounts: list[str] = []
         # Modeled seconds the service loop spent on ticks that
         # processed no epoch (idle or stalled), per WAL tag — charged
         # to average_tps so partial service batches cannot inflate it.
@@ -552,12 +556,31 @@ class Network:
 
     # -- setup ----------------------------------------------------------------
 
-    def create_account(self, address: str, balance: int = 10**12) -> Account:
+    def create_account(self, address: str,
+                       balance: int = FUNDING) -> Account:
         self._wal_append("account", {"address": address,
                                      "balance": balance})
         if self._ledger is not None:
             self._ledger.accounts.add(_pad(address))
         return self._create_account(address, balance)
+
+    def auto_fund(self, address: str) -> Account:
+        """:meth:`create_account` at its default balance for a sender
+        the service loop meets at admission.  The account exists at
+        once; its WAL input waits for the next record or restore point
+        and goes ahead of it, one ``accounts`` record for every sender
+        funded since the last — ahead of the barrier that makes the
+        admission itself durable, which is all ``create_account``
+        promises too."""
+        if self.wal is not None:
+            self._unlogged_accounts.append(address)
+            self._ledger.accounts.add(_pad(address))
+        return self._create_account(address, FUNDING)
+
+    def _log_accounts(self) -> None:
+        addresses, self._unlogged_accounts = self._unlogged_accounts, []
+        self._wal_append("accounts", {"balance": FUNDING,
+                                      "addresses": addresses})
 
     def _create_account(self, address: str, balance: int) -> Account:
         address = _pad(address)
@@ -739,6 +762,8 @@ class Network:
     def _wal_append(self, type: str, data, barrier: bool = False) -> None:
         if self.wal is None or self._replaying:
             return
+        if self._unlogged_accounts:
+            self._log_accounts()
         meters = self._meters
         if self.metrics.enabled:
             t0 = time.perf_counter_ns()
@@ -769,6 +794,8 @@ class Network:
         one needs."""
         if self.wal is None or self.store is None:
             return
+        if self._unlogged_accounts:     # the restore point holds them
+            self._log_accounts()
         t0 = time.perf_counter_ns() if self.metrics.enabled else 0
         from .store import snapshot_network
         backend_obj = None
@@ -939,6 +966,9 @@ class Network:
         data = record.data
         if record.type == "account":
             self._create_account(data["address"], data["balance"])
+        elif record.type == "accounts":
+            for address in data["addresses"]:
+                self._create_account(address, data["balance"])
         elif record.type == "deploy":
             weak_reads = data["weak_reads"]
             self.deploy(
@@ -961,16 +991,33 @@ class Network:
                     f"replay out of step: log record {record.seq} is "
                     f"epoch {data['epoch']} but the network is at "
                     f"epoch {self.epoch}")
-            self.process_epoch(
-                [transaction_from_obj(tx) for tx in data["txns"]],
-                unlimited=data["unlimited"], wal_tag=data["tag"])
-            # Epoch inputs drained from the restored service pool are
-            # no longer pending (their outcomes re-derive on replay:
-            # receipts from the epoch itself, deferrals via
-            # ``backlog``, which the adopting ServiceLoop re-pulls).
-            if self.restored_mempool:
-                for tx in data["txns"]:
-                    self.restored_mempool.pop(tx["id"], None)
+            pending = self.restored_mempool
+            txns = []
+            for tx in data["txns"]:
+                if isinstance(tx, int):
+                    # Named, not carried: journaled at admission.
+                    if tx not in pending:
+                        raise WALError(
+                            f"log record {record.seq} (epoch "
+                            f"{data['epoch']}) names transaction {tx}, "
+                            f"which no admission record or restore "
+                            f"point holds")
+                    tx = pending[tx]["tx"]
+                txns.append(transaction_from_obj(tx))
+            block = self.process_epoch(
+                txns, unlimited=data["unlimited"], wal_tag=data["tag"])
+            # Inputs drained from the restored service pool have their
+            # outcome in the block, as the live loop read it: what it
+            # deferred stays pending, one deferral on and behind the
+            # rest (the loop re-admits; a re-admission record further
+            # on says the same); everything else is settled.
+            if pending:
+                deferred = block.deferred_ids()
+                for tx in txns:
+                    entry = pending.pop(tx.tx_id, None)
+                    if entry is not None and tx.tx_id in deferred:
+                        entry["deferrals"] = entry.get("deferrals", 0) + 1
+                        pending[tx.tx_id] = entry
         elif record.type == "commit":
             # A record without "scheme" predates the accumulator and
             # pins the full-walk fingerprint digest.
@@ -1036,10 +1083,17 @@ class Network:
         # (Guarded here as well as in _wal_append so a network without
         # a WAL never serialises its batch.)
         if self.wal is not None and not self._replaying:
+            # What the service pool journaled at admission — at this
+            # point its drained, inflight entries: ServiceLoop.tick
+            # flushes the journal before it drains — is named by id;
+            # anything else travels here, whole.
+            journaled = (self.mempool.inflight
+                         if self.mempool is not None else ())
             self._wal_append("epoch", {
                 "epoch": self.epoch + 1, "unlimited": unlimited,
                 "tag": wal_tag,
-                "txns": [transaction_to_obj(tx) for tx in txns],
+                "txns": [tx.tx_id if tx.tx_id in journaled
+                         else transaction_to_obj(tx) for tx in txns],
             }, barrier=True)
         self.epoch += 1
         shard_limit = 10**15 if unlimited else self.cost.shard_gas_limit
@@ -1543,8 +1597,8 @@ class Network:
         meters.lane_tx_failed.inc(n - ok)
         meters.lane_gas.inc(mb.gas_used)
         if self.metrics.enabled:
-            for receipt in mb.receipts:
-                meters.lane_gas_per_tx.observe(receipt.gas_used)
+            meters.lane_gas_per_tx.observe_many(
+                [receipt.gas_used for receipt in mb.receipts])
             meters.lane_exec_ns.observe(time.perf_counter_ns() - t0)
         return mb, local_states, touched, deferred
 

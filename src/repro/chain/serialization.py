@@ -88,6 +88,73 @@ def value_from_json(data: Any) -> Value:
 
 
 # --------------------------------------------------------------------------
+# Values under a declared type (restore points).  Scilla fields are
+# statically typed, so a restore point need not repeat the type beside
+# every value: a primitive travels as its literal, a map from primitives
+# to primitives as a key column and a value column.  Anything else — or
+# a value that is not what the declaration says — keeps the
+# self-describing form above, which is always an object with a "t".
+# --------------------------------------------------------------------------
+
+def _literal_class(typ) -> type | None:
+    """The value class of the primitive type ``typ`` — its instances
+    hold a payload and, at most, that type — or ``None`` for a type
+    whose values do not travel as literals."""
+    if typ in _INTS:
+        return IntVal
+    if typ == "String":
+        return StringVal
+    if typ == "BNum":
+        return BNumVal
+    if isinstance(typ, ty.PrimType) and typ.startswith("ByStr"):
+        return ByStrVal
+    return None
+
+
+def _is_literal(v, cls: type, typ) -> bool:
+    """Whether ``v`` is nothing but its payload ``v[0]`` under ``typ``."""
+    return type(v) is cls and (len(v) == 1 or v[1] == typ)
+
+
+def _literal_decoder(typ):
+    cls = _literal_class(typ)
+    if cls in (StringVal, BNumVal):
+        return cls
+    shared = ty.prim(str(typ))
+    return lambda literal: cls(literal, shared)    # validates
+
+
+def typed_to_json(v: Value, typ) -> Any:
+    """``v`` under the declared type ``typ`` of the field holding it."""
+    cls = _literal_class(typ)
+    if cls is not None:
+        return v[0] if _is_literal(v, cls, typ) else value_to_json(v)
+    if isinstance(typ, ty.MapType) and isinstance(v, MapVal) \
+            and (v.key_type, v.value_type) == (typ.key, typ.value):
+        key_cls, value_cls = map(_literal_class, (typ.key, typ.value))
+        if key_cls is not None and value_cls is not None:
+            items = list(v.entries.items())
+            if all(_is_literal(k, key_cls, typ.key)
+                   and _is_literal(x, value_cls, typ.value)
+                   for k, x in items):
+                return {"k": [k[0] for k, _ in items],
+                        "v": [x[0] for _, x in items]}
+    return value_to_json(v)
+
+
+def typed_from_json(data: Any, typ) -> Value:
+    """Inverse of :func:`typed_to_json` (literals are validated)."""
+    if not isinstance(data, dict):
+        return _literal_decoder(typ)(data)
+    if "t" in data:
+        return value_from_json(data)
+    out = MapVal(typ.key, typ.value)
+    out.entries.update(zip(map(_literal_decoder(typ.key), data["k"]),
+                           map(_literal_decoder(typ.value), data["v"])))
+    return out
+
+
+# --------------------------------------------------------------------------
 # State deltas (the StateDelta messages of Fig. 10).
 # --------------------------------------------------------------------------
 
@@ -228,7 +295,7 @@ def state_to_obj(state: ContractState, backend=None) -> Any:
                 and getattr(value.entries, "backend", None) is backend):
             fields[name] = _paged_map_to_json(value)
         else:
-            fields[name] = value_to_json(value)
+            fields[name] = typed_to_json(value, state.field_types.get(name))
     return {
         "address": state.address,
         "balance": state.balance,
@@ -241,52 +308,80 @@ def state_to_obj(state: ContractState, backend=None) -> Any:
 
 
 def state_from_obj(data: Any, backend=None) -> ContractState:
+    field_types = {name: parse_type_str(s)
+                   for name, s in data["field_types"].items()}
     fields = {}
     for name, v in data["fields"].items():
         if isinstance(v, dict) and v.get("t") == "PagedMap":
             fields[name] = _paged_map_from_json(v, backend)
         else:
-            fields[name] = value_from_json(v)
+            fields[name] = typed_from_json(v, field_types.get(name))
     return ContractState(
         address=data["address"],
         fields=fields,
-        field_types={name: parse_type_str(s)
-                     for name, s in data["field_types"].items()},
+        field_types=field_types,
         immutables={name: value_from_json(v)
                     for name, v in data["immutables"].items()},
         balance=data["balance"],
     )
 
 
-def locations_to_obj(state: ContractState, keys) -> list:
-    """Delta restore-point rows for the locations ``keys`` —
-    ``[key, value | None]`` in the StateDelta key/value wire format —
-    read from the live state.  Prefix-minimal keys only: a location
-    written under another written one travels inside its value.  A
-    nested entry that is gone travels as its whole first-level entry:
-    a delete can leave empty maps above it, which differ from absent
-    keys."""
-    rows = []
-    for key in keys:
-        name, path = key
-        if any((name, path[:i]) in keys for i in range(len(path))):
-            continue
-        value = state.read(key)
-        if len(path) > 1 and isinstance(value, _Missing):
-            key = (name, path[:1])
-            value = state.read(key)
-        rows.append([_state_key_to_json(key),
-                     None if isinstance(value, _Missing)
-                     else value_to_json(value)])
-    return rows
+def locations_to_obj(state: ContractState, keys) -> dict:
+    """Delta restore-point rows for the locations ``keys``, per field,
+    read from the live state.  First-level entries of a map declared
+    from primitives to primitives are two columns, ``k`` and ``v`` (an
+    entry that is gone has the value ``None``); every other location is
+    one of ``rows``, ``[path, value | None]`` in the StateDelta wire
+    format.  Prefix-minimal keys only: a location written under another
+    written one travels inside its value.  A nested entry that is gone
+    travels as its whole first-level entry: a delete can leave empty
+    maps above it, which differ from absent keys."""
+    by_field: dict[str, list] = {}
+    for name, path in keys:
+        if not any((name, path[:i]) in keys for i in range(len(path))):
+            by_field.setdefault(name, []).append(path)
+    out = {}
+    for name, paths in by_field.items():
+        typ = state.field_types.get(name)
+        key_cls = value_cls = None
+        if isinstance(typ, ty.MapType):
+            key_cls = _literal_class(typ.key)
+            value_cls = _literal_class(typ.value)
+        flat = key_cls is not None and value_cls is not None
+        k_col, v_col, rows = [], [], []
+        for path in paths:
+            value = state.read((name, path))
+            gone = isinstance(value, _Missing)
+            if flat and len(path) == 1 \
+                    and _is_literal(path[0], key_cls, typ.key) \
+                    and (gone or _is_literal(value, value_cls, typ.value)):
+                k_col.append(path[0][0])
+                v_col.append(None if gone else value[0])
+                continue
+            if gone and len(path) > 1:
+                path = path[:1]
+                value = state.read((name, path))
+                gone = isinstance(value, _Missing)
+            rows.append([[value_to_json(k) for k in path],
+                         None if gone else value_to_json(value)])
+        out[name] = {"k": k_col, "v": v_col, "rows": rows}
+    return out
 
 
-def apply_locations(state: ContractState, rows: list) -> None:
+def apply_locations(state: ContractState, fields: dict) -> None:
     """Replay :func:`locations_to_obj` rows through the owned write
     paths (``None`` deletes the entry)."""
-    for key, value in rows:
-        state.write(_state_key_from_json(key),
-                    MISSING if value is None else value_from_json(value))
+    for name, part in fields.items():
+        if part["k"]:
+            typ = state.field_types[name]
+            key_of = _literal_decoder(typ.key)
+            value_of = _literal_decoder(typ.value)
+            for k, v in zip(part["k"], part["v"]):
+                state.write((name, (key_of(k),)),
+                            MISSING if v is None else value_of(v))
+        for path, value in part["rows"]:
+            state.write((name, tuple(map(value_from_json, path))),
+                        MISSING if value is None else value_from_json(value))
 
 
 # --------------------------------------------------------------------------

@@ -25,10 +25,12 @@ carried *between* replayed epochs that the live loop had already
 re-queued (that double-execution is the failure mode the requirement
 exists to prevent).  Admissions are journaled as ``svc-admit`` records
 and flushed (with an fsync) at the next tick or :meth:`sync`, before
-the epoch that drains them executes; sheds and dead-letters are
-``svc-terminal`` records.  ``Network.resume`` rebuilds the pending set
-from snapshot + WAL and the adopting ServiceLoop restores it into a
-fresh mempool.
+the epoch that drains them executes — that record is the one place a
+transaction's body is logged; the ``epoch`` record names it by id —
+and sheds and dead-letters are ``svc-terminal`` records.
+``Network.resume`` rebuilds the pending set from snapshot + WAL
+(a transaction a replayed epoch deferred stays in it) and the adopting
+ServiceLoop restores it into a fresh mempool.
 
 Overload fault modes (:mod:`repro.chain.faults`): ``STALL_CONSUMER``
 freezes a tick (the loop consults the network's injector, keyed by
@@ -46,10 +48,6 @@ from .mempool import (
     Mempool, MempoolConfig, PoolEntry, SubmitReceipt, TerminalKind,
 )
 from .transaction import Transaction
-
-# Marks a failure receipt that means "ran out of epoch gas, retry"
-# rather than "executed and failed" (see Network._process_epoch).
-DEFERRED_ERROR_PREFIX = "deferred:"
 
 
 @dataclass
@@ -142,7 +140,7 @@ class ServiceLoop:
                 # (a WAL-logged input, so resume re-creates it).  With
                 # population 10^5-10^6 this is what makes setup O(1)
                 # per *touched* sender instead of O(population).
-                self.net.create_account(sender)
+                self.net.auto_fund(sender)
             queue = self.mempool.queues[tx.sender]
             self._admit_buffer.append(queue[-1])
         return receipt
@@ -227,7 +225,7 @@ class ServiceLoop:
                 pool.resolve(tx_id, TerminalKind.COMMITTED)
                 committed_ids.add(tx_id)
                 report.committed += 1
-            elif (receipt.error or "").startswith(DEFERRED_ERROR_PREFIX):
+            elif receipt.deferred:
                 deferred.append(pool.inflight.pop(tx_id))
             else:
                 pool.resolve(tx_id, TerminalKind.FAILED)
@@ -275,6 +273,7 @@ class ServiceLoop:
         report.occupancy = pool.occupancy
         self.max_occupancy = max(self.max_occupancy, pool.occupancy)
         self._adapt_batch()
+        pool.sync_meters()
         if self._meters:
             self._meters.ticks.inc()
             self._meters.batch_size.set(self.batch_size)

@@ -16,6 +16,13 @@ re-executes only the WAL records past it, so restore points bound
 replay time and let :meth:`~repro.chain.wal.WriteAheadLog.compact`
 drop old segments.
 
+The format (version 3, base and delta alike) writes a thing once: a
+field's values travel under its declared type — a primitive as its
+literal, a map of primitives as a key and a value column
+(:func:`~repro.chain.serialization.typed_to_json`) — and accounts and
+nonce records are columns over their addresses, a sender's used nonces
+``[first, last]`` runs.  docs/FAULTS.md, "Restore points".
+
 Restore points are written atomically: the JSON body (the payload,
 serialised once, behind the SHA-256 of its bytes) goes to a temporary
 file that is fsynced and then ``os.replace``d into place, so a crash
@@ -47,11 +54,11 @@ from .serialization import (
     signature_to_obj, state_from_obj, state_to_obj,
     transaction_from_obj, transaction_to_obj,
 )
+from .wal import dumps_compact
 
-# Version 1 files (no accumulators, digest over a sort_keys re-dump)
-# still load; anything else is refused loudly, not skipped.
-SNAPSHOT_VERSION = 2
-SNAPSHOT_VERSIONS = (1, 2)
+# The one format read and written; a file of any other version is
+# refused loudly, not skipped.
+SNAPSHOT_VERSION = 3
 SNAPSHOT_PREFIX = "snap-"
 SNAPSHOT_SUFFIX = ".json"
 DELTA_SUFFIX = ".delta" + SNAPSHOT_SUFFIX
@@ -78,9 +85,53 @@ class StoreError(SnapshotError):
 # Network <-> snapshot object.
 # --------------------------------------------------------------------------
 
-def _account_row(account) -> list:
-    return [account.balance, {str(shard): amount for shard, amount
-                              in account.shard_portions.items()}]
+def _lane_order(lanes) -> list[int]:
+    """Shards ascending, then the DS committee (-1)."""
+    return sorted(lanes, key=lambda lane: (lane < 0, lane))
+
+
+def _account_columns(accounts) -> dict:
+    """Accounts as columns: address, balance, and per lane the portion
+    of the balance held there (``None``: no such portion)."""
+    accounts = list(accounts)
+    lanes = _lane_order(set().union(*(a.shard_portions for a in accounts)))
+    return {
+        "address": [a.address for a in accounts],
+        "balance": [a.balance for a in accounts],
+        "portions": {str(lane): [a.shard_portions.get(lane)
+                                 for a in accounts] for lane in lanes},
+    }
+
+
+def _runs(nonces: set[int]) -> list[list[int]]:
+    """A set of integers as ascending ``[first, last]`` runs."""
+    if not nonces:
+        return []
+    first, last = min(nonces), max(nonces)
+    if last - first + 1 == len(nonces):
+        return [[first, last]]
+    runs = []
+    for nonce in sorted(nonces):
+        if runs and nonce == runs[-1][1] + 1:
+            runs[-1][1] = nonce
+        else:
+            runs.append([nonce, nonce])
+    return runs
+
+
+def _nonce_columns(nonces, senders, lanes) -> dict:
+    """The nonce records of ``senders`` as columns: the used nonces as
+    runs, the global high-water mark, and one per lane (``None``: the
+    sender has no such record)."""
+    senders = list(senders)
+    used, per_lane = nonces.used, nonces.last_per_lane
+    return {
+        "sender": senders,
+        "used": [_runs(used[s]) if s in used else None for s in senders],
+        "last_global": [nonces.last_global.get(s) for s in senders],
+        "last_lane": {str(lane): [per_lane.get((s, lane)) for s in senders]
+                      for lane in _lane_order(lanes)},
+    }
 
 
 def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
@@ -131,10 +182,18 @@ def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
         # with the snapshot (WAL compaction may drop their svc-admit
         # records), in global drain order.
         obj["mempool"] = net.mempool.to_obj()
+        if net.mempool.inflight and net.blocks:
+            # Cut inside the epoch that drained them, before the loop
+            # has settled it: what the block deferred is still inflight
+            # and will be re-admitted, one deferral on.
+            inflight = net.mempool.inflight
+            obj["mempool"]["entries"] += [
+                {"tx": transaction_to_obj(inflight[tx_id].tx),
+                 "deferrals": inflight[tx_id].deferrals + 1}
+                for tx_id in sorted(net.blocks[-1].deferred_ids())
+                if tx_id in inflight]
     if ledger is not None and backend_obj is None \
             and not ledger.wants_base(wal_seq):
-        senders = ledger.senders
-        lanes = (*range(net.n_shards), DS)
         obj["parent"] = list(ledger.parent)
         obj["rows"] = ledger.pending_rows()
         obj["contracts"] = {
@@ -142,18 +201,10 @@ def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
                    "writes": locations_to_obj(net.contracts[addr].state,
                                               ledger.locations.get(addr, ()))}
             for addr in net.contracts}
-        obj["accounts"] = {addr: _account_row(net.accounts[addr])
-                           for addr in ledger.accounts}
-        obj["nonces"] = {
-            "used": {s: sorted(nonces.used[s]) for s in senders
-                     if s in nonces.used},
-            "last_global": {s: nonces.last_global[s] for s in senders
-                            if s in nonces.last_global},
-            "last_per_lane": [
-                [s, lane, nonces.last_per_lane[s, lane]]
-                for s in senders for lane in lanes
-                if (s, lane) in nonces.last_per_lane],
-        }
+        obj["accounts"] = _account_columns(
+            net.accounts[addr] for addr in ledger.accounts)
+        obj["nonces"] = _nonce_columns(nonces, ledger.senders,
+                                       (*range(net.n_shards), DS))
         return obj
     paged_backend = (net.state_backend
                      if backend_obj is not None else None)
@@ -170,14 +221,13 @@ def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
         }
         for addr, c in net.contracts.items()
     }
-    obj["accounts"] = {addr: _account_row(acc)
-                       for addr, acc in net.accounts.items()}
-    obj["nonces"] = {
-        "used": {s: sorted(v) for s, v in nonces.used.items()},
-        "last_global": dict(nonces.last_global),
-        "last_per_lane": [[s, lane, v] for (s, lane), v
-                          in nonces.last_per_lane.items()],
-    }
+    obj["accounts"] = _account_columns(net.accounts.values())
+    # All of every table, whichever of them names a sender or a lane.
+    lane_senders, lanes = (zip(*nonces.last_per_lane)
+                           if nonces.last_per_lane else ((), ()))
+    obj["nonces"] = _nonce_columns(
+        nonces, dict.fromkeys((*nonces.used, *nonces.last_global,
+                               *lane_senders)), set(lanes))
     if backend_obj is not None:
         obj["backend"] = backend_obj
     return obj
@@ -204,7 +254,7 @@ def network_from_snapshot(obj: Any, executor: str | None = None,
     from .dispatch import DeployedSignature
     from .network import DeployedContract, Network
 
-    if obj.get("version") not in SNAPSHOT_VERSIONS:
+    if obj.get("version") != SNAPSHOT_VERSION:
         raise SnapshotError(
             f"unsupported snapshot version {obj.get('version')!r}")
     net = Network._from_config(obj["config"], executor=executor,
@@ -252,15 +302,26 @@ def _restore_tables(net, obj: Any) -> None:
     net.epoch = obj["epoch"]
     if net.metrics.enabled and obj.get("metrics") is not None:
         net.metrics.reset_to(obj["metrics"])
-    for addr, (balance, portions) in obj["accounts"].items():
+    accounts = obj["accounts"]
+    lanes = [int(lane) for lane in accounts["portions"]]
+    for addr, balance, *portions in zip(
+            accounts["address"], accounts["balance"],
+            *accounts["portions"].values()):
         net.accounts[addr] = Account(
-            addr, balance, {int(shard): amount
-                            for shard, amount in portions.items()})
-    nonces = obj["nonces"]
-    net.nonces.used.update((s, set(v)) for s, v in nonces["used"].items())
-    net.nonces.last_global.update(nonces["last_global"])
-    net.nonces.last_per_lane.update(
-        ((s, lane), v) for s, lane, v in nonces["last_per_lane"])
+            addr, balance, {lane: amount for lane, amount
+                            in zip(lanes, portions) if amount is not None})
+    nonces, tracker = obj["nonces"], net.nonces
+    senders = nonces["sender"]
+    tracker.used.update(
+        (s, set().union(*(range(first, last + 1) for first, last in runs)))
+        for s, runs in zip(senders, nonces["used"]) if runs is not None)
+    tracker.last_global.update(
+        (s, nonce) for s, nonce in zip(senders, nonces["last_global"])
+        if nonce is not None)
+    for lane, column in nonces["last_lane"].items():
+        tracker.last_per_lane.update(
+            ((s, int(lane)), nonce) for s, nonce in zip(senders, column)
+            if nonce is not None)
     net.backlog = [BacklogEntry(transaction_from_obj(tx), retries,
                                 not_before)
                    for tx, retries, not_before in obj["backlog"]]
@@ -288,12 +349,6 @@ def _restore_tables(net, obj: Any) -> None:
 # --------------------------------------------------------------------------
 # Durable storage (atomic writes, digest validation, retention).
 # --------------------------------------------------------------------------
-
-def _legacy_digest(obj: Any) -> str:
-    """What version-1 files pin: the hash of a ``sort_keys`` re-dump."""
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True).encode()).hexdigest()
-
 
 # A restore-point file is ``{"digest": "<64 hex>", "snapshot": <payload>}``
 # built by concatenation: the digest is over the payload's bytes, so
@@ -419,7 +474,7 @@ class SnapshotStore:
         """
         target = self._path(obj["epoch"], obj["wal_seq"],
                             delta="parent" in obj)
-        payload = json.dumps(obj, separators=(",", ":"))
+        payload = dumps_compact(obj)
         digest = hashlib.sha256(payload.encode()).hexdigest()
         tmp = target.with_name(target.name + ".tmp")
         try:
@@ -455,15 +510,14 @@ class SnapshotStore:
             if raw[:_PAYLOAD_AT] != digest.join(_FRAME[:2]) \
                     or raw[-1:] != _FRAME[2]:
                 raise ValueError("not a restore-point file")
-            verified = hashlib.sha256(payload.encode()).hexdigest() == digest
-            obj = json.loads(payload)
-            if not verified and _legacy_digest(obj) != digest:
+            if hashlib.sha256(payload.encode()).hexdigest() != digest:
                 raise ValueError("digest mismatch")
+            obj = json.loads(payload)
         except (OSError, ValueError) as exc:
             self.skipped[path.name] = f"{type(exc).__name__}: {exc}"
             return None
         version = obj.get("version") if isinstance(obj, dict) else None
-        if version is not None and version not in SNAPSHOT_VERSIONS:
+        if version is not None and version != SNAPSHOT_VERSION:
             raise SnapshotError(
                 f"{path.name} has unsupported snapshot version "
                 f"{version!r}")

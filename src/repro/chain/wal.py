@@ -93,16 +93,20 @@ class WALRecord:
     data: Any
 
 
+# Compact JSON (no whitespace, hence no raw newline), through one
+# encoder: ``json.dumps(..., separators=...)`` builds one per call.
+dumps_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _frame(payload: bytes) -> bytes:
     return (f"{len(payload)} {zlib.crc32(payload):08x} ".encode()
             + payload + b"\n")
 
 
 def _encode(record: WALRecord) -> bytes:
-    payload = json.dumps(
-        {"seq": record.seq, "type": record.type, "data": record.data},
-        separators=(",", ":")).encode()
-    return _frame(payload)
+    return _frame(dumps_compact(
+        {"seq": record.seq, "type": record.type,
+         "data": record.data}).encode())
 
 
 def _try_decode(line: bytes) -> WALRecord | None:

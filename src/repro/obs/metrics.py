@@ -119,6 +119,17 @@ class Histogram:
             self.count += 1
             self.sum += value
 
+    def observe_many(self, values) -> None:
+        """``observe`` each of ``values`` in order, under one lock."""
+        bounds, counts = self.bounds, self.counts
+        with self._lock:
+            total = self.sum
+            for value in values:
+                counts[bisect_left(bounds, value)] += 1
+                total += value
+            self.count += len(values)
+            self.sum = total
+
     def merge_from(self, other: "Histogram") -> None:
         if other.bounds != self.bounds:
             raise ValueError(f"histogram {self.name!r}: cannot merge "
@@ -389,6 +400,9 @@ class _NullInstrument:
         pass
 
     def observe(self, value) -> None:
+        pass
+
+    def observe_many(self, values) -> None:
         pass
 
 

@@ -76,6 +76,16 @@ class TestHistogramMergeLaws:
         merged.merge_from(_hist(ys))
         assert _state(merged) == _state(_hist(xs + ys))
 
+    @settings(max_examples=100, deadline=None)
+    @given(values, st.lists(st.floats(min_value=0, max_value=1e6,
+                                      allow_nan=False), max_size=30))
+    def test_observe_many_is_observe_in_a_loop(self, xs, fs):
+        # Floats too: the sum must add up in the same order.
+        for seen, batch in ((xs, fs), (fs, xs), ([], xs)):
+            batched = _hist(seen)
+            batched.observe_many(batch)
+            assert _state(batched) == _state(_hist(seen + batch))
+
 
 # --------------------------------------------------------------------------
 # Span nesting.

@@ -77,6 +77,8 @@ class TestServiceLoop:
         # ``accounts`` is keyed by the canonical address: an upper-case
         # or short spelling used to look unknown at every admission and
         # was re-funded (a fresh 10^12 and one WAL record) each time.
+        # Auto-funded senders are logged as one ``accounts`` record per
+        # journal flush.
         for sender in ("0x" + "AB" * 20, "0x12"):
             data_dir = tmp_path / sender
             net = make_net(data_dir=data_dir)
@@ -96,9 +98,9 @@ class TestServiceLoop:
             assert net.accounts[to].balance == 3 * 10**11
             net.wal.barrier()
             funded = [r for r in read_wal(data_dir)[before:]
-                      if r.type == "account"]
-            assert [r.data["address"] for r in funded] == \
-                [pad_address(sender)]
+                      if r.type in ("account", "accounts")]
+            assert [(r.type, r.data["addresses"]) for r in funded] == \
+                [("accounts", [pad_address(sender)])]
 
     def test_idle_tick_charges_modeled_time(self):
         net = make_net()
@@ -174,6 +176,41 @@ class TestServiceLoop:
         assert loop2.mempool.counters["dead-lettered"] > 0
         assert loop2.mempool.accounted() == \
             loop2.mempool.counters["submitted"]
+
+    @pytest.mark.parametrize("snapshot_every", [1, 1000])
+    def test_deferred_transactions_survive_a_crash_before_the_next_flush(
+            self, tmp_path, snapshot_every):
+        # A deferral's re-admission is journaled at the *next* tick; a
+        # crash before it used to lose the transaction: replay popped
+        # every epoch input, and a restore point cut inside the epoch
+        # (snapshot_every=1) held inflight entries nowhere.
+        def serve(net):
+            return make_loop(net, batch_max=40, max_deferrals=50)
+        net = make_net(cost_model=TIGHT_COST, data_dir=tmp_path,
+                       snapshot_every=snapshot_every)
+        wl = ScaledFTTransfer(population=60, txns_per_epoch=40)
+        wl.setup(net)
+        loop = serve(net)
+        for tx in wl.transactions(1):
+            assert loop.submit(tx).admitted
+        report = loop.tick()
+        assert report.deferred > 0 and report.dead_lettered == 0
+        pending = sorted((e.tx.tx_id, e.deferrals)
+                         for e in loop.mempool.pending_entries())
+        assert len(pending) == report.deferred
+        assert {deferrals for _, deferrals in pending} == {1}
+        del loop, net                   # vanish without sync() or close()
+
+        resumed = Network.resume(str(tmp_path))
+        loop = serve(resumed)
+        assert sorted((e.tx.tx_id, e.deferrals)
+                      for e in loop.mempool.pending_entries()) == pending
+        loop.drain_remaining(max_ticks=32)
+        pool = loop.mempool
+        assert pool.counters["committed"] > 0
+        assert pool.occupancy == 0 and not pool.inflight
+        assert pool.accounted() == pool.counters["submitted"]
+        resumed.close()
 
     def test_batch_shrinks_under_saturation_and_recovers(self):
         # Sustained overload: every tick offers another 40, the tight

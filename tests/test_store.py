@@ -119,6 +119,22 @@ def test_snapshot_version_guard():
         network_from_snapshot(obj)
 
 
+def test_a_data_dir_from_an_older_build_is_refused_by_version(tmp_path):
+    # Version 3 is the only format read: an older restore point is not
+    # corruption to fall back past, resume names it and stops.
+    net = ft_network(data_dir=tmp_path, snapshot_every=1)
+    net.process_epoch(transfer_round())
+    net.close()
+    store = SnapshotStore(tmp_path)
+    for path in store.paths():
+        body = json.loads(path.read_text())["snapshot"]
+        body["version"] = 2
+        path.unlink()
+        store.save(body)
+    with pytest.raises(SnapshotError, match="version 2"):
+        Network.resume(str(tmp_path))
+
+
 # -- durable storage ----------------------------------------------------------
 
 def test_store_save_load_newest(tmp_path):
