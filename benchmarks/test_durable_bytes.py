@@ -3,10 +3,12 @@
 Forty ticks of the ``svc_durable`` benchmark's traffic shape (scaled
 token transfers over a 10^5-address space, 3 000 senders pre-funded,
 100 a tick, a restore point every 8 ticks): the WAL holds a
-transaction's body once — 362 B per transaction here, 708 B when the
-``epoch`` record repeated it — and a delta restore point spends 84 B on
-a row, 143 B before values travelled under their field's declared type
-(EXPERIMENTS.md E13).  Counts of bytes, so exact and machine-independent.
+transaction's body once, as one positional row — 263 B per transaction
+here, 362 B when the body was an object and 708 B when the ``epoch``
+record repeated it — and a delta restore point spends 84 B on a row,
+143 B before values travelled under their field's declared type
+(EXPERIMENTS.md E13, E14).  Counts of bytes, so exact and
+machine-independent.
 """
 
 import json
@@ -109,5 +111,5 @@ def test_wal_bytes_per_transaction_and_delta_bytes_per_row(tmp_path):
     print(f"\nWAL {per_tx:.0f} B/tx over {served} transactions; delta "
           f"restore points {per_row:.0f} B/row over {rows} rows in "
           f"{len(deltas)} files")
-    assert per_tx <= 420
+    assert per_tx <= 280
     assert per_row <= 100

@@ -158,10 +158,9 @@ class Dispatcher:
         lets TransferFrom satisfy both constraints in a single shard).
         Fields requiring whole-field ownership are assigned as a unit.
 
-        The contract address is normalised first, so dispatch (which
-        sees the transaction's possibly short-form ``to``) and the DS
-        committee's delta validation (which sees the deployed address)
-        agree on the assignment.
+        The contract address is normalised first, so a caller holding
+        any spelling of it agrees with dispatch (which sees the
+        transaction's canonical ``to``) on the assignment.
         """
         return self._component_shard(_pad(contract), pf, key_values)
 
@@ -184,8 +183,8 @@ class Dispatcher:
 
     # -- constraint resolution ------------------------------------------------------
 
-    # ``sender`` below is the transaction's sender, padded once by
-    # :meth:`dispatch`.
+    # ``sender`` below is the transaction's sender, canonical since the
+    # transaction was built.
 
     def _resolve_key(self, key: Key, tx: Transaction,
                      deployed: DeployedSignature, sender: str) -> str | None:
@@ -230,11 +229,11 @@ class Dispatcher:
     def dispatch(self, tx: Transaction) -> DispatchDecision:
         """Route one transaction by its contract's lowered plan: equal
         to :meth:`dispatch_reference` in shard and reason on any input."""
-        to = _pad(tx.to)
+        to = tx.to
         if tx.transition is None:
             if to in self.contracts:
                 return _PAYMENT_TO_CONTRACT
-            return DispatchDecision(self._home(_pad(tx.sender)),
+            return DispatchDecision(self._home(tx.sender),
                                     "payment", "payment")
         entry = self._plans.get(to)
         if entry is None:
@@ -243,7 +242,7 @@ class Dispatcher:
 
     def dispatch_reference(self, tx: Transaction) -> DispatchDecision:
         """Sec. 4.3's procedure per transaction: the plans' specification."""
-        sender, to = _pad(tx.sender), _pad(tx.to)
+        sender, to = tx.sender, tx.to
         if not tx.is_contract_call:
             if self.is_contract(to):
                 # Plain payments cannot carry a transition; routing one
@@ -325,7 +324,7 @@ class Dispatcher:
         co_located = DispatchDecision(home, "co-located", "co_located")
         cross = _ds("cross-shard contract call", "cross_shard_call")
         return {}, lambda tx: (
-            co_located if shard_hash(f"addr:{_pad(tx.sender)}", n) == home
+            co_located if shard_hash(f"addr:{tx.sender}", n) == home
             else cross)
 
     def _lower_transition(self, to: str, deployed: DeployedSignature,
@@ -370,7 +369,7 @@ class Dispatcher:
             return lambda tx: final
 
         def plan(tx):
-            sender, args, found = _pad(tx.sender), dict(tx.args), {}
+            sender, args, found = tx.sender, dict(tx.args), {}
             for step in steps:
                 stop = step(sender, args, found)
                 if stop is not None:

@@ -231,7 +231,7 @@ def _resolve_key_value(key: Key, tx: Transaction,
     itself so sliced entries are selected by O(1) dict lookup."""
     if isinstance(key, ParamKey):
         if key.name in ("_sender", "_origin"):
-            return ByStrVal(_pad(tx.sender), ty.BYSTR20)
+            return ByStrVal(tx.sender, ty.BYSTR20)
         return tx.args_dict().get(key.name)
     assert isinstance(key, ConstKey)
     if key.repr.startswith("cparam:"):
@@ -358,7 +358,7 @@ def build_lane_task(net, lane: int, queue: list[Transaction],
     targeted: dict[str, list[Transaction]] = {}
     for tx in queue:
         if tx.is_contract_call:
-            targeted.setdefault(_pad(tx.to), []).append(tx)
+            targeted.setdefault(tx.to, []).append(tx)
     contracts: dict[str, LaneContractPayload] = {}
     for addr, c in net.contracts.items():
         src = getattr(c, "source", "")

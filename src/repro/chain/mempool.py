@@ -39,10 +39,13 @@ import enum
 import heapq
 import time
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .transaction import Transaction
-from .serialization import transaction_to_obj, transaction_from_obj
+from .serialization import (
+    TransactionRowError, transaction_from_obj, transaction_to_obj,
+)
 
 
 class AdmissionStatus(enum.Enum):
@@ -83,9 +86,8 @@ class TerminalKind(enum.Enum):
     DROPPED = "dropped"
 
 
-@dataclass(frozen=True)
-class SubmitReceipt:
-    """Typed answer to one ``submit`` call."""
+class SubmitReceipt(NamedTuple):
+    """Typed answer to one ``submit`` call (immutable: a tuple)."""
 
     tx_id: int
     sender: str
@@ -100,7 +102,7 @@ class SubmitReceipt:
         return self.status is AdmissionStatus.ADMITTED
 
 
-@dataclass
+@dataclass(slots=True)
 class PoolEntry:
     """One admitted transaction waiting to be drained."""
 
@@ -110,14 +112,20 @@ class PoolEntry:
     admit_tick: int = 0      # service tick at first admission
     admit_ns: int = 0        # wall-clock stamp (0 when metrics are off)
 
-    def to_obj(self) -> dict:
-        return {"tx": transaction_to_obj(self.tx),
-                "deferrals": self.deferrals}
+    def to_obj(self) -> list:
+        """The journal row: the transaction's row, then the deferral
+        count (``svc-admit`` records, restore points)."""
+        row = transaction_to_obj(self.tx)
+        row.append(self.deferrals)
+        return row
 
     @classmethod
-    def from_obj(cls, obj: dict, seq: int) -> "PoolEntry":
-        return cls(tx=transaction_from_obj(obj["tx"]), seq=seq,
-                   deferrals=int(obj.get("deferrals", 0)))
+    def from_obj(cls, row: list, seq: int = 0) -> "PoolEntry":
+        if not isinstance(row, list) or not row:
+            raise TransactionRowError(
+                f"a pool entry is a transaction row and a deferral "
+                f"count, not {type(row).__name__}")
+        return cls(transaction_from_obj(row[:-1]), seq, row[-1])
 
 
 @dataclass
@@ -170,6 +178,9 @@ class Mempool:
         self._backpressure_on = False
         # Drained-but-not-terminal entries, keyed by tx_id.
         self.inflight: dict[int, PoolEntry] = {}
+        # The tail the last submit shed to make room, if it shed one:
+        # the service loop journals it and clears this.
+        self.evicted: PoolEntry | None = None
         # EWMA of recent per-tick commits; drives the retry-after hint.
         self.drain_rate = 1.0
         self.counters: dict[str, int] = {
@@ -219,43 +230,45 @@ class Mempool:
 
     def submit(self, tx: Transaction) -> SubmitReceipt:
         """Apply admission control to one fresh submission."""
-        self.counters["submitted"] += 1
-        sender = tx.sender
+        counters = self.counters
+        counters["submitted"] += 1
+        sender, nonce = tx.sender, tx.nonce
         floor = self.nonce_floor.get(sender)
         if floor is not None:
-            if tx.nonce <= floor:
+            if nonce <= floor:
                 return self._reject(tx, RejectReason.NONCE_DUPLICATE)
-            if tx.nonce > floor + 1:
+            if nonce > floor + 1:
                 return self._reject(tx, RejectReason.NONCE_GAP)
         queue = self.queues.get(sender)
-        if queue is not None and len(queue) >= self.config.per_sender:
+        config = self.config
+        if queue is not None and len(queue) >= config.per_sender:
             return self._reject(tx, RejectReason.SENDER_FULL)
 
-        if self.count >= self.config.capacity:
+        if self.count >= config.capacity:
             # Full: admit only if the newcomer outranks the worst
             # sheddable tail, which is then shed to make room.  Ties
             # keep the incumbent (no churn).
             victim = self._shed_candidate(exclude_sender=sender)
             if victim is None or not self._outranks(tx, victim):
                 return self._reject(tx, RejectReason.POOL_FULL)
-            self._shed_entry(victim)
-        elif self._under_backpressure():
-            self.counters["backpressured"] += 1
+            self.evicted = self._shed_entry(victim)
+        elif (self._backpressure_on or self.count >= config.high_mark) \
+                and self._under_backpressure():
+            counters["backpressured"] += 1
             return SubmitReceipt(
-                tx.tx_id, sender, tx.nonce,
-                AdmissionStatus.BACKPRESSURE,
+                tx.tx_id, sender, nonce, AdmissionStatus.BACKPRESSURE,
                 retry_after=self._retry_after_hint())
 
-        entry = PoolEntry(
-            tx, self._next_seq(), admit_tick=self.now_tick,
-            admit_ns=self._clock() if self._meters else 0)
+        self._seq = seq = self._seq + 1
+        entry = PoolEntry(tx, seq, 0, self.now_tick,
+                          self._clock() if self._meters else 0)
         if queue is None:
             queue = self.queues[sender] = deque()
         queue.append(entry)
-        self.nonce_floor[sender] = tx.nonce
+        self.nonce_floor[sender] = nonce
         self.count += 1
-        self.counters["admitted"] += 1
-        return SubmitReceipt(tx.tx_id, sender, tx.nonce,
+        counters["admitted"] += 1
+        return SubmitReceipt(tx.tx_id, sender, nonce,
                              AdmissionStatus.ADMITTED)
 
     def readmit(self, tx: Transaction, deferrals: int,

@@ -47,6 +47,7 @@ from .delta import StateDelta, compute_delta, merge_deltas
 from .dispatch import DS, REASON_KINDS, DeployedSignature, Dispatcher, _pad
 from .faults import FaultInjector, FaultPlan
 from .lanes import LaneResult, run_lanes
+from .mempool import PoolEntry
 from .recovery import (
     ChangeLedger, DeltaViolation, NetworkCheckpoint, fingerprint_digest,
     validate_delta,
@@ -55,8 +56,9 @@ from .supervise import (
     BoundedLog, LaneFailureKind, LaneSupervisor, SuperviseConfig,
 )
 from .serialization import (
-    signature_from_obj, signature_to_obj, transaction_from_obj,
-    transaction_to_obj, value_from_json, value_to_json,
+    TransactionRowError, signature_from_obj, signature_to_obj,
+    transaction_from_obj, transaction_to_obj, value_from_json,
+    value_to_json,
 )
 from .transaction import Account, NonceTracker, Transaction
 from .wal import WALError, WriteAheadLog
@@ -429,10 +431,10 @@ class Network:
         # mempool, if any — snapshots embed its pending entries so
         # resume restores the queue.  ``restored_mempool`` collects
         # pending entries recovered from a snapshot + WAL replay
-        # (tx_id -> serialized PoolEntry, insertion-ordered); a
-        # ServiceLoop adopting this network drains it.
+        # (tx_id -> PoolEntry, insertion-ordered); a ServiceLoop
+        # adopting this network drains it.
         self.mempool = None
-        self.restored_mempool: dict[int, dict] = {}
+        self.restored_mempool: dict[int, PoolEntry] = {}
         # Senders ``auto_fund`` created whose WAL input is not yet
         # logged: they go, as one record, ahead of the next one.
         self._unlogged_accounts: list[str] = []
@@ -963,6 +965,15 @@ class Network:
         return net
 
     def _replay_record(self, record) -> None:
+        try:
+            self._replay(record)
+        except TransactionRowError as exc:
+            raise WALError(
+                f"log record {record.seq} ({record.type}) holds a "
+                f"transaction in no form this build reads: {exc}"
+            ) from exc
+
+    def _replay(self, record) -> None:
         data = record.data
         if record.type == "account":
             self._create_account(data["address"], data["balance"])
@@ -1002,8 +1013,9 @@ class Network:
                             f"{data['epoch']}) names transaction {tx}, "
                             f"which no admission record or restore "
                             f"point holds")
-                    tx = pending[tx]["tx"]
-                txns.append(transaction_from_obj(tx))
+                    txns.append(pending[tx].tx)
+                else:
+                    txns.append(transaction_from_obj(tx))
             block = self.process_epoch(
                 txns, unlimited=data["unlimited"], wal_tag=data["tag"])
             # Inputs drained from the restored service pool have their
@@ -1016,7 +1028,7 @@ class Network:
                 for tx in txns:
                     entry = pending.pop(tx.tx_id, None)
                     if entry is not None and tx.tx_id in deferred:
-                        entry["deferrals"] = entry.get("deferrals", 0) + 1
+                        entry.deferrals += 1
                         pending[tx.tx_id] = entry
         elif record.type == "commit":
             # A record without "scheme" predates the accumulator and
@@ -1031,11 +1043,15 @@ class Network:
         elif record.type == "note":
             self.wal_notes.append(data)
         elif record.type == "svc-admit":
-            # Service-mode admissions journaled before execution; an
-            # entry stays pending until an epoch drains it or a
-            # svc-terminal record retires it.
-            for entry in data["entries"]:
-                self.restored_mempool[entry["tx"]["id"]] = entry
+            # Service-mode admissions journaled before execution, one
+            # pool row each; an entry stays pending until an epoch
+            # drains it or a svc-terminal record retires it.
+            if not isinstance(data, list):
+                raise TransactionRowError(
+                    f"not a list of pool rows: {type(data).__name__}")
+            for row in data:
+                entry = PoolEntry.from_obj(row)
+                self.restored_mempool[entry.tx.tx_id] = entry
         elif record.type == "svc-terminal":
             for tx_id in data["ids"]:
                 self.restored_mempool.pop(tx_id, None)
@@ -1554,7 +1570,7 @@ class Network:
         seen: dict[tuple[str, int], int] = {}
         for shard in runnable:
             for tx in queues[shard]:
-                key = (_pad(tx.sender), tx.nonce)
+                key = (tx.sender, tx.nonce)
                 if seen.setdefault(key, shard) != shard:
                     return "serial"
         return self.executor
@@ -1605,7 +1621,7 @@ class Network:
     def _execute(self, tx: Transaction, lane: int, state_for,
                  touched: defaultdict) -> Receipt:
         """Run one transaction; success appends its logs to ``touched``."""
-        sender_addr, to_addr = _pad(tx.sender), _pad(tx.to)
+        sender_addr, to_addr = tx.sender, tx.to
         sender = self._account_at(sender_addr)
         if self._resident_tracker is not None:
             # try_accept moves this sender's nonce record (even a

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field as dc_field
 from ..core.domain import PseudoField
 from ..core.joins import JoinKind
 from ..scilla.state import MISSING, ContractState, StateKey
-from ..scilla.values import MapVal, Value
+from ..scilla.values import ByStrVal, IntVal, MapVal, Value
 from .delta import StateDelta
 from .dispatch import DS, key_token
 
@@ -272,6 +272,9 @@ def fingerprint_digest(net) -> str:
 # --------------------------------------------------------------------------
 
 _MASK = (1 << 256) - 1
+# Value classes whose key_token is "<type>|<payload>", in tuple order
+# (payload, type): ByStr as its hex, Int / Uint as its integer.
+_SCALARS = frozenset((ByStrVal, IntVal))
 
 
 def _encode(value: Value) -> str:
@@ -386,18 +389,25 @@ class ChangeLedger:
                 old_of, new_of = pre[name].entries.get, post[name].entries.get
                 # An entry's term as in _field_terms, _term written
                 # out: the calls were 0.5 of the 4 us a location costs.
+                # A scalar key's token and value's text are built here
+                # too — key_token / _encode's text, without their calls.
                 sha, to_int = hashlib.sha256, int.from_bytes
                 for key, in paths:
                     old, new = old_of(key, MISSING), new_of(key, MISSING)
                     if old is new:
                         continue
-                    token = key_token(key)
+                    token = (f"{key[1]!s}|{key[0]}" if type(key) in _SCALARS
+                             else key_token(key))
                     head = f"{prefix}{len(token)}:{token}"
                     if new is not MISSING:
-                        text = head + _encode(new)
+                        text = (f"{head}={new[1]!s}|{new[0]}"
+                                if type(new) in _SCALARS
+                                else head + _encode(new))
                         acc += to_int(sha(text.encode()).digest(), "big")
                     if old is not MISSING:
-                        text = head + _encode(old)
+                        text = (f"{head}={old[1]!s}|{old[0]}"
+                                if type(old) in _SCALARS
+                                else head + _encode(old))
                         acc -= to_int(sha(text.encode()).digest(), "big")
             self.fields[addr] = acc & _MASK
         if self.parent is not None:

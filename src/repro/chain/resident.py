@@ -61,7 +61,6 @@ from dataclasses import dataclass, field as dc_field
 
 from ..scilla.state import MISSING, StateKey
 from ..scilla.values import MapVal
-from .dispatch import _pad
 from .faults import WorkerKilled
 from .lanes import (
     LaneResult, LaneTask, build_lane_task, instantiate_lane_network,
@@ -340,7 +339,7 @@ def _run_epoch_on_replica(replica: _Replica, task: ResidentEpochTask
                                 dict(account.shard_portions)))
         return Network._account_at(net, addr)
 
-    senders = {_pad(tx.sender) for tx in task.queue}
+    senders = {tx.sender for tx in task.queue}
     nonces = net.nonces
     pre_nonces = {
         s: (set(nonces.used.get(s, ())),

@@ -202,33 +202,41 @@ def delta_from_json(text: str) -> StateDelta:
 # Transactions (the lookup-node packets of Fig. 10).
 # --------------------------------------------------------------------------
 
-def transaction_to_obj(tx: Transaction) -> Any:
-    """JSON-able form of a transaction.
+class TransactionRowError(ValueError):
+    """Data that is not a transaction row (:func:`transaction_from_obj`).
+    The callers that know where the data came from — a WAL record, a
+    restore point, a loadgen stream — name it in their own error."""
 
-    The ``id`` field preserves ``tx_id`` across the process boundary:
-    WAL replay must re-execute the *same* transactions, and the
-    default dispatch strategy routes unconstrained calls by
-    ``tx_id % n_shards``.
+
+def transaction_to_obj(tx: Transaction) -> list:
+    """A transaction as one positional row, the one form every
+    journal, restore point and stream uses::
+
+        [id, sender, to, nonce, amount, gas_limit, gas_price,
+         transition, args]
+
+    ``args`` is ``[[name, value], ...]`` with each value in the
+    self-describing :func:`value_to_json` form.  ``id`` preserves
+    ``tx_id`` across the process boundary: WAL replay must re-execute
+    the *same* transactions, and the default dispatch strategy routes
+    unconstrained calls by ``tx_id % n_shards``.
     """
-    return {
-        "sender": tx.sender, "to": tx.to, "nonce": tx.nonce,
-        "amount": tx.amount, "gas_limit": tx.gas_limit,
-        "gas_price": tx.gas_price, "transition": tx.transition,
-        "args": [[k, value_to_json(v)] for k, v in tx.args],
-        "id": tx.tx_id,
-    }
+    return [tx.tx_id, tx.sender, tx.to, tx.nonce, tx.amount, tx.gas_limit,
+            tx.gas_price, tx.transition,
+            [[k, value_to_json(v)] for k, v in tx.args]]
 
 
 def transaction_from_obj(data: Any) -> Transaction:
-    kwargs = {}
-    if data.get("id") is not None:
-        kwargs["tx_id"] = data["id"]
+    """Inverse of :func:`transaction_to_obj`; anything but a
+    nine-column row raises :class:`TransactionRowError`."""
+    if not isinstance(data, list) or len(data) != 9:
+        raise TransactionRowError(
+            f"not a nine-column transaction row: {str(data)[:80]}")
+    tx_id, sender, to, nonce, amount, gas_limit, gas_price, \
+        transition, args = data
     return Transaction(
-        sender=data["sender"], to=data["to"], nonce=data["nonce"],
-        amount=data["amount"], gas_limit=data["gas_limit"],
-        gas_price=data["gas_price"], transition=data["transition"],
-        args=tuple((k, value_from_json(v)) for k, v in data["args"]),
-        **kwargs)
+        sender, to, nonce, amount, gas_limit, gas_price, transition,
+        tuple([(k, value_from_json(v)) for k, v in args]), tx_id)
 
 
 def transaction_to_json(tx: Transaction) -> str:
@@ -335,23 +343,36 @@ def locations_to_obj(state: ContractState, keys) -> dict:
     format.  Prefix-minimal keys only: a location written under another
     written one travels inside its value.  A nested entry that is gone
     travels as its whole first-level entry: a delete can leave empty
-    maps above it, which differ from absent keys."""
+    maps above it, which differ from absent keys.  A one-key location
+    is read straight from its field's entries; only a deeper one walks
+    the state and checks its prefixes."""
     by_field: dict[str, list] = {}
-    for name, path in keys:
-        if not any((name, path[:i]) in keys for i in range(len(path))):
-            by_field.setdefault(name, []).append(path)
+    for key in keys:
+        name, path = key
+        paths = by_field.get(name)
+        if paths is None:
+            paths = by_field[name] = []
+        paths.append(path)
     out = {}
     for name, paths in by_field.items():
+        if (name, ()) in keys:      # the whole field: nothing under it
+            paths = [()]
+        elif max(map(len, paths)) > 1:
+            paths = [path for path in paths
+                     if not any((name, path[:i]) in keys
+                                for i in range(1, len(path)))]
         typ = state.field_types.get(name)
         key_cls = value_cls = None
         if isinstance(typ, ty.MapType):
             key_cls = _literal_class(typ.key)
             value_cls = _literal_class(typ.value)
         flat = key_cls is not None and value_cls is not None
+        entries = state.fields[name].entries.get if paths[0] else None
         k_col, v_col, rows = [], [], []
         for path in paths:
-            value = state.read((name, path))
-            gone = isinstance(value, _Missing)
+            value = (entries(path[0], MISSING) if len(path) == 1
+                     else state.read((name, path)))
+            gone = value is MISSING
             if flat and len(path) == 1 \
                     and _is_literal(path[0], key_cls, typ.key) \
                     and (gone or _is_literal(value, value_cls, typ.value)):
@@ -361,7 +382,7 @@ def locations_to_obj(state: ContractState, keys) -> dict:
             if gone and len(path) > 1:
                 path = path[:1]
                 value = state.read((name, path))
-                gone = isinstance(value, _Missing)
+                gone = value is MISSING
             rows.append([[value_to_json(k) for k in path],
                          None if gone else value_to_json(value)])
         out[name] = {"k": k_col, "v": v_col, "rows": rows}

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from ..scilla.values import pad_address
 from .mempool import (
     Mempool, MempoolConfig, PoolEntry, SubmitReceipt, TerminalKind,
 )
@@ -128,11 +127,15 @@ class ServiceLoop:
 
     def submit(self, tx: Transaction) -> SubmitReceipt:
         """Admit one producer submission (and journal it)."""
-        receipt = self.mempool.submit(tx)
+        pool = self.mempool
+        receipt = pool.submit(tx)
+        if pool.evicted is not None:
+            # A better-paying newcomer took a tail's place: that is a
+            # shed, journaled with the tick's other terminals.
+            self._buffer_terminal(pool.evicted, TerminalKind.SHED)
+            pool.evicted = None
         if receipt.admitted:
-            # Both tables are keyed by the canonical address, whatever
-            # spelling the submission used.
-            sender = pad_address(tx.sender)
+            sender = tx.sender
             if self.config.auto_fund and \
                     sender not in self.net.accounts and \
                     sender not in self.net.contracts:
@@ -141,8 +144,7 @@ class ServiceLoop:
                 # population 10^5-10^6 this is what makes setup O(1)
                 # per *touched* sender instead of O(population).
                 self.net.auto_fund(sender)
-            queue = self.mempool.queues[tx.sender]
-            self._admit_buffer.append(queue[-1])
+            self._admit_buffer.append(pool.queues[sender][-1])
         return receipt
 
     def sync(self) -> None:
@@ -330,23 +332,32 @@ class ServiceLoop:
                                      {"kind": kind, "ids": ids})
             self._terminal_buffer = {}
         if self._admit_buffer:
-            self.net._wal_append("svc-admit", {
-                "entries": [e.to_obj() for e in self._admit_buffer],
-            }, barrier=barrier)
+            self.net._wal_append(
+                "svc-admit", [e.to_obj() for e in self._admit_buffer],
+                barrier=barrier)
             self._admit_buffer = []
         elif barrier and self.net.wal is not None:
             self.net.wal.barrier()
 
     def _buffer_terminal(self, entry: PoolEntry,
                          kind: TerminalKind) -> None:
+        # Terminals are flushed ahead of admissions: an entry admitted
+        # (or re-admitted) since the last flush and retired before the
+        # next is dropped from the admissions instead, or replay would
+        # retire it first and then make it pending again.
+        buffer = self._admit_buffer
+        for i in range(len(buffer) - 1, -1, -1):
+            if buffer[i] is entry:
+                del buffer[i]
+                break
         self._terminal_buffer.setdefault(kind.value, []).append(
             entry.tx.tx_id)
 
     def _adopt_restored(self) -> None:
         """Rebuild the pending pool from what resume recovered."""
-        entries = [PoolEntry.from_obj(obj, seq=i)
-                   for i, obj in enumerate(
-                       self.net.restored_mempool.values())]
+        entries = list(self.net.restored_mempool.values())
+        for seq, entry in enumerate(entries):
+            entry.seq = seq
         floors = dict(self.net.nonces.last_global)
         self.mempool.restore(entries, nonce_floor=floors)
         self.net.restored_mempool = {}

@@ -16,12 +16,15 @@ re-executes only the WAL records past it, so restore points bound
 replay time and let :meth:`~repro.chain.wal.WriteAheadLog.compact`
 drop old segments.
 
-The format (version 3, base and delta alike) writes a thing once: a
+The format (version 4, base and delta alike) writes a thing once: a
 field's values travel under its declared type — a primitive as its
 literal, a map of primitives as a key and a value column
-(:func:`~repro.chain.serialization.typed_to_json`) — and accounts and
+(:func:`~repro.chain.serialization.typed_to_json`) — accounts and
 nonce records are columns over their addresses, a sender's used nonces
-``[first, last]`` runs.  docs/FAULTS.md, "Restore points".
+``[first, last]`` runs, and every transaction it holds (mempool,
+backlog, dead letters, injector) is the positional row of
+:func:`~repro.chain.serialization.transaction_to_obj`.  docs/FAULTS.md,
+"Restore points".
 
 Restore points are written atomically: the JSON body (the payload,
 serialised once, behind the SHA-256 of its bytes) goes to a temporary
@@ -40,6 +43,7 @@ demand from contract sources.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import os
@@ -49,6 +53,7 @@ from typing import Any
 
 from ..scilla.values import MapVal
 from .dispatch import DS
+from .mempool import PoolEntry
 from .serialization import (
     apply_locations, locations_to_obj, signature_from_obj,
     signature_to_obj, state_from_obj, state_to_obj,
@@ -58,7 +63,7 @@ from .wal import dumps_compact
 
 # The one format read and written; a file of any other version is
 # refused loudly, not skipped.
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 SNAPSHOT_PREFIX = "snap-"
 SNAPSHOT_SUFFIX = ".json"
 DELTA_SUFFIX = ".delta" + SNAPSHOT_SUFFIX
@@ -92,14 +97,24 @@ def _lane_order(lanes) -> list[int]:
 
 def _account_columns(accounts) -> dict:
     """Accounts as columns: address, balance, and per lane the portion
-    of the balance held there (``None``: no such portion)."""
+    of the balance held there (``None``: no such portion).  One pass
+    over the accounts."""
     accounts = list(accounts)
-    lanes = _lane_order(set().union(*(a.shard_portions for a in accounts)))
+    n = len(accounts)
+    address, balance, portions = [None] * n, [None] * n, {}
+    for i, account in enumerate(accounts):
+        address[i] = account.address
+        balance[i] = account.balance
+        for lane, amount in account.shard_portions.items():
+            column = portions.get(lane)
+            if column is None:
+                column = portions[lane] = [None] * n
+            column[i] = amount
     return {
-        "address": [a.address for a in accounts],
-        "balance": [a.balance for a in accounts],
-        "portions": {str(lane): [a.shard_portions.get(lane)
-                                 for a in accounts] for lane in lanes},
+        "address": address,
+        "balance": balance,
+        "portions": {str(lane): portions[lane]
+                     for lane in _lane_order(portions)},
     }
 
 
@@ -122,15 +137,30 @@ def _runs(nonces: set[int]) -> list[list[int]]:
 def _nonce_columns(nonces, senders, lanes) -> dict:
     """The nonce records of ``senders`` as columns: the used nonces as
     runs, the global high-water mark, and one per lane (``None``: the
-    sender has no such record)."""
+    sender has no such record).  The lane columns take one pass over
+    the per-lane table when that is shorter than a lookup per cell (a
+    base), a lookup per cell otherwise (a delta)."""
     senders = list(senders)
-    used, per_lane = nonces.used, nonces.last_per_lane
+    lanes = _lane_order(lanes)
+    per_lane = nonces.last_per_lane
+    if len(senders) * len(lanes) > len(per_lane):
+        columns = {lane: [None] * len(senders) for lane in lanes}
+        row_of = {s: i for i, s in enumerate(senders)}.get
+        for (s, lane), nonce in per_lane.items():
+            row = row_of(s)
+            if row is not None:
+                columns[lane][row] = nonce
+    else:
+        lookup = per_lane.get
+        columns = {lane: [lookup((s, lane)) for s in senders]
+                   for lane in lanes}
+    used_of = nonces.used.get
     return {
         "sender": senders,
-        "used": [_runs(used[s]) if s in used else None for s in senders],
-        "last_global": [nonces.last_global.get(s) for s in senders],
-        "last_lane": {str(lane): [per_lane.get((s, lane)) for s in senders]
-                      for lane in _lane_order(lanes)},
+        "used": [None if (used := used_of(s)) is None else _runs(used)
+                 for s in senders],
+        "last_global": list(map(nonces.last_global.get, senders)),
+        "last_lane": {str(lane): columns[lane] for lane in lanes},
     }
 
 
@@ -188,8 +218,8 @@ def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
             # and will be re-admitted, one deferral on.
             inflight = net.mempool.inflight
             obj["mempool"]["entries"] += [
-                {"tx": transaction_to_obj(inflight[tx_id].tx),
-                 "deferrals": inflight[tx_id].deferrals + 1}
+                [*transaction_to_obj(inflight[tx_id].tx),
+                 inflight[tx_id].deferrals + 1]
                 for tx_id in sorted(net.blocks[-1].deferred_ids())
                 if tx_id in inflight]
     if ledger is not None and backend_obj is None \
@@ -341,9 +371,9 @@ def _restore_tables(net, obj: Any) -> None:
                                 for tx in injector_obj["dropped"]]
     # Pending service-pool entries; WAL replay past the snapshot
     # adds/removes against this and ServiceLoop.adopt drains it.
-    net.restored_mempool = {
-        entry["tx"]["id"]: entry
-        for entry in obj.get("mempool", {"entries": ()})["entries"]}
+    entries = map(PoolEntry.from_obj,
+                  obj.get("mempool", {"entries": ()})["entries"])
+    net.restored_mempool = {entry.tx.tx_id: entry for entry in entries}
 
 
 # --------------------------------------------------------------------------
@@ -371,6 +401,15 @@ class SnapshotStore:
         self.tip: tuple[str, str] | None = None
         # Restore points a load rejected: file name -> reason.
         self.skipped: dict[str, str] = {}
+        # The restore-point and sidecar files, oldest first: listed once
+        # here, then kept by the writers (save, save_backend, compact).
+        names = sorted(p.name for p in self.dir.iterdir())
+        self._paths = [self.dir / n for n in names
+                       if n.startswith(SNAPSHOT_PREFIX)
+                       and n.endswith(SNAPSHOT_SUFFIX)]
+        self._sidecars = [self.dir / n for n in names
+                          if n.startswith(BACKEND_PREFIX)
+                          and n.endswith(BACKEND_SUFFIX)]
 
     def _path(self, epoch: int, wal_seq: int, delta: bool = False) -> Path:
         return self.dir / (f"{SNAPSHOT_PREFIX}{epoch:010d}-{wal_seq:010d}"
@@ -378,9 +417,7 @@ class SnapshotStore:
 
     def paths(self) -> list[Path]:
         """Restore-point files, oldest first (temp files excluded)."""
-        return sorted(p for p in self.dir.iterdir()
-                      if p.name.startswith(SNAPSHOT_PREFIX)
-                      and p.name.endswith(SNAPSHOT_SUFFIX))
+        return list(self._paths)
 
     def _backend_path(self, epoch: int, wal_seq: int) -> Path:
         return self.dir / (f"{BACKEND_PREFIX}{epoch:010d}-"
@@ -389,9 +426,7 @@ class SnapshotStore:
     def backend_paths(self) -> list[Path]:
         """Backend sidecar files, oldest first (the live page store —
         ``state.sqlite`` — is not a sidecar and is excluded)."""
-        return sorted(p for p in self.dir.iterdir()
-                      if p.name.startswith(BACKEND_PREFIX)
-                      and p.name.endswith(BACKEND_SUFFIX))
+        return list(self._sidecars)
 
     def save_backend(self, backend, epoch: int, wal_seq: int) -> dict:
         """Persist a consistent copy of the external page store as a
@@ -410,6 +445,7 @@ class SnapshotStore:
             raise StoreError(
                 f"backend sidecar write failed for {target.name}: "
                 f"{type(exc).__name__}: {exc}") from exc
+        _insort_new(self._sidecars, target)
         return {"kind": backend.kind, "file": target.name,
                 "digest": digest}
 
@@ -474,12 +510,14 @@ class SnapshotStore:
         """
         target = self._path(obj["epoch"], obj["wal_seq"],
                             delta="parent" in obj)
-        payload = dumps_compact(obj)
-        digest = hashlib.sha256(payload.encode()).hexdigest()
+        payload = dumps_compact(obj).encode()   # ASCII: one byte a char
+        digest = hashlib.sha256(payload).hexdigest()
         tmp = target.with_name(target.name + ".tmp")
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(digest.join(_FRAME[:2]) + payload + _FRAME[2])
+            with open(tmp, "wb") as handle:
+                handle.write(digest.join(_FRAME[:2]).encode())
+                handle.write(payload)
+                handle.write(_FRAME[2].encode())
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, target)
@@ -497,6 +535,7 @@ class SnapshotStore:
                 f"snapshot write failed for {target.name}: "
                 f"{type(exc).__name__}: {exc}") from exc
         self.tip = (target.name, digest)
+        _insort_new(self._paths, target)
         return target
 
     def _load(self, path: Path) -> tuple[Any, str] | None:
@@ -563,7 +602,7 @@ class SnapshotStore:
         base, after :meth:`compact`) covers: the log must stay
         replayable from there, or a retained restore point could not
         be fallen back to."""
-        name = self.paths()[0].name
+        name = self._paths[0].name
         return int(name[len(SNAPSHOT_PREFIX):].split(".")[0].split("-")[1])
 
     def compact(self) -> list[str]:
@@ -571,7 +610,7 @@ class SnapshotStore:
         what they build on (back to the base under the oldest kept
         one), plus any backend sidecars whose paired snapshot is gone
         (same ``epoch-walseq`` stem); returns the deleted file names."""
-        paths = self.paths()
+        paths = self._paths
         first = max(len(paths) - self.keep, 0)
         while first and paths[first].name.endswith(DELTA_SUFFIX):
             first -= 1
@@ -579,15 +618,24 @@ class SnapshotStore:
         for path in paths[:first]:
             path.unlink()
             deleted.append(path.name)
+        del paths[:first]
         kept_stems = {
             p.name[len(SNAPSHOT_PREFIX):-len(SNAPSHOT_SUFFIX)]
-            for p in paths[first:]}
-        for sidecar in self.backend_paths():
+            for p in paths}
+        for sidecar in list(self._sidecars):
             stem = sidecar.name[len(BACKEND_PREFIX):-len(BACKEND_SUFFIX)]
             if stem not in kept_stems:
                 try:
                     sidecar.unlink()
                 except OSError:
                     continue
+                self._sidecars.remove(sidecar)
                 deleted.append(sidecar.name)
         return deleted
+
+
+def _insort_new(paths: list[Path], path: Path) -> None:
+    """Add ``path`` to the sorted list ``paths`` unless it is there."""
+    at = bisect.bisect_left(paths, path)
+    if paths[at:at + 1] != [path]:
+        paths.insert(at, path)

@@ -13,17 +13,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from ..scilla.values import Value
+from ..scilla.values import Value, pad_address
 
 _tx_counter = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Transaction:
     """A signed user transaction.
 
     ``to`` is a user address (payment) or a contract address (call).
     Contract calls name a ``transition`` and carry typed ``args``.
+    ``sender`` and ``to`` are canonical from construction (``0x`` + 40
+    lowercase hex, :func:`~repro.scilla.values.pad_address`), so every
+    table keyed by an address — mempool queues and nonce floors,
+    accounts, nonce records — sees one key per address whatever
+    spelling the transaction was written with.
     """
 
     sender: str
@@ -34,7 +39,22 @@ class Transaction:
     gas_price: int = 1
     transition: str | None = None
     args: tuple[tuple[str, Value], ...] = ()
-    tx_id: int = dc_field(default_factory=lambda: next(_tx_counter))
+    tx_id: int      # the next of a process-wide counter unless given
+
+    def __init__(self, sender: str, to: str, nonce: int, amount: int = 0,
+                 gas_limit: int = 50_000, gas_price: int = 1,
+                 transition: str | None = None,
+                 args: tuple[tuple[str, Value], ...] = (),
+                 tx_id: int | None = None):
+        # One instance dict, set once: a frozen dataclass's own __init__
+        # pays an object.__setattr__ per field, more than the two
+        # canonical addresses cost.
+        object.__setattr__(self, "__dict__", {
+            "sender": pad_address(sender), "to": pad_address(to),
+            "nonce": nonce, "amount": amount, "gas_limit": gas_limit,
+            "gas_price": gas_price, "transition": transition,
+            "args": args,
+            "tx_id": next(_tx_counter) if tx_id is None else tx_id})
 
     @property
     def is_contract_call(self) -> bool:

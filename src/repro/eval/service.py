@@ -21,8 +21,10 @@ deferrals, shedding, or parallel lanes
 
 The ``write_stream`` / ``iter_stream`` pair is the `repro loadgen` /
 `repro serve` wire format: a JSONL header describing the workload
-(so the serving side can reproduce contract setup), then one line of
-serialized transactions per tick.
+(so the serving side can reproduce contract setup), then one line per
+tick holding its transactions as positional rows
+(:func:`~repro.chain.serialization.transaction_to_obj`; stream version
+2 — a version-1 stream, whose transactions were objects, is refused).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from ..chain.service import ServiceConfig, ServiceLoop
 from ..obs.metrics import MetricsRegistry
 from ..workloads import workload_by_name
 
-STREAM_VERSION = 1
+STREAM_VERSION = 2
 
 
 @dataclass
@@ -398,9 +400,13 @@ def iter_stream(fh):
     if not header_line:
         raise ValueError("empty loadgen stream")
     header = json.loads(header_line)
-    if header.get("kind") != "header" or \
-            header.get("version") != STREAM_VERSION:
+    if not isinstance(header, dict) or header.get("kind") != "header":
         raise ValueError("not a loadgen stream (bad header)")
+    if header.get("version") != STREAM_VERSION:
+        raise ValueError(
+            f"loadgen stream version {header.get('version')!r} is not "
+            f"read by this build (it reads version {STREAM_VERSION}); "
+            f"regenerate it with repro loadgen")
 
     def batches():
         for line in fh:

@@ -506,9 +506,11 @@ def sint(value: int, width: int = 128) -> IntVal:
 
 
 def pad_address(address: str) -> str:
-    """The canonical form of an address: ``0x`` + 40 lowercase hex."""
+    """The canonical form of an address: ``0x`` + 40 lowercase hex.
+    An address already in that form is returned itself, not a copy."""
     if len(address) == 42 and address[:2] == "0x":
-        return address.lower()   # full length already: nothing to pad
+        lowered = address.lower()    # full length already: nothing to pad
+        return address if lowered == address else lowered
     body = address[2:] if address.startswith("0x") else address
     return "0x" + body.rjust(40, "0").lower()
 

@@ -6,11 +6,11 @@
   to exactly the live network whatever the state holds: scalars, flat
   and nested maps, ADT values, emptied and overwritten maps, deletes,
   nonce sets with gaps, several lanes per sender.
-* **The WAL** holds a transaction's body in one record: the admission
-  record when the service pool journaled it, the ``epoch`` record
-  otherwise; an ``epoch`` record that names a body nothing holds stops
-  the resume.  Auto-funded senders are one ``accounts`` record per
-  flush.
+* **The WAL** holds a transaction's body in one record, as one
+  positional row: the admission record when the service pool journaled
+  it, the ``epoch`` record otherwise; an ``epoch`` record that names a
+  body nothing holds stops the resume.  Auto-funded senders are one
+  ``accounts`` record per flush.
 * **Metering** reads the mempool's own counts at ``drain`` and when a
   tick settles, so at every tick boundary the registry equals a
   recount of the transactions themselves.
@@ -216,7 +216,7 @@ def test_delta_rows_follow_the_declared_type(tmp_path):
         net.snapshot()
         net.close()
     delta = SnapshotStore(tmp_path).load_newest()
-    assert delta["version"] == 3 and "parent" in delta
+    assert delta["version"] == 4 and "parent" in delta
     writes = delta["contracts"][ONCE_ADDR]["writes"]
     assert dict(zip(writes["balances"]["k"], writes["balances"]["v"])) \
         == {USERS[0]: 99, USERS[1]: None}
@@ -253,12 +253,13 @@ def service_net(data_dir, **kwargs) -> Network:
 
 
 def bodies(record: WALRecord) -> list[int]:
-    """The ids of the transactions whose body ``record`` carries."""
+    """The ids of the transactions whose body ``record`` carries (a
+    row's first column)."""
     if record.type == "svc-admit":
-        return [e["tx"]["id"] for e in record.data["entries"]]
+        return [row[0] for row in record.data]
     if record.type == "epoch":
-        return [tx["id"] for tx in record.data["txns"]
-                if isinstance(tx, dict)]
+        return [tx[0] for tx in record.data["txns"]
+                if isinstance(tx, list)]
     return []
 
 
@@ -329,7 +330,7 @@ def test_an_epoch_naming_an_unheld_body_stops_the_resume(tmp_path):
 
     # The same log, its admission record emptied.
     (segment,) = _segment_files(tmp_path)
-    records = [WALRecord(r.seq, r.type, {"entries": []})
+    records = [WALRecord(r.seq, r.type, [])
                if r.type == "svc-admit" else r
                for r in read_wal(tmp_path)]
     segment.write_bytes(b"".join(map(_encode, records)))
@@ -352,9 +353,9 @@ def test_new_senders_of_a_tick_are_one_accounts_record(tmp_path):
     assert len(canonical) == 3
     nonce_of: Counter = Counter()
     for sender in spellings:
-        nonce_of[sender] += 1       # the pool queues per spelling
-        assert loop.submit(
-            payment(sender, to, 10**9, nonce_of[sender])).admitted
+        nonce_of[pad_address(sender)] += 1      # one queue per address
+        assert loop.submit(payment(
+            sender, to, 10**9, nonce_of[pad_address(sender)])).admitted
     loop.tick()
     # A second tick with no new sender logs no second record.
     assert loop.submit(payment(spellings[-1], to, 10**9, 2)).admitted

@@ -12,7 +12,7 @@ from repro.chain.faults import FaultEvent, FaultKind, FaultPlan
 from repro.chain.mempool import AdmissionStatus, MempoolConfig
 from repro.chain.network import Network
 from repro.chain.service import ServiceConfig, ServiceLoop
-from repro.chain.transaction import payment
+from repro.chain.transaction import Transaction, payment
 from repro.chain.wal import read_wal
 from repro.cli import main
 from repro.eval.service import (
@@ -211,6 +211,52 @@ class TestServiceLoop:
         assert pool.occupancy == 0 and not pool.inflight
         assert pool.accounted() == pool.counters["submitted"]
         resumed.close()
+
+    def test_a_shed_at_admission_survives_a_crash(self, tmp_path):
+        # A better-paying newcomer evicting a queue tail inside
+        # Mempool.submit is a shed: its client was told so, and a crash
+        # must not make the victim pending (and committable) again.
+        net = make_net(data_dir=tmp_path)
+        loop = make_loop(net, pool_config=MempoolConfig(
+            capacity=2, per_sender=8, high_water=1.0, low_water=0.5))
+        to = "0x" + "cd" * 20
+        txs = [Transaction(f"0x{i:040x}", to, 1, amount=1,
+                           gas_limit=1_000, gas_price=price)
+               for i, price in ((1, 1), (2, 1), (3, 2))]
+        assert all(loop.submit(tx).admitted for tx in txs)
+        loop.sync()
+        pending = sorted(e.tx.tx_id for e in loop.mempool.pending_entries())
+        assert pending == [txs[0].tx_id, txs[2].tx_id]
+        assert loop.mempool.counters["shed"] == 1
+        del loop, net                   # vanish without close()
+
+        resumed = Network.resume(str(tmp_path))
+        loop = make_loop(resumed)
+        pool = loop.mempool
+        assert sorted(e.tx.tx_id for e in pool.pending_entries()) == pending
+        assert pool.accounted() == pool.counters["submitted"]
+        resumed.close()
+
+    def test_short_and_full_spellings_are_one_sender(self):
+        # Two payments from one sender, written "0x12" and in full in
+        # every combination: the same receipts, one account, one nonce
+        # record.
+        to, full = "0x" + "cd" * 20, pad_address("0x12")
+        outcomes = []
+        for spellings in (("0x12", "0x12"), ("0x12", full), (full, "0x12")):
+            net = make_net()
+            loop = make_loop(net)
+            admitted = [loop.submit(Transaction(
+                sender, to, nonce, amount=10, gas_limit=1_000,
+                tx_id=900 + nonce))
+                for nonce, sender in enumerate(spellings, 1)]
+            assert loop.tick().committed == 2
+            assert set(net.accounts) == {full, to}
+            assert net.nonces.used == {full: {1, 2}}
+            outcomes.append((admitted, [
+                (r.tx, r.success, r.gas_used)
+                for r in net.blocks[-1].all_receipts]))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_batch_shrinks_under_saturation_and_recovers(self):
         # Sustained overload: every tick offers another 40, the tight

@@ -91,13 +91,15 @@ def test_metrics_survive_mid_run_snapshot(tmp_path):
     restores it and replay re-records only the epochs past it."""
     from repro.chain.transaction import payment
 
+    alice, bob = "0x" + "a1" * 20, "0x" + "b0" * 20
+
     def epoch(n):
-        return [payment("alice", "bob", amount=1, nonce=n)]
+        return [payment(alice, bob, amount=1, nonce=n)]
 
     reg = MetricsRegistry()
     net = Network(2, data_dir=str(tmp_path), metrics=reg)
-    net.create_account("alice")
-    net.create_account("bob")
+    net.create_account(alice)
+    net.create_account(bob)
     net.process_epoch(epoch(1))
     net.snapshot()                 # registry state pinned here
     net.process_epoch(epoch(2))    # …and this epoch replays on resume
@@ -125,10 +127,11 @@ def test_disabled_network_records_nothing():
     net = Network(2)
     assert net.metrics is NULL_REGISTRY
     assert net.tracer is NULL_TRACER
-    net.create_account("a")
-    net.create_account("b")
+    a, b = "0x" + "aa" * 20, "0x" + "bb" * 20
+    net.create_account(a)
+    net.create_account(b)
     from repro.chain.transaction import payment
-    net.process_epoch([payment("a", "b", amount=1, nonce=1)])
+    net.process_epoch([payment(a, b, amount=1, nonce=1)])
     assert net.metrics.snapshot() == \
         {"counters": {}, "gauges": {}, "histograms": {}}
 
