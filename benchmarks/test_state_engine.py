@@ -15,11 +15,13 @@ flat in state size.
 
 import gc
 import json
+import sys
 import time
 from pathlib import Path
 from statistics import median
 
 from repro.chain.recovery import NetworkCheckpoint
+from repro.chain.transaction import used_runs
 from repro.eval.state_bench import (
     format_state_bench, run_state_bench, write_state_bench,
 )
@@ -164,22 +166,141 @@ def test_checkpoint_take_walks_no_account_and_no_nonce_table():
         net.create_account(f"0x{i + 0x1000:040x}")
         net.nonces.try_accept(f"0x{i + 0x1000:040x}", 1, i % 4)
     net.accounts = _CountingDict(net.accounts)
-    net.nonces.used = _CountingDict(net.nonces.used)
-    net.nonces.last_global = _CountingDict(net.nonces.last_global)
-    net.nonces.last_per_lane = _CountingDict(net.nonces.last_per_lane)
+    net.nonces.records = _CountingDict(net.nonces.records)
 
     checkpoint = NetworkCheckpoint.take(net)
     sender = f"0x{0x1000 + 5:040x}"
-    assert net._account(sender).charge(0, 7)
-    net._account("0x" + "ee" * 20).credit(7, 0)     # lazily created
+    assert net._charge(sender, 0, 7)
+    net._credit("0x" + "ee" * 20, 0, 7)     # lazily created
     assert net.nonces.try_accept(sender, 2, 1)
     assert net.journal.depth == 3
     checkpoint.restore(net)
     checkpoint.release(net)
     assert _CountingDict.walks == 0
     assert len(net.accounts) == 100_000
-    assert net.accounts[sender].balance == 10**12
-    assert net.nonces.used[sender] == {1}
+    assert net.balance(sender) == 10**12
+    assert used_runs(net.nonces.records[sender]) == [[1, 1]]
+
+
+def test_a_user_is_two_untracked_rows():
+    """At 10^5 funded accounts an account costs ≤ 64 B by tracemalloc
+    (448 B as an ``Account`` with its portions dict): funded accounts
+    share one memoised row per home shard, so what is left is the
+    table's slot.  After a collection no account row — charged or not —
+    and no nonce record of a sender who never skipped is a GC-tracked
+    object."""
+    import tracemalloc
+
+    from repro.chain.network import Network
+
+    n = 100_000
+    addresses = [f"0x{i + 0x1000:040x}" for i in range(n)]
+    net = Network(4, use_signatures=False, executor="serial",
+                  state_backend="none")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for address in addresses:
+            net.create_account(address)
+        per_account = tracemalloc.get_traced_memory()[0] / n
+    finally:
+        tracemalloc.stop()
+    assert per_account <= 64, f"{per_account:.0f} B per funded account"
+
+    for i, address in enumerate(addresses):
+        for nonce in (1, 2, 3):
+            assert net.nonces.try_accept(address, nonce, (i + nonce) % 5 - 1)
+        if i % 10 == 0:
+            assert net._charge(address, -1, 7)
+    gc.collect()
+    assert not any(map(gc.is_tracked, net.accounts.values()))
+    assert not any(map(gc.is_tracked, net.nonces.records.values()))
+
+
+def _record_size(record) -> int:
+    """A nonce record and what it alone holds (its ints, a gap set)."""
+    gaps = record[-1] or ()
+    return (sys.getsizeof(record) + sum(
+        sys.getsizeof(v) for v in record[:-1] if v is not None)
+        + (sys.getsizeof(gaps) + sum(map(sys.getsizeof, gaps))
+           if gaps else 0))
+
+
+def test_a_contiguous_senders_record_is_flat_in_its_nonces():
+    """One integer per accepted transaction, for ever, used to be the
+    one per-user cost that grew: a sender who never skips a nonce now
+    holds the same record after 10 and after 10^4 of them."""
+    from repro.chain.transaction import NonceTracker
+
+    tracker = NonceTracker(n_shards=4)
+    sizes = {}
+    for nonce in range(1, 10_001):
+        assert tracker.try_accept("0xab", nonce, nonce % 5 - 1)
+        if nonce in (10, 10_000):
+            sizes[nonce] = _record_size(tracker.records["0xab"])
+    assert sizes[10] == sizes[10_000], sizes
+    assert used_runs(tracker.records["0xab"]) == [[1, 10_000]]
+
+
+class _TodaysJournal:
+    """The journal's nonce half as it was before nonce records became
+    rows (``StateJournal.record_nonce``, verbatim): one entry per
+    (sender, lane) per mark, each accepted nonce appended to it."""
+
+    def __init__(self):
+        self._suspended, self._marks = False, [0]
+        self._seen, self._entries = {}, []
+
+    def record_nonce(self, tracker, slot, had_entry, added, last_global,
+                     last_lane):
+        if self._suspended or not self._marks:
+            return
+        log = self._seen.get(slot)
+        if log is None:
+            log = self._seen[slot] = []
+            self._entries.append(("nonce", tracker, *slot, had_entry, log,
+                                  last_global, last_lane))
+        log.extend(added)
+
+
+def test_a_gap_heavy_senders_accept_stays_o1():
+    """A sender who skips every other nonce keeps a gap set that grows
+    by one per accept; each accept must still be O(1) — at most 2x what
+    today's three-table tracker (tests/test_user_rows.py, with its
+    journal) takes for the same 10^4 accepts, both journaling under an
+    outstanding mark, the gap set held by the mark's pre-image."""
+    from repro.chain.transaction import NonceTracker
+    from repro.scilla.state import StateJournal
+    from tests.test_user_rows import NonceTracker as TodaysTracker
+
+    def rows():
+        tracker = NonceTracker(n_shards=4)
+        tracker.journal = StateJournal()
+        return tracker
+
+    def todays():
+        tracker = TodaysTracker()
+        tracker.journal = _TodaysJournal()
+        return tracker
+
+    def us_per_accept(make) -> float:
+        tracker = make()
+        for nonce in range(1, 200, 2):
+            assert tracker.try_accept("0xab", nonce, 0)
+        if isinstance(tracker.journal, StateJournal):
+            tracker.journal.mark()
+        t0 = time.perf_counter()
+        for nonce in range(201, 20_201, 2):
+            tracker.try_accept("0xab", nonce, 0)
+        return (time.perf_counter() - t0) / 10_000 * 1e6
+
+    best = {rows: [], todays: []}
+    for _ in range(7):          # interleaved, best of seven
+        for make in best:
+            best[make].append(us_per_accept(make))
+    new, old = min(best[rows]), min(best[todays])
+    assert new <= 2 * old, (
+        f"gap-heavy accept {new:.2f} us vs {old:.2f} us before rows")
 
 
 def _seeded_ft(n_users: int, txns: int, **net_kwargs):

@@ -32,9 +32,7 @@ from .store import (
     SnapshotError, SnapshotStore, network_from_snapshot,
     snapshot_network,
 )
-from .transaction import (
-    Account, NonceTracker, Transaction, call, payment,
-)
+from .transaction import NonceTracker, Transaction, call, payment
 from .wal import (
     FSYNC_POLICIES, WALCorruption, WALError, WALRecord, WriteAheadLog,
     read_wal,
@@ -56,7 +54,7 @@ __all__ = [
     "network_fingerprint", "state_fingerprint", "validate_delta",
     "SnapshotError", "SnapshotStore", "network_from_snapshot",
     "snapshot_network",
-    "Account", "NonceTracker", "Transaction", "call", "payment",
+    "NonceTracker", "Transaction", "call", "payment",
     "FSYNC_POLICIES", "WALCorruption", "WALError", "WALRecord",
     "WriteAheadLog", "read_wal",
 ]

@@ -57,7 +57,7 @@ from .blocks import MicroBlock
 from .delta import StateDelta, compute_delta
 from .dispatch import _pad, key_token
 from .faults import WorkerKilled
-from .transaction import Account, Transaction
+from .transaction import Transaction, floor_slot, portion_slot, private_records
 
 
 @dataclass
@@ -94,12 +94,10 @@ class LaneTask:
     gas_limit: int
     queue: list[Transaction]
     contracts: dict[str, LaneContractPayload]
-    # Account snapshot: address -> (balance, shard portions).
-    accounts: dict[str, tuple[int, dict[int, int]]]
-    # Nonce snapshot: full used-sets (replay detection) and this lane's
-    # per-lane high-water marks (relaxed ordering).
-    nonce_used: dict[str, set[int]]
-    nonce_last_lane: dict[str, int]
+    # Account and nonce rows (repro.chain.transaction); gap sets are
+    # the lane's own copies.
+    accounts: dict[str, tuple]
+    nonces: dict[str, tuple]
     # Thread-mode only: per-network interpreter cache, keyed by
     # (lane, source_hash).  Never pickled — process tasks leave it None
     # and use the per-worker module cache instead.
@@ -157,13 +155,14 @@ class LaneResult:
         """
         for addr in sorted(self.account_deltas):
             bal_d, portions_d = self.account_deltas[addr]
-            account = net._account(addr)
-            account.balance += bal_d
+            row = list(net._account_at(addr))
+            row[0] += bal_d
             for shard, d in portions_d.items():
-                account.shard_portions[shard] = \
-                    account.shard_portions.get(shard, 0) + d
+                i = portion_slot(shard)
+                row[i] = (row[i] or 0) + d
+            net.accounts[addr] = tuple(row)
         # Resident replicas must learn these nonce moves at the next
-        # sync (account moves are already recorded via net._account).
+        # sync (account moves are already recorded via _account_at).
         tracker = getattr(net, "_resident_tracker", None)
         for sender in dict.fromkeys((*self.nonce_used_added,
                                      *self.nonce_last_global,
@@ -390,17 +389,12 @@ def build_lane_task(net, lane: int, queue: list[Transaction],
                 meters.payload_states_full.inc()
                 meters.payload_entries.inc(_full_entries(c.state))
         contracts[addr] = payload
-    accounts = {addr: (acc.balance, dict(acc.shard_portions))
-                for addr, acc in net.accounts.items()}
-    nonce_used = {s: set(v) for s, v in net.nonces.used.items()}
-    nonce_last_lane = {s: v for (s, l), v in net.nonces.last_per_lane.items()
-                       if l == lane}
     return LaneTask(
         lane=lane, epoch=net.epoch, n_shards=net.n_shards,
         use_signatures=net.use_signatures,
         overflow_guard=net.overflow_guard, gas_limit=gas_limit,
-        queue=queue, contracts=contracts, accounts=accounts,
-        nonce_used=nonce_used, nonce_last_lane=nonce_last_lane,
+        queue=queue, contracts=contracts, accounts=dict(net.accounts),
+        nonces=private_records(net.nonces.records),
         runtime_cache=net._runtime_cache if ship_modules else None,
         metrics_enabled=net.metrics.enabled,
     )
@@ -498,12 +492,8 @@ def instantiate_lane_network(task: LaneTask, registry=None):
                                       task.runtime_cache)
         net.contracts[addr] = DeployedContract(
             addr, module, interp, payload.state, payload.signature)
-    net.accounts = {
-        addr: Account(addr, balance, dict(portions))
-        for addr, (balance, portions) in task.accounts.items()}
-    net.nonces.used = {s: set(v) for s, v in task.nonce_used.items()}
-    net.nonces.last_per_lane = {
-        (s, task.lane): v for s, v in task.nonce_last_lane.items()}
+    net.accounts = dict(task.accounts)
+    net.nonces.records = private_records(task.nonces)
     return net
 
 
@@ -554,37 +544,58 @@ def run_lane_task(task: LaneTask) -> LaneResult:
             deltas.append(delta)
         balance_deltas[addr] = local.balance - base.balance
 
-    account_deltas: dict[str, tuple[int, dict[int, int]]] = {}
-    for addr, account in net.accounts.items():
+    account_deltas = {}
+    for addr, row in net.accounts.items():
         pre = task.accounts.get(addr)
-        pre_balance, pre_portions = pre if pre is not None else (0, {})
-        bal_d = account.balance - pre_balance
-        portions_d = {
-            shard: d for shard in
-            set(account.shard_portions) | set(pre_portions)
-            if (d := account.shard_portions.get(shard, 0)
-                - pre_portions.get(shard, 0))}
-        if bal_d or portions_d or pre is None:
-            account_deltas[addr] = (bal_d, portions_d)
-
-    nonce_used_added = {}
-    for sender, values in net.nonces.used.items():
-        base = task.nonce_used.get(sender)
-        added = values - base if base is not None else set(values)
-        if added:
-            nonce_used_added[sender] = added
-    nonce_last_lane = {s: v for (s, l), v in net.nonces.last_per_lane.items()
-                       if l == task.lane and task.nonce_last_lane.get(s) != v}
+        if row is not pre:
+            delta = account_delta(pre, row, net.n_shards)
+            if delta[0] or delta[1] or pre is None:
+                account_deltas[addr] = delta
+    nonce_used_added, nonce_last_global, nonce_last_lane = nonce_effects(
+        task.lane, {s: (task.nonces.get(s), row)
+                    for s, row in net.nonces.records.items()
+                    if row != task.nonces.get(s)})
 
     return LaneResult(
         lane=task.lane, microblock=mb, deltas=deltas,
         balance_deltas=balance_deltas, deferred=deferred,
         account_deltas=account_deltas,
         nonce_used_added=nonce_used_added,
-        nonce_last_global=dict(net.nonces.last_global),
+        nonce_last_global=nonce_last_global,
         nonce_last_lane=nonce_last_lane,
         metrics=registry.snapshot() if registry is not None else None,
     )
+
+
+def account_delta(pre: tuple | None, post: tuple | None,
+                  n_shards: int) -> tuple[int, dict[int, int]]:
+    """An account's (balance delta, per-lane portion deltas) between
+    two rows (None: no account)."""
+    pre = pre or (0,) * (n_shards + 2)
+    post = post or (0,) * (n_shards + 2)
+    return post[0] - pre[0], {
+        lane: d for lane in (*range(n_shards), -1)
+        if (d := (post[portion_slot(lane)] or 0)
+            - (pre[portion_slot(lane)] or 0))}
+
+
+def nonce_effects(lane: int, moved: dict) -> tuple[dict, dict, dict]:
+    """What a lane did to the nonce records it moved — sender ->
+    (row before, row after) — as ``LaneResult``'s three nonce maps:
+    the nonces it used, and the high-water marks it raised."""
+    used_added, last_global, last_lane = {}, {}, {}
+    floor = floor_slot(lane)
+    for sender, (pre, post) in moved.items():
+        run, gaps = (pre[-2], pre[-1] or ()) if pre else (0, ())
+        added = {n for n in (*range(run + 1, post[-2] + 1),
+                             *(post[-1] or ())) if n not in gaps}
+        if added:
+            used_added[sender] = added
+        if post[0] is not None and post[0] != (pre and pre[0]):
+            last_global[sender] = post[0]
+        if post[floor] is not None and post[floor] != (pre and pre[floor]):
+            last_lane[sender] = post[floor]
+    return used_added, last_global, last_lane
 
 
 # --------------------------------------------------------------------------

@@ -60,10 +60,13 @@ from .serialization import (
     transaction_from_obj, transaction_to_obj, value_from_json,
     value_to_json,
 )
-from .transaction import Account, NonceTracker, Transaction
+from .transaction import (
+    NonceTracker, Transaction, charged, credited, funded_row, portion_slot,
+)
 from .wal import WALError, WriteAheadLog
 
 PAYMENT_GAS = 50
+_MAX_AMOUNT = ty.int_bounds(ty.UINT128)[1]
 _ENTRY_KEY = attrgetter("key")
 FUNDING = 10**12    # what a created account holds unless told otherwise
 
@@ -409,9 +412,10 @@ class Network:
         self.journal = StateJournal()
         self._state_counters_seen = self._state_counters()
         self.dispatcher = Dispatcher(n_shards, use_signatures)
-        self.accounts: dict[str, Account] = {}
+        # address -> account row (repro.chain.transaction).
+        self.accounts: dict[str, tuple] = {}
         self.contracts: dict[str, DeployedContract] = {}
-        self.nonces = NonceTracker(strict=strict_nonces)
+        self.nonces = NonceTracker(strict=strict_nonces, n_shards=n_shards)
         self.nonces.journal = self.journal
         self.epoch = 0
         # One entry per epoch, for reporting: the newest BODY_WINDOW
@@ -558,15 +562,14 @@ class Network:
 
     # -- setup ----------------------------------------------------------------
 
-    def create_account(self, address: str,
-                       balance: int = FUNDING) -> Account:
+    def create_account(self, address: str, balance: int = FUNDING) -> None:
         self._wal_append("account", {"address": address,
                                      "balance": balance})
         if self._ledger is not None:
             self._ledger.accounts.add(_pad(address))
-        return self._create_account(address, balance)
+        self._create_account(address, balance)
 
-    def auto_fund(self, address: str) -> Account:
+    def auto_fund(self, address: str) -> None:
         """:meth:`create_account` at its default balance for a sender
         the service loop meets at admission.  The account exists at
         once; its WAL input waits for the next record or restore point
@@ -577,43 +580,59 @@ class Network:
         if self.wal is not None:
             self._unlogged_accounts.append(address)
             self._ledger.accounts.add(_pad(address))
-        return self._create_account(address, FUNDING)
+        self._create_account(address, FUNDING)
 
     def _log_accounts(self) -> None:
         addresses, self._unlogged_accounts = self._unlogged_accounts, []
         self._wal_append("accounts", {"balance": FUNDING,
                                       "addresses": addresses})
 
-    def _create_account(self, address: str, balance: int) -> Account:
+    def _create_account(self, address: str, balance: int) -> tuple:
         address = _pad(address)
-        self.journal.record_account(self.accounts, address,
-                                    self.accounts.get(address))
-        account = Account(address, balance)
-        account.split_across(self.n_shards, self.dispatcher.home_shard(address))
-        self.accounts[address] = account
+        self.journal.record_row(self.accounts, address,
+                                self.accounts.get(address))
+        row = self.accounts[address] = funded_row(
+            balance, self.n_shards, self.dispatcher.home_shard(address))
         if self._resident_tracker is not None:
             self._resident_tracker.touch_account(address)
-        return account
+        return row
 
-    def _account(self, address: str) -> Account:
-        return self._account_at(_pad(address))
-
-    def _account_at(self, address: str) -> Account:
-        """The account at a canonical (already padded) address."""
-        account = self.accounts.get(address)
-        if account is None:
+    def _account_at(self, address: str) -> tuple:
+        """The account row at a canonical (already padded) address."""
+        row = self.accounts.get(address)
+        if row is None:
             # Lazily-created zero-balance accounts are a deterministic
             # consequence of execution; they are not WAL inputs.
             return self._create_account(address, balance=0)
-        # Every account mutation goes through here (apply_effects,
-        # serial lanes, DS lane, payouts): the handout is where the
-        # journal takes the account's pre-image for checkpoint
-        # rollback, and it over-approximates the epoch's
-        # touched-account set for the resident replicas.
-        self.journal.record_account(self.accounts, address, account)
+        # Every account move goes through here (apply_effects, serial
+        # lanes, DS lane, payouts): the handout is where the journal
+        # takes the row's pre-image for checkpoint rollback, and it
+        # over-approximates the epoch's touched-account set for the
+        # resident replicas.
+        self.journal.record_row(self.accounts, address, row)
         if self._resident_tracker is not None:
             self._resident_tracker.touch_account(address)
-        return account
+        return row
+
+    def _charge(self, address: str, lane: int, amount: int) -> bool:
+        """Take ``amount`` from the account's ``lane`` portion; False,
+        and nothing moved, if that portion or the balance is short."""
+        row = charged(self._account_at(address), lane, amount)
+        if row is not None:
+            self.accounts[address] = row
+        return row is not None
+
+    def _credit(self, address: str, lane: int, amount: int) -> None:
+        self.accounts[address] = credited(self._account_at(address), lane,
+                                          amount)
+
+    def balance(self, address: str, lane: int | None = None) -> int | None:
+        """An account's balance — or, given ``lane``, the portion of it
+        held for that lane (None: no such portion).  An address with no
+        account reads 0 / None; reading creates nothing."""
+        row = self.accounts.get(_pad(address)) or (
+            0, *[None] * (self.n_shards + 1))
+        return row[0 if lane is None else portion_slot(lane)]
 
     def deploy(self, source: str, address: str,
                params: dict[str, Value],
@@ -1333,12 +1352,12 @@ class Network:
             for log in logs:
                 keys.update(log.writes)
         accounts, senders = set(), set()
+        tables = {id(self.accounts): accounts,
+                  id(self.nonces.records): senders}
         depth = self.journal.seq - checkpoint.journal_mark
         for entry in self.journal.entries[-depth:] if depth else ():
-            if entry[0] == "account":
-                accounts.add(entry[2])
-            elif entry[0] == "nonce":
-                senders.add(entry[2])
+            if entry[0] == "row":
+                tables[id(entry[1])].add(entry[2])
         return locations, accounts, senders
 
     def _attempt_epoch(self, incoming: list[Transaction],
@@ -1622,13 +1641,17 @@ class Network:
                  touched: defaultdict) -> Receipt:
         """Run one transaction; success appends its logs to ``touched``."""
         sender_addr, to_addr = tx.sender, tx.to
-        sender = self._account_at(sender_addr)
+        self._account_at(sender_addr)
         if self._resident_tracker is not None:
             # try_accept moves this sender's nonce record (even a
-            # rejection touches the used-set table).
+            # rejection may create it).
             self._resident_tracker.touch_nonce(sender_addr)
         if not self.nonces.try_accept(sender_addr, tx.nonce, lane):
             return Receipt(tx, False, 0, lane, error="bad nonce")
+        if not 0 <= tx.amount <= _MAX_AMOUNT:
+            # A Uint128, as Zilliqa's _amount: a negative one would
+            # move funds from the recipient to the sender.
+            return Receipt(tx, False, 0, lane, error="invalid amount")
 
         if tx.transition is None:
             if to_addr in self.contracts:
@@ -1639,10 +1662,10 @@ class Network:
                 return Receipt(tx, False, PAYMENT_GAS, lane,
                                error="payment to contract address")
             fee = PAYMENT_GAS * tx.gas_price
-            if not sender.charge(lane, tx.amount + fee):
+            if not self._charge(sender_addr, lane, tx.amount + fee):
                 return Receipt(tx, False, PAYMENT_GAS, lane,
                                error="insufficient balance")
-            self._account_at(to_addr).credit(tx.amount, lane)
+            self._credit(to_addr, lane, tx.amount)
             return Receipt(tx, True, PAYMENT_GAS, lane)
 
         contract = self.contracts.get(to_addr)
@@ -1653,15 +1676,15 @@ class Network:
         try:
             chain.invoke(contract, tx.transition, dict(tx.args),
                          ByStrVal(sender_addr, ty.BYSTR20), tx.amount,
-                         sender, 0)
+                         sender_addr, 0)
         except _ChainFailed as exc:
             chain.rollback()
-            sender.charge(lane, chain.gas_used * tx.gas_price)
+            self._charge(sender_addr, lane, chain.gas_used * tx.gas_price)
             return Receipt(tx, False, chain.gas_used, lane,
                            error=str(exc))
 
         fee = chain.gas_used * tx.gas_price
-        if not sender.charge(lane, fee):
+        if not self._charge(sender_addr, lane, fee):
             # Gas must be paid even for failed transactions; a sender who
             # cannot pay gets the transaction rejected outright.
             chain.rollback()
@@ -1742,13 +1765,13 @@ class _CallChain:
         self.gas_used = 0
         self.events: list = []
         # (contract, state, write log) per call, in order; and balance
-        # moves to undo on rollback: (state or account, amount to add).
+        # moves to undo on rollback: (state or address, amount to add).
         self.logs: list = []
         self._refunds: list = []
 
     def invoke(self, contract: DeployedContract, transition: str,
                args: dict, caller: ByStrVal, amount: int,
-               payer_account, depth: int) -> None:
+               payer: str | None, depth: int) -> None:
         state = self.state_for(contract.address)
         # (sender, amount, origin, block_number), positionally: keyword
         # calls of a dataclass __init__ cost twice as much.
@@ -1774,10 +1797,10 @@ class _CallChain:
             self._refunds.append((state, -accepted))
             # Debit the payer (the user for the first hop, the calling
             # contract afterwards).
-            if payer_account is not None:
-                if not payer_account.charge(self.lane, accepted):
+            if payer is not None:
+                if not self.net._charge(payer, self.lane, accepted):
                     raise _ChainFailed("insufficient balance for transfer")
-                self._refunds.append((payer_account, accepted))
+                self._refunds.append((payer, accepted))
             else:
                 caller_state = self.state_for(caller.hex)
                 if caller_state.balance < accepted:
@@ -1803,17 +1826,16 @@ class _CallChain:
                     raise _ChainFailed(
                         "insufficient contract balance for payout")
                 state.balance -= msg.amount
-                account = self.net._account_at(recipient)
-                account.credit(msg.amount, self.lane)
+                self.net._credit(recipient, self.lane, msg.amount)
                 self._refunds += ((state, msg.amount),
-                                  (account, -msg.amount))
+                                  (recipient, -msg.amount))
 
     def rollback(self) -> None:
         for _, state, log in reversed(self.logs):
             log.rollback(state)
         for target, amount in reversed(self._refunds):
-            if isinstance(target, Account):
-                target.credit(amount, self.lane)
+            if target.__class__ is str:
+                self.net._credit(target, self.lane, amount)
             else:
                 target.balance += amount
         self.logs.clear()

@@ -63,10 +63,11 @@ from ..scilla.state import MISSING, StateKey
 from ..scilla.values import MapVal
 from .faults import WorkerKilled
 from .lanes import (
-    LaneResult, LaneTask, build_lane_task, instantiate_lane_network,
+    LaneResult, LaneTask, account_delta, build_lane_task,
+    instantiate_lane_network, nonce_effects,
 )
 from .delta import compute_delta
-from .transaction import Account, Transaction
+from .transaction import Transaction, private_records
 
 # Replicas a single worker process (or the coordinator process, for
 # thread slots) keeps before evicting the least-recently-used one.
@@ -89,18 +90,15 @@ class ResidentSync:
     ``version``.  Contract writes are ``(address, StateKey, value)``
     triples (``MISSING`` deletes a map entry); balances ship for every
     contract (there are few); accounts and nonces ship only for the
-    addresses/senders the epoch touched.
+    addresses/senders the epoch touched, as their rows.
     """
 
     prev_version: int
     version: int
     contract_writes: list[tuple[str, StateKey, object]]
     contract_balances: dict[str, int]
-    accounts: dict[str, tuple[int, dict[int, int]]]
-    nonce_used: dict[str, set[int]]
-    nonce_last_global: dict[str, int]
-    # Changed (sender, lane) pairs; each replica applies its own lane's.
-    nonce_last_per_lane: dict[tuple[str, int], int]
+    accounts: dict[str, tuple]
+    nonces: dict[str, tuple]
 
 
 @dataclass
@@ -285,21 +283,8 @@ def _apply_sync(net, lane: int, sync: ResidentSync) -> None:
         if contract is None:
             raise KeyError(addr)
         contract.state.balance = balance
-    for addr, (balance, portions) in sync.accounts.items():
-        account = net.accounts.get(addr)
-        if account is None:
-            net.accounts[addr] = Account(addr, balance, dict(portions))
-        else:
-            account.balance = balance
-            account.shard_portions = dict(portions)
-    nonces = net.nonces
-    for sender, values in sync.nonce_used.items():
-        nonces.used[sender] = set(values)
-    for sender, value in sync.nonce_last_global.items():
-        nonces.last_global[sender] = value
-    for (sender, pair_lane), value in sync.nonce_last_per_lane.items():
-        if pair_lane == lane:
-            nonces.last_per_lane[(sender, pair_lane)] = value
+    net.accounts.update(sync.accounts)
+    net.nonces.records.update(private_records(sync.nonces))
 
 
 def _run_epoch_on_replica(replica: _Replica, task: ResidentEpochTask
@@ -325,27 +310,19 @@ def _run_epoch_on_replica(replica: _Replica, task: ResidentEpochTask
     net._meters = _NetworkMeters(net.metrics)
     net.epoch = task.epoch
 
-    # Copy-on-first-touch undo map over account access: every account
-    # the lane reads or mutates goes through Network._account_at (the
-    # canonical-address end of Network._account), so recording there
-    # is complete.  None marks "did not exist".
-    undo: dict[str, tuple[int, dict[int, int]] | None] = {}
+    # First-touch undo map over account access: every account the lane
+    # reads or mutates goes through Network._account_at, so recording
+    # there is complete.  None marks "did not exist".
+    undo: dict[str, tuple | None] = {}
 
-    def recording_account(addr: str) -> Account:
+    def recording_account(addr: str) -> tuple:
         if addr not in undo:
-            account = net.accounts.get(addr)
-            undo[addr] = (None if account is None
-                          else (account.balance,
-                                dict(account.shard_portions)))
+            undo[addr] = net.accounts.get(addr)
         return Network._account_at(net, addr)
 
-    senders = {tx.sender for tx in task.queue}
-    nonces = net.nonces
-    pre_nonces = {
-        s: (set(nonces.used.get(s, ())),
-            nonces.last_global.get(s),
-            nonces.last_per_lane.get((s, task.lane)))
-        for s in senders}
+    records = net.nonces.records
+    pre_nonces = private_records(
+        {tx.sender: records.get(tx.sender) for tx in task.queue})
 
     net._account_at = recording_account  # instance attr shadows the method
     try:
@@ -365,56 +342,22 @@ def _run_epoch_on_replica(replica: _Replica, task: ResidentEpochTask
             deltas.append(delta)
         balance_deltas[addr] = local.balance - base.balance
 
-    account_deltas: dict[str, tuple[int, dict[int, int]]] = {}
+    account_deltas = {}
     for addr, pre in undo.items():
-        account = net.accounts.get(addr)
-        post_balance = account.balance if account is not None else 0
-        post_portions = (account.shard_portions if account is not None
-                         else {})
-        pre_balance, pre_portions = pre if pre is not None else (0, {})
-        bal_d = post_balance - pre_balance
-        portions_d = {
-            shard: d for shard in set(post_portions) | set(pre_portions)
-            if (d := post_portions.get(shard, 0)
-                - pre_portions.get(shard, 0))}
-        if bal_d or portions_d or pre is None:
-            account_deltas[addr] = (bal_d, portions_d)
-
-    nonce_used_added: dict[str, set[int]] = {}
-    nonce_last_global: dict[str, int] = {}
-    nonce_last_lane: dict[str, int] = {}
-    for s, (pre_used, pre_lg, pre_ll) in pre_nonces.items():
-        added = nonces.used.get(s, set()) - pre_used
-        if added:
-            nonce_used_added[s] = added
-        lg = nonces.last_global.get(s)
-        if lg is not None and lg != pre_lg:
-            nonce_last_global[s] = lg
-        ll = nonces.last_per_lane.get((s, task.lane))
-        if ll is not None and ll != pre_ll:
-            nonce_last_lane[s] = ll
+        delta = account_delta(pre, net.accounts.get(addr), net.n_shards)
+        if delta[0] or delta[1] or pre is None:
+            account_deltas[addr] = delta
+    nonce_used_added, nonce_last_global, nonce_last_lane = nonce_effects(
+        task.lane, {s: (pre, records[s]) for s, pre in pre_nonces.items()
+                    if s in records})
 
     # Roll the replica back to the epoch-start image.
-    for addr, pre in undo.items():
-        if pre is None:
-            net.accounts.pop(addr, None)
-        else:
-            account = net.accounts[addr]
-            account.balance = pre[0]
-            account.shard_portions = dict(pre[1])
-    for s, (pre_used, pre_lg, pre_ll) in pre_nonces.items():
-        if pre_used:
-            nonces.used[s] = pre_used
-        else:
-            nonces.used.pop(s, None)
-        if pre_lg is None:
-            nonces.last_global.pop(s, None)
-        else:
-            nonces.last_global[s] = pre_lg
-        if pre_ll is None:
-            nonces.last_per_lane.pop((s, task.lane), None)
-        else:
-            nonces.last_per_lane[(s, task.lane)] = pre_ll
+    for table, pre_rows in ((net.accounts, undo), (records, pre_nonces)):
+        for key, pre in pre_rows.items():
+            if pre is None:
+                table.pop(key, None)
+            else:
+                table[key] = pre
 
     return LaneResult(
         lane=task.lane, microblock=mb, deltas=deltas,
@@ -535,29 +478,14 @@ class ResidentTracker:
                 writes.append((addr, key, value))
         balances = {addr: c.state.balance
                     for addr, c in net.contracts.items()}
-        acct_values: dict[str, tuple[int, dict[int, int]]] = {}
-        for addr in accounts:
-            account = net.accounts.get(addr)
-            if account is not None:
-                acct_values[addr] = (account.balance,
-                                     dict(account.shard_portions))
-        used: dict[str, set[int]] = {}
-        last_global: dict[str, int] = {}
-        for s in senders:
-            used[s] = set(net.nonces.used.get(s, ()))
-            lg = net.nonces.last_global.get(s)
-            if lg is not None:
-                last_global[s] = lg
-        last_per_lane = {pair: v
-                         for pair, v in net.nonces.last_per_lane.items()
-                         if pair[0] in senders}
+        rows, records = net.accounts, net.nonces.records
         net._meters.resident_sync_deltas.inc(len(writes))
         return ResidentSync(
             prev_version=prev, version=self.version,
             contract_writes=writes, contract_balances=balances,
-            accounts=acct_values, nonce_used=used,
-            nonce_last_global=last_global,
-            nonce_last_per_lane=last_per_lane)
+            accounts={a: rows[a] for a in accounts if a in rows},
+            nonces=private_records(
+                {s: records[s] for s in senders if s in records}))
 
     def _push_sync(self, net, sync: ResidentSync,
                    targets: list[tuple[str, int]]) -> None:

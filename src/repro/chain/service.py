@@ -358,7 +358,8 @@ class ServiceLoop:
         entries = list(self.net.restored_mempool.values())
         for seq, entry in enumerate(entries):
             entry.seq = seq
-        floors = dict(self.net.nonces.last_global)
+        floors = {sender: row[0] for sender, row
+                  in self.net.nonces.records.items() if row[0] is not None}
         self.mempool.restore(entries, nonce_floor=floors)
         self.net.restored_mempool = {}
 

@@ -52,13 +52,13 @@ from pathlib import Path
 from typing import Any
 
 from ..scilla.values import MapVal
-from .dispatch import DS
 from .mempool import PoolEntry
 from .serialization import (
     apply_locations, locations_to_obj, signature_from_obj,
     signature_to_obj, state_from_obj, state_to_obj,
     transaction_from_obj, transaction_to_obj,
 )
+from .transaction import run_and_gaps, used_runs
 from .wal import dumps_compact
 
 # The one format read and written; a file of any other version is
@@ -90,78 +90,41 @@ class StoreError(SnapshotError):
 # Network <-> snapshot object.
 # --------------------------------------------------------------------------
 
-def _lane_order(lanes) -> list[int]:
-    """Shards ascending, then the DS committee (-1)."""
-    return sorted(lanes, key=lambda lane: (lane < 0, lane))
+def _columns(rows: list, width: int) -> list:
+    """The transpose of ``width``-long rows."""
+    return list(map(list, zip(*rows))) or [[] for _ in range(width)]
 
 
-def _account_columns(accounts) -> dict:
-    """Accounts as columns: address, balance, and per lane the portion
-    of the balance held there (``None``: no such portion).  One pass
-    over the accounts."""
-    accounts = list(accounts)
-    n = len(accounts)
-    address, balance, portions = [None] * n, [None] * n, {}
-    for i, account in enumerate(accounts):
-        address[i] = account.address
-        balance[i] = account.balance
-        for lane, amount in account.shard_portions.items():
-            column = portions.get(lane)
-            if column is None:
-                column = portions[lane] = [None] * n
-            column[i] = amount
-    return {
-        "address": address,
-        "balance": balance,
-        "portions": {str(lane): portions[lane]
-                     for lane in _lane_order(portions)},
-    }
+def _lane_columns(columns, every_lane: bool) -> dict:
+    """One column per lane — shards ascending, then the DS committee
+    (-1) — keyed by the lane; one all ``None`` only if ``every_lane``."""
+    lanes = (*range(len(columns) - 1), -1)
+    return {str(lane): column for lane, column in zip(lanes, columns)
+            if every_lane or column.count(None) != len(column)}
 
 
-def _runs(nonces: set[int]) -> list[list[int]]:
-    """A set of integers as ascending ``[first, last]`` runs."""
-    if not nonces:
-        return []
-    first, last = min(nonces), max(nonces)
-    if last - first + 1 == len(nonces):
-        return [[first, last]]
-    runs = []
-    for nonce in sorted(nonces):
-        if runs and nonce == runs[-1][1] + 1:
-            runs[-1][1] = nonce
-        else:
-            runs.append([nonce, nonce])
-    return runs
+def _account_columns(net, addresses) -> dict:
+    """Accounts as columns, the transpose of their rows: address,
+    balance, and per lane the portion of the balance held there
+    (``None``: no such portion)."""
+    addresses = list(addresses)
+    columns = _columns(list(map(net.accounts.__getitem__, addresses)),
+                       net.n_shards + 2)
+    return {"address": addresses, "balance": columns[0],
+            "portions": _lane_columns(columns[1:], False)}
 
 
-def _nonce_columns(nonces, senders, lanes) -> dict:
-    """The nonce records of ``senders`` as columns: the used nonces as
-    runs, the global high-water mark, and one per lane (``None``: the
-    sender has no such record).  The lane columns take one pass over
-    the per-lane table when that is shorter than a lookup per cell (a
-    base), a lookup per cell otherwise (a delta)."""
-    senders = list(senders)
-    lanes = _lane_order(lanes)
-    per_lane = nonces.last_per_lane
-    if len(senders) * len(lanes) > len(per_lane):
-        columns = {lane: [None] * len(senders) for lane in lanes}
-        row_of = {s: i for i, s in enumerate(senders)}.get
-        for (s, lane), nonce in per_lane.items():
-            row = row_of(s)
-            if row is not None:
-                columns[lane][row] = nonce
-    else:
-        lookup = per_lane.get
-        columns = {lane: [lookup((s, lane)) for s in senders]
-                   for lane in lanes}
-    used_of = nonces.used.get
-    return {
-        "sender": senders,
-        "used": [None if (used := used_of(s)) is None else _runs(used)
-                 for s in senders],
-        "last_global": list(map(nonces.last_global.get, senders)),
-        "last_lane": {str(lane): columns[lane] for lane in lanes},
-    }
+def _nonce_columns(net, senders, every_lane: bool) -> dict:
+    """The nonce records of ``senders`` as columns, the transpose of
+    their rows: the used nonces as runs, the global high-water mark,
+    and one per lane (``None``: the sender has no such record)."""
+    senders, blank = list(senders), net.nonces.blank
+    rows = list(map(net.nonces.records.get, senders))
+    columns = _columns([row or blank for row in rows], len(blank))
+    return {"sender": senders,
+            "used": [row and used_runs(row) for row in rows],
+            "last_global": columns[0],
+            "last_lane": _lane_columns(columns[1:-2], every_lane)}
 
 
 def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
@@ -176,7 +139,7 @@ def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
     against the sidecar the descriptor pins by digest, instead of
     inlining every entry — always as a base.
     """
-    ledger, nonces = net._ledger, net.nonces
+    ledger = net._ledger
     obj: dict[str, Any] = {
         "version": SNAPSHOT_VERSION,
         "epoch": net.epoch,
@@ -231,14 +194,12 @@ def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
                    "writes": locations_to_obj(net.contracts[addr].state,
                                               ledger.locations.get(addr, ()))}
             for addr in net.contracts}
-        obj["accounts"] = _account_columns(
-            net.accounts[addr] for addr in ledger.accounts)
-        obj["nonces"] = _nonce_columns(nonces, ledger.senders,
-                                       (*range(net.n_shards), DS))
+        obj["accounts"] = _account_columns(net, ledger.accounts)
+        obj["nonces"] = _nonce_columns(net, ledger.senders, True)
         return obj
     paged_backend = (net.state_backend
                      if backend_obj is not None else None)
-    obj["rows"] = len(net.accounts) + len(nonces.used) + sum(
+    obj["rows"] = len(net.accounts) + len(net.nonces.records) + sum(
         len(v.entries) if isinstance(v, MapVal) else 1
         for c in net.contracts.values() for v in c.state.fields.values())
     obj["config"] = net._config_obj()
@@ -251,13 +212,8 @@ def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
         }
         for addr, c in net.contracts.items()
     }
-    obj["accounts"] = _account_columns(net.accounts.values())
-    # All of every table, whichever of them names a sender or a lane.
-    lane_senders, lanes = (zip(*nonces.last_per_lane)
-                           if nonces.last_per_lane else ((), ()))
-    obj["nonces"] = _nonce_columns(
-        nonces, dict.fromkeys((*nonces.used, *nonces.last_global,
-                               *lane_senders)), set(lanes))
+    obj["accounts"] = _account_columns(net, net.accounts)
+    obj["nonces"] = _nonce_columns(net, net.nonces.records, False)
     if backend_obj is not None:
         obj["backend"] = backend_obj
     return obj
@@ -328,30 +284,26 @@ def _restore_tables(net, obj: Any) -> None:
     rows they carry (all of them, in a base) and the small sections."""
     from .network import BacklogEntry
     from .supervise import BoundedLog
-    from .transaction import Account
     net.epoch = obj["epoch"]
     if net.metrics.enabled and obj.get("metrics") is not None:
         net.metrics.reset_to(obj["metrics"])
+    # Rows straight from the columns; a lane with no column holds None.
     accounts = obj["accounts"]
-    lanes = [int(lane) for lane in accounts["portions"]]
-    for addr, balance, *portions in zip(
-            accounts["address"], accounts["balance"],
-            *accounts["portions"].values()):
-        net.accounts[addr] = Account(
-            addr, balance, {lane: amount for lane, amount
-                            in zip(lanes, portions) if amount is not None})
-    nonces, tracker = obj["nonces"], net.nonces
-    senders = nonces["sender"]
-    tracker.used.update(
-        (s, set().union(*(range(first, last + 1) for first, last in runs)))
-        for s, runs in zip(senders, nonces["used"]) if runs is not None)
-    tracker.last_global.update(
-        (s, nonce) for s, nonce in zip(senders, nonces["last_global"])
-        if nonce is not None)
+    portions = [[None] * len(accounts["address"])] * (net.n_shards + 1)
+    for lane, column in accounts["portions"].items():
+        portions[int(lane)] = column
+    shared: dict = {}   # equal rows share one tuple, as funded ones do
+    net.accounts.update(
+        (addr, shared.setdefault(row, row)) for addr, row in zip(
+            accounts["address"], zip(accounts["balance"], *portions)))
+    nonces, records = obj["nonces"], net.nonces.records
+    floors = [[None] * len(nonces["sender"])] * (net.n_shards + 1)
     for lane, column in nonces["last_lane"].items():
-        tracker.last_per_lane.update(
-            ((s, int(lane)), nonce) for s, nonce in zip(senders, column)
-            if nonce is not None)
+        floors[int(lane)] = column
+    for sender, runs, *marks in zip(nonces["sender"], nonces["used"],
+                                    nonces["last_global"], *floors):
+        if runs is not None or marks.count(None) < len(marks):
+            records[sender] = (*marks, *run_and_gaps(runs))
     net.backlog = [BacklogEntry(transaction_from_obj(tx), retries,
                                 not_before)
                    for tx, retries, not_before in obj["backlog"]]

@@ -6,19 +6,23 @@ order without gap-filling, keeping replay protection) and
 *split-balance gas accounting* (Sec. 4.2.2 — a user's balance is
 partitioned across shards so gas can be charged without cross-shard
 coordination).
+
+A user is two rows, each one exact tuple the collector stops tracking
+and a move replaces, never edits (docs/STATE.md, "Per-user rows"):
+the account ``(balance, portion_0, …, portion_{n-1}, portion_DS)`` and
+the nonce record ``(last_global, floor_0, …, floor_DS, run, gaps)``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from ..scilla.values import Value, pad_address
 
 _tx_counter = itertools.count(1)
 
 
-@dataclass(frozen=True, init=False)
 class Transaction:
     """A signed user transaction.
 
@@ -28,33 +32,49 @@ class Transaction:
     lowercase hex, :func:`~repro.scilla.values.pad_address`), so every
     table keyed by an address — mempool queues and nonce floors,
     accounts, nonce records — sees one key per address whatever
-    spelling the transaction was written with.
+    spelling the transaction was written with.  Slotted, no instance
+    dict; the mempool, WAL and blocks share one, and nothing assigns to
+    it after construction.
     """
 
-    sender: str
-    to: str
-    nonce: int
-    amount: int = 0
-    gas_limit: int = 50_000
-    gas_price: int = 1
-    transition: str | None = None
-    args: tuple[tuple[str, Value], ...] = ()
-    tx_id: int      # the next of a process-wide counter unless given
+    __slots__ = ("sender", "to", "nonce", "amount", "gas_limit",
+                 "gas_price", "transition", "args", "tx_id")
 
     def __init__(self, sender: str, to: str, nonce: int, amount: int = 0,
                  gas_limit: int = 50_000, gas_price: int = 1,
                  transition: str | None = None,
                  args: tuple[tuple[str, Value], ...] = (),
                  tx_id: int | None = None):
-        # One instance dict, set once: a frozen dataclass's own __init__
-        # pays an object.__setattr__ per field, more than the two
-        # canonical addresses cost.
-        object.__setattr__(self, "__dict__", {
-            "sender": pad_address(sender), "to": pad_address(to),
-            "nonce": nonce, "amount": amount, "gas_limit": gas_limit,
-            "gas_price": gas_price, "transition": transition,
-            "args": args,
-            "tx_id": next(_tx_counter) if tx_id is None else tx_id})
+        self.sender = pad_address(sender)
+        self.to = pad_address(to)
+        self.nonce = nonce
+        self.amount = amount
+        self.gas_limit = gas_limit
+        self.gas_price = gas_price
+        self.transition = transition
+        self.args = args
+        self.tx_id = next(_tx_counter) if tx_id is None else tx_id
+
+    def _fields(self) -> tuple:
+        return (self.sender, self.to, self.nonce, self.amount,
+                self.gas_limit, self.gas_price, self.transition, self.args,
+                self.tx_id)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return (Transaction, self._fields())
+
+    def __repr__(self) -> str:
+        return "Transaction(" + ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__slots__, self._fields())) + ")"
 
     @property
     def is_contract_call(self) -> bool:
@@ -87,47 +107,86 @@ def payment(sender: str, to: str, amount: int, nonce: int = 0) -> Transaction:
                        gas_limit=1_000)
 
 
-@dataclass
-class Account:
-    """A user account with split-balance gas accounting.
+# --------------------------------------------------------------------------
+# Account rows: (balance, portion_0, …, portion_{n-1}, portion_DS).
+# --------------------------------------------------------------------------
 
-    The total balance is partitioned into per-shard portions plus a DS
-    portion; the portion for the shard handling the user's payments
-    (the home shard) is larger, mirroring Sec. 4.2.2.
-    """
+def portion_slot(lane: int) -> int:
+    """Shard *s*'s portion is at *s* + 1, the DS committee's (-1) last."""
+    return lane + 1 if lane >= 0 else -1
 
-    address: str
-    balance: int = 0
-    shard_portions: dict[int, int] = dc_field(default_factory=dict)
 
-    def split_across(self, n_shards: int, home_shard: int,
-                     home_fraction: float = 0.5) -> None:
-        """(Re)partition the balance across ``n_shards`` + DS."""
-        self.shard_portions.clear()
-        if n_shards <= 0:
-            self.shard_portions[-1] = self.balance
-            return
-        home = int(self.balance * home_fraction)
-        rest = self.balance - home
-        per_other = rest // (n_shards + 1)  # other shards + DS (-1)
-        for shard in range(n_shards):
-            self.shard_portions[shard] = per_other
-        self.shard_portions[home_shard] = home
-        self.shard_portions[-1] = self.balance - home - per_other * (
-            n_shards - 1)
+@lru_cache(maxsize=1024)
+def funded_row(balance: int, n_shards: int, home_shard: int) -> tuple:
+    """A new account's row, half the balance (rounded down) on the home
+    shard (Sec. 4.2.2); memoised, so accounts funded alike share it."""
+    home = balance // 2
+    per_other = (balance - home) // (n_shards + 1)  # other shards + DS
+    portions = [per_other] * n_shards
+    portions[home_shard] = home
+    return (balance, *portions,
+            balance - home - per_other * (n_shards - 1))
 
-    def charge(self, shard: int, amount: int) -> bool:
-        """Charge from the given shard's portion; False if insufficient."""
-        portion = self.shard_portions.get(shard, 0)
-        if portion < amount or self.balance < amount:
-            return False
-        self.shard_portions[shard] = portion - amount
-        self.balance -= amount
-        return True
 
-    def credit(self, amount: int, shard: int = -1) -> None:
-        self.balance += amount
-        self.shard_portions[shard] = self.shard_portions.get(shard, 0) + amount
+def charged(row: tuple, lane: int, amount: int) -> tuple | None:
+    """``row`` with ``amount`` taken from ``lane``'s portion, or None
+    when that portion or the balance is short."""
+    i = portion_slot(lane)
+    portion = row[i] or 0
+    if portion < amount or row[0] < amount:
+        return None
+    new = list(row)
+    new[0] -= amount
+    new[i] = portion - amount
+    return tuple(new)
+
+
+def credited(row: tuple, lane: int, amount: int) -> tuple:
+    """``row`` with ``amount`` added to the balance and ``lane``'s portion."""
+    i = portion_slot(lane)
+    new = list(row)
+    new[0] += amount
+    new[i] = (row[i] or 0) + amount
+    return tuple(new)
+
+
+# --------------------------------------------------------------------------
+# Nonce records: (last_global, floor_0, …, floor_DS, run, gaps).
+# --------------------------------------------------------------------------
+
+def floor_slot(lane: int) -> int:
+    """Shard *s*'s floor is at *s* + 1, the DS committee's (-1) at -3."""
+    return lane + 1 if lane >= 0 else -3
+
+
+def used_runs(record: tuple) -> list[list[int]]:
+    """A nonce record's used nonces as ascending ``[first, last]`` runs."""
+    run, gaps = record[-2:]
+    runs = [[1, run]] if run else []
+    for nonce in sorted(gaps or ()):
+        if runs and nonce == runs[-1][1] + 1:
+            runs[-1][1] = nonce
+        else:
+            runs.append([nonce, nonce])
+    return runs
+
+
+def run_and_gaps(runs) -> tuple[int, set | None]:
+    """The inverse of :func:`used_runs`: ``(run, gaps)`` from ascending
+    runs (None: no nonce used)."""
+    runs = runs or ()
+    run = runs[0][1] if runs and runs[0][0] == 1 else 0
+    gaps = {n for first, last in runs if first > run
+            for n in range(first, last + 1)}
+    return run, gaps or None
+
+
+def private_records(records: dict) -> dict:
+    """Nonce rows (or None) with their gap sets copied, for a holder
+    that must not share what the tracker mutates in place."""
+    return {s: row if row is None or row[-1] is None
+            else (*row[:-1], set(row[-1]))
+            for s, row in records.items()}
 
 
 class NonceTracker:
@@ -139,45 +198,55 @@ class NonceTracker:
     gap-filling, like Paxos ballots.  In strict mode (plain Ethereum/
     Zilliqa semantics, used for the ablation) the nonce must be exactly
     ``last + 1`` globally, so lanes cannot proceed independently.
+
+    ``records[sender]`` is one row: the global high-water mark, one
+    floor per lane (``n_shards`` shards, then DS) and the used nonces —
+    1 to ``run``, plus the set ``gaps`` of those past ``run + 1``, None
+    until the sender skips one (so a contiguous sender's row is flat).
     """
 
-    def __init__(self, strict: bool = False):
+    def __init__(self, strict: bool = False, n_shards: int = 4):
         self.strict = strict
-        self.used: dict[str, set[int]] = {}
-        self.last_global: dict[str, int] = {}
-        self.last_per_lane: dict[tuple[str, int], int] = {}
-        # The owning network's StateJournal, if any: every move below
-        # reports its pre-image there, so a checkpoint restore rolls
-        # nonces back with everything else.
+        self.records: dict[str, tuple] = {}
+        self.blank = (None,) * (n_shards + 2) + (0, None)  # no record yet
+        # The owning network's StateJournal, if any: it takes every
+        # replaced row's pre-image and every gap set's changes.
         self.journal = None
 
     def try_accept(self, sender: str, nonce: int, lane: int) -> bool:
-        used = self.used.get(sender)
-        had_entry = used is not None
-        if had_entry and nonce in used:
-            return False  # replay
-        slot = (sender, lane)
-        last_global = self.last_global.get(sender)
-        last_lane = self.last_per_lane.get(slot)
+        records, journal = self.records, self.journal
+        old = records.get(sender)
+        row = self.blank if old is None else old
+        run, gaps = row[-2], row[-1]
+        if old is not None and (
+                nonce <= run or gaps is not None and nonce in gaps):
+            return False  # replay, or never acceptable
+        i = lane + 1 if lane >= 0 else -3      # floor_slot, inline
         if self.strict:
-            accept = nonce == (last_global or 0) + 1
+            accept = nonce == (row[0] or 0) + 1
         else:
-            accept = nonce > (last_lane or 0)
-        if had_entry and not accept:
-            return False
-        if self.journal is not None:
-            self.journal.record_nonce(
-                self, slot, had_entry, (nonce,) if accept else (),
-                last_global, last_lane)
-        if not had_entry:
-            # Even a rejection leaves the sender an (empty) record.
-            used = self.used[sender] = set()
+            accept = nonce > (row[i] or 0)
         if not accept:
+            if old is None:     # even a rejection leaves a record
+                if journal is not None:
+                    journal.record_row(records, sender, None)
+                records[sender] = row
             return False
-        used.add(nonce)
-        if last_global is None or nonce > last_global:
-            self.last_global[sender] = nonce
-        self.last_per_lane[slot] = nonce
+        if journal is not None:
+            journal.record_row(records, sender, old)
+        new = list(row)
+        if row[0] is None or nonce > row[0]:
+            new[0] = nonce
+        new[i] = nonce
+        if gaps is None and nonce == run + 1:
+            new[-2] = nonce             # the common case: the run grows
+        elif gaps is not None and nonce != run + 1:
+            gaps.add(nonce)             # one more past an open gap
+            if journal is not None:
+                journal.record_gaps(gaps, nonce)
+        else:
+            new[-2], new[-1] = self._use(run, gaps, nonce)
+        records[sender] = tuple(new)
         return True
 
     def absorb(self, sender: str, lane: int, added,
@@ -187,34 +256,43 @@ class NonceTracker:
         the nonces it accepted — new here, or the epoch would not have
         run in parallel lanes — and where it left the high-water marks
         (``LaneResult.apply_effects``)."""
-        used = self.used.get(sender)
-        slot = (sender, lane)
+        old = self.records.get(sender)
+        row = self.blank if old is None else old
         if self.journal is not None:
-            self.journal.record_nonce(
-                self, slot, used is not None, tuple(added),
-                self.last_global.get(sender), self.last_per_lane.get(slot))
-        if added:
-            if used is None:
-                used = self.used[sender] = set()
-            used.update(added)
-        if last_global is not None and \
-                last_global > self.last_global.get(sender, 0):
-            self.last_global[sender] = last_global
+            self.journal.record_row(self.records, sender, old)
+        new = list(row)
+        for nonce in sorted(added):
+            new[-2], new[-1] = self._use(new[-2], new[-1], nonce)
+        if last_global is not None and last_global > (row[0] or 0):
+            new[0] = last_global
         if last_lane is not None:
-            self.last_per_lane[slot] = last_lane
+            new[floor_slot(lane)] = last_lane
+        if old is not None or new != list(row):
+            self.records[sender] = tuple(new)
 
-    def revert(self, sender: str, lane: int, had_entry: bool,
-               added: list, last_global: int | None,
-               last_lane: int | None) -> None:
-        """Undo one recorded move (``StateJournal.rollback_to``)."""
-        if not had_entry:
-            self.used.pop(sender, None)
-        elif added and sender in self.used:
-            self.used[sender].difference_update(added)
-        for table, key, old in (
-                (self.last_global, sender, last_global),
-                (self.last_per_lane, (sender, lane), last_lane)):
-            if old is None:
-                table.pop(key, None)
-            else:
-                table[key] = old
+    def _use(self, run: int, gaps: set | None, nonce: int):
+        """``(run, gaps)`` with ``nonce`` used too.  A gap set is mutated
+        in place (journaled), never copied: a gap-heavy accept is O(1)."""
+        journal = self.journal
+        if nonce == run + 1:
+            run = nonce
+            if gaps is not None and run + 1 in gaps:
+                first = run + 1
+                while run + 1 in gaps:
+                    run += 1
+                if len(gaps) == run - first + 1:
+                    gaps = None     # every gap filled: the set drops
+                else:
+                    filled = range(first, run + 1)
+                    gaps.difference_update(filled)
+                    if journal is not None:
+                        journal.record_gaps(gaps, filled)
+        elif nonce <= run or gaps is not None and nonce in gaps:
+            pass                    # already used
+        elif gaps is None:
+            gaps = {nonce}
+        else:
+            gaps.add(nonce)
+            if journal is not None:
+                journal.record_gaps(gaps, nonce)
+        return run, gaps

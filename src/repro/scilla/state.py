@@ -382,19 +382,21 @@ class StateJournal:
     * ``("balance", state, old)`` — a native-balance change;
     * ``("rebind", holder, old_state)`` — a ``DeployedContract`` whose
       ``state`` attribute was swapped (the FSD merge does this);
-    * ``("account", accounts, address, account, balance, portions)`` —
-      a user account about to be handed out for mutation, replaced, or
-      (``account`` None) created;
-    * ``("nonce", tracker, sender, lane, had_entry, added, last_global,
-      last_lane)`` — one sender's nonce record in one lane about to
-      move; ``added`` collects the nonces accepted since.
+    * ``("row", table, key, old)`` — ``table[key]``, an immutable row
+      (a user account or a sender's nonce record), about to be
+      replaced, or (``old`` None) created;
+    * ``("gaps", gaps, added, removed)`` — the gap set of a nonce
+      record, the one part of a row mutated in place, and what it has
+      gained (nonces) and lost (ranges) since; the lists grow in place.
 
     The last two are the network's bookkeeping outside contract state.
     They are recorded only while a mark is outstanding (between
-    checkpoints nothing could ever replay them), and once per address
-    or (sender, lane) since the newest mark: the first pre-image after
-    a mark is the one a rollback to it must reinstate, so an admin
-    sending a whole epoch costs one entry, not one per transaction.
+    checkpoints nothing could ever replay them), and a row once per
+    (table, key) since the newest mark: the first pre-image after a
+    mark is the one a rollback to it must reinstate, so an admin
+    sending a whole epoch costs one entry, not one per transaction.  A
+    gap set's changes are recorded only if such a pre-image holds it: a
+    set made since goes when the row's pre-image comes back.
 
     Positions are *absolute* sequence numbers, so entries can be
     truncated from the front without invalidating marks: a mark is
@@ -410,10 +412,11 @@ class StateJournal:
         self._base = 0          # absolute sequence of _entries[0]
         self._marks: list[int] = []   # outstanding marks (absolute)
         self._suspended = False
-        # Accounts (by address) and nonce records (by (sender, lane),
-        # mapped to the entry's ``added`` list) journaled since the
-        # newest mark.
-        self._seen: dict = {}
+        # The keys whose row was journaled since the newest mark, per
+        # table (by id), and the change lists of the gap sets those
+        # pre-images hold (by the set's id).
+        self._seen: dict[int, set] = {}
+        self._held: dict[int, tuple[list, list]] = {}
 
     @property
     def depth(self) -> int:
@@ -458,32 +461,28 @@ class StateJournal:
             return
         self._entries.append(("rebind", holder, old_state))
 
-    def record_account(self, accounts: dict, address: str,
-                       account) -> None:
-        """``accounts[address]`` — now ``account``, None when absent —
-        is about to be mutated, replaced or created."""
-        if self._suspended or not self._marks or address in self._seen:
-            return
-        self._seen[address] = None
-        balance, portions = (0, None) if account is None else (
-            account.balance, dict(account.shard_portions))
-        self._entries.append(("account", accounts, address, account,
-                              balance, portions))
-
-    def record_nonce(self, tracker, slot: tuple, had_entry: bool,
-                     added: tuple, last_global, last_lane) -> None:
-        """``tracker``'s record for ``slot`` — a ``(sender, lane)`` —
-        is about to gain the nonces ``added`` and move its high-water
-        marks (given as they stand, None when unset);
-        ``tracker.revert`` undoes it."""
+    def record_row(self, table: dict, key, old) -> None:
+        """``table[key]`` — now the row ``old``, None when absent — is
+        about to be replaced or created."""
         if self._suspended or not self._marks:
             return
-        log = self._seen.get(slot)
-        if log is None:
-            log = self._seen[slot] = []
-            self._entries.append(("nonce", tracker, *slot, had_entry, log,
-                                  last_global, last_lane))
-        log.extend(added)
+        seen = self._seen.get(id(table))
+        if seen is None:
+            seen = self._seen[id(table)] = set()
+        elif key in seen:
+            return
+        seen.add(key)
+        self._entries.append(("row", table, key, old))
+        if old is not None and old[-1].__class__ is set:
+            log = self._held[id(old[-1])] = ([], [])
+            self._entries.append(("gaps", old[-1], *log))
+
+    def record_gaps(self, gaps: set, change: int | range) -> None:
+        """The gap set ``gaps`` (a row's last item) just gained the
+        nonce ``change``, or lost the ``range`` of nonces ``change``."""
+        log = self._held.get(id(gaps))
+        if log is not None:
+            log[change.__class__ is range].append(change)
 
     # -- marks (checkpoint protocol) ----------------------------------------
 
@@ -492,6 +491,7 @@ class StateJournal:
         m = self.seq
         self._marks.append(m)
         self._seen.clear()
+        self._held.clear()
         return m
 
     def release(self, mark: int) -> None:
@@ -510,6 +510,9 @@ class StateJournal:
         if floor > self._base:
             del self._entries[: floor - self._base]
             self._base = floor
+        if not self._marks:
+            self._seen.clear()
+            self._held.clear()
 
     def rollback_to(self, mark: int) -> None:
         """Undo every entry above ``mark``, newest first.
@@ -526,6 +529,7 @@ class StateJournal:
                 f"the checkpoint was already released")
         self._suspended = True
         self._seen.clear()
+        self._held.clear()
         try:
             while self.seq > mark:
                 entry = self._entries.pop()
@@ -539,15 +543,16 @@ class StateJournal:
                 elif kind == "rebind":
                     _, holder, old_state = entry
                     holder.state = old_state
-                elif kind == "account":
-                    _, accounts, address, account, balance, portions = entry
-                    if account is None:
-                        accounts.pop(address, None)
+                elif kind == "row":
+                    _, table, key, old = entry
+                    if old is None:
+                        table.pop(key, None)
                     else:
-                        accounts[address] = account
-                        account.balance = balance
-                        account.shard_portions = portions
-                else:  # "nonce"
-                    entry[1].revert(*entry[2:])
+                        table[key] = old
+                else:  # "gaps": what it lost comes back, what it
+                    _, gaps, added, removed = entry     # gained goes
+                    for nonces in removed:
+                        gaps.update(nonces)
+                    gaps.difference_update(added)
         finally:
             self._suspended = False

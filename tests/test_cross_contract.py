@@ -123,14 +123,14 @@ def test_failed_inner_call_rolls_back_whole_chain(net):
 
 
 def test_failed_chain_still_charges_gas(net):
-    before = net._account(USER).balance
+    before = net.balance(USER)
     block = net.process_epoch(
         [call(USER, FORWARDER_ADDR, "FwdToRejector", {}, nonce=1,
               amount=300)],
         unlimited=True)
     (r,) = block.all_receipts
     assert not r.success
-    after = net._account(USER).balance
+    after = net.balance(USER)
     assert after == before - r.gas_used  # gas paid, amount returned
 
 

@@ -16,6 +16,7 @@
   recount of the transactions themselves.
 """
 
+import copy
 import tempfile
 from collections import Counter
 from unittest import mock
@@ -155,11 +156,8 @@ def restored_view(net: Network) -> dict:
         "fingerprint": network_fingerprint(net),
         "accumulators": {a: state_accumulator(c.state)
                          for a, c in net.contracts.items()},
-        "accounts": {a: (acc.balance, dict(acc.shard_portions))
-                     for a, acc in net.accounts.items()},
-        "used": {s: set(v) for s, v in net.nonces.used.items()},
-        "last_global": dict(net.nonces.last_global),
-        "last_per_lane": dict(net.nonces.last_per_lane),
+        "accounts": dict(net.accounts),
+        "nonces": copy.deepcopy(net.nonces.records),
     }
 
 
@@ -360,7 +358,7 @@ def test_new_senders_of_a_tick_are_one_accounts_record(tmp_path):
     # A second tick with no new sender logs no second record.
     assert loop.submit(payment(spellings[-1], to, 10**9, 2)).admitted
     loop.tick()
-    balances = {a: net.accounts[a].balance for a in canonical}
+    balances = {a: net.balance(a) for a in canonical}
     assert all(10**12 - 3 * 10**9 < b < 10**12 for b in balances.values())
     net.close()
 
@@ -371,7 +369,7 @@ def test_new_senders_of_a_tick_are_one_accounts_record(tmp_path):
     first_epoch = next(r for r in records if r.type == "epoch")
     assert funded[0].seq < first_epoch.seq
     resumed = Network.resume(str(tmp_path))
-    assert {a: resumed.accounts[a].balance for a in canonical} == balances
+    assert {a: resumed.balance(a) for a in canonical} == balances
     resumed.close()
 
 

@@ -90,22 +90,60 @@ def test_gas_charged_to_sender():
     net = ft_network()
     mint_all(net)
     sender = USERS[0]
-    before = net.accounts[net._account(sender).address].balance
+    before = net.balance(sender)
     block = net.process_epoch([
         call(sender, TOKEN, "Transfer",
              {"to": addr(USERS[1]), "amount": uint(1)}, nonce=1)])
     (receipt,) = block.all_receipts
-    after = net.accounts[net._account(sender).address].balance
+    after = net.balance(sender)
     assert after == before - receipt.gas_used
 
 
 def test_payment_moves_native_balance():
     net = ft_network()
     a, b = USERS[0], USERS[1]
-    before_b = net._account(b).balance
+    before_b = net.balance(b)
     block = net.process_epoch([payment(a, b, amount=500, nonce=1)])
     assert block.n_committed == 1
-    assert net._account(b).balance == before_b + 500
+    assert net.balance(b) == before_b + 500
+
+
+def test_negative_payment_fails_and_moves_nothing():
+    """A negative amount used to commit and move funds from the
+    recipient to the sender, leaving the recipient a negative portion."""
+    net = Network(2, executor="serial")
+    a, b = USERS[0], USERS[1]
+    net.create_account(a, 1000)
+    net.create_account(b, 1000)
+    block = net.process_epoch([payment(a, b, -500, nonce=1)])
+    (receipt,) = block.all_receipts
+    assert (receipt.success, receipt.error, receipt.gas_used) == \
+        (False, "invalid amount", 0)
+    assert net.balance(a) == net.balance(b) == 1000
+    assert all(net.balance(b, lane) >= 0 for lane in (0, 1, -1))
+
+
+@pytest.mark.parametrize("amount", [-5, 2**128])
+def test_out_of_range_call_amount_fails_only_its_transaction(amount):
+    """A call's ``_amount`` is a Uint128: one out of range used to raise
+    out of process_epoch and abort the whole epoch."""
+    from repro.workloads.generators import FTTransfer
+    workload = FTTransfer(n_users=4)
+    net = Network(2, executor="serial")
+    workload.setup(net)
+    users, token = workload.users, workload.contract_addr
+    bad = call(users[0], token, "Transfer",
+               {"to": addr(users[1]), "amount": uint(1)}, nonce=1,
+               amount=amount)
+    good = call(users[1], token, "Transfer",
+                {"to": addr(users[2]), "amount": uint(1)}, nonce=1)
+    before = net.balance(users[0])
+    block = net.process_epoch([bad, good])
+    outcome = {r.tx.tx_id: (r.success, r.error, r.gas_used)
+               for r in block.all_receipts}
+    assert outcome[bad.tx_id] == (False, "invalid amount", 0)
+    assert outcome[good.tx_id][0]
+    assert net.balance(users[0]) == before
 
 
 def test_accept_moves_funds_into_contract():
@@ -196,8 +234,7 @@ def test_baseline_routes_cross_shard_calls_to_ds():
     block = mint_all(net)
     contract_home = net.dispatcher.home_shard(TOKEN)
     for receipt in block.all_receipts:
-        sender_home = net.dispatcher.home_shard(
-            net._account(receipt.tx.sender).address)
+        sender_home = net.dispatcher.home_shard(receipt.tx.sender)
         if sender_home == contract_home:
             assert receipt.shard == contract_home
         else:

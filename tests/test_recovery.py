@@ -18,6 +18,7 @@ from repro.chain.recovery import (
     NetworkCheckpoint, network_fingerprint, state_fingerprint,
     validate_delta,
 )
+from repro.chain.transaction import used_runs
 from repro.core.joins import JoinKind
 from repro.contracts import CORPUS
 from repro.scilla.values import addr, uint, IntVal, StringVal
@@ -63,16 +64,16 @@ def test_checkpoint_restores_states_accounts_and_nonces():
     mint_all(net)
     checkpoint = NetworkCheckpoint.take(net)
     before = network_fingerprint(net)
-    balance_before = net.accounts[_pad(USERS[0])].balance
-    nonces_before = dict(net.nonces.last_global)
+    balance_before = net.balance(USERS[0])
+    nonces_before = dict(net.nonces.records)
 
     net.process_epoch(transfer_round())
     assert network_fingerprint(net) != before
 
     checkpoint.restore(net)
     assert network_fingerprint(net) == before
-    assert net.accounts[_pad(USERS[0])].balance == balance_before
-    assert net.nonces.last_global == nonces_before
+    assert net.balance(USERS[0]) == balance_before
+    assert net.nonces.records == nonces_before
     # Restoring twice is fine (the checkpoint keeps private copies).
     checkpoint.restore(net)
     assert network_fingerprint(net) == before
@@ -224,11 +225,8 @@ def test_view_change_after_dead_letter_keeps_it_exact():
 def _books(net):
     """Everything a checkpoint must reinstate, by value."""
     return {
-        "accounts": {a: (acc.balance, dict(acc.shard_portions))
-                     for a, acc in net.accounts.items()},
-        "used": copy.deepcopy(net.nonces.used),
-        "last_global": dict(net.nonces.last_global),
-        "last_per_lane": dict(net.nonces.last_per_lane),
+        "accounts": dict(net.accounts),
+        "nonces": copy.deepcopy(net.nonces.records),
         "states": network_fingerprint(net),
     }
 
@@ -259,11 +257,11 @@ def _apply_book_op(net, op, checkpoint, pre) -> None:
     kind, who, lane, n = op
     user = USERS[who % len(USERS)]
     if kind == "charge":
-        net._account(user).charge(lane, n)     # may fail: also fine
+        net._charge(_pad(user), lane, n)     # may fail: also fine
     elif kind == "credit":
-        net._account(user).credit(n, lane)
+        net._credit(_pad(user), lane, n)
     elif kind == "lazy":
-        net._account(_STRANGERS[who]).credit(n, lane)
+        net._credit(_pad(_STRANGERS[who]), lane, n)
     elif kind == "recreate":
         net.create_account(user, balance=n)
     elif kind == "nonce":
@@ -272,7 +270,8 @@ def _apply_book_op(net, op, checkpoint, pre) -> None:
     elif kind == "effects":
         sender = _pad(user)
         # A lane only reports nonces the coordinator has not seen.
-        top = max(net.nonces.used.get(sender) or {0})
+        record = net.nonces.records.get(sender, net.nonces.blank)
+        top = (used_runs(record) or [[0, 0]])[-1][1]
         LaneResult(
             lane=lane, microblock=MicroBlock(shard=lane, epoch=net.epoch),
             deltas=[], balance_deltas={}, deferred=[],
@@ -283,7 +282,8 @@ def _apply_book_op(net, op, checkpoint, pre) -> None:
             nonce_last_lane={sender: top + 2},
         ).apply_effects(net)
     elif kind == "epoch":
-        nonce = net.nonces.last_global.get(_pad(user), 0) + 1
+        last_global = net.nonces.records.get(_pad(user), (None,))[0]
+        nonce = (last_global or 0) + 1
         net.process_epoch([call(
             user, TOKEN, "Transfer",
             {"to": addr(USERS[(who + 1) % len(USERS)]),

@@ -35,20 +35,12 @@ N_SHARDS = 4
 
 def _observe(net, lane: int):
     """Everything a lane-`lane` replica is accountable for: contract
-    states and balances, accounts, and the nonce records its own
-    executions consult — used sets and its own per-lane chain.  The
-    global nonce chain and other lanes' per-lane entries are excluded:
-    lane acceptance never reads them (install payloads do not even
-    ship ``last_global``), they are coordinator-side merge state."""
+    states and balances, account rows, and nonce records (installs and
+    syncs both ship whole rows, so the whole row is compared)."""
     return (
         network_fingerprint(net),
-        {a: (acc.balance, dict(sorted(acc.shard_portions.items())))
-         for a, acc in sorted(net.accounts.items())},
-        {s: tuple(sorted(v))
-         for s, v in sorted(net.nonces.used.items()) if v},
-        {pair: v
-         for pair, v in sorted(net.nonces.last_per_lane.items())
-         if pair[1] == lane},
+        dict(sorted(net.accounts.items())),
+        dict(sorted(net.nonces.records.items())),
     )
 
 
@@ -117,9 +109,7 @@ def _shuffled_sync(sync: ResidentSync, rng) -> ResidentSync:
         contract_writes=writes,
         contract_balances=shuffled_dict(sync.contract_balances),
         accounts=shuffled_dict(sync.accounts),
-        nonce_used=shuffled_dict(sync.nonce_used),
-        nonce_last_global=shuffled_dict(sync.nonce_last_global),
-        nonce_last_per_lane=shuffled_dict(sync.nonce_last_per_lane))
+        nonces=shuffled_dict(sync.nonces))
 
 
 @settings(max_examples=6, deadline=None)

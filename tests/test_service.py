@@ -12,7 +12,7 @@ from repro.chain.faults import FaultEvent, FaultKind, FaultPlan
 from repro.chain.mempool import AdmissionStatus, MempoolConfig
 from repro.chain.network import Network
 from repro.chain.service import ServiceConfig, ServiceLoop
-from repro.chain.transaction import Transaction, payment
+from repro.chain.transaction import Transaction, payment, used_runs
 from repro.chain.wal import read_wal
 from repro.cli import main
 from repro.eval.service import (
@@ -90,12 +90,12 @@ class TestServiceLoop:
                 assert loop.submit(
                     payment(sender, to, 10**11, nonce)).admitted
                 assert loop.tick().committed == 1
-                balances.append(net.accounts[pad_address(sender)].balance)
+                balances.append(net.balance(sender))
             fee = 10**12 - 10**11 - balances[0]
             assert 0 <= fee < 10**6
             assert balances == [10**12 - n * (10**11 + fee)
                                 for n in (1, 2, 3)]
-            assert net.accounts[to].balance == 3 * 10**11
+            assert net.balance(to) == 3 * 10**11
             net.wal.barrier()
             funded = [r for r in read_wal(data_dir)[before:]
                       if r.type in ("account", "accounts")]
@@ -252,7 +252,8 @@ class TestServiceLoop:
                 for nonce, sender in enumerate(spellings, 1)]
             assert loop.tick().committed == 2
             assert set(net.accounts) == {full, to}
-            assert net.nonces.used == {full: {1, 2}}
+            assert {s: used_runs(row) for s, row
+                    in net.nonces.records.items()} == {full: [[1, 2]]}
             outcomes.append((admitted, [
                 (r.tx, r.success, r.gas_used)
                 for r in net.blocks[-1].all_receipts]))

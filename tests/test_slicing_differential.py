@@ -58,8 +58,7 @@ def _observe(workload_cls, executor: str, sliced: bool):
         "receipts": [[_receipt_key(r) for r in b.all_receipts]
                      for b in blocks],
         "merged": [b.merged_locations for b in blocks],
-        "balances": {a: (acc.balance, dict(sorted(acc.shard_portions.items())))
-                     for a, acc in sorted(net.accounts.items())},
+        "balances": dict(sorted(net.accounts.items())),
     }
     return observation, net
 

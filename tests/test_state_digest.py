@@ -20,6 +20,7 @@ code (dropping the DS-lane source, the balance term, the empty-map
 case) makes it fail.
 """
 
+import copy
 import hashlib
 import json
 from pathlib import Path
@@ -388,11 +389,8 @@ def observable(net: Network) -> dict:
     """What the restore-point oracle compares."""
     return {
         "fingerprint": network_fingerprint(net),
-        "accounts": {a: (acc.balance, dict(acc.shard_portions))
-                     for a, acc in net.accounts.items()},
-        "nonces": ({s: set(v) for s, v in net.nonces.used.items()},
-                   dict(net.nonces.last_global),
-                   dict(net.nonces.last_per_lane)),
+        "accounts": dict(net.accounts),
+        "nonces": copy.deepcopy(net.nonces.records),
         "epoch": net.epoch,
         "epoch_tags": dict(net.epoch_tags),
         "notes": list(net.wal_notes),

@@ -1,6 +1,8 @@
 """Snapshot store tests: round-trips, atomicity, digests, retention."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.contracts import CORPUS
 from repro.scilla.values import IntVal, StringVal, addr, uint
 from repro.scilla import types as ty
 
+FIXTURE = Path(__file__).parent / "fixtures" / "restore_point_v4"
 TOKEN = "0x" + "c0" * 20
 ADMIN = "0x" + "ad" * 20
 USERS = ["0x" + f"{i:040x}" for i in range(1, 13)]
@@ -47,6 +50,35 @@ def transfer_round(nonce=1):
 
 # -- network <-> snapshot object ----------------------------------------------
 
+def test_a_parent_written_restore_point_resumes_and_saves_the_same_rows(
+        tmp_path):
+    """``fixtures/restore_point_v4`` is a version-4 base written before
+    accounts and nonce records became rows: a durable FT transfer run
+    (``Network(2, data_dir=…)``, ``FTTransfer(n_users=6,
+    txns_per_epoch=4, seed=7)``, two epochs, then one epoch holding a
+    transfer whose sender skipped a nonce and a payment from an
+    unfunded sender), saved with ``net.snapshot()``.  It resumes, and a
+    fresh save holds the same ``accounts`` and ``nonces`` sections —
+    the gap, the lazily created zero-balance account, the lanes no
+    sender used (absent) included."""
+    shutil.copytree(FIXTURE, tmp_path / "data")
+    (saved,) = FIXTURE.glob("snap-*.json")
+    fixture = json.loads(saved.read_text())["snapshot"]
+    assert fixture["version"] == 4
+    net = Network.resume(str(tmp_path / "data"))
+    try:
+        fresh = json.loads(json.dumps(
+            snapshot_network(net, wal_seq=fixture["wal_seq"])))
+    finally:
+        net.close()
+    assert "parent" not in fresh
+    assert fresh["accounts"] == fixture["accounts"]
+    assert fresh["nonces"] == fixture["nonces"]
+    assert net.balance("0x" + "5e" * 20) == 0
+    used = dict(zip(fixture["nonces"]["sender"], fixture["nonces"]["used"]))
+    assert used[f"0x{0x1000:040x}"] == [[1, 3], [5, 5]]
+
+
 def test_snapshot_roundtrip_preserves_state_and_future():
     net = ft_network()
     net.process_epoch(transfer_round())
@@ -55,12 +87,8 @@ def test_snapshot_roundtrip_preserves_state_and_future():
 
     assert restored.epoch == net.epoch
     assert network_fingerprint(restored) == network_fingerprint(net)
-    assert restored.accounts.keys() == net.accounts.keys()
-    for a in net.accounts:
-        assert restored.accounts[a].balance == net.accounts[a].balance
-        assert restored.accounts[a].shard_portions == \
-            net.accounts[a].shard_portions
-    assert restored.nonces.last_global == net.nonces.last_global
+    assert restored.accounts == net.accounts
+    assert restored.nonces.records == net.nonces.records
 
     # The decisive property: both networks process the *same* next
     # epoch identically.

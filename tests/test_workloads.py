@@ -127,9 +127,9 @@ def test_payments_conserve_total_balance():
     workload = Payments(n_users=20, txns_per_epoch=40)
     net = Network(3)
     workload.setup(net)
-    total_before = sum(a.balance for a in net.accounts.values())
+    total_before = sum(map(net.balance, net.accounts))
     net.process_epoch(workload.transactions(0), unlimited=True)
-    total_after = sum(a.balance for a in net.accounts.values())
+    total_after = sum(map(net.balance, net.accounts))
     # Only gas fees leave the user accounts.
     fees = 40 * 50  # PAYMENT_GAS per committed payment
     assert total_before - total_after == fees
