@@ -77,7 +77,7 @@ class SteadyScaledFT(ScaledFTTransfer):
 def test_wal_bytes_per_transaction_and_delta_bytes_per_row(tmp_path):
     # Every restore point is kept, so the log stays whole from the
     # first one on: the ticks after it are what gets counted.
-    net = Network(4, executor="serial", data_dir=str(tmp_path),
+    net = Network(4, data_dir=str(tmp_path),
                   snapshot_every=EVERY, keep_snapshots=10**6,
                   state_backend="none", metrics=MetricsRegistry())
     gen = SteadyScaledFT(population=100_000, txns_per_epoch=BATCH,

@@ -19,7 +19,7 @@ from repro.chain.network import Network
 from repro.workloads.generators import FTTransfer
 
 workload = FTTransfer(n_users=1000, txns_per_epoch=400, seed=11)
-net = Network(4, executor="serial")
+net = Network(4)
 workload.setup(net)
 for epoch in range(1, 161):
     net.process_epoch(workload.transactions(epoch))

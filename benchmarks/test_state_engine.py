@@ -1,16 +1,15 @@
 """State-engine benchmark: CoW forks and journal checkpoints vs. the
 deep-copy baseline the seed used.
 
-Records per-size timings and payload bytes into
-``benchmarks/results/state_engine.txt`` and the repo-root
-``BENCH_state.json``, and asserts the PR's headline claim: on a
-100k-entry map, checkpoint take plus lane-payload construction is at
-least 10× faster than the deep-copy baseline.  The scaling guards at
-the bottom are what CI runs: counts showing that a checkpoint take, a
-first write after a fork, the account/nonce books, and a durable
-commit with its restore points stay O(touched), plus wide-margin
-wall-clock checks that a serial epoch — in memory and durable — is
-flat in state size.
+Records per-size timings into ``benchmarks/results/state_engine.txt``
+and the repo-root ``BENCH_state.json``, and asserts the headline
+claim: on a 100k-entry map, checkpoint take plus a lane's fork — what
+a serial epoch pays — is at least 10× faster than the deep-copy
+baseline.  The scaling guards at the bottom are what CI runs: counts
+showing that a checkpoint take, a first write after a fork, the
+account/nonce books, and a durable commit with its restore points stay
+O(touched), plus wide-margin wall-clock checks that a serial epoch —
+in memory and durable — is flat in state size.
 """
 
 import gc
@@ -43,20 +42,16 @@ def test_state_bench_records_results(save_result):
         [1_000, 10_000, 100_000]
     for row in payload["rows"]:
         assert row["checkpoint_take_ns"]["new"] > 0
+        assert row["fork_ns"]["new"] > 0
         assert row["first_write_after_fork_ns"] > 0
-        assert row["payload_bytes"]["new_sliced"] < \
-            row["payload_bytes"]["old"]
 
     # The acceptance bar: ≥10× at 10^5 entries (in practice the gap is
-    # orders of magnitude — a journal mark is O(1) and a slice is
-    # O(footprint), while the baseline deep-copies 100k values twice).
+    # orders of magnitude — a journal mark and a fork are O(1), while
+    # the baseline deep-copies 100k values twice).
     at_100k = next(r for r in result.rows if r.entries == 100_000)
     assert at_100k.speedup >= 10, (
-        f"take+payload at 100k entries only {at_100k.speedup:.1f}x "
+        f"take+fork at 100k entries only {at_100k.speedup:.1f}x "
         f"faster than the deep-copy baseline")
-    # Sliced payloads ship a constant number of entries, so bytes must
-    # be a vanishing fraction of the full state at this size.
-    assert at_100k.bytes_ratio < 0.05
 
 
 def _big_network(entries: int):
@@ -195,8 +190,7 @@ def test_a_user_is_two_untracked_rows():
 
     n = 100_000
     addresses = [f"0x{i + 0x1000:040x}" for i in range(n)]
-    net = Network(4, use_signatures=False, executor="serial",
-                  state_backend="none")
+    net = Network(4, use_signatures=False, state_backend="none")
     gc.collect()
     tracemalloc.start()
     try:
@@ -319,8 +313,7 @@ def _seeded_ft(n_users: int, txns: int, **net_kwargs):
                 balances.put(addr(user), uint(10**9))
 
     wl = SeededFT(n_users=n_users, txns_per_epoch=txns, seed=3)
-    net = Network(4, executor="serial", state_backend="none",
-                  **net_kwargs)
+    net = Network(4, state_backend="none", **net_kwargs)
     wl.setup(net)
     return wl, net
 

@@ -13,17 +13,13 @@ from .consensus import CostModel, DEFAULT_COST_MODEL
 from .delta import DeltaEntry, StateDelta, compute_delta, merge_deltas
 from .dispatch import (
     DS, DeployedSignature, DispatchDecision, Dispatcher, key_token,
-    shard_hash,
+    shard_hash, value_from_token,
 )
 from .faults import (
     FaultEvent, FaultInjector, FaultKind, FaultPlan,
 )
-from .lanes import LaneResult, LaneTask, build_lane_task, run_lane_task
 from .lookup import LookupNode, TxPacket, packets_to_epoch
-from .network import (
-    BacklogEntry, DeployedContract, EpochStats, EXECUTOR_STRATEGIES,
-    Network,
-)
+from .network import BacklogEntry, DeployedContract, EpochStats, Network
 from .recovery import (
     DeltaViolation, NetworkCheckpoint, fingerprint_digest,
     network_fingerprint, state_fingerprint, validate_delta,
@@ -44,12 +40,10 @@ __all__ = [
     "CostModel", "DEFAULT_COST_MODEL",
     "DeltaEntry", "StateDelta", "compute_delta", "merge_deltas",
     "DS", "DeployedSignature", "DispatchDecision", "Dispatcher",
-    "key_token", "shard_hash",
+    "key_token", "shard_hash", "value_from_token",
     "FaultEvent", "FaultInjector", "FaultKind", "FaultPlan",
-    "LaneResult", "LaneTask", "build_lane_task", "run_lane_task",
     "LookupNode", "TxPacket", "packets_to_epoch",
-    "BacklogEntry", "DeployedContract", "EpochStats",
-    "EXECUTOR_STRATEGIES", "Network",
+    "BacklogEntry", "DeployedContract", "EpochStats", "Network",
     "DeltaViolation", "NetworkCheckpoint", "fingerprint_digest",
     "network_fingerprint", "state_fingerprint", "validate_delta",
     "SnapshotError", "SnapshotStore", "network_from_snapshot",

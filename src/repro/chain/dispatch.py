@@ -22,6 +22,8 @@ from ..core.constraints import (
 )
 from ..core.domain import ConstKey, Key, ParamKey, PseudoField
 from ..core.signature import ShardingSignature
+from ..scilla import types as ty
+from ..scilla.errors import EvalError
 from ..scilla.values import (
     ADTVal, BNumVal, ByStrVal, IntVal, StringVal, Value,
     pad_address as _pad,
@@ -49,6 +51,27 @@ def key_token(value: Value) -> str:
         inner = ",".join(key_token(a) for a in value.args)
         return f"{value.adt}.{value.constructor}({inner})"
     raise ValueError(f"value not usable as a map key: {value!r}")
+
+
+def value_from_token(token: str) -> Value | None:
+    """The inverse of :func:`key_token` for primitive keys: rebuild a
+    runtime value from a token (the analysis' constant-key format).
+    ADT tokens are not round-tripped: None, as for a malformed one."""
+    kind, sep, payload = token.partition("|")
+    if not sep:
+        return None
+    try:
+        if kind.startswith(("Int", "Uint")):
+            return IntVal(int(payload), ty.prim(kind))
+        if kind == "String":
+            return StringVal(payload)
+        if kind.startswith("ByStr"):
+            return ByStrVal(payload, ty.prim(kind))
+        if kind == "BNum":
+            return BNumVal(int(payload))
+    except (ValueError, EvalError):
+        return None
+    return None
 
 
 def shard_hash(token: str, n_shards: int) -> int:

@@ -63,20 +63,11 @@ class FaultKind(enum.Enum):
     DROP_TX = "drop-tx"
     DUPLICATE_TX = "duplicate-tx"
     REORDER_TXNS = "reorder-txns"
-    HANG_WORKER = "hang-worker"
-    KILL_WORKER = "kill-worker"
-    SLOW_LANE = "slow-lane"
     FLOOD = "flood"
     STALL_CONSUMER = "stall-consumer"
 
     def __str__(self) -> str:
         return self.value
-
-
-class WorkerKilled(RuntimeError):
-    """An injected ``KILL_WORKER`` fault firing inside a thread-pool
-    worker, where a process-style ``os._exit`` would take the whole
-    coordinator down.  The supervisor classifies it as worker death."""
 
 
 # Lane-level kinds: discovered by the DS committee as a missing
@@ -91,14 +82,6 @@ DELTA_FAULTS = frozenset({
 # Mempool-level kinds: alter the submitted transaction stream.
 CHURN_FAULTS = frozenset({
     FaultKind.DROP_TX, FaultKind.DUPLICATE_TX, FaultKind.REORDER_TXNS,
-})
-# Executor-infrastructure kinds: the lane's *worker* misbehaves (hangs
-# past the deadline, dies mid-task, or merely lags) while the lane's
-# inputs stay valid.  Handled below the protocol by the lane
-# supervisor (repro.chain.supervise), which retries or reruns the lane
-# from its immutable snapshot — the DS committee never sees them.
-WORKER_FAULTS = frozenset({
-    FaultKind.HANG_WORKER, FaultKind.KILL_WORKER, FaultKind.SLOW_LANE,
 })
 # Service-level kinds: attack the *ingestion* path, not the epoch
 # pipeline.  ``FLOOD`` multiplies the offered load for one tick;
@@ -118,7 +101,7 @@ EQUIVALENCE_PRESERVING = frozenset({
     FaultKind.CRASH_SHARD, FaultKind.DELAY_MICROBLOCK,
     FaultKind.DROP_MICROBLOCK, FaultKind.CORRUPT_DELTA,
     FaultKind.FORGE_DELTA,
-}) | WORKER_FAULTS
+})
 
 
 @dataclass(frozen=True)
@@ -157,18 +140,13 @@ class FaultPlan:
                crash_rate: float = 0.12, delay_rate: float = 0.08,
                drop_rate: float = 0.05, corrupt_rate: float = 0.08,
                forge_rate: float = 0.05, churn_rate: float = 0.0,
-               first_epoch: int = 1, hang_rate: float = 0.0,
-               kill_rate: float = 0.0, slow_rate: float = 0.0,
-               flood_rate: float = 0.0,
+               first_epoch: int = 1, flood_rate: float = 0.0,
                stall_rate: float = 0.0) -> "FaultPlan":
         """Sample at most one lane fault per (epoch, shard).
 
         A single uniform draw per cell is partitioned by the rates, so
         the plan is stable under rate-preserving refactors and never
-        schedules two contradictory faults for the same lane.  Worker
-        faults partition the *tail* of the draw (after the protocol
-        kinds), so a plan generated before they existed is reproduced
-        byte-identically when their rates are zero.
+        schedules two contradictory faults for the same lane.
         """
         rng = random.Random(seed)
         lane_kinds = (
@@ -177,9 +155,6 @@ class FaultPlan:
             (FaultKind.DROP_MICROBLOCK, drop_rate),
             (FaultKind.CORRUPT_DELTA, corrupt_rate),
             (FaultKind.FORGE_DELTA, forge_rate),
-            (FaultKind.HANG_WORKER, hang_rate),
-            (FaultKind.KILL_WORKER, kill_rate),
-            (FaultKind.SLOW_LANE, slow_rate),
         )
         events: list[FaultEvent] = []
         for epoch in range(first_epoch, first_epoch + epochs):
@@ -299,11 +274,6 @@ class FaultInjector:
 
     def delta_faults(self, epoch: int) -> dict[int, FaultKind]:
         return self.plan.lane_faults(epoch, DELTA_FAULTS)
-
-    def worker_faults(self, epoch: int) -> dict[int, FaultKind]:
-        """Executor-level faults the lane supervisor injects into the
-        worker running each shard's task (repro.chain.supervise)."""
-        return self.plan.lane_faults(epoch, WORKER_FAULTS)
 
     # -- service faults (consulted by repro.chain.service, per tick) -----------
 

@@ -15,19 +15,14 @@ to it; the FinalBlock's state becomes the next epoch's start state.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import defaultdict
-from dataclasses import (
-    asdict, dataclass, field as dc_field, replace as dc_replace,
-)
+from dataclasses import asdict, dataclass, field as dc_field
 from operator import attrgetter
 
 from ..core.joins import JoinKind
 from ..core.pipeline import run_pipeline_cached
-from ..obs.metrics import (
-    GAS_BUCKETS, MS_BUCKETS, NS_BUCKETS, NULL_REGISTRY,
-)
+from ..obs.metrics import GAS_BUCKETS, NS_BUCKETS, NULL_REGISTRY
 from ..obs.tracing import NULL_TRACER
 from ..core.signature import ShardingSignature
 from ..scilla.ast import Module
@@ -46,14 +41,10 @@ from .consensus import DEFAULT_COST_MODEL, CostModel
 from .delta import StateDelta, compute_delta, merge_deltas
 from .dispatch import DS, REASON_KINDS, DeployedSignature, Dispatcher, _pad
 from .faults import FaultInjector, FaultPlan
-from .lanes import LaneResult, run_lanes
 from .mempool import PoolEntry
 from .recovery import (
     ChangeLedger, DeltaViolation, NetworkCheckpoint, fingerprint_digest,
     validate_delta,
-)
-from .supervise import (
-    BoundedLog, LaneFailureKind, LaneSupervisor, SuperviseConfig,
 )
 from .serialization import (
     TransactionRowError, signature_from_obj, signature_to_obj,
@@ -70,15 +61,6 @@ _MAX_AMOUNT = ty.int_bounds(ty.UINT128)[1]
 _ENTRY_KEY = attrgetter("key")
 FUNDING = 10**12    # what a created account holds unless told otherwise
 
-# Lane executor strategies for Network.process_epoch.  "serial" is the
-# reference implementation; "thread"/"process" execute independent
-# shard lanes concurrently through repro.chain.lanes with results
-# merged in deterministic shard order — observationally identical to
-# serial (tests/test_parallel_equivalence.py is the differential
-# oracle).  The default comes from the REPRO_EXECUTOR env var so a
-# whole test run can be pointed at a parallel path.
-EXECUTOR_STRATEGIES = ("serial", "thread", "process")
-
 
 @dataclass
 class DeployedContract:
@@ -87,15 +69,9 @@ class DeployedContract:
     interpreter: Interpreter
     state: ContractState
     signature: ShardingSignature | None = None
-    # Original source text; lets the process-pool lane executor ship
-    # compact text (re-parsed once per worker) instead of pickled ASTs.
+    # Original source text: a base restore point carries it, and
+    # resume re-runs the deployment pipeline on it.
     source: str = ""
-    # transition -> tuple of PseudoFields (reads ∪ writes from the raw
-    # analysis summaries), or None for an unsummarisable (⊤)
-    # transition.  None for the whole contract when deployed without a
-    # signature.  Lane payload slicing ships only these components
-    # (repro.chain.lanes).
-    footprints: dict[str, tuple | None] | None = None
 
     @property
     def joins(self) -> dict[str, JoinKind]:
@@ -140,11 +116,10 @@ class _NetworkMeters:
     """Every instrument the network records, created once per network.
 
     Counters without a flag are *deterministic*: their values are a
-    pure function of the submitted workload, identical across the
-    serial/thread/process executors and across a crash + resume
-    (``tests/test_telemetry_differential.py`` enforces this).
-    Executor-strategy and WAL counters legitimately vary between
-    otherwise-identical runs, and every duration histogram is
+    pure function of the submitted workload, identical across runs and
+    across a crash + resume (``tests/test_telemetry_differential.py``
+    enforces this).  WAL and state-engine counters legitimately vary
+    between otherwise-identical runs, and every duration histogram is
     wall-clock, so those carry ``deterministic=False``.
 
     With a disabled registry every attribute is the shared null
@@ -181,10 +156,6 @@ class _NetworkMeters:
         self.lane_tx_failed = m.counter("lane.tx.failed")
         self.lane_gas = m.counter("lane.gas.used")
         self.lane_gas_per_tx = m.histogram("lane.gas_per_tx", GAS_BUCKETS)
-        self.parallel_epochs = m.counter("net.executor.parallel_epochs",
-                                         deterministic=False)
-        self.executor_fallbacks = m.counter("net.executor.fallbacks",
-                                            deterministic=False)
         self.wal_appends = m.counter("net.wal.appends",
                                      deterministic=False)
         self.wal_barriers = m.counter("net.wal.barriers",
@@ -228,16 +199,14 @@ class _NetworkMeters:
                             for key in COMPILE_STATS}
         self.compile_ns = m.histogram("interp.compile_ns", NS_BUCKETS,
                                       deterministic=False)
-        # State-engine instruments (PR 5): copy-on-write and journal
-        # activity varies with executor scheduling and checkpoint
-        # lifetimes, payload shapes with the slicing toggle — all
-        # non-deterministic by design.
+        # State-engine instruments: copy-on-write and journal activity
+        # varies with checkpoint lifetimes (a caller's outstanding
+        # checkpoint, a resume's replay) — non-deterministic by design.
         self.cow_copies = m.counter("state.cow.copies",
                                     deterministic=False)
         # Overlay folds (repro.scilla.values.OverlayDict): each is one
         # O(map) dict copy, so a fold storm shows here, not in a
-        # profile.  Process-wide like state.cow.copies — folds inside
-        # worker processes are not seen by the coordinator.
+        # profile.  Process-wide like state.cow.copies.
         self.overlay_folds = m.counter("state.overlay.folds",
                                        deterministic=False)
         self.overlay_folded_entries = m.counter(
@@ -255,81 +224,12 @@ class _NetworkMeters:
             "net.checkpoint.undo_entries",
             (1, 10, 100, 1_000, 10_000, 100_000, 1_000_000),
             deterministic=False)
-        self.payload_states_full = m.counter("lane.payload.states_full",
-                                             deterministic=False)
-        self.payload_states_sliced = m.counter(
-            "lane.payload.states_sliced", deterministic=False)
-        self.payload_states_stub = m.counter("lane.payload.states_stub",
-                                             deterministic=False)
-        self.payload_entries = m.counter("lane.payload.entries",
-                                         deterministic=False)
-        self.payload_bytes = m.counter("lane.payload.bytes",
-                                       deterministic=False)
-        # Lane supervision (repro.chain.supervise): deadlines, retries,
-        # breakers and quarantine respond to real infrastructure
-        # failures and wall-clock scheduling, so every instrument is
-        # non-deterministic by design.
-        self.lane_failures = {
-            kind: m.counter(f"supervise.failures.{kind.value}",
-                            deterministic=False)
-            for kind in LaneFailureKind}
-        self.lane_retries = m.counter("supervise.lane_retries",
-                                      deterministic=False)
-        self.lane_rescues = m.counter("supervise.lane_rescues",
-                                      deterministic=False)
-        self.pool_rebuilds = m.counter("supervise.pool_rebuilds",
-                                       deterministic=False)
-        self.slow_lanes = m.counter("supervise.slow_lanes",
-                                    deterministic=False)
-        self.degraded_epochs = m.counter("supervise.degraded_epochs",
-                                         deterministic=False)
-        self.supervise_backoff_ms = m.histogram(
-            "supervise.backoff_ms", MS_BUCKETS, deterministic=False)
-        self.supervise_attempts = m.histogram(
-            "supervise.attempts_per_lane", (1, 2, 3, 4, 6, 8),
-            deterministic=False)
-        self.breaker_trips = m.counter("supervise.breaker.trips",
-                                       deterministic=False)
-        self.breaker_probes = m.counter("supervise.breaker.probes",
-                                        deterministic=False)
-        self.breaker_recoveries = m.counter(
-            "supervise.breaker.recoveries", deterministic=False)
-        # 0 = closed, 1 = half-open, 2 = open (supervise.BREAKER_GAUGE).
-        self.breaker_state = {
-            strategy: m.gauge(f"supervise.breaker.{strategy}_state",
-                              deterministic=False)
-            for strategy in ("process", "thread")}
-        self.quarantine_size = m.gauge("supervise.quarantine.size",
-                                       deterministic=False)
-        self.quarantine_additions = m.counter(
-            "supervise.quarantine.additions", deterministic=False)
-        self.fallback_dropped = m.gauge("net.executor.fallback_dropped",
-                                        deterministic=False)
-        # Resident shard workers (repro.chain.resident) and epoch
-        # pipelining: installs/syncs respond to worker lifecycle and
-        # wall-clock overlap, so every instrument is non-deterministic.
-        self.resident_installs = m.counter("lane.resident.installs",
-                                           deterministic=False)
-        self.resident_reinstalls = m.counter("lane.resident.reinstalls",
-                                             deterministic=False)
-        self.resident_sync_deltas = m.counter("lane.resident.sync_deltas",
-                                              deterministic=False)
-        self.resident_sync_pushes = m.counter("lane.resident.sync_pushes",
-                                              deterministic=False)
-        self.resident_install_bytes = m.counter(
-            "lane.resident.install_bytes", deterministic=False)
-        self.resident_sync_bytes = m.counter("lane.resident.sync_bytes",
-                                             deterministic=False)
-        self.resident_stale = m.counter("lane.resident.stale",
-                                        deterministic=False)
-        self.pipeline_overlap_ns = m.histogram(
-            "pipeline.overlap_ns", NS_BUCKETS, deterministic=False)
         # Out-of-core state backend (repro.scilla.backend): fault,
         # eviction and writeback counts follow cache-residency history
-        # (executor scheduling, payload shapes, prior epochs), and the
-        # ns totals follow the disk — all non-deterministic by design,
-        # so the deterministic-telemetry differential contract is
-        # untouched by paging (docs/STATE.md).
+        # (prior epochs, checkpoint lifetimes), and the ns totals
+        # follow the disk — all non-deterministic by design, so the
+        # deterministic-telemetry differential contract is untouched by
+        # paging (docs/STATE.md).
         self.backend_faults = m.counter("state.backend.faults",
                                         deterministic=False)
         self.backend_evictions = m.counter("state.backend.evictions",
@@ -377,34 +277,33 @@ class Network:
                  fault_plan: FaultPlan | None = None,
                  max_retries: int = 16,
                  retry_backoff: float = 1.0,
-                 executor: str | None = None,
-                 lane_workers: int | None = None,
+                 executor: str = "serial",
                  data_dir: str | None = None,
                  fsync: str = "commit",
                  snapshot_every: int = 8,
                  keep_snapshots: int = 3,
                  crash_at_barrier: int | None = None,
                  crash_at_append: int | None = None,
-                 slice_payloads: bool = True,
-                 lane_deadline_s: float | None = None,
-                 supervise: SuperviseConfig | None = None,
-                 resident: bool = True,
                  state_backend=None,
-                 clock=None,
                  metrics=None,
                  tracer=None):
+        """``executor`` accepts only ``"serial"``: an epoch runs each
+        shard lane in this process, one after another, against the
+        epoch-start state — the shards' parallelism is the modelled
+        clock's (``CostModel``).  The keyword stays only because the
+        benchmark harness (``bench/workloads.py``) still passes it; it
+        goes once that harness stops."""
+        if executor != "serial":
+            raise ValueError(
+                f"unknown executor {executor!r}: shard lanes run "
+                f"serially; the 'thread' and 'process' executors were "
+                f"removed")
         self.n_shards = n_shards
         self.shard_size = shard_size
         self.ds_size = ds_size
         self.use_signatures = use_signatures
         self.cost = cost_model
         self.overflow_guard = overflow_guard
-        # Footprint-sliced lane payloads (repro.chain.lanes): ship only
-        # the state components the dispatched transitions' signatures
-        # name.  A runtime choice like the executor strategy — results
-        # are byte-identical either way (tests/test_slicing_differential
-        # is the oracle) — so it is not part of the durable config.
-        self.slice_payloads = slice_payloads
         # Network-wide undo journal: every write to a globally-visible
         # contract state, and every account and nonce move, records its
         # reversal here, making checkpoints O(1) marks
@@ -448,65 +347,12 @@ class Network:
         self.idle_seconds: dict[str, float] = {}
         # Optional deterministic fault injection (repro.chain.faults).
         self.injector = FaultInjector(fault_plan) if fault_plan else None
-        # Shard-lane execution strategy (see EXECUTOR_STRATEGIES).
-        if executor is None:
-            executor = os.environ.get("REPRO_EXECUTOR", "serial")
-        if executor not in EXECUTOR_STRATEGIES:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of "
-                f"{EXECUTOR_STRATEGIES}")
-        self.executor = executor
-        self.lane_workers = lane_workers
-        if lane_workers is None and executor != "serial":
-            # A malformed REPRO_WORKERS raises here, at construction,
-            # not inside the supervisor's catch-all at the first epoch.
-            from ..core.parallel import default_workers
-            default_workers()
-        # Resident shard workers (repro.chain.resident): long-lived
-        # per-lane worker replicas holding installed shard state, fed
-        # only transactions + merge-delta syncs per epoch.  Like the
-        # executor and slicing, a pure runtime choice — results are
-        # byte-identical either way (tests/test_resident_differential
-        # is the oracle) — on by default.
-        self.resident = resident
-        self._resident_tracker = None
-        if resident and self.executor != "serial":
-            from .resident import ResidentTracker
-            self._resident_tracker = ResidentTracker()
-        # Lane supervision (repro.chain.supervise): per-lane deadlines,
-        # hung-worker watchdog, retry with backoff, and the executor
-        # circuit-breaker ladder.  The deadline defaults to the cost
-        # model's consensus timeout — the same bound after which the
-        # protocol declares a MicroBlock missing — unless
-        # ``lane_deadline_s`` overrides it.  Like the executor itself
-        # this is a runtime choice, not durable config.
-        if supervise is None:
-            supervise = SuperviseConfig(
-                deadline_s=(lane_deadline_s if lane_deadline_s is not None
-                            else cost_model.microblock_timeout_s))
-        elif lane_deadline_s is not None:
-            supervise = dc_replace(supervise,
-                                   deadline_s=lane_deadline_s)
-        self.supervisor = LaneSupervisor(supervise, clock=clock)
         # Observability (repro.obs).  Off by default: the null registry
         # and tracer answer every record with an empty call, so the
         # simulator's hot paths stay uninstrumented-cheap.
         self.metrics = NULL_REGISTRY if metrics is None else metrics
         self.tracer = NULL_TRACER if tracer is None else tracer
         self._meters = _NetworkMeters(self.metrics)
-        # (lane, source-hash) -> (module, interpreter), reused across
-        # epochs by the thread executor so each lane keeps a private
-        # interpreter (run_transition installs a per-call gas hook).
-        self._runtime_cache: dict = {}
-        # Epochs where a parallel executor was requested but the epoch
-        # ran serially (strict nonces, cross-lane nonce collision,
-        # fewer than two runnable lanes, or a pool failure).
-        self.executor_fallbacks = 0
-        # One detail entry per pool failure / supervision event, so a
-        # silent serial fallback stays observable after the fact.
-        # Bounded: appends past capacity drop the oldest entry and
-        # count it (the net.executor.fallback_dropped gauge).
-        self.executor_fallback_details: BoundedLog = BoundedLog()
         # How many epochs committed under each caller-supplied WAL tag
         # (the durable harness uses this to fast-forward generators).
         self.epoch_tags: dict[str, int] = {}
@@ -542,12 +388,12 @@ class Network:
             self._wal_append("init", self._config_obj(), barrier=True)
         # Out-of-core state (repro.scilla.backend): page cold map
         # entries to a pluggable row store, faulting them back on
-        # demand.  Like the executor strategy a pure runtime choice —
-        # results are byte-identical with or without a backend (the
-        # slicing/resident differentials are the oracle) —
-        # defaulting off, opt-in via REPRO_STATE_BACKEND.  Created
-        # after the durability attach so a WALError on a reused
-        # data_dir never clobbers an existing backend file.
+        # demand.  A pure runtime choice — results are byte-identical
+        # with or without a backend (tests/test_paged_state.py and the
+        # suite's sqlite legs are the oracle) — defaulting off, opt-in
+        # via REPRO_STATE_BACKEND.  Created after the durability attach
+        # so a WALError on a reused data_dir never clobbers an existing
+        # backend file.
         self.state_backend = resolve_backend(state_backend, data_dir)
         self._backend_stats_seen = (
             self.state_backend.stats.snapshot()
@@ -593,8 +439,6 @@ class Network:
                                 self.accounts.get(address))
         row = self.accounts[address] = funded_row(
             balance, self.n_shards, self.dispatcher.home_shard(address))
-        if self._resident_tracker is not None:
-            self._resident_tracker.touch_account(address)
         return row
 
     def _account_at(self, address: str) -> tuple:
@@ -604,14 +448,10 @@ class Network:
             # Lazily-created zero-balance accounts are a deterministic
             # consequence of execution; they are not WAL inputs.
             return self._create_account(address, balance=0)
-        # Every account move goes through here (apply_effects, serial
-        # lanes, DS lane, payouts): the handout is where the journal
-        # takes the row's pre-image for checkpoint rollback, and it
-        # over-approximates the epoch's touched-account set for the
-        # resident replicas.
+        # Every account move goes through here (shard lanes, DS lane,
+        # payouts): the handout is where the journal takes the row's
+        # pre-image for checkpoint rollback.
         self.journal.record_row(self.accounts, address, row)
-        if self._resident_tracker is not None:
-            self._resident_tracker.touch_account(address)
         return row
 
     def _charge(self, address: str, lane: int, amount: int) -> bool:
@@ -706,21 +546,13 @@ class Network:
                                          weak_reads, allow_commutativity)
         state.journal = self.journal
         self._adopt_state(state)
-        footprints = None
-        if signature is not None:
-            from .lanes import transition_footprints
-            footprints = transition_footprints(result.summaries)
         deployed = DeployedContract(address, result.module, interpreter,
-                                    state, signature, source, footprints)
+                                    state, signature, source)
         self.contracts[address] = deployed
         if self._ledger is not None:
-            # A structure change, as for resident replicas: no delta
-            # can express it, so the next restore point is a base.
+            # A structure change: no delta can express it, so the next
+            # restore point is a base.
             self._ledger.add_contract(state)
-        if self._resident_tracker is not None:
-            # No sync can express a new contract: resident replicas
-            # reinstall from scratch at the next dispatch.
-            self._resident_tracker.mark_structure_change()
         self.dispatcher.register_contract(DeployedSignature(
             address, signature, dict(state.immutables)))
         return deployed
@@ -853,9 +685,7 @@ class Network:
 
     def _config_obj(self):
         """The construction-time configuration, as logged in the WAL
-        init record and embedded in snapshots.  Executor strategy and
-        worker count are runtime choices, not configuration — resume
-        may pick different ones without affecting replay."""
+        init record and embedded in snapshots."""
         return {
             "n_shards": self.n_shards,
             "shard_size": self.shard_size,
@@ -872,9 +702,7 @@ class Network:
         }
 
     @classmethod
-    def _from_config(cls, config, executor: str | None = None,
-                     lane_workers: int | None = None,
-                     state_backend=None,
+    def _from_config(cls, config, state_backend=None,
                      metrics=None, tracer=None) -> "Network":
         return cls(
             state_backend=state_backend,
@@ -890,15 +718,12 @@ class Network:
                         if config["fault_plan"] is not None else None),
             max_retries=config["max_retries"],
             retry_backoff=config["retry_backoff"],
-            executor=executor,
-            lane_workers=lane_workers,
             metrics=metrics,
             tracer=tracer,
         )
 
     @classmethod
-    def resume(cls, data_dir: str, executor: str | None = None,
-               lane_workers: int | None = None, fsync: str = "commit",
+    def resume(cls, data_dir: str, fsync: str = "commit",
                snapshot_every: int = 8, keep_snapshots: int = 3,
                crash_at_barrier: int | None = None,
                crash_at_append: int | None = None,
@@ -934,9 +759,7 @@ class Network:
             # replay then repopulates the rows deterministically.
             backend = store.restore_backend(snap, data_dir)
             if snap is not None:
-                net = network_from_snapshot(snap, executor=executor,
-                                            lane_workers=lane_workers,
-                                            state_backend=backend,
+                net = network_from_snapshot(snap, state_backend=backend,
                                             metrics=metrics,
                                             tracer=tracer)
                 for delta in chain[1:]:
@@ -948,8 +771,6 @@ class Network:
                         f"nothing to resume in {data_dir}: no valid "
                         f"snapshot and no init record")
                 net = cls._from_config(wal.recovered[0].data,
-                                       executor=executor,
-                                       lane_workers=lane_workers,
                                        state_backend=backend,
                                        metrics=metrics,
                                        tracer=tracer)
@@ -1181,8 +1002,7 @@ class Network:
             # Cut from the surviving attempt only, and before the
             # release below truncates the journal.
             changed = (self._cut_changes(outcome, checkpoint)
-                       if self._ledger is not None
-                       or self._resident_tracker is not None else None)
+                       if self._ledger is not None else None)
         finally:
             # The epoch is the commit point: nothing restores to this
             # checkpoint afterwards, so its journal entries may go.
@@ -1261,8 +1081,6 @@ class Network:
         meters.merge_locations.inc(outcome.merged_locations)
         meters.backlog_size.set(len(self.backlog))
         meters.dead_letter_size.set(len(self.dead_letter))
-        meters.fallback_dropped.set(
-            getattr(self.executor_fallback_details, "dropped", 0))
         meters.journal_depth.set(self.journal.depth)
         now, seen = self._state_counters(), self._state_counters_seen
         meters.cow_copies.inc(now[0] - seen[0])
@@ -1322,13 +1140,6 @@ class Network:
                 "digest": self._ledger.digest(self),
                 "scheme": 1,
             }, barrier=True)
-        if self._resident_tracker is not None:
-            # Push this epoch's merge-deltas to the resident replicas
-            # asynchronously — the pipelining overlap: syncs apply in
-            # the workers while the coordinator finalises the block and
-            # prepares the next epoch.
-            self._resident_tracker.commit_epoch(self, changed[0])
-        if self.wal is not None and not self._replaying:
             self._commits_since_snapshot += 1
             if self._commits_since_snapshot >= self.snapshot_every:
                 self.snapshot()
@@ -1403,32 +1214,14 @@ class Network:
         delta_faults = (injector.delta_faults(self.epoch)
                         if injector else {})
 
-        # Phase 1: live shards execute in parallel lanes on the
-        # epoch-start state.  Under a parallel executor the runnable
-        # lanes are executed concurrently in isolation (each against a
-        # private snapshot — repro.chain.lanes) and their results
-        # absorbed below in shard order, which reproduces the serial
-        # interleaving exactly; the serial executor runs each lane
-        # inline at its absorption point.
-        runnable = [s for s, q in queues.items()
-                    if s not in excluded and s not in mb_faults]
-        strategy = self._lane_strategy(runnable, queues)
-        lane_results: dict[int, LaneResult] = {}
-        if strategy != "serial":
-            with self.tracer.span("lanes"):
-                parallel = run_lanes(self,
-                                     [(s, queues[s]) for s in runnable],
-                                     shard_limit, strategy)
-            if parallel is None:
-                self.executor_fallbacks += 1  # pool failure: run serially
-                self._meters.executor_fallbacks.inc()
-            else:
-                lane_results = parallel
-                self._meters.parallel_epochs.inc()
-        elif self.executor != "serial":
-            self.executor_fallbacks += 1
-            self._meters.executor_fallbacks.inc()
-
+        # Phase 1: live shards execute their lanes on the epoch-start
+        # state, one after another.  A lane's result depends only on
+        # that state and its own queue (docs/PARALLELISM.md §1; strict
+        # nonces and a (sender, nonce) sent to two lanes are where
+        # this order is the semantics), so the order stands for the
+        # shards running side by side: the cost model charges the
+        # slowest lane, not the sum.  tests/test_lane_isolation.py
+        # checks it.
         microblocks: list[MicroBlock] = []
         shard_exec_times: list[float] = []
         all_deltas: dict[str, list[StateDelta]] = {}
@@ -1446,29 +1239,21 @@ class Network:
                     f"epoch {self.epoch}: shard {shard} MicroBlock "
                     f"missing past the consensus timeout ({fault})")
                 continue
-            lane_result = lane_results.get(shard)
-            if lane_result is not None:
-                mb = lane_result.microblock
-                lane_deltas = lane_result.deltas
-                lane_balance = lane_result.balance_deltas
-                lane_deferred = lane_result.deferred
-            else:
-                with self.tracer.span(f"lane {shard}"):
-                    mb, local_states, touched, lane_deferred = \
-                        self._run_lane(shard, queue, shard_limit)
-                lane_deltas = []
-                lane_balance = {}
-                for addr, local in local_states.items():
-                    base = self.contracts[addr].state
-                    delta = compute_delta(addr, shard, base, local,
-                                          touched.get(addr, ()),
-                                          self.contracts[addr].joins)
-                    if delta.entries:
-                        lane_deltas.append(delta)
-                    # Native-token balance changes (accepts / payouts)
-                    # are additive, so they merge like an IntMerge
-                    # component.
-                    lane_balance[addr] = local.balance - base.balance
+            with self.tracer.span(f"lane {shard}"):
+                mb, local_states, touched, lane_deferred = \
+                    self._run_lane(shard, queue, shard_limit)
+            lane_deltas = []
+            lane_balance = {}
+            for addr, local in local_states.items():
+                base = self.contracts[addr].state
+                delta = compute_delta(addr, shard, base, local,
+                                      touched.get(addr, ()),
+                                      self.contracts[addr].joins)
+                if delta.entries:
+                    lane_deltas.append(delta)
+                # Native-token balance changes (accepts / payouts) are
+                # additive, so they merge like an IntMerge component.
+                lane_balance[addr] = local.balance - base.balance
             kind = delta_faults.get(shard)
             if kind is not None and injector is not None:
                 injector.tamper_deltas(self.epoch, shard, kind,
@@ -1485,16 +1270,6 @@ class Network:
                 for _, violation in violations:
                     fault_log.append(f"epoch {self.epoch}: {violation}")
                 continue
-            if lane_result is not None:
-                # An isolated lane's gas charges, credits and nonce
-                # commitments land here, in shard order — the same
-                # totals the serial loop produced by mutating in place.
-                # So does its telemetry: the worker recorded lane.*
-                # into a private registry, folded in additively at the
-                # exact point the serial loop would have recorded it.
-                lane_result.apply_effects(self)
-                if lane_result.metrics is not None:
-                    self.metrics.merge_snapshot(lane_result.metrics)
             stats.deferred += len(lane_deferred)
             deferred.extend((shard, tx) for tx in lane_deferred)
             microblocks.append(mb)
@@ -1569,31 +1344,6 @@ class Network:
                                   "unknown contract")
         return validate_delta(delta, contract, self.dispatcher)
 
-    def _lane_strategy(self, runnable: list[int],
-                       queues: dict[int, list[Transaction]]) -> str:
-        """Pick the executor for this epoch's shard phase.
-
-        Lane isolation is sound exactly when every decision a lane
-        makes is independent of its siblings.  Two situations break
-        that and force the serial loop: strict nonce mode (acceptance
-        reads a *global* high-water mark that other lanes advance),
-        and the same ``(sender, nonce)`` pair dispatched to two
-        different lanes (first-lane-wins replay detection depends on
-        execution order).  Both are detected up front, so the choice
-        is deterministic and made before any state changes.
-        """
-        if self.executor == "serial" or len(runnable) < 2:
-            return "serial"
-        if self.nonces.strict:
-            return "serial"
-        seen: dict[tuple[str, int], int] = {}
-        for shard in runnable:
-            for tx in queues[shard]:
-                key = (tx.sender, tx.nonce)
-                if seen.setdefault(key, shard) != shard:
-                    return "serial"
-        return self.executor
-
     # -- lane execution ------------------------------------------------------------
 
     def _run_lane(self, lane: int, queue: list[Transaction],
@@ -1642,10 +1392,6 @@ class Network:
         """Run one transaction; success appends its logs to ``touched``."""
         sender_addr, to_addr = tx.sender, tx.to
         self._account_at(sender_addr)
-        if self._resident_tracker is not None:
-            # try_accept moves this sender's nonce record (even a
-            # rejection may create it).
-            self._resident_tracker.touch_nonce(sender_addr)
         if not self.nonces.try_accept(sender_addr, tx.nonce, lane):
             return Receipt(tx, False, 0, lane, error="bad nonce")
         if not 0 <= tx.amount <= _MAX_AMOUNT:

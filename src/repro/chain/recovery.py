@@ -140,8 +140,8 @@ class NetworkCheckpoint:
     ``journal_mark`` pins a position in the network's
     :class:`~repro.scilla.state.StateJournal`, and :meth:`restore`
     replays the undo entries recorded above it.  Only the bookkeeping
-    that bypasses the journal (mempool backlog, dead letters, executor
-    counters, telemetry) is snapshotted eagerly.
+    that bypasses the journal (mempool backlog, dead letters,
+    telemetry) is snapshotted eagerly.
 
     Restoring is idempotent and repeatable: after a rollback the
     journal head sits exactly at the mark, so one checkpoint supports
@@ -159,15 +159,12 @@ class NetworkCheckpoint:
     # their dispatcher registrations) created by an aborted attempt.
     contract_addrs: frozenset[str]
     backlog: list
-    # An aborted attempt must not leak dead-lettered transactions or
-    # inflated executor counters into the committed epoch.
+    # An aborted attempt must not leak dead-lettered transactions
+    # into the committed epoch.
     dead_letter: list = dc_field(default_factory=list)
-    executor_fallbacks: int = 0
-    executor_fallback_details: list = dc_field(default_factory=list)
-    executor_fallback_dropped: int = 0
     # Telemetry snapshot (None with a disabled registry): lane counters
     # recorded by a discarded attempt roll back with everything else,
-    # keeping the committed totals executor-independent.
+    # so only the surviving attempt counts.
     metrics: dict | None = None
 
     @classmethod
@@ -181,10 +178,6 @@ class NetworkCheckpoint:
             contract_addrs=frozenset(net.contracts),
             backlog=list(net.backlog),
             dead_letter=list(net.dead_letter),
-            executor_fallbacks=net.executor_fallbacks,
-            executor_fallback_details=list(net.executor_fallback_details),
-            executor_fallback_dropped=getattr(
-                net.executor_fallback_details, "dropped", 0),
         )
         if net.metrics.enabled:
             net._meters.checkpoint_take_ns.observe(
@@ -205,11 +198,6 @@ class NetworkCheckpoint:
             net.dispatcher.unregister_contract(addr)
         net.backlog = list(self.backlog)
         net.dead_letter = list(self.dead_letter)
-        net.executor_fallbacks = self.executor_fallbacks
-        from .supervise import BoundedLog
-        net.executor_fallback_details = BoundedLog(
-            self.executor_fallback_details,
-            dropped=self.executor_fallback_dropped)
         if self.metrics is not None:
             net.metrics.reset_to(self.metrics)
         if net.metrics.enabled:

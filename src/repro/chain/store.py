@@ -147,13 +147,7 @@ def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
         "backlog": [[transaction_to_obj(e.tx), e.retries, e.not_before]
                     for e in net.backlog],
         "dead_letter": [transaction_to_obj(tx) for tx in net.dead_letter],
-        "counters": {
-            "executor_fallbacks": net.executor_fallbacks,
-            "executor_fallback_dropped": getattr(
-                net.executor_fallback_details, "dropped", 0),
-            "epoch_tags": dict(net.epoch_tags),
-        },
-        "executor_fallback_details": list(net.executor_fallback_details),
+        "counters": {"epoch_tags": dict(net.epoch_tags)},
         "notes": list(net.wal_notes),
         # Telemetry travels with the snapshot so a resumed network's
         # counters continue from the crash point: replay re-records
@@ -219,9 +213,7 @@ def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
     return obj
 
 
-def network_from_snapshot(obj: Any, executor: str | None = None,
-                          lane_workers: int | None = None,
-                          metrics=None, tracer=None,
+def network_from_snapshot(obj: Any, metrics=None, tracer=None,
                           state_backend=None):
     """Rebuild a live (non-durable) Network from a base snapshot object.
 
@@ -243,11 +235,8 @@ def network_from_snapshot(obj: Any, executor: str | None = None,
     if obj.get("version") != SNAPSHOT_VERSION:
         raise SnapshotError(
             f"unsupported snapshot version {obj.get('version')!r}")
-    net = Network._from_config(obj["config"], executor=executor,
-                               lane_workers=lane_workers,
-                               metrics=metrics, tracer=tracer,
-                               state_backend=state_backend)
-    from .lanes import transition_footprints
+    net = Network._from_config(obj["config"], metrics=metrics,
+                               tracer=tracer, state_backend=state_backend)
     for addr, payload in obj["contracts"].items():
         result = run_pipeline_cached(payload["source"], addr)
         state = state_from_obj(payload["state"],
@@ -256,11 +245,9 @@ def network_from_snapshot(obj: Any, executor: str | None = None,
         net._adopt_state(state)
         signature = (signature_from_obj(payload["signature"])
                      if payload["signature"] is not None else None)
-        footprints = (transition_footprints(result.summaries)
-                      if signature is not None else None)
         net.contracts[addr] = DeployedContract(
             addr, result.module, Interpreter(result.module), state,
-            signature, payload["source"], footprints)
+            signature, payload["source"])
         net.dispatcher.register_contract(DeployedSignature(
             addr, signature, dict(state.immutables)))
     _restore_tables(net, obj)
@@ -281,9 +268,10 @@ def apply_delta_snapshot(net, obj: Any) -> None:
 
 def _restore_tables(net, obj: Any) -> None:
     """What a base and a delta restore alike: the account and nonce
-    rows they carry (all of them, in a base) and the small sections."""
+    rows they carry (all of them, in a base) and the small sections.
+    The ``executor_fallbacks`` counters and details older builds wrote
+    are ignored."""
     from .network import BacklogEntry
-    from .supervise import BoundedLog
     net.epoch = obj["epoch"]
     if net.metrics.enabled and obj.get("metrics") is not None:
         net.metrics.reset_to(obj["metrics"])
@@ -309,11 +297,7 @@ def _restore_tables(net, obj: Any) -> None:
                    for tx, retries, not_before in obj["backlog"]]
     net.dead_letter = [transaction_from_obj(tx)
                        for tx in obj["dead_letter"]]
-    net.executor_fallbacks = obj["counters"]["executor_fallbacks"]
     net.epoch_tags = dict(obj["counters"]["epoch_tags"])
-    net.executor_fallback_details = BoundedLog(
-        obj["executor_fallback_details"],
-        dropped=obj["counters"].get("executor_fallback_dropped", 0))
     net.wal_notes = list(obj["notes"])
     injector_obj = obj.get("injector")
     if injector_obj is not None and net.injector is not None:

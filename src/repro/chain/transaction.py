@@ -151,13 +151,9 @@ def credited(row: tuple, lane: int, amount: int) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# Nonce records: (last_global, floor_0, …, floor_DS, run, gaps).
+# Nonce records: (last_global, floor_0, …, floor_DS, run, gaps) — shard
+# s's floor at s + 1, the DS committee's (-1) at -3.
 # --------------------------------------------------------------------------
-
-def floor_slot(lane: int) -> int:
-    """Shard *s*'s floor is at *s* + 1, the DS committee's (-1) at -3."""
-    return lane + 1 if lane >= 0 else -3
-
 
 def used_runs(record: tuple) -> list[list[int]]:
     """A nonce record's used nonces as ascending ``[first, last]`` runs."""
@@ -179,14 +175,6 @@ def run_and_gaps(runs) -> tuple[int, set | None]:
     gaps = {n for first, last in runs if first > run
             for n in range(first, last + 1)}
     return run, gaps or None
-
-
-def private_records(records: dict) -> dict:
-    """Nonce rows (or None) with their gap sets copied, for a holder
-    that must not share what the tracker mutates in place."""
-    return {s: row if row is None or row[-1] is None
-            else (*row[:-1], set(row[-1]))
-            for s, row in records.items()}
 
 
 class NonceTracker:
@@ -221,7 +209,7 @@ class NonceTracker:
         if old is not None and (
                 nonce <= run or gaps is not None and nonce in gaps):
             return False  # replay, or never acceptable
-        i = lane + 1 if lane >= 0 else -3      # floor_slot, inline
+        i = lane + 1 if lane >= 0 else -3      # the lane's floor
         if self.strict:
             accept = nonce == (row[0] or 0) + 1
         else:
@@ -248,27 +236,6 @@ class NonceTracker:
             new[-2], new[-1] = self._use(run, gaps, nonce)
         records[sender] = tuple(new)
         return True
-
-    def absorb(self, sender: str, lane: int, added,
-               last_global: int | None,
-               last_lane: int | None) -> None:
-        """Fold in what an isolated lane did to ``sender``'s record:
-        the nonces it accepted — new here, or the epoch would not have
-        run in parallel lanes — and where it left the high-water marks
-        (``LaneResult.apply_effects``)."""
-        old = self.records.get(sender)
-        row = self.blank if old is None else old
-        if self.journal is not None:
-            self.journal.record_row(self.records, sender, old)
-        new = list(row)
-        for nonce in sorted(added):
-            new[-2], new[-1] = self._use(new[-2], new[-1], nonce)
-        if last_global is not None and last_global > (row[0] or 0):
-            new[0] = last_global
-        if last_lane is not None:
-            new[floor_slot(lane)] = last_lane
-        if old is not None or new != list(row):
-            self.records[sender] = tuple(new)
 
     def _use(self, run: int, gaps: set | None, nonce: int):
         """``(run, gaps)`` with ``nonce`` used too.  A gap set is mutated

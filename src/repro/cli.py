@@ -9,7 +9,7 @@ Usage (also via ``python -m repro``):
     repro diagnose  <file|corpus:Name>              why sharding fails
     repro repair    <file|corpus:Name> [Transition] rewrite + print
     repro corpus                                    list corpus contracts
-    repro bench     fig1|fig12|…|ablation|parallel|state  paper experiments
+    repro bench     fig1|fig12|…|ablation|state     paper experiments
     repro chaos     [--seed N --epochs E]           fault-injection run
     repro metrics   [--workload W --json|--prom]    instrumented run
     repro run       --data-dir D [--workload W]     durable workload run
@@ -209,17 +209,6 @@ def cmd_bench(args) -> int:
     elif target == "ablation":
         from .eval.ablation import format_ablation, run_ablation
         print(format_ablation(run_ablation()))
-    elif target == "parallel":
-        from .eval.parallel_bench import (
-            format_parallel_bench, run_parallel_bench, write_parallel_bench,
-        )
-        result = run_parallel_bench(workers=args.workers,
-                                    epochs=args.epochs,
-                                    executor=args.executor)
-        print(format_parallel_bench(result))
-        out = args.output or "BENCH_parallel.json"
-        write_parallel_bench(result, out)
-        print(f"\nwrote {out}")
     elif target == "state":
         from .eval.state_bench import (
             format_oocore_soak, format_paged_bench, format_state_bench,
@@ -275,11 +264,7 @@ def cmd_chaos(args) -> int:
     result = run_chaos(seed=args.seed, epochs=args.epochs,
                        shards=args.shards, workload=args.workload,
                        users=args.users, txns=args.txns,
-                       churn=args.churn, executor=args.executor,
-                       hang_rate=args.hang_rate,
-                       kill_rate=args.kill_rate,
-                       slow_rate=args.slow_rate,
-                       lane_deadline_s=args.lane_deadline)
+                       churn=args.churn)
     print(format_chaos_report(result))
     return 0 if (result.churn or result.consistent) else 1
 
@@ -289,8 +274,7 @@ def cmd_metrics(args) -> int:
     run = run_instrumented(
         workload=args.workload, epochs=args.epochs,
         txns_per_epoch=args.txns, n_users=args.users,
-        n_shards=args.shards, executor=args.executor or "serial",
-        seed=args.seed, trace=args.trace and not (args.json or args.prom))
+        n_shards=args.shards, seed=args.seed, trace=args.trace and not (args.json or args.prom))
     if args.json:
         print(run.registry.to_json(
             deterministic_only=args.deterministic_only))
@@ -308,8 +292,7 @@ def _run_durable_cmd(args, require_existing: bool) -> int:
     result = run_durable(
         args.workload, data_dir=args.data_dir, seed=args.seed,
         epochs=args.epochs, shards=args.shards, users=args.users,
-        txns=args.txns, fault_seed=args.fault_seed,
-        executor=args.executor, fsync=args.fsync,
+        txns=args.txns, fault_seed=args.fault_seed, fsync=args.fsync,
         snapshot_every=args.snapshot_every,
         keep_snapshots=args.keep_snapshots,
         crash_at_barrier=args.crash_at_barrier,
@@ -358,7 +341,7 @@ def cmd_serve(args) -> int:
         capacity=args.capacity, per_sender=args.per_sender,
         batch_max=args.batch_max, flood_rate=args.flood_rate,
         stall_rate=args.stall_rate, fault_seed=args.fault_seed,
-        executor=args.executor, data_dir=args.data_dir,
+        data_dir=args.data_dir,
         state_backend=args.state_backend,
         drain_ticks=args.drain_ticks)
     if args.stream is not None:
@@ -407,8 +390,7 @@ def cmd_torture(args) -> int:
         outcomes.append(run_crash_torture(
             name, kills=args.kills, seed=args.seed, epochs=args.epochs,
             shards=args.shards, users=args.users, txns=args.txns,
-            fault_seed=args.fault_seed, executor=args.executor,
-            rng_seed=args.rng_seed))
+            fault_seed=args.fault_seed, rng_seed=args.rng_seed))
     print(format_torture_report(outcomes))
     return 0 if all(o.passed for o in outcomes) else 1
 
@@ -463,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="regenerate a paper experiment")
     p.add_argument("experiment",
                    choices=["fig1", "fig12", "fig13", "fig14", "table",
-                            "overheads", "ablation", "parallel", "state",
+                            "overheads", "ablation", "state",
                             "throughput", "all"])
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--ticks", type=int, default=12,
@@ -475,12 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--populations", default="1000,100000",
                    help="comma-separated sender populations for "
                         "'throughput'")
-    p.add_argument("--workers", type=int, default=None,
-                   help="lane worker count for 'parallel' (default: "
-                        "min(shards, CPUs))")
-    p.add_argument("--executor", choices=["thread", "process"],
-                   default="thread",
-                   help="lane executor for 'parallel'")
     p.add_argument("--repetitions", type=int, default=1,
                    help="timing repetitions for 'state'")
     p.add_argument("--sizes", default="1000,10000,100000",
@@ -494,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the out-of-core service soak at this many "
                         "seeded entries (0 = skip)")
     p.add_argument("--output", default=None,
-                   help="write the report to this file (with 'all' "
-                        "or 'parallel')")
+                   help="write the report to this file (with 'all', "
+                        "'state' or 'throughput')")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
@@ -514,21 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also drop/duplicate/reorder mempool "
                         "transactions (disables the equivalence "
                         "verdict)")
-    p.add_argument("--executor", default=None,
-                   help="lane executor for the faulty run (serial, "
-                        "thread, process; the baseline stays serial)")
-    p.add_argument("--hang-rate", type=float, default=0.0,
-                   help="per-(epoch,shard) probability of a hung lane "
-                        "worker (needs a parallel --executor)")
-    p.add_argument("--kill-rate", type=float, default=0.0,
-                   help="per-(epoch,shard) probability of a killed "
-                        "lane worker")
-    p.add_argument("--slow-rate", type=float, default=0.0,
-                   help="per-(epoch,shard) probability of a slow (but "
-                        "within-deadline) lane worker")
-    p.add_argument("--lane-deadline", type=float, default=None,
-                   help="per-lane deadline in seconds (default: the "
-                        "cost model's microblock timeout)")
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
@@ -543,8 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--txns", type=int, default=60,
                    help="transactions per epoch")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--executor", default=None,
-                   choices=["serial", "thread", "process"])
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true",
                      help="registry snapshot as JSON")
@@ -568,8 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="transactions per epoch")
         p.add_argument("--fault-seed", type=int, default=None,
                        help="also inject a seeded FaultPlan")
-        p.add_argument("--executor", default=None,
-                       choices=["serial", "thread", "process"])
         p.add_argument("--fsync", default="commit",
                        choices=["always", "commit", "never"])
         p.add_argument("--snapshot-every", type=int, default=4,
@@ -614,8 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", type=int, default=12)
     p.add_argument("--txns", type=int, default=10)
     p.add_argument("--fault-seed", type=int, default=None)
-    p.add_argument("--executor", default=None,
-                   choices=["serial", "thread", "process"])
     p.add_argument("--rng-seed", type=int, default=0,
                    help="seed for choosing the kill points")
     p.set_defaults(func=cmd_torture)
@@ -650,8 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-seed", type=int, default=0)
     p.add_argument("--drain-ticks", type=int, default=64,
                    help="extra ticks granted to finish admitted work")
-    p.add_argument("--executor", default=None,
-                   choices=["serial", "thread", "process"])
     p.add_argument("--data-dir", default=None,
                    help="attach WAL-backed durability")
     p.add_argument("--state-backend", default=None,

@@ -170,6 +170,23 @@ class Summary:
         return f"Summary({self.transition}):\n  {inner}"
 
 
+def transition_footprints(summaries: dict[str, Summary]
+                          ) -> dict[str, tuple[PseudoField, ...] | None]:
+    """Per transition, every pseudo-field it may touch — its reads ∪
+    writes, in first-seen order — or None for an unsummarisable (⊤)
+    one, whose accesses the analysis cannot bound.  The raw summaries,
+    not the signature: a signature prunes constant-field reads and
+    commutative writes."""
+    out: dict[str, tuple[PseudoField, ...] | None] = {}
+    for name, summary in summaries.items():
+        if summary.has_top:
+            out[name] = None
+        else:
+            out[name] = tuple(dict.fromkeys(
+                e.pf for e in (*summary.reads(), *summary.writes())))
+    return out
+
+
 def condition_mentions(summary: Summary, pf: PseudoField) -> bool:
     """Whether any Condition's contribution mentions the pseudo-field."""
     for cond in summary.conditions():

@@ -1,4 +1,4 @@
-"""Parallel contract analysis and shared executor pools.
+"""Parallel contract analysis (Fig. 12's corpus sweep).
 
 The deployment pipeline is embarrassingly parallel across contracts —
 each ``run_pipeline`` call is a pure function of one source text — so
@@ -6,12 +6,9 @@ a miner catching up on a block of deployments (or this repo's own
 benchmarks re-analysing the corpus) can fan the work out over a
 process pool.  :func:`analyze_corpus` does exactly that, with a
 content-addressed :class:`~repro.core.cache.SummaryCache` in front so
-only cache *misses* are shipped to the pool.
-
-This module also owns the lazily-created, process-wide executor pools
-that the sharded network simulator reuses for its parallel shard
-lanes (:mod:`repro.chain.lanes`): pools are expensive to spin up, so
-every Network instance in a process shares them.
+only cache *misses* are shipped to the pool.  The pools are created
+lazily, once per process: they are expensive to spin up, so every
+analysis in a process shares them.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ def default_workers() -> int:
 
 
 # --------------------------------------------------------------------------
-# Shared pools (reused across Network instances and corpus analyses).
+# Shared pools (reused across corpus analyses).
 # --------------------------------------------------------------------------
 
 _pool_lock = threading.Lock()
@@ -78,7 +75,7 @@ def shared_thread_pool(workers: int | None = None) -> ThreadPoolExecutor:
         if _thread_pool is None:
             _thread_pool = ThreadPoolExecutor(
                 max_workers=workers or max(4, default_workers()),
-                thread_name_prefix="repro-lane")
+                thread_name_prefix="repro-analysis")
         return _thread_pool
 
 
@@ -92,144 +89,6 @@ def reset_process_pool() -> None:
         _process_pool_workers = 0
 
 
-def kill_process_pool() -> None:
-    """Forcibly reap the process pool, SIGKILLing its workers.
-
-    ``reset_process_pool`` asks workers to exit, which a *hung* worker
-    never does — its process would linger (and on a small machine keep
-    a core busy) long after the pool object is discarded.  The lane
-    supervisor calls this instead when a worker blows its deadline:
-    kill the worker processes outright, then let the next
-    :func:`shared_process_pool` call build a fresh pool.
-    """
-    global _process_pool, _process_pool_workers
-    with _pool_lock:
-        pool = _process_pool
-        _process_pool = None
-        _process_pool_workers = 0
-    if pool is None:
-        return
-    for proc in list(getattr(pool, "_processes", {}).values()):
-        try:
-            proc.kill()
-        except (OSError, ValueError):  # already gone
-            pass
-    # No cancel_futures: the pool's own broken-pool reaper sets an
-    # exception on every pending future once the kills land, and
-    # cancelling them first would make that raise in its thread.
-    pool.shutdown(wait=False)
-
-
-# --------------------------------------------------------------------------
-# Resident lane slots (repro.chain.resident).
-# --------------------------------------------------------------------------
-
-class ResidentSlotPool:
-    """Per-lane single-worker executor slots for resident shard workers.
-
-    Why not one big pool: a resident replica lives in whichever worker
-    installed it, so a lane's every message (installs, epoch tasks,
-    sync pushes) must land on *that* worker.  A slot is a lazily
-    created one-worker executor; ``lane % n_slots`` pins each lane to
-    a slot, giving both worker affinity and per-lane FIFO ordering — a
-    sync push enqueued before the next epoch's task is applied before
-    it, which is what makes fire-and-forget syncs safe.
-
-    ``kill_slot`` / ``reset_slot`` are the watchdog hooks: they discard
-    one slot (SIGKILLing a hung slot's process) without touching its
-    siblings, so reaping a wedged lane no longer costs every worker's
-    warm state.
-    """
-
-    def __init__(self, kind: str, n_slots: int):
-        self.kind = kind            # "thread" | "process"
-        self._lock = threading.Lock()
-        self._slots: list = [None] * max(1, n_slots)
-
-    @property
-    def n_slots(self) -> int:
-        return len(self._slots)
-
-    def slot_for(self, lane: int) -> int:
-        return lane % len(self._slots)
-
-    def grow(self, n_slots: int) -> None:
-        """Widen the slot table (never shrinks).  Lanes whose mapping
-        shifts simply look stale to their new worker and reinstall."""
-        with self._lock:
-            if n_slots > len(self._slots):
-                self._slots.extend(
-                    [None] * (n_slots - len(self._slots)))
-
-    def _slot(self, index: int):
-        with self._lock:
-            executor = self._slots[index]
-            if executor is None:
-                if self.kind == "process":
-                    executor = ProcessPoolExecutor(max_workers=1)
-                else:
-                    executor = ThreadPoolExecutor(
-                        max_workers=1,
-                        thread_name_prefix=f"repro-resident-{index}")
-                self._slots[index] = executor
-            return executor
-
-    def submit(self, lane: int, fn, *args):
-        return self._slot(self.slot_for(lane)).submit(fn, *args)
-
-    def kill_slot(self, lane: int) -> None:
-        """Forcibly reap one slot, SIGKILLing its worker process (a
-        hung worker never honours a polite shutdown)."""
-        index = self.slot_for(lane)
-        with self._lock:
-            executor = self._slots[index]
-            self._slots[index] = None
-        if executor is None:
-            return
-        for proc in list(getattr(executor, "_processes", {}).values()):
-            try:
-                proc.kill()
-            except (OSError, ValueError):  # already gone
-                pass
-        executor.shutdown(wait=False)
-
-    def reset_slot(self, lane: int) -> None:
-        """Discard one (possibly broken) slot; next use recreates it."""
-        index = self.slot_for(lane)
-        with self._lock:
-            executor = self._slots[index]
-            self._slots[index] = None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def shutdown(self) -> None:
-        with self._lock:
-            slots, self._slots = self._slots, [None] * len(self._slots)
-        for executor in slots:
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
-
-
-_resident_pools: dict[str, ResidentSlotPool] = {}
-
-
-def get_resident_pool(kind: str, slots: int | None = None
-                      ) -> ResidentSlotPool:
-    """The process-wide resident slot pool for ``kind`` ("thread" or
-    "process"), created lazily and grown in place when a wider network
-    asks for more slots."""
-    wanted = slots or (default_workers() if kind == "process"
-                       else max(4, default_workers()))
-    with _pool_lock:
-        pool = _resident_pools.get(kind)
-        if pool is None:
-            pool = ResidentSlotPool(kind, wanted)
-            _resident_pools[kind] = pool
-    if wanted > pool.n_slots:
-        pool.grow(wanted)
-    return pool
-
-
 @atexit.register
 def _shutdown_pools() -> None:  # pragma: no cover - interpreter exit
     global _process_pool, _thread_pool
@@ -239,9 +98,6 @@ def _shutdown_pools() -> None:  # pragma: no cover - interpreter exit
     if _thread_pool is not None:
         _thread_pool.shutdown(wait=False, cancel_futures=True)
         _thread_pool = None
-    for pool in list(_resident_pools.values()):
-        pool.shutdown()
-    _resident_pools.clear()
 
 
 # --------------------------------------------------------------------------

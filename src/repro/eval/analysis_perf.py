@@ -4,10 +4,6 @@ Runs the deployment pipeline over the whole corpus, repeating each
 contract and averaging, exactly as the paper does (1000 repetitions on
 their machine; configurable here).  Reports per-stage microseconds and
 the analysis overhead relative to total deployment time.
-
-(The ``repro bench parallel`` benchmark moved to
-``repro.eval.parallel_bench`` — it now measures resident-worker epoch
-throughput instead of corpus analysis.)
 """
 
 from __future__ import annotations

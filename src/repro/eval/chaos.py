@@ -57,7 +57,6 @@ class ChaosResult:
     dropped_txns: int = 0
     dead_lettered: int = 0
     churn: bool = False
-    executor: str | None = None
     # Registry snapshots of the two runs (repro.obs) — the recovery
     # counters the report prints, machine-readable.
     baseline_metrics: dict = dc_field(default_factory=dict)
@@ -84,12 +83,9 @@ class ChaosResult:
 
 def _run(workload: Workload, epochs: int,
          plan: FaultPlan | None, shards: int,
-         metrics: MetricsRegistry | None = None,
-         executor: str | None = None,
-         lane_deadline_s: float | None = None) -> Network:
+         metrics: MetricsRegistry | None = None) -> Network:
     net = Network(shards, carry_backlog=True, fault_plan=plan,
-                  metrics=metrics, executor=executor,
-                  lane_deadline_s=lane_deadline_s)
+                  metrics=metrics)
     workload.setup(net)
     for epoch in range(epochs):
         net.process_epoch(workload.transactions(epoch))
@@ -102,37 +98,23 @@ def _run(workload: Workload, epochs: int,
 
 def run_chaos(seed: int = 0, epochs: int = 5, shards: int = 4,
               workload: str = "FT transfer", users: int = 24,
-              txns: int = 40, churn: bool = False,
-              executor: str | None = None,
-              hang_rate: float = 0.0, kill_rate: float = 0.0,
-              slow_rate: float = 0.0,
-              lane_deadline_s: float | None = None) -> ChaosResult:
+              txns: int = 40, churn: bool = False) -> ChaosResult:
     """Run the fault-free and faulty networks and diff their ends.
 
     The plan's window is ``epochs + 2`` from epoch 1, so it also
     covers the workload's preparation epoch(s) — recovery has to hold
     there too.
-
-    ``hang_rate``/``kill_rate``/``slow_rate`` add *worker* faults
-    (hung, killed, and merely slow lane workers) that the lane
-    supervisor — not the view-change protocol — must absorb; they only
-    bite under a parallel ``executor``, and a small
-    ``lane_deadline_s`` makes hangs trip the watchdog quickly.  The
-    baseline run stays fault-free and serial, so the verdict checks
-    the supervised run against the strictest reference.
     """
     cls = workload_by_name(workload)
     plan = FaultPlan.random(
         seed, epochs=epochs + 2, n_shards=shards,
-        churn_rate=0.25 if churn else 0.0,
-        hang_rate=hang_rate, kill_rate=kill_rate, slow_rate=slow_rate)
+        churn_rate=0.25 if churn else 0.0)
 
     baseline_reg, faulty_reg = MetricsRegistry(), MetricsRegistry()
     baseline = _run(cls(n_users=users, txns_per_epoch=txns, seed=seed),
                     epochs, None, shards, metrics=baseline_reg)
     faulty = _run(cls(n_users=users, txns_per_epoch=txns, seed=seed),
-                  epochs, plan, shards, metrics=faulty_reg,
-                  executor=executor, lane_deadline_s=lane_deadline_s)
+                  epochs, plan, shards, metrics=faulty_reg)
 
     result = ChaosResult(
         seed=seed, epochs=epochs, shards=shards, workload=workload,
@@ -140,7 +122,6 @@ def run_chaos(seed: int = 0, epochs: int = 5, shards: int = 4,
         baseline_fp=network_fingerprint(baseline),
         faulty_fp=network_fingerprint(faulty),
         churn=churn,
-        executor=executor,
         baseline_metrics=baseline_reg.snapshot(),
         faulty_metrics=faulty_reg.snapshot(),
     )
@@ -163,10 +144,9 @@ def run_chaos(seed: int = 0, epochs: int = 5, shards: int = 4,
 
 
 def format_chaos_report(result: ChaosResult) -> str:
-    mode = f", executor {result.executor}" if result.executor else ""
     lines = [
         f"chaos report — seed {result.seed}, {result.epochs} epochs, "
-        f"{result.shards} shards, workload {result.workload!r}{mode}",
+        f"{result.shards} shards, workload {result.workload!r}",
         "",
         f"fault plan ({len(result.plan)} events):",
     ]
@@ -195,18 +175,6 @@ def format_chaos_report(result: ChaosResult) -> str:
             b = base.get(name, {}).get("value", 0)
             f = faulty.get(name, {}).get("value", 0)
             lines.append(f"  {name:24s} {f:>8d}  ({b})")
-        # Lane-supervision activity (worker faults, retries, breaker
-        # trips).  Printed only when something happened, so a serial /
-        # worker-fault-free report stays byte-identical to older runs.
-        supervise = {
-            name: meter["value"]
-            for name, meter in sorted(faulty.items())
-            if name.startswith("supervise.") and meter.get("value")}
-        if supervise:
-            lines.append("")
-            lines.append("lane supervision (faulty run):")
-            for name, value in supervise.items():
-                lines.append(f"  {name:32s} {value:>8d}")
     lines.append(f"consistency: {result.verdict}")
     return "\n".join(lines)
 
@@ -246,8 +214,7 @@ def _wipe(data_dir: str) -> None:
 def run_durable(workload: str = "FT transfer", *,
                 data_dir: str, seed: int = 0, epochs: int = 3,
                 shards: int = 4, users: int = 12, txns: int = 10,
-                fault_seed: int | None = None,
-                executor: str | None = None, fsync: str = "commit",
+                fault_seed: int | None = None, fsync: str = "commit",
                 snapshot_every: int = 4, keep_snapshots: int = 3,
                 crash_at_barrier: int | None = None,
                 crash_at_append: int | None = None,
@@ -278,7 +245,7 @@ def run_durable(workload: str = "FT transfer", *,
     resumed = restarted = False
     net = None
     if _durable_files(data_dir):
-        net = Network.resume(data_dir, executor=executor, fsync=fsync,
+        net = Network.resume(data_dir, fsync=fsync,
                              snapshot_every=snapshot_every,
                              keep_snapshots=keep_snapshots,
                              crash_at_barrier=crash_at_barrier,
@@ -316,7 +283,7 @@ def run_durable(workload: str = "FT transfer", *,
 
     if net is None:
         net = Network(shards, carry_backlog=True, fault_plan=plan,
-                      executor=executor, data_dir=data_dir,
+                      data_dir=data_dir,
                       fsync=fsync, snapshot_every=snapshot_every,
                       keep_snapshots=keep_snapshots,
                       crash_at_barrier=crash_at_barrier,
@@ -353,7 +320,6 @@ def run_durable(workload: str = "FT transfer", *,
 @dataclass
 class TortureOutcome:
     workload: str
-    executor: str | None
     fault_seed: int | None
     kills: int = 0             # subprocesses that died to SIGKILL
     completed_early: int = 0   # finished before reaching the kill point
@@ -370,7 +336,7 @@ class TortureOutcome:
 
 def _spawn_run(data_dir: str, workload: str, *, seed: int, epochs: int,
                shards: int, users: int, txns: int,
-               fault_seed: int | None, executor: str | None,
+               fault_seed: int | None,
                crash_at_barrier: int | None = None,
                crash_at_append: int | None = None
                ) -> tuple[int, str, str]:
@@ -391,38 +357,19 @@ def _spawn_run(data_dir: str, workload: str, *, seed: int, epochs: int,
            "--txns", str(txns), "--json"]
     if fault_seed is not None:
         cmd += ["--fault-seed", str(fault_seed)]
-    if executor is not None:
-        cmd += ["--executor", executor]
     if crash_at_barrier is not None:
         cmd += ["--crash-at-barrier", str(crash_at_barrier)]
     if crash_at_append is not None:
         cmd += ["--crash-at-append", str(crash_at_append)]
-    # Output goes to real files, not pipes: a SIGKILLed run can leave
-    # orphaned executor-pool workers holding inherited pipe ends open,
-    # which would block a pipe-draining wait indefinitely.  The child
-    # leads its own session so the stragglers can be reaped afterwards.
-    with tempfile.TemporaryFile("w+") as out_f, \
-            tempfile.TemporaryFile("w+") as err_f:
-        proc = subprocess.Popen(cmd, stdout=out_f, stderr=err_f,
-                                stdin=subprocess.DEVNULL, env=env,
-                                start_new_session=True)
-        try:
-            rc = proc.wait(timeout=600)
-        finally:
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                pass
-        out_f.seek(0)
-        err_f.seek(0)
-        return rc, out_f.read(), err_f.read()
+    proc = subprocess.run(cmd, capture_output=True, text=True,
+                          stdin=subprocess.DEVNULL, env=env, timeout=600)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def run_crash_torture(workload: str = "FT transfer", *, kills: int = 3,
                       seed: int = 0, epochs: int = 3, shards: int = 4,
                       users: int = 12, txns: int = 10,
                       fault_seed: int | None = None,
-                      executor: str | None = None,
                       rng_seed: int = 0,
                       torn_ratio: float = 0.25) -> TortureOutcome:
     """Kill-and-resume torture for one workload.
@@ -434,10 +381,9 @@ def run_crash_torture(workload: str = "FT transfer", *, kills: int = 3,
     surviving fingerprint must match the uninterrupted one exactly.
     """
     rng = random.Random(rng_seed)
-    outcome = TortureOutcome(workload=workload, executor=executor,
-                             fault_seed=fault_seed)
+    outcome = TortureOutcome(workload=workload, fault_seed=fault_seed)
     params = dict(seed=seed, epochs=epochs, shards=shards, users=users,
-                  txns=txns, fault_seed=fault_seed, executor=executor)
+                  txns=txns, fault_seed=fault_seed)
 
     with tempfile.TemporaryDirectory() as tmp:
         rc, out, err = _spawn_run(os.path.join(tmp, "expected"),
@@ -488,12 +434,11 @@ def format_torture_report(outcomes: list[TortureOutcome]) -> str:
     lines = ["crash torture — SIGKILL at WAL barriers, resume, compare",
              ""]
     for o in outcomes:
-        mode = o.executor or "serial"
-        faults = (f", fault seed {o.fault_seed}"
+        faults = (f" [fault seed {o.fault_seed}]"
                   if o.fault_seed is not None else "")
         verdict = "PASS" if o.passed else "FAIL"
         lines.append(
-            f"{verdict}  {o.workload!r} [{mode}{faults}]: "
+            f"{verdict}  {o.workload!r}{faults}: "
             f"{o.kills} kills, {o.completed_early} early completions, "
             f"{o.attempts} attempts")
         if not o.passed:

@@ -16,8 +16,7 @@ the committed transaction stream, epoch by epoch in drained order, on
 a fresh fault-free serial network with unlimited gas, and returns its
 contract fingerprint.  Ownership/commutativity analysis promises this
 matches the service run byte for byte — regardless of floods, stalls,
-deferrals, shedding, or parallel lanes
-(``tests/test_service_differential.py``).
+deferrals or shedding (``tests/test_service_differential.py``).
 
 The ``write_stream`` / ``iter_stream`` pair is the `repro loadgen` /
 `repro serve` wire format: a JSONL header describing the workload
@@ -128,7 +127,7 @@ def run_service(workload: str = "FT transfer @scale", *,
                 batch_max: int | None = None,
                 max_deferrals: int = 12,
                 flood_rate: float = 0.0, stall_rate: float = 0.0,
-                fault_seed: int = 0, executor: str | None = None,
+                fault_seed: int = 0,
                 data_dir: str | None = None, metrics=None,
                 use_signatures: bool = True, cost_model=None,
                 record_committed: bool = False,
@@ -173,10 +172,9 @@ def run_service(workload: str = "FT transfer @scale", *,
         metrics = MetricsRegistry()
     net = Network(n_shards=shards, use_signatures=use_signatures,
                   cost_model=cost_model, carry_backlog=False,
-                  fault_plan=plan, executor=executor,
-                  data_dir=data_dir, snapshot_every=snapshot_every,
-                  state_backend=state_backend,
-                  metrics=metrics)
+                  fault_plan=plan, data_dir=data_dir,
+                  snapshot_every=snapshot_every,
+                  state_backend=state_backend, metrics=metrics)
     wl.setup(net)
     if setup_hook is not None:
         # Out-of-core soaks pre-seed contract state (e.g. stream
@@ -349,8 +347,7 @@ def replay_committed(run: ServiceRun) -> dict[str, str]:
     wl = type(run.workload)(**run.workload_kwargs)
     net = Network(n_shards=run.net.n_shards,
                   use_signatures=run.net.use_signatures,
-                  cost_model=run.net.cost, carry_backlog=False,
-                  executor="serial")
+                  cost_model=run.net.cost, carry_backlog=False)
     wl.setup(net)
     for batch in run.loop.committed_epochs:
         if not batch:

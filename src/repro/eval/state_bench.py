@@ -2,23 +2,24 @@
 
 Measures the copy-on-write state engine against the deep-copy baseline
 it replaced (the seed's ``MapVal.copy`` ran ``copy.deepcopy`` over the
-entry dict; checkpoints and lane payloads both paid it per contract,
-per epoch):
+entry dict; an epoch's checkpoint and each lane's private state both
+paid it per contract, per epoch):
 
 * **checkpoint take** — a :class:`~repro.scilla.state.StateJournal`
   mark vs. a deep state copy;
+* **lane fork** — ``ContractState.fork``, the private state a shard
+  lane executes against, vs. a deep copy (and the first write through
+  the fork, which is what an O(1) fork defers);
 * **checkpoint restore** — replaying the undo journal over a burst of
   writes (the deep-copy baseline restores by pointer swap, but only
-  after paying O(state) at take time);
-* **lane payload construction** — a footprint-sliced payload
-  (:func:`repro.chain.lanes._sliced_state`) vs. a deep copy, and the
-  pickled payload bytes shipped to a process-pool worker either way.
+  after paying O(state) at take time).
 
 Results land in ``BENCH_state.json`` at the repo root; the benchmark
 suite (``benchmarks/test_state_engine.py``) asserts the headline
-claim — take + payload construction ≥10× faster than the deep-copy
-baseline at 10^5 entries — and the CI smoke guards that a checkpoint
-take and the first write after a fork stay O(1) in state size.
+claim — checkpoint take + fork, what a serial epoch pays, ≥10× faster
+than two deep copies at 10^5 entries — and the CI smoke guards that a
+checkpoint take and the first write after a fork stay O(1) in state
+size.
 
 Two further sections cover the out-of-core backend
 (:mod:`repro.scilla.backend`):
@@ -39,7 +40,6 @@ from __future__ import annotations
 import copy
 import json
 import os
-import pickle
 import resource
 import subprocess
 import sys
@@ -47,7 +47,6 @@ import tempfile
 import time
 from dataclasses import dataclass, field as dc_field
 
-from ..chain.lanes import _sliced_state
 from ..scilla import types as ty
 from ..scilla.state import ContractState, StateJournal
 from ..scilla.values import MapVal, StringVal, Value, uint
@@ -97,43 +96,34 @@ class StateBenchRow:
     entries: int
     deep_copy_ns: float        # baseline: one deep state copy
     mark_ns: float             # new checkpoint take (journal mark)
-    fork_ns: float             # new full-payload construction (CoW fork)
+    fork_ns: float             # new lane state (CoW fork)
     first_write_after_fork_ns: float  # what the O(1) fork defers
-    slice_ns: float            # new sliced-payload construction
     rollback_ns: float         # journal restore over `writes` writes
-    full_payload_bytes: int    # pickled deep/full state
-    sliced_payload_bytes: int  # pickled sliced state
 
     @property
     def old_total_ns(self) -> float:
-        """Baseline epoch cost: deep copy at take + deep copy per lane
-        payload."""
+        """Baseline epoch cost: a deep copy at take and one for the
+        lane's state."""
         return 2 * self.deep_copy_ns
 
     @property
     def new_total_ns(self) -> float:
-        return self.mark_ns + self.slice_ns
+        return self.mark_ns + self.fork_ns
 
     @property
     def speedup(self) -> float:
         return self.old_total_ns / max(self.new_total_ns, 1.0)
-
-    @property
-    def bytes_ratio(self) -> float:
-        return self.sliced_payload_bytes / max(self.full_payload_bytes, 1)
 
 
 @dataclass
 class StateBenchResult:
     rows: list[StateBenchRow] = dc_field(default_factory=list)
     writes: int = 0
-    sliced_keys: int = 0
 
 
 def run_state_bench(sizes: tuple[int, ...] = DEFAULT_SIZES,
-                    writes: int = 64, sliced_keys: int = 8,
-                    repeat: int = 3) -> StateBenchResult:
-    result = StateBenchResult(writes=writes, sliced_keys=sliced_keys)
+                    writes: int = 64, repeat: int = 3) -> StateBenchResult:
+    result = StateBenchResult(writes=writes)
     for entries in sizes:
         state = _big_state(entries)
 
@@ -165,22 +155,13 @@ def run_state_bench(sizes: tuple[int, ...] = DEFAULT_SIZES,
             journal.release(mark)
         rollback_ns = _best_ns(take_and_restore, repeat)
 
-        plan: dict[str, set[Value] | None] = {
-            "balances": {StringVal(f"0x{i:040x}")
-                         for i in range(sliced_keys)}}
-        slice_ns = _best_ns(lambda: _sliced_state(state, plan), repeat)
-
-        sliced, _, _ = _sliced_state(state, plan)
         result.rows.append(StateBenchRow(
             entries=entries,
             deep_copy_ns=deep_copy_ns,
             mark_ns=mark_ns,
             fork_ns=fork_ns,
             first_write_after_fork_ns=first_write_ns,
-            slice_ns=slice_ns,
             rollback_ns=rollback_ns,
-            full_payload_bytes=len(pickle.dumps(state)),
-            sliced_payload_bytes=len(pickle.dumps(sliced)),
         ))
     return result
 
@@ -366,7 +347,6 @@ def resident_map_rss_mb(entries: int) -> float | None:
 def run_oocore_soak(entries: int = 1_000_000, *, ticks: int = 12,
                     txns_per_tick: int = 400, shards: int = 4,
                     seed: int = 7, cache: int = 4096,
-                    executor: str = "thread",
                     compare_resident: bool = True) -> dict:
     """Service-mode session over a pre-seeded ``entries``-row balance
     map with the sqlite backend; returns a JSON-able report with peak
@@ -406,8 +386,7 @@ def run_oocore_soak(entries: int = 1_000_000, *, ticks: int = 12,
         run = run_service(
             "FT transfer @scale", shards=shards, ticks=ticks,
             txns_per_tick=txns_per_tick, population=entries,
-            seed=seed, state_backend="sqlite", executor=executor,
-            setup_hook=seed_rows)
+            seed=seed, state_backend="sqlite", setup_hook=seed_rows)
     finally:
         if prior_cache is None:
             os.environ.pop("REPRO_PAGE_CACHE", None)
@@ -462,21 +441,18 @@ def format_state_bench(result: StateBenchResult) -> str:
     lines = [
         "State engine — CoW forks and journal checkpoints vs. the "
         "deep-copy baseline",
-        f"(restore replays {result.writes} writes; sliced payloads "
-        f"ship {result.sliced_keys} entries)",
+        f"(restore replays {result.writes} writes; speedup: two deep "
+        f"copies against mark + fork)",
         "",
         f"{'entries':>9s} {'deepcopy':>12s} {'mark':>9s} {'fork':>9s} "
-        f"{'1st write':>9s} {'slice':>9s} {'rollback':>10s} "
-        f"{'speedup':>8s} {'bytes full':>12s} {'sliced':>9s}",
+        f"{'1st write':>9s} {'rollback':>10s} {'speedup':>8s}",
     ]
     for r in result.rows:
         lines.append(
             f"{r.entries:>9,d} {r.deep_copy_ns / 1e6:>10.2f}ms "
             f"{r.mark_ns / 1e3:>7.1f}µs {r.fork_ns / 1e3:>7.1f}µs "
             f"{r.first_write_after_fork_ns / 1e3:>7.1f}µs "
-            f"{r.slice_ns / 1e3:>7.1f}µs {r.rollback_ns / 1e3:>8.1f}µs "
-            f"{r.speedup:>7.0f}x {r.full_payload_bytes:>12,d} "
-            f"{r.sliced_payload_bytes:>9,d}")
+            f"{r.rollback_ns / 1e3:>8.1f}µs {r.speedup:>7.0f}x")
     return "\n".join(lines)
 
 
@@ -486,19 +462,14 @@ def write_state_bench(result: StateBenchResult, path,
     payload = {
         "benchmark": "state-engine",
         "writes": result.writes,
-        "sliced_keys": result.sliced_keys,
         "rows": [{
             "entries": r.entries,
             "deep_copy_ns": r.deep_copy_ns,
             "checkpoint_take_ns": {"old": r.deep_copy_ns,
                                    "new": r.mark_ns},
+            "fork_ns": {"old": r.deep_copy_ns, "new": r.fork_ns},
             "checkpoint_restore_ns": r.rollback_ns,
             "first_write_after_fork_ns": r.first_write_after_fork_ns,
-            "payload_construction_ns": {"old": r.deep_copy_ns,
-                                        "new_full": r.fork_ns,
-                                        "new_sliced": r.slice_ns},
-            "payload_bytes": {"old": r.full_payload_bytes,
-                              "new_sliced": r.sliced_payload_bytes},
             "speedup": r.speedup,
         } for r in result.rows],
     }

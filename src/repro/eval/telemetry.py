@@ -4,9 +4,9 @@ A fresh CLI process has no accumulated telemetry, so the ``metrics``
 subcommand (and the differential-telemetry tests) run one of the
 Fig. 14 workloads on a fully instrumented network and report the
 registry that run filled.  The same helper backs
-``tests/test_telemetry_differential.py``, which re-runs a workload
-under every executor strategy and across a crash + resume and demands
-byte-identical deterministic counters.
+``tests/test_telemetry_differential.py``, which re-runs a workload,
+and runs it across a crash + resume, and demands byte-identical
+deterministic counters.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class TelemetryRun:
     """One instrumented workload run and everything it recorded."""
 
     workload: str
-    executor: str
     n_shards: int
     epochs: int
     committed: int = 0
@@ -41,8 +40,7 @@ class TelemetryRun:
 
 def run_instrumented(workload: str = "FT transfer", epochs: int = 3,
                      txns_per_epoch: int = 60, n_users: int = 48,
-                     n_shards: int = 4, executor: str = "serial",
-                     seed: int = 7, use_signatures: bool = True,
+                     n_shards: int = 4, seed: int = 7, use_signatures: bool = True,
                      trace: bool = False,
                      registry: MetricsRegistry | None = None,
                      data_dir: str | None = None) -> TelemetryRun:
@@ -58,9 +56,8 @@ def run_instrumented(workload: str = "FT transfer", epochs: int = 3,
     wl = cls(n_users=n_users, txns_per_epoch=txns_per_epoch, seed=seed)
     reg = MetricsRegistry() if registry is None else registry
     tracer = Tracer() if trace else NULL_TRACER
-    net = Network(n_shards, use_signatures=use_signatures,
-                  executor=executor, metrics=reg, tracer=tracer,
-                  data_dir=data_dir)
+    net = Network(n_shards, use_signatures=use_signatures, metrics=reg,
+                  tracer=tracer, data_dir=data_dir)
     try:
         wl.setup(net)
         committed = 0
@@ -74,7 +71,7 @@ def run_instrumented(workload: str = "FT transfer", epochs: int = 3,
     finally:
         net.close()
     return TelemetryRun(
-        workload=workload, executor=net.executor, n_shards=n_shards,
+        workload=workload, n_shards=n_shards,
         epochs=epochs, committed=committed, tps=tps, registry=reg,
         tracer=tracer if trace else None)
 
@@ -83,7 +80,7 @@ def format_telemetry(run: TelemetryRun) -> str:
     """The human-oriented report: header, instruments, span tree."""
     lines = [
         f"workload:  {run.workload}",
-        f"executor:  {run.executor} ({run.n_shards} shards)",
+        f"shards:    {run.n_shards}",
         f"epochs:    {run.epochs}   committed: {run.committed}   "
         f"avg tps: {run.tps:.2f}",
         "",

@@ -4,14 +4,12 @@ Two primitives, both off-by-default-cheap:
 
 * :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry`
   of counters, gauges and fixed-bucket histograms.  Snapshots are
-  plain JSON-able dicts that merge associatively (so per-lane worker
-  registries can be folded into the coordinator's in deterministic
-  shard order), restore exactly (so durable network snapshots carry
-  their telemetry through a crash), and split into a *deterministic*
-  subset that doubles as a differential-testing oracle: for fault-free
-  runs the deterministic counters must be byte-identical across the
-  serial, thread and process executors
-  (``tests/test_telemetry_differential.py``).
+  plain JSON-able dicts that merge associatively, restore exactly (so
+  durable network snapshots carry their telemetry through a crash),
+  and split into a *deterministic* subset that doubles as a
+  differential-testing oracle: the deterministic counters must be
+  byte-identical across runs of one workload and across a crash +
+  resume (``tests/test_telemetry_differential.py``).
 
 * :mod:`repro.obs.tracing` — a span-based :class:`Tracer` recording
   nested monotonic timings, exportable as a JSON trace or a

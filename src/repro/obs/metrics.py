@@ -13,15 +13,14 @@ Design constraints, in priority order:
    between runs — wall-clock durations, pool scheduling, WAL append
    counts across a resume.  :meth:`MetricsRegistry.snapshot` with
    ``deterministic_only=True`` yields exactly the reproducible subset,
-   which differential tests compare byte-for-byte across executors.
+   which differential tests compare byte-for-byte across runs and
+   across a crash + resume.
 
 3. **Mergeable.**  Counter values and histogram bucket vectors are
-   sums, so folding a worker registry's snapshot into the
-   coordinator's (:meth:`MetricsRegistry.merge_snapshot`) is
-   associative and commutative with counts preserved — a lane may run
-   serially inline or remotely in a pool worker and the merged totals
-   come out identical.  Gauges carry a ``set`` flag and only transfer
-   when they were actually written.
+   sums, so folding one registry's snapshot into another's
+   (:meth:`MetricsRegistry.merge_snapshot`) is associative and
+   commutative with counts preserved.  Gauges carry a ``set`` flag and
+   only transfer when they were actually written.
 
 4. **Exact round-trips.**  ``snapshot() → json → from_snapshot()``
    reproduces the registry exactly (all values are ints, floats and

@@ -261,9 +261,8 @@ class SqliteBackend(StateBackend):
     replay — so the connection runs with ``journal_mode=MEMORY`` and
     ``synchronous=OFF``: page writes never fsync on the hot path, and
     durability comes from :meth:`save_copy`'s atomic-rename sidecars.
-    A single connection is shared across lane threads behind a lock
-    (worker processes never see the backend: payloads materialise to
-    plain dicts when pickled).
+    A single connection is shared behind a lock (a pickled paged map
+    materialises to a plain dict, so no pickle carries the backend).
     """
 
     external = True
@@ -512,8 +511,8 @@ class PagedDict:
     Writes land in the overlay only; :meth:`flush` pushes dirty rows
     and tombstones down in one batch (the network calls it at epoch
     commit, when the journal is empty, so no rollback can ever cross a
-    writeback).  Pickling materialises to a plain dict — worker
-    processes never share a backend with the coordinator.
+    writeback).  Pickling materialises to a plain dict — a pickled
+    copy never shares the backend.
     """
 
     __slots__ = ("backend", "map_id", "cache_limit",
@@ -706,7 +705,7 @@ class PagedDict:
         return child
 
     def prefetch(self, keys: Iterable[Value]) -> int:
-        """Batch-fault ``keys`` into the overlay (footprint oracle).
+        """Batch-fault ``keys`` into the overlay in one round trip.
 
         Returns the number of keys resident afterwards.  Deliberately
         skips eviction: the caller is about to read exactly these keys,

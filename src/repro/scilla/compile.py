@@ -53,10 +53,11 @@ from .values import (
 )
 
 # Process-local: (ANALYSIS_VERSION, source hash) -> unit, the key
-# SummaryCache uses, so deployments of one source and every lane's
-# private Interpreter share a unit (it grows like SummaryCache does).
+# SummaryCache uses, so deployments of one source and every
+# Interpreter built for it share a unit (it grows like SummaryCache
+# does).
 _UNITS: dict[tuple, "ContractUnit"] = {}
-# Guards the table and a unit's lazy linking (thread lanes share units).
+# Guards the table and a unit's lazy linking (threads may share units).
 _LOCK = threading.RLock()
 
 

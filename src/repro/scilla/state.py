@@ -35,8 +35,8 @@ from .values import MapVal, Value
 
 # Sentinel for "entry was absent" in undo logs and write sets.  A true
 # singleton: equality holds for any two instances and unpickling
-# resolves to the canonical MISSING, so sentinels survive the process
-# boundary of the parallel lane executor.
+# resolves to the canonical MISSING, so sentinels survive a pickle
+# round trip.
 class _Missing:
     def __repr__(self) -> str:
         return "MISSING"
@@ -91,8 +91,8 @@ class ContractState:
         return (f"ContractState(address={self.address!r}, "
                 f"fields={sorted(self.fields)}, balance={self._balance})")
 
-    # Forks never carry the journal across a pickle (process lanes) —
-    # worker-side states are private and unjournaled.
+    # A pickled state never carries its journal: the copy is private
+    # and unjournaled.
     def __getstate__(self):
         return (self.address, self.fields, self.field_types,
                 self.immutables, self._balance)

@@ -228,13 +228,13 @@ def test_corpus_comm_marked_writes_commute_under_random_pairs():
 
 # -- corpus-wide footprint oracle against the StateJournal ---------------------
 #
-# Lane payload slicing (repro.chain.lanes) ships state by
-# ``transition_footprints`` at exactly this granularity: a whole-field
-# token, or a (field, first-map-key) token.  Its soundness axiom is
-# that every location a transition touches at runtime falls inside
-# that static over-approximation — checked here end-to-end over the
-# whole corpus, against the StateJournal's own entries, rather than
-# hand-picked transitions.
+# ``transition_footprints`` (repro.core.effects) states, per
+# transition, the locations it may touch at this granularity: a
+# whole-field token, or a (field, first-map-key) token.  Its soundness
+# axiom is that every location a transition touches at runtime falls
+# inside that static over-approximation — checked here end-to-end over
+# the whole corpus, against the StateJournal's own entries, rather
+# than hand-picked transitions.
 
 
 def _synth_value(t, probe_addr):
@@ -268,7 +268,7 @@ def _synth_value(t, probe_addr):
 def _footprint_tokens(pfs, args, sender, immutables, this_address):
     """The (field, first-key-token) tokens of a static footprint —
     ``(field, None)`` is the whole-field token."""
-    from repro.chain.lanes import _value_from_token
+    from repro.chain.dispatch import value_from_token
     from repro.scilla.values import ByStrVal
     tokens = set()
     for pf in pfs:
@@ -286,7 +286,7 @@ def _footprint_tokens(pfs, args, sender, immutables, this_address):
         elif key.repr == "_this_address":
             value = ByStrVal(this_address, ty.BYSTR20)
         else:
-            value = _value_from_token(key.repr)
+            value = value_from_token(key.repr)
         if value is None:
             tokens.add((pf.field, None))
             continue
@@ -300,7 +300,7 @@ def _footprint_tokens(pfs, args, sender, immutables, this_address):
 def test_corpus_journal_writes_fall_inside_static_footprints():
     """Every StateJournal write entry recorded while running the
     corpus transitions lies inside ``transition_footprints``."""
-    from repro.chain.lanes import transition_footprints
+    from repro.core.effects import transition_footprints
     from repro.scilla.state import StateJournal
     from repro.scilla.errors import ScillaError
 

@@ -1,7 +1,5 @@
 """CLI tests (``python -m repro``)."""
 
-import os
-
 import pytest
 
 from repro.cli import main
@@ -145,29 +143,3 @@ def test_corpus_export_roundtrips(tmp_path, capsys):
     assert code == 0
     assert "Summary(SetHello)" in out
 
-
-def test_bench_parallel_writes_json(tmp_path, capsys, monkeypatch):
-    import json
-
-    import repro.eval.parallel_bench as pb
-    from repro.workloads.generators import FTTransfer
-
-    # Shrink the bench so the CLI test stays fast; the full-size run
-    # lives in benchmarks/test_parallel_speedup.py.
-    monkeypatch.setattr(pb, "ALL_WORKLOADS", [FTTransfer])
-    monkeypatch.setattr(pb, "HEAVY_USERS", 64)
-    out_file = tmp_path / "BENCH_parallel.json"
-    code, out = run_cli(capsys, "bench", "parallel",
-                        "--workers", "2", "--epochs", "2",
-                        "--output", str(out_file))
-    assert code == 0
-    assert "Parallel epochs" in out
-    payload = json.loads(out_file.read_text())
-    assert payload["benchmark"] == "parallel-epochs"
-    # Worker counts are recorded honestly: what was asked, what ran,
-    # and the hardware context (the old bench hard-coded workers=1).
-    assert payload["workers"]["requested"] == 2
-    assert payload["workers"]["effective"] == 2
-    assert payload["workers"]["cpu_count"] == (os.cpu_count() or 1)
-    assert payload["resident"]["lane.resident.installs"] >= 4
-    assert payload["fallbacks"] == 0

@@ -31,18 +31,6 @@ def test_torture_under_fault_plan():
     assert outcome.passed, format_torture_report([outcome])
 
 
-def test_torture_thread_executor():
-    outcome = run_crash_torture("NFT mint", **TINY, executor="thread",
-                                rng_seed=7)
-    assert outcome.passed, format_torture_report([outcome])
-
-
-def test_torture_process_executor():
-    outcome = run_crash_torture("UD bestow", **TINY,
-                                executor="process", rng_seed=5)
-    assert outcome.passed, format_torture_report([outcome])
-
-
 def test_torture_torn_writes():
     """Force the torn-tail path specifically (mid-record SIGKILL)."""
     outcome = run_crash_torture("FT fund", **TINY, rng_seed=1,
@@ -63,7 +51,7 @@ def test_kill_past_a_delta_restore_point_resumes_across_it(
     from repro.eval.chaos import _spawn_run
     from repro.chain.store import DELTA_SUFFIX
     run = dict(workload="FT transfer", seed=0, epochs=8, shards=3,
-               users=100, txns=6, fault_seed=None, executor=None)
+               users=100, txns=6, fault_seed=None)
     rc, out, err = _spawn_run(str(tmp_path / "expected"), **run)
     assert rc == 0, err
     data_dir = tmp_path / "tortured"

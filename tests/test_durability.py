@@ -155,13 +155,6 @@ def test_snapshot_compacts_wal_and_bounds_replay(tmp_path):
     resumed.close()
 
 
-def test_resume_respects_executor_override(tmp_path):
-    build_and_run(epochs=2, data_dir=tmp_path).close()
-    net = Network.resume(str(tmp_path), executor="thread")
-    assert net.executor == "thread"
-    net.close()
-
-
 def test_wal_notes_survive_resume(tmp_path):
     net = build_and_run(epochs=1, data_dir=tmp_path)
     net.wal_note({"kind": "marker", "n": 1})
@@ -277,36 +270,7 @@ def test_replay_rejects_unknown_record_type(tmp_path):
         Network.resume(str(tmp_path))
 
 
-# -- lane-pool observability (satellite: no silent fallbacks) -----------------
-
-def test_pool_failure_detail_recorded(monkeypatch):
-    # resident=False: this exercises the legacy shared-pool acquisition
-    # path; the resident pool failure has its own test below.
-    net = build_and_run(epochs=0, net_kwargs={"executor": "thread",
-                                              "resident": False})
-
-    def boom(*args, **kwargs):
-        raise RuntimeError("pool exploded")
-    monkeypatch.setattr("repro.core.parallel.shared_thread_pool", boom)
-    net.process_epoch(transfer_round())
-    assert net.executor_fallbacks == 1
-    assert net.executor_fallback_details == \
-        ["supervise: thread: RuntimeError: RuntimeError('pool exploded')"]
-
-
-def test_resident_pool_failure_detail_recorded(monkeypatch):
-    net = build_and_run(epochs=0, net_kwargs={"executor": "thread",
-                                              "resident": True})
-
-    def boom(*args, **kwargs):
-        raise RuntimeError("resident pool exploded")
-    monkeypatch.setattr("repro.core.parallel.get_resident_pool", boom)
-    net.process_epoch(transfer_round())
-    assert net.executor_fallbacks == 1
-    assert net.executor_fallback_details == \
-        ["supervise: thread: RuntimeError: "
-         "RuntimeError('resident pool exploded')"]
-
+# -- corpus-analysis pool observability (no silent fallbacks) ----------------
 
 def test_corpus_analysis_fallback_error_recorded(monkeypatch):
     from repro.core import parallel as par

@@ -9,9 +9,6 @@ user's terminal.
 
 from repro.core.solver import GEReport
 from repro.eval.ablation import AblationResult, AblationRow, format_ablation
-from repro.eval.parallel_bench import (
-    ParallelBenchResult, WorkloadTiming, format_parallel_bench,
-)
 from repro.eval.ethereum_breakdown import Fig1Result, format_fig1
 from repro.eval.ge_stats import Fig13Result, format_fig13
 from repro.eval import ethereum_breakdown as eth_mod
@@ -67,41 +64,3 @@ def test_format_fig1_renders_bins_and_margin():
     assert "1.23%" in text            # margin of error, rendered as %
     assert "60.0%" in text and "75.0%" in text
 
-
-def _bench_result(**kwargs):
-    result = ParallelBenchResult(
-        requested_workers=4, effective_workers=4, executor="thread",
-        n_shards=4, epochs=12, cpu_count=8, **kwargs)
-    result.rows = [
-        WorkloadTiming("FT transfer", 4000, 48,
-                       serial_s=1.0, fresh_s=2.0, resident_s=0.8),
-        WorkloadTiming("FT fund", 240, 48,
-                       serial_s=0.1, fresh_s=0.12, resident_s=0.1),
-    ]
-    return result
-
-
-def test_format_parallel_bench_rows_and_headline():
-    text = format_parallel_bench(_bench_result())
-    assert "2 workloads, 4 shards, 4 thread worker(s)" in text
-    assert "FT transfer" in text and "FT fund" in text
-    # Headline: total fresh (2.12s) over total resident (0.9s).
-    assert "speedup (fresh/resident): 2.36x" in text
-    assert "speedup vs serial:        1.22x" in text
-    assert "WARNING" not in text
-
-
-def test_format_parallel_bench_notes_fallbacks():
-    text = format_parallel_bench(_bench_result(fallbacks=3))
-    assert "WARNING: 3 lane run(s) silently fell back" in text
-
-
-def test_parallel_bench_json_records_workers_honestly():
-    payload = _bench_result().to_json_dict()
-    assert payload["benchmark"] == "parallel-epochs"
-    assert payload["workers"] == {
-        "requested": 4, "effective": 4,
-        "default": payload["workers"]["default"], "cpu_count": 8}
-    assert payload["timing"]["speedup"] == 2.36
-    assert [w["workload"] for w in payload["workloads"]] == \
-        ["FT transfer", "FT fund"]

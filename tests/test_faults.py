@@ -4,7 +4,7 @@ import random
 
 from repro.chain.faults import (
     CHURN_FAULTS, DELTA_FAULTS, EQUIVALENCE_PRESERVING,
-    MICROBLOCK_FAULTS, WORKER_FAULTS, FaultEvent, FaultInjector,
+    MICROBLOCK_FAULTS, FaultEvent, FaultInjector,
     FaultKind, FaultPlan, _perturb_key,
 )
 from repro.chain.transaction import payment
@@ -55,8 +55,8 @@ def test_lane_fault_queries_partition_kinds():
 
 
 def test_equivalence_preserving_classification():
-    assert MICROBLOCK_FAULTS | DELTA_FAULTS | WORKER_FAULTS \
-        | {FaultKind.CRASH_SHARD} == EQUIVALENCE_PRESERVING
+    assert MICROBLOCK_FAULTS | DELTA_FAULTS | {FaultKind.CRASH_SHARD} \
+        == EQUIVALENCE_PRESERVING
     lanes_only = FaultPlan([FaultEvent(1, FaultKind.CRASH_SHARD, 0)])
     assert lanes_only.equivalence_preserving
     with_churn = FaultPlan([FaultEvent(1, FaultKind.CRASH_SHARD, 0),

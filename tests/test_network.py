@@ -5,6 +5,7 @@ import pytest
 from repro.chain import Network, call, payment
 from repro.chain.consensus import CostModel
 from repro.contracts import CORPUS
+from repro.core.parallel import default_workers
 from repro.scilla.values import addr, uint, IntVal, StringVal
 from repro.scilla import types as ty
 
@@ -111,7 +112,7 @@ def test_payment_moves_native_balance():
 def test_negative_payment_fails_and_moves_nothing():
     """A negative amount used to commit and move funds from the
     recipient to the sender, leaving the recipient a negative portion."""
-    net = Network(2, executor="serial")
+    net = Network(2)
     a, b = USERS[0], USERS[1]
     net.create_account(a, 1000)
     net.create_account(b, 1000)
@@ -129,7 +130,7 @@ def test_out_of_range_call_amount_fails_only_its_transaction(amount):
     out of process_epoch and abort the whole epoch."""
     from repro.workloads.generators import FTTransfer
     workload = FTTransfer(n_users=4)
-    net = Network(2, executor="serial")
+    net = Network(2)
     workload.setup(net)
     users, token = workload.users, workload.contract_addr
     bad = call(users[0], token, "Transfer",
@@ -330,9 +331,8 @@ def _paged_dict():
 
 # What first reads each variable.
 ENV_KNOB_READERS = {
-    "REPRO_EXECUTOR": lambda: Network(2),
     "REPRO_STATE_BACKEND": lambda: Network(2),
-    "REPRO_WORKERS": lambda: Network(2, executor="thread"),
+    "REPRO_WORKERS": default_workers,     # what analyze_corpus sizes by
     "REPRO_PAGE_CACHE": _paged_dict,
 }
 
@@ -340,7 +340,6 @@ ENV_KNOB_READERS = {
 @pytest.mark.parametrize("name, value, error", [
     pytest.param(name, value, error, id=f"{name}={value}")
     for name, value, error in [
-        ("REPRO_EXECUTOR", "foo", "unknown executor"),
         ("REPRO_STATE_BACKEND", "foo", "unknown state backend"),
         ("REPRO_WORKERS", "two", "REPRO_WORKERS must be"),
         ("REPRO_WORKERS", "0", "REPRO_WORKERS must be"),
@@ -359,3 +358,11 @@ def test_env_knobs_reject_malformed_values(monkeypatch, name, value,
         return
     with pytest.raises(ValueError, match=f"{error}.*{value!r}"):
         ENV_KNOB_READERS[name]()
+
+
+def test_lanes_run_serially_and_nothing_else():
+    """``serial`` is the one executor; any other value is refused at
+    construction, not silently run serially."""
+    for executor in ("thread", "process", "foo"):
+        with pytest.raises(ValueError, match="'thread' and 'process'"):
+            Network(2, executor=executor)

@@ -196,8 +196,7 @@ class TestEquivalenceAgainstPlainState:
     def test_workload_fingerprints_identical(self, kind):
         def run(backend_spec):
             wl = FTTransfer(n_users=12, txns_per_epoch=25, seed=3)
-            net = Network(4, use_signatures=True, executor="serial",
-                          state_backend=backend_spec)
+            net = Network(4, use_signatures=True, state_backend=backend_spec)
             wl.setup(net)
             for epoch in range(1, 7):
                 net.process_epoch(wl.transactions(epoch))
@@ -209,7 +208,7 @@ class TestEquivalenceAgainstPlainState:
 class TestDurabilitySpine:
     def _durable_run(self, data_dir, *, epochs=6, backend="sqlite"):
         wl = FTTransfer(n_users=10, txns_per_epoch=20, seed=5)
-        net = Network(2, use_signatures=True, executor="serial",
+        net = Network(2, use_signatures=True,
                       data_dir=data_dir, snapshot_every=2,
                       state_backend=backend)
         wl.setup(net)
@@ -253,7 +252,7 @@ class TestDurabilitySpine:
         sidecar must hold exactly the live entries."""
         d = str(tmp_path)
         wl = FTTransfer(n_users=10, txns_per_epoch=20, seed=5)
-        net = Network(2, use_signatures=True, executor="serial",
+        net = Network(2, use_signatures=True,
                       data_dir=d, snapshot_every=2,
                       state_backend="sqlite")
         wl.setup(net)

@@ -8,17 +8,14 @@ import pytest
 from hypothesis import given, settings
 
 from repro.chain import Network, call, payment
-from repro.chain.blocks import MicroBlock
 from repro.chain.consensus import CostModel
 from repro.chain.delta import DeltaEntry, StateDelta
 from repro.chain.dispatch import DS, _pad
 from repro.chain.faults import FaultEvent, FaultKind, FaultPlan
-from repro.chain.lanes import LaneResult
 from repro.chain.recovery import (
     NetworkCheckpoint, network_fingerprint, state_fingerprint,
     validate_delta,
 )
-from repro.chain.transaction import used_runs
 from repro.core.joins import JoinKind
 from repro.contracts import CORPUS
 from repro.scilla.values import addr, uint, IntVal, StringVal
@@ -157,32 +154,25 @@ def test_rolled_back_deploy_leaves_no_dispatch_plans():
     assert dispatcher.dispatch(mint).reason != "transition not sharded"
 
 
-def test_checkpoint_restores_dead_letter_and_executor_counters():
+def test_checkpoint_restores_dead_letter():
     """An aborted epoch attempt must not leak dead-lettered
-    transactions or inflated executor counters into the commit."""
+    transactions into the commit."""
     net = ft_network()
     mint_all(net)
     poisoned = call(USERS[0], TOKEN, "Transfer",
                     {"to": addr(USERS[1]), "amount": uint(1)}, nonce=99)
     net.dead_letter.append(poisoned)
-    net.executor_fallbacks = 2
-    net.executor_fallback_details = ["thread: OSError: OSError(24)"]
     checkpoint = NetworkCheckpoint.take(net)
 
     # Mutations by a doomed attempt…
     net.dead_letter.append(call(USERS[2], TOKEN, "Transfer",
                                 {"to": addr(USERS[3]),
                                  "amount": uint(1)}, nonce=100))
-    net.executor_fallbacks = 7
-    net.executor_fallback_details.append("process: bang")
 
-    # …are all rolled back, repeatably.
+    # …are rolled back, repeatably.
     for _ in range(2):
         checkpoint.restore(net)
         assert [tx.tx_id for tx in net.dead_letter] == [poisoned.tx_id]
-        assert net.executor_fallbacks == 2
-        assert net.executor_fallback_details == \
-            ["thread: OSError: OSError(24)"]
 
 
 def test_view_change_after_dead_letter_keeps_it_exact():
@@ -245,8 +235,6 @@ _BOOK_OPS = st.one_of(
     # Fresh nonces are accepted; low ones and replays are rejected.
     st.tuples(st.just("nonce"), st.integers(0, 7), _LANES,
               st.integers(0, 6)),
-    st.tuples(st.just("effects"), _WHO, st.sampled_from([0, 1, 2]),
-              st.integers(1, 40)),
     st.tuples(st.just("epoch"), _WHO, _LANES, st.integers(1, 5)),
     # A view change mid-epoch: roll back, then keep going.
     st.tuples(st.just("retry"), _WHO, _LANES, st.just(0)),
@@ -267,20 +255,6 @@ def _apply_book_op(net, op, checkpoint, pre) -> None:
     elif kind == "nonce":
         sender = (USERS + _STRANGERS)[who]
         net.nonces.try_accept(_pad(sender), n, lane)
-    elif kind == "effects":
-        sender = _pad(user)
-        # A lane only reports nonces the coordinator has not seen.
-        record = net.nonces.records.get(sender, net.nonces.blank)
-        top = (used_runs(record) or [[0, 0]])[-1][1]
-        LaneResult(
-            lane=lane, microblock=MicroBlock(shard=lane, epoch=net.epoch),
-            deltas=[], balance_deltas={}, deferred=[],
-            account_deltas={sender: (-n, {lane: -n}),
-                            _pad(_STRANGERS[0]): (n, {lane: n})},
-            nonce_used_added={sender: {top + 1, top + 2}},
-            nonce_last_global={sender: top + 2},
-            nonce_last_lane={sender: top + 2},
-        ).apply_effects(net)
     elif kind == "epoch":
         last_global = net.nonces.records.get(_pad(user), (None,))[0]
         nonce = (last_global or 0) + 1

@@ -298,9 +298,9 @@ def test_commit_matches_scratch_on_arbitrary_writes(epochs):
 
 # -- all eight Fig. 14 workloads ------------------------------------------------
 
-def run_fig14(cls, data_dir, **net_kwargs) -> Network:
+def run_fig14(cls, data_dir) -> Network:
     net = Network(4, data_dir=str(data_dir), snapshot_every=2,
-                  carry_backlog=True, **net_kwargs)
+                  carry_backlog=True)
     w = cls(n_users=16, txns_per_epoch=24, seed=11)
     w.setup(net)
     assert_incremental_matches_scratch(net)
@@ -312,21 +312,13 @@ def run_fig14(cls, data_dir, **net_kwargs) -> Network:
 
 @pytest.mark.parametrize("cls", ALL_WORKLOADS, ids=lambda c: c.name)
 def test_fig14_incremental_matches_scratch_every_epoch(tmp_path, cls):
-    net = run_fig14(cls, tmp_path / "serial", executor="serial")
+    net = run_fig14(cls, tmp_path / "serial")
     expected = network_fingerprint(net)
     net.close()
     resumed = Network.resume(str(tmp_path / "serial"))
     assert network_fingerprint(resumed) == expected
     assert_incremental_matches_scratch(resumed)
     resumed.close()
-
-
-@pytest.mark.parametrize("leg", [{"executor": "process"}],
-                         ids=["process"])
-def test_fig14_incremental_matches_scratch_other_modes(tmp_path, leg):
-    # UD config: sharded and DS-routed traffic on nested state.
-    cls = next(c for c in ALL_WORKLOADS if c.name == "UD config")
-    run_fig14(cls, tmp_path, **leg).close()
 
 
 # -- Hypothesis sequences over depth-1 and depth-2 maps -------------------------

@@ -109,7 +109,6 @@ def test_snapshot_carries_backlog_dead_letter_and_counters():
             break
         net.process_epoch([])
     assert net.dead_letter
-    net.executor_fallback_details.append("thread: RuntimeError: boom")
     net.epoch_tags["measure"] = 3
 
     restored = network_from_snapshot(
@@ -119,8 +118,6 @@ def test_snapshot_carries_backlog_dead_letter_and_counters():
     assert [(e.tx.tx_id, e.retries, e.not_before)
             for e in restored.backlog] == \
         [(e.tx.tx_id, e.retries, e.not_before) for e in net.backlog]
-    assert restored.executor_fallback_details == \
-        net.executor_fallback_details
     assert restored.epoch_tags == net.epoch_tags
 
 

@@ -1,118 +1,64 @@
-"""Deterministic timing tests: supervisor backoff schedules, breaker
-cooldowns, and the deferred-transaction retry backoff — all asserted
-against an injected :class:`ManualClock` (or epoch arithmetic), never
-against real sleeps.
+"""Deterministic timing of the network's retry paths: the
+deferred-transaction backoff schedule, asserted with epoch arithmetic,
+and the view-change retry loop, which reruns an epoch attempt without
+ever sleeping — never against real sleeps.
 """
+
+import time
 
 from repro.chain import Network, call
 from repro.chain.consensus import CostModel
 from repro.chain.faults import FaultEvent, FaultKind, FaultPlan
-from repro.chain.supervise import (
-    BREAKER_HALF_OPEN, BREAKER_OPEN, CircuitBreaker, LaneSupervisor,
-    ManualClock, SuperviseConfig,
-)
+from repro.contracts import CORPUS
 from repro.obs.metrics import MetricsRegistry
+from repro.scilla.values import addr, uint, IntVal, StringVal
+from repro.scilla import types as ty
 
-from .test_supervision import FailLanes, ft_network, transfer_round
-
-
-# --------------------------------------------------------------------------
-# The fake clock itself.
-# --------------------------------------------------------------------------
-
-def test_manual_clock_advances_and_records():
-    clock = ManualClock(start=10.0)
-    assert clock.monotonic() == 10.0
-    clock.sleep(1.5)
-    clock.sleep(0.25)
-    assert clock.monotonic() == 11.75
-    assert clock.sleeps == [1.5, 0.25]
+TOKEN = "0x" + "c0" * 20
+ADMIN = "0x" + "ad" * 20
+USERS = ["0x" + f"{i:040x}" for i in range(1, 17)]
 
 
-# --------------------------------------------------------------------------
-# backoff_delay is a pure function of (config, epoch, round).
-# --------------------------------------------------------------------------
-
-def test_backoff_delay_is_deterministic_and_bounded():
-    cfg = SuperviseConfig(backoff_base_s=0.1, backoff_cap_s=0.8,
-                          backoff_jitter=0.5, backoff_seed=7)
-    sup = LaneSupervisor(cfg)
-    again = LaneSupervisor(cfg)
-    for epoch in (1, 2, 9):
-        for rnd in (1, 2, 3, 4, 5):
-            delay = sup.backoff_delay(epoch, rnd)
-            assert delay == again.backoff_delay(epoch, rnd)
-            base = min(0.8, 0.1 * 2 ** (rnd - 1))
-            assert base <= delay <= base * 1.5
-    # The exponential base caps: rounds 4 and 5 share it.
-    b4 = sup.backoff_delay(1, 4)
-    b5 = sup.backoff_delay(1, 5)
-    assert 0.8 <= b4 <= 1.2 and 0.8 <= b5 <= 1.2
-    # Different seeds give different jitter.
-    other = LaneSupervisor(SuperviseConfig(
-        backoff_base_s=0.1, backoff_cap_s=0.8, backoff_jitter=0.5,
-        backoff_seed=8))
-    assert any(sup.backoff_delay(1, r) != other.backoff_delay(1, r)
-               for r in (1, 2, 3))
+def ft_network(**kwargs) -> Network:
+    """A 4-shard FungibleToken network with every user minted 1000."""
+    net = Network(4, **kwargs)
+    net.create_account(ADMIN)
+    for u in USERS:
+        net.create_account(u)
+    net.deploy(CORPUS["FungibleToken"], TOKEN, {
+        "contract_owner": addr(ADMIN), "name": StringVal("T"),
+        "symbol": StringVal("T"), "decimals": IntVal(6, ty.UINT32),
+        "init_supply": uint(0),
+    }, sharded_transitions=("Mint", "Transfer", "TransferFrom"))
+    mint = [call(ADMIN, TOKEN, "Mint",
+                 {"recipient": addr(u), "amount": uint(1000)},
+                 nonce=i + 1)
+            for i, u in enumerate(USERS)]
+    net.process_epoch(mint, unlimited=True)
+    return net
 
 
-def test_zero_jitter_gives_pure_exponential():
-    sup = LaneSupervisor(SuperviseConfig(
-        backoff_base_s=0.05, backoff_cap_s=2.0, backoff_jitter=0.0))
-    assert [sup.backoff_delay(3, r) for r in (1, 2, 3, 4)] \
-        == [0.05, 0.1, 0.2, 0.4]
+def transfer_round(nonce: int):
+    return [call(u, TOKEN, "Transfer",
+                 {"to": addr(USERS[(i + 1) % len(USERS)]),
+                  "amount": uint(3)}, nonce=nonce)
+            for i, u in enumerate(USERS)]
 
 
 # --------------------------------------------------------------------------
-# The supervisor's retry loop sleeps exactly the computed schedule.
+# View changes rerun the attempt at once.
 # --------------------------------------------------------------------------
 
-def test_retry_rounds_sleep_the_backoff_schedule(monkeypatch):
-    clock = ManualClock()
-    cfg = SuperviseConfig(deadline_s=30.0, max_lane_retries=2,
-                          backoff_base_s=0.05, backoff_cap_s=2.0,
-                          backoff_jitter=0.25, backoff_seed=3)
-    net = ft_network(executor="thread", supervise=cfg, clock=clock)
-    FailLanes({1: 2}).install(monkeypatch)   # fails rounds 1 and 2
-    net.process_epoch(transfer_round(nonce=2))
-
-    sup = net.supervisor
-    # Round 1 submits immediately; rounds 2 and 3 back off first.
-    assert clock.sleeps == [sup.backoff_delay(net.epoch, 1),
-                            sup.backoff_delay(net.epoch, 2)]
-    counters = net.metrics.snapshot()["counters"]
-    assert counters["supervise.lane_retries"]["value"] == 2
-
-
-def test_view_change_retries_never_sleep():
-    clock = ManualClock()
+def test_view_change_retries_never_sleep(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
     plan = FaultPlan([FaultEvent(2, FaultKind.CORRUPT_DELTA, 0)])
-    net = ft_network(executor="thread", fault_plan=plan, clock=clock,
-                     supervise=SuperviseConfig(deadline_s=30.0))
+    net = ft_network(fault_plan=plan)
     block = net.process_epoch(transfer_round(nonce=2))
     # The view-change retry loop is epoch-attempt based: a lane
     # exclusion reruns the attempt immediately, with no backoff sleep.
     assert block.stats.view_changes >= 1
-    assert clock.sleeps == []
-
-
-# --------------------------------------------------------------------------
-# Breaker cooldowns are counted in supervised runs, not wall time.
-# --------------------------------------------------------------------------
-
-def test_breaker_cooldown_admission_schedule():
-    b = CircuitBreaker("process", threshold=1, cooldown=3,
-                       cooldown_cap=8)
-    b.record_failure()
-    assert b.state == BREAKER_OPEN
-    # Exactly `cooldown` admission calls elapse before the probe.
-    schedule = [b.admits() for _ in range(3)]
-    assert schedule == [False, False, True]
-    assert b.state == BREAKER_HALF_OPEN
-    # A failed probe doubles the next wait.
-    b.record_failure()
-    schedule = [b.admits() for _ in range(6)]
-    assert schedule == [False] * 5 + [True]
+    assert sleeps == []
 
 
 # --------------------------------------------------------------------------

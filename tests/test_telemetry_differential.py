@@ -2,12 +2,13 @@
 
 The deterministic subset of the metrics registry (counters, gauges and
 histograms registered without ``deterministic=False``) is required to
-be a pure function of the submitted workload: byte-identical across
-the serial, thread and process lane executors, and across a
+be a pure function of the submitted workload: byte-identical whichever
+executor analysed the deployed contracts (inline at deploy, or an
+``analyze_corpus`` sweep on a thread or a process pool), and across a
 crash + resume of a durable run.  These tests enforce exactly that for
-all eight Fig. 14 workloads — any scheduling leak into a deterministic
-instrument (a lane counted twice, a worker registry merged in the
-wrong order, a replay recording drift) shows up as a snapshot diff.
+all eight Fig. 14 workloads — any leak of process history into a
+deterministic instrument (a lane counted twice, a cache hit counted as
+work, a replay recording drift) shows up as a snapshot diff.
 """
 
 import json
@@ -15,19 +16,46 @@ import json
 import pytest
 
 from repro.chain.network import Network
+from repro.contracts import CORPUS
+from repro.core import cache as cache_module
+from repro.core import pipeline
+from repro.core.cache import SummaryCache
+from repro.core.parallel import analyze_corpus
 from repro.eval.chaos import run_durable
 from repro.eval.telemetry import WORKLOAD_NAMES, run_instrumented
 from repro.obs import MetricsRegistry
+from repro.workloads import workload_by_name
 
 RUN_PARAMS = dict(epochs=2, txns_per_epoch=36, n_users=24,
                   n_shards=4, seed=11)
 
 DURABLE_PARAMS = dict(seed=3, shards=4, users=12, txns=10)
 
+# What the Fig. 14 workloads deploy: more than one source, so a sweep
+# really goes through the pool.
+FIG14_SOURCES = {name: CORPUS[name] for name in sorted(
+    {workload_by_name(w).contract_name for w in WORKLOAD_NAMES})}
 
-def _fingerprint(workload: str, executor: str) -> str:
-    run = run_instrumented(workload=workload, executor=executor,
-                           **RUN_PARAMS)
+ANALYSIS_EXECUTORS = ("serial", "thread", "process")
+
+
+def _with_summaries_from(executor: str, monkeypatch) -> SummaryCache:
+    """Give this process a fresh deploy cache, filled by a corpus sweep
+    on ``executor`` — or, for ``"serial"``, left empty, so each deploy
+    runs the pipeline inline."""
+    fresh = SummaryCache()
+    monkeypatch.setattr(cache_module, "GLOBAL_CACHE", fresh)
+    monkeypatch.setattr(pipeline, "GLOBAL_CACHE", fresh)
+    if executor != "serial":
+        out = analyze_corpus(FIG14_SOURCES, workers=2, executor=executor,
+                             cache=fresh)
+        assert not out.fell_back, out.fallback_error
+        assert out.analyzed == len(FIG14_SOURCES) > 1
+    return fresh
+
+
+def _fingerprint(workload: str) -> str:
+    run = run_instrumented(workload=workload, **RUN_PARAMS)
     assert run.committed > 0
     # Every dispatched transaction is counted under exactly one reason
     # class (``net.dispatch.reason.*`` are part of the compared subset).
@@ -39,12 +67,23 @@ def _fingerprint(workload: str, executor: str) -> str:
 
 
 @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
-def test_counters_identical_across_executors(workload):
-    """serial / thread / process runs record identical deterministic
+def test_counters_identical_across_executors(workload, monkeypatch):
+    """Runs whose deploy summaries were analysed inline, on a thread
+    pool or on a process pool record identical deterministic
     snapshots, byte for byte."""
-    baseline = _fingerprint(workload, "serial")
-    assert _fingerprint(workload, "thread") == baseline
-    assert _fingerprint(workload, "process") == baseline
+    fingerprints = {}
+    for executor in ANALYSIS_EXECUTORS:
+        fresh = _with_summaries_from(executor, monkeypatch)
+        swept = fresh.stats.snapshot()
+        fingerprints[executor] = _fingerprint(workload)
+        if executor == "serial":
+            assert fresh.stats.misses > 0       # analysed at deploy
+        else:
+            # Prefilled: the deploy ran no pipeline of its own.
+            assert fresh.stats.misses == swept.misses
+            assert fresh.stats.hits > swept.hits
+    assert fingerprints["thread"] == fingerprints["serial"]
+    assert fingerprints["process"] == fingerprints["serial"]
 
 
 @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
@@ -69,16 +108,16 @@ def test_counters_identical_across_crash_resume(tmp_path, workload):
             == json.dumps(full.deterministic_snapshot(), sort_keys=True))
 
 
-def test_durable_counters_identical_across_executors(tmp_path):
+def test_durable_counters_identical_across_executors(tmp_path, monkeypatch):
     """``net.commit.changed_locations`` only counts with a WAL (the
     change set is not cut without one), so the executor comparison
     above sees it at 0: compare it where it moves."""
     snapshots = {}
     for executor in ("serial", "process"):
+        _with_summaries_from(executor, monkeypatch)
         registry = MetricsRegistry()
         run_durable("UD config", data_dir=str(tmp_path / executor),
-                    epochs=3, executor=executor, metrics=registry,
-                    **DURABLE_PARAMS)
+                    epochs=3, metrics=registry, **DURABLE_PARAMS)
         snapshots[executor] = registry.deterministic_snapshot()
     counters = snapshots["serial"]["counters"]
     assert counters["net.commit.changed_locations"]["value"] > 0

@@ -8,7 +8,7 @@ restoring a deep copy taken at each mark, the trivially right answer;
 ``benchmarks/test_state_engine.py`` times it with today's journal).
 A Hypothesis state machine drives a ``Network``'s rows and the
 reference through the same random create / charge / credit /
-``try_accept`` / ``absorb`` / ``mark`` / ``rollback_to`` / ``release``
+``try_accept`` / ``mark`` / ``rollback_to`` / ``release``
 sequences — strict and relaxed nonces, 2–5 shards, repeated nonces,
 gaps, several lanes per sender — and after every step compares
 balances, portions, accept decisions and the restore point's
@@ -100,20 +100,6 @@ class NonceTracker:
         self.last_per_lane[slot] = nonce
         return True
 
-    def absorb(self, sender: str, lane: int, added,
-               last_global: int | None, last_lane: int | None) -> None:
-        used = self.used.get(sender)
-        slot = (sender, lane)
-        if added:
-            if used is None:
-                used = self.used[sender] = set()
-            used.update(added)
-        if last_global is not None and \
-                last_global > self.last_global.get(sender, 0):
-            self.last_global[sender] = last_global
-        if last_lane is not None:
-            self.last_per_lane[slot] = last_lane
-
 
 def _lane_order(lanes) -> list[int]:
     return sorted(lanes, key=lambda lane: (lane < 0, lane))
@@ -203,7 +189,7 @@ class UserRows(RuleBasedStateMachine):
     def start(self, n_shards, strict):
         self.n = n_shards
         self.net = Network(n_shards, strict_nonces=strict,
-                           executor="serial", state_backend="none")
+                           state_backend="none")
         self.accounts: dict[str, Account] = {}
         self.nonces = NonceTracker(strict=strict)
         # (journal mark, reference books at the mark), oldest first.
@@ -249,17 +235,6 @@ class UserRows(RuleBasedStateMachine):
         sender, lane = ADDRESSES[who], self.lane(lane)
         assert self.net.nonces.try_accept(sender, nonce, lane) == \
             self.nonces.try_accept(sender, nonce, lane)
-
-    @rule(who=WHO, lane=LANE,
-          added=st.sets(st.integers(1, 10), min_size=1, max_size=6),
-          last_global=st.none() | st.integers(1, 10),
-          last_lane=st.none() | st.integers(1, 10))
-    def absorb(self, who, lane, added, last_global, last_lane):
-        """What an isolated lane reports: the nonces it accepted (never
-        none, when it reports marks) and where it left them."""
-        sender, lane = ADDRESSES[who], self.lane(lane)
-        self.net.nonces.absorb(sender, lane, added, last_global, last_lane)
-        self.nonces.absorb(sender, lane, added, last_global, last_lane)
 
     # -- the journal -----------------------------------------------------
 
@@ -327,7 +302,7 @@ TestUserRows.settings = settings(max_examples=300, stateful_step_count=40,
 def test_rollback_restores_a_partly_filled_gap_set():
     """A gap set that exists at the mark and is partly consumed after it
     (the run grows over 3 and 4, 6 stays) comes back whole."""
-    net = Network(2, executor="serial", state_backend="none")
+    net = Network(2, state_backend="none")
     sender, nonces = ADDRESSES[0], net.nonces
     for nonce in (3, 4, 6):
         assert nonces.try_accept(sender, nonce, 0)

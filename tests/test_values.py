@@ -10,8 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from repro.chain.dispatch import key_token
-from repro.chain.lanes import _value_from_token
+from repro.chain.dispatch import key_token, value_from_token
 from repro.chain.serialization import value_from_json, value_to_json
 from repro.scilla.errors import EvalError
 from repro.scilla import types as ty
@@ -347,4 +346,4 @@ def test_json_round_trip(v):
 
 @given(_atoms)
 def test_key_token_round_trip(v):
-    _assert_same(_value_from_token(key_token(v)), v)
+    _assert_same(value_from_token(key_token(v)), v)
