@@ -55,10 +55,10 @@ def test_state_bench_records_results(save_result):
 
 
 def _big_network(entries: int):
-    from repro.chain.network import DeployedContract, Network
+    from repro.chain.network import DeployedContract, Network, NetworkConfig
     from repro.eval.state_bench import _big_state
 
-    net = Network(4, use_signatures=False)
+    net = Network(4, NetworkConfig(use_signatures=False))
     state = _big_state(entries)
     state.journal = net.journal
     net.contracts[state.address] = DeployedContract(
@@ -154,9 +154,9 @@ def test_checkpoint_take_walks_no_account_and_no_nonce_table():
     every sender's nonce set; now the journal records the few that
     move.  With 10^5 accounts and senders, take/restore/release walk
     none of the tables."""
-    from repro.chain.network import Network
+    from repro.chain.network import Network, NetworkConfig
 
-    net = Network(4, use_signatures=False)
+    net = Network(4, NetworkConfig(use_signatures=False))
     for i in range(100_000):
         net.create_account(f"0x{i + 0x1000:040x}")
         net.nonces.try_accept(f"0x{i + 0x1000:040x}", 1, i % 4)
@@ -186,11 +186,11 @@ def test_a_user_is_two_untracked_rows():
     object."""
     import tracemalloc
 
-    from repro.chain.network import Network
+    from repro.chain.network import Network, NetworkConfig
 
     n = 100_000
     addresses = [f"0x{i + 0x1000:040x}" for i in range(n)]
-    net = Network(4, use_signatures=False, state_backend="none")
+    net = Network(4, NetworkConfig(use_signatures=False), state_backend="none")
     gc.collect()
     tracemalloc.start()
     try:

@@ -19,7 +19,7 @@ from .faults import (
     FaultEvent, FaultInjector, FaultKind, FaultPlan,
 )
 from .lookup import LookupNode, TxPacket, packets_to_epoch
-from .network import BacklogEntry, DeployedContract, EpochStats, Network
+from .network import DeployedContract, EpochStats, Network, NetworkConfig
 from .recovery import (
     DeltaViolation, NetworkCheckpoint, fingerprint_digest,
     network_fingerprint, state_fingerprint, validate_delta,
@@ -43,7 +43,7 @@ __all__ = [
     "key_token", "shard_hash", "value_from_token",
     "FaultEvent", "FaultInjector", "FaultKind", "FaultPlan",
     "LookupNode", "TxPacket", "packets_to_epoch",
-    "BacklogEntry", "DeployedContract", "EpochStats", "Network",
+    "DeployedContract", "EpochStats", "Network", "NetworkConfig",
     "DeltaViolation", "NetworkCheckpoint", "fingerprint_digest",
     "network_fingerprint", "state_fingerprint", "validate_delta",
     "SnapshotError", "SnapshotStore", "network_from_snapshot",

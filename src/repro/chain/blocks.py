@@ -42,6 +42,26 @@ class MicroBlock:
         return sum(1 for r in self.receipts if r.success)
 
 
+@dataclass
+class EpochStats:
+    dispatched: int = 0
+    committed: int = 0
+    failed: int = 0
+    deferred: int = 0
+    to_ds: int = 0
+    per_shard: dict[int, int] = dc_field(default_factory=dict)
+    # Why: dispatch reason class (dispatch.REASON_KINDS) -> count.
+    reasons: dict[str, int] = dc_field(default_factory=dict)
+    # The epoch's submissions, before injected churn (``dispatched``
+    # counts what churn left).
+    offered: int = 0
+    # Recovery bookkeeping (see repro.chain.recovery).
+    recovered: int = 0        # txns from excluded lanes rerouted to DS
+    reexecuted: int = 0       # of those, actually executed this epoch
+    rejected_deltas: int = 0  # byzantine StateDeltas the DS refused
+    view_changes: int = 0     # epoch attempts discarded to a rollback
+
+
 # How many of its newest blocks a network keeps whole; older entries of
 # ``Network.blocks`` are headers.  Chosen by measurement (EXPERIMENTS.md
 # E12: 2 beats 4, 16 and 64 on wall clock, collector share and peak RSS
@@ -66,7 +86,7 @@ class BlockHeader:
     epoch: int
     merged_locations: int = 0
     epoch_seconds: float = 0.0
-    stats: object = None  # EpochStats: dispatch routing breakdown
+    stats: EpochStats | None = None
     # Human-readable log of the faults injected / detected while this
     # epoch was being finalised, in deterministic order.
     fault_log: list[str] = dc_field(default_factory=list)

@@ -15,6 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# PBFT committee sizes: every shard's, and the DS committee's.
+SHARD_SIZE = 5
+DS_SIZE = 10
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -46,8 +50,7 @@ class CostModel:
                 + self.consensus_per_node2_s * committee_size ** 2)
 
     def epoch_seconds(self, shard_exec: list[float], ds_exec: float,
-                      merged_locations: int, shard_size: int,
-                      ds_size: int, n_dispatched: int,
+                      merged_locations: int, n_dispatched: int,
                       with_cosplit: bool, timeouts: int = 0) -> float:
         """Total epoch wall time.
 
@@ -67,9 +70,9 @@ class CostModel:
             self.dispatch_signature_s if with_cosplit
             else self.dispatch_default_s)
         shard_phase = (max(shard_exec) if shard_exec else 0.0) + \
-            self.consensus_seconds(shard_size)
+            self.consensus_seconds(SHARD_SIZE)
         merge_phase = merged_locations * self.merge_per_location_s
-        ds_phase = ds_exec + self.consensus_seconds(ds_size)
+        ds_phase = ds_exec + self.consensus_seconds(DS_SIZE)
         recovery_phase = timeouts * self.microblock_timeout_s
         return (dispatch_cost + shard_phase + merge_phase + ds_phase
                 + recovery_phase)

@@ -179,6 +179,14 @@ class FaultPlan:
                     events.append(FaultEvent(epoch, kind))
         return cls(events, seed=seed)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FaultPlan):
+            return NotImplemented
+        return (self.seed, self.events) == (other.seed, other.events)
+
+    def __hash__(self) -> int:
+        return hash((self.seed, self.events))
+
     # -- wire format (the WAL's init record persists the plan) -----------------
 
     def to_obj(self):

@@ -12,8 +12,8 @@ needs a front door that survives saturation.  This module provides it:
 * **Backpressure.**  Above the high-water mark, new admissions are
   refused with a ``BACKPRESSURE`` receipt carrying a retry-after hint
   (in ticks), until occupancy falls back under the low-water mark.
-* **Deterministic shedding.**  Deferred transactions re-entering from
-  the execution backlog are never refused (refusing them would lose
+* **Deterministic shedding.**  Transactions a lane's gas limit
+  deferred, re-entering the pool, are never refused (refusing them would lose
   work the service already accepted); if they push the pool past its
   cap, the lowest-priority queue *tail* is shed — lowest gas price
   first, then most-deferred, then youngest — and the sender's nonce
@@ -108,7 +108,7 @@ class PoolEntry:
 
     tx: Transaction
     seq: int                 # global arrival order (drain key)
-    deferrals: int = 0       # times returned by the execution backlog
+    deferrals: int = 0       # times a lane's gas limit deferred it
     admit_tick: int = 0      # service tick at first admission
     admit_ns: int = 0        # wall-clock stamp (0 when metrics are off)
 

@@ -6,10 +6,10 @@ network survives.  Three mechanisms, mirrored on real deployments:
 
 * **Per-epoch checkpoints** (:class:`NetworkCheckpoint`) — a *mark*
   into the network's :class:`~repro.scilla.state.StateJournal` plus
-  copies of the small bookkeeping that bypasses it (backlog, counters),
-  taken before the shard phase.  ``take`` is O(1) in contract state,
-  accounts and senders: all three are covered by the journal, which
-  records an undo entry per mutation.  A FinalBlock is the only commit
+  a copy of the telemetry, which bypasses it, taken before the shard
+  phase.  ``take`` is O(1) in contract state, accounts and senders:
+  all three are covered by the journal, which records an undo entry
+  per mutation.  A FinalBlock is the only commit
   point: if the DS committee has to exclude a lane mid-epoch (view
   change), the whole epoch attempt is rolled back to the checkpoint —
   replaying the undo journal down to the mark — and retried without
@@ -44,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from ..core.domain import PseudoField
 from ..core.joins import JoinKind
@@ -139,9 +139,8 @@ class NetworkCheckpoint:
     Contract states, user accounts and nonce records are *not* copied:
     ``journal_mark`` pins a position in the network's
     :class:`~repro.scilla.state.StateJournal`, and :meth:`restore`
-    replays the undo entries recorded above it.  Only the bookkeeping
-    that bypasses the journal (mempool backlog, dead letters,
-    telemetry) is snapshotted eagerly.
+    replays the undo entries recorded above it.  Only the telemetry,
+    which bypasses the journal, is snapshotted eagerly.
 
     Restoring is idempotent and repeatable: after a rollback the
     journal head sits exactly at the mark, so one checkpoint supports
@@ -153,15 +152,10 @@ class NetworkCheckpoint:
     network.
     """
 
-    epoch: int
     journal_mark: int
     # Addresses deployed at take-time: restore drops contracts (and
     # their dispatcher registrations) created by an aborted attempt.
     contract_addrs: frozenset[str]
-    backlog: list
-    # An aborted attempt must not leak dead-lettered transactions
-    # into the committed epoch.
-    dead_letter: list = dc_field(default_factory=list)
     # Telemetry snapshot (None with a disabled registry): lane counters
     # recorded by a discarded attempt roll back with everything else,
     # so only the surviving attempt counts.
@@ -173,11 +167,8 @@ class NetworkCheckpoint:
         checkpoint = cls(
             metrics=(net.metrics.snapshot()
                      if net.metrics.enabled else None),
-            epoch=net.epoch,
             journal_mark=net.journal.mark(),
             contract_addrs=frozenset(net.contracts),
-            backlog=list(net.backlog),
-            dead_letter=list(net.dead_letter),
         )
         if net.metrics.enabled:
             net._meters.checkpoint_take_ns.observe(
@@ -196,8 +187,6 @@ class NetworkCheckpoint:
                      if a not in self.contract_addrs]:
             del net.contracts[addr]
             net.dispatcher.unregister_contract(addr)
-        net.backlog = list(self.backlog)
-        net.dead_letter = list(self.dead_letter)
         if self.metrics is not None:
             net.metrics.reset_to(self.metrics)
         if net.metrics.enabled:

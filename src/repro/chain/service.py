@@ -18,16 +18,15 @@ per-epoch latency), then backpressure refuses new admissions above the
 high-water mark, and only then does the pool shed already-admitted
 work — never silently.
 
-Durability: the loop requires ``carry_backlog=False`` so deferral
-outcomes are explicit in-block receipts — WAL replay of the epoch
-records then reproduces exactly the live decisions, with no backlog
-carried *between* replayed epochs that the live loop had already
-re-queued (that double-execution is the failure mode the requirement
-exists to prevent).  Admissions are journaled as ``svc-admit`` records
-and flushed (with an fsync) at the next tick or :meth:`sync`, before
-the epoch that drains them executes — that record is the one place a
-transaction's body is logged; the ``epoch`` record names it by id —
-and sheds and dead-letters are ``svc-terminal`` records.
+The loop is the only place a gas-deferred transaction waits: the
+network answers it with an in-block ``deferred: epoch gas limit``
+receipt and keeps nothing, so WAL replay of the epoch records
+reproduces exactly the live decisions.  Admissions are journaled as
+``svc-admit`` records and flushed (with an fsync) at the next tick or
+:meth:`sync`, before the epoch that drains them executes — that record
+is the one place a transaction's body is logged; the ``epoch`` record
+names it by id — and sheds and dead-letters are ``svc-terminal``
+records.
 ``Network.resume`` rebuilds the pending set from snapshot + WAL
 (a transaction a replayed epoch deferred stays in it) and the adopting
 ServiceLoop restores it into a fresh mempool.
@@ -92,11 +91,6 @@ class ServiceLoop:
     def __init__(self, net, mempool: Mempool | None = None,
                  config: ServiceConfig | None = None,
                  pool_config: MempoolConfig | None = None):
-        if net.carry_backlog:
-            raise ValueError(
-                "ServiceLoop requires carry_backlog=False: the loop "
-                "re-queues deferrals itself, and a network-side "
-                "backlog would double-execute them on WAL replay")
         self.net = net
         self.config = config or ServiceConfig()
         self.mempool = mempool if mempool is not None else Mempool(
@@ -304,11 +298,10 @@ class ServiceLoop:
         """An idle or stalled tick still burns an epoch's consensus
         time on the modeled clock; charging it keeps service TPS
         honest (Network.average_tps)."""
-        cost = self.net.cost
-        seconds = cost.epoch_seconds(
+        config = self.net.config
+        seconds = config.cost_model.epoch_seconds(
             shard_exec=[], ds_exec=0.0, merged_locations=0,
-            shard_size=self.net.shard_size, ds_size=self.net.ds_size,
-            n_dispatched=0, with_cosplit=self.net.use_signatures)
+            n_dispatched=0, with_cosplit=config.use_signatures)
         self.net.note_idle_seconds(self.config.wal_tag, seconds)
         self.served_seconds += seconds
 

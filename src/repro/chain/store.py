@@ -2,14 +2,15 @@
 
 A *base* restore point is a self-contained JSON image of everything a
 :class:`~repro.chain.network.Network` can mutate — contract states,
-account balance partitions, the nonce tracker, the retry backlog and
-dead-letter list, the fault injector's counters, and the network's
-own configuration (including the fault plan) — pinned to the WAL
-sequence number it covers.  A *delta* (``snap-….delta.json``) names
-its parent restore point and the parent's digest and holds only what
-changed since: the contract locations, accounts and nonce records of
-the epochs' change sets (``recovery.ChangeLedger``), read from live
-state when it is written, plus the small sections in full.
+account balance partitions, the nonce tracker, the fault injector's
+counters, the service mempool's pending entries, and the network's
+own configuration (``NetworkConfig``, the fault plan included) —
+pinned to the WAL sequence number it covers.  A *delta*
+(``snap-….delta.json``) names its parent restore point and the
+parent's digest and holds only what changed since: the contract
+locations, accounts and nonce records of the epochs' change sets
+(``recovery.ChangeLedger``), read from live state when it is written,
+plus the small sections in full.
 ``Network.resume`` loads the newest restorable chain — a base, then
 each delta whose digest and parent link verify — and deterministically
 re-executes only the WAL records past it, so restore points bound
@@ -22,9 +23,9 @@ literal, a map of primitives as a key and a value column
 (:func:`~repro.chain.serialization.typed_to_json`) — accounts and
 nonce records are columns over their addresses, a sender's used nonces
 ``[first, last]`` runs, and every transaction it holds (mempool,
-backlog, dead letters, injector) is the positional row of
-:func:`~repro.chain.serialization.transaction_to_obj`.  docs/FAULTS.md,
-"Restore points".
+injector) is the positional row of
+:func:`~repro.chain.serialization.transaction_to_obj`.
+docs/FAULTS.md, "Restore points".
 
 Restore points are written atomically: the JSON body (the payload,
 serialised once, behind the SHA-256 of its bytes) goes to a temporary
@@ -144,9 +145,6 @@ def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
         "version": SNAPSHOT_VERSION,
         "epoch": net.epoch,
         "wal_seq": wal_seq,
-        "backlog": [[transaction_to_obj(e.tx), e.retries, e.not_before]
-                    for e in net.backlog],
-        "dead_letter": [transaction_to_obj(tx) for tx in net.dead_letter],
         "counters": {"epoch_tags": dict(net.epoch_tags)},
         "notes": list(net.wal_notes),
         # Telemetry travels with the snapshot so a resumed network's
@@ -196,7 +194,7 @@ def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
     obj["rows"] = len(net.accounts) + len(net.nonces.records) + sum(
         len(v.entries) if isinstance(v, MapVal) else 1
         for c in net.contracts.values() for v in c.state.fields.values())
-    obj["config"] = net._config_obj()
+    obj["config"] = net.config.to_obj(net.n_shards)
     obj["contracts"] = {
         addr: {
             "source": c.source,
@@ -230,13 +228,13 @@ def network_from_snapshot(obj: Any, metrics=None, tracer=None,
     from ..core.pipeline import run_pipeline_cached
     from ..scilla.interpreter import Interpreter
     from .dispatch import DeployedSignature
-    from .network import DeployedContract, Network
+    from .network import DeployedContract, Network, NetworkConfig
 
     if obj.get("version") != SNAPSHOT_VERSION:
         raise SnapshotError(
             f"unsupported snapshot version {obj.get('version')!r}")
-    net = Network._from_config(obj["config"], metrics=metrics,
-                               tracer=tracer, state_backend=state_backend)
+    net = Network(*NetworkConfig.from_obj(obj["config"]), metrics=metrics,
+                  tracer=tracer, state_backend=state_backend)
     for addr, payload in obj["contracts"].items():
         result = run_pipeline_cached(payload["source"], addr)
         state = state_from_obj(payload["state"],
@@ -270,8 +268,14 @@ def _restore_tables(net, obj: Any) -> None:
     """What a base and a delta restore alike: the account and nonce
     rows they carry (all of them, in a base) and the small sections.
     The ``executor_fallbacks`` counters and details older builds wrote
-    are ignored."""
-    from .network import BacklogEntry
+    are ignored; so are their empty ``backlog`` / ``dead_letter``
+    sections, and a non-empty one is refused: nothing holds it now."""
+    for section in ("backlog", "dead_letter"):
+        if obj.get(section):
+            raise SnapshotError(
+                f"restore point at epoch {obj['epoch']} holds a "
+                f"non-empty {section!r} section: this build has no "
+                f"network-side backlog to resume it into")
     net.epoch = obj["epoch"]
     if net.metrics.enabled and obj.get("metrics") is not None:
         net.metrics.reset_to(obj["metrics"])
@@ -292,11 +296,6 @@ def _restore_tables(net, obj: Any) -> None:
                                     nonces["last_global"], *floors):
         if runs is not None or marks.count(None) < len(marks):
             records[sender] = (*marks, *run_and_gaps(runs))
-    net.backlog = [BacklogEntry(transaction_from_obj(tx), retries,
-                                not_before)
-                   for tx, retries, not_before in obj["backlog"]]
-    net.dead_letter = [transaction_from_obj(tx)
-                       for tx in obj["dead_letter"]]
     net.epoch_tags = dict(obj["counters"]["epoch_tags"])
     net.wal_notes = list(obj["notes"])
     injector_obj = obj.get("injector")

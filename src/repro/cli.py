@@ -395,6 +395,14 @@ def cmd_torture(args) -> int:
     return 0 if all(o.passed for o in outcomes) else 1
 
 
+def _shard_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"a network needs at least one shard, not {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -480,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
              "the final state matches the fault-free run")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--shards", type=int, default=4)
+    p.add_argument("--shards", type=_shard_count, default=4)
     p.add_argument("--workload", default="FT transfer",
                    help="workload name as in `repro bench fig14`")
     p.add_argument("--users", type=int, default=24)
@@ -499,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", default="FT transfer",
                    help="workload name as in `repro bench fig14`")
     p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--shards", type=int, default=4)
+    p.add_argument("--shards", type=_shard_count, default=4)
     p.add_argument("--users", type=int, default=48)
     p.add_argument("--txns", type=int, default=60,
                    help="transactions per epoch")
@@ -521,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workload", default="FT transfer")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--epochs", type=int, default=3)
-        p.add_argument("--shards", type=int, default=4)
+        p.add_argument("--shards", type=_shard_count, default=4)
         p.add_argument("--users", type=int, default=12)
         p.add_argument("--txns", type=int, default=10,
                        help="transactions per epoch")
@@ -567,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kills", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--shards", type=int, default=4)
+    p.add_argument("--shards", type=_shard_count, default=4)
     p.add_argument("--users", type=int, default=12)
     p.add_argument("--txns", type=int, default=10)
     p.add_argument("--fault-seed", type=int, default=None)
@@ -589,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ticks", type=int, default=24)
     p.add_argument("--txns", type=int, default=200,
                    help="offered transactions per tick")
-    p.add_argument("--shards", type=int, default=4)
+    p.add_argument("--shards", type=_shard_count, default=4)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--capacity", type=int, default=None,
                    help="mempool capacity (default: 8x --txns)")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from ..chain.network import Network
+from ..chain.network import Network, NetworkConfig
 from ..workloads.generators import FTTransfer, NFTMint, UDConfig, Workload
 from .throughput import FIG14_COST_MODEL, Fig14Cell
 
@@ -42,8 +42,9 @@ class AblationResult:
 def _run(workload: Workload, n_shards: int, epochs: int,
          use_signatures: bool = True, strict_nonces: bool = False,
          allow_commutativity: bool = True) -> Fig14Cell:
-    net = Network(n_shards, use_signatures=use_signatures,
-                  cost_model=FIG14_COST_MODEL, strict_nonces=strict_nonces)
+    net = Network(n_shards, NetworkConfig(
+        use_signatures=use_signatures, cost_model=FIG14_COST_MODEL,
+        strict_nonces=strict_nonces))
     # Thread the commutativity switch through the workload's deploy.
     original_deploy = net.deploy
 

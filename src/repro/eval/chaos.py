@@ -29,16 +29,12 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from ..chain.faults import FaultPlan
-from ..chain.network import Network
+from ..chain.network import Network, NetworkConfig
 from ..chain.recovery import network_fingerprint
 from ..obs.metrics import MetricsRegistry
 from ..chain.store import SNAPSHOT_PREFIX
 from ..chain.wal import SEGMENT_PREFIX
 from ..workloads.generators import Workload, workload_by_name
-
-# Epochs allowed for draining the retry backlog after the measured
-# stream ends, before deferral is reported as a divergence.
-DRAIN_EPOCHS = 32
 
 
 @dataclass
@@ -55,7 +51,7 @@ class ChaosResult:
     injected: int = 0
     skipped: int = 0
     dropped_txns: int = 0
-    dead_lettered: int = 0
+    deferred: int = 0
     churn: bool = False
     # Registry snapshots of the two runs (repro.obs) — the recovery
     # counters the report prints, machine-readable.
@@ -84,15 +80,10 @@ class ChaosResult:
 def _run(workload: Workload, epochs: int,
          plan: FaultPlan | None, shards: int,
          metrics: MetricsRegistry | None = None) -> Network:
-    net = Network(shards, carry_backlog=True, fault_plan=plan,
-                  metrics=metrics)
+    net = Network(shards, NetworkConfig(fault_plan=plan), metrics=metrics)
     workload.setup(net)
     for epoch in range(epochs):
         net.process_epoch(workload.transactions(epoch))
-    for _ in range(DRAIN_EPOCHS):
-        if not net.backlog:
-            break
-        net.process_epoch([])
     return net
 
 
@@ -134,12 +125,12 @@ def run_chaos(seed: int = 0, epochs: int = 5, shards: int = 4,
             f"{stats.reexecuted}, rejected deltas "
             f"{stats.rejected_deltas}, deferred {stats.deferred}")
         result.fault_log.extend(block.fault_log)
+        result.deferred += stats.deferred
     injector = faulty.injector
     assert injector is not None
     result.injected = injector.injected
     result.skipped = injector.skipped
     result.dropped_txns = len(injector.dropped)
-    result.dead_lettered = len(faulty.dead_letter)
     return result
 
 
@@ -163,7 +154,7 @@ def format_chaos_report(result: ChaosResult) -> str:
     lines.append(
         f"totals: {result.injected} tamperings injected, "
         f"{result.skipped} skipped, {result.dropped_txns} transactions "
-        f"dropped by churn, {result.dead_lettered} dead-lettered")
+        f"dropped by churn, {result.deferred} deferred")
     if result.faulty_metrics:
         base = result.baseline_metrics.get("counters", {})
         faulty = result.faulty_metrics.get("counters", {})
@@ -171,7 +162,7 @@ def format_chaos_report(result: ChaosResult) -> str:
         lines.append("telemetry (faulty run, fault-free in parens):")
         for name in ("net.tx.committed", "net.view_changes",
                      "net.rejected_deltas", "net.tx.recovered",
-                     "net.tx.reexecuted", "net.tx.dead_lettered"):
+                     "net.tx.reexecuted", "net.tx.deferred"):
             b = base.get(name, {}).get("value", 0)
             f = faulty.get(name, {}).get("value", 0)
             lines.append(f"  {name:24s} {f:>8d}  ({b})")
@@ -267,7 +258,7 @@ def run_durable(workload: str = "FT transfer", *,
             # to advance the workload's internal state (rng, nonces,
             # token maps) — and to keep fresh tx_ids aligned with the
             # uninterrupted run's.
-            shadow = Network(shards, carry_backlog=True)
+            shadow = Network(shards)
             w.setup(shadow)
             for e in range(net.epoch_tags.get("measure", 0)):
                 w.transactions(e)
@@ -282,7 +273,7 @@ def run_durable(workload: str = "FT transfer", *,
             f"or snapshots")
 
     if net is None:
-        net = Network(shards, carry_backlog=True, fault_plan=plan,
+        net = Network(shards, NetworkConfig(fault_plan=plan),
                       data_dir=data_dir,
                       fsync=fsync, snapshot_every=snapshot_every,
                       keep_snapshots=keep_snapshots,
@@ -296,10 +287,6 @@ def run_durable(workload: str = "FT transfer", *,
 
     for e in range(net.epoch_tags.get("measure", 0), epochs):
         net.process_epoch(w.transactions(e), wal_tag="measure")
-    for _ in range(DRAIN_EPOCHS):
-        if not net.backlog:
-            break
-        net.process_epoch([], wal_tag="drain")
 
     result = DurableRunResult(
         workload=workload,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from ..chain.delta import compute_delta, merge_deltas
 from ..chain.dispatch import DeployedSignature
-from ..chain.network import Network
+from ..chain.network import Network, NetworkConfig
 from ..chain.transaction import call
 from ..contracts import CORPUS, EVAL_CONTRACTS
 from ..scilla.interpreter import Interpreter, TxContext
@@ -60,7 +60,7 @@ def _best_seconds(k: int, fn) -> float:
 
 
 def _token_network(use_signatures: bool, n_shards: int = 3) -> Network:
-    net = Network(n_shards, use_signatures=use_signatures)
+    net = Network(n_shards, NetworkConfig(use_signatures=use_signatures))
     admin = "0x" + "ad" * 20
     net.create_account(admin)
     selection = EVAL_CONTRACTS["FungibleToken"] if use_signatures else None

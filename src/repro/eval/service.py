@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from ..chain.faults import FaultPlan
 from ..chain.mempool import AdmissionStatus, MempoolConfig, RejectReason
-from ..chain.network import Network
+from ..chain.network import Network, NetworkConfig
 from ..chain.recovery import network_fingerprint
 from ..chain.serialization import (
     transaction_from_obj, transaction_to_obj,
@@ -170,11 +170,10 @@ def run_service(workload: str = "FT transfer @scale", *,
             flood_rate=flood_rate, stall_rate=stall_rate)
     if metrics is None:
         metrics = MetricsRegistry()
-    net = Network(n_shards=shards, use_signatures=use_signatures,
-                  cost_model=cost_model, carry_backlog=False,
-                  fault_plan=plan, data_dir=data_dir,
-                  snapshot_every=snapshot_every,
-                  state_backend=state_backend, metrics=metrics)
+    net = Network(shards, NetworkConfig(
+        use_signatures=use_signatures, cost_model=cost_model,
+        fault_plan=plan), data_dir=data_dir, snapshot_every=snapshot_every,
+        state_backend=state_backend, metrics=metrics)
     wl.setup(net)
     if setup_hook is not None:
         # Out-of-core soaks pre-seed contract state (e.g. stream
@@ -345,9 +344,8 @@ def replay_committed(run: ServiceRun) -> dict[str, str]:
         raise ValueError("run was not recorded: pass "
                          "record_committed=True to run_service")
     wl = type(run.workload)(**run.workload_kwargs)
-    net = Network(n_shards=run.net.n_shards,
-                  use_signatures=run.net.use_signatures,
-                  cost_model=run.net.cost, carry_backlog=False)
+    net = Network(run.net.n_shards,
+                  replace(run.net.config, fault_plan=None))
     wl.setup(net)
     for batch in run.loop.committed_epochs:
         if not batch:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from ..chain.network import Network
+from ..chain.network import Network, NetworkConfig
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NULL_TRACER, Tracer
 from ..workloads import ALL_WORKLOADS, workload_by_name
@@ -56,8 +56,8 @@ def run_instrumented(workload: str = "FT transfer", epochs: int = 3,
     wl = cls(n_users=n_users, txns_per_epoch=txns_per_epoch, seed=seed)
     reg = MetricsRegistry() if registry is None else registry
     tracer = Tracer() if trace else NULL_TRACER
-    net = Network(n_shards, use_signatures=use_signatures, metrics=reg,
-                  tracer=tracer, data_dir=data_dir)
+    net = Network(n_shards, NetworkConfig(use_signatures=use_signatures),
+                  metrics=reg, tracer=tracer, data_dir=data_dir)
     try:
         wl.setup(net)
         committed = 0

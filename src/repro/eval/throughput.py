@@ -21,7 +21,7 @@ import json
 from dataclasses import asdict, dataclass, field as dc_field
 
 from ..chain.consensus import CostModel
-from ..chain.network import Network
+from ..chain.network import Network, NetworkConfig
 from ..workloads.generators import ALL_WORKLOADS, Workload
 
 
@@ -106,8 +106,8 @@ class Fig14Result:
 
 def run_workload(workload: Workload, config: Config, epochs: int,
                  cost_model: CostModel = FIG14_COST_MODEL) -> Fig14Cell:
-    net = Network(config.n_shards, use_signatures=config.use_signatures,
-                  cost_model=cost_model)
+    net = Network(config.n_shards, NetworkConfig(
+        use_signatures=config.use_signatures, cost_model=cost_model))
     workload.setup(net)
     committed = 0
     offered = 0

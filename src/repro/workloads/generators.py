@@ -56,7 +56,7 @@ class Workload:
         net.create_account(self.admin)
         for u in self.users:
             net.create_account(u)
-        sharded = self.selection if net.use_signatures else None
+        sharded = self.selection if net.config.use_signatures else None
         net.deploy(CORPUS[self.contract_name], self.contract_addr,
                    self.contract_params(), sharded_transitions=sharded)
         self.prepare(net)

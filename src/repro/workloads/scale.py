@@ -79,7 +79,7 @@ class ScaledFTTransfer(Workload):
         self._funded = set()
         self._funded_list = []
         net.create_account(self.admin)
-        sharded = self.selection if net.use_signatures else None
+        sharded = self.selection if net.config.use_signatures else None
         net.deploy(CORPUS[self.contract_name], self.contract_addr,
                    self.contract_params(), sharded_transitions=sharded)
 

@@ -143,3 +143,17 @@ def test_corpus_export_roundtrips(tmp_path, capsys):
     assert code == 0
     assert "Summary(SetHello)" in out
 
+
+
+@pytest.mark.parametrize("command", [
+    ["chaos"], ["metrics"], ["run", "--data-dir", "unused"],
+    ["resume", "--data-dir", "unused"], ["torture"], ["serve"]])
+@pytest.mark.parametrize("shards", ["0", "-3"])
+def test_shards_below_one_are_refused_by_the_parser(capsys, command,
+                                                    shards):
+    # `repro chaos --shards 0` used to print a ZeroDivisionError
+    # traceback from the first account's home-shard hash.
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--shards", shards])
+    assert exc.value.code == 2
+    assert "at least one shard" in capsys.readouterr().err

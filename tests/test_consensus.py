@@ -26,8 +26,7 @@ def test_epoch_seconds_components():
                    merge_per_location_s=0.001,
                    dispatch_signature_s=0.01, dispatch_default_s=0.001)
     base = cm.epoch_seconds(shard_exec=[2.0, 3.0], ds_exec=1.0,
-                            merged_locations=100, shard_size=5,
-                            ds_size=10, n_dispatched=0,
+                            merged_locations=100, n_dispatched=0,
                             with_cosplit=True)
     # max(shard) + shard consensus + merge + ds exec + ds consensus.
     assert base == pytest.approx(3.0 + 1.0 + 0.1 + 1.0 + 1.0)
@@ -35,18 +34,18 @@ def test_epoch_seconds_components():
 
 def test_shards_run_in_parallel_not_in_sum():
     cm = DEFAULT_COST_MODEL
-    serial_ish = cm.epoch_seconds([5.0], 0.0, 0, 5, 10, 0, True)
-    parallel = cm.epoch_seconds([5.0, 5.0, 5.0], 0.0, 0, 5, 10, 0, True)
+    serial_ish = cm.epoch_seconds([5.0], 0.0, 0, 0, True)
+    parallel = cm.epoch_seconds([5.0, 5.0, 5.0], 0.0, 0, 0, True)
     assert parallel == pytest.approx(serial_ish)
 
 
 def test_dispatch_cost_depends_on_mode():
     cm = DEFAULT_COST_MODEL
-    with_sig = cm.epoch_seconds([1.0], 0.0, 0, 5, 10, 1000, True)
-    without = cm.epoch_seconds([1.0], 0.0, 0, 5, 10, 1000, False)
+    with_sig = cm.epoch_seconds([1.0], 0.0, 0, 1000, True)
+    without = cm.epoch_seconds([1.0], 0.0, 0, 1000, False)
     assert with_sig > without
 
 
 def test_empty_shard_list_is_fine():
     cm = DEFAULT_COST_MODEL
-    assert cm.epoch_seconds([], 0.0, 0, 5, 10, 0, True) > 0
+    assert cm.epoch_seconds([], 0.0, 0, 0, True) > 0

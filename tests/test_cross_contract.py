@@ -9,7 +9,7 @@ all-or-nothing rollback."""
 import pytest
 
 from repro.chain import Network, call
-from repro.chain.network import MAX_CALL_DEPTH
+from repro.chain.execution import MAX_CALL_DEPTH
 from repro.scilla.values import addr, uint
 
 USER = "0x" + "11" * 20

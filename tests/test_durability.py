@@ -7,14 +7,16 @@ into an equivalent network, and replay must refuse logs that do not
 reproduce their recorded commits.
 """
 
+import dataclasses
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.chain import Network, call
-from repro.chain.faults import FaultPlan
+from repro.chain import Network, NetworkConfig, call
+from repro.chain.consensus import CostModel
+from repro.chain.faults import FaultEvent, FaultKind, FaultPlan
 from repro.chain.recovery import network_fingerprint
 from repro.chain.store import SnapshotStore
 from repro.chain.wal import (
@@ -31,9 +33,9 @@ ADMIN = "0x" + "ad" * 20
 USERS = ["0x" + f"{i:040x}" for i in range(1, 13)]
 
 
-def build_and_run(epochs=3, data_dir=None, net_kwargs=None,
+def build_and_run(epochs=3, data_dir=None, config=None,
                   **durable_kwargs) -> Network:
-    net = Network(3, **(net_kwargs or {}),
+    net = Network(3, config,
                   **({"data_dir": str(data_dir), **durable_kwargs}
                      if data_dir is not None else {}))
     net.create_account(ADMIN)
@@ -172,9 +174,9 @@ def test_wal_notes_survive_resume(tmp_path):
 def test_resume_under_fault_plan_matches(tmp_path):
     plan = FaultPlan.random(3, epochs=6, n_shards=3)
     reference = build_and_run(epochs=4,
-                              net_kwargs={"fault_plan": plan})
+                              config=NetworkConfig(fault_plan=plan))
     net = build_and_run(epochs=2, data_dir=tmp_path,
-                        net_kwargs={"fault_plan": plan})
+                        config=NetworkConfig(fault_plan=plan))
     net.close()
     resumed = Network.resume(str(tmp_path))
     for e in range(2, 4):
@@ -267,6 +269,103 @@ def test_replay_rejects_unknown_record_type(tmp_path):
     net.wal.append("mystery", {})
     net.close()
     with pytest.raises(WALError, match="unknown WAL record type"):
+        Network.resume(str(tmp_path))
+
+
+# -- the logged configuration ------------------------------------------------
+
+NON_DEFAULT = {
+    "use_signatures": False,
+    "cost_model": CostModel(shard_gas_limit=123_456),
+    "strict_nonces": True,
+    "overflow_guard": True,
+    "fault_plan": FaultPlan([FaultEvent(9, FaultKind.CRASH_SHARD, 1)],
+                            seed=4),
+}
+
+
+def rewrite_wal(data_dir, change) -> None:
+    """Re-frame every record of a one-segment log through ``change``."""
+    (segment,) = _segment_files(Path(data_dir))
+    segment.write_bytes(b"".join(_encode(change(r))
+                                 for r in read_wal(data_dir)))
+
+
+@pytest.mark.parametrize("field", [f.name for f in
+                                   dataclasses.fields(NetworkConfig)])
+def test_every_config_field_is_logged_and_resumed(tmp_path, field):
+    """A field added to ``NetworkConfig`` without serialisation (or
+    without a value here) fails this test."""
+    config = NetworkConfig(**{field: NON_DEFAULT[field]})
+    assert config != NetworkConfig()
+    Network(3, config, data_dir=tmp_path).close()
+    (init,) = read_wal(tmp_path)
+    assert NetworkConfig.from_obj(init.data) == (3, config)
+
+    resumed = Network.resume(str(tmp_path))         # from the init record
+    assert (resumed.n_shards, resumed.config) == (3, config)
+    resumed.snapshot()
+    resumed.close()
+    base = SnapshotStore(tmp_path).load_newest()
+    assert "parent" not in base
+    assert NetworkConfig.from_obj(base["config"]) == (3, config)
+    again = Network.resume(str(tmp_path))           # from the base
+    assert again.config == config
+    again.close()
+
+
+@pytest.mark.parametrize("key, value", [("shard_size", 7), ("ds_size", 4)])
+def test_a_record_with_other_committee_sizes_is_refused(tmp_path, key,
+                                                        value):
+    obj = NetworkConfig().to_obj(3)
+    assert NetworkConfig.from_obj({**obj, "shard_size": 5,
+                                   "ds_size": 10}) == (3, NetworkConfig())
+    with pytest.raises(ValueError, match=key):
+        NetworkConfig.from_obj({**obj, key: value})
+    Network(3, data_dir=tmp_path).close()
+    rewrite_wal(tmp_path, lambda r: WALRecord(
+        r.seq, r.type, {**r.data, key: value}))
+    with pytest.raises(ValueError, match=key):
+        Network.resume(str(tmp_path))
+
+
+def test_an_old_log_that_carried_a_transaction_stops_at_its_commit(
+        tmp_path):
+    """``carry_backlog`` / ``max_retries`` / ``retry_backoff`` in an
+    older build's init record are read and ignored.  That build logged
+    an epoch's fresh submissions only and retried deferred ones from a
+    network-side backlog: replayed now, the retried transactions are
+    missing, and the epoch's commit record stops the resume."""
+    tiny = CostModel(shard_gas_limit=150, ds_gas_limit=150)
+    net = build_and_run(epochs=1, data_dir=tmp_path, snapshot_every=10**9,
+                        config=NetworkConfig(cost_model=tiny))
+    block = net.blocks[-1]
+    carried = [r.tx for r in block.all_receipts if r.deferred]
+    assert carried
+    net.process_epoch(carried)         # what the backlog retried
+    fingerprint = network_fingerprint(net)
+    net.close()
+    old_keys = {"carry_backlog": True, "max_retries": 16,
+                "retry_backoff": 1.0, "shard_size": 5, "ds_size": 10}
+
+    def old_init(record):
+        if record.type != "init":
+            return record
+        return WALRecord(record.seq, "init", {**record.data, **old_keys})
+    rewrite_wal(tmp_path, old_init)
+    resumed = Network.resume(str(tmp_path))
+    assert resumed.config == NetworkConfig(cost_model=tiny)
+    assert network_fingerprint(resumed) == fingerprint
+    resumed.close()
+
+    last_epoch = max(r.seq for r in read_wal(tmp_path) if r.type == "epoch")
+
+    def backlog_epoch(record):
+        if record.seq != last_epoch:
+            return record
+        return WALRecord(record.seq, "epoch", {**record.data, "txns": []})
+    rewrite_wal(tmp_path, backlog_epoch)
+    with pytest.raises(WALError, match="diverged at epoch 3"):
         Network.resume(str(tmp_path))
 
 

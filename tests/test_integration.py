@@ -4,7 +4,7 @@ end-to-end developer workflow of Fig. 11."""
 
 import pytest
 
-from repro.chain import Network, call, payment
+from repro.chain import Network, NetworkConfig, call, payment
 from repro.contracts import CORPUS, EVAL_CONTRACTS
 from repro.core.pipeline import run_pipeline, validate_signature
 from repro.scilla.values import (
@@ -153,12 +153,14 @@ def test_interleaved_payments_and_calls_respect_nonces(multinet):
 
 def test_full_node_loop_with_lookup_and_backlog():
     """The complete node loop: users submit to a lookup node, packets
-    feed capacity-limited epochs, deferred transactions retry from the
-    mempool, and everything eventually commits."""
+    feed capacity-limited epochs through the service loop, deferred
+    transactions retry from its mempool, and everything eventually
+    commits."""
     from repro.chain import LookupNode, packets_to_epoch
     from repro.chain.consensus import CostModel
+    from repro.chain.service import ServiceConfig, ServiceLoop
     tiny = CostModel(shard_gas_limit=800, ds_gas_limit=800)
-    net = Network(3, cost_model=tiny, carry_backlog=True)
+    net = Network(3, NetworkConfig(cost_model=tiny))
     net.create_account(ADMIN)
     for u in USERS:
         net.create_account(u)
@@ -176,14 +178,16 @@ def test_full_node_loop_with_lookup_and_backlog():
     offered = lookup.submitted
     epoch_txns = packets_to_epoch(lookup.build_packets())
 
-    committed = 0
-    block = net.process_epoch(epoch_txns)
-    committed += block.n_committed
-    for _ in range(30):
-        if not net.backlog:
-            break
-        committed += net.process_epoch([]).n_committed
-    assert committed == offered
+    assert len(epoch_txns) == offered
+    # The packets group by shard; the mempool admits one sender's
+    # nonces in order.
+    loop = ServiceLoop(net, config=ServiceConfig(batch_max=offered))
+    assert all(loop.submit(tx).admitted
+               for tx in sorted(epoch_txns, key=lambda tx: tx.nonce))
+    first = loop.tick()
+    assert first.drained == offered and first.deferred > 0
+    loop.drain_remaining(max_ticks=30)
+    assert loop.served_committed == offered
     supply = net.contracts[TOKEN].state.fields["total_supply"]
     assert supply == uint(5 * offered)
     assert net.average_tps() > 0

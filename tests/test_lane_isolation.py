@@ -29,7 +29,7 @@ import pytest
 from repro.chain.delta import compute_delta
 from repro.chain.dispatch import DS
 from repro.chain.faults import FaultPlan
-from repro.chain.network import Network
+from repro.chain.network import Network, NetworkConfig
 from repro.chain.recovery import NetworkCheckpoint
 from repro.chain.transaction import NonceTracker
 from repro.workloads.generators import ALL_WORKLOADS, FTHammer
@@ -135,7 +135,7 @@ def run_battery(faults: bool, workloads=WORKLOADS) -> Tally:
     for cls in workloads:
         plan = (FaultPlan.random(11, epochs=EPOCHS + 2, n_shards=SHARDS)
                 if faults else None)
-        net = Network(SHARDS, carry_backlog=True, fault_plan=plan)
+        net = Network(SHARDS, NetworkConfig(fault_plan=plan))
         watch(net, tally, cls.name)
         workload = cls(n_users=24, txns_per_epoch=40, seed=11)
         workload.setup(net)
@@ -170,7 +170,7 @@ def test_the_exemptions_are_counted_not_checked():
     from repro.workloads.generators import NFTMint
 
     tally = Tally()
-    net = Network(SHARDS, strict_nonces=True)
+    net = Network(SHARDS, NetworkConfig(strict_nonces=True))
     watch(net, tally, "strict")
     workload = NFTMint(n_users=8, txns_per_epoch=12, seed=3)
     workload.setup(net)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chain import Network, call, payment
+from repro.chain import Network, NetworkConfig, call, payment
 from repro.chain.consensus import CostModel
 from repro.contracts import CORPUS
 from repro.core.parallel import default_workers
@@ -14,8 +14,8 @@ ADMIN = "0x" + "ad" * 20
 USERS = ["0x" + f"{i:040x}" for i in range(1, 25)]
 
 
-def ft_network(n_shards=3, use_signatures=True, **kwargs) -> Network:
-    net = Network(n_shards, use_signatures=use_signatures, **kwargs)
+def ft_network(n_shards=3, **config) -> Network:
+    net = Network(n_shards, NetworkConfig(**config))
     net.create_account(ADMIN)
     for u in USERS:
         net.create_account(u)
@@ -243,25 +243,24 @@ def test_baseline_routes_cross_shard_calls_to_ds():
 
 
 def test_backlog_carries_deferred_transactions():
-    """With the mempool enabled, gas-deferred transactions commit in
+    """Through the service mempool, gas-deferred transactions commit in
     later epochs instead of vanishing."""
+    from repro.chain.service import ServiceLoop
     tiny = CostModel(shard_gas_limit=200, ds_gas_limit=200)
     net = ft_network(cost_model=tiny)
-    net.carry_backlog = True
     mint_all(net)
+    loop = ServiceLoop(net)
     txns = [call(u, TOKEN, "Transfer",
                  {"to": addr(USERS[0]), "amount": uint(1)}, nonce=1)
             for u in USERS[1:]]
-    first = net.process_epoch(txns)
-    assert first.n_committed < len(txns)
-    total = first.n_committed
-    for _ in range(20):
-        if not net.backlog:
-            break
-        block = net.process_epoch([])
-        total += block.n_committed
-    assert total == len(txns)
-    assert not net.backlog
+    assert all(loop.submit(tx).admitted for tx in txns)
+    first = loop.tick()
+    assert first.committed < len(txns) and first.deferred > 0
+    loop.drain_remaining(max_ticks=20)
+    pool = loop.mempool
+    assert pool.counters["committed"] == len(txns)
+    assert pool.counters["readmitted"] > 0
+    assert pool.occupancy == 0 and not pool.inflight
 
 
 def test_backlog_disabled_drops_deferred():
@@ -273,7 +272,7 @@ def test_backlog_disabled_drops_deferred():
             for u in USERS[1:]]
     first = net.process_epoch(txns)
     assert first.n_committed < len(txns)
-    assert net.backlog == []
+    assert first.stats.deferred == len(first.deferred_ids()) > 0
     follow_up = net.process_epoch([])
     assert follow_up.n_committed == 0
 
@@ -366,3 +365,47 @@ def test_lanes_run_serially_and_nothing_else():
     for executor in ("thread", "process", "foo"):
         with pytest.raises(ValueError, match="'thread' and 'process'"):
             Network(2, executor=executor)
+
+
+def test_balance_of_a_lane_that_does_not_exist_raises():
+    net = Network(4)
+    user = USERS[0]
+    net.create_account(user, 1_000)
+    assert net.balance(user) == 1_000
+    assert sum(net.balance(user, lane) for lane in (-1, 0, 1, 2, 3)) \
+        == 1_000
+    # Lane n_shards and negative lanes other than DS (-1) used to
+    # read the DS portion; a lane past that raised a bare IndexError.
+    for lane in (4, -2, 5):
+        with pytest.raises(ValueError,
+                           match=rf"no lane {lane} .*DS \(-1\) and "
+                                 rf"shards 0\.\.3"):
+            net.balance(user, lane)
+
+
+@pytest.mark.parametrize("n_shards", [0, -1])
+def test_a_network_needs_a_shard(n_shards):
+    # Used to construct, then fail with ZeroDivisionError at the first
+    # account's home-shard hash.
+    with pytest.raises(ValueError, match="at least one shard"):
+        Network(n_shards)
+
+
+@pytest.mark.parametrize("keyword", [
+    "carry_backlog", "max_retries", "retry_backoff", "shard_size",
+    "ds_size", "use_signatures", "cost_model", "strict_nonces",
+    "overflow_guard", "fault_plan"])
+def test_settings_are_no_constructor_keywords(keyword):
+    """The deferral knobs and committee sizes are gone; the replayed
+    settings live in ``NetworkConfig`` only."""
+    with pytest.raises(TypeError):
+        Network(2, **{keyword: None})
+
+
+def test_config_is_frozen():
+    import dataclasses
+    net = Network(2, NetworkConfig(strict_nonces=True))
+    for field in dataclasses.fields(NetworkConfig):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(net.config, field.name, None)
+    assert net.config == NetworkConfig(strict_nonces=True)

@@ -154,7 +154,7 @@ class TestPrometheus:
     def test_exposition_format(self):
         reg = MetricsRegistry()
         reg.counter("net.tx.committed").inc(7)
-        reg.gauge("net.backlog.size").set(2)
+        reg.gauge("state.journal.depth").set(2)
         h = reg.histogram("lane.gas", (10, 100))
         h.observe(5)
         h.observe(50)
@@ -162,7 +162,7 @@ class TestPrometheus:
         out = reg.to_prometheus()
         assert "# TYPE repro_net_tx_committed counter" in out
         assert "repro_net_tx_committed 7" in out
-        assert "repro_net_backlog_size 2" in out
+        assert "repro_state_journal_depth 2" in out
         # Bucket counts are cumulative, with the +Inf total.
         assert 'repro_lane_gas_bucket{le="10"} 1' in out
         assert 'repro_lane_gas_bucket{le="100"} 2' in out

@@ -1,5 +1,5 @@
 """Recovery tests: checkpoints, delta validation, view changes,
-retry backoff and dead-lettering, and dispatch/execution agreement."""
+deferral and dead-lettering, and dispatch/execution agreement."""
 
 import copy
 
@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.chain import Network, call, payment
+from repro.chain import Network, NetworkConfig, call, payment
 from repro.chain.consensus import CostModel
 from repro.chain.delta import DeltaEntry, StateDelta
 from repro.chain.dispatch import DS, _pad
@@ -16,6 +16,7 @@ from repro.chain.recovery import (
     NetworkCheckpoint, network_fingerprint, state_fingerprint,
     validate_delta,
 )
+from repro.chain.service import ServiceConfig, ServiceLoop
 from repro.core.joins import JoinKind
 from repro.contracts import CORPUS
 from repro.scilla.values import addr, uint, IntVal, StringVal
@@ -26,8 +27,8 @@ ADMIN = "0x" + "ad" * 20
 USERS = ["0x" + f"{i:040x}" for i in range(1, 25)]
 
 
-def ft_network(n_shards=3, use_signatures=True, **kwargs) -> Network:
-    net = Network(n_shards, use_signatures=use_signatures, **kwargs)
+def ft_network(n_shards=3, **config) -> Network:
+    net = Network(n_shards, NetworkConfig(**config))
     net.create_account(ADMIN)
     for u in USERS:
         net.create_account(u)
@@ -154,59 +155,49 @@ def test_rolled_back_deploy_leaves_no_dispatch_plans():
     assert dispatcher.dispatch(mint).reason != "transition not sharded"
 
 
-def test_checkpoint_restores_dead_letter():
-    """An aborted epoch attempt must not leak dead-lettered
-    transactions into the commit."""
-    net = ft_network()
-    mint_all(net)
-    poisoned = call(USERS[0], TOKEN, "Transfer",
-                    {"to": addr(USERS[1]), "amount": uint(1)}, nonce=99)
-    net.dead_letter.append(poisoned)
-    checkpoint = NetworkCheckpoint.take(net)
+def dead_lettering_loop(net, max_deferrals: int):
+    """A service loop over ``net``, and the list its mempool appends
+    each dead-lettered transaction to."""
+    loop = ServiceLoop(net, config=ServiceConfig(max_deferrals=max_deferrals))
+    dead, retire = [], loop.mempool.dead_letter
 
-    # Mutations by a doomed attempt…
-    net.dead_letter.append(call(USERS[2], TOKEN, "Transfer",
-                                {"to": addr(USERS[3]),
-                                 "amount": uint(1)}, nonce=100))
-
-    # …are rolled back, repeatably.
-    for _ in range(2):
-        checkpoint.restore(net)
-        assert [tx.tx_id for tx in net.dead_letter] == [poisoned.tx_id]
+    def dead_letter(tx, *args, **kwargs):
+        dead.append(tx)
+        return retire(tx, *args, **kwargs)
+    loop.mempool.dead_letter = dead_letter
+    return loop, dead
 
 
 def test_view_change_after_dead_letter_keeps_it_exact():
-    """End-to-end regression: once transactions have been
-    dead-lettered, a later epoch's view changes (which roll the network
-    back to the epoch-start checkpoint, possibly repeatedly) must not
-    drop, duplicate, or re-dead-letter them."""
+    """End-to-end regression: once the service loop has dead-lettered
+    transactions (``ServiceConfig.max_deferrals``), a later epoch's view
+    changes (which roll the network back to the epoch-start checkpoint,
+    possibly repeatedly) must not drop, duplicate, or re-dead-letter
+    them."""
     tiny = CostModel(shard_gas_limit=120, ds_gas_limit=120)
-    plan = FaultPlan([FaultEvent(5, FaultKind.DELAY_MICROBLOCK, s)
+    plan = FaultPlan([FaultEvent(4, FaultKind.DELAY_MICROBLOCK, s)
                       for s in range(2)])
 
     def run(fault_plan):
-        net = ft_network(cost_model=tiny, carry_backlog=True,
-                         max_retries=2, fault_plan=fault_plan)
+        net = ft_network(cost_model=tiny, fault_plan=fault_plan)
         mint_all(net)
-        net.process_epoch(transfer_round())
-        for _ in range(10):
-            if not net.backlog:
-                break
-            net.process_epoch([])
-        assert net.epoch == 4 and net.dead_letter  # dead letters exist…
-        net.process_epoch([])                      # …when epoch 5 runs
-        return net
+        loop, dead = dead_lettering_loop(net, max_deferrals=1)
+        for tx in transfer_round():
+            assert loop.submit(tx).admitted
+        loop.run(2)
+        assert net.epoch == 3 and dead          # dead letters exist…
+        net.process_epoch([])                   # …when epoch 4 runs
+        loop.drain_remaining()
+        return net, loop.mempool.counters, dead
 
-    clean, faulty = run(None), run(plan)
-    assert faulty.blocks[-1].stats.view_changes >= 1
-    assert clean.blocks[-1].stats.view_changes == 0
-    assert len(faulty.dead_letter) == len(clean.dead_letter)
-    assert [(tx.sender, tx.transition, tx.nonce)
-            for tx in faulty.dead_letter] == \
-        [(tx.sender, tx.transition, tx.nonce)
-         for tx in clean.dead_letter]
-    assert sum(b.stats.dead_lettered for b in faulty.blocks) == \
-        len(faulty.dead_letter)
+    (clean, clean_counts, clean_dead), (faulty, faulty_counts, dead) = \
+        run(None), run(plan)
+    assert faulty.blocks[3].stats.view_changes >= 1
+    assert clean.blocks[3].stats.view_changes == 0
+    assert [(tx.sender, tx.transition, tx.nonce) for tx in dead] == \
+        [(tx.sender, tx.transition, tx.nonce) for tx in clean_dead]
+    assert faulty_counts == clean_counts
+    assert faulty_counts["dead-lettered"] == len(dead)
     assert network_fingerprint(faulty) == network_fingerprint(clean)
 
 
@@ -459,11 +450,11 @@ def test_epoch_timing_charges_for_timeouts():
     faulty = ft_network(fault_plan=plan)
     mint_all(faulty)
     block = faulty.process_epoch(transfer_round())
-    assert block.epoch_seconds >= \
-        clean_block.epoch_seconds + faulty.cost.microblock_timeout_s - 1
+    timeout = faulty.config.cost_model.microblock_timeout_s
+    assert block.epoch_seconds >= clean_block.epoch_seconds + timeout - 1
 
 
-# -- deferred transactions: receipts, backoff, dead-lettering ----------------
+# -- deferred transactions: receipts, dead-lettering --------------------------
 
 def test_deferred_without_backlog_gets_explicit_receipt():
     tiny = CostModel(shard_gas_limit=200, ds_gas_limit=200)
@@ -480,46 +471,25 @@ def test_deferred_without_backlog_gets_explicit_receipt():
     assert receipt_ids == sorted(t.tx_id for t in txns)
 
 
-def test_backlog_backoff_spaces_out_retries():
-    tiny = CostModel(shard_gas_limit=200, ds_gas_limit=200)
-    net = ft_network(cost_model=tiny, carry_backlog=True,
-                     retry_backoff=2.0)
-    mint_all(net)
-    net.process_epoch(transfer_round())
-    assert net.backlog
-    first = {e.tx.tx_id: e.not_before for e in net.backlog}
-    assert all(e.retries == 1 for e in net.backlog)
-    assert all(nb == net.epoch + 1 for nb in first.values())
-    # One of them deferred a second time waits 2 epochs, not 1.
-    net.process_epoch([])
-    twice = [e for e in net.backlog if e.retries == 2]
-    if twice:
-        assert all(e.not_before == net.epoch + 2 for e in twice)
-
-
 def test_dead_letter_after_max_retries():
+    """A transaction the gas limit keeps deferring is dead-lettered
+    after ``max_deferrals`` re-admissions; every transfer either
+    commits or is dead-lettered, and every deferral is one of the
+    two."""
     tiny = CostModel(shard_gas_limit=120, ds_gas_limit=120)
-    net = ft_network(cost_model=tiny, carry_backlog=True, max_retries=2)
-    # A network keeps only its newest bodies: collect the blocks handed
-    # back, which keep their receipts.
-    blocks = [mint_all(net)]
+    net = ft_network(cost_model=tiny)
+    mint_all(net)
+    loop, dead = dead_lettering_loop(net, max_deferrals=2)
     txns = transfer_round()
-    blocks.append(net.process_epoch(txns))
-    for _ in range(12):
-        if not net.backlog:
-            break
-        blocks.append(net.process_epoch([]))
-    assert net.dead_letter
-    exhausted = [r for b in blocks for r in b.all_receipts
-                 if r.error == "deferred: 2 retries exhausted"]
-    assert len(exhausted) == len(net.dead_letter)
-    assert sum(b.stats.dead_lettered for b in net.blocks) == \
-        len(net.dead_letter)
-    # Accounting: every transfer either committed or was dead-lettered.
-    committed = sum(1 for b in blocks for r in b.all_receipts
-                    if r.success and r.tx.is_contract_call
-                    and r.tx.transition == "Transfer")
-    assert committed + len(net.dead_letter) == len(txns)
+    assert all(loop.submit(tx).admitted for tx in txns)
+    reports = loop.run(3)           # each tick drains the whole pool
+    pool = loop.mempool
+    assert pool.occupancy == 0 and not pool.inflight
+    assert dead and sum(r.dead_lettered for r in reports) == len(dead)
+    assert pool.counters["committed"] + len(dead) == len(txns)
+    deferrals = sum(block.stats.deferred for block in net.blocks[1:])
+    assert deferrals == pool.counters["readmitted"] + len(dead)
+    assert all(r.deferred for r in reports[:2])
 
 
 # -- dispatch / execution agreement ------------------------------------------

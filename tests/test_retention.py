@@ -113,7 +113,7 @@ def test_average_tps_reads_headers_to_the_last_bit():
 
 
 def test_service_trim_bounds_headers_and_averages_what_is_listed():
-    net = Network(4, carry_backlog=False)
+    net = Network(4)
     workload = FTTransfer(n_users=40, txns_per_epoch=24, seed=11)
     workload.setup(net)
     loop = ServiceLoop(net, config=ServiceConfig(keep_blocks=4),

@@ -10,7 +10,7 @@ import pytest
 from repro.chain.consensus import CostModel
 from repro.chain.faults import FaultEvent, FaultKind, FaultPlan
 from repro.chain.mempool import AdmissionStatus, MempoolConfig
-from repro.chain.network import Network
+from repro.chain.network import Network, NetworkConfig
 from repro.chain.service import ServiceConfig, ServiceLoop
 from repro.chain.transaction import Transaction, payment, used_runs
 from repro.chain.wal import read_wal
@@ -28,10 +28,10 @@ TIGHT_COST = CostModel(gas_per_second=25_000.0, consensus_base_s=2.0,
                        shard_gas_limit=300, ds_gas_limit=300)
 
 
-def make_net(**kwargs) -> Network:
-    kwargs.setdefault("use_signatures", True)
-    kwargs.setdefault("carry_backlog", False)
-    return Network(kwargs.pop("n_shards", 2), **kwargs)
+def make_net(n_shards=2, data_dir=None, snapshot_every=8, metrics=None,
+             **config) -> Network:
+    return Network(n_shards, NetworkConfig(**config), data_dir=data_dir,
+                   snapshot_every=snapshot_every, metrics=metrics)
 
 
 def make_loop(net, **kwargs) -> ServiceLoop:
@@ -42,11 +42,6 @@ def make_loop(net, **kwargs) -> ServiceLoop:
 
 
 class TestServiceLoop:
-    def test_requires_carry_backlog_off(self):
-        net = Network(2, carry_backlog=True)
-        with pytest.raises(ValueError, match="carry_backlog"):
-            ServiceLoop(net)
-
     def test_submit_drain_commit_cycle(self):
         net = make_net()
         wl = ScaledFTTransfer(population=100, txns_per_epoch=30)
@@ -334,8 +329,7 @@ class TestHonestTps:
         wl = ScaledFTTransfer(population=30, txns_per_epoch=6)
         wl.setup(net)
         block = net.process_epoch(wl.transactions(1))
-        assert block.stats.offered == 6
-        assert block.stats.carried_in == 0
+        assert block.stats.offered == block.stats.dispatched == 6
 
 
 class TestHarness:

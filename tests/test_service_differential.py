@@ -27,7 +27,7 @@ import pytest
 
 from repro.chain.consensus import CostModel
 from repro.chain.mempool import MempoolConfig
-from repro.chain.network import Network
+from repro.chain.network import Network, NetworkConfig
 from repro.chain.recovery import network_fingerprint
 from repro.chain.service import ServiceConfig, ServiceLoop
 from repro.eval.service import replay_committed, run_service
@@ -69,13 +69,12 @@ class TestCommittedReplay:
             replay_committed(run)
 
 
-def _service_net(data_dir=None, **kwargs):
-    kwargs.setdefault("use_signatures", True)
-    kwargs.setdefault("carry_backlog", False)
+def _service_net(data_dir=None, **config):
     # A huge snapshot interval keeps resume on the pure WAL-replay
     # path, which is the machinery under test here; snapshot-embedded
     # pools are covered by test_store's round-trip.
-    return Network(2, data_dir=data_dir, snapshot_every=1000, **kwargs)
+    return Network(2, NetworkConfig(**config), data_dir=data_dir,
+                   snapshot_every=1000)
 
 
 class TestCrashResume:

@@ -31,7 +31,7 @@ from hypothesis import given, settings
 
 from repro.chain import recovery
 from repro.chain.faults import FaultEvent, FaultKind, FaultPlan
-from repro.chain.network import Network
+from repro.chain.network import Network, NetworkConfig
 from repro.chain.recovery import (
     ChangeLedger, network_fingerprint, state_accumulator,
     state_fingerprint,
@@ -299,8 +299,7 @@ def test_commit_matches_scratch_on_arbitrary_writes(epochs):
 # -- all eight Fig. 14 workloads ------------------------------------------------
 
 def run_fig14(cls, data_dir) -> Network:
-    net = Network(4, data_dir=str(data_dir), snapshot_every=2,
-                  carry_backlog=True)
+    net = Network(4, data_dir=str(data_dir), snapshot_every=2)
     w = cls(n_users=16, txns_per_epoch=24, seed=11)
     w.setup(net)
     assert_incremental_matches_scratch(net)
@@ -323,8 +322,9 @@ def test_fig14_incremental_matches_scratch_every_epoch(tmp_path, cls):
 
 # -- Hypothesis sequences over depth-1 and depth-2 maps -------------------------
 
-def grid_network(data_dir, **kwargs) -> Network:
-    net = Network(3, data_dir=str(data_dir), **kwargs)
+def grid_network(data_dir, fault_plan=None, **kwargs) -> Network:
+    net = Network(3, NetworkConfig(fault_plan=fault_plan),
+                  data_dir=str(data_dir), **kwargs)
     net.create_account(ADMIN)
     for user in USERS:
         net.create_account(user)
@@ -623,7 +623,7 @@ def test_resume_falls_back_past_a_corrupt_restore_point(
     monkeypatch.setattr(recovery, "DELTA_FOLD_DIVISOR", divisor)
     twin = build_and_run(epochs=6)
     net = build_and_run(epochs=6, data_dir=tmp_path, snapshot_every=2,
-                        keep_snapshots=3, net_kwargs=NO_BACKEND)
+                        keep_snapshots=3, **NO_BACKEND)
     net.close()
     assert kinds(tmp_path) == shape
     paths = SnapshotStore(tmp_path).paths()
@@ -646,7 +646,7 @@ def test_compaction_keeps_what_retained_restore_points_build_on(
         tmp_path, monkeypatch):
     monkeypatch.setattr(recovery, "DELTA_FOLD_DIVISOR", 0)
     net = build_and_run(epochs=8, data_dir=tmp_path, snapshot_every=2,
-                        keep_snapshots=2, net_kwargs=NO_BACKEND)
+                        keep_snapshots=2, **NO_BACKEND)
     net.close()
     # keep=2 retains the newest two deltas — and the whole chain under
     # them, without which neither could be restored.
@@ -713,7 +713,7 @@ def test_embedded_accumulators_are_checked_on_adoption(tmp_path):
 def test_resume_counts_its_two_full_recomputations(tmp_path):
     metrics = MetricsRegistry()
     net = build_and_run(epochs=3, data_dir=tmp_path, snapshot_every=2,
-                        net_kwargs={"metrics": metrics})
+                        metrics=metrics)
     net.close()
     counters = metrics.snapshot()["counters"]
     assert counters["net.digest.full_recomputes"]["value"] == 0

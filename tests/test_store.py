@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.chain import Network, call
+from repro.chain import Network, NetworkConfig, call
 from repro.chain.faults import FaultEvent, FaultKind, FaultPlan
 from repro.chain.recovery import network_fingerprint
+from repro.chain.serialization import transaction_to_obj
 from repro.chain.store import (
     SnapshotError, SnapshotStore, network_from_snapshot,
     snapshot_network,
@@ -23,8 +24,9 @@ ADMIN = "0x" + "ad" * 20
 USERS = ["0x" + f"{i:040x}" for i in range(1, 13)]
 
 
-def ft_network(**kwargs) -> Network:
-    net = Network(3, **kwargs)
+def ft_network(data_dir=None, snapshot_every=8, **config) -> Network:
+    net = Network(3, NetworkConfig(**config), data_dir=data_dir,
+                  snapshot_every=snapshot_every)
     net.create_account(ADMIN)
     for u in USERS:
         net.create_account(u)
@@ -72,6 +74,11 @@ def test_a_parent_written_restore_point_resumes_and_saves_the_same_rows(
     finally:
         net.close()
     assert "parent" not in fresh
+    # Written with the five settings since deleted, at their defaults.
+    assert {"carry_backlog", "max_retries", "retry_backoff", "shard_size",
+            "ds_size"} <= set(fixture["config"])
+    assert (net.n_shards, net.config) == (2, NetworkConfig())
+    assert fresh["config"] == NetworkConfig().to_obj(2)
     assert fresh["accounts"] == fixture["accounts"]
     assert fresh["nonces"] == fixture["nonces"]
     assert net.balance("0x" + "5e" * 20) == 0
@@ -100,25 +107,48 @@ def test_snapshot_roundtrip_preserves_state_and_future():
 
 
 def test_snapshot_carries_backlog_dead_letter_and_counters():
+    """The one deferral queue is the service pool: a restore point
+    carries its pending entries with their deferral counts, and the
+    epoch tags."""
     from repro.chain.consensus import CostModel
+    from repro.chain.service import ServiceConfig, ServiceLoop
     tiny = CostModel(shard_gas_limit=150, ds_gas_limit=150)
-    net = ft_network(cost_model=tiny, carry_backlog=True, max_retries=1)
-    net.process_epoch(transfer_round())
-    for _ in range(6):
-        if not net.backlog:
-            break
-        net.process_epoch([])
-    assert net.dead_letter
+    net = ft_network(cost_model=tiny)
+    loop = ServiceLoop(net, config=ServiceConfig(max_deferrals=1))
+    for tx in transfer_round():
+        assert loop.submit(tx).admitted
+    loop.run(2)
+    assert loop.mempool.counters["dead-lettered"]
+    for nonce in (2, 3):        # a deferred round, then a fresh one
+        loop.tick()
+        for tx in transfer_round(nonce=nonce):
+            assert loop.submit(tx).admitted
+    pending = [(e.tx.tx_id, e.deferrals)
+               for e in loop.mempool.pending_entries()]
+    assert {deferrals for _, deferrals in pending} == {0, 1}
     net.epoch_tags["measure"] = 3
 
     restored = network_from_snapshot(
         json.loads(json.dumps(snapshot_network(net, wal_seq=1))))
-    assert [tx.tx_id for tx in restored.dead_letter] == \
-        [tx.tx_id for tx in net.dead_letter]
-    assert [(e.tx.tx_id, e.retries, e.not_before)
-            for e in restored.backlog] == \
-        [(e.tx.tx_id, e.retries, e.not_before) for e in net.backlog]
+    assert [(e.tx.tx_id, e.deferrals)
+            for e in restored.restored_mempool.values()] == pending
     assert restored.epoch_tags == net.epoch_tags
+
+
+@pytest.mark.parametrize("section", ["backlog", "dead_letter"])
+def test_a_restore_point_holding_a_backlog_is_refused(section):
+    """Older builds wrote ``backlog`` and ``dead_letter`` sections; empty
+    ones are ignored, a non-empty one cannot be resumed and says so."""
+    net = ft_network()
+    obj = json.loads(json.dumps(snapshot_network(net, wal_seq=1)))
+    tx = transfer_round()[0]
+    obj[section] = []
+    assert network_fingerprint(network_from_snapshot(obj)) == \
+        network_fingerprint(net)
+    obj[section] = [[transaction_to_obj(tx), 1, 3]
+                    if section == "backlog" else transaction_to_obj(tx)]
+    with pytest.raises(SnapshotError, match=repr(section)):
+        network_from_snapshot(obj)
 
 
 def test_snapshot_carries_fault_plan_and_injector_counters():

@@ -24,7 +24,7 @@ from hypothesis.stateful import (
     RuleBasedStateMachine, initialize, invariant, precondition, rule,
 )
 
-from repro.chain.network import Network
+from repro.chain.network import Network, NetworkConfig
 from repro.chain.store import _account_columns, _nonce_columns
 
 # -- the specification: the pre-row representation ----------------------------
@@ -188,7 +188,7 @@ class UserRows(RuleBasedStateMachine):
     @initialize(n_shards=st.integers(2, 5), strict=st.booleans())
     def start(self, n_shards, strict):
         self.n = n_shards
-        self.net = Network(n_shards, strict_nonces=strict,
+        self.net = Network(n_shards, NetworkConfig(strict_nonces=strict),
                            state_backend="none")
         self.accounts: dict[str, Account] = {}
         self.nonces = NonceTracker(strict=strict)

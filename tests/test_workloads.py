@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chain.network import Network
+from repro.chain.network import Network, NetworkConfig
 from repro.workloads.generators import (
     ALL_WORKLOADS, CFDonate, FTFund, FTTransfer, NFTMint, NFTTransfer,
     ProofIPFSRegister, UDBestow, UDConfig, workload_by_name,
@@ -14,7 +14,7 @@ def run_one_epoch(cls, n_shards=3, use_signatures=True, n=40):
     if cls is not CFDonate:
         kwargs["n_users"] = 30
     workload = cls(**kwargs)
-    net = Network(n_shards, use_signatures=use_signatures)
+    net = Network(n_shards, NetworkConfig(use_signatures=use_signatures))
     workload.setup(net)
     block = net.process_epoch(workload.transactions(0), unlimited=True)
     return workload, net, block
@@ -113,7 +113,7 @@ def test_payments_scale_with_shards_without_signatures():
     with CoSplit disabled."""
     from repro.workloads.generators import Payments
     workload = Payments(n_users=30, txns_per_epoch=60)
-    net = Network(4, use_signatures=False)
+    net = Network(4, NetworkConfig(use_signatures=False))
     workload.setup(net)
     block = net.process_epoch(workload.transactions(0), unlimited=True)
     assert block.n_committed == 60
