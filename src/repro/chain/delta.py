@@ -118,7 +118,7 @@ def merge_deltas(base: ContractState,
     :class:`MergeConflict` if two shards overwrote the same location —
     impossible under a valid signature, by construction.
     """
-    merged = base.copy()
+    merged = base.fork()
     overwritten: dict[StateKey, int] = {}
     int_accum: dict[StateKey, list] = {}   # key -> [summed diff, template]
     fresh: list = [0, None]

@@ -12,7 +12,7 @@ import time
 from dataclasses import asdict, dataclass
 from operator import attrgetter
 
-from ..scilla.backend import PagedDict, resolve_backend
+from ..scilla.backend import adopt, paged_base, resolve_backend
 from ..scilla.state import ContractState
 from ..scilla import values as scilla_values
 from ..scilla.values import MapVal
@@ -472,24 +472,18 @@ class Durability:
         page are left alone.  A field initialiser may have written
         through a fork (``builtin put`` on ``Emp``), leaving an overlay
         or a still-shared dict: those are adopted too, so no map is
-        left resident by accident."""
+        left resident by accident.  Only rows are written, and the map
+        takes a fresh overlay, so no other holder shares anything."""
         backend = self.state_backend
         if backend is None:
             return
         for value in state.fields.values():
-            if not isinstance(value, MapVal) \
-                    or isinstance(value.entries, PagedDict):
-                continue
-            entries = value.entries
-            if value._cow or not isinstance(entries, dict):
-                # Other holders can reach these children: pin forks.
-                entries = {k: (v.copy() if isinstance(v, MapVal) else v)
-                           for k, v in entries.items()}
-            value.entries = PagedDict.adopt(backend, entries)
-            value._cow = False
+            if isinstance(value, MapVal) and paged_base(value) is None:
+                value.entries = adopt(backend, value.entries)
+                value._cow = False
 
     def _flush_backend(self) -> None:
-        """Write dirty overlay rows back and trim resident sets.
+        """Write dirty overlay rows back (each paged map's fold).
 
         Called only at epoch commit with an empty journal: with no
         retained undo entry referencing any paged state, no rollback
@@ -497,9 +491,8 @@ class Durability:
         disagree about what a restore should produce."""
         for contract in self.contracts.values():
             for value in contract.state.fields.values():
-                entries = getattr(value, "entries", None)
-                if isinstance(entries, PagedDict):
-                    entries.flush()
+                if paged_base(value) is not None:
+                    value.entries.write_back()
 
     def _settle_state(self) -> None:
         """The state engine's share of an epoch commit: its counters
@@ -522,11 +515,10 @@ class Durability:
             return
         if self.journal.depth == 0:
             self._flush_backend()
-        # Its prefetch counters (3, 4) have no network caller.
         now, seen = backend.stats.snapshot(), self._backend_stats_seen
         meters.backend_faults.inc(now[0] - seen[0])
         meters.backend_evictions.inc(now[1] - seen[1])
         meters.backend_writebacks.inc(now[2] - seen[2])
-        meters.backend_read_ns.inc(now[5] - seen[5])
-        meters.backend_write_ns.inc(now[6] - seen[6])
+        meters.backend_read_ns.inc(now[3] - seen[3])
+        meters.backend_write_ns.inc(now[4] - seen[4])
         self._backend_stats_seen = now

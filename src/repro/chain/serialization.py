@@ -25,7 +25,7 @@ from ..scilla.parser import parse_type_str
 from ..scilla.state import MISSING, ContractState, StateKey, _Missing
 from ..scilla import types as ty
 from ..scilla.values import (
-    ADTVal, BNumVal, ByStrVal, IntVal, MapVal, StringVal, Value,
+    ADTVal, BNumVal, ByStrVal, IntVal, MapVal, OverlayDict, StringVal, Value,
 )
 from .delta import DeltaEntry, StateDelta
 from .transaction import Transaction
@@ -251,41 +251,41 @@ def transaction_from_json(text: str) -> Transaction:
 # Contract states (the payload of durable snapshots).
 # --------------------------------------------------------------------------
 
-def _paged_map_to_json(v: MapVal) -> Any:
+def _paged_map_to_json(v: MapVal, rows) -> Any:
     """Compact snapshot form of a paged map: a reference to its rows
-    in the backend sidecar plus only the *unflushed* resident part
-    (dirty overlay entries and tombstones).  Snapshotting therefore
-    never forces a writeback — the sidecar carries the rows as of the
-    last flush, and this record carries everything newer.
+    (``rows``, its row base) in the backend sidecar plus only what its
+    overlay has not written back (dirty rows and tombstones).
+    Snapshotting therefore never forces a writeback — the sidecar
+    carries the rows as of the last one, and this record carries
+    everything newer.
     """
-    paged = v.entries
+    over, dead = v.entries.over, v.entries.dead
     return {
         "t": "PagedMap", "kt": str(v.key_type), "vt": str(v.value_type),
-        "map_id": paged.map_id, "count": len(paged),
+        "map_id": rows.map_id, "count": len(v.entries),
         "dirty": sorted(
-            ([value_to_json(k), value_to_json(paged._local[k])]
-             for k in paged._dirty),
+            ([value_to_json(k), value_to_json(value)]
+             for k, value in over.items()),
             key=lambda kv: json.dumps(kv[0], sort_keys=True)),
         "deleted": sorted(
-            (value_to_json(k) for k in paged._deleted),
+            (value_to_json(k) for k in dead if k not in over),
             key=lambda k: json.dumps(k, sort_keys=True)),
     }
 
 
 def _paged_map_from_json(data: Any, backend) -> MapVal:
-    from ..scilla.backend import PagedDict
+    from ..scilla.backend import RowBase
     if backend is None:
         raise EvalError(
             "snapshot contains PagedMap references but no state "
             "backend was restored to resolve them")
-    backend.reserve(data["map_id"])
-    paged = PagedDict(backend, data["map_id"], count=data["count"])
+    map_id = data["map_id"]
+    backend.reserve(map_id)
+    paged = OverlayDict(RowBase(backend, map_id, backend.count(map_id)))
     for k, v in data["dirty"]:
-        key = value_from_json(k)
-        paged._local[key] = value_from_json(v)
-        paged._dirty.add(key)
+        paged[value_from_json(k)] = value_from_json(v)
     for k in data["deleted"]:
-        paged._deleted.add(value_from_json(k))
+        paged.pop(value_from_json(k))
     return MapVal(parse_type_str(data["kt"]),
                   parse_type_str(data["vt"]), paged)
 
@@ -297,11 +297,12 @@ def state_to_obj(state: ContractState, backend=None) -> Any:
     backend serialise as compact ``PagedMap`` references against its
     sidecar copy instead of inlining every entry.
     """
+    from ..scilla.backend import paged_base
     fields = {}
     for name, value in state.fields.items():
-        if (backend is not None and isinstance(value, MapVal)
-                and getattr(value.entries, "backend", None) is backend):
-            fields[name] = _paged_map_to_json(value)
+        rows = paged_base(value) if backend is not None else None
+        if rows is not None and rows.backend is backend:
+            fields[name] = _paged_map_to_json(value, rows)
         else:
             fields[name] = typed_to_json(value, state.field_types.get(name))
     return {

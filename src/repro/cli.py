@@ -616,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", default=None,
                    help="attach WAL-backed durability")
     p.add_argument("--state-backend", default=None,
-                   choices=["none", "memory", "sqlite"],
+                   choices=["none", "sqlite"],
                    help="out-of-core page store for contract map "
                         "state (default: REPRO_STATE_BACKEND env, "
                         "else in-memory dicts)")

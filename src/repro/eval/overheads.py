@@ -122,7 +122,7 @@ def measure_merge(n_entries: int = 2_000) -> tuple[float, float, float, float]:
     runs = []
 
     def execute():
-        working, logs = base.copy(), []
+        working, logs = base.fork(), []
         for i in range(n_entries):
             result = interpreter.run_transition(
                 working, "Transfer",
@@ -147,7 +147,7 @@ def measure_merge(n_entries: int = 2_000) -> tuple[float, float, float, float]:
 
     # Plain overwrite application (the pre-CoSplit state-delta path).
     def apply_plain():
-        plain = base.copy()
+        plain = base.fork()
         for entry in delta.entries:
             if entry.template is not None:
                 plain.write(entry.key, entry.template)

@@ -144,7 +144,7 @@ def run_service(workload: str = "FT transfer @scale", *,
     workload used for contract setup.
 
     ``state_backend`` selects the out-of-core page store for contract
-    map state (``"sqlite"``/``"memory"``/``"none"``, a
+    map state (``"sqlite"``/``"none"``, a
     ``StateBackend`` instance, or None for the ``REPRO_STATE_BACKEND``
     environment default).
     """

@@ -25,9 +25,8 @@ Two further sections cover the out-of-core backend
 (:mod:`repro.scilla.backend`):
 
 * **paged vs. resident** (:func:`run_paged_bench`) — point reads
-  against a sqlite-paged map (cold faults, and again with the
-  footprint prefetched) vs. the plain resident dict, plus writeback
-  flush cost, at 10^4–10^6 entries;
+  against a sqlite-paged map (cold faults) vs. the plain resident
+  dict, plus write-back cost, at 10^4–10^6 entries;
 * **out-of-core soak** (:func:`run_oocore_soak`) — a
   ``ScaledFTTransfer`` service session over a pre-seeded million-entry
   balance map with the sqlite backend, reporting peak RSS (bounded by
@@ -170,13 +169,15 @@ def run_state_bench(sizes: tuple[int, ...] = DEFAULT_SIZES,
 # Paged (out-of-core) vs. resident state.
 # --------------------------------------------------------------------------
 
-def _seed_backend(backend, entries: int) -> int:
-    """Stream ``entries`` balance rows into a fresh backend map without
-    ever materialising the values (O(1) memory in ``entries``)."""
+def _seed_backend(backend, entries: int, map_id: int | None = None) -> int:
+    """Stream ``entries`` balance rows into backend map ``map_id`` (a
+    fresh one by default) without ever materialising the values (O(1)
+    memory in ``entries``)."""
     from ..scilla.backend import encode_key, encode_value
     from ..scilla.values import addr
     from ..workloads.generators import _user
-    map_id = backend.new_map()
+    if map_id is None:
+        map_id = backend.new_map()
     blob = encode_value(uint(10**9))
     backend.put_many(
         map_id,
@@ -197,16 +198,10 @@ def _sample_keys(entries: int, n: int, seed: int = 11) -> list[Value]:
 class PagedBenchRow:
     entries: int
     resident_read_ns: float    # plain dict: read the whole sample
-    paged_cold_ns: float       # paged, cold cache, prefetch off
-    paged_prefetch_ns: float   # paged, sample prefetched first
+    paged_cold_ns: float       # paged, cold cache
     flush_ns: float            # write back `writes` dirty rows
-    prefetch_hit_rate: float
     seed_s: float              # streaming-load time for the backend
     file_mb: float
-
-    @property
-    def prefetch_speedup(self) -> float:
-        return self.paged_cold_ns / max(self.paged_prefetch_ns, 1.0)
 
 
 @dataclass
@@ -219,11 +214,11 @@ class PagedBenchResult:
 
 def run_paged_bench(sizes: tuple[int, ...] = PAGED_SIZES,
                     reads: int = 512, writes: int = 256,
-                    repeat: int = 3, cache: int = 1024
-                    ) -> PagedBenchResult:
+                    repeat: int = 3) -> PagedBenchResult:
     """Point-read and writeback timings, paged vs. resident."""
-    from ..scilla.backend import PagedDict, SqliteBackend
-    result = PagedBenchResult(reads=reads, writes=writes, cache=cache)
+    from ..scilla.backend import PAGE_CACHE, RowBase, SqliteBackend
+    from ..scilla.values import OverlayDict
+    result = PagedBenchResult(reads=reads, writes=writes, cache=PAGE_CACHE)
     for entries in sizes:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "bench.sqlite")
@@ -234,18 +229,11 @@ def run_paged_bench(sizes: tuple[int, ...] = PAGED_SIZES,
             file_mb = os.path.getsize(path) / 2**20
             sample = _sample_keys(entries, reads)
 
-            def paged() -> PagedDict:
-                return PagedDict(backend, map_id, count=entries,
-                                 cache_limit=cache)
+            def paged() -> OverlayDict:
+                return OverlayDict(RowBase(backend, map_id, entries))
 
             def cold_reads() -> None:
                 view = paged()
-                for k in sample:
-                    view[k]
-
-            def prefetched_reads() -> None:
-                view = paged()
-                view.prefetch(sample)
                 for k in sample:
                     view[k]
 
@@ -262,21 +250,14 @@ def run_paged_bench(sizes: tuple[int, ...] = PAGED_SIZES,
                 view = paged()
                 for k in sample[:writes]:
                     view[k] = uint(7)
-                view.flush()
+                view.write_back()
 
-            base = backend.stats.snapshot()
             row = PagedBenchRow(
                 entries=entries,
                 resident_read_ns=_best_ns(resident_reads, repeat),
                 paged_cold_ns=_best_ns(cold_reads, repeat),
-                paged_prefetch_ns=_best_ns(prefetched_reads, repeat),
                 flush_ns=_best_ns(write_and_flush, repeat),
-                prefetch_hit_rate=0.0,
                 seed_s=seed_s, file_mb=file_mb)
-            now = backend.stats.snapshot()
-            requested = now[3] - base[3]
-            row.prefetch_hit_rate = ((now[4] - base[4]) / requested
-                                     if requested else 0.0)
             del resident
             result.rows.append(row)
             backend.close()
@@ -295,15 +276,12 @@ def format_paged_bench(result: PagedBenchResult) -> str:
         f"({result.reads} point reads, cache {result.cache})",
         "",
         f"{'entries':>9s} {'resident':>10s} {'paged cold':>11s} "
-        f"{'prefetched':>11s} {'pf gain':>8s} {'hit rate':>9s} "
         f"{'flush':>9s} {'seed':>7s} {'file':>8s}",
     ]
     for r in result.rows:
         lines.append(
             f"{r.entries:>9,d} {r.resident_read_ns / 1e3:>8.1f}µs "
             f"{r.paged_cold_ns / 1e6:>9.2f}ms "
-            f"{r.paged_prefetch_ns / 1e6:>9.2f}ms "
-            f"{r.prefetch_speedup:>7.1f}x {r.prefetch_hit_rate:>8.1%} "
             f"{r.flush_ns / 1e6:>7.2f}ms {r.seed_s:>6.1f}s "
             f"{r.file_mb:>6.1f}MB")
     return "\n".join(lines)
@@ -346,8 +324,7 @@ def resident_map_rss_mb(entries: int) -> float | None:
 
 def run_oocore_soak(entries: int = 1_000_000, *, ticks: int = 12,
                     txns_per_tick: int = 400, shards: int = 4,
-                    seed: int = 7, cache: int = 4096,
-                    compare_resident: bool = True) -> dict:
+                    seed: int = 7, compare_resident: bool = True) -> dict:
     """Service-mode session over a pre-seeded ``entries``-row balance
     map with the sqlite backend; returns a JSON-able report with peak
     RSS, backend counters, and (optionally) the resident footprint the
@@ -355,56 +332,43 @@ def run_oocore_soak(entries: int = 1_000_000, *, ticks: int = 12,
 
     The seeding streams encoded rows straight into the page store —
     the coordinator never holds more than the page cache resident, so
-    peak RSS stays bounded regardless of ``entries``.
+    peak RSS stays bounded regardless of ``entries``.  ``modeled_tps``
+    is the modelled clock (``CostModel`` seconds), not wall time.
     """
+    from ..scilla.backend import PAGE_CACHE, RowBase, paged_base
+    from ..scilla.values import OverlayDict
     from .service import run_service
 
     def seed_rows(net, wl) -> None:
         from ..chain.dispatch import _pad
         contract = net.contracts[_pad(wl.contract_addr)]
         balances = contract.state.fields["balances"]
-        paged = balances.entries
-        backend = net.state_backend
+        balances.entries.write_back()   # the overlay is replaced below
+        rows = paged_base(balances)
         t0 = time.perf_counter()
-        from ..scilla.backend import encode_key, encode_value
-        from ..scilla.values import addr
-        from ..workloads.generators import _user
-        blob = encode_value(uint(10**9))
-        backend.put_many(
-            paged.map_id,
-            ((encode_key(addr(_user(i))), blob)
-             for i in range(entries)))
-        paged._count += entries
+        _seed_backend(rows.backend, entries, rows.map_id)
+        balances.entries = OverlayDict(RowBase(
+            rows.backend, rows.map_id, rows.backend.count(rows.map_id)))
         report["seed_s"] = round(time.perf_counter() - t0, 2)
 
     report: dict = {"entries": entries, "ticks": ticks,
                     "txns_per_tick": txns_per_tick, "shards": shards,
-                    "page_cache": cache}
-    prior_cache = os.environ.get("REPRO_PAGE_CACHE")
-    os.environ["REPRO_PAGE_CACHE"] = str(cache)
-    try:
-        run = run_service(
-            "FT transfer @scale", shards=shards, ticks=ticks,
-            txns_per_tick=txns_per_tick, population=entries,
-            seed=seed, state_backend="sqlite", setup_hook=seed_rows)
-    finally:
-        if prior_cache is None:
-            os.environ.pop("REPRO_PAGE_CACHE", None)
-        else:
-            os.environ["REPRO_PAGE_CACHE"] = prior_cache
+                    "page_cache": PAGE_CACHE}
+    run = run_service(
+        "FT transfer @scale", shards=shards, ticks=ticks,
+        txns_per_tick=txns_per_tick, population=entries,
+        seed=seed, state_backend="sqlite", setup_hook=seed_rows)
     backend = run.net.state_backend
     stats = backend.stats
     report.update({
         "committed": run.report.committed,
-        "tps": round(run.report.tps, 2),
+        "modeled_tps": round(run.report.tps, 2),
         "rss_mb": round(_rss_mb(), 1),
         "backend": {
             "kind": backend.kind,
             "faults": stats.faults,
             "evictions": stats.evictions,
             "writebacks": stats.writebacks,
-            "prefetch_requested": stats.prefetch_requested,
-            "prefetch_hits": stats.prefetch_hits,
             "file_mb": round(os.path.getsize(backend.path) / 2**20, 1),
         },
     })
@@ -422,13 +386,12 @@ def format_oocore_soak(report: dict) -> str:
         f"out-of-core soak: {report['entries']:,} seeded entries, "
         f"{report['ticks']} ticks x {report['txns_per_tick']} txns, "
         f"{report['shards']} shards, page cache {report['page_cache']}",
-        f"  committed {report['committed']}  ({report['tps']:.1f} tx/s"
-        f" modeled)",
+        f"  committed {report['committed']}  "
+        f"({report['modeled_tps']:.1f} tx/s modeled)",
         f"  peak RSS  {report['rss_mb']:.0f} MB  (backend file "
         f"{b['file_mb']:.0f} MB on disk)",
         f"  paging    faults {b['faults']}  evictions {b['evictions']}"
-        f"  writebacks {b['writebacks']}  prefetch "
-        f"{b['prefetch_hits']}/{b['prefetch_requested']}",
+        f"  writebacks {b['writebacks']}",
     ]
     if "resident_map_rss_mb" in report:
         lines.append(
@@ -480,9 +443,7 @@ def write_state_bench(result: StateBenchResult, path,
             "rows": [{
                 "entries": r.entries,
                 "resident_read_ns": r.resident_read_ns,
-                "paged_read_ns": {"prefetch_off": r.paged_cold_ns,
-                                  "prefetch_on": r.paged_prefetch_ns},
-                "prefetch_hit_rate": round(r.prefetch_hit_rate, 4),
+                "paged_read_ns": r.paged_cold_ns,
                 "flush_ns": r.flush_ns,
                 "seed_s": round(r.seed_s, 2),
                 "file_mb": round(r.file_mb, 1),

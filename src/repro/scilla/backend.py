@@ -1,33 +1,27 @@
 """Pluggable out-of-core storage backends for contract map state.
 
-Every byte of contract state historically lived in in-memory dicts
-(``MapVal.entries``), capping the "millions of users" north star at
-RAM.  This module introduces the paged alternative: a
-:class:`StateBackend` holds the authoritative key/value rows of a map
-on (or off) the heap, and :class:`PagedDict` — a drop-in replacement
-for ``MapVal``'s entry dict — keeps only a bounded working set
-resident:
+A :class:`StateBackend` holds the authoritative key/value rows of a
+map on (or off) the heap.  A paged map is an ordinary
+:class:`~repro.scilla.values.OverlayDict` whose frozen base is a
+:class:`RowBase` — ``(backend, map_id)`` — instead of a dict:
 
-* **Hot entries** stay in a per-map LRU overlay; reads that miss fault
-  the row in from the backend (``state.backend.faults``).
-* **Dirty entries** (writes, deletes) accumulate in the overlay and
-  are written back in batches when the network commits an epoch —
-  never earlier, so the :class:`~repro.scilla.state.StateJournal`
-  rollback contract survives unchanged: undo replays into the overlay
-  and the overlay always wins over the backend.
-* **Clean scalar entries** beyond the cache limit are evicted
-  (``state.backend.evictions``); map-valued entries are pinned while
-  resident so in-place nested mutation keeps its identity semantics.
-* **CoW forks** stay O(1): ``MapVal.copy()`` shares the ``PagedDict``
-  wrapper exactly as it shared the dict, and the first write through
-  either side materialises a private *overlay* (``private_copy``) —
-  never the backing rows, which both sides keep sharing read-only.
+* **Reads** that miss the overlay fault the row in from the backend
+  (``state.backend.faults``) into the base's LRU cache of clean rows,
+  shared by every overlay on it and bounded by :data:`PAGE_CACHE`
+  (``state.backend.evictions``).
+* **Writes** land in the overlay (``over`` / ``dead`` are the dirty
+  rows and tombstones), so journal rollback and CoW forks work as over
+  a dict base: a fork's first write copies no clean row.
+* **The fold is the write-back**, in one batch, only from the
+  network's commit path with an empty journal.  It retires the old
+  base: an overlay still on it raises :class:`StaleRowsError` at its
+  next base read.
 
 Two backends ship, both dependency-free:
 
-* :class:`MemoryBackend` — encoded rows in nested dicts.  Used by the
-  property battery to prove the paged map is observationally identical
-  to the plain dict under arbitrary op interleavings.
+* :class:`MemoryBackend` — encoded rows in nested dicts.  The test
+  reference: the property battery proves a paged map observationally
+  identical to a plain dict on it and on sqlite.
 * :class:`SqliteBackend` — a stdlib :mod:`sqlite3` KV table.  The live
   file is a cache, not a durability artifact: crash recovery always
   rebuilds from the snapshot sidecar plus WAL replay
@@ -42,6 +36,7 @@ snapshot payloads can never disagree about representation.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -50,33 +45,14 @@ import tempfile
 import threading
 import time
 import weakref
-from typing import Any, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .values import MapVal, OverlayDict, Value
 
-# Resident entries a single paged map keeps before evicting clean
-# scalar rows, oldest-touched first.  Override per-network with
-# REPRO_PAGE_CACHE.
-DEFAULT_PAGE_CACHE = 4096
+# Clean rows one row base keeps cached, oldest-touched evicted first.
+PAGE_CACHE = 4096
 
-# SQLite's default host-parameter ceiling is 999; stay far under it.
-_IN_CHUNK = 400
-
-
-def _cache_limit_from_env() -> int:
-    """``REPRO_PAGE_CACHE`` if set (a positive integer, or an error:
-    a typo must not silently become the default), else the default."""
-    raw = os.environ.get("REPRO_PAGE_CACHE", "")
-    if not raw:
-        return DEFAULT_PAGE_CACHE
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise ValueError(
-            f"REPRO_PAGE_CACHE must be a positive integer, got {raw!r}")
-    return value
+_ABSENT = object()
 
 
 # --------------------------------------------------------------------------
@@ -107,22 +83,18 @@ class BackendStats:
     """Cumulative counters one backend instance accrues; the network
     drains deltas into ``state.backend.*`` instruments each commit."""
 
-    __slots__ = ("faults", "evictions", "writebacks",
-                 "prefetch_requested", "prefetch_hits",
-                 "read_ns", "write_ns")
+    __slots__ = ("faults", "evictions", "writebacks", "read_ns",
+                 "write_ns")
 
     def __init__(self) -> None:
         self.faults = 0
         self.evictions = 0
         self.writebacks = 0
-        self.prefetch_requested = 0
-        self.prefetch_hits = 0
         self.read_ns = 0
         self.write_ns = 0
 
     def snapshot(self) -> tuple[int, ...]:
         return (self.faults, self.evictions, self.writebacks,
-                self.prefetch_requested, self.prefetch_hits,
                 self.read_ns, self.write_ns)
 
 
@@ -156,9 +128,6 @@ class StateBackend:
     def get(self, map_id: int, token: str) -> str | None:
         raise NotImplementedError
 
-    def get_many(self, map_id: int, tokens: list[str]) -> dict[str, str]:
-        raise NotImplementedError
-
     def put_many(self, map_id: int,
                  items: Iterable[tuple[str, str]]) -> None:
         raise NotImplementedError
@@ -185,12 +154,33 @@ class StateBackend:
         raise NotImplementedError
 
     def digest(self) -> str:
-        """Logical content digest over every row, order-independent of
-        physical layout (rows stream sorted by (map_id, key))."""
-        h = hashlib.sha256()
-        for map_id, token, blob in self._iter_all_rows():
-            h.update(f"{map_id}\x1f{token}\x1f{blob}\x1e".encode())
-        return h.hexdigest()
+        return _digest(self._iter_all_rows())
+
+
+def _digest(rows: Iterable[tuple[int, str, str]]) -> str:
+    """Logical content digest over every row, order-independent of
+    physical layout (rows stream sorted by (map_id, key))."""
+    h = hashlib.sha256()
+    for map_id, token, blob in rows:
+        h.update(f"{map_id}\x1f{token}\x1f{blob}\x1e".encode())
+    return h.hexdigest()
+
+
+def _scan(conn, lock) -> Iterator[tuple[int, str, str]]:
+    """Every row of a sqlite store sorted by (map_id, key), in chunks,
+    holding ``lock`` only while one is read."""
+    last = (-1, "")
+    while True:
+        with lock:
+            rows = conn.execute(
+                "SELECT map_id, k, v FROM kv"
+                " WHERE map_id > ? OR (map_id = ? AND k > ?)"
+                " ORDER BY map_id, k LIMIT 1024",
+                (last[0], last[0], last[1])).fetchall()
+        if not rows:
+            return
+        yield from rows
+        last = rows[-1]
 
 
 class MemoryBackend(StateBackend):
@@ -213,13 +203,6 @@ class MemoryBackend(StateBackend):
     def get(self, map_id: int, token: str) -> str | None:
         t0 = time.perf_counter_ns()
         out = self._maps.get(map_id, {}).get(token)
-        self.stats.read_ns += time.perf_counter_ns() - t0
-        return out
-
-    def get_many(self, map_id: int, tokens: list[str]) -> dict[str, str]:
-        t0 = time.perf_counter_ns()
-        rows = self._maps.get(map_id, {})
-        out = {t: rows[t] for t in tokens if t in rows}
         self.stats.read_ns += time.perf_counter_ns() - t0
         return out
 
@@ -316,20 +299,6 @@ class SqliteBackend(StateBackend):
         self.stats.read_ns += time.perf_counter_ns() - t0
         return row[0] if row is not None else None
 
-    def get_many(self, map_id: int, tokens: list[str]) -> dict[str, str]:
-        t0 = time.perf_counter_ns()
-        out: dict[str, str] = {}
-        with self._lock:
-            for i in range(0, len(tokens), _IN_CHUNK):
-                chunk = tokens[i:i + _IN_CHUNK]
-                marks = ",".join("?" * len(chunk))
-                rows = self._conn.execute(
-                    f"SELECT k, v FROM kv WHERE map_id = ? AND k IN"
-                    f" ({marks})", (map_id, *chunk)).fetchall()
-                out.update(rows)
-        self.stats.read_ns += time.perf_counter_ns() - t0
-        return out
-
     def put_many(self, map_id: int,
                  items: Iterable[tuple[str, str]]) -> None:
         t0 = time.perf_counter_ns()
@@ -366,42 +335,19 @@ class SqliteBackend(StateBackend):
     def iter_items(self, map_id: int) -> Iterator[tuple[str, str]]:
         # Chunked so an O(n) walk (fingerprints, snapshots) never holds
         # the whole map in memory nor the lock across the iteration.
-        last = ""
-        first = True
+        last = ""               # below every key token
         while True:
             with self._lock:
-                if first:
-                    rows = self._conn.execute(
-                        "SELECT k, v FROM kv WHERE map_id = ?"
-                        " ORDER BY k LIMIT 1024", (map_id,)).fetchall()
-                else:
-                    rows = self._conn.execute(
-                        "SELECT k, v FROM kv WHERE map_id = ? AND k > ?"
-                        " ORDER BY k LIMIT 1024", (map_id, last)).fetchall()
+                rows = self._conn.execute(
+                    "SELECT k, v FROM kv WHERE map_id = ? AND k > ?"
+                    " ORDER BY k LIMIT 1024", (map_id, last)).fetchall()
             if not rows:
                 return
             yield from rows
             last = rows[-1][0]
-            first = False
 
     def _iter_all_rows(self) -> Iterator[tuple[int, str, str]]:
-        last: tuple[int, str] | None = None
-        while True:
-            with self._lock:
-                if last is None:
-                    rows = self._conn.execute(
-                        "SELECT map_id, k, v FROM kv"
-                        " ORDER BY map_id, k LIMIT 1024").fetchall()
-                else:
-                    rows = self._conn.execute(
-                        "SELECT map_id, k, v FROM kv"
-                        " WHERE map_id > ? OR (map_id = ? AND k > ?)"
-                        " ORDER BY map_id, k LIMIT 1024",
-                        (last[0], last[0], last[1])).fetchall()
-            if not rows:
-                return
-            yield from rows
-            last = (rows[-1][0], rows[-1][1])
+        return _scan(self._conn, self._lock)
 
     # -- durability spine hooks -----------------------------------------
 
@@ -434,25 +380,7 @@ class SqliteBackend(StateBackend):
         """Logical digest of a database file at rest (sidecar verify)."""
         conn = sqlite3.connect(path)
         try:
-            h = hashlib.sha256()
-            last: tuple[int, str] | None = None
-            while True:
-                if last is None:
-                    rows = conn.execute(
-                        "SELECT map_id, k, v FROM kv"
-                        " ORDER BY map_id, k LIMIT 1024").fetchall()
-                else:
-                    rows = conn.execute(
-                        "SELECT map_id, k, v FROM kv"
-                        " WHERE map_id > ? OR (map_id = ? AND k > ?)"
-                        " ORDER BY map_id, k LIMIT 1024",
-                        (last[0], last[0], last[1])).fetchall()
-                if not rows:
-                    break
-                for map_id, token, blob in rows:
-                    h.update(f"{map_id}\x1f{token}\x1f{blob}\x1e".encode())
-                last = (rows[-1][0], rows[-1][1])
-            return h.hexdigest()
+            return _digest(_scan(conn, threading.Lock()))
         except sqlite3.DatabaseError as exc:
             raise ValueError(f"unreadable backend file {path}: {exc}")
         finally:
@@ -471,20 +399,18 @@ def resolve_backend(spec, data_dir: str | None = None
                     ) -> StateBackend | None:
     """Build (or pass through) a backend from a knob value.
 
-    ``spec`` is a :class:`StateBackend` instance, a kind string
-    (``"memory"`` / ``"sqlite"`` / ``"none"``), or None, which defers
-    to the ``REPRO_STATE_BACKEND`` environment variable; empty/unset
-    means no backend (plain dict state, the default).
+    ``spec`` is a :class:`StateBackend` instance, ``"sqlite"``,
+    ``"none"``, or None, which defers to the ``REPRO_STATE_BACKEND``
+    environment variable; empty/unset means no backend (plain dict
+    state, the default).
     """
     if isinstance(spec, StateBackend):
         return spec
     if spec is None:
         spec = os.environ.get("REPRO_STATE_BACKEND", "")
     kind = str(spec).strip().lower()
-    if kind in ("", "none", "0", "off", "dict"):
+    if kind in ("", "none"):
         return None
-    if kind in ("memory", "mem"):
-        return MemoryBackend()
     if kind == "sqlite":
         path = os.path.join(data_dir, "state.sqlite") if data_dir else None
         return SqliteBackend(path, fresh=True)
@@ -492,285 +418,176 @@ def resolve_backend(spec, data_dir: str | None = None
 
 
 # --------------------------------------------------------------------------
-# The paged entry container.
+# The row base of a paged map.
 # --------------------------------------------------------------------------
 
-class PagedDict:
-    """Dict-protocol view over (backend, map_id) with a resident overlay.
+class StaleRowsError(RuntimeError):
+    """A read through an overlay whose row base was written back (a
+    fork that outlived a write-back)."""
 
-    Drop-in for ``MapVal.entries``: every consumer in the tree uses
-    plain dict protocol (``in``, ``[k]``, ``.get``, ``.pop``,
-    ``.items()``, ``len``, iteration, ``==``), and this class provides
-    each with fault-on-miss semantics.  Resolution order for a read:
 
-    1. ``_deleted`` tombstones (the key is logically absent),
-    2. the ``_local`` overlay (dirty writes, pinned nested maps,
-       clean cached scalars — LRU-touched on hit),
-    3. the backend (fault: decode, cache as clean, count it).
+class RowBase:
+    """The frozen rows of one paged map as an :class:`OverlayDict`
+    base: the read-only subset of the dict protocol an overlay uses
+    (``len``, ``in``, ``[k]``, ``get``), served from a bounded LRU
+    cache of clean rows that every overlay on this base shares, and
+    from the backend on a miss.  ``count`` is the number of rows.
 
-    Writes land in the overlay only; :meth:`flush` pushes dirty rows
-    and tombstones down in one batch (the network calls it at epoch
-    commit, when the journal is empty, so no rollback can ever cross a
-    writeback).  Pickling materialises to a plain dict — a pickled
-    copy never shares the backend.
+    :meth:`write_back` returns the base that replaces this one and
+    retires it: from then on every read raises
+    :class:`StaleRowsError` instead of answering with rows written
+    after the overlays on it were forked.
     """
 
-    __slots__ = ("backend", "map_id", "cache_limit",
-                 "_local", "_dirty", "_deleted", "_count")
+    __slots__ = ("backend", "map_id", "count", "cache", "live")
 
-    def __init__(self, backend: StateBackend, map_id: int, *,
-                 count: int, cache_limit: int | None = None):
+    def __init__(self, backend: StateBackend, map_id: int, count: int,
+                 cache: dict | None = None):
         self.backend = backend
         self.map_id = map_id
-        self.cache_limit = (cache_limit if cache_limit is not None
-                            else _cache_limit_from_env())
-        self._local: dict[Value, Value] = {}
-        self._dirty: set[Value] = set()
-        self._deleted: set[Value] = set()
-        self._count = count
+        self.count = count
+        self.cache: dict[Value, Value] = {} if cache is None else cache
+        self.live = True
 
-    @classmethod
-    def adopt(cls, backend: StateBackend, entries: dict, *,
-              cache_limit: int | None = None) -> "PagedDict":
-        """Move a plain entry dict into the backend.
-
-        Scalar rows go straight down and drop out of memory; map-valued
-        entries are also written (as blobs) but stay pinned in the
-        overlay so existing references keep their identity.
-        """
-        map_id = backend.new_map()
-        rows = []
-        pinned: dict[Value, Value] = {}
-        for k, v in entries.items():
-            rows.append((encode_key(k), encode_value(v)))
-            if isinstance(v, MapVal):
-                pinned[k] = v
-        if rows:
-            backend.put_many(map_id, rows)
-        paged = cls(backend, map_id, count=len(entries),
-                    cache_limit=cache_limit)
-        paged._local = pinned
-        return paged
-
-    # -- internal helpers ----------------------------------------------
-
-    def _present(self, key: Value) -> bool:
-        if key in self._deleted:
-            return False
-        if key in self._local:
-            return True
-        return self.backend.contains(self.map_id, encode_key(key))
-
-    def _evict(self) -> None:
-        limit = self.cache_limit
-        excess = len(self._local) - limit
-        if excess <= 0:
-            return
-        victims = []
-        for k, v in self._local.items():
-            if k not in self._dirty and not isinstance(v, MapVal):
-                victims.append(k)
-                if len(victims) >= excess:
-                    break
-        for k in victims:
-            del self._local[k]
-        self.backend.stats.evictions += len(victims)
-
-    # -- dict protocol ---------------------------------------------------
+    def _check(self) -> None:
+        if not self.live:
+            raise StaleRowsError(
+                f"map {self.map_id} was written back after this overlay "
+                f"was forked; a fork does not outlive a write-back")
 
     def __len__(self) -> int:
-        return self._count
-
-    def __bool__(self) -> bool:
-        return self._count > 0
+        return self.count
 
     def __contains__(self, key: Value) -> bool:
-        return self._present(key)
-
-    def __getitem__(self, key: Value) -> Value:
-        if key in self._deleted:
-            raise KeyError(key)
-        local = self._local
-        if key in local:
-            value = local.pop(key)      # LRU touch: move to the end
-            local[key] = value
-            return value
-        blob = self.backend.get(self.map_id, encode_key(key))
-        if blob is None:
-            raise KeyError(key)
-        self.backend.stats.faults += 1
-        value = decode_value(blob)
-        local[key] = value
-        self._evict()
-        return value
+        self._check()
+        return (key in self.cache
+                or self.backend.contains(self.map_id, encode_key(key)))
 
     def get(self, key: Value, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def __setitem__(self, key: Value, value: Value) -> None:
-        if not self._present(key):
-            self._count += 1
-        self._deleted.discard(key)
-        self._local[key] = value
-        self._dirty.add(key)
-        self._evict()
-
-    def pop(self, key: Value, *default):
-        if key in self._deleted:
-            if default:
-                return default[0]
-            raise KeyError(key)
-        token = encode_key(key)
-        in_backend = self.backend.contains(self.map_id, token)
-        if key in self._local:
-            value = self._local.pop(key)
-            self._dirty.discard(key)
-            if in_backend:
-                self._deleted.add(key)
-            self._count -= 1
-            return value
-        if in_backend:
+        self._check()
+        cache = self.cache
+        value = cache.pop(key, _ABSENT)         # LRU touch: to the end
+        if value is _ABSENT:
+            blob = self.backend.get(self.map_id, encode_key(key))
+            if blob is None:
+                return default
             self.backend.stats.faults += 1
-            value = decode_value(self.backend.get(self.map_id, token))
-            self._deleted.add(key)
-            self._count -= 1
-            return value
-        if default:
-            return default[0]
-        raise KeyError(key)
+            value = decode_value(blob)
+            cache[key] = value
+            self._trim()
+        else:
+            cache[key] = value
+        return value
 
-    def __delitem__(self, key: Value) -> None:
-        self.pop(key)
+    def __getitem__(self, key: Value) -> Value:
+        value = self.get(key, _ABSENT)
+        if value is _ABSENT:
+            raise KeyError(key)
+        return value
 
-    def __iter__(self) -> Iterator[Value]:
-        for k, _ in self.items():
-            yield k
+    def _trim(self) -> None:
+        cache = self.cache
+        excess = len(cache) - PAGE_CACHE
+        if excess > 0:
+            for key in list(itertools.islice(cache, excess)):
+                del cache[key]
+            self.backend.stats.evictions += excess
 
-    def keys(self) -> Iterator[Value]:
-        return iter(self)
+    def stream(self) -> Iterator[tuple[Value, Value]]:
+        """Every row, decoded, in key-token order; never cached, so a
+        full walk leaves the resident set alone."""
+        self._check()
+        for token, blob in self.backend.iter_items(self.map_id):
+            yield decode_key(token), decode_value(blob)
 
-    def values(self) -> Iterator[Value]:
-        for _, v in self.items():
-            yield v
+    def view(self, overlay: OverlayDict) -> "RowView":
+        return RowView(overlay)
+
+    def write_back(self, over: dict, dead: set, count: int) -> "RowBase":
+        """Write ``over`` and the tombstones ``dead`` down, retire this
+        base and return the one over the rows now stored, which takes
+        over the cache (written rows included, as clean rows)."""
+        self._check()
+        backend, map_id = self.backend, self.map_id
+        gone = [encode_key(k) for k in dead if k not in over]
+        if over:
+            backend.put_many(map_id, [(encode_key(k), encode_value(v))
+                                      for k, v in over.items()])
+        if gone:
+            backend.delete_many(map_id, gone)
+        backend.stats.writebacks += len(over) + len(gone)
+        cache = self.cache
+        for key in dead:
+            cache.pop(key, None)
+        for key, value in over.items():
+            if value.__class__ is MapVal:
+                value._cow = True       # a base child from now on
+            cache.pop(key, None)
+            cache[key] = value
+        self.live = False
+        self.cache = {}
+        rows = RowBase(backend, map_id, count, cache)
+        rows._trim()
+        return rows
+
+
+class RowView:
+    """Every live entry of an overlay on a row base, streamed: the
+    rows it does not shadow in key-token order, then its own entries.
+    What iterating, comparing and pickling such an overlay go through
+    (``OverlayDict._flat``); it never builds the whole map."""
+
+    __slots__ = ("overlay",)
+
+    def __init__(self, overlay: OverlayDict):
+        self.overlay = overlay
+
+    def __len__(self) -> int:
+        return len(self.overlay)
+
+    def get(self, key: Value, default=None):
+        return self.overlay.get(key, default)
 
     def items(self) -> Iterator[tuple[Value, Value]]:
-        """Every logical entry, backend rows first (sorted by token),
-        then the overlay.  Backend values are decoded streaming and
-        *not* cached — a full walk must never blow the resident set."""
-        local = self._local
-        deleted = self._deleted
-        for token, blob in self.backend.iter_items(self.map_id):
-            key = decode_key(token)
-            if key in local or key in deleted:
-                continue
-            yield key, decode_value(blob)
-        yield from list(local.items())
+        overlay = self.overlay
+        over, dead = overlay.over, overlay.dead
+        for key, value in overlay.base.stream():
+            if key not in over and key not in dead:
+                yield key, value
+        yield from list(over.items())
+
+    def __iter__(self) -> Iterator[Value]:
+        return (key for key, _ in self.items())
+
+    keys = __iter__
+
+    def values(self) -> Iterator[Value]:
+        return (value for _, value in self.items())
 
     def __eq__(self, other) -> bool:
-        if other is self:
-            return True
-        if isinstance(other, (PagedDict, dict, OverlayDict)):
-            if len(other) != len(self):
-                return False
-            sentinel = object()
-            for k, v in self.items():
-                theirs = other.get(k, sentinel)
-                if theirs is sentinel or theirs != v:
-                    return False
-            return True
-        return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    def __repr__(self) -> str:
-        return (f"PagedDict(backend={self.backend.kind},"
-                f" map={self.map_id}, n={self._count},"
-                f" resident={len(self._local)}, dirty={len(self._dirty)})")
-
-    # -- paging API ------------------------------------------------------
-
-    def own_child(self, key: Value) -> Value:
-        """The (present) nested map at ``key``, about to be mutated in
-        place (``ContractState._descend``): it is pinned in the
-        overlay and private to it — ``private_copy`` forks every
-        resident child — so only the writeback needs arranging."""
-        child = self[key]
-        if key in self._local:
-            self._dirty.add(key)
-        return child
-
-    def prefetch(self, keys: Iterable[Value]) -> int:
-        """Batch-fault ``keys`` into the overlay in one round trip.
-
-        Returns the number of keys resident afterwards.  Deliberately
-        skips eviction: the caller is about to read exactly these keys,
-        and the next write or flush trims the overlay back down.
-        """
-        stats = self.backend.stats
-        wanted: dict[str, Value] = {}
-        hits = 0
-        requested = 0
-        for key in keys:
-            requested += 1
-            if key in self._deleted:
-                continue
-            if key in self._local:
-                hits += 1
-                continue
-            wanted[encode_key(key)] = key
-        stats.prefetch_requested += requested
-        if wanted:
-            found = self.backend.get_many(self.map_id, list(wanted))
-            for token, blob in found.items():
-                self._local[wanted[token]] = decode_value(blob)
-            hits += len(found)
-        stats.prefetch_hits += hits
-        return hits
-
-    def private_copy(self) -> "PagedDict":
-        """The CoW materialisation step (``MapVal._own``): a private
-        overlay over the *shared* backend rows.  O(resident), never
-        O(map) — the double-materialisation the property battery
-        forbids."""
-        clone = PagedDict(self.backend, self.map_id, count=self._count,
-                          cache_limit=self.cache_limit)
-        local = {}
-        for k, v in self._local.items():
-            local[k] = v.copy() if isinstance(v, MapVal) else v
-        clone._local = local
-        clone._dirty = set(self._dirty)
-        clone._deleted = set(self._deleted)
-        return clone
-
-    def flush(self) -> int:
-        """Write dirty rows and tombstones back to the backend, then
-        evict surplus clean scalars.  Only the network's commit path
-        calls this, and only with an empty journal — a rollback can
-        therefore never observe (or be corrupted by) a writeback."""
-        wrote = 0
-        if self._dirty:
-            rows = [(encode_key(k), encode_value(self._local[k]))
-                    for k in self._dirty]
-            self.backend.put_many(self.map_id, rows)
-            wrote += len(rows)
-            self._dirty.clear()
-        if self._deleted:
-            tokens = [encode_key(k) for k in self._deleted]
-            self.backend.delete_many(self.map_id, tokens)
-            wrote += len(tokens)
-            self._deleted.clear()
-        self.backend.stats.writebacks += wrote
-        self._evict()
-        return wrote
-
-    def materialize(self) -> dict:
-        """A plain dict with every logical entry (pickle boundary)."""
-        return dict(self.items())
+        if len(other) != len(self):
+            return False
+        get = other.get
+        return all(get(k, _ABSENT) == v for k, v in self.items())
 
     def __reduce__(self):
-        return (dict, (list(self.items()),))
+        # Pickles as a plain dict, its items streamed.
+        return (dict, (), None, None, self.items())
+
+
+def adopt(backend: StateBackend, entries) -> OverlayDict:
+    """Write a map's entries into a new backend map and return the
+    empty overlay over its rows that replaces them."""
+    map_id = backend.new_map()
+    backend.put_many(map_id, ((encode_key(k), encode_value(v))
+                              for k, v in entries.items()))
+    return OverlayDict(RowBase(backend, map_id, len(entries)))
+
+
+def paged_base(value) -> RowBase | None:
+    """The row base a map value pages through, None if it has none."""
+    entries = getattr(value, "entries", None)
+    if entries.__class__ is OverlayDict and entries.base.__class__ is RowBase:
+        return entries.base
+    return None
+

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import ExecError
 from .types import MapType, ScillaType
-from .values import MapVal, Value
+from .values import MapVal, OverlayDict, Value
 
 
 # Sentinel for "entry was absent" in undo logs and write sets.  A true
@@ -127,6 +127,8 @@ class ContractState:
         indistinguishable from a deep copy as long as every mutation
         flows through the owned write paths (which it does — see
         tests/test_state_journal.py for the aliasing property tests).
+        A fork of paged state does not outlive a write-back: it raises
+        ``StaleRowsError`` instead (docs/STATE.md §4).
         """
         return ContractState(
             self.address,
@@ -136,9 +138,6 @@ class ContractState:
             self.immutables,
             self._balance,
         )
-
-    # Legacy name kept for the many call sites that predate fork().
-    copy = fork
 
     # -- raw accessors ------------------------------------------------------
 
@@ -154,9 +153,9 @@ class ContractState:
         With ``create=True`` missing intermediate maps are created, as
         Scilla's in-place map update semantics prescribes.  With
         ``own=True`` (write paths) every map along the walk is first
-        privatised, and each child is taken through its container's
-        ``own_child`` hook (a plain dict owns its children outright),
-        so the mutation can never leak into a structurally-shared fork.
+        privatised, and each child is taken as one its overlay owns (a
+        plain dict owns its children outright), so the mutation can
+        never leak into a structurally-shared fork.
         """
         current = self.get_field(name)
         typ = self.field_types.get(name)
@@ -173,10 +172,8 @@ class ContractState:
                 if not isinstance(typ, MapType) or not isinstance(typ.value, MapType):
                     raise ExecError(f"cannot create nested map in {name!r}")
                 child = entries[key] = MapVal(typ.value.key, typ.value.value)
-            if own:
-                own_child = getattr(entries, "own_child", None)
-                if own_child is not None:
-                    child = own_child(key)
+            if own and entries.__class__ is OverlayDict:
+                child = entries.own_child(key)
             current = child
             typ = typ.value if isinstance(typ, MapType) else None
         if not isinstance(current, MapVal):

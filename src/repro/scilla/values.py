@@ -131,25 +131,30 @@ _ABSENT = object()
 
 
 class OverlayDict:
-    """A private overlay over a shared, frozen entry dict.
+    """A private overlay over a shared, frozen base: the one container
+    that sits over a shared map.
 
     Drop-in for ``MapVal.entries`` (full dict protocol, pickles to a
     plain dict).  ``base`` is never mutated once an overlay wraps it —
     any number of overlays may share it — and every write lands in
     ``over`` (``dead`` holds tombstones of deleted base keys), so
-    privatising a shared map costs O(overlay), never O(map).
+    privatising a shared map costs O(overlay), never O(map).  A base
+    is a plain dict, folded into a fresh one once enough is pending,
+    or a paged map's ``repro.scilla.backend.RowBase``: then ``over`` /
+    ``dead`` are its dirty rows and tombstones, :meth:`write_back` is
+    the fold, and iteration streams the rows.
 
-    Iteration order equals the plain dict's the overlay stands in for:
-    base order, an overwrite keeps its position, new keys follow in
-    insertion order, and a deleted-then-reinserted base key (in both
-    ``dead`` and ``over``) moves to the end.  A fold preserves exactly
-    that order, so *when* it happens is unobservable.
+    Over a dict base, iteration order equals the plain dict's the
+    overlay stands in for: base order, an overwrite keeps its position,
+    new keys follow in insertion order, and a deleted-then-reinserted
+    base key (in both ``dead`` and ``over``) moves to the end.  A fold
+    preserves exactly that order, so *when* it happens is unobservable.
 
     Map-valued children: those in ``base`` are shared with every other
-    overlay on it and are never mutated in place; :meth:`own_child`
-    copies one *up* into ``over`` before a nested write goes through
-    it.  ``kids`` names the keys of ``over`` holding a ``MapVal``; a
-    child there with ``_cow`` clear belongs to this overlay alone.
+    overlay on it and are never mutated in place; a nested write
+    copies one *up* into ``over`` before it goes through it.  ``kids``
+    names the keys of ``over`` holding a ``MapVal``; a child there with
+    ``_cow`` clear belongs to this overlay alone.
     """
 
     __slots__ = ("base", "over", "dead", "kids", "_count")
@@ -185,9 +190,12 @@ class OverlayDict:
             raise KeyError(key)
         return value
 
-    def _flat(self) -> dict:
+    def _flat(self):
         """Every live entry as one dict in iteration order; ``base``
-        itself (read-only!) while nothing is pending."""
+        itself (read-only!) while nothing is pending.  Over a row base,
+        a view that streams them."""
+        if not isinstance(self.base, dict):
+            return self.base.view(self)
         if not self.over and not self.dead:
             return self.base
         flat = self.base.copy()
@@ -273,6 +281,8 @@ class OverlayDict:
 
     def _fold(self) -> None:
         global OVERLAY_FOLDS, OVERLAY_FOLDED_ENTRIES
+        if not isinstance(self.base, dict):
+            return                  # a row base folds at commit only
         flat = self._flat()
         if flat is self.base:       # nothing pending: a fold ahead of writes
             flat = flat.copy()
@@ -283,6 +293,17 @@ class OverlayDict:
         self.base = flat
         self.over = {key: over[key] for key in self.kids}
         self.dead = set()
+
+    def write_back(self) -> None:
+        """The fold over a row base (``RowBase.write_back``).  Only the
+        network's commit path calls it, with an empty journal, so no
+        rollback can cross it."""
+        if self.over or self.dead:
+            self.base = self.base.write_back(self.over, self.dead,
+                                             self._count)
+            self.over = {}
+            self.dead = set()
+            self.kids = set()
 
     # -- copy-on-write hooks (MapVal._own / ContractState._descend) ----------
 
@@ -322,11 +343,11 @@ class MapVal(Value):
 
     Copies share structure: ``copy()`` returns a new wrapper over the
     *same* entry container, marking both sides copy-on-write.  The
-    first write through either wrapper privatises it (``_own``): the
-    shared container becomes the frozen base of a small private
-    :class:`OverlayDict` — O(1) over a plain dict, O(overlay) over a
-    container with its own ``private_copy`` — and map-valued children
-    are forked lazily, when a nested write walks through them.  The
+    first write through either wrapper privatises it (``_own``): a
+    shared dict becomes the frozen base of a small private
+    :class:`OverlayDict` (O(1)), a shared overlay is copied onto its
+    own base (O(overlay)), and map-valued children are forked lazily,
+    when a nested write walks through them.  The
     invariant: a ``MapVal`` whose ``_cow`` flag is clear is referenced
     by exactly one owner chain, so writing its entries is private.
 
@@ -354,15 +375,16 @@ class MapVal(Value):
         it is about to make (the FSD merge) says so: when they would
         fold the overlay anyway it folds first — one flat copy — and
         the writes land in that plain private dict.  Never for a map
-        of maps: a flat copy shares the children an overlay copies up."""
+        of maps (a flat copy shares the children an overlay copies up)
+        nor over a row base (its fold is the commit's write-back)."""
         if self._cow:
             global COW_COPIES
             COW_COPIES += 1
             entries = self.entries
-            private_copy = getattr(entries, "private_copy", None)
-            entries = (private_copy() if private_copy is not None
+            entries = (entries.private_copy()
+                       if entries.__class__ is OverlayDict
                        else OverlayDict(entries))
-            if (writes and entries.__class__ is OverlayDict
+            if (writes and isinstance(entries.base, dict)
                     and not isinstance(self.value_type, ty.MapType)
                     and entries._fold_if_due(writes)):
                 entries = entries.base

@@ -148,7 +148,7 @@ def test_ud_bestow_footprint():
 
 
 def _final_state(interp, state, txns):
-    state = state.copy()
+    state = state.fork()
     for transition, args, sender in txns:
         result = interp.run_transition(
             state, transition, dict(args), TxContext(sender=sender))
@@ -333,7 +333,7 @@ def test_corpus_journal_writes_fall_inside_static_footprints():
             if any(v is None for v in args.values()):
                 continue
             pfs = footprints[comp.name]
-            state = base.copy()
+            state = base.fork()
             journal = StateJournal()
             state.journal = journal
             try:

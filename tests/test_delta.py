@@ -43,7 +43,7 @@ def delta_between(base, final, joins, shard=0, keys=None):
 
 def test_compute_delta_int_diffs():
     base = token_state(a=10, b=5)
-    final = base.copy()
+    final = base.fork()
     final.write(("bal", (StringVal("a"),)), uint(7))
     final.write(("bal", (StringVal("c"),)), uint(3))
     d = delta_between(base, final, JOINS)
@@ -56,16 +56,16 @@ def test_compute_delta_int_diffs():
 
 def test_zero_diff_entries_omitted():
     base = token_state(a=10)
-    final = base.copy()
+    final = base.fork()
     d = delta_between(base, final, JOINS)
     assert len(d) == 0
 
 
 def test_merge_sums_int_deltas_from_multiple_shards():
     base = token_state(a=10)
-    f1 = base.copy()
+    f1 = base.fork()
     f1.write(("bal", (StringVal("a"),)), uint(14))   # +4 in shard 0
-    f2 = base.copy()
+    f2 = base.fork()
     f2.write(("bal", (StringVal("a"),)), uint(13))   # +3 in shard 1
     d1 = delta_between(base, f1, JOINS, shard=0)
     d2 = delta_between(base, f2, JOINS, shard=1)
@@ -76,7 +76,7 @@ def test_merge_sums_int_deltas_from_multiple_shards():
 
 def test_merge_creates_absent_entries():
     base = token_state()
-    f1 = base.copy()
+    f1 = base.fork()
     f1.write(("bal", (StringVal("x"),)), uint(5))
     d1 = delta_between(base, f1, JOINS)
     merged, _ = merge_deltas(base, [d1])
@@ -85,7 +85,7 @@ def test_merge_creates_absent_entries():
 
 def test_merge_overwrite_and_delete():
     base = token_state(a=1, b=2)
-    f1 = base.copy()
+    f1 = base.fork()
     f1.write(("bal", (StringVal("a"),)), uint(9))
     f1.write(("bal", (StringVal("b"),)), MISSING)
     d1 = delta_between(base, f1, OVERWRITE)
@@ -96,7 +96,7 @@ def test_merge_overwrite_and_delete():
 
 def test_conflicting_overwrites_detected():
     base = token_state(a=1)
-    f1, f2 = base.copy(), base.copy()
+    f1, f2 = base.fork(), base.fork()
     f1.write(("bal", (StringVal("a"),)), uint(2))
     f2.write(("bal", (StringVal("a"),)), uint(3))
     d1 = delta_between(base, f1, OVERWRITE, shard=0)
@@ -130,7 +130,7 @@ def test_overwrite_vs_intmerge_same_key_detected():
 
 def test_merge_leaves_base_untouched():
     base = token_state(a=1)
-    f1 = base.copy()
+    f1 = base.fork()
     f1.write(("bal", (StringVal("a"),)), uint(6))
     merged, _ = merge_deltas(base, [delta_between(base, f1, JOINS)])
     assert base.read(("bal", (StringVal("a"),))) == uint(1)
@@ -147,7 +147,7 @@ _shard_writes = st.dictionaries(
 
 
 def _apply_shard(base, writes, shard):
-    final = base.copy()
+    final = base.fork()
     for k, dv in writes.items():
         key = ("bal", (StringVal(k),))
         old = base.read(key)
@@ -352,7 +352,7 @@ def _image(state: ContractState) -> str:
 def _merge_by_writes(base, deltas):
     """``merge_deltas`` through the general write path, which never
     announces its write count: every privatised map is an overlay."""
-    merged = base.copy()
+    merged = base.fork()
     sums: dict = {}
     for delta in deltas:
         for e in delta.entries:
@@ -413,7 +413,7 @@ def test_merge_folds_first_into_the_state_the_overlay_path_builds():
                      ty.MapType(ty.STRING, ty.UINT128)),
     }, {"bal": ty.MapType(ty.STRING, ty.UINT128),
         "own": ty.MapType(ty.STRING, ty.UINT128), "nest": NESTED})
-    want = state.copy()
+    want = state.fork()
     # Below the threshold, above it (the shared container an overlay
     # with pending writes), above it again (a plain dict), below.
     for n in (limit // 3, limit + 30, limit + 30, limit // 3):

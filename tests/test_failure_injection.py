@@ -39,7 +39,7 @@ def _two_shard_runs(join_kind):
     node = ByStrVal("0x" + "11" * 32, ty.PrimType("ByStr32"))
     deltas = []
     for shard, owner in ((0, ALICE), (1, BOB)):
-        local = base.copy()
+        local = base.fork()
         r = interp.run_transition(
             local, "Bestow",
             {"node": node, "owner": addr(owner), "resolver": addr(owner)},

@@ -90,7 +90,7 @@ def test_epoch_boundary_visibility(multinet):
 def test_contract_isolation(multinet):
     """A failed NFT transaction cannot disturb token state."""
     net = multinet
-    before = net.contracts[TOKEN].state.copy()
+    before = net.contracts[TOKEN].state.fork()
     block = net.process_epoch([
         call(USERS[0], NFT, "Transfer",
              {"token_owner": addr(USERS[0]), "to": addr(USERS[1]),

@@ -323,16 +323,10 @@ def test_tps_zero_when_no_time():
     assert block.n_committed == 0
 
 
-def _paged_dict():
-    from repro.scilla.backend import MemoryBackend, PagedDict
-    return PagedDict.adopt(MemoryBackend(), {})
-
-
 # What first reads each variable.
 ENV_KNOB_READERS = {
     "REPRO_STATE_BACKEND": lambda: Network(2),
     "REPRO_WORKERS": default_workers,     # what analyze_corpus sizes by
-    "REPRO_PAGE_CACHE": _paged_dict,
 }
 
 
@@ -343,11 +337,8 @@ ENV_KNOB_READERS = {
         ("REPRO_WORKERS", "two", "REPRO_WORKERS must be"),
         ("REPRO_WORKERS", "0", "REPRO_WORKERS must be"),
         ("REPRO_WORKERS", "-1", "REPRO_WORKERS must be"),
-        ("REPRO_PAGE_CACHE", "4k", "REPRO_PAGE_CACHE must be"),
-        ("REPRO_PAGE_CACHE", "0", "REPRO_PAGE_CACHE must be"),
         # Empty means unset: the default applies.
         ("REPRO_WORKERS", "", None),
-        ("REPRO_PAGE_CACHE", "", None),
     ]])
 def test_env_knobs_reject_malformed_values(monkeypatch, name, value,
                                            error):

@@ -2,16 +2,17 @@
 
 The contract this file enforces, in three layers:
 
-* **Observational identity.**  A :class:`~repro.scilla.backend.PagedDict`
-  under any interleaving of dict-protocol operations — with a cache
-  small enough to force faults and evictions mid-sequence — is
-  byte-identical to a plain dict given the same operations, for both
-  backends.
+* **Observational identity.**  An :class:`~repro.scilla.values.OverlayDict`
+  over a :class:`~repro.scilla.backend.RowBase`, under any interleaving
+  of dict-protocol operations and write-backs — with a cache small
+  enough to force faults and evictions mid-sequence — is byte-identical
+  to a plain dict given the same operations, for both backends.
 * **Journal and CoW invariants survive paging.**  Rolling a
   :class:`~repro.scilla.state.StateJournal` checkpoint back after
   evictions restores the exact pre-mark state; a CoW fork of a paged
-  map copies only the resident overlay (never the backing rows) and
-  isolates both sides.
+  map copies its dirty entries only (never a clean row, never a nested
+  map) and isolates both sides; a fork that outlives a write-back
+  raises instead of reading the newer rows.
 * **The durability spine.**  Snapshots of a sqlite-backed network pin
   a digest-verified sidecar: resume round-trips byte-identically, a
   tampered or missing sidecar is a typed ``StoreError`` (never a
@@ -23,7 +24,10 @@ from __future__ import annotations
 
 import os
 import resource
+import shutil
 import sqlite3
+from pathlib import Path
+from unittest import mock
 
 import pytest
 import hypothesis.strategies as st
@@ -33,12 +37,18 @@ from repro.chain.network import Network
 from repro.chain.recovery import network_fingerprint, state_fingerprint
 from repro.chain.store import SnapshotStore, StoreError
 from repro.scilla import types as ty
-from repro.scilla.backend import MemoryBackend, PagedDict, SqliteBackend
-from repro.scilla.state import ContractState, StateJournal
-from repro.scilla.values import MapVal, StringVal, uint
+import repro.scilla.backend as backend_mod
+from repro.scilla.backend import (
+    MemoryBackend, RowBase, SqliteBackend, StaleRowsError, adopt, paged_base,
+)
+from repro.scilla.state import MISSING, ContractState, StateJournal
+from repro.scilla.values import MapVal, OverlayDict, StringVal, uint
 from repro.workloads.generators import FTTransfer
 
 import repro.scilla.values as values_mod
+
+
+FIXTURE = Path(__file__).parent / "fixtures" / "paged_restore_point_v4"
 
 
 def _key(i: int) -> StringVal:
@@ -49,14 +59,15 @@ def _backend(kind: str):
     return MemoryBackend() if kind == "memory" else SqliteBackend()
 
 
-def _paged_from(backend, entries: dict, cache: int) -> PagedDict:
-    return PagedDict.adopt(backend, entries, cache_limit=cache)
+def _cache(rows: int):
+    """The row cache held at ``rows`` for the duration of a block."""
+    return mock.patch.object(backend_mod, "PAGE_CACHE", rows)
 
 
 # op = (code, key_index, value); codes: 0 put, 1 pop, 2 get,
-# 3 contains, 4 len, 5 full iteration
+# 3 contains, 4 len, 5 full iteration, 6 write-back
 OPS = st.lists(
-    st.tuples(st.integers(0, 5), st.integers(0, 15), st.integers(0, 99)),
+    st.tuples(st.integers(0, 6), st.integers(0, 15), st.integers(0, 99)),
     max_size=40)
 SEED_ENTRIES = st.dictionaries(
     st.integers(0, 15), st.integers(0, 99), max_size=12)
@@ -67,9 +78,13 @@ class TestPagedMatchesDict:
     @given(seed=SEED_ENTRIES, ops=OPS, kind=st.sampled_from(
         ["memory", "sqlite"]), cache=st.integers(1, 6))
     def test_arbitrary_interleavings(self, seed, ops, kind, cache):
+        with _cache(cache):
+            self._interleave(seed, ops, kind)
+
+    def _interleave(self, seed, ops, kind):
         plain = {_key(i): uint(v) for i, v in seed.items()}
         backend = _backend(kind)
-        paged = _paged_from(backend, dict(plain), cache)
+        paged = adopt(backend, dict(plain))
         for code, i, v in ops:
             k = _key(i)
             if code == 0:
@@ -83,15 +98,19 @@ class TestPagedMatchesDict:
                 assert (k in plain) == (k in paged)
             elif code == 4:
                 assert len(plain) == len(paged)
-            else:
+            elif code == 5:
                 assert dict(paged.items()) == plain
+            else:
+                paged.write_back()
         assert paged == plain
-        # Writing back and re-reading through a fresh view over the
+        # Writing back and re-reading through a fresh overlay over the
         # same rows must also agree.
-        paged.flush()
-        fresh = PagedDict(backend, paged.map_id, count=len(plain),
-                          cache_limit=cache)
-        assert fresh == plain
+        paged.write_back()
+        rows = paged.base
+        assert (rows.count, len(paged.over), len(paged.dead)) == \
+            (len(plain), 0, 0)
+        assert OverlayDict(RowBase(backend, rows.map_id, rows.count)) \
+            == plain
         backend.close()
 
     @settings(max_examples=25, deadline=None)
@@ -100,21 +119,23 @@ class TestPagedMatchesDict:
         digests = []
         for kind in ("memory", "sqlite"):
             backend = _backend(kind)
-            paged = _paged_from(
-                backend, {_key(i): uint(v) for i, v in seed.items()},
-                cache)
-            for code, i, v in ops:
-                if code == 0:
-                    paged[_key(i)] = uint(v)
-                elif code == 1:
-                    paged.pop(_key(i), None)
-            paged.flush()
+            with _cache(cache):
+                paged = adopt(backend,
+                              {_key(i): uint(v) for i, v in seed.items()})
+                for code, i, v in ops:
+                    if code == 0:
+                        paged[_key(i)] = uint(v)
+                    elif code == 1:
+                        paged.pop(_key(i), None)
+                    elif code == 6:
+                        paged.write_back()
+                paged.write_back()
             digests.append(backend.digest())
             backend.close()
         assert digests[0] == digests[1]
 
 
-def _paged_state(backend, n: int, cache: int) -> ContractState:
+def _paged_state(backend, n: int) -> ContractState:
     balances = MapVal(ty.STRING, ty.UINT128)
     for i in range(n):
         balances.entries[_key(i)] = uint(i)
@@ -123,8 +144,7 @@ def _paged_state(backend, n: int, cache: int) -> ContractState:
         fields={"balances": balances, "supply": uint(n)},
         field_types={"balances": ty.MapType(ty.STRING, ty.UINT128),
                      "supply": ty.UINT128})
-    balances.entries = PagedDict.adopt(backend, balances.entries,
-                                       cache_limit=cache)
+    balances.entries = adopt(backend, balances.entries)
     return state
 
 
@@ -136,8 +156,12 @@ class TestJournalAndCow:
         kind=st.sampled_from(["memory", "sqlite"]))
     def test_rollback_after_eviction_restores_exact_state(
             self, writes, kind):
+        with _cache(2):
+            self._roll_back(writes, kind)
+
+    def _roll_back(self, writes, kind):
         backend = _backend(kind)
-        state = _paged_state(backend, 20, cache=2)
+        state = _paged_state(backend, 20)
         journal = StateJournal()
         state.journal = journal
         before = state_fingerprint(state)
@@ -154,36 +178,68 @@ class TestJournalAndCow:
         assert state_fingerprint(state) == before
         backend.close()
 
+    @mock.patch.object(backend_mod, "PAGE_CACHE", 8)
     def test_cow_fork_never_double_materialises(self):
         backend = SqliteBackend()
-        state = _paged_state(backend, 500, cache=8)
+        state = _paged_state(backend, 500)
         original = state.fields["balances"]
-        rows_before = backend.count(original.entries.map_id)
+        for i in range(20):                         # a warm row cache
+            original.entries[_key(i)]
+        original.put(_key(600), uint(6))            # two dirty entries
+        original.remove(_key(3))
+        rows = original.entries.base
+        assert len(rows.cache) == 8
 
         fork = original.copy()
         assert fork.entries is original.entries     # O(1) fork
-
         fork.put(_key(1), uint(999))                # first write owns
-        assert isinstance(fork.entries, PagedDict)
-        assert fork.entries is not original.entries
-        # Both sides keep sharing the same backing rows: owning copied
-        # the resident overlay only, it did not clone the map rows or
-        # pull them into memory.
-        assert fork.entries.map_id == original.entries.map_id
-        assert backend.count(original.entries.map_id) == rows_before
-        assert len(fork.entries._local) <= 8 + len(
-            fork.entries._dirty) + 1
+        owned = fork.entries
+        assert owned is not original.entries
+        # Owning copied the overlay's dirty entries, not one clean row:
+        # both sides share the base, its rows and its cache.
+        assert owned.base is rows
+        assert owned.over == {_key(600): uint(6), _key(1): uint(999)}
+        assert owned.dead == {_key(3)}
+        assert backend.count(rows.map_id) == 500
 
         # Isolation both ways.
         assert original.entries.get(_key(1)) == uint(1)
         assert fork.entries[_key(1)] == uint(999)
         original.put(_key(2), uint(888))
         assert fork.entries.get(_key(2)) == uint(2)
+        assert _key(3) not in fork.entries and _key(3) not in original.entries
         backend.close()
+
+    def test_fork_of_a_map_of_maps_forks_no_child(self):
+        inner = ty.MapType(ty.STRING, ty.UINT128)
+        allowances = MapVal(ty.STRING, inner, {
+            _key(i): MapVal(ty.STRING, ty.UINT128, {_key(0): uint(i)})
+            for i in range(4)})
+        state = ContractState(
+            address="0x" + "ce" * 20, fields={"allowances": allowances},
+            field_types={"allowances": ty.MapType(ty.STRING, inner)})
+        allowances.entries = adopt(MemoryBackend(), allowances.entries)
+        state.write(("allowances", (_key(1), _key(5))), uint(5))
+        child = allowances.entries.over[_key(1)]
+
+        fork = state.fork()
+        fork.write(("allowances", (_key(2), _key(5))), uint(7))
+        owned = fork.fields["allowances"].entries
+        # The fork's first write copied the overlay: the child it owned
+        # came along shared and flagged, not forked.
+        assert set(owned.over) == {_key(1), _key(2)}
+        assert owned.over[_key(1)] is child and child._cow
+        # A write through it copies it up first; both sides stay apart.
+        fork.write(("allowances", (_key(1), _key(6))), uint(8))
+        assert owned.over[_key(1)] is not child
+        assert fork.read(("allowances", (_key(1), _key(5)))) == uint(5)
+        assert fork.read(("allowances", (_key(1), _key(6)))) == uint(8)
+        assert state.read(("allowances", (_key(1), _key(6)))) is MISSING
+        assert state.read(("allowances", (_key(2), _key(5)))) is MISSING
 
     def test_own_counts_one_cow_copy(self):
         backend = MemoryBackend()
-        state = _paged_state(backend, 10, cache=4)
+        state = _paged_state(backend, 10)
         fork = state.fields["balances"].copy()
         before = values_mod.COW_COPIES
         fork.put(_key(0), uint(42))
@@ -202,7 +258,26 @@ class TestEquivalenceAgainstPlainState:
                 net.process_epoch(wl.transactions(epoch))
             return network_fingerprint(net)
 
-        assert run("none") == run(kind)
+        assert run("none") == run(_backend(kind))
+
+    @mock.patch.object(backend_mod, "PAGE_CACHE", 1)
+    def test_a_fork_does_not_outlive_a_write_back(self):
+        """A fork promises deep-copy behaviour.  Over paged state it
+        used to read the rows written back after it was taken, once its
+        own resident rows were evicted; now it raises instead."""
+        wl = FTTransfer(n_users=12, txns_per_epoch=25, seed=3)
+        net = Network(4, state_backend=MemoryBackend())
+        wl.setup(net)
+        net.process_epoch(wl.transactions(1))
+        c = next(iter(net.contracts.values()))
+        held = c.state.fork()
+        taken = state_fingerprint(held)
+        assert taken == state_fingerprint(c.state)
+        for epoch in range(2, 5):
+            net.process_epoch(wl.transactions(epoch))
+        assert state_fingerprint(c.state) != taken
+        with pytest.raises(StaleRowsError, match="written back"):
+            state_fingerprint(held)
 
 
 class TestDurabilitySpine:
@@ -226,7 +301,7 @@ class TestDurabilitySpine:
         assert resumed.state_backend.kind == "sqlite"
         # The restored state is still paged, not silently inlined.
         some_state = next(iter(resumed.contracts.values())).state
-        assert any(isinstance(getattr(v, "entries", None), PagedDict)
+        assert any(paged_base(v) is not None
                    for v in some_state.fields.values())
         resumed.close()
 
@@ -260,9 +335,10 @@ class TestDurabilitySpine:
         for contract in net.contracts.values():
             for name, value in contract.state.fields.items():
                 if isinstance(value, MapVal):
-                    assert isinstance(value.entries, PagedDict), name
-                    assert net.state_backend.count(
-                        value.entries.map_id) == len(value.entries)
+                    rows = paged_base(value)
+                    assert rows is not None, name
+                    assert net.state_backend.count(rows.map_id) \
+                        == len(value.entries)
                     live += len(value.entries)
         net.close()
         assert live >= 10
@@ -278,6 +354,30 @@ class TestDurabilitySpine:
         sidecars = store.backend_paths()
         assert sidecars, "durable paged run produced no sidecar"
         return sidecars[-1]
+
+    def test_an_older_paged_restore_point_resumes(self, tmp_path):
+        """``fixtures/paged_restore_point_v4`` was written before a paged
+        map became an overlay on a row base: a sqlite-paged FT run
+        (``Network(2, data_dir=…, state_backend="sqlite")``,
+        ``FTTransfer(n_users=6, txns_per_epoch=4, seed=7)``, two epochs
+        with a checkpoint held across the second, so its rows were not
+        written back), saved with ``net.snapshot()``.  Its sidecar's
+        digest still verifies, the ``PagedMap``'s five dirty rows lie
+        over the sidecar's rows, and the state is what that run had."""
+        shutil.copytree(FIXTURE, tmp_path / "data")
+        net = Network.resume(str(tmp_path / "data"))
+        try:
+            assert network_fingerprint(net) == {
+                "0x" + "c0" * 20: "5a221a9ec29717fdf876ecd06244a941"
+                                  "0c31cd68669e8bcabb8e4960013df43e"}
+            balances = net.contracts["0x" + "c0" * 20].state.fields[
+                "balances"]
+            entries = balances.entries
+            assert paged_base(balances) is entries.base
+            assert (len(entries.over), len(entries.dead), len(entries),
+                    entries.base.count) == (5, 0, 7, 7)
+        finally:
+            net.close()
 
     def test_tampered_sidecar_is_a_typed_store_error(self, tmp_path):
         d = str(tmp_path)
@@ -330,7 +430,7 @@ class TestOutOfCoreSoak:
         ceiling = float(os.environ["REPRO_SOAK_RSS_MB"])
         entries = int(os.environ.get("REPRO_SOAK_ENTRIES", "1000000"))
         report = run_oocore_soak(entries=entries, ticks=8,
-                                 txns_per_tick=200, cache=4096,
+                                 txns_per_tick=200,
                                  compare_resident=False)
         assert report["committed"] > 0
         assert report["backend"]["faults"] > 0

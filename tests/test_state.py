@@ -62,7 +62,7 @@ def test_nested_map_autovivifies():
 def test_copy_is_deep_for_maps():
     s = fresh_state()
     s.write(("m", (StringVal("x"),)), uint(1))
-    c = s.copy()
+    c = s.fork()
     c.write(("m", (StringVal("x"),)), uint(2))
     assert s.read(("m", (StringVal("x"),))) == uint(1)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import pickle
+from unittest import mock
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -35,7 +36,8 @@ from hypothesis import given, settings
 import pytest
 
 from repro.scilla import types as ty, values as scilla_values
-from repro.scilla.backend import MemoryBackend, PagedDict
+import repro.scilla.backend as backend_mod
+from repro.scilla.backend import MemoryBackend, adopt
 from repro.scilla.errors import ExecError
 from repro.scilla.state import (
     ContractState, JournalError, MISSING, StateJournal, WriteLog,
@@ -302,8 +304,8 @@ def _write_world(kind: str, seed: dict):
     nested = {StringVal(k): _inner_map(v) for k, v in seed["nested"].items()}
     if kind == "paged":
         backend = MemoryBackend()
-        flat = PagedDict.adopt(backend, flat, cache_limit=2)
-        nested = PagedDict.adopt(backend, nested, cache_limit=2)
+        flat = adopt(backend, flat)
+        nested = adopt(backend, nested)
     state.fields["m"].entries = flat
     state.fields["nested"].entries = nested
     if kind == "overlay":           # a fork of a fork: everything shared
@@ -326,6 +328,7 @@ def _spec_write(state, log, key, value) -> None:
        journaled=st.booleans(),
        txns=st.lists(st.tuples(st.lists(_WRITES, max_size=6), st.booleans()),
                      max_size=4))
+@mock.patch.object(backend_mod, "PAGE_CACHE", 2)
 def test_owned_write_is_record_then_write(seed, kind, journaled, txns):
     traces = []
     for write in (owned_write, _spec_write):
