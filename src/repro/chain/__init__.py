@@ -10,7 +10,9 @@ from .blocks import (
     BlockBodyReleased, BlockHeader, FinalBlock, MicroBlock, Receipt,
 )
 from .consensus import CostModel, DEFAULT_COST_MODEL
-from .delta import DeltaEntry, StateDelta, compute_delta, merge_deltas
+from .delta import (
+    DeltaEntry, FieldDelta, StateDelta, compute_delta, merge_deltas,
+)
 from .dispatch import (
     DS, DeployedSignature, DispatchDecision, Dispatcher, key_token,
     shard_hash, value_from_token,
@@ -38,7 +40,8 @@ __all__ = [
     "BlockBodyReleased", "BlockHeader", "FinalBlock", "MicroBlock",
     "Receipt",
     "CostModel", "DEFAULT_COST_MODEL",
-    "DeltaEntry", "StateDelta", "compute_delta", "merge_deltas",
+    "DeltaEntry", "FieldDelta", "StateDelta", "compute_delta",
+    "merge_deltas",
     "DS", "DeployedSignature", "DispatchDecision", "Dispatcher",
     "key_token", "shard_hash", "value_from_token",
     "FaultEvent", "FaultInjector", "FaultKind", "FaultPlan",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from operator import attrgetter
 
 from ..scilla.backend import adopt, paged_base, resolve_backend
 from ..scilla.state import ContractState
@@ -26,8 +25,6 @@ from .serialization import (
     value_from_json,
 )
 from .wal import WALError, WriteAheadLog
-
-_ENTRY_KEY = attrgetter("key")
 
 
 @dataclass(frozen=True)
@@ -203,8 +200,10 @@ class Durability:
         locations: dict[str, set] = {}
         for mb in outcome.microblocks:
             for delta in mb.deltas:
-                locations.setdefault(delta.contract, set()).update(
-                    map(_ENTRY_KEY, delta.entries))
+                keys = locations.setdefault(delta.contract, set())
+                for column in delta.columns:
+                    name = column.field
+                    keys.update([(name, path) for path in column.rows])
         for addr, logs in outcome.ds_logs.items():
             keys = locations.setdefault(addr, set())
             for log in logs:

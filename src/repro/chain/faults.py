@@ -23,8 +23,9 @@ the DS lane — see ``docs/FAULTS.md``):
   timeout; the DS committee has already started a view change.
 * ``DROP_MICROBLOCK``  — the MicroBlock is lost in transit.
 * ``CORRUPT_DELTA``    — a bit-flip re-keys one of the shard's
-  StateDelta entries to a location outside its ownership footprint.
-* ``FORGE_DELTA``      — a byzantine shard fabricates a delta entry
+  StateDelta rows to a location outside its ownership footprint, or
+  flips its join kind.
+* ``FORGE_DELTA``      — a byzantine shard fabricates a delta row
   (foreign-owned key, or a join kind that contradicts the deployed
   signature).
 
@@ -360,12 +361,14 @@ class FaultInjector:
                                lane_deltas: list[StateDelta], net):
         """Yield ``(preview, apply, description)`` candidates in a
         deterministic order: foreign re-keys first, then join-kind
-        forgeries, then fabricated whole-field writes.  ``preview`` is
-        a fresh StateDelta showing the post-tamper result; ``apply``
-        installs it into the lane's deltas for real."""
+        forgeries, then fabricated whole-field writes — over each
+        delta's rows in its ``entries`` order.  ``preview`` is a fresh
+        StateDelta showing the post-tamper result; ``apply`` installs
+        its columns into the lane's delta for real."""
         corrupt = kind is FaultKind.CORRUPT_DELTA
         for delta in lane_deltas:
-            for index, entry in enumerate(delta.entries):
+            rows = list(delta.entries)
+            for index, entry in enumerate(rows):
                 field, keys = entry.key
                 bads: list[DeltaEntry] = []
                 if keys:
@@ -378,15 +381,15 @@ class FaultInjector:
                 # Join-kind forgery: claim the opposite merge semantics.
                 bads.append(self._flip_kind(entry))
                 for bad in bads:
-                    entries = list(delta.entries)
+                    entries = list(rows)
                     if corrupt:
                         entries[index] = bad
                     else:
                         entries.append(bad)
-                    preview = StateDelta(delta.contract, delta.shard,
-                                         entries)
+                    preview = StateDelta.from_entries(
+                        delta.contract, delta.shard, entries)
                     yield (preview,
-                           self._installer(delta, entries),
+                           self._installer(delta, preview),
                            f"{field!r} of {delta.contract}")
         # Nothing to corrupt in place: fabricate a whole-field write.
         for address in sorted(net.contracts):
@@ -395,30 +398,28 @@ class FaultInjector:
                 value = state.fields.get(name)
                 if value is None:
                     continue
-                forged = StateDelta(address, shard, [DeltaEntry(
-                    (name, ()), JoinKind.OWN_OVERWRITE,
-                    new_value=value)])
+                forged = StateDelta.from_entries(address, shard, [DeltaEntry(
+                    (name, ()), JoinKind.OWN_OVERWRITE, new_value=value)])
                 yield (forged, lambda f=forged: lane_deltas.append(f),
                        f"fabricated {name!r} of {address}")
 
     @staticmethod
-    def _installer(delta: StateDelta, entries: list[DeltaEntry]):
+    def _installer(delta: StateDelta, tampered: StateDelta):
         def apply():
-            delta.entries[:] = entries
+            delta.columns[:] = tampered.columns
         return apply
 
     @staticmethod
     def _flip_kind(entry: DeltaEntry) -> DeltaEntry:
+        """The row claiming the other join kind.  The value it carries
+        is never merged: the validator rejects the kind first."""
         if entry.kind is JoinKind.INT_MERGE:
-            new_value = (entry.template if entry.template is not None
-                         else uint(max(entry.int_diff, 0)))
             return DeltaEntry(entry.key, JoinKind.OWN_OVERWRITE,
-                              new_value=new_value)
-        template = (entry.new_value
-                    if isinstance(entry.new_value, IntVal)
-                    else uint(1))
+                              new_value=uint(1))
+        value = (entry.new_value if isinstance(entry.new_value, IntVal)
+                 else uint(1))
         return DeltaEntry(entry.key, JoinKind.INT_MERGE, int_diff=1,
-                          template=template)
+                          typ=value.typ)
 
     def _note(self, log: list[str], line: str) -> None:
         self.log.append(line)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 
-from ..core.joins import JoinKind
+from ..core.joins import JoinKind, MergeOverflow
 from ..core.pipeline import run_pipeline_cached
 from ..obs.metrics import NULL_REGISTRY
 from ..obs.tracing import NULL_TRACER
@@ -281,7 +281,9 @@ class Network(Execution, Durability):
         StateDelta that fails footprint validation — it rolls the
         attempt back to the epoch-start checkpoint, excludes the lane,
         and retries; the excluded lane's queue is re-executed on the DS
-        lane against the merged state (view change).
+        lane against the merged state (view change).  An IntMerge total
+        that overflows at the merge excludes every lane contributing
+        to it the same way.
 
         A transaction a lane's gas limit leaves unexecuted gets a
         ``deferred: epoch gas limit`` receipt; a caller resubmits it
@@ -506,7 +508,7 @@ class Network(Execution, Durability):
                 delta = compute_delta(addr, shard, base, local,
                                       touched.get(addr, ()),
                                       self.contracts[addr].joins)
-                if delta.entries:
+                if delta.columns:
                     lane_deltas.append(delta)
                 # Native-token balance changes (accepts / payouts) are
                 # additive, so they merge like an IntMerge component.
@@ -539,11 +541,15 @@ class Network(Execution, Durability):
                 balance_deltas[addr] = (balance_deltas.get(addr, 0)
                                         + bdelta)
 
-        if newly_faulty:
+        def abandoned() -> _EpochAttempt:
+            # The caller rolls back and retries without newly_faulty.
             return _EpochAttempt(stats, microblocks,
                                  MicroBlock(shard=DS, epoch=self.epoch),
                                  0, shard_exec_times, deferred,
                                  newly_faulty, rejected)
+
+        if newly_faulty:
+            return abandoned()
 
         # Phase 2: DS merges shard deltas (FSD).
         t_merge = time.perf_counter_ns() if self.metrics.enabled else 0
@@ -557,7 +563,18 @@ class Network(Execution, Durability):
                 contract = self.contracts[addr]
                 if pre_states is not None:
                     pre_states[addr] = contract.state
-                merged, changed = merge_deltas(contract.state, deltas)
+                try:
+                    merged, changed = merge_deltas(contract.state, deltas)
+                except MergeOverflow as overflow:
+                    # Every lane that contributed to the location is
+                    # excluded, and its queue re-runs on the DS lane,
+                    # where the transaction that overflows fails.
+                    for shard in overflow.shards:
+                        newly_faulty[shard] = "merge-overflow"
+                    fault_log.append(f"epoch {self.epoch}: {overflow}; "
+                                     f"lane(s) {list(overflow.shards)} "
+                                     f"re-run on the DS lane")
+                    return abandoned()
                 self._rebind_state(contract, merged)
                 merged_locations += changed
             for addr, bdelta in balance_deltas.items():

@@ -102,29 +102,34 @@ def validate_delta(delta: StateDelta, contract, dispatcher
     joins = contract.joins
     signature_mode = (dispatcher.use_signatures
                       and contract.signature is not None)
-    for entry in delta.entries:
-        field, keys = entry.key
+    for column in delta.columns:
+        field = column.field
+        first = (field, next(iter(column.rows), ()))
         if field not in contract.state.field_types:
-            return bad(entry.key, f"unknown field {field!r}")
+            return bad(first, f"unknown field {field!r}")
         declared = joins.get(field, JoinKind.OWN_OVERWRITE)
-        if entry.kind is not declared:
-            return bad(entry.key,
-                       f"claims {entry.kind} but the deployed "
+        if column.kind is not declared:
+            return bad(first,
+                       f"claims {column.kind} but the deployed "
                        f"signature declares {declared}")
-        if entry.kind is JoinKind.INT_MERGE:
+        if column.kind is JoinKind.INT_MERGE:
             continue  # commutative: any shard may contribute
-        if signature_mode:
+        if not signature_mode:
+            owner = dispatcher.home_shard(delta.contract)
+            if owner != delta.shard:
+                return bad(first, f"component owned by shard {owner}")
+            continue
+        pseudo = PseudoField(field)
+        for keys in column.rows:
             try:
                 tokens = tuple(key_token(k) for k in keys)
             except ValueError:
-                return bad(entry.key, "key not usable for ownership")
-            owner = dispatcher.component_shard(
-                delta.contract, PseudoField(field), tokens)
-        else:
-            owner = dispatcher.home_shard(delta.contract)
-        if owner != delta.shard:
-            return bad(entry.key,
-                       f"component owned by shard {owner}")
+                return bad((field, keys), "key not usable for ownership")
+            owner = dispatcher.component_shard(delta.contract, pseudo,
+                                               tokens)
+            if owner != delta.shard:
+                return bad((field, keys),
+                           f"component owned by shard {owner}")
     return None
 
 

@@ -22,12 +22,12 @@ from ..core.joins import JoinKind
 from ..core.signature import ShardingSignature
 from ..scilla.errors import EvalError
 from ..scilla.parser import parse_type_str
-from ..scilla.state import MISSING, ContractState, StateKey, _Missing
+from ..scilla.state import MISSING, ContractState, _Missing
 from ..scilla import types as ty
 from ..scilla.values import (
     ADTVal, BNumVal, ByStrVal, IntVal, MapVal, OverlayDict, StringVal, Value,
 )
-from .delta import DeltaEntry, StateDelta
+from .delta import FieldDelta, StateDelta
 from .transaction import Transaction
 
 
@@ -158,44 +158,43 @@ def typed_from_json(data: Any, typ) -> Value:
 # State deltas (the StateDelta messages of Fig. 10).
 # --------------------------------------------------------------------------
 
-def _state_key_to_json(key: StateKey) -> Any:
-    name, keys = key
-    return [name, [value_to_json(k) for k in keys]]
-
-
-def _state_key_from_json(data: Any) -> StateKey:
-    name, keys = data
-    return name, tuple(value_from_json(k) for k in keys)
-
-
 def delta_to_json(delta: StateDelta) -> str:
-    entries = []
-    for e in delta.entries:
-        entries.append({
-            "key": _state_key_to_json(e.key),
-            "kind": e.kind.value,
-            "new": (None if isinstance(e.new_value, _Missing)
-                    else value_to_json(e.new_value)),
-            "diff": e.int_diff,
-            "template": (value_to_json(e.template)
-                         if e.template is not None else None),
-        })
+    """A delta as its columns: ``[field, kind, type | null, rows]`` per
+    changed field, each row ``[path, payload]`` — the signed difference
+    under IntMerge (the column carries the integer type), the new value
+    or ``null`` (deleted) under OwnOverwrite."""
+    columns = []
+    for column in delta.columns:
+        if column.kind is JoinKind.INT_MERGE:
+            rows = [[[value_to_json(k) for k in path], diff]
+                    for path, diff in column.rows.items()]
+        else:
+            rows = [[[value_to_json(k) for k in path],
+                     None if isinstance(value, _Missing)
+                     else value_to_json(value)]
+                    for path, value in column.rows.items()]
+        columns.append([column.field, column.kind.value,
+                        None if column.typ is None else str(column.typ),
+                        rows])
     return json.dumps({"contract": delta.contract, "shard": delta.shard,
-                       "entries": entries})
+                       "columns": columns})
 
 
 def delta_from_json(text: str) -> StateDelta:
     data = json.loads(text)
-    entries = []
-    for e in data["entries"]:
-        new, template = e["new"], e["template"]
-        entries.append(DeltaEntry(
-            _state_key_from_json(e["key"]),
-            _JOIN_KINDS[e["kind"]],
-            MISSING if new is None else value_from_json(new),
-            e["diff"],
-            None if template is None else value_from_json(template)))
-    return StateDelta(data["contract"], data["shard"], entries)
+    delta = StateDelta(data["contract"], data["shard"])
+    for name, kind, typ, rows in data["columns"]:
+        kind = _JOIN_KINDS[kind]
+        payload = int if kind is JoinKind.INT_MERGE else _payload_from_json
+        delta.columns.append(FieldDelta(
+            name, kind, None if typ is None else _INTS[typ][0],
+            {tuple(map(value_from_json, path)): payload(value)
+             for path, value in rows}))
+    return delta
+
+
+def _payload_from_json(data: Any) -> Value | _Missing:
+    return MISSING if data is None else value_from_json(data)
 
 
 # --------------------------------------------------------------------------

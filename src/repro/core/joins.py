@@ -10,7 +10,8 @@ Two joins are supported, matching the paper:
   difference against the epoch-start value; the merge sums deltas.
   Commutative and associative by construction.
 
-:func:`merge_leaf` is the three-way merge used by the DS committee.
+The DS committee's three-way merge is
+:func:`repro.chain.delta.merge_deltas`.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ class MergeConflict(ExecError):
     Carries a structured payload so callers (the DS committee, the
     recovery layer, tests) can tell *what* conflicted: the contract
     address, the state location, and the shard ids involved.  All
-    fields are optional because some conflicts (e.g. a type error
-    inside ``apply_int_delta``) lack part of the context.
+    fields are optional because some conflicts lack part of the
+    context.
     """
 
     def __init__(self, message: str, *, contract: str | None = None,
@@ -52,28 +53,18 @@ class MergeConflict(ExecError):
         self.shards = tuple(shards)
 
 
+class MergeOverflow(MergeConflict):
+    """An IntMerge total out of its integer type's bounds.
+
+    Each shard's contribution was in bounds on its own; their sum is
+    not.  ``shards`` names every shard that contributed to ``key``: the
+    network excludes those lanes (a view change) and re-runs their
+    queues on the DS lane, where the overflowing transaction fails.
+    """
+
+
 def int_delta(base: Value | _Missing, new: Value | _Missing) -> int:
     """The signed contribution of one shard to an IntMerge field."""
     base_v = base.value if isinstance(base, IntVal) else 0
     new_v = new.value if isinstance(new, IntVal) else 0
     return new_v - base_v
-
-
-def apply_int_delta(base: Value | _Missing, delta: int,
-                    template: Value) -> Value:
-    """Apply a summed delta to the epoch-start value.
-
-    ``template`` supplies the integer type (some shard's final value).
-    Absent entries count as zero, matching the ``None => amount``
-    convention of token contracts.
-    """
-    if not isinstance(template, IntVal):
-        raise MergeConflict(f"IntMerge on non-integer value {template}")
-    base_v = base.value if isinstance(base, IntVal) else 0
-    total = base_v + delta
-    if total == template.value:
-        # Some shard's final value — the location's only writer's,
-        # nearly always: in bounds and of this type, so shared, not
-        # rebuilt.
-        return template
-    return IntVal(total, template.typ)

@@ -145,14 +145,14 @@ def measure_merge(n_entries: int = 2_000) -> tuple[float, float, float, float]:
     changed = len(delta)
     per_field_joins = merge_seconds / changed * 1e6 if changed else 0.0
 
-    # Plain overwrite application (the pre-CoSplit state-delta path).
+    # Plain overwrite application (the pre-CoSplit state-delta path):
+    # every changed location's final value.
+    finals = [(entry.key, working.read(entry.key)) for entry in delta.entries]
+
     def apply_plain():
         plain = base.fork()
-        for entry in delta.entries:
-            if entry.template is not None:
-                plain.write(entry.key, entry.template)
-            else:
-                plain.write(entry.key, entry.new_value)
+        for key, value in finals:
+            plain.write(key, value)
     plain_seconds = _best_seconds(5, apply_plain)
     per_field_plain = plain_seconds / len(delta) * 1e6 if len(delta) else 0.0
 

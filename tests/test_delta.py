@@ -1,19 +1,24 @@
 """State-delta and three-way-merge tests, with the PCM laws
-property-checked (invariant 2 of DESIGN.md)."""
+property-checked (invariant 2 of DESIGN.md).
+
+A delta is one column per changed field (``FieldDelta``); the tests
+hold it, row for row, to per-location references: the read-diff the
+fold replaced, and a merge that looks at one location at a time."""
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from repro.core.joins import (
-    JoinKind, MergeConflict, apply_int_delta, int_delta,
-)
+from repro.core.joins import JoinKind, MergeConflict, MergeOverflow, int_delta
 from repro.chain.delta import (
     DeltaEntry, StateDelta, _values_same, compute_delta, merge_deltas,
 )
+from repro.chain.serialization import delta_from_json, delta_to_json
 from repro.scilla.state import ContractState, MISSING, WriteLog, _Missing
 from repro.scilla import types as ty
 from repro.scilla.values import IntVal, MapVal, StringVal, canonical, uint
+
+INT, OWN = JoinKind.INT_MERGE, JoinKind.OWN_OVERWRITE
 
 
 def token_state(**balances) -> ContractState:
@@ -25,9 +30,8 @@ def token_state(**balances) -> ContractState:
         {"bal": ty.MapType(ty.STRING, ty.UINT128), "supply": ty.UINT128})
 
 
-JOINS = {"bal": JoinKind.INT_MERGE, "supply": JoinKind.INT_MERGE}
-OVERWRITE = {"bal": JoinKind.OWN_OVERWRITE,
-             "supply": JoinKind.OWN_OVERWRITE}
+JOINS = {"bal": INT, "supply": INT}
+OVERWRITE = {"bal": OWN, "supply": OWN}
 
 
 def delta_between(base, final, joins, shard=0, keys=None):
@@ -52,6 +56,11 @@ def test_compute_delta_int_diffs():
     assert diffs[("bal", (StringVal("c"),))] == 3
     # Untouched entries produce no delta entries.
     assert ("bal", (StringVal("b"),)) not in diffs
+    # One column: the field's kind and integer type, rows by key path.
+    [column] = d.columns
+    assert (column.field, column.kind, column.typ) == ("bal", INT,
+                                                       ty.UINT128)
+    assert column.rows == {(StringVal("a"),): -3, (StringVal("c"),): 3}
 
 
 def test_zero_diff_entries_omitted():
@@ -59,6 +68,7 @@ def test_zero_diff_entries_omitted():
     final = base.fork()
     d = delta_between(base, final, JOINS)
     assert len(d) == 0
+    assert d.columns == []
 
 
 def test_merge_sums_int_deltas_from_multiple_shards():
@@ -112,12 +122,10 @@ def test_conflicting_overwrites_detected():
 
 def test_overwrite_vs_intmerge_same_key_detected():
     base = token_state(a=1)
-    d1 = StateDelta("0xc", 0, [DeltaEntry(
-        ("bal", (StringVal("a"),)), JoinKind.OWN_OVERWRITE,
-        new_value=uint(5))])
-    d2 = StateDelta("0xc", 1, [DeltaEntry(
-        ("bal", (StringVal("a"),)), JoinKind.INT_MERGE, int_diff=1,
-        template=uint(1))])
+    d1 = StateDelta.from_entries("0xc", 0, [DeltaEntry(
+        ("bal", (StringVal("a"),)), OWN, new_value=uint(5))])
+    d2 = StateDelta.from_entries("0xc", 1, [DeltaEntry(
+        ("bal", (StringVal("a"),)), INT, int_diff=1, typ=ty.UINT128)])
     with pytest.raises(MergeConflict) as ei:
         merge_deltas(base, [d1, d2])
     assert ei.value.contract == "0xc"
@@ -135,6 +143,22 @@ def test_merge_leaves_base_untouched():
     merged, _ = merge_deltas(base, [delta_between(base, f1, JOINS)])
     assert base.read(("bal", (StringVal("a"),))) == uint(1)
     assert merged is not base
+
+
+def test_an_overflowing_total_names_every_contributing_shard():
+    """Each shard's diff is in bounds on its own; the sum is not."""
+    top = 2**128 - 1
+    base = token_state(a=top - 10, b=1)
+    deltas = []
+    for shard, (da, db) in enumerate(((6, 1), (0, 2), (7, 0))):
+        final = base.fork()
+        final.write(("bal", (StringVal("a"),)), uint(top - 10 + da))
+        final.write(("bal", (StringVal("b"),)), uint(1 + db))
+        deltas.append(delta_between(base, final, JOINS, shard=shard))
+    with pytest.raises(MergeOverflow) as ei:
+        merge_deltas(base, deltas)
+    assert ei.value.key == ("bal", (StringVal("a"),))
+    assert ei.value.shards == (0, 2)    # shard 1 left ``a`` alone
 
 
 # -- PCM laws: merge is commutative and associative -----------------------------
@@ -183,20 +207,20 @@ def test_merge_order_independent(w1, w2, w3):
 # successful transactions and reads state only
 # where the fold is not exact.  The oracle below is the read-diff it
 # replaced: every touched location read from the lane-final and the
-# epoch-start state.
+# epoch-start state, one row per location, in field-then-key order.
 
 def _key_sort(key):
     name, keys = key
     return (name, tuple(str(k) for k in keys))
 
 
-def read_diff_delta(contract, shard, base, final, touched, joins):
-    delta = StateDelta(contract, shard)
+def read_diff_rows(contract, shard, base, final, touched, joins):
+    rows = []
     for key in sorted(touched, key=_key_sort):
-        kind = joins.get(key[0], JoinKind.OWN_OVERWRITE)
+        kind = joins.get(key[0], OWN)
         new = final.read(key)
         old = base.read(key)
-        if kind is JoinKind.INT_MERGE:
+        if kind is INT:
             if not isinstance(new, (IntVal, _Missing)) or \
                     not isinstance(old, (IntVal, _Missing)):
                 raise MergeConflict(
@@ -205,18 +229,17 @@ def read_diff_delta(contract, shard, base, final, touched, joins):
             diff = int_delta(old, new)
             if diff == 0:
                 continue
-            template = new if isinstance(new, IntVal) else old
-            delta.entries.append(DeltaEntry(key, kind, int_diff=diff,
-                                            template=template))
+            typ = (new if isinstance(new, IntVal) else old).typ
+            rows.append(DeltaEntry(key, kind, int_diff=diff, typ=typ))
         else:
             if _values_same(old, new):
                 continue
-            delta.entries.append(DeltaEntry(key, kind, new_value=new))
-    return delta
+            rows.append(DeltaEntry(key, kind, new_value=new))
+    return rows
 
 
 NESTED = ty.MapType(ty.STRING, ty.MapType(ty.STRING, ty.UINT128))
-FOLD_JOINS = {"n": JoinKind.INT_MERGE, "bal": JoinKind.INT_MERGE}
+FOLD_JOINS = {"n": INT, "bal": INT}
 
 
 def _map(entries: dict, value_type=ty.UINT128) -> MapVal:
@@ -267,11 +290,10 @@ def _run(state, log, op) -> None:
     state.write(key, MISSING if value is None else value)
 
 
-def _entry_view(delta):
-    return [(e.key, e.kind, e.int_diff,
-             None if e.template is None else canonical(e.template),
+def _entry_view(rows):
+    return [(e.key, e.kind, e.int_diff, e.typ,
              "MISSING" if e.new_value is MISSING
-             else canonical(e.new_value)) for e in delta.entries]
+             else canonical(e.new_value)) for e in rows]
 
 
 @settings(max_examples=400, deadline=None)
@@ -286,8 +308,10 @@ def _entry_view(delta):
 def test_folded_delta_equals_read_diff(txns):
     """Prefix creation, delete then re-insert, a whole-field write then
     an entry write, a write back to the original value, map-valued
-    writes, failing transactions in between: entry for entry the same
-    delta, and the same merged state."""
+    writes, failing transactions in between: row for row the same
+    delta — kinds, integer types, zero diffs dropped, deletions, nested
+    paths, whole-field writes, mixed-depth fields — one column per
+    field in the lane's write order, and the same merged state."""
     base = nested_state()
     final = base.fork()
     logs = []
@@ -299,21 +323,33 @@ def test_folded_delta_equals_read_diff(txns):
             logs.append(log)
         else:
             log.rollback(final)     # failed chains fold nothing
-    written = {key for log in logs for key in log.writes}
-    want = read_diff_delta("0xc", 0, base, final, written, FOLD_JOINS)
+    written = list(dict.fromkeys(key for log in logs for key in log.writes))
+    want = read_diff_rows("0xc", 0, base, final, written, FOLD_JOINS)
     got = compute_delta("0xc", 0, base, final, logs, FOLD_JOINS)
-    assert _entry_view(got) == _entry_view(want)
+    assert _entry_view(got.entries) == _entry_view(want)
+    assert len(got) == len(got.entries) == len(want)
     # A map-valued entry carries the lane-final object itself: the
     # logged one may be a stale twin (copied up since by a write
     # through it that a failing transaction then rolled back).
-    for g, w in zip(got.entries, want.entries):
+    for g, w in zip(got.entries, want):
         assert g.new_value is w.new_value or \
             not isinstance(w.new_value, MapVal)
+    # Columns: one per changed field, in the order the lane first wrote
+    # the fields, its rows in the order the lane first wrote them.
+    order = {key: i for i, key in enumerate(written)}
+    names = [column.field for column in got.columns]
+    assert names == sorted(set(names), key=lambda name: min(
+        i for (field, _), i in order.items() if field == name))
+    for column in got.columns:
+        assert column.kind is FOLD_JOINS.get(column.field, OWN)
+        assert column.typ == (ty.UINT128 if column.kind is INT else None)
+        at = [order[column.field, path] for path in column.rows]
+        assert at == sorted(at) and column.rows
 
     def merged(delta):
         state, _ = merge_deltas(base, [delta])
         return {name: canonical(v) for name, v in state.fields.items()}
-    assert merged(got) == merged(want)
+    assert merged(got) == merged(StateDelta.from_entries("0xc", 0, want))
 
 
 def test_fold_takes_the_prefix_pre_image_not_the_in_transaction_one():
@@ -332,8 +368,162 @@ def test_fold_takes_the_prefix_pre_image_not_the_in_transaction_one():
         _run(final, logs[-1], ("nest", ("c", "a"), 2))
         assert logs[-1].undo[key] == uint(1)
         delta = compute_delta("0xc", 0, base, final, logs, {})
-        assert delta.entries == [DeltaEntry(
-            key, JoinKind.OWN_OVERWRITE, new_value=uint(2))]
+        assert list(delta.entries) == [DeltaEntry(key, OWN,
+                                                  new_value=uint(2))]
+
+
+# -- the merge ≡ a merge one location at a time ---------------------------------
+#
+# The reference gathers every shard's row per location: a location
+# overwritten by two shards, or overwritten and merged into, is a
+# conflict naming the shards with a row there; an IntMerge location's
+# total is the epoch-start value plus every diff, out of its type's
+# bounds an overflow naming the shards that contributed.
+
+POOL = ["a", "b", "c", "d", "e"]
+SMALL = ty.UINT32
+TOP = 2**32 - 1
+
+
+def merge_state(bal: dict, n: int) -> ContractState:
+    small = MapVal(ty.STRING, SMALL)
+    for k, v in bal.items():
+        small.entries[StringVal(k)] = IntVal(v, SMALL)
+    inner = ty.MapType(ty.STRING, ty.UINT128)
+    return ContractState("0xc", {
+        "bal": small, "n": IntVal(n, SMALL), "own": _map({"a": 1, "b": 2}),
+        "flag": uint(0),
+        "nest": _map({"a": _map({"x": 1}), "c": _map({"x": 2})}, inner),
+    }, {"bal": ty.MapType(ty.STRING, SMALL), "n": SMALL,
+        "own": ty.MapType(ty.STRING, ty.UINT128), "flag": ty.UINT128,
+        "nest": NESTED})
+
+
+@st.composite
+def merge_case(draw):
+    """An epoch-start state and 2–5 shards' deltas: IntMerge into a
+    map and a scalar of ``Uint32`` (each diff in bounds alone), owned
+    overwrites and deletions in a map, a scalar and a map of maps
+    (whole subtrees under ``a`` / ``b``, entries under ``c`` / ``d``),
+    and now and then a row claiming the other kind for ``bal``."""
+    near = st.one_of(st.integers(0, 9), st.integers(TOP - 9, TOP))
+    bal = draw(st.dictionaries(st.sampled_from(POOL), near))
+    base = merge_state(bal, draw(near))
+    deltas = []
+    for shard in range(draw(st.integers(2, 5))):
+        rows = []
+
+        def bump(key, old):
+            diff = draw(st.integers(-old, TOP - old).filter(bool))
+            rows.append(DeltaEntry(key, INT, int_diff=diff, typ=SMALL))
+        for k in draw(st.lists(st.sampled_from(POOL), unique=True,
+                               max_size=3)):
+            bump(("bal", (StringVal(k),)), bal.get(k, 0))
+        if draw(st.booleans()):
+            bump(("n", ()), base.fields["n"].value)
+        def mine(k):
+            """Mostly a key only this shard writes, now and then one
+            any shard may."""
+            return k if draw(st.integers(0, 5)) == 0 else f"{k}{shard}"
+        if draw(st.integers(0, 7)) == 0:
+            k = draw(st.sampled_from(POOL))
+            rows.append(DeltaEntry(("bal", (StringVal(k),)), OWN,
+                                   new_value=IntVal(draw(_v), SMALL)))
+        for k in draw(st.lists(st.sampled_from(POOL), unique=True,
+                               max_size=2)):
+            value = draw(st.one_of(st.none(), _v))
+            rows.append(DeltaEntry(
+                ("own", (StringVal(mine(k)),)), OWN,
+                new_value=MISSING if value is None else uint(value)))
+        if draw(st.integers(0, 7)) == 0:
+            rows.append(DeltaEntry(("flag", ()), OWN,
+                                   new_value=uint(draw(_v))))
+        for k in draw(st.lists(st.sampled_from("ab"), unique=True,
+                               max_size=1)):
+            value = draw(st.one_of(st.none(), _small_map))
+            rows.append(DeltaEntry(
+                ("nest", (StringVal(mine(k)),)), OWN,
+                new_value=MISSING if value is None else _map(value)))
+        for k, j in draw(st.lists(st.tuples(st.sampled_from("cd"), _k),
+                                  unique=True, max_size=2)):
+            value = draw(st.one_of(st.none(), _v))
+            rows.append(DeltaEntry(
+                ("nest", (StringVal(k), StringVal(mine(j)))), OWN,
+                new_value=MISSING if value is None else uint(value)))
+        deltas.append(StateDelta.from_entries("0xc", shard, rows))
+    return base, deltas
+
+
+def reference_merge(base, deltas):
+    """``(conflicts, overflows, state)``: location -> shards for the
+    first two, the merged state when both are empty."""
+    writes, sums, typs = {}, {}, {}
+    for delta in deltas:
+        for e in delta.entries:
+            if e.kind is INT:
+                sums.setdefault(e.key, []).append((delta.shard, e.int_diff))
+                typs[e.key] = e.typ
+            else:
+                writes.setdefault(e.key, []).append((delta.shard,
+                                                     e.new_value))
+    conflicts = {}
+    for key, rows in writes.items():
+        owners = {shard for shard, _ in rows}
+        if len(owners) > 1 or key in sums:
+            conflicts[key] = owners | {s for s, _ in sums.get(key, ())}
+    if conflicts:
+        return conflicts, {}, None
+    state = base.fork()
+    for key in sorted(writes, key=_key_sort):
+        [(_, value)] = writes[key]
+        state.write(key, value)
+    overflows = {}
+    for key, parts in sums.items():
+        old = base.read(key)
+        total = (old.value if isinstance(old, IntVal) else 0) \
+            + sum(diff for _, diff in parts)
+        lo, hi = ty.int_bounds(typs[key])
+        if not lo <= total <= hi:
+            overflows[key] = {shard for shard, _ in parts}
+        else:
+            state.write(key, IntVal(total, typs[key]))
+    return {}, overflows, None if overflows else state
+
+
+def _fields(state):
+    return {name: canonical(v) for name, v in state.fields.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_case())
+def test_merge_equals_the_per_location_reference(case):
+    base, deltas = case
+    before = _fields(base)
+    conflicts, overflows, want = reference_merge(base, deltas)
+    if conflicts or overflows:
+        expected = conflicts or overflows
+        with pytest.raises(MergeConflict) as ei:
+            merge_deltas(base, deltas)
+        assert isinstance(ei.value, MergeOverflow) == (not conflicts)
+        assert ei.value.contract == "0xc"
+        assert ei.value.key in expected
+        assert set(ei.value.shards) == expected[ei.value.key]
+    else:
+        merged, changed = merge_deltas(base, deltas)
+        assert changed == sum(len(delta) for delta in deltas)
+        assert _fields(merged) == _fields(want)
+    assert _fields(base) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(merge_case())
+def test_the_entries_view_round_trips_through_the_wire(case):
+    for delta in case[1]:
+        wire = delta_to_json(delta)
+        back = delta_from_json(wire)
+        assert list(back.entries) == list(delta.entries)
+        assert back == delta
+        assert delta_to_json(back) == wire
 
 
 # -- the merge folds first: same state as the overlay path ----------------------
@@ -351,18 +541,26 @@ def _image(state: ContractState) -> str:
 
 def _merge_by_writes(base, deltas):
     """``merge_deltas`` through the general write path, which never
-    announces its write count: every privatised map is an overlay."""
+    announces its write count: every privatised map is an overlay.
+    Same order: field by field, overwrites, then IntMerge totals."""
     merged = base.fork()
-    sums: dict = {}
+    fields: dict = {}
     for delta in deltas:
-        for e in delta.entries:
-            if e.kind is JoinKind.INT_MERGE:
-                sums[e.key] = (sums.get(e.key, (0,))[0] + e.int_diff,
-                               e.template)
-            else:
-                merged.write(e.key, e.new_value)
-    for key, (diff, template) in sums.items():
-        merged.write(key, apply_int_delta(base.read(key), diff, template))
+        for column in delta.columns:
+            fields.setdefault(column.field, []).append(column)
+    for name, columns in fields.items():
+        totals: dict = {}
+        for column in columns:
+            for path, payload in column.rows.items():
+                if column.kind is INT:
+                    totals[path] = totals.get(path, 0) + payload
+                    typ = column.typ
+                else:
+                    merged.write((name, path), payload)
+        for path, diff in totals.items():
+            old = base.read((name, path))
+            merged.write((name, path), IntVal(
+                (old.value if isinstance(old, IntVal) else 0) + diff, typ))
     return merged
 
 
@@ -380,12 +578,12 @@ def _fold_first_deltas(state, rng, n):
     for k in keys_of("bal", n // 4):
         for shard in rng.sample((0, 1), rng.choice((1, 1, 2))):
             shards[shard].append(DeltaEntry(
-                ("bal", (StringVal(k),)), JoinKind.INT_MERGE,
-                int_diff=rng.randrange(1, 9), template=uint(0)))
+                ("bal", (StringVal(k),)), INT,
+                int_diff=rng.randrange(1, 9), typ=ty.UINT128))
     for k in keys_of("own", n // 4):
         gone = rng.random() < 0.3
         shards[0].append(DeltaEntry(
-            ("own", (StringVal(k),)), JoinKind.OWN_OVERWRITE,
+            ("own", (StringVal(k),)), OWN,
             new_value=MISSING if gone else uint(rng.randrange(100))))
     for i, k in enumerate(keys_of("nest", n // 4)):
         if i % 2:
@@ -393,9 +591,8 @@ def _fold_first_deltas(state, rng, n):
         else:
             key, new = (StringVal(k),), rng.choice(
                 (MISSING, _map({"y": i}), _map({})))
-        shards[1].append(DeltaEntry(("nest", key), JoinKind.OWN_OVERWRITE,
-                                    new_value=new))
-    return [StateDelta("0xc", shard, entries)
+        shards[1].append(DeltaEntry(("nest", key), OWN, new_value=new))
+    return [StateDelta.from_entries("0xc", shard, entries)
             for shard, entries in enumerate(shards)]
 
 
@@ -439,3 +636,35 @@ def test_merge_folds_first_into_the_state_the_overlay_path_builds():
         if n > limit:
             assert folds[0] >= 2 and folds[1] >= 2 * size
         state = merged
+
+
+# -- the epoch path reads columns ----------------------------------------------
+
+def test_the_epoch_path_builds_no_delta_entry(monkeypatch, tmp_path):
+    """Between dispatch and the returned block — lanes, deltas,
+    validation, merge, a durable commit's change set — no
+    ``DeltaEntry`` is built; the ``entries`` view builds them."""
+    from repro.chain.network import Network
+    from repro.obs.metrics import MetricsRegistry
+    from repro.workloads.generators import FTTransfer, NFTTransfer
+    net = Network(4, data_dir=str(tmp_path), metrics=MetricsRegistry())
+    workloads = [cls(n_users=24, txns_per_epoch=40, seed=5)
+                 for cls in (FTTransfer, NFTTransfer)]
+    for workload in workloads:
+        workload.setup(net)
+    built = []
+    new = DeltaEntry.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(DeltaEntry, "__new__", staticmethod(counting))
+    for epoch in range(2):
+        block = net.process_epoch([tx for workload in workloads
+                                   for tx in workload.transactions(epoch)])
+    net.close()
+    deltas = [delta for mb in block.microblocks for delta in mb.deltas]
+    kinds = {column.kind for delta in deltas for column in delta.columns}
+    assert kinds == {INT, OWN} and built == []
+    rows = [entry for delta in deltas for entry in delta.entries]
+    assert len(built) == len(rows) == sum(map(len, deltas)) > 0

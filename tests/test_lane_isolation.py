@@ -63,8 +63,8 @@ def _outcome(net, lane, ran):
         contract = net.contracts[addr]
         delta = compute_delta(addr, lane, contract.state, local,
                               touched.get(addr, ()), contract.joins)
-        if delta.entries:
-            deltas.append((delta.contract, delta.shard, delta.entries))
+        if delta.columns:
+            deltas.append((delta.contract, delta.shard, delta.columns))
         balances[addr] = local.balance - contract.state.balance
     receipts = [(r.tx.tx_id, r.success, r.gas_used, r.shard, r.error,
                  r.events) for r in mb.receipts]

@@ -13,10 +13,11 @@ from repro.chain.delta import DeltaEntry, StateDelta
 from repro.chain.dispatch import DS, _pad
 from repro.chain.faults import FaultEvent, FaultKind, FaultPlan
 from repro.chain.recovery import (
-    NetworkCheckpoint, network_fingerprint, state_fingerprint,
-    validate_delta,
+    NetworkCheckpoint, fingerprint_digest, network_fingerprint,
+    state_fingerprint, validate_delta,
 )
 from repro.chain.service import ServiceConfig, ServiceLoop
+from repro.chain.transaction import Transaction
 from repro.core.joins import JoinKind
 from repro.contracts import CORPUS
 from repro.scilla.values import addr, uint, IntVal, StringVal
@@ -344,7 +345,7 @@ def test_legitimate_deltas_validate_clean():
 
 def test_unknown_field_rejected():
     net = ft_network()
-    delta = StateDelta(TOKEN, 0, [DeltaEntry(
+    delta = StateDelta.from_entries(TOKEN, 0, [DeltaEntry(
         ("no_such_field", ()), JoinKind.OWN_OVERWRITE,
         new_value=uint(1))])
     violation = net._delta_validator(delta)
@@ -357,7 +358,7 @@ def test_join_kind_forgery_rejected():
     # balances is IntMerge under the FT signature; claiming
     # OwnOverwrite for it contradicts the deployed signature.
     net = ft_network()
-    delta = StateDelta(TOKEN, 0, [DeltaEntry(
+    delta = StateDelta.from_entries(TOKEN, 0, [DeltaEntry(
         ("balances", (addr(USERS[0]),)), JoinKind.OWN_OVERWRITE,
         new_value=uint(10**9))])
     violation = net._delta_validator(delta)
@@ -373,8 +374,10 @@ def test_foreign_component_rejected_without_signature():
     foreign = (home + 1) % net.n_shards
     entry = DeltaEntry(("total_supply", ()), JoinKind.OWN_OVERWRITE,
                        new_value=uint(5))
-    assert net._delta_validator(StateDelta(TOKEN, home, [entry])) is None
-    violation = net._delta_validator(StateDelta(TOKEN, foreign, [entry]))
+    assert net._delta_validator(
+        StateDelta.from_entries(TOKEN, home, [entry])) is None
+    violation = net._delta_validator(
+        StateDelta.from_entries(TOKEN, foreign, [entry]))
     assert violation is not None
     assert f"owned by shard {home}" in violation.reason
 
@@ -439,6 +442,45 @@ def test_byzantine_delta_rejected_not_merged():
     assert any("rejected" in line for line in block.fault_log)
     # Rejection, not silent merge: the end state is the fault-free one.
     assert network_fingerprint(faulty) == network_fingerprint(clean)
+
+
+def test_an_int_merge_overflow_at_the_merge_is_a_view_change(tmp_path):
+    """Two mints, each in bounds in its own lane, whose IntMerge totals
+    overflow ``Uint128`` at the merge: both lanes are excluded and their
+    queues re-run on the DS lane in submission order, where the second
+    mint fails with a receipt.  The epoch commits, and a durable
+    network resumes to the same digest."""
+    net = Network(4, data_dir=str(tmp_path))
+    net.create_account(ADMIN)
+    net.deploy(CORPUS["FungibleToken"], TOKEN, {
+        "contract_owner": addr(ADMIN), "name": StringVal("T"),
+        "symbol": StringVal("T"), "decimals": IntVal(6, ty.UINT32),
+        "init_supply": uint(0),
+    }, sharded_transitions=("Mint", "Transfer", "TransferFrom"))
+    # ``Mint`` is unconstrained: routed by tx_id, so lanes 1 and 2.
+    mints = [Transaction(ADMIN, TOKEN, nonce, transition="Mint",
+                         args=(("recipient", addr(USERS[0])),
+                               ("amount", uint(amount))), tx_id=nonce)
+             for nonce, amount in ((1, 2**128 - 11), (2, 100))]
+    assert [net.dispatcher.dispatch(tx).shard for tx in mints] == [1, 2]
+    block = net.process_epoch(mints)
+
+    assert block.excluded_lanes == {1: "merge-overflow",
+                                    2: "merge-overflow"}
+    assert block.stats.view_changes == 1
+    assert [(r.tx.tx_id, r.shard, r.success) for r in block.all_receipts] \
+        == [(1, DS, True), (2, DS, False)]
+    assert "out of bounds" in block.all_receipts[1].error
+    assert any("re-run on the DS lane" in line for line in block.fault_log)
+    state = net.contracts[TOKEN].state
+    assert state.read(("balances", (addr(USERS[0]),))) == uint(2**128 - 11)
+    assert state.read(("total_supply", ())) == uint(2**128 - 11)
+    assert len(net.blocks) == net.epoch == 1
+    digest = fingerprint_digest(net)
+    net.close()
+    resumed = Network.resume(str(tmp_path))
+    assert fingerprint_digest(resumed) == digest
+    resumed.close()
 
 
 def test_epoch_timing_charges_for_timeouts():

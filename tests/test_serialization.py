@@ -118,17 +118,18 @@ def test_any_value_shape_roundtrips_byte_identical(value):
                           st.integers(-10**6, 10**6),
                           st.booleans()), max_size=6))
 def test_delta_roundtrip_byte_identical(entries):
-    delta = StateDelta("0xc0", 1, [
-        DeltaEntry(("bal", (addr(f"0x{k:040x}"),)),
+    delta = StateDelta.from_entries("0xc0", 1, [
+        DeltaEntry(("bal" if merge else "own", (addr(f"0x{k:040x}"),)),
                    JoinKind.INT_MERGE if merge else JoinKind.OWN_OVERWRITE,
                    int_diff=diff if merge else 0,
-                   template=uint(0) if merge else None,
+                   typ=ty.UINT128 if merge else None,
                    new_value=MISSING if (not merge and diff < 0)
                    else uint(abs(diff)))
         for k, diff, merge in entries])
     wire = delta_to_json(delta)
     back = delta_from_json(wire)
-    assert back.entries == delta.entries
+    assert back == delta
+    assert list(back.entries) == list(delta.entries)
     assert delta_to_json(back) == wire
 
 
@@ -147,9 +148,9 @@ def test_transaction_obj_roundtrip_preserves_tx_id(amount, nonce, to):
 
 
 def test_delta_roundtrip():
-    delta = StateDelta("0xc0", 2, [
+    delta = StateDelta.from_entries("0xc0", 2, [
         DeltaEntry(("bal", (addr("0x01"),)), JoinKind.INT_MERGE,
-                   int_diff=-5, template=uint(10)),
+                   int_diff=-5, typ=ty.UINT128),
         DeltaEntry(("owners", (uint(7),)), JoinKind.OWN_OVERWRITE,
                    new_value=addr("0x02")),
         DeltaEntry(("owners", (uint(8),)), JoinKind.OWN_OVERWRITE,
@@ -158,7 +159,8 @@ def test_delta_roundtrip():
     out = delta_from_json(delta_to_json(delta))
     assert out.contract == delta.contract
     assert out.shard == delta.shard
-    assert out.entries == delta.entries
+    assert out == delta
+    assert list(out.entries) == list(delta.entries)
 
 
 def test_transaction_roundtrip_call():
@@ -223,7 +225,7 @@ def test_real_epoch_deltas_roundtrip():
     for mb in block.microblocks:
         for delta in mb.deltas:
             wire = delta_to_json(delta)
-            assert delta_from_json(wire).entries == delta.entries
+            assert delta_from_json(wire) == delta
 
     # The post-epoch contract state (the durable snapshot payload)
     # must round-trip byte-identically, including its fingerprint.
