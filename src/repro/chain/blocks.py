@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, fields
+from operator import attrgetter
 
 from .delta import StateDelta
 from .transaction import Transaction
+
+_success = attrgetter("success")
 
 
 @dataclass(slots=True)
@@ -17,7 +20,8 @@ class Receipt:
     gas_used: int
     shard: int              # -1 = DS committee
     error: str | None = None
-    events: list = dc_field(default_factory=list)
+    # Exact-size: a block keeps every receipt of its epoch.
+    events: tuple = ()
 
     @property
     def deferred(self) -> bool:
@@ -39,7 +43,7 @@ class MicroBlock:
 
     @property
     def n_committed(self) -> int:
-        return sum(1 for r in self.receipts if r.success)
+        return sum(map(_success, self.receipts))
 
 
 @dataclass

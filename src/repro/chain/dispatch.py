@@ -357,33 +357,47 @@ class Dispatcher:
         None, leaving the shards it requires in ``found`` (token ->
         shard).  Keyed by recipe: constraints asking the same of a
         transaction (``Owns(records[node])``, ``Owns(resolvers[node])``)
-        run once — a repeat names the same shard and cannot fail."""
+        run once — a repeat names the same shard and cannot fail.
+
+        A step gets each key it reads as ``(index, key)``: the index of
+        its token in the plan's per-transaction ``tokens`` list, one per
+        distinct key.  The first step to read a key resolves it
+        (``_UNSEEN``), where the reference first does; later ones read
+        the token back.  ``_SENDER``'s, if some step reads it, the plan
+        fills in."""
         n = self.n_shards
         const_shards: set[int] = set()
         steps: dict = {}
         final = None
+        slots: dict = {}
+
+        def slot(key):
+            return slots.setdefault(key, len(slots)), key
         for c in sorted(constraints, key=str):
             if isinstance(c, Bot):
                 final = _ds(f"⊥: {c.reason}", "bot")
                 break   # later constraints are never reached
             if isinstance(c, SenderShard):
                 steps.setdefault(((_SENDER,), True), _owns_step(
-                    (_SENDER,), None, f"{to}:", n))
+                    (_SENDER,), slot, None, f"{to}:", n))
             elif isinstance(c, ContractShard):
                 const_shards.add(self._home(to))
             elif isinstance(c, Owns):
-                self._lower_owns(to, deployed, c, steps, const_shards)
+                self._lower_owns(to, deployed, c, steps, const_shards, slot)
             elif isinstance(c, NoAliases):
                 steps[c] = _alias_step(
-                    self._symbol(c.x, deployed), self._symbol(c.y, deployed),
+                    slot(self._symbol(c.x, deployed)),
+                    slot(self._symbol(c.y, deployed)),
                     _ds(f"aliasing keys {c}", "aliasing_keys"))
             elif isinstance(c, UserAddr):
                 # ``self.contracts`` is read per transaction: a
                 # contract deployed later changes the answer.
                 steps[c] = _user_step(
-                    self._symbol(c.param, deployed), self.contracts,
+                    slot(self._symbol(c.param, deployed)), self.contracts,
                     _ds(f"non-user recipient {c}", "non_user_recipient"))
         steps = tuple(steps.values())
+        blank = [_UNSEEN] * len(slots)
+        sender_slot = slots.get(_SENDER)    # None: no step reads it
         satisfied = self._satisfied
         if not steps and (final is not None or const_shards):
             if final is None:
@@ -393,8 +407,11 @@ class Dispatcher:
 
         def plan(tx):
             sender, args, found = tx.sender, dict(tx.args), {}
+            tokens = blank.copy()
+            if sender_slot is not None:
+                tokens[sender_slot] = f"ByStr20|{sender}"
             for step in steps:
-                stop = step(sender, args, found)
+                stop = step(sender, args, tokens, found)
                 if stop is not None:
                     return stop
             if final is not None:
@@ -410,7 +427,7 @@ class Dispatcher:
         return plan
 
     def _lower_owns(self, to: str, deployed: DeployedSignature, c: Owns,
-                    steps: dict, const_shards: set[int]) -> None:
+                    steps: dict, const_shards: set[int], slot) -> None:
         """Keys are resolved per transaction even where the shard is
         known here (a missing one routes to the DS)."""
         keys = tuple(
@@ -423,7 +440,7 @@ class Dispatcher:
         by_key = not whole and (keys[0] is _SENDER or keys[0][0] is not None)
         if by_key or any(k is not _SENDER and k[1] is None for k in keys):
             steps.setdefault((keys, by_key), _owns_step(
-                keys, _ds(f"unresolvable {c}", "unresolvable"),
+                keys, slot, _ds(f"unresolvable {c}", "unresolvable"),
                 f"{to}:" if by_key else None, self.n_shards))
         if not by_key:
             const_shards.add(self._component_shard(   # "": always fails
@@ -439,32 +456,36 @@ class Dispatcher:
 
 
 _SENDER = object()
+_UNSEEN = object()      # a token no step has resolved yet
 
 
-def _key_token(key, sender: str, args: dict) -> str | None:
-    """The token of a lowered key — ``_SENDER``, or ``(argument name
-    or None, constant token or None)`` — or None if neither resolves."""
-    if key is _SENDER:
-        return f"ByStr20|{sender}"
+def _key_token(key, args: dict) -> str | None:
+    """The token of a lowered key other than ``_SENDER`` — ``(argument
+    name or None, constant token or None)`` — or None if neither
+    resolves.  Called once per key and transaction: the plan's
+    ``tokens`` keeps what it returned (``Dispatcher._lower_transition``)."""
     name, fallback = key
     value = args.get(name) if name is not None else None
     return key_token(value) if value is not None else fallback
 
 
-def _owns_step(keys: tuple, fail, prefix: str | None, n: int):
+def _owns_step(keys: tuple, slot, fail, prefix: str | None, n: int):
     """Resolve every key (a value that is no key raises, as in the
     reference); with ``prefix`` the first token names the shard."""
     sender_only = keys == (_SENDER,)   # SenderShard, Owns(f[_sender])
+    keys = () if sender_only else tuple(map(slot, keys))
 
-    def step(sender, args, found):
+    def step(sender, args, tokens, found):
         if sender_only:
             token = f"addr:{sender}"
             if token not in found:
                 found[token] = shard_hash(token, n)
             return None
         first = None
-        for key in keys:
-            token = _key_token(key, sender, args)
+        for i, key in keys:
+            token = tokens[i]
+            if token is _UNSEEN:
+                token = tokens[i] = _key_token(key, args)
             if token is None:
                 return fail
             if first is None:
@@ -478,16 +499,28 @@ def _owns_step(keys: tuple, fail, prefix: str | None, n: int):
 
 
 def _alias_step(x, y, fail):
-    def step(sender, args, found):
-        a, b = _key_token(x, sender, args), _key_token(y, sender, args)
+    (i, x), (j, y) = x, y
+
+    def step(sender, args, tokens, found):
+        a = tokens[i]
+        if a is _UNSEEN:
+            a = tokens[i] = _key_token(x, args)
+        b = tokens[j]
+        if b is _UNSEEN:
+            b = tokens[j] = _key_token(y, args)
         if a is None or b is None or a == b:
             return fail
     return step
 
 
 def _user_step(symbol, contracts: dict, fail):
-    def step(sender, args, found):
-        token = _key_token(symbol, sender, args) or ""   # None: fails
+    i, symbol = symbol
+
+    def step(sender, args, tokens, found):
+        token = tokens[i]
+        if token is _UNSEEN:
+            token = tokens[i] = _key_token(symbol, args)
+        token = token or ""   # None: fails
         kind, bar, payload = token.partition("|")
         if not bar or not kind.startswith("ByStr") or payload in contracts:
             return fail

@@ -16,7 +16,7 @@ from ..scilla.state import ContractState
 from ..scilla import values as scilla_values
 from ..scilla.values import MapVal
 from .consensus import DEFAULT_COST_MODEL, DS_SIZE, SHARD_SIZE, CostModel
-from .execution import FUNDING
+from .execution import FEE_RULE, FUNDING
 from .faults import FaultPlan
 from .mempool import PoolEntry
 from .recovery import ChangeLedger, fingerprint_digest
@@ -404,6 +404,14 @@ class Durability:
                     f"replay out of step: log record {record.seq} is "
                     f"epoch {data['epoch']} but the network is at "
                     f"epoch {self.epoch}")
+            if data.get("fees") != FEE_RULE:
+                # Older builds left a failed payment's fee unpaid and
+                # ran calls their portion could not cover.
+                raise WALError(
+                    f"log record {record.seq} (epoch {data['epoch']}) "
+                    f"was executed under fee rule {data.get('fees')!r}, "
+                    f"not {FEE_RULE!r}; this build does not replay it "
+                    f"(docs/FAULTS.md)")
             pending = self.restored_mempool
             txns = []
             for tx in data["txns"]:

@@ -18,16 +18,35 @@ from ..scilla.values import ByStrVal, IntVal
 from ..scilla import types as ty
 from .blocks import MicroBlock, Receipt
 from .dispatch import DS, _pad
-from .transaction import Transaction, charged, credited, funded_row
+from .transaction import (
+    Transaction, charged, credited, funded_row, portion_slot,
+)
 
 PAYMENT_GAS = 50
+# The fee rule of ``Execution``'s docstring, named in every WAL
+# ``epoch`` record: a replay refuses an epoch logged under another.
+FEE_RULE = "deposit"
 _MAX_AMOUNT = ty.int_bounds(ty.UINT128)[1]
 FUNDING = 10**12    # what a created account holds unless told otherwise
 MAX_CALL_DEPTH = 3
 
 
 class Execution:
-    """Lanes, transactions and account moves of a network."""
+    """Lanes, transactions and account moves of a network.
+
+    Gas follows Zilliqa's rule, per lane portion (Sec. 4.2.2): a
+    transaction whose portion on its lane is below its gas deposit —
+    ``gas_limit × gas_price``, ``PAYMENT_GAS × gas_price`` for a
+    payment — is refused where its nonce is checked, before the nonce
+    is consumed, and charges nothing.  One that gets past that pays
+    ``min(gas_used, gas_limit) × gas_price`` from that portion whether
+    it succeeds or fails, and the funds a call accepts may not dip into
+    the deposit; so every receipt with ``gas_used > 0`` took
+    ``gas_used × gas_price``, and no receipt reports gas it could not
+    pay.  A negative ``gas_limit`` or ``gas_price`` (unsigned in
+    Zilliqa) is refused at the same point: its deposit would pay the
+    sender, and its receipt's gas would lift the lane's gas limit.
+    """
 
     # -- accounts -------------------------------------------------------------
 
@@ -52,10 +71,12 @@ class Execution:
         self.journal.record_row(self.accounts, address, row)
         return row
 
-    def _charge(self, address: str, lane: int, amount: int) -> bool:
+    def _charge(self, address: str, lane: int, amount: int,
+                keep: int = 0) -> bool:
         """Take ``amount`` from the account's ``lane`` portion; False,
-        and nothing moved, if that portion or the balance is short."""
-        row = charged(self._account_at(address), lane, amount)
+        and nothing moved, if that portion or the balance is short of
+        ``amount + keep``."""
+        row = charged(self._account_at(address), lane, amount, keep)
         if row is not None:
             self.accounts[address] = row
         return row is not None
@@ -89,84 +110,98 @@ class Execution:
 
         t0 = time.perf_counter_ns() if self.metrics.enabled else 0
         deferred: list[Transaction] = []
+        receipts, gas, committed = mb.receipts, 0, 0
         for position, tx in enumerate(queue):
-            if mb.gas_used >= gas_limit:
+            if gas >= gas_limit:
                 deferred = queue[position:]
                 break
             receipt = self._execute(tx, lane, state_for, touched)
-            mb.receipts.append(receipt)
-            mb.gas_used += receipt.gas_used
+            receipts.append(receipt)
+            gas += receipt.gas_used
+            committed += receipt.success
+        mb.gas_used = gas
         # The lane.* meters: once per finished lane, not per receipt.
-        meters, n, ok = self._meters, len(mb.receipts), mb.n_committed
+        meters, n = self._meters, len(receipts)
         meters.lane_tx_executed.inc(n)
-        meters.lane_tx_ok.inc(ok)
-        meters.lane_tx_failed.inc(n - ok)
-        meters.lane_gas.inc(mb.gas_used)
+        meters.lane_tx_ok.inc(committed)
+        meters.lane_tx_failed.inc(n - committed)
+        meters.lane_gas.inc(gas)
         if self.metrics.enabled:
             meters.lane_gas_per_tx.observe_many(
-                [receipt.gas_used for receipt in mb.receipts])
+                [receipt.gas_used for receipt in receipts])
             meters.lane_exec_ns.observe(time.perf_counter_ns() - t0)
         return mb, local_states, touched, deferred
 
     def _execute(self, tx: Transaction, lane: int, state_for,
                  touched: defaultdict) -> Receipt:
-        """Run one transaction; success appends its logs to ``touched``."""
-        sender_addr, to_addr = tx.sender, tx.to
-        self._account_at(sender_addr)
-        if not self.nonces.try_accept(sender_addr, tx.nonce, lane):
+        """Run one transaction; success appends its logs to ``touched``.
+        The sender's row is handed out once, first (the journal takes
+        its pre-image there); every fee charge reads it back."""
+        sender, price, accounts = tx.sender, tx.gas_price, self.accounts
+        row = self._account_at(sender)
+        if tx.gas_limit < 0 or price < 0:
+            return Receipt(tx, False, 0, lane, error="invalid gas")
+        payment = tx.transition is None
+        deposit = (PAYMENT_GAS if payment else tx.gas_limit) * price
+        if (row[portion_slot(lane)] or 0) < deposit or row[0] < deposit:
+            return Receipt(tx, False, 0, lane,
+                           error="insufficient balance for gas")
+        if not self.nonces.try_accept(sender, tx.nonce, lane):
             return Receipt(tx, False, 0, lane, error="bad nonce")
-        if not 0 <= tx.amount <= _MAX_AMOUNT:
+        amount, to_addr = tx.amount, tx.to
+        if not 0 <= amount <= _MAX_AMOUNT:
             # A Uint128, as Zilliqa's _amount: a negative one would
             # move funds from the recipient to the sender.
             return Receipt(tx, False, 0, lane, error="invalid amount")
 
-        if tx.transition is None:
+        if payment:
+            # The deposit is the fee; nothing has moved the row yet.
             if to_addr in self.contracts:
                 # Mirrors the dispatcher's "payment to contract"
                 # routing: the funds stay with the sender instead of
                 # landing in a shadow user account under the contract's
                 # address.
+                accounts[sender] = charged(row, lane, deposit)
                 return Receipt(tx, False, PAYMENT_GAS, lane,
                                error="payment to contract address")
-            fee = PAYMENT_GAS * tx.gas_price
-            if not self._charge(sender_addr, lane, tx.amount + fee):
+            moved = charged(row, lane, amount + deposit)
+            if moved is None:
+                accounts[sender] = charged(row, lane, deposit)
                 return Receipt(tx, False, PAYMENT_GAS, lane,
                                error="insufficient balance")
-            self._credit(to_addr, lane, tx.amount)
+            accounts[sender] = moved
+            self._credit(to_addr, lane, amount)
             return Receipt(tx, True, PAYMENT_GAS, lane)
 
         contract = self.contracts.get(to_addr)
         if contract is None:
             return Receipt(tx, False, 0, lane, error="unknown contract")
 
-        chain = _CallChain(self, lane, state_for, tx.gas_limit)
+        chain = _CallChain(self, lane, state_for, tx.gas_limit, deposit)
         try:
+            # ``sender`` is canonical since the transaction was built:
+            # its ByStr20 needs no validation.
             chain.invoke(contract, tx.transition, dict(tx.args),
-                         ByStrVal(sender_addr, ty.BYSTR20), tx.amount,
-                         sender_addr, 0)
+                         tuple.__new__(ByStrVal, (sender, ty.BYSTR20)),
+                         amount, sender, 0)
         except _ChainFailed as exc:
             chain.rollback()
-            self._charge(sender_addr, lane, chain.gas_used * tx.gas_price)
-            return Receipt(tx, False, chain.gas_used, lane,
-                           error=str(exc))
+            gas = min(chain.gas_used, tx.gas_limit)
+            accounts[sender] = charged(accounts[sender], lane, gas * price)
+            return Receipt(tx, False, gas, lane, error=str(exc))
 
-        fee = chain.gas_used * tx.gas_price
-        if not self._charge(sender_addr, lane, fee):
-            # Gas must be paid even for failed transactions; a sender who
-            # cannot pay gets the transaction rejected outright.
-            chain.rollback()
-            return Receipt(tx, False, chain.gas_used, lane,
-                           error="cannot pay gas")
-
+        # Within the gas limit: a run past it fails.
+        gas = chain.gas_used
+        accounts[sender] = charged(accounts[sender], lane, gas * price)
         if self.config.overflow_guard and lane != DS and \
                 not chain.within_overflow_budget():
             chain.rollback()
-            return Receipt(tx, False, chain.gas_used, lane,
+            return Receipt(tx, False, gas, lane,
                            error="overflow guard: rerouted")
 
         for contract, _, log in chain.logs:
             touched[contract.address].append(log)
-        return Receipt(tx, True, chain.gas_used, lane, None, chain.events)
+        return Receipt(tx, True, gas, lane, None, tuple(chain.events))
 
 
 # --------------------------------------------------------------------------
@@ -187,17 +222,20 @@ class _CallChain:
     is atomic: any failure undoes every state write and balance move.
     """
 
-    __slots__ = ("net", "lane", "state_for", "gas_limit", "gas_used",
-                 "events", "logs", "_refunds")
+    __slots__ = ("net", "lane", "state_for", "gas_limit", "deposit",
+                 "gas_used", "events", "logs", "_refunds")
 
     def __init__(self, net: Execution, lane: int, state_for,
-                 gas_limit: int):
+                 gas_limit: int, deposit: int):
         self.net = net
         self.lane = lane
         self.state_for = state_for
         self.gas_limit = gas_limit
+        # What the payer's portion must keep for the fee.
+        self.deposit = deposit
         self.gas_used = 0
-        self.events: list = []
+        # The first hop's event list, adopted; later hops extend it.
+        self.events: list | None = None
         # (contract, state, write log) per call, in order; and balance
         # moves to undo on rollback: (state or address, amount to add).
         self.logs: list = []
@@ -221,7 +259,9 @@ class _CallChain:
             raise _ChainFailed(result.error or "transition failed")
 
         self.logs.append((contract, state, result.write_log))
-        if result.events:
+        if depth == 0:
+            self.events = result.events
+        elif result.events:
             self.events.extend(result.events)
 
         accepted = result.accepted
@@ -232,7 +272,8 @@ class _CallChain:
             # Debit the payer (the user for the first hop, the calling
             # contract afterwards).
             if payer is not None:
-                if not self.net._charge(payer, self.lane, accepted):
+                if not self.net._charge(payer, self.lane, accepted,
+                                        self.deposit):
                     raise _ChainFailed("insufficient balance for transfer")
                 self._refunds.append((payer, accepted))
             else:

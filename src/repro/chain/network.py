@@ -37,7 +37,7 @@ from .blocks import (
 from .delta import StateDelta, compute_delta, merge_deltas
 from .dispatch import DS, DeployedSignature, Dispatcher, _pad
 from .durability import Durability, NetworkConfig
-from .execution import FUNDING, Execution
+from .execution import FEE_RULE, FUNDING, Execution
 from .faults import FaultInjector
 from .meters import NetworkMeters
 from .recovery import DeltaViolation, NetworkCheckpoint, validate_delta
@@ -317,7 +317,7 @@ class Network(Execution, Durability):
                          if self.mempool is not None else ())
             self._wal_append("epoch", {
                 "epoch": self.epoch + 1, "unlimited": unlimited,
-                "tag": wal_tag,
+                "tag": wal_tag, "fees": FEE_RULE,
                 "txns": [tx.tx_id if tx.tx_id in journaled
                          else transaction_to_obj(tx) for tx in txns],
             }, barrier=True)
@@ -389,9 +389,8 @@ class Network(Execution, Durability):
             else:
                 mb_by_lane[lane].receipts.append(receipt)
 
-        stats.committed = \
-            sum(mb.n_committed for mb in outcome.microblocks) + \
-            sum(1 for r in outcome.ds_block.receipts if r.success)
+        stats.committed = outcome.ds_block.n_committed + \
+            sum(mb.n_committed for mb in outcome.microblocks)
         stats.failed = len(incoming) - stats.committed
         stats.offered = len(txns)
         self._meters.record_epoch(

@@ -128,12 +128,13 @@ def funded_row(balance: int, n_shards: int, home_shard: int) -> tuple:
             balance - home - per_other * (n_shards - 1))
 
 
-def charged(row: tuple, lane: int, amount: int) -> tuple | None:
+def charged(row: tuple, lane: int, amount: int,
+            keep: int = 0) -> tuple | None:
     """``row`` with ``amount`` taken from ``lane``'s portion, or None
-    when that portion or the balance is short."""
+    when that portion or the balance is short of ``amount + keep``."""
     i = portion_slot(lane)
     portion = row[i] or 0
-    if portion < amount or row[0] < amount:
+    if portion < amount + keep or row[0] < amount + keep:
         return None
     new = list(row)
     new[0] -= amount

@@ -118,18 +118,21 @@ def measure_merge(n_entries: int = 2_000) -> tuple[float, float, float, float]:
     # Execute a batch of transfers on a copy (best of three), keeping
     # the write logs as a lane does, and time the execution.
     interpreter = contract.interpreter
+    # As a lane does: the sender's ByStr20 built once, a fresh context
+    # per call, and of each finished run only its write log kept.
+    sender = addr(admin)
 
     runs = []
 
     def execute():
         working, logs = base.fork(), []
         for i in range(n_entries):
-            result = interpreter.run_transition(
+            run = interpreter.run_transition(
                 working, "Transfer",
                 {"to": addr(f"0x{i + 10:040x}"), "amount": uint(1)},
-                TxContext(sender=admin))
-            assert result.success, result.error
-            logs.append(result.write_log)
+                TxContext(sender))
+            assert run.success, run.error
+            logs.append(run.write_log)
         runs.append((working, logs))
     exec_seconds = _best_seconds(3, execute)
     working, logs = runs[-1]

@@ -10,7 +10,7 @@ from .errors import (
     EvalError, ExecError, GasError, LexError, OutOfBoundsError,
     ParseError, ScillaError, TypeError_,
 )
-from .interpreter import Interpreter, OutMsg, TransitionResult, TxContext
+from .interpreter import Interpreter, OutMsg, TxContext
 from .parser import parse_expression, parse_module, parse_type_str
 from .state import MISSING, ContractState
 
@@ -18,7 +18,7 @@ __all__ = [
     "Contract", "Component", "Module",
     "EvalError", "ExecError", "GasError", "LexError", "OutOfBoundsError",
     "ParseError", "ScillaError", "TypeError_",
-    "Interpreter", "OutMsg", "TransitionResult", "TxContext",
+    "Interpreter", "OutMsg", "TxContext",
     "parse_expression", "parse_module", "parse_type_str",
     "MISSING", "ContractState",
 ]

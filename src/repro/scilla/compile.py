@@ -96,6 +96,7 @@ _SUPPORT = {
     "UINT32": UINT32, "UINT64": UINT64, "_oog": _oog,
     "_to_outmsg": _to_outmsg, "value_to_list": value_to_list,
     "owned_put": owned_put, "owned_write": owned_write,
+    "tuple_new": tuple.__new__,
     **{f"fast_{name}": fast
        for name, fast in (*FAST_VALUES.items(), *FAST_TESTS.items())},
 }
@@ -104,7 +105,7 @@ _SUPPORT = {
 _PROLOGUE = {
     "state": "run.state", "fields": "run.state.fields",
     "imm": "run.state.immutables", "lim": "run.gas_limit",
-    "g": "run.gas_used", "log": "run.log", "_sender": "run.sender",
+    "g": "run.gas_used", "log": "run.write_log", "_sender": "run.sender",
     "_origin": "run.origin", "_amount": "run.amount",
 }
 # The charge the reference makes right after a statement's own.
@@ -869,8 +870,8 @@ class _Fn:
                 f"({k!r}, {py}), " for k, py in m.fields
                 if k not in ("_tag", "_recipient", "_amount"))
             self.emit(f"if {to}.__class__ is ByStrVal: run.messages.append("
-                      f"OutMsg({unit.ns[m.get('_tag')].value!r}, {to}.hex, "
-                      f"{amount or 0}, ({params})))")
+                      f"tuple_new(OutMsg, ({unit.ns[m.get('_tag')].value!r}, "
+                      f"{to}.hex, {amount or 0}, ({params}))))")
             self.emit(f"else: _to_outmsg({m.box(self)}, {loc})")
             self.fence()
 

@@ -4,7 +4,8 @@ Transitions execute against a :class:`ContractState` under a
 :class:`TxContext` with gas metering.  The interpreter mutates the
 state in place, recording an undo log; if the transition aborts
 (``throw``, failed builtin, out of gas) the state is rolled back and
-the failure reported in the :class:`TransitionResult`.
+the failure reported in the invocation's result (a finished
+:class:`_Run`).
 
 This mirrors the role of Zilliqa's scilla-runner in the paper's
 evaluation: it is the substrate whose sequential execution cost the
@@ -13,7 +14,8 @@ sharded chain parallelises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ast
 from . import types as ty
@@ -49,9 +51,9 @@ GAS_SEND_PER_MSG = 8
 GAS_EVENT = 4
 
 
-@dataclass(frozen=True, slots=True)
-class OutMsg:
-    """An outgoing message emitted by ``send``."""
+class OutMsg(NamedTuple):
+    """An outgoing message emitted by ``send``: a tuple, so a compiled
+    ``send`` builds it with one ``tuple.__new__``."""
 
     tag: str
     recipient: str
@@ -69,17 +71,6 @@ class TxContext:
     block_number: int = 1
     timestamp: int = 0
     chain_id: int = 1
-
-
-@dataclass(slots=True)
-class TransitionResult:
-    success: bool
-    gas_used: int
-    accepted: int = 0
-    messages: list[OutMsg] = dc_field(default_factory=list)
-    events: list[MsgVal] = dc_field(default_factory=list)
-    error: str | None = None
-    write_log: WriteLog | None = None
 
 
 # --------------------------------------------------------------------------
@@ -496,9 +487,10 @@ class Interpreter:
 
     def run_transition(self, state: ContractState, name: str,
                        args: dict[str, Value], ctx: TxContext,
-                       gas_limit: int = 100_000) -> TransitionResult:
+                       gas_limit: int = 100_000) -> _Run:
         """Execute a transition; rolls state back on failure.  Runs
-        its compiled unit: the entry point of the chain and the lanes."""
+        its compiled unit: the entry point of the chain and the lanes.
+        The finished :class:`_Run` is the result."""
         unit = self._unit or self.unit
         if unit.params.get(name) != args.keys():
             self._transition(name, args)    # raises the reference's error
@@ -507,7 +499,7 @@ class Interpreter:
 
     def interpret_transition(self, state: ContractState, name: str,
                              args: dict[str, Value], ctx: TxContext,
-                             gas_limit: int = 100_000) -> TransitionResult:
+                             gas_limit: int = 100_000) -> _Run:
         """:meth:`run_transition` by definition: walk the AST.  The
         reference the differential oracle holds compiled units to."""
         component = self._transition(name, args)
@@ -520,11 +512,17 @@ _NO_AMOUNT = IntVal(0, ty.UINT128)
 
 
 class _Run:
-    """Mutable per-invocation execution context."""
+    """One transition invocation: its mutable execution context while
+    it runs, and once :meth:`finish` returns it, its result —
+    ``success``, ``gas_used``, ``accepted`` (funds taken from
+    ``_amount``), the ``messages`` (:class:`OutMsg`) it sent, the
+    ``events`` it emitted, ``error`` (None on success) and
+    ``write_log``.  A failed run carries no messages, events or write
+    log, and ``accepted`` 0: its state is already rolled back."""
 
     __slots__ = ("interp", "state", "ctx", "gas_limit", "gas_used",
-                 "accepted", "messages", "events", "log", "sender",
-                 "origin", "amount", "entry_env")
+                 "accepted", "messages", "events", "write_log", "sender",
+                 "origin", "amount", "entry_env", "success", "error")
 
     def __init__(self, interp: Interpreter, state: ContractState,
                  ctx: TxContext, gas_limit: int):
@@ -536,11 +534,12 @@ class _Run:
         self.accepted = 0
         self.messages: list[OutMsg] = []
         self.events: list[MsgVal] = []
-        self.log = WriteLog()
+        self.write_log = WriteLog()
         # The implicit parameters (the chain hands the sender over as
         # a ready ByStr20 value, built once per transaction).
         raw, origin, amount = ctx.sender, ctx.origin, ctx.amount
-        self.sender = sender = addr(raw)
+        self.sender = sender = \
+            raw if raw.__class__ is ByStrVal else addr(raw)
         self.origin = sender if origin is None or origin is raw \
             or origin == raw else addr(origin)
         if amount == 0:
@@ -555,7 +554,7 @@ class _Run:
         if self.gas_used > self.gas_limit:
             raise GasError(f"out of gas (limit {self.gas_limit})")
 
-    def finish(self, body, *args) -> TransitionResult:
+    def finish(self, body, *args) -> _Run:
         """Run ``body(*args)`` as the transition: meter builtins inside
         pure expressions, roll back on failure, credit on success."""
         interp, state = self.interp, self.state
@@ -563,16 +562,18 @@ class _Run:
         try:
             body(*args)
         except ScillaError as exc:
-            self.log.rollback(state)
-            return TransitionResult(
-                success=False, gas_used=self.gas_used, error=str(exc))
+            self.write_log.rollback(state)
+            self.success, self.error = False, str(exc)
+            self.accepted, self.write_log = 0, None
+            self.messages.clear()
+            self.events.clear()
+            return self
         finally:
             interp._charge = None
-        state.balance += self.accepted
-        # Positionally: a keyword call of a dataclass __init__ costs
-        # twice as much, and this one runs per transaction.
-        return TransitionResult(True, self.gas_used, self.accepted,
-                                self.messages, self.events, None, self.log)
+        if self.accepted:   # the balance setter is journaled
+            state.balance += self.accepted
+        self.success, self.error = True, None
+        return self
 
     def interpret(self, component: ast.Component, args) -> None:
         env = self.interp.lib_env
@@ -609,7 +610,7 @@ class _Run:
         if isinstance(stmt, Store):
             self.charge(GAS_STATE_ACCESS)
             value = interp.eval_atom(stmt.rhs, env)
-            self.log.record(self.state, (stmt.field, ()), value)
+            self.write_log.record(self.state, (stmt.field, ()), value)
             self.state.write((stmt.field, ()), value)
             return env
         if isinstance(stmt, MapGet):
@@ -631,13 +632,13 @@ class _Run:
             self.charge(GAS_STATE_ACCESS)
             keys = tuple(interp.eval_atom(k, env) for k in stmt.keys)
             value = interp.eval_atom(stmt.rhs, env)
-            self.log.record(self.state, (stmt.map, keys), value)
+            self.write_log.record(self.state, (stmt.map, keys), value)
             self.state.map_put(stmt.map, keys, value)
             return env
         if isinstance(stmt, MapDelete):
             self.charge(GAS_STATE_ACCESS)
             keys = tuple(interp.eval_atom(k, env) for k in stmt.keys)
-            self.log.record(self.state, (stmt.map, keys), MISSING)
+            self.write_log.record(self.state, (stmt.map, keys), MISSING)
             self.state.map_delete(stmt.map, keys)
             return env
         if isinstance(stmt, ReadBlockchain):

@@ -547,6 +547,63 @@ def test_library_function_shadowing_and_calling_its_namesake():
                  {"by": uint(3)}, TxContext(sender=ADMIN), gas_limit=limit)
 
 
+SPILL = """
+scilla_version 0
+
+library Spill
+
+contract Spill ()
+
+field n : Uint128 = Uint128 0
+
+transition Go (fail: Bool)
+  accept;
+  one = Uint128 1;
+  n := one;
+  e = {_eventname: "Went"; n: one};
+  event e;
+  msg = {_tag: "Went"; _recipient: _sender; _amount: Uint128 0; n: one};
+  msgs = one_msg msg;
+  send msgs;
+  match fail with
+  | True => throw
+  | False =>
+  end
+end
+"""
+
+
+def test_the_finished_run_is_the_result_and_a_failed_one_carries_nothing():
+    """Both executions return the invocation itself, finished.  One
+    that accepted, wrote, emitted and sent before it threw reports
+    none of it: no messages or events, ``accepted`` 0, no write log —
+    and its state, balance included, is the one it started from."""
+    interp = Interpreter(parse_module(SPILL))
+    compiled_state = interp.deploy(THIS, {})
+    reference_state = interp.deploy(THIS, {})
+    ctx = TxContext(sender=ADMIN, amount=5)
+    for method, state in ((interp.run_transition, compiled_state),
+                          (interp.interpret_transition, reference_state)):
+        before = snapshot(state)
+        run = method(state, "Go", {"fail": bool_val(True)}, ctx)
+        assert type(run).__name__ == "_Run" and run.state is state
+        assert (run.success, run.accepted, run.messages, run.events,
+                run.write_log) == (False, 0, [], [], None)
+        assert run.error.endswith("exception thrown") and run.gas_used > 0
+        assert snapshot(state) == before
+    got = run_both(interp, compiled_state, reference_state, "Go",
+                   {"fail": bool_val(True)}, ctx)
+    assert not got["success"] and got["writes"] is None
+    got = run_both(interp, compiled_state, reference_state, "Go",
+                   {"fail": bool_val(False)}, ctx)
+    assert got["success"] and got["error"] is None
+    assert got["accepted"] == 5 and compiled_state.balance == 5
+    (msg,) = got["messages"]
+    assert msg == ("Went", ADMIN, 0, (("n", uint(1)),))
+    assert len(got["events"]) == 1 and got["writes"] == [
+        (("n", ()), plain(uint(1)))]
+
+
 # -- gas ---------------------------------------------------------------------
 
 FT_SETUP = [("Mint", {"recipient": addr(OTHER), "amount": uint(500)}, ADMIN),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.chain import Network, NetworkConfig, call
+from repro.chain import Network, NetworkConfig, call, payment
 from repro.chain.consensus import CostModel
 from repro.chain.faults import FaultEvent, FaultKind, FaultPlan
 from repro.chain.recovery import network_fingerprint
@@ -367,6 +367,41 @@ def test_an_old_log_that_carried_a_transaction_stops_at_its_commit(
     rewrite_wal(tmp_path, backlog_epoch)
     with pytest.raises(WALError, match="diverged at epoch 3"):
         Network.resume(str(tmp_path))
+
+
+FEE_FIXTURE = Path(__file__).parent / "fixtures" / "wal_before_fee_rule"
+
+
+def test_a_log_from_before_the_fee_rule_is_refused_by_name(tmp_path):
+    """``fixtures/wal_before_fee_rule`` was written by a build that
+    left a failed payment's fee unpaid: two 1 000-funded users, a
+    payment of 100 in epoch 1 and one of 10**6 in epoch 2.  Replayed
+    now, that payment would cost its sender 50 more, and the commit
+    digest (contract state only) would not say so; the epoch records
+    carry no fee rule, and the resume stops at the first one."""
+    shutil.copytree(FEE_FIXTURE, tmp_path, dirs_exist_ok=True)
+    with pytest.raises(WALError,
+                       match=r"record 4 \(epoch 1\).*fee rule None"):
+        Network.resume(str(tmp_path))
+
+
+def test_a_failed_payment_resumes_to_the_fee_it_paid(tmp_path):
+    a, b = USERS[0], USERS[1]
+    net = Network(2, data_dir=str(tmp_path), snapshot_every=10**9)
+    net.create_account(a, 1000)
+    net.create_account(b, 1000)
+    net.process_epoch([payment(a, b, 100, nonce=1)])
+    block = net.process_epoch([payment(a, b, 10**6, nonce=2)])
+    assert [(r.success, r.gas_used) for r in block.all_receipts] == \
+        [(False, 50)]
+    accounts = dict(net.accounts)
+    net.close()
+    assert all(r.data["fees"] == "deposit"
+               for r in read_wal(tmp_path) if r.type == "epoch")
+    resumed = Network.resume(str(tmp_path))
+    assert dict(resumed.accounts) == accounts
+    assert resumed.accounts[a][0] == 1000 - 150 - 50
+    resumed.close()
 
 
 # -- corpus-analysis pool observability (no silent fallbacks) ----------------

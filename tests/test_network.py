@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chain import Network, NetworkConfig, call, payment
+from repro.chain import Network, NetworkConfig, Transaction, call, payment
 from repro.chain.consensus import CostModel
 from repro.contracts import CORPUS
 from repro.core.parallel import default_workers
@@ -98,6 +98,84 @@ def test_gas_charged_to_sender():
     (receipt,) = block.all_receipts
     after = net.balance(sender)
     assert after == before - receipt.gas_used
+
+
+POOR = "0x" + "0d" * 20     # home shard 0 of 3
+
+
+def test_gas_a_sender_cannot_pay_is_neither_reported_nor_counted():
+    """A fee the sender's lane portion could not cover used to go
+    uncharged while its receipt still reported the gas and the lane
+    counted it against its limit.  Zilliqa's rule closes that: the
+    portion must cover ``gas_limit × gas_price`` before the nonce is
+    consumed, and a call that runs pays ``min(gas_used, gas_limit) ×
+    gas_price``, so a receipt's gas is always gas paid."""
+    net = ft_network(3)
+    mint_all(net)
+    net.create_account(POOR, balance=10)
+    assert net.accounts[POOR] == (10, 5, 1, 1, 3)
+
+    def transfer(**kwargs):
+        block = net.process_epoch([call(
+            POOR, TOKEN, "Transfer", {"to": addr(USERS[1]),
+                                      "amount": uint(5)}, **kwargs)])
+        (receipt,) = block.all_receipts
+        assert receipt.shard == 0
+        assert block.microblocks[0].gas_used == receipt.gas_used
+        return receipt
+
+    # POOR holds no tokens: the call would throw InsufficientFunds after
+    # 32 gas.  Its default gas limit, 50 000, is beyond the portion of 5.
+    receipt = transfer(nonce=1)
+    assert (receipt.success, receipt.gas_used, receipt.error) == \
+        (False, 0, "insufficient balance for gas")
+    assert net.accounts[POOR] == (10, 5, 1, 1, 3)
+    # A limit the portion covers: the call runs out of gas and pays
+    # its limit — under the same nonce, which the refusal left unused.
+    receipt = transfer(nonce=1, gas_limit=5)
+    assert (receipt.success, receipt.gas_used) == (False, 5)
+    assert "out of gas" in receipt.error
+    assert net.accounts[POOR] == (5, 0, 1, 1, 3)
+
+
+def test_failed_payments_pay_their_fee():
+    net = ft_network(3)
+    net.create_account(POOR, balance=1000)
+    home, rest, ds = 500, 125, 250
+    assert net.accounts[POOR] == (1000, home, rest, rest, ds)
+    block = net.process_epoch([payment(POOR, USERS[0], 10**6, nonce=1),
+                               payment(POOR, TOKEN, 1, nonce=2)])
+    assert [(r.success, r.gas_used, r.error) for r in block.all_receipts] \
+        == [(False, 50, "insufficient balance"),
+            (False, 50, "payment to contract address")]
+    assert net.accounts[POOR] == (900, home - 50, rest, rest, ds - 50)
+
+
+def test_a_negative_gas_limit_or_price_is_refused_before_the_nonce():
+    """Both are unsigned in Zilliqa.  A negative deposit passes any
+    portion check, and a failed call charged ``gas_limit × gas_price``
+    of it would pay the sender and lower the lane's gas count."""
+    net = ft_network(3)
+    mint_all(net)
+    sender = USERS[0]
+    before = net.accounts[sender]
+    txns = [Transaction(sender, TOKEN, 1, gas_limit=gas_limit,
+                        gas_price=gas_price, transition="Transfer",
+                        args=(("to", addr(USERS[1])), ("amount", uint(5))))
+            for gas_limit, gas_price in ((-10**18, 1), (10, -10**18),
+                                         (-10, -10**18))]
+    txns.append(Transaction(sender, USERS[1], 1, gas_price=-10**18))
+    for tx in txns:
+        block = net.process_epoch([tx])
+        (receipt,) = block.all_receipts
+        assert (receipt.success, receipt.gas_used, receipt.error) == \
+            (False, 0, "invalid gas")
+        assert all(mb.gas_used == 0 for mb in block.microblocks)
+        assert net.accounts[sender] == before
+    # The nonce is still unused.
+    block = net.process_epoch([call(sender, TOKEN, "Transfer", {
+        "to": addr(USERS[1]), "amount": uint(5)}, nonce=1)])
+    assert block.n_committed == 1
 
 
 def test_payment_moves_native_balance():

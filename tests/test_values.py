@@ -13,6 +13,7 @@ from hypothesis import given
 from repro.chain.dispatch import key_token, value_from_token
 from repro.chain.serialization import value_from_json, value_to_json
 from repro.scilla.errors import EvalError
+from repro.scilla.interpreter import OutMsg
 from repro.scilla import types as ty
 from repro.scilla.values import (
     ADTVal, BNumVal, ByStrVal, Env, IntVal, MapVal, MsgVal, StringVal, addr,
@@ -169,6 +170,23 @@ def test_no_value_class_defines_hash_or_eq_or_carries_a_dict():
               bool_val(True), MsgVal(())):
         assert not hasattr(v, "__dict__")
     assert sys.getsizeof(uint(1)) <= 64
+
+
+def test_an_outgoing_message_is_a_plain_tuple():
+    # Every FT Transfer sends one: built by one ``tuple.__new__`` in
+    # compiled code, so no Python-level constructor, hash or equality,
+    # and no instance dict.
+    msg = OutMsg("RecipientAcceptTransfer", "0x" + "01" * 20, 0,
+                 (("sender", addr("0x" + "02" * 20)), ("amount", uint(5))))
+    assert issubclass(OutMsg, tuple) and not hasattr(msg, "__dict__")
+    assert OutMsg.__hash__ is tuple.__hash__ and OutMsg.__eq__ is tuple.__eq__
+    assert tuple.__new__(OutMsg, tuple(msg)) == msg
+    assert (msg.tag, msg.amount) == ("RecipientAcceptTransfer", 0)
+    assert OutMsg("T", "0x01", 1).params == ()
+    for protocol in (2, pickle.HIGHEST_PROTOCOL):
+        clone = pickle.loads(pickle.dumps(msg, protocol))
+        assert clone == msg and type(clone) is OutMsg
+        assert hash(clone) == hash(msg)
 
 
 def test_hashes_survive_pickling_and_nest_in_adts():
