@@ -21,10 +21,12 @@ def test_overheads_report(benchmark, save_result):
     # Directions must match the paper even though absolute numbers are
     # Python-scale: signature dispatch costs more, merging costs more
     # per field than plain application, and merging beats re-execution.
-    # Both sides are best-of-k under gc.freeze.  Measured 9.0-10.1x over
-    # seven runs (9.6-13.3x before the wire decode got leaner: the
-    # signature path, 10.6-11.6 µs, is mostly its JSON boundary; the
-    # default one is 1.1-1.2 µs).
+    # Both sides are best-of-k under gc.freeze.  Since plans became
+    # generated straight-line code: 7.4-8.8x in 12 of 14 runs (11.6x and
+    # 13.6x in two on a busy box), the parent's closure plans 6.7-9.0x
+    # alternating with them (EXPERIMENTS.md E21); the signature path is
+    # mostly its JSON boundary.  9.6-13.3x before the wire decode got
+    # leaner.
     assert result.dispatch_slowdown > 5
     assert result.merge_per_field_joins_us > 0
     # Measured 1.71-2.13x over seven runs (EXPERIMENTS.md E8): both

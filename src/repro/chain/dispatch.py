@@ -15,6 +15,7 @@ an entry writer can never land in different shards).
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field as dc_field
 
 from ..core.constraints import (
@@ -74,9 +75,12 @@ def value_from_token(token: str) -> Value | None:
     return None
 
 
+# The first 8 bytes of a digest as a big-endian unsigned integer.
+_U64 = struct.Struct(">Q").unpack_from
+
+
 def shard_hash(token: str, n_shards: int) -> int:
-    digest = hashlib.sha256(token.encode()).digest()
-    return int.from_bytes(digest[:8], "big") % n_shards
+    return _U64(hashlib.sha256(token.encode()).digest())[0] % n_shards
 
 
 # Reason classes: ``net.dispatch.reason.<kind>`` (docs/OBSERVABILITY.md).
@@ -146,6 +150,15 @@ class Dispatcher:
         self._satisfied = [
             DispatchDecision(shard, "constraints satisfied", "satisfied")
             for shard in range(n_shards)]
+        self._unconstrained = [
+            DispatchDecision(shard, "unconstrained", "unconstrained")
+            for shard in range(n_shards)]
+        # The globals every generated plan reads (``_PlanWriter``).
+        self._support = {
+            "sha256": hashlib.sha256, "u64": _U64, "ByStrVal": ByStrVal,
+            "key_token": key_token, "CONTRACTS": self.contracts,
+            "SAT": self._satisfied, "FREE": self._unconstrained,
+            "CONFLICTING": _CONFLICTING}
 
     # -- registration ---------------------------------------------------------
 
@@ -332,102 +345,108 @@ class Dispatcher:
 
     # -- dispatch plans -----------------------------------------------------------
     # ``dispatch_reference`` lowered once per (contract, transition), at
-    # registration, to a closure ``plan(tx)``.  Per transaction stay the
-    # sender, the arguments (by name, last duplicate wins), ``tx_id`` and
-    # for ``UserAddr`` the contracts deployed by then (docs/ANALYSIS.md).
+    # its first dispatch, to generated straight-line Python
+    # (``_PlanWriter``), compiled the way ``repro.scilla.compile``
+    # compiles transitions.  Per transaction stay the sender, the
+    # arguments (by name, last duplicate wins), ``tx_id`` and for
+    # ``UserAddr`` the contracts deployed by then (docs/ANALYSIS.md).
 
     def _lower_contract(self, to: str, deployed: DeployedSignature):
-        """(transition -> plan, the plan of every other transition)."""
+        """(transition -> plan, the plan of every other transition), each
+        at first a linker: its first call generates and compiles the
+        plan, which takes its place.  Compiling costs ≈ 0.1 ms a plan,
+        and a deployment calls few of its transitions."""
         sig = deployed.signature
-        if self.use_signatures and sig is not None:
-            return ({t: self._lower_transition(to, deployed,
-                                               sig.constraints[t])
-                     for t in sig.selected}, lambda tx: _NOT_SHARDED)
-        n, home = self.n_shards, self._home(to)   # _default_strategy
-        co_located = DispatchDecision(home, "co-located", "co_located")
-        cross = _ds("cross-shard contract call", "cross_shard_call")
-        return {}, lambda tx: (
-            co_located if shard_hash(f"addr:{tx.sender}", n) == home
-            else cross)
+        selected = (sig.selected if self.use_signatures and sig is not None
+                    else ())
+        return ({t: self._linker(to, t) for t in selected},
+                self._linker(to, "*"))
+
+    def _linker(self, to: str, t: str):
+        def link(tx: Transaction) -> DispatchDecision:
+            contract, writer = self._plan_writer(to, t)
+            name = f"{contract}.{t}"
+            ns = {**self._support, **writer.consts}
+            exec(compile(writer.source(name), f"<plan {name}>", "exec"), ns)
+            plan = ns["plan"]
+            plans, other = self._plans[to]
+            if t == "*":
+                self._plans[to] = plans, plan
+            else:
+                plans[t] = plan
+            return plan(tx)
+        return link
+
+    def _plan_writer(self, to: str, t: str):
+        """(contract name, the writer of ``t``'s plan); ``*`` writes the
+        plan of every transition without one of its own."""
+        deployed = self.contracts[to]
+        sig = deployed.signature
+        if t != "*":
+            writer = self._lower_transition(to, deployed,
+                                            sig.constraints[t])
+        elif self.use_signatures and sig is not None:
+            writer = _PlanWriter(self.n_shards)
+            writer.emit(f"return {writer.const(_NOT_SHARDED)}")
+        else:
+            writer = _PlanWriter(self.n_shards)     # _default_strategy
+            home = self._home(to)
+            co_located = DispatchDecision(home, "co-located", "co_located")
+            cross = _ds("cross-shard contract call", "cross_shard_call")
+            writer.emit(f"if {_hash(_SENDER_ADDR, self.n_shards)} == "
+                        f"{home}: return {writer.const(co_located)}")
+            writer.emit(f"return {writer.const(cross)}")
+        return (sig.contract if sig is not None else to), writer
+
+    def plan_source(self, address: str, transition: str | None) -> str:
+        """The generated source of the plan ``dispatch`` runs for a call
+        of ``transition`` on the contract at ``address`` — generated
+        again, as it depends on the registered contracts alone."""
+        address = _pad(address)
+        t = transition if transition in self._plans[address][0] else "*"
+        contract, writer = self._plan_writer(address, t)
+        return writer.source(f"{contract}.{t}")
 
     def _lower_transition(self, to: str, deployed: DeployedSignature,
-                          constraints):
-        """Steps run in sorted-constraint order; each returns the
-        decision to stop with (the reference's early DS returns) or
-        None, leaving the shards it requires in ``found`` (token ->
-        shard).  Keyed by recipe: constraints asking the same of a
-        transaction (``Owns(records[node])``, ``Owns(resolvers[node])``)
-        run once — a repeat names the same shard and cannot fail.
-
-        A step gets each key it reads as ``(index, key)``: the index of
-        its token in the plan's per-transaction ``tokens`` list, one per
-        distinct key.  The first step to read a key resolves it
-        (``_UNSEEN``), where the reference first does; later ones read
-        the token back.  ``_SENDER``'s, if some step reads it, the plan
-        fills in."""
-        n = self.n_shards
+                          constraints) -> "_PlanWriter":
+        """Constraints in sorted order, each lowered to the statements
+        the reference runs for it, early DS returns in place.  Each
+        key's token is resolved, checked and hashed where the first
+        statement needs it (``_PlanWriter``), so a constraint asking
+        again what an earlier one asked (``Owns(records[node])``, then
+        ``Owns(resolvers[node])``) adds nothing."""
+        ordered = sorted(constraints, key=str)
+        w = _PlanWriter(self.n_shards, f"{to}:")
+        # Contract text (a constant key's literal) enters the source
+        # only through repr(), comments included.
+        text = ", ".join(map(str, ordered)) or "no constraints"
+        w.head.append(f"# {text!r}")
         const_shards: set[int] = set()
-        steps: dict = {}
         final = None
-        slots: dict = {}
-
-        def slot(key):
-            return slots.setdefault(key, len(slots)), key
-        for c in sorted(constraints, key=str):
+        for c in ordered:
             if isinstance(c, Bot):
                 final = _ds(f"⊥: {c.reason}", "bot")
                 break   # later constraints are never reached
             if isinstance(c, SenderShard):
-                steps.setdefault(((_SENDER,), True), _owns_step(
-                    (_SENDER,), slot, None, f"{to}:", n))
+                w.shard((_SENDER,))
             elif isinstance(c, ContractShard):
                 const_shards.add(self._home(to))
             elif isinstance(c, Owns):
-                self._lower_owns(to, deployed, c, steps, const_shards, slot)
+                self._lower_owns(to, deployed, c, w, const_shards)
             elif isinstance(c, NoAliases):
-                steps[c] = _alias_step(
-                    slot(self._symbol(c.x, deployed)),
-                    slot(self._symbol(c.y, deployed)),
-                    _ds(f"aliasing keys {c}", "aliasing_keys"))
+                w.aliases(self._symbol(c.x, deployed),
+                          self._symbol(c.y, deployed),
+                          _ds(f"aliasing keys {c}", "aliasing_keys"))
             elif isinstance(c, UserAddr):
-                # ``self.contracts`` is read per transaction: a
-                # contract deployed later changes the answer.
-                steps[c] = _user_step(
-                    slot(self._symbol(c.param, deployed)), self.contracts,
-                    _ds(f"non-user recipient {c}", "non_user_recipient"))
-        steps = tuple(steps.values())
-        blank = [_UNSEEN] * len(slots)
-        sender_slot = slots.get(_SENDER)    # None: no step reads it
-        satisfied = self._satisfied
-        if not steps and (final is not None or const_shards):
-            if final is None:
-                final = (_CONFLICTING if len(const_shards) > 1
-                         else satisfied[min(const_shards)])
-            return lambda tx: final
-
-        def plan(tx):
-            sender, args, found = tx.sender, dict(tx.args), {}
-            tokens = blank.copy()
-            if sender_slot is not None:
-                tokens[sender_slot] = f"ByStr20|{sender}"
-            for step in steps:
-                stop = step(sender, args, tokens, found)
-                if stop is not None:
-                    return stop
-            if final is not None:
-                return final
-            required = const_shards.union(found.values())
-            if len(required) > 1:
-                return _CONFLICTING
-            if required:
-                return satisfied[required.pop()]
-            # No placement constraints at all: any shard works.
-            return DispatchDecision(tx.tx_id % n, "unconstrained",
-                                    "unconstrained")
-        return plan
+                # ``CONTRACTS`` is the live registry: a contract
+                # deployed later changes the answer.
+                w.user(self._symbol(c.param, deployed),
+                       _ds(f"non-user recipient {c}", "non_user_recipient"))
+        w.finish(final, const_shards)
+        return w
 
     def _lower_owns(self, to: str, deployed: DeployedSignature, c: Owns,
-                    steps: dict, const_shards: set[int], slot) -> None:
+                    w: "_PlanWriter", const_shards: set[int]) -> None:
         """Keys are resolved per transaction even where the shard is
         known here (a missing one routes to the DS)."""
         keys = tuple(
@@ -438,90 +457,159 @@ class Dispatcher:
         whole = not keys \
             or c.pf.field in self._field_level_cache.get(to, ())
         by_key = not whole and (keys[0] is _SENDER or keys[0][0] is not None)
-        if by_key or any(k is not _SENDER and k[1] is None for k in keys):
-            steps.setdefault((keys, by_key), _owns_step(
-                keys, slot, _ds(f"unresolvable {c}", "unresolvable"),
-                f"{to}:" if by_key else None, self.n_shards))
-        if not by_key:
+        fail = _ds(f"unresolvable {c}", "unresolvable")
+        for key in keys:
+            if key is not _SENDER and key[1] is None:   # one that can fail
+                w.present(w.token(key), fail)
+        if by_key:
+            w.shard(keys)
+        else:
             const_shards.add(self._component_shard(   # "": always fails
                 to, c.pf, () if whole else (keys[0][1] or "",)))
 
     def _symbol(self, symbol: str, deployed: DeployedSignature):
-        """A NoAliases/UserAddr symbol as a key (``_key_token``): the
-        argument of that name if there is one, else a constant."""
+        """A NoAliases/UserAddr symbol as a key: the argument of that
+        name if there is one, else a constant."""
         if symbol in ("_sender", "_origin"):
             return _SENDER
         return symbol, self._resolve_key(ConstKey(symbol), None, deployed,
                                          "")
 
 
+# A lowered key: ``_SENDER``, or ``(argument name or None, constant
+# token or None)`` — the argument's token if it is present, else the
+# constant.
 _SENDER = object()
-_UNSEEN = object()      # a token no step has resolved yet
+_SENDER_ADDR = 'f"addr:{tx.sender}"'      # the sender's component token
 
 
-def _key_token(key, args: dict) -> str | None:
-    """The token of a lowered key other than ``_SENDER`` — ``(argument
-    name or None, constant token or None)`` — or None if neither
-    resolves.  Called once per key and transaction: the plan's
-    ``tokens`` keeps what it returned (``Dispatcher._lower_transition``)."""
-    name, fallback = key
-    value = args.get(name) if name is not None else None
-    return key_token(value) if value is not None else fallback
+def _hash(text: str, n: int) -> str:
+    """Python for ``shard_hash(<text>, n)``, inline: no frame."""
+    return f"u64(sha256({text}.encode()).digest())[0] % {n}"
 
 
-def _owns_step(keys: tuple, slot, fail, prefix: str | None, n: int):
-    """Resolve every key (a value that is no key raises, as in the
-    reference); with ``prefix`` the first token names the shard."""
-    sender_only = keys == (_SENDER,)   # SenderShard, Owns(f[_sender])
-    keys = () if sender_only else tuple(map(slot, keys))
+class _PlanWriter:
+    """The generated source of one plan ``plan(tx)``: straight-line
+    statements whose only branches are early returns, so a key resolved
+    by one statement is resolved for every later one.  Decisions it
+    returns are constants ``D<n>`` (``consts``); tokens are locals
+    ``a<n>`` (an argument's, None while it is absent), ``t<n>`` and
+    ``ts`` (the sender's); shards are ``s<n>``."""
 
-    def step(sender, args, tokens, found):
-        if sender_only:
-            token = f"addr:{sender}"
-            if token not in found:
-                found[token] = shard_hash(token, n)
-            return None
-        first = None
-        for i, key in keys:
-            token = tokens[i]
-            if token is _UNSEEN:
-                token = tokens[i] = _key_token(key, args)
-            if token is None:
-                return fail
-            if first is None:
-                first = token
-        if prefix is not None:
-            token = (f"addr:{first[8:]}" if first.startswith("ByStr20|")
-                     else prefix + first)
-            if token not in found:
-                found[token] = shard_hash(token, n)
-    return step
+    def __init__(self, n_shards: int, prefix: str = ""):
+        self.n = n_shards
+        self.prefix = prefix        # of a component token: "<contract>:"
+        self.head: list[str] = []
+        self.lines: list[str] = []
+        self.consts: dict[str, DispatchDecision] = {}
+        self.tokens: dict = {}      # key -> its local
+        self.maybe_none: set[str] = set()
+        self.shards: dict = {}      # first key -> its shard's local
+        self.reads_args = False
 
+    def emit(self, line: str) -> None:
+        self.lines.append(line)
 
-def _alias_step(x, y, fail):
-    (i, x), (j, y) = x, y
+    def const(self, decision: DispatchDecision) -> str:
+        name = f"D{len(self.consts)}"
+        self.consts[name] = decision
+        self.head.append(f"# {name} = {decision.reason!r}")
+        return name
 
-    def step(sender, args, tokens, found):
-        a = tokens[i]
-        if a is _UNSEEN:
-            a = tokens[i] = _key_token(x, args)
-        b = tokens[j]
-        if b is _UNSEEN:
-            b = tokens[j] = _key_token(y, args)
-        if a is None or b is None or a == b:
-            return fail
-    return step
+    def token(self, key) -> str:
+        """The local holding ``key``'s token, resolved here first time
+        (a value that is no key raises in ``key_token``, as in the
+        reference)."""
+        local = self.tokens.get(key)
+        if local is not None:
+            return local
+        if key is _SENDER:
+            local = "ts"
+            self.emit('ts = f"ByStr20|{tx.sender}"')
+        elif key[0] is None:                        # a constant
+            local = f"t{len(self.tokens)}"
+            self.emit(f"{local} = {key[1]!r}")
+            if key[1] is None:
+                self.maybe_none.add(local)
+        else:
+            name, fallback = key
+            local = self.tokens.get((name, None))   # the argument's, or None
+            if local is None:
+                local = self.tokens[name, None] = self._argument(name)
+            if fallback is not None and local in self.maybe_none:
+                arg, local = local, f"t{len(self.tokens)}"
+                self.emit(f"{local} = {fallback!r} if {arg} is None "
+                          f"else {arg}")
+        self.tokens[key] = local
+        return local
 
+    def _argument(self, name: str) -> str:
+        """The token of argument ``name``, or None if it is absent."""
+        self.reads_args = True
+        local = f"a{len(self.tokens)}"
+        self.emit(f"v = args.get({name!r})")
+        self.emit(f"if v is None: {local} = None")
+        self.emit(f"elif v.__class__ is ByStrVal: "
+                  f'{local} = f"{{v.typ!s}}|{{v.hex}}"')
+        self.emit(f"else: {local} = key_token(v)")
+        self.maybe_none.add(local)
+        return local
 
-def _user_step(symbol, contracts: dict, fail):
-    i, symbol = symbol
+    def present(self, local: str, fail: DispatchDecision) -> None:
+        if local in self.maybe_none:
+            self.emit(f"if {local} is None: return {self.const(fail)}")
+            self.maybe_none.discard(local)      # past here it is not
 
-    def step(sender, args, tokens, found):
-        token = tokens[i]
-        if token is _UNSEEN:
-            token = tokens[i] = _key_token(symbol, args)
-        token = token or ""   # None: fails
-        kind, bar, payload = token.partition("|")
-        if not bar or not kind.startswith("ByStr") or payload in contracts:
-            return fail
-    return step
+    def shard(self, keys: tuple) -> None:
+        """The shard of a component whose first key is ``keys[0]``
+        (resolved already, unless it is the sender)."""
+        first = keys[0]
+        if first in self.shards:
+            return
+        local = self.shards[first] = f"s{len(self.shards)}"
+        if first is _SENDER:
+            text = _SENDER_ADDR
+        else:
+            t = self.tokens[first]
+            text = (f'(f"addr:{{{t}[8:]}}" if {t}.startswith("ByStr20|") '
+                    f"else {self.prefix!r} + {t})")
+        self.emit(f"{local} = {_hash(text, self.n)}")
+
+    def aliases(self, x, y, fail: DispatchDecision) -> None:
+        a, b = self.token(x), self.token(y)
+        tests = [f"{t} is None" for t in dict.fromkeys((a, b))
+                 if t in self.maybe_none]
+        self.emit(f"if {' or '.join([*tests, f'{a} == {b}'])}: "
+                  f"return {self.const(fail)}")
+        self.maybe_none -= {a, b}
+
+    def user(self, symbol, fail: DispatchDecision) -> None:
+        t = self.token(symbol)
+        text = f"({t} or '')" if t in self.maybe_none else t
+        self.emit(f"kind, bar, payload = {text}.partition('|')")
+        self.maybe_none.discard(t)
+        self.emit(f"if not bar or not kind.startswith('ByStr') "
+                  f"or payload in CONTRACTS: return {self.const(fail)}")
+
+    def finish(self, final: DispatchDecision | None,
+               const_shards: set[int]) -> None:
+        """The decision once every statement passed."""
+        shards = [*self.shards.values(), *map(str, sorted(const_shards))]
+        if final is not None:
+            self.emit(f"return {self.const(final)}")
+        elif len(const_shards) > 1:
+            self.emit("return CONFLICTING")
+        elif len(shards) == 1:
+            self.emit(f"return SAT[{shards[0]}]")
+        elif shards:
+            self.emit(f"shards = {{{', '.join(shards)}}}")
+            self.emit("if len(shards) > 1: return CONFLICTING")
+            self.emit("return SAT[shards.pop()]")
+        else:   # no placement constraints at all: any shard works
+            self.emit(f"return FREE[tx.tx_id % {self.n}]")
+
+    def source(self, name: str) -> str:
+        body = ["args = dict(tx.args)"] if self.reads_args else []
+        return "\n".join([f"# {name!r}", *self.head, "def plan(tx):",
+                          *(f"    {line}" for line in body + self.lines),
+                          ""])

@@ -8,7 +8,8 @@ moves they make."""
 from __future__ import annotations
 
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
+from operator import attrgetter
 
 from ..core.joins import JoinKind
 from ..scilla.errors import ExecError
@@ -29,6 +30,7 @@ FEE_RULE = "deposit"
 _MAX_AMOUNT = ty.int_bounds(ty.UINT128)[1]
 FUNDING = 10**12    # what a created account holds unless told otherwise
 MAX_CALL_DEPTH = 3
+_TO, _TRANSITION = attrgetter("to"), attrgetter("transition")
 
 
 class Execution:
@@ -91,10 +93,26 @@ class Execution:
                   gas_limit: int, use_global_state: bool = False,
                   pre_states: dict | None = None):
         """Execute a queue sequentially, as one shard (or the DS) does.
-        What is left once the lane's gas is spent is returned deferred."""
+        What is left once the lane's gas is spent is returned deferred.
+        A shard lane's fork of a contract carries the one-key writes its
+        queue's calls make into each map field (``writes_per_call``
+        summed), so a map the lane will write past the overlay's fold
+        threshold is copied flat at its first write (docs/STATE.md §1)."""
         mb = MicroBlock(shard=lane, epoch=self.epoch)
         local_states: dict[str, ContractState] = {}
         touched = defaultdict(list)   # contract -> successful write logs
+        writes: dict[str, dict[str, int]] = {}
+        if not use_global_state:
+            contracts = self.contracts
+            for (to, transition), calls in Counter(
+                    zip(map(_TO, queue), map(_TRANSITION, queue))).items():
+                contract = contracts.get(to)
+                per_call = (contract.writes_per_call.get(transition)
+                            if contract is not None else None)
+                if per_call:
+                    into = writes.setdefault(to, {})
+                    for name, n in per_call.items():
+                        into[name] = into.get(name, 0) + n * calls
 
         def state_for(addr: str) -> ContractState:
             if use_global_state:
@@ -105,7 +123,8 @@ class Execution:
                 return state
             state = local_states.get(addr)
             if state is None:
-                state = local_states[addr] = self.contracts[addr].state.fork()
+                state = local_states[addr] = \
+                    self.contracts[addr].state.fork(writes.get(addr))
             return state
 
         t0 = time.perf_counter_ns() if self.metrics.enabled else 0

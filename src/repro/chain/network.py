@@ -22,6 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 
+from ..core.effects import one_key_writes
 from ..core.joins import JoinKind, MergeOverflow
 from ..core.pipeline import run_pipeline_cached
 from ..obs.metrics import NULL_REGISTRY
@@ -58,6 +59,10 @@ class DeployedContract:
     # Original source text: a base restore point carries it, and
     # resume re-runs the deployment pipeline on it.
     source: str = ""
+    # transition -> map field -> one-key writes per call (its write
+    # footprint, ``one_key_writes``); what a lane hands its forks.
+    writes_per_call: dict[str, dict[str, int]] = dc_field(
+        default_factory=dict)
 
     @property
     def joins(self) -> dict[str, JoinKind]:
@@ -252,15 +257,25 @@ class Network(Execution, Durability):
         elif sharded_transitions is not None and use_signatures:
             signature = result.signature(tuple(sorted(sharded_transitions)),
                                          weak_reads, allow_commutativity)
-        state.journal = self.journal
-        self._adopt_state(state)
-        deployed = DeployedContract(address, result.module, interpreter,
-                                    state, signature, source)
-        self.contracts[address] = deployed
+        deployed = self._install(address, result, interpreter, state,
+                                 signature, source)
         if self._ledger is not None:
             # A structure change: no delta can express it, so the next
             # restore point is a base.
             self._ledger.add_contract(state)
+        return deployed
+
+    def _install(self, address: str, result, interpreter: Interpreter,
+                 state: ContractState, signature: ShardingSignature | None,
+                 source: str) -> DeployedContract:
+        """Adopt a deployed (or restored) contract's state and register
+        it with the network and the dispatcher; ``result`` is its
+        pipeline result, whose summaries give the lanes' write table."""
+        state.journal = self.journal
+        self._adopt_state(state)
+        deployed = self.contracts[address] = DeployedContract(
+            address, result.module, interpreter, state, signature, source,
+            one_key_writes(result.summaries))
         self.dispatcher.register_contract(DeployedSignature(
             address, signature, dict(state.immutables)))
         return deployed

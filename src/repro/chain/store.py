@@ -227,8 +227,7 @@ def network_from_snapshot(obj: Any, metrics=None, tracer=None,
     """
     from ..core.pipeline import run_pipeline_cached
     from ..scilla.interpreter import Interpreter
-    from .dispatch import DeployedSignature
-    from .network import DeployedContract, Network, NetworkConfig
+    from .network import Network, NetworkConfig
 
     if obj.get("version") != SNAPSHOT_VERSION:
         raise SnapshotError(
@@ -239,15 +238,10 @@ def network_from_snapshot(obj: Any, metrics=None, tracer=None,
         result = run_pipeline_cached(payload["source"], addr)
         state = state_from_obj(payload["state"],
                                backend=net.state_backend)
-        state.journal = net.journal
-        net._adopt_state(state)
         signature = (signature_from_obj(payload["signature"])
                      if payload["signature"] is not None else None)
-        net.contracts[addr] = DeployedContract(
-            addr, result.module, Interpreter(result.module), state,
-            signature, payload["source"])
-        net.dispatcher.register_contract(DeployedSignature(
-            addr, signature, dict(state.immutables)))
+        net._install(addr, result, Interpreter(result.module), state,
+                     signature, payload["source"])
     _restore_tables(net, obj)
     return net
 

@@ -187,6 +187,25 @@ def transition_footprints(summaries: dict[str, Summary]
     return out
 
 
+def one_key_writes(summaries: dict[str, Summary]
+                   ) -> dict[str, dict[str, int]]:
+    """Per transition, how many one-key locations (``f[k]``) of each
+    field its write footprint names — what a lane expects one call to
+    write into each map (``ContractState.fork``).  An unsummarisable
+    (⊤) transition has no entry: its writes cannot be counted."""
+    out: dict[str, dict[str, int]] = {}
+    for name, summary in summaries.items():
+        if summary.has_top:
+            continue
+        counts: dict[str, int] = {}
+        for pf in dict.fromkeys(e.pf for e in summary.writes()):
+            if len(pf.keys) == 1:
+                counts[pf.field] = counts.get(pf.field, 0) + 1
+        if counts:
+            out[name] = counts
+    return out
+
+
 def condition_mentions(summary: Summary, pf: PseudoField) -> bool:
     """Whether any Condition's contribution mentions the pseudo-field."""
     for cond in summary.conditions():

@@ -189,7 +189,8 @@ class _Msg:
             return fn.unit.const(MsgVal(tuple(
                 (k, ns[py]) for k, py in self.fields)))
         # A pair of two constants (``_eventname``, ``_tag``) is one too.
-        return "MsgVal((%s))" % "".join(
+        # Built as ``OutMsg`` is: the named tuple's ``__new__`` is a frame.
+        return "tuple_new(MsgVal, ((%s),))" % "".join(
             f"{fn.unit.const((k, ns[py]))}, " if _CONST_RE.fullmatch(py)
             else f"({k!r}, {py}), " for k, py in self.fields)
 

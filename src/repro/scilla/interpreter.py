@@ -495,7 +495,9 @@ class Interpreter:
         if unit.params.get(name) != args.keys():
             self._transition(name, args)    # raises the reference's error
         run = _Run(self, state, ctx, gas_limit)
-        return run.finish(unit.entry(name), run, args)
+        # Linked already (read without a frame), or linked now.
+        return run.finish(unit._entries.get(name) or unit.entry(name),
+                          run, args)
 
     def interpret_transition(self, state: ContractState, name: str,
                              args: dict[str, Value], ctx: TxContext,

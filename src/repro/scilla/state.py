@@ -117,7 +117,8 @@ class ContractState:
 
     # -- copying ------------------------------------------------------------
 
-    def fork(self) -> "ContractState":
+    def fork(self, writes: dict[str, int] | None = None
+             ) -> "ContractState":
         """Structural-sharing copy — the single copy policy for
         checkpoints, lane payloads, and the serial lane path.
 
@@ -129,15 +130,21 @@ class ContractState:
         tests/test_state_journal.py for the aliasing property tests).
         A fork of paged state does not outlive a write-back: it raises
         ``StaleRowsError`` instead (docs/STATE.md §4).
+
+        ``writes`` (a lane's) names map fields and how many one-key
+        writes are expected through each: the field's first write
+        privatises it with that count (``MapVal._own``), as the merge's
+        does (docs/STATE.md §1, the fold-first rule).
         """
-        return ContractState(
-            self.address,
-            {k: (v.copy() if isinstance(v, MapVal) else v)
-             for k, v in self.fields.items()},
-            self.field_types,
-            self.immutables,
-            self._balance,
-        )
+        fields = {k: (v.copy() if isinstance(v, MapVal) else v)
+                  for k, v in self.fields.items()}
+        if writes:
+            for name, n in writes.items():
+                m = fields.get(name)
+                if m.__class__ is MapVal:
+                    m._writes = n
+        return ContractState(self.address, fields, self.field_types,
+                             self.immutables, self._balance)
 
     # -- raw accessors ------------------------------------------------------
 

@@ -360,6 +360,10 @@ class MapVal(Value):
     value_type: ScillaType
     entries: dict[Value, Value] = field(default_factory=dict)
     _cow: bool = field(default=False, repr=False, compare=False)
+    # The writes a lane expects to make through this wrapper
+    # (``ContractState.fork``): its first privatisation passes them to
+    # ``_own`` as the merge passes its count, once.
+    _writes = 0
 
     def copy(self) -> "MapVal":
         """O(1) structural-sharing copy (both sides become CoW)."""
@@ -372,14 +376,18 @@ class MapVal(Value):
         """Make this wrapper the sole writer of its entries: the shared
         container is left to the other holders and a private overlay
         on it takes its place.  A writer that knows how many ``writes``
-        it is about to make (the FSD merge) says so: when they would
-        fold the overlay anyway it folds first — one flat copy — and
-        the writes land in that plain private dict.  Never for a map
-        of maps (a flat copy shares the children an overlay copies up)
-        nor over a row base (its fold is the commit's write-back)."""
+        it is about to make (the FSD merge, or a lane through the
+        count its fork carries) says so: when they would fold the
+        overlay anyway it folds first — one flat copy — and the writes
+        land in that plain private dict.  Never for a map of maps (a
+        flat copy shares the children an overlay copies up) nor over a
+        row base (its fold is the commit's write-back)."""
         if self._cow:
             global COW_COPIES
             COW_COPIES += 1
+            if self._writes:
+                writes = writes or self._writes
+                self._writes = 0
             entries = self.entries
             entries = (entries.private_copy()
                        if entries.__class__ is OverlayDict

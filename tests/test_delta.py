@@ -668,3 +668,122 @@ def test_the_epoch_path_builds_no_delta_entry(monkeypatch, tmp_path):
     assert kinds == {INT, OWN} and built == []
     rows = [entry for delta in deltas for entry in delta.entries]
     assert len(built) == len(rows) == sum(map(len, deltas)) > 0
+
+
+# -- a lane's fold-first privatisation ---------------------------------------
+# A shard lane's fork carries, per map field, the one-key writes its
+# queue's transitions make (``ContractState.fork(writes)``); the first
+# write privatises with that count, as the merge's does.
+
+
+def _lane_writes(state, rng, n):
+    """``n`` one-key writes into ``bal`` (old and new keys, deletions,
+    rewrites) and as many into the map of maps ``nest``."""
+    old = [k.value for k in state.fields["bal"].entries]
+    for i in range(n):
+        k = rng.choice(old) if i % 3 else f"new{rng.randrange(10**6)}"
+        yield ("bal", (StringVal(k),)), (
+            MISSING if i % 7 == 0 else uint(rng.randrange(10**6)))
+        yield ("nest", (StringVal(k),)), (
+            MISSING if i % 5 == 0 else _map({"y": i}))
+
+
+def test_a_hinted_lane_fork_writes_the_dict_the_overlay_path_builds():
+    import random
+    from repro.scilla import values
+    from repro.scilla.state import owned_write
+    size = 400
+    limit = size // values.OVERLAY_FOLD_DIVISOR + values.OVERLAY_FOLD_SLACK
+    names = [f"k{i}" for i in range(size)]
+    state = ContractState("0xc", {
+        "bal": _map({k: i for i, k in enumerate(names)}),
+        "nest": _map({k: _map({"x": 1}) for k in names},
+                     ty.MapType(ty.STRING, ty.UINT128)),
+    }, {"bal": ty.MapType(ty.STRING, ty.UINT128), "nest": NESTED})
+    before = _image(state)
+    for n in (limit // 3, limit + 30):
+        writes = list(_lane_writes(state, random.Random(n), n))
+        forks = []
+        for hint in ({"bal": n, "nest": n}, None):
+            fork = state.fork(hint)
+            copies = values.COW_COPIES
+            log = WriteLog()
+            for key, value in writes:
+                owned_write(fork, log, key, value)
+            assert values.COW_COPIES - copies == 2   # one per written map
+            forks.append(fork)
+        hinted, plain = forks
+        assert _image(hinted) == _image(plain)      # entries and order
+        assert _image(state) == before              # the epoch-start state
+        assert type(plain.fields["bal"].entries) is not dict
+        # Past the threshold the lane writes a plain dict; a map of maps
+        # never is one, whatever the count.
+        assert [type(hinted.fields[f].entries) is dict
+                for f in ("bal", "nest")] == [n > limit, False]
+        # The count is spent on the first privatisation.
+        assert hinted.fields["bal"]._writes == 0
+
+
+def _ft_lane(hinted: bool):
+    """An FT network over 100 holders and the largest shard lane of
+    400 transfers, whose 2 writes per call pass ``balances``' fold
+    threshold; unhinted, the contract's write table is empty."""
+    from repro.chain import Network
+    from repro.chain.dispatch import DS
+    from repro.workloads.generators import FTTransfer
+    workload = FTTransfer(n_users=100, txns_per_epoch=400)
+    net = Network(4, state_backend="none")
+    workload.setup(net)
+    contract = net.contracts[workload.contract_addr]
+    assert contract.writes_per_call["Transfer"] == {"balances": 2}
+    if not hinted:
+        contract.writes_per_call = {}
+    lanes: dict = {}
+    for tx in workload.transactions(0):
+        lanes.setdefault(net.dispatcher.dispatch(tx).shard, []).append(tx)
+    lanes.pop(DS, None)
+    shard = max(lanes, key=lambda s: len(lanes[s]))
+    return workload, net, contract, shard, lanes[shard]
+
+
+def test_a_hinted_lane_runs_as_the_unhinted_one_and_shares_no_state():
+    from repro.scilla import values
+    images = []
+    for hinted in (True, False):
+        workload, net, contract, shard, queue = _ft_lane(hinted)
+        balances = contract.state.fields["balances"]
+        limit = (len(balances.entries) // values.OVERLAY_FOLD_DIVISOR
+                 + values.OVERLAY_FOLD_SLACK)
+        assert 2 * len(queue) > limit
+        before = _image(contract.state)
+        copies = values.COW_COPIES
+        mb, local, touched, deferred = net._run_lane(shard, queue, 10**9)
+        assert values.COW_COPIES - copies == 1
+        assert all(r.success for r in mb.receipts) and not deferred
+        assert _image(contract.state) == before
+        entries = local[contract.address].fields["balances"].entries
+        assert (type(entries) is dict) is hinted
+        images.append((_image(local[contract.address]),
+                       [(r.success, r.gas_used) for r in mb.receipts]))
+    assert images[0] == images[1]
+
+
+def test_a_lane_whose_hinted_calls_all_fail_privatises_nothing():
+    from repro.chain.transaction import call
+    from repro.scilla import values
+    workload, net, contract, shard, queue = _ft_lane(True)
+    # The same calls, each for more than any holder has: every one
+    # fails before its first write.
+    broke = [call(tx.sender, tx.to, "Transfer",
+                  {**tx.args_dict(), "amount": uint(10**15)},
+                  nonce=tx.nonce) for tx in queue]
+    assert {net.dispatcher.dispatch(tx).shard for tx in broke} == {shard}
+    before = _image(contract.state)
+    copies = values.COW_COPIES
+    mb, local, touched, _ = net._run_lane(shard, broke, 10**9)
+    assert not any(r.success for r in mb.receipts) and not touched
+    assert values.COW_COPIES == copies
+    fork = local[contract.address].fields["balances"]
+    assert fork._cow and fork.entries is contract.state.fields[
+        "balances"].entries
+    assert _image(contract.state) == before

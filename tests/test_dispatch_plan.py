@@ -1,18 +1,22 @@
 """Differential oracle: dispatch plans ≡ the reference dispatcher.
 
-``Dispatcher.dispatch`` runs a closure lowered once per (contract,
-transition) at registration; ``Dispatcher.dispatch_reference`` re-derives
-the decision procedure of Sec. 4.3 per transaction and is the executable
-specification.  Shard *and* reason string must agree on every input —
-transaction arguments are untrusted, so that includes calls no honest
-client sends: missing, reordered and duplicated argument names, aliasing
-keys, contract addresses where a user is expected.
+``Dispatcher.dispatch`` runs a plan lowered once per (contract,
+transition), at its first call, to generated straight-line Python;
+``Dispatcher.dispatch_reference`` re-derives the decision procedure of
+Sec. 4.3 per transaction and is the executable specification.  Shard
+*and* reason string must agree on every input — transaction arguments
+are untrusted, so that includes calls no honest client sends: missing,
+reordered and duplicated argument names, aliasing keys, contract
+addresses where a user is expected.
 
 * every transition of all 52 corpus contracts, selected and unselected
   (two selections per contract), under signature and default dispatch;
 * payments, unknown contracts and transitions, short-form addresses;
 * registration order: a contract deployed *after* a plan was lowered
   changes ``UserAddr``, and unregistering it changes it back.
+
+A disagreement prints the generated source of the plan that ran; the
+source is a function of the registered contracts alone.
 """
 
 import random
@@ -56,6 +60,13 @@ def kind_of(reason: str) -> str:
                 or reason.startswith(prefix + ":"))
 
 
+def plan_of(d: Dispatcher, tx: Transaction) -> str:
+    """The generated source ``dispatch`` runs for ``tx``, if any."""
+    if tx.transition is None or not d.is_contract(tx.to):
+        return "(no plan)"
+    return d.plan_source(tx.to, tx.transition)
+
+
 def agree(d: Dispatcher, tx: Transaction) -> str:
     """Assert plan ≡ reference on ``tx``; returns the reason kind."""
     try:
@@ -65,9 +76,11 @@ def agree(d: Dispatcher, tx: Transaction) -> str:
             d.dispatch(tx)
         return "raised"
     got = d.dispatch(tx)
-    assert (got.shard, got.reason) == (want.shard, want.reason), (
-        f"{tx} args={[(k, str(v)) for k, v in tx.args]}: "
-        f"plan {got} != reference {want}")
+    if (got.shard, got.reason) != (want.shard, want.reason):
+        # Raised, not asserted: pytest would shorten the source.
+        raise AssertionError(
+            f"{tx} args={[(k, str(v)) for k, v in tx.args]}: "
+            f"plan {got} != reference {want}\n{plan_of(d, tx)}")
     assert got.kind == kind_of(want.reason)
     return got.kind
 
@@ -200,3 +213,86 @@ def test_registration_pads_and_unregistration_drops_the_plans():
     d.unregister_contract("0xc0")
     assert agree(d, tx) == "unknown_contract"
     assert d.dispatch(tx).shard == DS
+
+
+def plan_sources(d: Dispatcher, transitions) -> list[str]:
+    return [d.plan_source(address, t) for address in (THIS, OTHER)
+            for t in (*(c.name for c in transitions), "NoSuchTransition")]
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_plans_are_generated_straight_line_source(name):
+    """Two dispatchers registering the same contracts generate the same
+    source, byte for byte.  A plan is linked at its first call: compiled
+    from that source under a ``<plan Contract.Transition>`` name, it
+    takes the linker's place and closes over nothing."""
+    for (d, transitions, _), (again, _, _) in zip(dispatchers(name),
+                                                 dispatchers(name)):
+        assert plan_sources(d, transitions) == plan_sources(
+            again, transitions)
+        for address in (THIS, OTHER):
+            for t in (*(c.name for c in transitions), "NoSuchTransition"):
+                d.dispatch(call(USER, address, t, {}))
+            plans, other = d._plans[address]
+            for t, plan in (*plans.items(), ("*", other)):
+                assert plan.__closure__ is None
+                code = plan.__code__.co_filename
+                assert code.startswith("<plan ") and code.endswith(f".{t}>")
+                assert d.plan_source(address, t if t != "*" else None) \
+                    .startswith(f"# {code[6:-1]!r}\n")
+
+
+def test_a_disagreement_prints_the_plan_that_ran():
+    d = ft_dispatcher()
+    tx = call(USER, THIS, "Transfer", {"to": addr(ADMIN), "amount": uint(1)})
+    want = d.dispatch_reference(tx)
+    wrong = next(s for s in d._satisfied if s.shard != want.shard)
+    d.dispatch_reference = lambda tx: wrong
+    with pytest.raises(AssertionError) as failure:
+        agree(d, tx)
+    source = d.plan_source(THIS, "Transfer")
+    assert "def plan(tx):" in source and "UserAddr(to)" in source
+    assert source in str(failure.value)
+
+
+# Map keys bound to string literals that close the comment line a plan
+# names its constraints in: one by the ``\n`` escape, one by a raw
+# newline inside the literal.
+INJECTING = r'''scilla_version 0
+
+library Injecting
+
+contract Injecting ()
+
+field m : Map String Uint128 = Emp String Uint128
+
+transition Escaped (v: Uint128)
+  k = "x\nimport builtins; builtins.PLAN_INJECTED = 1\n#";
+  m[k] := v
+end
+
+transition Raw (v: Uint128)
+  k = "y
+import builtins; builtins.PLAN_INJECTED = 2
+#";
+  m[k] := v
+end
+'''
+
+
+def test_contract_text_reaches_the_plan_only_as_a_literal():
+    """A constant key is contract text; in the generated source it is a
+    repr(), comments included, so a newline in it starts no statement."""
+    import builtins
+    result = run_pipeline_cached(INJECTING, "Injecting")
+    d = Dispatcher(4)
+    d.register_contract(DeployedSignature(
+        THIS, result.signature(("Escaped", "Raw")), {}))
+    for t in ("Escaped", "Raw"):
+        for sender in SENDERS:
+            agree(d, call(sender, THIS, t, {"v": uint(1)}))
+        assert not hasattr(builtins, "PLAN_INJECTED")
+        source = d.plan_source(THIS, t)
+        assert "builtins.PLAN_INJECTED" in source
+        assert not any(line.startswith("import")
+                       for line in source.splitlines())

@@ -17,10 +17,13 @@ from repro.chain import Network
 from repro.workloads.generators import FTTransfer
 
 # Frames per transfer here (dispatch, lane, interpreter, delta, merge):
-# 45.5 on 3.11, 45.4 on 3.12 and 3.13 — down from 58.6 while each fee
-# charge handed the sender's row out again, each call built a second
-# result object and the dispatch plan resolved ``to`` twice.
-FRAME_BUDGET = 46.5
+# 30.25 on 3.11, 30.17 on 3.12 and 3.13 — down from 45.5 while dispatch
+# plans ran closures (8 frames) and a lane read and wrote its balances
+# through the overlay (EXPERIMENTS.md E21), and from 58.6 before that
+# (E20).
+FRAME_BUDGET = 31.0
+# Of those, dispatch: ``Dispatcher.dispatch`` and the generated plan.
+DISPATCH_FRAME_BUDGET = 3
 
 
 def ft_network():
@@ -59,6 +62,29 @@ def test_an_ft_transfer_stays_within_its_frame_budget():
     assert per_transfer <= FRAME_BUDGET, (
         f"{per_transfer:.2f} Python frames per FT transfer, budget "
         f"{FRAME_BUDGET}")
+
+
+def test_an_ft_transfer_dispatches_within_its_frame_budget():
+    """The plan is straight-line code: no step closures, no helper
+    frames for key tokens or the shard hash."""
+    workload, net = ft_network()
+    batch = workload.transactions(3)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    dispatch = net.dispatcher.dispatch
+    sys.setprofile(count)
+    try:
+        decisions = [dispatch(tx) for tx in batch]
+    finally:
+        sys.setprofile(None)
+    assert {d.kind for d in decisions} == {"satisfied"}
+    assert calls / len(batch) <= DISPATCH_FRAME_BUDGET, (
+        f"{calls / len(batch):.2f} Python frames per FT Transfer dispatch")
 
 
 def test_a_row_is_journaled_once_per_epoch():

@@ -96,6 +96,9 @@ def test_snapshot_roundtrip_preserves_state_and_future():
     assert network_fingerprint(restored) == network_fingerprint(net)
     assert restored.accounts == net.accounts
     assert restored.nonces.records == net.nonces.records
+    # The lanes' write table is derived again from the source.
+    assert restored.contracts[TOKEN].writes_per_call == \
+        net.contracts[TOKEN].writes_per_call != {}
 
     # The decisive property: both networks process the *same* next
     # epoch identically.
