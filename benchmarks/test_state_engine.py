@@ -8,8 +8,9 @@ a serial epoch pays — is at least 10× faster than the deep-copy
 baseline.  The scaling guards at the bottom are what CI runs: counts
 showing that a checkpoint take, a first write after a fork, the
 account/nonce books, and a durable commit with its restore points stay
-O(touched), plus wide-margin wall-clock checks that a serial epoch —
-in memory and durable — is flat in state size.
+O(touched) — a privatisation at 10^5 balances included — plus
+wall-clock checks that a serial epoch — in memory and durable — is
+flat in state size.
 """
 
 import gc
@@ -183,7 +184,10 @@ def test_a_user_is_two_untracked_rows():
     share one memoised row per home shard, so what is left is the
     table's slot.  After a collection no account row — charged or not —
     and no nonce record of a sender who never skipped is a GC-tracked
-    object."""
+    object, while the two tables themselves stay tracked (a ``dict``
+    subclass: an exact dict of untracked rows would be untracked, and
+    re-tracked into generation 0 by the next fresh row).  Rows stay
+    untracked however often they are replaced."""
     import tracemalloc
 
     from repro.chain.network import Network, NetworkConfig
@@ -209,6 +213,14 @@ def test_a_user_is_two_untracked_rows():
     gc.collect()
     assert not any(map(gc.is_tracked, net.accounts.values()))
     assert not any(map(gc.is_tracked, net.nonces.records.values()))
+    assert gc.is_tracked(net.accounts) and gc.is_tracked(net.nonces.records)
+    for i, address in enumerate(addresses[::100]):
+        assert net.nonces.try_accept(address, 4, i % 5 - 1)
+        assert net._charge(address, -1, 7)
+    gc.collect()
+    assert not any(map(gc.is_tracked, net.accounts.values()))
+    assert not any(map(gc.is_tracked, net.nonces.records.values()))
+    assert gc.is_tracked(net.accounts) and gc.is_tracked(net.nonces.records)
 
 
 def _record_size(record) -> int:
@@ -352,24 +364,49 @@ def _epoch_seconds(*runs, probe=lambda net: None):
 
 
 def test_serial_epoch_time_is_flat_in_state_size():
-    """The end-to-end guard, with a wide margin: a serial FT epoch over
-    10^5 balances takes at most 2x one over 10^3 (6.7x before forks
-    became overlays and checkpoints journal marks)."""
-    # Best of three: the true ratio is 1.6-1.9 (every account, nonce
-    # record and balance of the large side is a cache miss), and load
-    # from a neighbour on a shared box stalls exactly those misses, so
-    # even interleaved one attempt in ten reads past the bound.  An
-    # O(state) step fails all three.
+    """The end-to-end guard: a serial FT epoch over 10^5 balances takes
+    at most 1.6x one over 10^3 (6.7x before forks became overlays and
+    checkpoints journal marks; 1.4-2.1x before the commit folded each
+    overlay into its base and the user tables stayed out of
+    generation 0)."""
+    # Best of three: ten interleaved attempts read 1.12-1.26 on a
+    # shared 2-vCPU box (every account, nonce record and balance of the
+    # large side is a cache miss, and load from a neighbour stalls
+    # exactly those misses).  An O(state) step fails all three.
     for _ in range(3):
         small, large = (
             median(seconds for seconds, _ in timed[2:])
             for timed in _epoch_seconds(_ft_run(1_000, 100, 9),
                                         _ft_run(100_000, 100, 9)))
-        if large <= 2 * small:
+        if large <= 1.6 * small:
             break
-    assert large <= 2 * small, (
+    assert large <= 1.6 * small, (
         f"FT epoch {large * 1e3:.1f} ms at 10^5 balances vs "
         f"{small * 1e3:.1f} ms at 10^3")
+
+
+def test_a_privatisation_copies_only_the_epochs_own_writes(monkeypatch):
+    """At 10^5 balances every privatisation of an epoch copies at most
+    what that epoch wrote: the commit folds each overlay into the base
+    it alone holds, so the next epoch starts flat.  Before, the global
+    overlay grew across epochs towards 10^5 / 8 + 64 pending rows and
+    every lane's and the merge's privatisation copied it.  The first
+    epoch is not counted: the seeding wrote its 10^5 balances outside
+    any epoch, and its overlay folds at that epoch's commit.  Counts,
+    not wall time."""
+    txns = 100
+    copied: list[int] = []
+    private_copy = scilla_values.OverlayDict.private_copy
+
+    def counting(overlay):
+        copied.append(len(overlay.over) + len(overlay.dead))
+        return private_copy(overlay)
+    net, batches = _ft_run(100_000, txns, 12)
+    assert net.process_epoch(batches[0]).n_committed == txns
+    monkeypatch.setattr(scilla_values.OverlayDict, "private_copy", counting)
+    for batch in batches[1:]:
+        assert net.process_epoch(batch).n_committed == len(batch)
+    assert max(copied, default=0) <= 2 * txns, max(copied)
 
 
 def test_durable_commit_and_restore_points_are_o_touched(tmp_path,

@@ -489,39 +489,50 @@ class Durability:
                 value.entries = adopt(backend, value.entries)
                 value._cow = False
 
-    def _flush_backend(self) -> None:
-        """Write dirty overlay rows back (each paged map's fold).
+    def _fold_overlays(self, write_back: bool) -> None:
+        """Every top-level map's commit fold: a dict base takes its
+        overlay in place where the overlay alone holds it
+        (``MapVal.fold_pending``); with ``write_back``, each paged map
+        writes its dirty rows back.
 
-        Called only at epoch commit with an empty journal: with no
-        retained undo entry referencing any paged state, no rollback
-        can cross the writeback, so overlay and backend can never
-        disagree about what a restore should produce."""
+        The write-back runs only with an empty journal: with no retained
+        undo entry referencing any paged state, no rollback can cross
+        it, so overlay and backend can never disagree about what a
+        restore should produce.  The in-place fold needs no such guard:
+        a retained pre-epoch state holds the base it would write, and
+        a fold changes nothing a reader or an undo entry can see."""
         for contract in self.contracts.values():
             for value in contract.state.fields.values():
-                if paged_base(value) is not None:
+                if value.__class__ is not MapVal:
+                    continue
+                if paged_base(value) is None:
+                    value.fold_pending()
+                elif write_back:
                     value.entries.write_back()
 
     def _settle_state(self) -> None:
-        """The state engine's share of an epoch commit: its counters
-        into the ``state.*`` instruments, and the paged backend's
-        writeback."""
+        """The state engine's share of an epoch commit: every map's
+        commit fold, and its counters into the ``state.*``
+        instruments.  Call it once the epoch has dropped its pre-epoch
+        states (the checkpoint's entries, ``pre_states``): a held one
+        keeps the bases it shares from folding."""
         meters = self._meters
-        meters.journal_depth.set(self.journal.depth)
-        now, seen = _state_counters(), self._state_counters_seen
-        meters.cow_copies.inc(now[0] - seen[0])
-        meters.overlay_folds.inc(now[1] - seen[1])
-        meters.overlay_folded_entries.inc(now[2] - seen[2])
-        self._state_counters_seen = now
         # Epoch commit is the writeback point for paged state — but
         # only when the journal retains nothing (an outstanding caller
         # checkpoint could still roll contract states back past this
         # epoch, and a writeback must never race such a restore; dirty
         # rows simply stay resident until a safe commit).
         backend = self.state_backend
+        self._fold_overlays(backend is not None
+                            and self.journal.depth == 0)
+        meters.journal_depth.set(self.journal.depth)
+        now, seen = _state_counters(), self._state_counters_seen
+        meters.cow_copies.inc(now[0] - seen[0])
+        meters.overlay_folds.inc(now[1] - seen[1])
+        meters.overlay_folded_entries.inc(now[2] - seen[2])
+        self._state_counters_seen = now
         if backend is None:
             return
-        if self.journal.depth == 0:
-            self._flush_backend()
         now, seen = backend.stats.snapshot(), self._backend_stats_seen
         meters.backend_faults.inc(now[0] - seen[0])
         meters.backend_evictions.inc(now[1] - seen[1])

@@ -46,7 +46,7 @@ from .recovery import DeltaViolation, NetworkCheckpoint, validate_delta
 # calls it: bench/layers.py times the names this module binds.
 from .recovery import fingerprint_digest  # noqa: F401
 from .serialization import signature_to_obj, transaction_to_obj, value_to_json
-from .transaction import NonceTracker, Transaction, portion_slot
+from .transaction import NonceTracker, Table, Transaction, portion_slot
 
 
 @dataclass
@@ -124,7 +124,7 @@ class Network(Execution, Durability):
         self.journal = StateJournal()
         self.dispatcher = Dispatcher(n_shards, config.use_signatures)
         # address -> account row (repro.chain.transaction).
-        self.accounts: dict[str, tuple] = {}
+        self.accounts: dict[str, tuple] = Table()
         self.contracts: dict[str, DeployedContract] = {}
         self.nonces = NonceTracker(strict=config.strict_nonces,
                                    n_shards=n_shards)
@@ -385,9 +385,11 @@ class Network(Execution, Durability):
             checkpoint.release(self)
 
         if self._ledger is not None:
-            # Before the paged-state writeback below: the pre-epoch
-            # states read here share the backend's rows.
+            # Before the commit folds below: the pre-epoch states read
+            # here share the backend's rows and the maps' bases, and
+            # are dropped once read, so those bases may fold in place.
             self._fold_changes(outcome.pre_states, changed)
+            outcome.pre_states = None
 
         stats = outcome.stats
         stats.view_changes = attempt - 1

@@ -107,6 +107,18 @@ def payment(sender: str, to: str, amount: int, nonce: int = 0) -> Transaction:
                        gas_limit=1_000)
 
 
+class Table(dict):
+    """A per-user table (``Network.accounts``, ``NonceTracker.records``):
+    a dict the collector keeps tracked.  A full collection untracks an
+    *exact* dict whose keys and values are all untracked — these, once
+    every row is a flat tuple — and the first fresh row stored after it
+    tracks the dict again into generation 0, whose next pass then walks
+    every row.  A subclass is never untracked, so it stays in the
+    generation it reached."""
+
+    __slots__ = ()
+
+
 # --------------------------------------------------------------------------
 # Account rows: (balance, portion_0, …, portion_{n-1}, portion_DS).
 # --------------------------------------------------------------------------
@@ -196,7 +208,7 @@ class NonceTracker:
 
     def __init__(self, strict: bool = False, n_shards: int = 4):
         self.strict = strict
-        self.records: dict[str, tuple] = {}
+        self.records: dict[str, tuple] = Table()
         self.blank = (None,) * (n_shards + 2) + (0, None)  # no record yet
         # The owning network's StateJournal, if any: it takes every
         # replaced row's pre-image and every gap set's changes.

@@ -12,6 +12,7 @@ the first write through either side lays a small private overlay
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Any
@@ -122,8 +123,9 @@ COW_COPIES = 0
 OVERLAY_FOLD_DIVISOR = 8
 OVERLAY_FOLD_SLACK = 64
 
-# Process-wide fold count and entries those folds copied
-# (``state.overlay.folds`` / ``state.overlay.folded_entries``).
+# Process-wide fold count and entries those folds wrote: a copy's whole
+# map, an in-place fold's pending rows (``state.overlay.folds`` /
+# ``state.overlay.folded_entries``).
 OVERLAY_FOLDS = 0
 OVERLAY_FOLDED_ENTRIES = 0
 
@@ -139,10 +141,11 @@ class OverlayDict:
     any number of overlays may share it — and every write lands in
     ``over`` (``dead`` holds tombstones of deleted base keys), so
     privatising a shared map costs O(overlay), never O(map).  A base
-    is a plain dict, folded into a fresh one once enough is pending,
-    or a paged map's ``repro.scilla.backend.RowBase``: then ``over`` /
-    ``dead`` are its dirty rows and tombstones, :meth:`write_back` is
-    the fold, and iteration streams the rows.
+    is a plain dict, folded into a fresh one once enough is pending —
+    or into itself, when this overlay is its only holder — or a paged
+    map's ``repro.scilla.backend.RowBase``: then ``over`` / ``dead``
+    are its dirty rows and tombstones, :meth:`write_back` is the fold,
+    and iteration streams the rows.
 
     Over a dict base, iteration order equals the plain dict's the
     overlay stands in for: base order, an overwrite keeps its position,
@@ -279,20 +282,38 @@ class OverlayDict:
             self._fold()
         return due
 
-    def _fold(self) -> None:
+    def _fold(self, copy: bool = True) -> bool:
+        """Fold what is pending into a flat base, and say whether it
+        did: into the base itself when nothing but this overlay holds
+        it, else into a fresh copy — or, with ``copy`` false, not at
+        all.  Either way the flat result is what ``_flat()`` computes,
+        so no reader can tell which happened."""
         global OVERLAY_FOLDS, OVERLAY_FOLDED_ENTRIES
-        if not isinstance(self.base, dict):
-            return                  # a row base folds at commit only
-        flat = self._flat()
-        if flat is self.base:       # nothing pending: a fold ahead of writes
-            flat = flat.copy()
+        base = self.base
+        if not isinstance(base, dict):
+            return False            # a row base folds at commit only
+        # References to ``base``: this slot, the local, the call's
+        # argument — compared with a dict held by one local, read the
+        # same way.  A view, an iterator, another overlay or a map
+        # holding it adds one; a dict cannot be weakly referenced, and
+        # ``getrefcount`` never under-counts, so a doubt means a copy.
+        alone = {}
+        in_place = sys.getrefcount(base) == sys.getrefcount(alone) + 1
+        if not (in_place or copy):
+            return False
+        over, dead = self.over, self.dead
+        flat = base if in_place else base.copy()
+        for key in dead:
+            del flat[key]
+        flat.update(over)
         OVERLAY_FOLDS += 1
-        OVERLAY_FOLDED_ENTRIES += len(flat)
-        over = self.over
+        OVERLAY_FOLDED_ENTRIES += (len(over) + len(dead) if in_place
+                                   else len(flat))
         # The new base first: every intermediate state reads the same.
         self.base = flat
         self.over = {key: over[key] for key in self.kids}
         self.dead = set()
+        return True
 
     def write_back(self) -> None:
         """The fold over a row base (``RowBase.write_back``).  Only the
@@ -398,6 +419,23 @@ class MapVal(Value):
                 entries = entries.base
             self.entries = entries
             self._cow = False
+
+    def fold_pending(self) -> bool:
+        """The commit's fold: an overlay this wrapper alone writes, over
+        a dict base nothing else holds, folds into that base, and the
+        map holds the plain dict from then on.  Say whether it did.
+        Anything else stays as it is: a shared wrapper, a paged map
+        (its commit fold is the write-back), a map of maps (the base
+        would take children the overlay copied up) and a base some
+        other overlay, map, fork or iterator still holds."""
+        entries = self.entries
+        if (self._cow or entries.__class__ is not OverlayDict
+                or not (entries.over or entries.dead)
+                or isinstance(self.value_type, ty.MapType)
+                or not entries._fold(copy=False)):
+            return False
+        self.entries = entries.base
+        return True
 
     def put(self, key: Value, value: Value) -> None:
         self._own()

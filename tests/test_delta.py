@@ -787,3 +787,163 @@ def test_a_lane_whose_hinted_calls_all_fail_privatises_nothing():
     assert fork._cow and fork.entries is contract.state.fields[
         "balances"].entries
     assert _image(contract.state) == before
+
+
+# -- the commit folds an overlay into the base it alone holds ------------------
+# At commit every map field's overlay folds *in place* into its dict
+# base when nothing else holds that base (``MapVal.fold_pending``), so
+# the next epoch starts from a flat map with nothing pending.  Anything
+# else holding the base — a pre-epoch state, a fork, an outstanding
+# checkpoint — keeps the overlay, and what it holds, as they are.
+
+def _ft_net(txns: int = 40, **net_kwargs):
+    """An FT network over 2 000 holders whose merges (2 writes per
+    transfer) stay under ``balances``' fold threshold, so the merge
+    writes through an overlay."""
+    from repro.chain import Network
+    from repro.scilla import values
+    from repro.workloads.generators import FTTransfer
+    workload = FTTransfer(n_users=2_000, txns_per_epoch=txns, seed=11)
+    net_kwargs.setdefault("state_backend", "none")
+    net = Network(4, **net_kwargs)
+    workload.setup(net)
+    contract = net.contracts[workload.contract_addr]
+    limit = (len(contract.state.fields["balances"].entries)
+             // values.OVERLAY_FOLD_DIVISOR + values.OVERLAY_FOLD_SLACK)
+    assert 2 * txns < limit
+    return workload, net, contract
+
+
+def _pending(contract) -> int:
+    from repro.scilla.values import OverlayDict
+    entries = contract.state.fields["balances"].entries
+    if type(entries) is dict:
+        return 0
+    assert type(entries) is OverlayDict
+    return len(entries.over) + len(entries.dead)
+
+
+def test_the_commit_leaves_each_map_flat_and_nothing_tells():
+    """Epoch after epoch the merged ``balances`` overlay folds into its
+    base at commit — rows written, not the map copied — and a network
+    whose commit folds are all blocked (every pre-epoch state held)
+    reads the same: entries, iteration order, fingerprint,
+    privatisations."""
+    from repro.chain.recovery import fingerprint_digest
+    from repro.scilla import values
+    (wl, net, contract), (ref_wl, ref, ref_contract) = _ft_net(), _ft_net()
+    held = []
+    for epoch in range(5):
+        batch, ref_batch = wl.transactions(epoch), ref_wl.transactions(epoch)
+        copies, folds = values.COW_COPIES, values.OVERLAY_FOLDED_ENTRIES
+        assert net.process_epoch(batch).n_committed == len(batch)
+        copies = values.COW_COPIES - copies
+        folded = values.OVERLAY_FOLDED_ENTRIES - folds
+        held.append(ref_contract.state)
+        ref_copies = values.COW_COPIES
+        ref_folds = values.OVERLAY_FOLDED_ENTRIES
+        assert ref.process_epoch(ref_batch).n_committed == len(ref_batch)
+        assert values.COW_COPIES - ref_copies == copies
+        assert _pending(contract) == 0
+        assert 0 < folded <= 2 * len(batch)         # rows, not 2 001
+        # There the overlay stays pending until the merge's count
+        # passes the threshold (epoch 4), and then the map is copied.
+        assert (_pending(ref_contract) > 0
+                or values.OVERLAY_FOLDED_ENTRIES - ref_folds > 2_000)
+        assert _image(contract.state) == _image(ref_contract.state)
+        assert fingerprint_digest(net) == fingerprint_digest(ref)
+
+
+@pytest.mark.parametrize("holder", ["state", "fork", "checkpoint"])
+def test_anything_else_holding_the_base_blocks_the_commit_fold(holder):
+    from repro.chain.recovery import NetworkCheckpoint, fingerprint_digest
+    wl, net, contract = _ft_net()
+    net.process_epoch(wl.transactions(0))
+    assert _pending(contract) == 0
+    before, digest = _image(contract.state), fingerprint_digest(net)
+    held = {"state": lambda: contract.state,
+            "fork": lambda: contract.state.fork(),
+            "checkpoint": lambda: NetworkCheckpoint.take(net)}[holder]()
+    net.process_epoch(wl.transactions(1))
+    assert _pending(contract) > 0
+    if holder == "checkpoint":
+        held.restore(net)
+        assert fingerprint_digest(net) == digest
+        assert _image(contract.state) == before
+        held.release(net)
+    else:
+        assert _image(held) == before
+    del held
+    net.process_epoch(wl.transactions(2))
+    assert _pending(contract) == 0
+
+
+def test_a_checkpoint_restores_across_a_commit_fold():
+    """A contract no transaction of the epoch touches is not rebound,
+    so nothing the checkpoint holds pins its base: its pending overlay
+    folds under an outstanding checkpoint, and restoring that
+    checkpoint still gives back the pre-epoch fingerprint."""
+    from repro.chain.recovery import NetworkCheckpoint, fingerprint_digest
+    from repro.chain.transaction import payment
+    from repro.scilla import values
+    wl, net, contract = _ft_net()
+    fork = contract.state.fork()        # the first commit cannot fold
+    net.process_epoch(wl.transactions(0))
+    pending = _pending(contract)
+    assert pending > 0
+    del fork
+    before, digest = _image(contract.state), fingerprint_digest(net)
+    payer, payee = wl.users[:2]
+    funds = net.balance(payer)
+    checkpoint = NetworkCheckpoint.take(net)
+    batch = [payment(payer, payee, 5, nonce=wl.next_nonce(payer))]
+    folded = values.OVERLAY_FOLDED_ENTRIES
+    assert net.process_epoch(batch).n_committed == 1
+    assert _pending(contract) == 0
+    assert values.OVERLAY_FOLDED_ENTRIES - folded == pending  # in place
+    assert _image(contract.state) == before
+    assert net.balance(payer) < funds
+    checkpoint.restore(net)
+    checkpoint.release(net)
+    assert fingerprint_digest(net) == digest
+    assert _image(contract.state) == before
+    assert net.balance(payer) == funds
+
+
+def test_a_durable_network_folds_at_commit(tmp_path):
+    """A durable epoch pins its pre-epoch states for the commit
+    digest's pre-images; they go once read, so its maps fold too."""
+    wl, net, contract = _ft_net(data_dir=str(tmp_path))
+    for epoch in range(3):
+        net.process_epoch(wl.transactions(epoch))
+        assert _pending(contract) == 0
+    net.close()
+
+
+def test_a_map_of_maps_and_a_paged_map_keep_their_overlay():
+    """The commit fold's exclusions, each over a base nothing else
+    holds: a map whose values are maps (the base would take children
+    its overlay copied up) and a paged map (its fold is the commit's
+    write-back)."""
+    from repro.scilla.backend import MemoryBackend, adopt
+    from repro.scilla.values import OverlayDict
+
+    def sole(value_type, entries, key, value):
+        shared = MapVal(ty.STRING, value_type, entries)
+        mine = shared.copy()
+        mine.put(StringVal(key), value)
+        del shared                  # the overlay is its base's only holder
+        return mine
+
+    flat = sole(ty.UINT128, {StringVal("a"): uint(1)}, "b", uint(2))
+    nested = sole(ty.MapType(ty.STRING, ty.UINT128),
+                  {StringVal("a"): _map({"x": 1})}, "b", _map({"y": 2}))
+    paged = MapVal(ty.STRING, ty.UINT128,
+                   adopt(MemoryBackend(), {StringVal("a"): uint(1)}))
+    paged.put(StringVal("b"), uint(2))
+    for value, folds in ((flat, True), (nested, False), (paged, False)):
+        before = _ordered(value)
+        assert type(value.entries) is OverlayDict and value.entries.over
+        assert value.fold_pending() is folds
+        assert (type(value.entries) is dict) is folds
+        assert _ordered(value) == before

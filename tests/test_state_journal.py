@@ -161,6 +161,8 @@ _WORLD_OPS = st.one_of(
     # stored back whole.
     st.tuples(st.just("store"), st.sampled_from(_FLAT), st.integers(0, 50)),
     st.tuples(st.just("fork"), st.none(), st.just(0)),
+    # An epoch commit: each map's commit fold (``MapVal.fold_pending``).
+    st.tuples(st.just("commit"), st.none(), st.just(0)),
 )
 
 
@@ -229,9 +231,10 @@ def fold_slack(slack: int):
         scilla_values.OVERLAY_FOLD_SLACK = old
 
 
-def _run_worlds(steps, slack: int) -> int:
-    """Drive the worlds under one fold threshold, check each against
-    its model, and return how many CoW privatisations it took."""
+def _run_worlds(steps, slack: int, commit: bool) -> int:
+    """Drive the worlds under one fold threshold, with or without
+    commit folds, check each against its model, and return how many
+    CoW privatisations it took."""
     root = fresh_state()
     model = {"m": {}, "nested": {}}
     for op in (("put", _FLAT[0], 7), ("put", _FLAT[1], 9),
@@ -245,6 +248,11 @@ def _run_worlds(steps, slack: int) -> int:
             if op[0] == "fork":
                 # Fork of a fork, at any depth; both sides keep going.
                 worlds.append((state.fork(), copy.deepcopy(model)))
+            elif op[0] == "commit":
+                if commit:
+                    for value in state.fields.values():
+                        if isinstance(value, MapVal):
+                            value.fold_pending()
             else:
                 _apply_world(state, model, op)
         # Writes never leaked between forks, in either direction, and
@@ -257,11 +265,13 @@ def _run_worlds(steps, slack: int) -> int:
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), _WORLD_OPS), max_size=40))
 def test_cow_fork_never_leaks_writes(steps):
-    # Never folding, the shipped threshold, folding on every write:
-    # same contents, same order — and the same privatisation count, so
-    # not even the CoW counter can tell when a fold happened.
-    copies = {_run_worlds(steps, slack)
-              for slack in (10**9, scilla_values.OVERLAY_FOLD_SLACK, -1)}
+    # Never folding, the shipped threshold, folding on every write —
+    # each with and without the commit's in-place folds: same contents,
+    # same order, and the same privatisation count, so not even the CoW
+    # counter can tell when (or whether) a fold happened.
+    copies = {_run_worlds(steps, slack, commit)
+              for slack in (10**9, scilla_values.OVERLAY_FOLD_SLACK, -1)
+              for commit in (False, True)}
     assert len(copies) == 1
 
 

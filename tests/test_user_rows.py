@@ -315,3 +315,53 @@ def test_rollback_restores_a_partly_filled_gap_set():
     net.journal.rollback_to(mark)
     assert nonces.records == before
     net.journal.release(mark)
+
+
+# -- the tables stay where the collector left them -----------------------------
+
+def _young_tables_after_an_epoch(net, txns) -> tuple[list, list]:
+    """Collect and freeze what is alive, run one epoch with the
+    collector off (nothing leaves generation 0 by a pass), and say of
+    each table whether it is tracked and whether it is in generation 0."""
+    import gc
+    gc.collect()
+    gc.freeze()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        block = net.process_epoch(txns)
+        assert block.n_committed == len(txns)
+        young = gc.get_objects(0)
+        tables = (net.accounts, net.nonces.records)
+        return ([gc.is_tracked(table) for table in tables],
+                [any(obj is table for obj in young) for table in tables])
+    finally:
+        if enabled:
+            gc.enable()
+        gc.unfreeze()
+
+
+def test_the_tables_stay_out_of_generation_zero(tmp_path):
+    """A full collection untracks an exact dict of untracked rows, and
+    the first fresh row stored after it tracks the dict again into
+    generation 0, whose every pass then walks all its rows.  The
+    accounts and nonce tables are a ``dict`` subclass the collector
+    never untracks, so a commit's fresh rows leave them where they
+    were — on a fresh network and on one resumed from a restore point."""
+    from repro.chain.transaction import payment
+    users = [f"0x{i + 0x5000:040x}" for i in range(200)]
+    net = Network(4, data_dir=str(tmp_path), snapshot_every=1)
+    for user in users:
+        net.create_account(user)
+
+    def epoch(nonce):
+        return [payment(a, b, 3, nonce=nonce)
+                for a, b in zip(users[::2], users[1::2])]
+    assert _young_tables_after_an_epoch(net, epoch(1)) == (
+        [True, True], [False, False])
+    net.close()
+    resumed = Network.resume(str(tmp_path))
+    assert resumed.balance(users[1]) == net.balance(users[1])
+    assert _young_tables_after_an_epoch(resumed, epoch(2)) == (
+        [True, True], [False, False])
+    resumed.close()
