@@ -211,48 +211,32 @@ def cmd_bench(args) -> int:
         print(format_ablation(run_ablation()))
     elif target == "state":
         from .eval.state_bench import (
-            format_oocore_soak, format_paged_bench, format_state_bench,
-            run_oocore_soak, run_paged_bench, run_state_bench,
-            write_state_bench,
+            format_oocore_soak, format_paged_bench, run_oocore_soak,
+            run_paged_bench, write_state_bench,
         )
-        sizes = tuple(int(s) for s in args.sizes.split(","))
+        if args.no_paged and not args.soak_entries:
+            print("repro bench state: error: --no-paged without "
+                  "--soak-entries leaves nothing to measure",
+                  file=sys.stderr)
+            return 2
         # The soak runs first: its peak-RSS claim reads ru_maxrss, a
         # process-lifetime high-water mark the paged bench's resident
         # baseline dict would otherwise inflate.
         soak = None
         if args.soak_entries:
             soak = run_oocore_soak(entries=args.soak_entries)
-        result = run_state_bench(sizes=sizes,
-                                 repeat=args.repetitions)
-        print(format_state_bench(result))
+            print(format_oocore_soak(soak))
         paged = None
         if not args.no_paged:
             paged_sizes = tuple(int(s) for s in
                                 args.paged_sizes.split(","))
             paged = run_paged_bench(sizes=paged_sizes,
                                     repeat=args.repetitions)
-            print()
+            if soak is not None:
+                print()
             print(format_paged_bench(paged))
-        if soak is not None:
-            print()
-            print(format_oocore_soak(soak))
         out = args.output or "BENCH_state.json"
-        write_state_bench(result, out, paged=paged, soak=soak)
-        print(f"\nwrote {out}")
-    elif target == "throughput":
-        from .eval.throughput import (
-            format_throughput_bench, run_throughput_bench,
-            write_throughput_bench,
-        )
-        shard_counts = tuple(int(s) for s in
-                             args.shard_counts.split(","))
-        populations = tuple(int(p) for p in args.populations.split(","))
-        result = run_throughput_bench(
-            shard_counts=shard_counts, populations=populations,
-            ticks=args.ticks, txns_per_tick=args.txns)
-        print(format_throughput_bench(result))
-        out = args.output or "BENCH_throughput.json"
-        write_throughput_bench(result, out)
+        write_state_bench(out, paged=paged, soak=soak)
         print(f"\nwrote {out}")
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(f"unknown experiment {target}")
@@ -404,6 +388,9 @@ def _shard_count(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .workloads import ALL_WORKLOADS, EXTRA_WORKLOADS
+    workloads = [cls.name for cls in ALL_WORKLOADS + EXTRA_WORKLOADS]
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CoSplit (PLDI 2021) reproduction toolchain")
@@ -453,22 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="regenerate a paper experiment")
     p.add_argument("experiment",
                    choices=["fig1", "fig12", "fig13", "fig14", "table",
-                            "overheads", "ablation", "state",
-                            "throughput", "all"])
+                            "overheads", "ablation", "state", "all"])
     p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--ticks", type=int, default=12,
-                   help="measured service ticks for 'throughput'")
-    p.add_argument("--txns", type=int, default=200,
-                   help="offered transactions per tick for 'throughput'")
-    p.add_argument("--shard-counts", default="2,4,8",
-                   help="comma-separated shard counts for 'throughput'")
-    p.add_argument("--populations", default="1000,100000",
-                   help="comma-separated sender populations for "
-                        "'throughput'")
     p.add_argument("--repetitions", type=int, default=1,
                    help="timing repetitions for 'state'")
-    p.add_argument("--sizes", default="1000,10000,100000",
-                   help="comma-separated map sizes for 'state'")
     p.add_argument("--paged-sizes", default="10000,100000,1000000",
                    help="comma-separated map sizes for the "
                         "paged-vs-resident section of 'state'")
@@ -478,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the out-of-core service soak at this many "
                         "seeded entries (0 = skip)")
     p.add_argument("--output", default=None,
-                   help="write the report to this file (with 'all', "
-                        "'state' or 'throughput')")
+                   help="write the report to this file (with 'all' "
+                        "or 'state')")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
@@ -490,6 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--shards", type=_shard_count, default=4)
     p.add_argument("--workload", default="FT transfer",
+                   choices=workloads, metavar="W",
                    help="workload name as in `repro bench fig14`")
     p.add_argument("--users", type=int, default=24)
     p.add_argument("--txns", type=int, default=40,
@@ -505,6 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run an instrumented workload and print the telemetry it "
              "recorded (text, --json, or Prometheus exposition)")
     p.add_argument("--workload", default="FT transfer",
+                   choices=workloads, metavar="W",
                    help="workload name as in `repro bench fig14`")
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--shards", type=_shard_count, default=4)
@@ -526,7 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_durable_args(p, with_crash_hooks: bool) -> None:
         p.add_argument("--data-dir", required=True,
                        help="directory for WAL segments and snapshots")
-        p.add_argument("--workload", default="FT transfer")
+        p.add_argument("--workload", default="FT transfer",
+                       choices=workloads, metavar="W")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--epochs", type=int, default=3)
         p.add_argument("--shards", type=_shard_count, default=4)
@@ -569,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="crash-torture proof: SIGKILL a durable run at random "
              "WAL barriers, resume, and verify the final state "
              "matches an uninterrupted run")
-    p.add_argument("--workload", default="FT transfer")
+    p.add_argument("--workload", default="FT transfer",
+                   choices=workloads, metavar="W")
     p.add_argument("--all", action="store_true",
                    help="torture all eight Fig. 14 workloads")
     p.add_argument("--kills", type=int, default=3)
@@ -588,7 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a bounded service-mode session: a workload (or a "
              "loadgen stream) is submitted through the admission "
              "mempool and drained by the continuous service loop")
-    p.add_argument("--workload", default="FT transfer @scale")
+    p.add_argument("--workload", default="FT transfer @scale",
+                   choices=workloads, metavar="W")
     p.add_argument("--stream", default=None, metavar="FILE",
                    help="serve a `repro loadgen` stream instead of "
                         "generating load ('-' reads stdin)")
@@ -630,7 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
              "`repro serve --stream`")
     p.add_argument("--out", default="-", metavar="FILE",
                    help="output path ('-' writes stdout)")
-    p.add_argument("--workload", default="FT transfer @scale")
+    p.add_argument("--workload", default="FT transfer @scale",
+                   choices=workloads, metavar="W")
     p.add_argument("--population", type=int, default=10_000)
     p.add_argument("--ticks", type=int, default=24)
     p.add_argument("--txns", type=int, default=200,

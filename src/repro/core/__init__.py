@@ -20,7 +20,6 @@ from .effects import (
 )
 from .cache import ANALYSIS_VERSION, CacheStats, GLOBAL_CACHE, SummaryCache
 from .joins import JoinKind, MergeConflict
-from .parallel import CorpusAnalysis, analyze_corpus, default_workers
 from .pipeline import (
     DeploymentResult, PipelineTimings, run_pipeline, run_pipeline_cached,
     validate_signature,
@@ -43,7 +42,6 @@ __all__ = [
     "TopEffect", "Write",
     "ANALYSIS_VERSION", "CacheStats", "GLOBAL_CACHE", "SummaryCache",
     "JoinKind", "MergeConflict",
-    "CorpusAnalysis", "analyze_corpus", "default_workers",
     "DeploymentResult", "PipelineTimings", "run_pipeline",
     "run_pipeline_cached", "validate_signature",
     "ShardingSignature", "StaleReadsRejected", "WEAK_READS_AUTO",

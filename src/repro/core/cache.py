@@ -206,8 +206,6 @@ class SummaryCache:
 
 
 # The process-wide default cache, shared by ``run_pipeline_cached``,
-# ``validate_signature`` and ``Network.deploy``.  Each worker process
-# of a parallel corpus analysis gets its own copy (module state is
-# per-process), which is exactly the right scope: a miner caches for
+# ``validate_signature`` and ``Network.deploy``: a miner caches for
 # itself.
 GLOBAL_CACHE = SummaryCache()

@@ -13,6 +13,7 @@ Three micro-measurements, mirroring the paper's:
 from __future__ import annotations
 
 import gc
+import time
 from dataclasses import dataclass
 
 from ..chain.delta import compute_delta, merge_deltas
@@ -21,7 +22,6 @@ from ..chain.network import Network, NetworkConfig
 from ..chain.transaction import call
 from ..contracts import CORPUS, EVAL_CONTRACTS
 from ..scilla.interpreter import Interpreter, TxContext
-from .state_bench import _best_ns
 from ..scilla.values import addr, uint, IntVal, StringVal
 from ..scilla import types as ty
 
@@ -46,6 +46,15 @@ class OverheadResult:
     def merge_speedup_vs_execution(self) -> float:
         return (self.exec_seconds_merged / self.merge_seconds
                 if self.merge_seconds else 0.0)
+
+
+def _best_ns(fn, repeat: int) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter_ns()
+        fn()
+        best = min(best, time.perf_counter_ns() - t0)
+    return best
 
 
 def _best_seconds(k: int, fn) -> float:

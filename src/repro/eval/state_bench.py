@@ -1,28 +1,6 @@
-"""State-engine microbenchmarks (``repro bench state``).
+"""Out-of-core state benchmarks (``repro bench state``).
 
-Measures the copy-on-write state engine against the deep-copy baseline
-it replaced (the seed's ``MapVal.copy`` ran ``copy.deepcopy`` over the
-entry dict; an epoch's checkpoint and each lane's private state both
-paid it per contract, per epoch):
-
-* **checkpoint take** — a :class:`~repro.scilla.state.StateJournal`
-  mark vs. a deep state copy;
-* **lane fork** — ``ContractState.fork``, the private state a shard
-  lane executes against, vs. a deep copy (and the first write through
-  the fork, which is what an O(1) fork defers);
-* **checkpoint restore** — replaying the undo journal over a burst of
-  writes (the deep-copy baseline restores by pointer swap, but only
-  after paying O(state) at take time).
-
-Results land in ``BENCH_state.json`` at the repo root; the benchmark
-suite (``benchmarks/test_state_engine.py``) asserts the headline
-claim — checkpoint take + fork, what a serial epoch pays, ≥10× faster
-than two deep copies at 10^5 entries — and the CI smoke guards that a
-checkpoint take and the first write after a fork stay O(1) in state
-size.
-
-Two further sections cover the out-of-core backend
-(:mod:`repro.scilla.backend`):
+Two sections cover the paged backend (:mod:`repro.scilla.backend`):
 
 * **paged vs. resident** (:func:`run_paged_bench`) — point reads
   against a sqlite-paged map (cold faults) vs. the plain resident
@@ -32,11 +10,13 @@ Two further sections cover the out-of-core backend
   balance map with the sqlite backend, reporting peak RSS (bounded by
   the page cache) against the measured resident footprint of the same
   map held in memory.
+
+Results land in ``BENCH_state.json``; every timing field is wall clock
+and says so (``wall_`` prefix), ``modeled_tps`` is the modelled clock.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import resource
@@ -46,123 +26,10 @@ import tempfile
 import time
 from dataclasses import dataclass, field as dc_field
 
-from ..scilla import types as ty
-from ..scilla.state import ContractState, StateJournal
-from ..scilla.values import MapVal, StringVal, Value, uint
+from ..scilla.values import Value, uint
+from .overheads import _best_ns
 
-DEFAULT_SIZES = (1_000, 10_000, 100_000)
 PAGED_SIZES = (10_000, 100_000, 1_000_000)
-
-
-def _big_state(entries: int) -> ContractState:
-    """One contract with an ``entries``-sized token-balance map plus a
-    scalar — the shape the Fig. 14 workloads stress."""
-    balances = MapVal(ty.STRING, ty.UINT128)
-    for i in range(entries):
-        balances.entries[StringVal(f"0x{i:040x}")] = uint(i)
-    return ContractState(
-        address="0x" + "ab" * 20,
-        fields={"balances": balances, "total_supply": uint(entries)},
-        field_types={"balances": ty.MapType(ty.STRING, ty.UINT128),
-                     "total_supply": ty.UINT128},
-    )
-
-
-def _deep_copy_state(state: ContractState) -> ContractState:
-    """The seed's copy policy, verbatim: deepcopy every map's entries."""
-    return ContractState(
-        state.address,
-        {k: (MapVal(v.key_type, v.value_type, copy.deepcopy(v.entries))
-             if isinstance(v, MapVal) else v)
-         for k, v in state.fields.items()},
-        dict(state.field_types),
-        dict(state.immutables),
-        state.balance,
-    )
-
-
-def _best_ns(fn, repeat: int) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter_ns()
-        fn()
-        best = min(best, time.perf_counter_ns() - t0)
-    return best
-
-
-@dataclass
-class StateBenchRow:
-    entries: int
-    deep_copy_ns: float        # baseline: one deep state copy
-    mark_ns: float             # new checkpoint take (journal mark)
-    fork_ns: float             # new lane state (CoW fork)
-    first_write_after_fork_ns: float  # what the O(1) fork defers
-    rollback_ns: float         # journal restore over `writes` writes
-
-    @property
-    def old_total_ns(self) -> float:
-        """Baseline epoch cost: a deep copy at take and one for the
-        lane's state."""
-        return 2 * self.deep_copy_ns
-
-    @property
-    def new_total_ns(self) -> float:
-        return self.mark_ns + self.fork_ns
-
-    @property
-    def speedup(self) -> float:
-        return self.old_total_ns / max(self.new_total_ns, 1.0)
-
-
-@dataclass
-class StateBenchResult:
-    rows: list[StateBenchRow] = dc_field(default_factory=list)
-    writes: int = 0
-
-
-def run_state_bench(sizes: tuple[int, ...] = DEFAULT_SIZES,
-                    writes: int = 64, repeat: int = 3) -> StateBenchResult:
-    result = StateBenchResult(writes=writes)
-    for entries in sizes:
-        state = _big_state(entries)
-
-        deep_copy_ns = _best_ns(lambda: _deep_copy_state(state), repeat)
-        fork_ns = _best_ns(lambda: state.fork(), repeat)
-
-        # The half a bare fork timing leaves out: the first write
-        # through a fresh fork privatises the map.
-        first_key = (StringVal(f"0x{0:040x}"),)
-        first_write_ns = float("inf")
-        for _ in range(repeat):
-            fork = state.fork()
-            t0 = time.perf_counter_ns()
-            fork.write(("balances", first_key), uint(1))
-            first_write_ns = min(first_write_ns,
-                                 time.perf_counter_ns() - t0)
-
-        journal = StateJournal()
-        state.journal = journal
-        mark_ns = _best_ns(
-            lambda: journal.release(journal.mark()), repeat)
-
-        def take_and_restore() -> None:
-            mark = journal.mark()
-            for i in range(writes):
-                state.write(("balances", (StringVal(f"0x{i:040x}"),)),
-                            uint(i + 1))
-            journal.rollback_to(mark)
-            journal.release(mark)
-        rollback_ns = _best_ns(take_and_restore, repeat)
-
-        result.rows.append(StateBenchRow(
-            entries=entries,
-            deep_copy_ns=deep_copy_ns,
-            mark_ns=mark_ns,
-            fork_ns=fork_ns,
-            first_write_after_fork_ns=first_write_ns,
-            rollback_ns=rollback_ns,
-        ))
-    return result
 
 
 # --------------------------------------------------------------------------
@@ -349,7 +216,7 @@ def run_oocore_soak(entries: int = 1_000_000, *, ticks: int = 12,
         _seed_backend(rows.backend, entries, rows.map_id)
         balances.entries = OverlayDict(RowBase(
             rows.backend, rows.map_id, rows.backend.count(rows.map_id)))
-        report["seed_s"] = round(time.perf_counter() - t0, 2)
+        report["wall_seed_s"] = round(time.perf_counter() - t0, 2)
 
     report: dict = {"entries": entries, "ticks": ticks,
                     "txns_per_tick": txns_per_tick, "shards": shards,
@@ -400,52 +267,19 @@ def format_oocore_soak(report: dict) -> str:
     return "\n".join(lines)
 
 
-def format_state_bench(result: StateBenchResult) -> str:
-    lines = [
-        "State engine — CoW forks and journal checkpoints vs. the "
-        "deep-copy baseline",
-        f"(restore replays {result.writes} writes; speedup: two deep "
-        f"copies against mark + fork)",
-        "",
-        f"{'entries':>9s} {'deepcopy':>12s} {'mark':>9s} {'fork':>9s} "
-        f"{'1st write':>9s} {'rollback':>10s} {'speedup':>8s}",
-    ]
-    for r in result.rows:
-        lines.append(
-            f"{r.entries:>9,d} {r.deep_copy_ns / 1e6:>10.2f}ms "
-            f"{r.mark_ns / 1e3:>7.1f}µs {r.fork_ns / 1e3:>7.1f}µs "
-            f"{r.first_write_after_fork_ns / 1e3:>7.1f}µs "
-            f"{r.rollback_ns / 1e3:>8.1f}µs {r.speedup:>7.0f}x")
-    return "\n".join(lines)
-
-
-def write_state_bench(result: StateBenchResult, path,
-                      paged: PagedBenchResult | None = None,
+def write_state_bench(path, paged: PagedBenchResult | None = None,
                       soak: dict | None = None) -> None:
-    payload = {
-        "benchmark": "state-engine",
-        "writes": result.writes,
-        "rows": [{
-            "entries": r.entries,
-            "deep_copy_ns": r.deep_copy_ns,
-            "checkpoint_take_ns": {"old": r.deep_copy_ns,
-                                   "new": r.mark_ns},
-            "fork_ns": {"old": r.deep_copy_ns, "new": r.fork_ns},
-            "checkpoint_restore_ns": r.rollback_ns,
-            "first_write_after_fork_ns": r.first_write_after_fork_ns,
-            "speedup": r.speedup,
-        } for r in result.rows],
-    }
+    payload: dict = {"benchmark": "state-engine"}
     if paged is not None:
         payload["paged"] = {
             "reads": paged.reads, "writes": paged.writes,
             "page_cache": paged.cache,
             "rows": [{
                 "entries": r.entries,
-                "resident_read_ns": r.resident_read_ns,
-                "paged_read_ns": r.paged_cold_ns,
-                "flush_ns": r.flush_ns,
-                "seed_s": round(r.seed_s, 2),
+                "wall_resident_read_ns": r.resident_read_ns,
+                "wall_paged_read_ns": r.paged_cold_ns,
+                "wall_flush_ns": r.flush_ns,
+                "wall_seed_s": round(r.seed_s, 2),
                 "file_mb": round(r.file_mb, 1),
             } for r in paged.rows],
         }

@@ -17,8 +17,7 @@ and ProofIPFS register.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 
 from ..chain.consensus import CostModel
 from ..chain.network import Network, NetworkConfig
@@ -147,118 +146,6 @@ def run_fig14(epochs: int = 10, txns_per_epoch: int = 500,
             workload = cls(**kwargs)
             result.add(run_workload(workload, config, epochs, cost_model))
     return result
-
-
-# -- service-mode throughput grid (BENCH_throughput.json) ------------------
-
-@dataclass
-class ServiceCell:
-    """One (shard count, population) point of the service grid."""
-
-    shards: int
-    population: int
-    tps: float
-    committed: int
-    offered: int
-    failed: int
-    shed: int
-    dead_lettered: int
-    backpressured: int
-    p50_latency_ticks: float
-    p99_latency_ticks: float
-    p50_latency_ms: float
-    p99_latency_ms: float
-    max_occupancy: int
-    unique_senders: int
-
-
-@dataclass
-class ServiceBenchResult:
-    workload: str
-    ticks: int
-    txns_per_tick: int
-    seed: int
-    cells: list[ServiceCell] = dc_field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bench": "service-throughput",
-            "workload": self.workload,
-            "ticks": self.ticks,
-            "txns_per_tick": self.txns_per_tick,
-            "seed": self.seed,
-            "cells": [asdict(c) for c in self.cells],
-        }
-
-
-def run_throughput_bench(shard_counts=(2, 4, 8),
-                         populations=(1_000, 100_000),
-                         ticks: int = 12, txns_per_tick: int = 200,
-                         seed: int = 7,
-                         workload: str = "FT transfer @scale",
-                         capacity: int | None = None
-                         ) -> ServiceBenchResult:
-    """Service-mode TPS and submit→commit latency over a (shard count
-    × sender population) grid, at saturating offered load.
-
-    The population axis is what the batch Fig. 14 harness cannot do:
-    the @scale workload draws senders from an address space that large
-    (memory stays O(touched)), so the 10^5 column genuinely exercises
-    admission-time account funding and population spread.
-    """
-    from .service import run_service
-
-    result = ServiceBenchResult(workload=workload, ticks=ticks,
-                                txns_per_tick=txns_per_tick, seed=seed)
-    for population in populations:
-        for shards in shard_counts:
-            run = run_service(
-                workload, shards=shards, ticks=ticks,
-                txns_per_tick=txns_per_tick, population=population,
-                seed=seed, capacity=capacity)
-            r = run.report
-            result.cells.append(ServiceCell(
-                shards=shards, population=population,
-                tps=round(r.tps, 4), committed=r.committed,
-                offered=r.generated, failed=r.failed, shed=r.shed,
-                dead_lettered=r.dead_lettered,
-                backpressured=r.backpressured,
-                p50_latency_ticks=r.p50_latency_ticks,
-                p99_latency_ticks=r.p99_latency_ticks,
-                p50_latency_ms=r.p50_latency_ms,
-                p99_latency_ms=r.p99_latency_ms,
-                max_occupancy=r.max_occupancy,
-                unique_senders=r.unique_senders))
-    return result
-
-
-def write_throughput_bench(result: ServiceBenchResult, path) -> None:
-    """Write ``BENCH_throughput.json`` (stable key order, trailing \\n)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result.to_json_dict(), handle, indent=2,
-                  sort_keys=True)
-        handle.write("\n")
-
-
-def format_throughput_bench(result: ServiceBenchResult) -> str:
-    lines = [
-        f"Service throughput — {result.workload}, {result.ticks} "
-        f"ticks x {result.txns_per_tick} tx/tick offered",
-        "",
-        f"{'population':>10s} {'shards':>6s} {'tps':>8s} "
-        f"{'committed':>9s} {'p50':>6s} {'p99':>6s} {'maxocc':>6s} "
-        f"{'senders':>7s}",
-    ]
-    for c in result.cells:
-        lines.append(
-            f"{c.population:>10d} {c.shards:>6d} {c.tps:>8.2f} "
-            f"{c.committed:>9d} {c.p50_latency_ticks:>6.1f} "
-            f"{c.p99_latency_ticks:>6.1f} {c.max_occupancy:>6d} "
-            f"{c.unique_senders:>7d}")
-    lines.append("")
-    lines.append("(latency in service ticks; population is the sender "
-                 "address space)")
-    return "\n".join(lines)
 
 
 def format_fig14(result: Fig14Result) -> str:

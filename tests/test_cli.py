@@ -1,5 +1,7 @@
 """CLI tests (``python -m repro``)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -143,6 +145,42 @@ def test_corpus_export_roundtrips(tmp_path, capsys):
     assert code == 0
     assert "Summary(SetHello)" in out
 
+
+def test_bench_state_writes_the_paged_section(tmp_path, capsys):
+    path = tmp_path / "BENCH_state.json"
+    code, _ = run_cli(capsys, "bench", "state", "--paged-sizes", "2000",
+                      "--output", str(path))
+    assert code == 0
+    payload = json.loads(path.read_text())
+    assert set(payload) == {"benchmark", "paged"}
+    [row] = payload["paged"]["rows"]
+    assert row["entries"] == 2000
+    # Every timing field names its clock.
+    timings = [key for key in row if key.endswith(("_ns", "_s"))]
+    assert timings and all(key.startswith("wall_") for key in timings)
+
+
+def test_bench_state_with_nothing_to_measure_is_a_usage_error(
+        tmp_path, capsys):
+    path = tmp_path / "BENCH_state.json"
+    assert main(["bench", "state", "--no-paged",
+                 "--output", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "--no-paged" in err and "--soak-entries" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["chaos"], ["metrics"], ["run", "--data-dir", "unused"],
+    ["resume", "--data-dir", "unused"], ["torture"], ["serve"],
+    ["loadgen"]])
+def test_an_unknown_workload_is_refused_by_the_parser(capsys, command):
+    # A typo is the caller's error: not a traceback, and under
+    # `torture` not a failed recovery either.
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--workload", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

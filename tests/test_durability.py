@@ -404,23 +404,6 @@ def test_a_failed_payment_resumes_to_the_fee_it_paid(tmp_path):
     resumed.close()
 
 
-# -- corpus-analysis pool observability (no silent fallbacks) ----------------
-
-def test_corpus_analysis_fallback_error_recorded(monkeypatch):
-    from repro.core import parallel as par
-    monkeypatch.setattr(par, "shared_thread_pool",
-                        lambda workers: (_ for _ in ()).throw(
-                            RuntimeError("no threads today")))
-    out = par.analyze_corpus(
-        {f"c{i}": CORPUS["FungibleToken"] + f"\n(* {i} *)"
-         for i in range(3)},
-        executor="thread", workers=2, cache=par.SummaryCache())
-    assert out.fell_back
-    assert out.fallback_error == \
-        "RuntimeError: RuntimeError('no threads today')"
-    assert out.n_contracts == 3
-
-
 # -- typed durability errors (injected disk failures) -------------------------
 
 def test_wal_append_oserror_raises_walerror_and_poisons_log(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 from repro.chain import Network, NetworkConfig, Transaction, call, payment
 from repro.chain.consensus import CostModel
 from repro.contracts import CORPUS
-from repro.core.parallel import default_workers
 from repro.scilla.values import addr, uint, IntVal, StringVal
 from repro.scilla import types as ty
 
@@ -401,31 +400,19 @@ def test_tps_zero_when_no_time():
     assert block.n_committed == 0
 
 
-# What first reads each variable.
-ENV_KNOB_READERS = {
-    "REPRO_STATE_BACKEND": lambda: Network(2),
-    "REPRO_WORKERS": default_workers,     # what analyze_corpus sizes by
-}
-
-
-@pytest.mark.parametrize("name, value, error", [
-    pytest.param(name, value, error, id=f"{name}={value}")
-    for name, value, error in [
-        ("REPRO_STATE_BACKEND", "foo", "unknown state backend"),
-        ("REPRO_WORKERS", "two", "REPRO_WORKERS must be"),
-        ("REPRO_WORKERS", "0", "REPRO_WORKERS must be"),
-        ("REPRO_WORKERS", "-1", "REPRO_WORKERS must be"),
-        # Empty means unset: the default applies.
-        ("REPRO_WORKERS", "", None),
-    ]])
-def test_env_knobs_reject_malformed_values(monkeypatch, name, value,
-                                           error):
-    monkeypatch.setenv(name, value)
+@pytest.mark.parametrize("value, error", [
+    pytest.param("foo", "unknown state backend",
+                 id="REPRO_STATE_BACKEND=foo"),
+    # Empty means unset: no backend.
+    pytest.param("", None, id="REPRO_STATE_BACKEND="),
+])
+def test_env_knobs_reject_malformed_values(monkeypatch, value, error):
+    monkeypatch.setenv("REPRO_STATE_BACKEND", value)
     if error is None:
-        ENV_KNOB_READERS[name]()
+        assert Network(2).state_backend is None
         return
     with pytest.raises(ValueError, match=f"{error}.*{value!r}"):
-        ENV_KNOB_READERS[name]()
+        Network(2)
 
 
 def test_lanes_run_serially_and_nothing_else():

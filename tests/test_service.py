@@ -387,16 +387,3 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "partition OK" in out
-
-    def test_bench_throughput_writes_json(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_throughput.json"
-        rc = main(["bench", "throughput", "--ticks", "2", "--txns",
-                   "20", "--shard-counts", "2", "--populations",
-                   "100,1000", "--output", str(out_path)])
-        assert rc == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["bench"] == "service-throughput"
-        assert len(payload["cells"]) == 2
-        for cell in payload["cells"]:
-            assert cell["tps"] > 0
-            assert cell["p99_latency_ticks"] >= cell["p50_latency_ticks"]

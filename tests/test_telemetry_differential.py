@@ -2,13 +2,13 @@
 
 The deterministic subset of the metrics registry (counters, gauges and
 histograms registered without ``deterministic=False``) is required to
-be a pure function of the submitted workload: byte-identical whichever
-executor analysed the deployed contracts (inline at deploy, or an
-``analyze_corpus`` sweep on a thread or a process pool), and across a
-crash + resume of a durable run.  These tests enforce exactly that for
-all eight Fig. 14 workloads — any leak of process history into a
-deterministic instrument (a lane counted twice, a cache hit counted as
-work, a replay recording drift) shows up as a snapshot diff.
+be a pure function of the submitted workload: byte-identical whether
+the deployed contracts were analysed inline at deploy or found in a
+summary cache filled beforehand, and across a crash + resume of a
+durable run.  These tests enforce exactly that for all eight Fig. 14
+workloads — any leak of process history into a deterministic
+instrument (a lane counted twice, a cache hit counted as work, a
+replay recording drift) shows up as a snapshot diff.
 """
 
 import json
@@ -20,7 +20,6 @@ from repro.contracts import CORPUS
 from repro.core import cache as cache_module
 from repro.core import pipeline
 from repro.core.cache import SummaryCache
-from repro.core.parallel import analyze_corpus
 from repro.eval.chaos import run_durable
 from repro.eval.telemetry import WORKLOAD_NAMES, run_instrumented
 from repro.obs import MetricsRegistry
@@ -31,26 +30,26 @@ RUN_PARAMS = dict(epochs=2, txns_per_epoch=36, n_users=24,
 
 DURABLE_PARAMS = dict(seed=3, shards=4, users=12, txns=10)
 
-# What the Fig. 14 workloads deploy: more than one source, so a sweep
-# really goes through the pool.
+# What the Fig. 14 workloads deploy.
 FIG14_SOURCES = {name: CORPUS[name] for name in sorted(
     {workload_by_name(w).contract_name for w in WORKLOAD_NAMES})}
 
-ANALYSIS_EXECUTORS = ("serial", "thread", "process")
+# Where the deploy finds its summaries: analysed inline, or in a cache
+# filled before the first deploy.
+SUMMARY_SOURCES = ("inline", "prefilled")
 
 
-def _with_summaries_from(executor: str, monkeypatch) -> SummaryCache:
-    """Give this process a fresh deploy cache, filled by a corpus sweep
-    on ``executor`` — or, for ``"serial"``, left empty, so each deploy
-    runs the pipeline inline."""
+def _with_summaries_from(source: str, monkeypatch) -> SummaryCache:
+    """Give this process a fresh deploy cache — left empty for
+    ``"inline"``, so each deploy runs the pipeline itself, or filled
+    with every Fig. 14 contract for ``"prefilled"``."""
     fresh = SummaryCache()
     monkeypatch.setattr(cache_module, "GLOBAL_CACHE", fresh)
     monkeypatch.setattr(pipeline, "GLOBAL_CACHE", fresh)
-    if executor != "serial":
-        out = analyze_corpus(FIG14_SOURCES, workers=2, executor=executor,
-                             cache=fresh)
-        assert not out.fell_back, out.fallback_error
-        assert out.analyzed == len(FIG14_SOURCES) > 1
+    if source == "prefilled":
+        for name, text in FIG14_SOURCES.items():
+            fresh.get_or_compute(text, name)
+        assert fresh.stats.misses == len(FIG14_SOURCES) > 1
     return fresh
 
 
@@ -68,22 +67,21 @@ def _fingerprint(workload: str) -> str:
 
 @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
 def test_counters_identical_across_executors(workload, monkeypatch):
-    """Runs whose deploy summaries were analysed inline, on a thread
-    pool or on a process pool record identical deterministic
-    snapshots, byte for byte."""
+    """Runs whose deploy summaries were analysed inline or read from a
+    prefilled cache record identical deterministic snapshots, byte for
+    byte."""
     fingerprints = {}
-    for executor in ANALYSIS_EXECUTORS:
-        fresh = _with_summaries_from(executor, monkeypatch)
-        swept = fresh.stats.snapshot()
-        fingerprints[executor] = _fingerprint(workload)
-        if executor == "serial":
+    for source in SUMMARY_SOURCES:
+        fresh = _with_summaries_from(source, monkeypatch)
+        filled = fresh.stats.snapshot()
+        fingerprints[source] = _fingerprint(workload)
+        if source == "inline":
             assert fresh.stats.misses > 0       # analysed at deploy
         else:
             # Prefilled: the deploy ran no pipeline of its own.
-            assert fresh.stats.misses == swept.misses
-            assert fresh.stats.hits > swept.hits
-    assert fingerprints["thread"] == fingerprints["serial"]
-    assert fingerprints["process"] == fingerprints["serial"]
+            assert fresh.stats.misses == filled.misses
+            assert fresh.stats.hits > filled.hits
+    assert fingerprints["prefilled"] == fingerprints["inline"]
 
 
 @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
@@ -113,16 +111,16 @@ def test_durable_counters_identical_across_executors(tmp_path, monkeypatch):
     change set is not cut without one), so the executor comparison
     above sees it at 0: compare it where it moves."""
     snapshots = {}
-    for executor in ("serial", "process"):
-        _with_summaries_from(executor, monkeypatch)
+    for source in SUMMARY_SOURCES:
+        _with_summaries_from(source, monkeypatch)
         registry = MetricsRegistry()
-        run_durable("UD config", data_dir=str(tmp_path / executor),
+        run_durable("UD config", data_dir=str(tmp_path / source),
                     epochs=3, metrics=registry, **DURABLE_PARAMS)
-        snapshots[executor] = registry.deterministic_snapshot()
-    counters = snapshots["serial"]["counters"]
+        snapshots[source] = registry.deterministic_snapshot()
+    counters = snapshots["inline"]["counters"]
     assert counters["net.commit.changed_locations"]["value"] > 0
-    assert (json.dumps(snapshots["process"], sort_keys=True)
-            == json.dumps(snapshots["serial"], sort_keys=True))
+    assert (json.dumps(snapshots["prefilled"], sort_keys=True)
+            == json.dumps(snapshots["inline"], sort_keys=True))
 
 
 def test_metrics_survive_mid_run_snapshot(tmp_path):
