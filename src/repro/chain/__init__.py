@@ -20,7 +20,6 @@ from .dispatch import (
 from .faults import (
     FaultEvent, FaultInjector, FaultKind, FaultPlan,
 )
-from .lookup import LookupNode, TxPacket, packets_to_epoch
 from .network import DeployedContract, EpochStats, Network, NetworkConfig
 from .recovery import (
     DeltaViolation, NetworkCheckpoint, fingerprint_digest,
@@ -32,8 +31,7 @@ from .store import (
 )
 from .transaction import NonceTracker, Transaction, call, payment
 from .wal import (
-    FSYNC_POLICIES, WALCorruption, WALError, WALRecord, WriteAheadLog,
-    read_wal,
+    WALCorruption, WALError, WALRecord, WriteAheadLog, read_wal,
 )
 
 __all__ = [
@@ -45,13 +43,12 @@ __all__ = [
     "DS", "DeployedSignature", "DispatchDecision", "Dispatcher",
     "key_token", "shard_hash", "value_from_token",
     "FaultEvent", "FaultInjector", "FaultKind", "FaultPlan",
-    "LookupNode", "TxPacket", "packets_to_epoch",
     "DeployedContract", "EpochStats", "Network", "NetworkConfig",
     "DeltaViolation", "NetworkCheckpoint", "fingerprint_digest",
     "network_fingerprint", "state_fingerprint", "validate_delta",
     "SnapshotError", "SnapshotStore", "network_from_snapshot",
     "snapshot_network",
     "NonceTracker", "Transaction", "call", "payment",
-    "FSYNC_POLICIES", "WALCorruption", "WALError", "WALRecord",
-    "WriteAheadLog", "read_wal",
+    "WALCorruption", "WALError", "WALRecord", "WriteAheadLog",
+    "read_wal",
 ]

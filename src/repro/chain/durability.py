@@ -19,7 +19,7 @@ from .consensus import DEFAULT_COST_MODEL, DS_SIZE, SHARD_SIZE, CostModel
 from .execution import FEE_RULE, FUNDING
 from .faults import FaultPlan
 from .mempool import PoolEntry
-from .recovery import ChangeLedger, fingerprint_digest
+from .recovery import ChangeLedger
 from .serialization import (
     TransactionRowError, signature_from_obj, transaction_from_obj,
     value_from_json,
@@ -76,13 +76,12 @@ def _state_counters() -> tuple[int, int, int]:
             scilla_values.OVERLAY_FOLDED_ENTRIES)
 
 
-def _open_log(data_dir: str, fsync: str, keep_snapshots: int,
+def _open_log(data_dir: str, keep_snapshots: int,
               crash_at_barrier: int | None, crash_at_append: int | None):
     """The WAL (torn tail truncated) and restore-point store of
     ``data_dir``; the WAL is closed again if the store cannot open."""
     from .store import SnapshotStore
-    wal = WriteAheadLog(data_dir, fsync=fsync,
-                        crash_at_barrier=crash_at_barrier,
+    wal = WriteAheadLog(data_dir, crash_at_barrier=crash_at_barrier,
                         crash_at_append=crash_at_append)
     try:
         return wal, SnapshotStore(data_dir, keep=keep_snapshots)
@@ -94,7 +93,7 @@ def _open_log(data_dir: str, fsync: str, keep_snapshots: int,
 class Durability:
     """WAL, restore points, resume and the paged backend of a network."""
 
-    def _init_durability(self, data_dir: str | None, fsync: str,
+    def _init_durability(self, data_dir: str | None,
                          snapshot_every: int, keep_snapshots: int,
                          crash_at_barrier: int | None,
                          crash_at_append: int | None,
@@ -128,7 +127,7 @@ class Durability:
         # Accumulators + dirty set; kept while durable or replaying.
         self._ledger: ChangeLedger | None = None
         if data_dir is not None:
-            wal, store = _open_log(data_dir, fsync, keep_snapshots,
+            wal, store = _open_log(data_dir, keep_snapshots,
                                    crash_at_barrier, crash_at_append)
             if wal.recovered or store.paths():
                 wal.close()
@@ -289,8 +288,8 @@ class Durability:
     # -- resume and replay ----------------------------------------------------
 
     @classmethod
-    def resume(cls, data_dir: str, fsync: str = "commit",
-               snapshot_every: int = 8, keep_snapshots: int = 3,
+    def resume(cls, data_dir: str, snapshot_every: int = 8,
+               keep_snapshots: int = 3,
                crash_at_barrier: int | None = None,
                crash_at_append: int | None = None,
                metrics=None, tracer=None):
@@ -310,7 +309,7 @@ class Durability:
         from .store import (
             SnapshotError, apply_delta_snapshot, network_from_snapshot,
         )
-        wal, store = _open_log(data_dir, fsync, keep_snapshots,
+        wal, store = _open_log(data_dir, keep_snapshots,
                                crash_at_barrier, crash_at_append)
         try:
             chain = store.load_chain()
@@ -441,10 +440,14 @@ class Durability:
                         entry.deferrals += 1
                         pending[tx.tx_id] = entry
         elif record.type == "commit":
-            # A record without "scheme" predates the accumulator and
-            # pins the full-walk fingerprint digest.
-            digest = (self._ledger.digest(self) if "scheme" in data
-                      else fingerprint_digest(self))
+            if "scheme" not in data:
+                # Builds before the accumulator pinned a full-walk
+                # digest; their epoch records name no fee rule either.
+                raise WALError(
+                    f"log record {record.seq} (commit of epoch "
+                    f"{data['epoch']}) names no digest scheme; this "
+                    f"build checks scheme 1 only (docs/FAULTS.md)")
+            digest = self._ledger.digest(self)
             if digest != data["digest"]:
                 raise WALError(
                     f"replay diverged at epoch {data['epoch']}: "

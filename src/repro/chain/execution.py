@@ -129,7 +129,7 @@ class Execution:
 
         t0 = time.perf_counter_ns() if self.metrics.enabled else 0
         deferred: list[Transaction] = []
-        receipts, gas, committed = mb.receipts, 0, 0
+        receipts, gas = mb.receipts, 0
         for position, tx in enumerate(queue):
             if gas >= gas_limit:
                 deferred = queue[position:]
@@ -137,18 +137,11 @@ class Execution:
             receipt = self._execute(tx, lane, state_for, touched)
             receipts.append(receipt)
             gas += receipt.gas_used
-            committed += receipt.success
         mb.gas_used = gas
-        # The lane.* meters: once per finished lane, not per receipt.
-        meters, n = self._meters, len(receipts)
-        meters.lane_tx_executed.inc(n)
-        meters.lane_tx_ok.inc(committed)
-        meters.lane_tx_failed.inc(n - committed)
-        meters.lane_gas.inc(gas)
+        # The other lane.* meters count once the epoch commits
+        # (NetworkMeters.record_lanes).
         if self.metrics.enabled:
-            meters.lane_gas_per_tx.observe_many(
-                [receipt.gas_used for receipt in receipts])
-            meters.lane_exec_ns.observe(time.perf_counter_ns() - t0)
+            self._meters.lane_exec_ns.observe(time.perf_counter_ns() - t0)
         return mb, local_states, touched, deferred
 
     def _execute(self, tx: Transaction, lane: int, state_for,

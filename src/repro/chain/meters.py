@@ -119,8 +119,8 @@ class NetworkMeters:
     def record_epoch(self, stats, n_deltas: int,
                      merged_locations: int) -> None:
         """One committed epoch's counters, from the *surviving*
-        attempt's ``EpochStats`` only (a discarded view-change attempt's
-        lane counters rolled back with it, via NetworkCheckpoint)."""
+        attempt's ``EpochStats`` only: a discarded view-change attempt
+        counts nowhere."""
         self.epochs.inc()
         self.tx_dispatched.inc(stats.dispatched)
         self.tx_committed.inc(stats.committed)
@@ -135,3 +135,21 @@ class NetworkMeters:
         self.rejected_deltas.inc(stats.rejected_deltas)
         self.merge_deltas.inc(n_deltas)
         self.merge_locations.inc(merged_locations)
+
+    def record_lanes(self, blocks) -> None:
+        """The deterministic ``lane.*`` instruments, once per committed
+        epoch from the surviving attempt's lane blocks, before its
+        deferral receipts are appended to them: what the lanes executed,
+        not what they left for a retry."""
+        executed = ok = gas = 0
+        observe = self.lane_gas_per_tx.observe_many
+        for block in blocks:
+            receipts = block.receipts
+            executed += len(receipts)
+            ok += block.n_committed
+            gas += block.gas_used
+            observe([receipt.gas_used for receipt in receipts])
+        self.lane_tx_executed.inc(executed)
+        self.lane_tx_ok.inc(ok)
+        self.lane_tx_failed.inc(executed - ok)
+        self.lane_gas.inc(gas)

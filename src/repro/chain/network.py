@@ -42,8 +42,8 @@ from .execution import FEE_RULE, FUNDING, Execution
 from .faults import FaultInjector
 from .meters import NetworkMeters
 from .recovery import DeltaViolation, NetworkCheckpoint, validate_delta
-# A global here as well as in repro.chain.durability, where replay
-# calls it: bench/layers.py times the names this module binds.
+# Nothing here calls it: bench/layers.py shims the names this module
+# binds, and expects this one among them.
 from .recovery import fingerprint_digest  # noqa: F401
 from .serialization import signature_to_obj, transaction_to_obj, value_to_json
 from .transaction import NonceTracker, Table, Transaction, portion_slot
@@ -105,13 +105,19 @@ class Network(Execution, Durability):
         """``config`` is what a replay must reproduce (the WAL's
         ``init`` record); the keywords are how this process runs it.
         ``executor`` accepts only ``"serial"`` (lanes run one after
-        another; their parallelism is ``CostModel``'s) and goes once
-        ``bench/workloads.py`` stops passing it."""
+        another; their parallelism is ``CostModel``'s) and ``fsync``
+        only ``"commit"`` (the WAL flushes at its barriers); both go
+        once ``bench/workloads.py`` stops passing them."""
         if executor != "serial":
             raise ValueError(
                 f"unknown executor {executor!r}: shard lanes run "
                 f"serially; the 'thread' and 'process' executors were "
                 f"removed")
+        if fsync != "commit":
+            raise ValueError(
+                f"unknown fsync policy {fsync!r}: the write-ahead log "
+                f"fsyncs at its barriers; the 'always' and 'never' "
+                f"policies were removed")
         if n_shards < 1:
             raise ValueError(f"a network needs at least one shard, "
                              f"not {n_shards}")
@@ -147,7 +153,7 @@ class Network(Execution, Durability):
         self.metrics = NULL_REGISTRY if metrics is None else metrics
         self.tracer = NULL_TRACER if tracer is None else tracer
         self._meters = NetworkMeters(self.metrics)
-        self._init_durability(data_dir, fsync, snapshot_every,
+        self._init_durability(data_dir, snapshot_every,
                               keep_snapshots, crash_at_barrier,
                               crash_at_append, state_backend)
 
@@ -395,6 +401,9 @@ class Network(Execution, Durability):
         stats.view_changes = attempt - 1
         stats.rejected_deltas = rejected_total
 
+        if self.metrics.enabled:
+            self._meters.record_lanes(
+                (*outcome.microblocks, outcome.ds_block))
         # Every deferred transaction gets an explicit failure receipt,
         # so none silently vanishes.
         mb_by_lane = {mb.shard: mb for mb in outcome.microblocks}

@@ -5,15 +5,15 @@ and recovery bookkeeping.
 network survives.  Three mechanisms, mirrored on real deployments:
 
 * **Per-epoch checkpoints** (:class:`NetworkCheckpoint`) — a *mark*
-  into the network's :class:`~repro.scilla.state.StateJournal` plus
-  a copy of the telemetry, which bypasses it, taken before the shard
-  phase.  ``take`` is O(1) in contract state, accounts and senders:
-  all three are covered by the journal, which records an undo entry
-  per mutation.  A FinalBlock is the only commit
-  point: if the DS committee has to exclude a lane mid-epoch (view
-  change), the whole epoch attempt is rolled back to the checkpoint —
-  replaying the undo journal down to the mark — and retried without
-  the faulty lane.
+  into the network's :class:`~repro.scilla.state.StateJournal`, taken
+  before the shard phase.  ``take`` is O(1) in contract state,
+  accounts and senders: all three are covered by the journal, which
+  records an undo entry per mutation; telemetry needs none, as an
+  epoch counts from its surviving attempt once it commits.  A
+  FinalBlock is the only commit point: if the DS committee has to
+  exclude a lane mid-epoch (view change), the whole epoch attempt is
+  rolled back to the checkpoint — replaying the undo journal down to
+  the mark — and retried without the faulty lane.
 
 * **Delta footprint validation** (:func:`validate_delta`) — the DS
   committee checks every received StateDelta against the deployed
@@ -144,8 +144,9 @@ class NetworkCheckpoint:
     Contract states, user accounts and nonce records are *not* copied:
     ``journal_mark`` pins a position in the network's
     :class:`~repro.scilla.state.StateJournal`, and :meth:`restore`
-    replays the undo entries recorded above it.  Only the telemetry,
-    which bypasses the journal, is snapshotted eagerly.
+    replays the undo entries recorded above it.  Telemetry is not
+    rolled back: an epoch's deterministic counters are recorded once it
+    commits, from the surviving attempt (``NetworkMeters.record_lanes``).
 
     Restoring is idempotent and repeatable: after a rollback the
     journal head sits exactly at the mark, so one checkpoint supports
@@ -161,20 +162,11 @@ class NetworkCheckpoint:
     # Addresses deployed at take-time: restore drops contracts (and
     # their dispatcher registrations) created by an aborted attempt.
     contract_addrs: frozenset[str]
-    # Telemetry snapshot (None with a disabled registry): lane counters
-    # recorded by a discarded attempt roll back with everything else,
-    # so only the surviving attempt counts.
-    metrics: dict | None = None
 
     @classmethod
     def take(cls, net) -> "NetworkCheckpoint":
         t0 = time.perf_counter_ns() if net.metrics.enabled else 0
-        checkpoint = cls(
-            metrics=(net.metrics.snapshot()
-                     if net.metrics.enabled else None),
-            journal_mark=net.journal.mark(),
-            contract_addrs=frozenset(net.contracts),
-        )
+        checkpoint = cls(net.journal.mark(), frozenset(net.contracts))
         if net.metrics.enabled:
             net._meters.checkpoint_take_ns.observe(
                 time.perf_counter_ns() - t0)
@@ -192,8 +184,6 @@ class NetworkCheckpoint:
                      if a not in self.contract_addrs]:
             del net.contracts[addr]
             net.dispatcher.unregister_contract(addr)
-        if self.metrics is not None:
-            net.metrics.reset_to(self.metrics)
         if net.metrics.enabled:
             net._meters.checkpoint_restore_ns.observe(
                 time.perf_counter_ns() - t0)

@@ -47,6 +47,9 @@ from .mempool import (
 )
 from .transaction import Transaction
 
+HEADROOM = 1.25      # batch target = commit rate x HEADROOM
+SERVE_TAG = "serve"  # the WAL tag of a service epoch
+
 
 @dataclass
 class ServiceConfig:
@@ -54,14 +57,12 @@ class ServiceConfig:
 
     batch_max: int = 256       # epoch batch ceiling (and idle default)
     batch_min: int = 8         # never shrink the batch below this
-    headroom: float = 1.25     # batch target = commit-rate x headroom
     max_deferrals: int = 12    # gas deferrals before dead-lettering
     auto_fund: bool = True     # create unknown sender accounts at admission
     record_committed: bool = False  # keep per-epoch committed batches
     # Headers net.blocks lists before the oldest is dropped; bodies
     # are the network's BODY_WINDOW (repro.chain.blocks).
     keep_blocks: int | None = 256
-    wal_tag: str = "serve"
 
 
 @dataclass
@@ -88,13 +89,11 @@ class TickReport:
 class ServiceLoop:
     """Drains an admission-controlled mempool into network epochs."""
 
-    def __init__(self, net, mempool: Mempool | None = None,
-                 config: ServiceConfig | None = None,
+    def __init__(self, net, config: ServiceConfig | None = None,
                  pool_config: MempoolConfig | None = None):
         self.net = net
         self.config = config or ServiceConfig()
-        self.mempool = mempool if mempool is not None else Mempool(
-            pool_config, metrics=net.metrics)
+        self.mempool = Mempool(pool_config, metrics=net.metrics)
         net.mempool = self.mempool       # snapshots embed the pool
         self.tick_index = 0
         self.batch_size = self.config.batch_max
@@ -181,8 +180,7 @@ class ServiceLoop:
                 self._meters.idle_ticks.inc()
             return self._settle(report)
 
-        block = self.net.process_epoch(batch,
-                                       wal_tag=self.config.wal_tag)
+        block = self.net.process_epoch(batch, wal_tag=SERVE_TAG)
         report.epoch = block.epoch
         report.epoch_seconds = block.epoch_seconds
         self._absorb_outcomes(block, batch, report)
@@ -286,7 +284,7 @@ class ServiceLoop:
         shrink trigger and this rung could never engage)."""
         cfg, pool = self.config, self.mempool
         if pool.occupancy >= max(pool.config.low_mark, 1):
-            target = int(pool.drain_rate * cfg.headroom)
+            target = int(pool.drain_rate * HEADROOM)
             self.batch_size = max(cfg.batch_min,
                                   min(cfg.batch_max, target))
         else:
@@ -302,7 +300,7 @@ class ServiceLoop:
         seconds = config.cost_model.epoch_seconds(
             shard_exec=[], ds_exec=0.0, merged_locations=0,
             n_dispatched=0, with_cosplit=config.use_signatures)
-        self.net.note_idle_seconds(self.config.wal_tag, seconds)
+        self.net.note_idle_seconds(SERVE_TAG, seconds)
         self.served_seconds += seconds
 
     # -- reporting ---------------------------------------------------------

@@ -34,13 +34,14 @@ Replay semantics (the crash-consistency contract):
   even if its bytes are otherwise intact: without the terminator
   there is no evidence the write completed.
 
-Fsync policy
-------------
+Flushing
+--------
 
-``"always"`` fsyncs after every append, ``"commit"`` (the default)
-only at explicit :meth:`barrier` calls — the network places barriers
-after epoch submission records and commit records — and ``"never"``
-leaves flushing to the OS (crash-unsafe; benchmarks only).
+An append never fsyncs.  :meth:`barrier`, :meth:`rotate` and
+:meth:`close` flush and fsync the open segment, and creating or
+deleting a segment fsyncs the directory.  The network places barriers
+after epoch submission records and commit records, so an epoch's
+inputs are durable before it executes and its commit once it returns.
 
 Segments
 --------
@@ -69,8 +70,6 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
-
-FSYNC_POLICIES = ("always", "commit", "never")
 
 SEGMENT_PREFIX = "wal-"
 SEGMENT_SUFFIX = ".log"
@@ -206,13 +205,8 @@ class WriteAheadLog:
     """
 
     def __init__(self, data_dir: str | os.PathLike,
-                 fsync: str = "commit",
                  crash_at_barrier: int | None = None,
                  crash_at_append: int | None = None):
-        if fsync not in FSYNC_POLICIES:
-            raise ValueError(f"unknown fsync policy {fsync!r}; expected "
-                             f"one of {FSYNC_POLICIES}")
-        self.fsync = fsync
         self.dir = Path(data_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
         self._crash_at_barrier = crash_at_barrier
@@ -260,8 +254,6 @@ class WriteAheadLog:
         self._fsync_dir()
 
     def _fsync_dir(self) -> None:
-        if self.fsync == "never":
-            return
         fd = os.open(self.dir, os.O_RDONLY)
         try:
             os.fsync(fd)
@@ -313,23 +305,19 @@ class WriteAheadLog:
         try:
             self._handle.write(frame)
             self._next_seq = seq + 1
-            if self.fsync == "always":
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
         except OSError as exc:
             raise self._io_failed("append", exc) from exc
         return seq
 
     def barrier(self) -> None:
         """A durability point: everything appended so far survives a
-        crash after this call returns (under ``always``/``commit``)."""
+        crash after this call returns."""
         if self._handle is None:
             raise WALError("write-ahead log is closed")
         self.barriers += 1
         try:
             self._handle.flush()
-            if self.fsync != "never":
-                os.fsync(self._handle.fileno())
+            os.fsync(self._handle.fileno())
         except OSError as exc:
             raise self._io_failed("barrier fsync", exc) from exc
         if self._crash_at_barrier is not None \
@@ -342,8 +330,7 @@ class WriteAheadLog:
         try:
             if self._handle is not None:
                 self._handle.flush()
-                if self.fsync != "never":
-                    os.fsync(self._handle.fileno())
+                os.fsync(self._handle.fileno())
             self._open_segment(first_seq=self._next_seq)
         except OSError as exc:
             raise self._io_failed("rotate", exc) from exc
@@ -368,8 +355,7 @@ class WriteAheadLog:
         if self._handle is not None:
             try:
                 self._handle.flush()
-                if self.fsync != "never":
-                    os.fsync(self._handle.fileno())
+                os.fsync(self._handle.fileno())
                 self._handle.close()
             except OSError as exc:
                 raise self._io_failed("close", exc) from exc

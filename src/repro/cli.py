@@ -276,7 +276,7 @@ def _run_durable_cmd(args, require_existing: bool) -> int:
     result = run_durable(
         args.workload, data_dir=args.data_dir, seed=args.seed,
         epochs=args.epochs, shards=args.shards, users=args.users,
-        txns=args.txns, fault_seed=args.fault_seed, fsync=args.fsync,
+        txns=args.txns, fault_seed=args.fault_seed,
         snapshot_every=args.snapshot_every,
         keep_snapshots=args.keep_snapshots,
         crash_at_barrier=args.crash_at_barrier,
@@ -513,8 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="transactions per epoch")
         p.add_argument("--fault-seed", type=int, default=None,
                        help="also inject a seeded FaultPlan")
-        p.add_argument("--fsync", default="commit",
-                       choices=["always", "commit", "never"])
         p.add_argument("--snapshot-every", type=int, default=4,
                        help="epoch commits between durable snapshots")
         p.add_argument("--keep-snapshots", type=int, default=3)

@@ -205,7 +205,7 @@ def _wipe(data_dir: str) -> None:
 def run_durable(workload: str = "FT transfer", *,
                 data_dir: str, seed: int = 0, epochs: int = 3,
                 shards: int = 4, users: int = 12, txns: int = 10,
-                fault_seed: int | None = None, fsync: str = "commit",
+                fault_seed: int | None = None,
                 snapshot_every: int = 4, keep_snapshots: int = 3,
                 crash_at_barrier: int | None = None,
                 crash_at_append: int | None = None,
@@ -236,8 +236,7 @@ def run_durable(workload: str = "FT transfer", *,
     resumed = restarted = False
     net = None
     if _durable_files(data_dir):
-        net = Network.resume(data_dir, fsync=fsync,
-                             snapshot_every=snapshot_every,
+        net = Network.resume(data_dir, snapshot_every=snapshot_every,
                              keep_snapshots=keep_snapshots,
                              crash_at_barrier=crash_at_barrier,
                              crash_at_append=crash_at_append,
@@ -274,8 +273,7 @@ def run_durable(workload: str = "FT transfer", *,
 
     if net is None:
         net = Network(shards, NetworkConfig(fault_plan=plan),
-                      data_dir=data_dir,
-                      fsync=fsync, snapshot_every=snapshot_every,
+                      data_dir=data_dir, snapshot_every=snapshot_every,
                       keep_snapshots=keep_snapshots,
                       crash_at_barrier=crash_at_barrier,
                       crash_at_append=crash_at_append,

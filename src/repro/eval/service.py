@@ -33,7 +33,10 @@ from collections import deque
 from dataclasses import dataclass, field as dc_field, replace
 
 from ..chain.faults import FaultPlan
-from ..chain.mempool import AdmissionStatus, MempoolConfig, RejectReason
+from ..chain.mempool import (
+    LAT_MS_BUCKETS, TICK_BUCKETS, AdmissionStatus, MempoolConfig,
+    RejectReason,
+)
 from ..chain.network import Network, NetworkConfig
 from ..chain.recovery import network_fingerprint
 from ..chain.serialization import (
@@ -128,12 +131,9 @@ def run_service(workload: str = "FT transfer @scale", *,
                 max_deferrals: int = 12,
                 flood_rate: float = 0.0, stall_rate: float = 0.0,
                 fault_seed: int = 0,
-                data_dir: str | None = None, metrics=None,
-                use_signatures: bool = True, cost_model=None,
+                data_dir: str | None = None, cost_model=None,
                 record_committed: bool = False,
                 drain_ticks: int = 64,
-                client_buffer: int | None = None,
-                snapshot_every: int = 8,
                 state_backend=None,
                 setup_hook=None,
                 stream=None) -> ServiceRun:
@@ -168,12 +168,10 @@ def run_service(workload: str = "FT transfer @scale", *,
             n_shards=shards, crash_rate=0.0, delay_rate=0.0,
             drop_rate=0.0, corrupt_rate=0.0, forge_rate=0.0,
             flood_rate=flood_rate, stall_rate=stall_rate)
-    if metrics is None:
-        metrics = MetricsRegistry()
-    net = Network(shards, NetworkConfig(
-        use_signatures=use_signatures, cost_model=cost_model,
-        fault_plan=plan), data_dir=data_dir, snapshot_every=snapshot_every,
-        state_backend=state_backend, metrics=metrics)
+    net = Network(shards, NetworkConfig(cost_model=cost_model,
+                                        fault_plan=plan),
+                  data_dir=data_dir, state_backend=state_backend,
+                  metrics=MetricsRegistry())
     wl.setup(net)
     if setup_hook is not None:
         # Out-of-core soaks pre-seed contract state (e.g. stream
@@ -193,8 +191,7 @@ def run_service(workload: str = "FT transfer @scale", *,
         record_committed=record_committed)
     loop = ServiceLoop(net, config=svc_cfg, pool_config=pool_cfg)
 
-    buffer_cap = (client_buffer if client_buffer is not None
-                  else 4 * capacity)
+    buffer_cap = 4 * capacity     # the client's own buffer
     offered: deque = deque()
     seen_senders: set[str] = set()
     generated = client_dropped = 0
@@ -249,29 +246,21 @@ def run_service(workload: str = "FT transfer @scale", *,
 
     report = _build_report(loop, net, wl, workload, shards, population,
                            ticks, used_drain, generated,
-                           client_dropped, len(offered), metrics,
+                           client_dropped, len(offered),
                            unique_senders=len(seen_senders))
     return ServiceRun(report, loop, net, wl, wl_kwargs)
 
 
 def _build_report(loop, net, wl, workload, shards, population, ticks,
                   used_drain, generated, client_dropped, unsubmitted,
-                  metrics, unique_senders: int = 0) -> ServiceReport:
+                  unique_senders: int = 0) -> ServiceReport:
     c = loop.mempool.counters
     rejected = {r.value: c[f"rejected_{r.value}"] for r in RejectReason
                 if c[f"rejected_{r.value}"]}
-    quantiles = {"ticks": (0.0, 0.0), "ms": (0.0, 0.0)}
-    if metrics is not None and metrics.enabled:
-        from ..chain.mempool import LAT_MS_BUCKETS, TICK_BUCKETS
-        ticks_hist = metrics.histogram("mempool.latency_ticks",
-                                       TICK_BUCKETS)
-        ms_hist = metrics.histogram("mempool.latency_ms",
-                                    LAT_MS_BUCKETS,
-                                    deterministic=False)
-        quantiles["ticks"] = (ticks_hist.quantile(0.5),
-                              ticks_hist.quantile(0.99))
-        quantiles["ms"] = (ms_hist.quantile(0.5),
-                           ms_hist.quantile(0.99))
+    metrics = net.metrics
+    ticks_hist = metrics.histogram("mempool.latency_ticks", TICK_BUCKETS)
+    ms_hist = metrics.histogram("mempool.latency_ms", LAT_MS_BUCKETS,
+                                deterministic=False)
     unique = unique_senders or (wl.touched_senders()
                                 if hasattr(wl, "touched_senders")
                                 else wl.n_users)
@@ -288,10 +277,10 @@ def _build_report(loop, net, wl, workload, shards, population, ticks,
         pending_after=pool.occupancy,
         partition_ok=(pool.accounted() == c["submitted"]),
         tps=loop.tps,
-        p50_latency_ticks=quantiles["ticks"][0],
-        p99_latency_ticks=quantiles["ticks"][1],
-        p50_latency_ms=quantiles["ms"][0],
-        p99_latency_ms=quantiles["ms"][1],
+        p50_latency_ticks=ticks_hist.quantile(0.5),
+        p99_latency_ticks=ticks_hist.quantile(0.99),
+        p50_latency_ms=ms_hist.quantile(0.5),
+        p99_latency_ms=ms_hist.quantile(0.99),
         max_occupancy=loop.max_occupancy,
         stalled_ticks=loop.stalled_ticks, idle_ticks=loop.idle_ticks,
         final_batch=loop.batch_size, unique_senders=unique,

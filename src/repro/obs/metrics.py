@@ -16,16 +16,11 @@ Design constraints, in priority order:
    which differential tests compare byte-for-byte across runs and
    across a crash + resume.
 
-3. **Mergeable.**  Counter values and histogram bucket vectors are
-   sums, so folding one registry's snapshot into another's
-   (:meth:`MetricsRegistry.merge_snapshot`) is associative and
-   commutative with counts preserved.  Gauges carry a ``set`` flag and
-   only transfer when they were actually written.
-
-4. **Exact round-trips.**  ``snapshot() → json → from_snapshot()``
+3. **Exact round-trips.**  ``snapshot() → json → from_snapshot()``
    reproduces the registry exactly (all values are ints, floats and
-   strings), which is how durable network snapshots carry telemetry
-   across a crash (:mod:`repro.chain.store`).
+   strings; a gauge carries a ``set`` flag and is restored only when
+   it was written), which is how durable network snapshots carry
+   telemetry across a crash (:mod:`repro.chain.store`).
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ from bisect import bisect_left
 # buckets cover 1µs .. ~17min in powers of 4; gas buckets cover the
 # interpreter's realistic per-transaction range.
 NS_BUCKETS = tuple(1_000 * 4 ** i for i in range(16))
-MS_BUCKETS = tuple(4 ** i for i in range(12))
 GAS_BUCKETS = (10, 25, 50, 100, 200, 400, 800, 1_600, 3_200, 6_400,
                12_800, 25_600)
 
@@ -91,9 +85,6 @@ class Histogram:
 
     ``bounds`` are the inclusive upper edges; one overflow bucket
     (+Inf) is implicit, so ``counts`` has ``len(bounds) + 1`` cells.
-    Merging two histograms with identical bounds adds the vectors —
-    associative, commutative, count-preserving (the property tests in
-    ``tests/test_obs_properties.py`` pin this down).
     """
 
     __slots__ = ("name", "deterministic", "bounds", "counts", "count",
@@ -129,16 +120,6 @@ class Histogram:
             self.count += len(values)
             self.sum = total
 
-    def merge_from(self, other: "Histogram") -> None:
-        if other.bounds != self.bounds:
-            raise ValueError(f"histogram {self.name!r}: cannot merge "
-                             f"mismatched bucket bounds")
-        with self._lock:
-            for i, c in enumerate(other.counts):
-                self.counts[i] += c
-            self.count += other.count
-            self.sum += other.sum
-
     def to_obj(self):
         return {"bounds": list(self.bounds), "counts": list(self.counts),
                 "count": self.count, "sum": self.sum,
@@ -151,39 +132,26 @@ class Histogram:
         the +Inf overflow bucket answer with the largest finite bound
         (a floor for the true value — the buckets cannot say more).
         """
+        if not (0.0 < q <= 1.0):
+            raise ValueError("quantile must be in (0, 1]")
         with self._lock:
-            return quantile_from_cells(self.bounds, self.counts,
-                                       self.count, q)
-
-
-def quantile_from_cells(bounds, counts, count: int, q: float) -> float:
-    """Shared quantile estimator over histogram cells (live instruments
-    and serialized snapshots alike)."""
-    if not (0.0 < q <= 1.0):
-        raise ValueError("quantile must be in (0, 1]")
-    if count <= 0:
-        return 0.0
-    rank = q * count
-    cumulative = 0
-    for i, cell in enumerate(counts):
-        if cell == 0:
-            continue
-        previous = cumulative
-        cumulative += cell
-        if cumulative >= rank:
-            if i >= len(bounds):      # +Inf overflow bucket
-                return float(bounds[-1])
-            lower = float(bounds[i - 1]) if i > 0 else 0.0
-            upper = float(bounds[i])
-            return lower + (upper - lower) * (rank - previous) / cell
-    return float(bounds[-1])          # pragma: no cover - cumulative==count
-
-
-def quantile_from_snapshot(hist_obj, q: float) -> float:
-    """Quantile straight from a snapshot's histogram object (the
-    ``to_obj`` form), e.g. inside BENCH JSON writers."""
-    return quantile_from_cells(hist_obj["bounds"], hist_obj["counts"],
-                               hist_obj["count"], q)
+            bounds, count = self.bounds, self.count
+            if count <= 0:
+                return 0.0
+            rank = q * count
+            cumulative = 0
+            for i, cell in enumerate(self.counts):
+                if cell == 0:
+                    continue
+                previous = cumulative
+                cumulative += cell
+                if cumulative >= rank:
+                    if i >= len(bounds):      # +Inf overflow bucket
+                        return float(bounds[-1])
+                    lower = float(bounds[i - 1]) if i > 0 else 0.0
+                    upper = float(bounds[i])
+                    return lower + (upper - lower) * (rank - previous) / cell
+            return float(bounds[-1])  # pragma: no cover - cumulative==count
 
 
 class MetricsRegistry:
@@ -299,10 +267,9 @@ class MetricsRegistry:
     def reset_to(self, obj: dict) -> None:
         """Make this registry's values exactly match a snapshot.
 
-        Existing instruments missing from the snapshot are zeroed (the
-        checkpoint-rollback case: instruments registered after the
-        checkpoint was taken lose whatever the aborted attempt put in
-        them); instruments only in the snapshot are created.
+        Existing instruments missing from the snapshot are zeroed;
+        instruments only in the snapshot are created (a resume restores
+        a restore point's telemetry this way, :mod:`repro.chain.store`).
         """
         with self._lock:
             self._zero()
@@ -440,8 +407,3 @@ class NullRegistry:
 
 
 NULL_REGISTRY = NullRegistry()
-
-# Process-wide default registry for callers that want one shared sink
-# (the `repro metrics` CLI builds private registries instead; nothing
-# records here unless explicitly pointed at it).
-GLOBAL_REGISTRY = MetricsRegistry()

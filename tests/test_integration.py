@@ -151,12 +151,11 @@ def test_interleaved_payments_and_calls_respect_nonces(multinet):
     assert block.n_committed == 4
 
 
-def test_full_node_loop_with_lookup_and_backlog():
-    """The complete node loop: users submit to a lookup node, packets
-    feed capacity-limited epochs through the service loop, deferred
-    transactions retry from its mempool, and everything eventually
-    commits."""
-    from repro.chain import LookupNode, packets_to_epoch
+def test_full_node_loop_with_backlog():
+    """The complete node loop: users submit to the service loop, which
+    feeds capacity-limited epochs (dispatch routes each batch to its
+    lanes), deferred transactions retry from its mempool, and
+    everything eventually commits."""
     from repro.chain.consensus import CostModel
     from repro.chain.service import ServiceConfig, ServiceLoop
     tiny = CostModel(shard_gas_limit=800, ds_gas_limit=800)
@@ -170,20 +169,12 @@ def test_full_node_loop_with_lookup_and_backlog():
         "init_supply": uint(0),
     }, sharded_transitions=EVAL_CONTRACTS["FungibleToken"])
 
-    lookup = LookupNode(net.dispatcher)
-    for i, u in enumerate(USERS * 3):
-        lookup.submit(call(ADMIN, TOKEN, "Mint",
-                           {"recipient": addr(u), "amount": uint(5)},
-                           nonce=i + 1))
-    offered = lookup.submitted
-    epoch_txns = packets_to_epoch(lookup.build_packets())
-
-    assert len(epoch_txns) == offered
-    # The packets group by shard; the mempool admits one sender's
-    # nonces in order.
+    mints = [call(ADMIN, TOKEN, "Mint",
+                  {"recipient": addr(u), "amount": uint(5)}, nonce=i + 1)
+             for i, u in enumerate(USERS * 3)]
+    offered = len(mints)
     loop = ServiceLoop(net, config=ServiceConfig(batch_max=offered))
-    assert all(loop.submit(tx).admitted
-               for tx in sorted(epoch_txns, key=lambda tx: tx.nonce))
+    assert all(loop.submit(tx).admitted for tx in mints)
     first = loop.tick()
     assert first.drained == offered and first.deferred > 0
     loop.drain_remaining(max_ticks=30)

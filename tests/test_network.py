@@ -423,6 +423,16 @@ def test_lanes_run_serially_and_nothing_else():
             Network(2, executor=executor)
 
 
+@pytest.mark.parametrize("fsync", ["always", "never", "sometimes"])
+def test_the_wal_has_one_flush_rule(tmp_path, fsync):
+    """``commit`` (fsync at the WAL's barriers) is the one policy; any
+    other value is refused before the data dir is touched."""
+    data_dir = tmp_path / "d"
+    with pytest.raises(ValueError, match="'always' and 'never'"):
+        Network(2, data_dir=str(data_dir), fsync=fsync)
+    assert not data_dir.exists()
+
+
 def test_balance_of_a_lane_that_does_not_exist_raises():
     net = Network(4)
     user = USERS[0]

@@ -66,7 +66,7 @@ def _fingerprint(workload: str) -> str:
 
 
 @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
-def test_counters_identical_across_executors(workload, monkeypatch):
+def test_counters_identical_across_summary_sources(workload, monkeypatch):
     """Runs whose deploy summaries were analysed inline or read from a
     prefilled cache record identical deterministic snapshots, byte for
     byte."""
@@ -106,10 +106,11 @@ def test_counters_identical_across_crash_resume(tmp_path, workload):
             == json.dumps(full.deterministic_snapshot(), sort_keys=True))
 
 
-def test_durable_counters_identical_across_executors(tmp_path, monkeypatch):
+def test_durable_counters_identical_across_summary_sources(tmp_path,
+                                                           monkeypatch):
     """``net.commit.changed_locations`` only counts with a WAL (the
-    change set is not cut without one), so the executor comparison
-    above sees it at 0: compare it where it moves."""
+    change set is not cut without one), so the comparison above sees
+    it at 0: compare it where it moves."""
     snapshots = {}
     for source in SUMMARY_SOURCES:
         _with_summaries_from(source, monkeypatch)
@@ -176,7 +177,8 @@ def test_disabled_network_records_nothing():
 def test_view_change_rolls_back_lane_counters():
     """Counters recorded by a discarded epoch attempt do not leak into
     the committed totals: a run with an injected lane fault still
-    counts each committed transaction exactly once."""
+    counts each committed transaction exactly once, the lanes'
+    included."""
     from repro.chain.faults import FaultEvent, FaultKind, FaultPlan
     from repro.eval.chaos import _run
     from repro.workloads import workload_by_name
@@ -192,8 +194,9 @@ def test_view_change_rolls_back_lane_counters():
     _run(cls(n_users=16, txns_per_epoch=24, seed=5), 2, plan, 4,
          metrics=faulty_reg)
 
-    clean = clean_reg.deterministic_snapshot()["counters"]
-    faulty = faulty_reg.deterministic_snapshot()["counters"]
+    clean_snap = clean_reg.deterministic_snapshot()
+    faulty_snap = faulty_reg.deterministic_snapshot()
+    clean, faulty = clean_snap["counters"], faulty_snap["counters"]
     # The chaos invariant: every submitted transaction still commits.
     assert (faulty["net.tx.committed"]["value"]
             == clean["net.tx.committed"]["value"])
@@ -203,3 +206,16 @@ def test_view_change_rolls_back_lane_counters():
     for name in clean:
         if name.startswith("net.dispatch.reason."):
             assert faulty[name] == clean[name], name
+    # The lanes of a discarded attempt executed too, the excluded
+    # lane's queue re-ran on the DS lane, and the totals still read as
+    # if every transaction ran once.
+    lanes = sorted(name for name in clean if name.startswith("lane."))
+    assert lanes == ["lane.gas.used", "lane.tx.executed", "lane.tx.failed",
+                     "lane.tx.ok"]
+    assert clean["lane.tx.executed"]["value"] > 0
+    for name in lanes:
+        assert faulty[name] == clean[name], name
+    gas = "lane.gas_per_tx"
+    assert clean_snap["histograms"][gas]["count"] \
+        == clean["lane.tx.executed"]["value"]
+    assert faulty_snap["histograms"][gas] == clean_snap["histograms"][gas]

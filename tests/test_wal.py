@@ -11,8 +11,8 @@ from repro.chain.wal import (
 )
 
 
-def write_records(data_dir, n=5, fsync="commit") -> list[dict]:
-    wal = WriteAheadLog(data_dir, fsync=fsync)
+def write_records(data_dir, n=5) -> list[dict]:
+    wal = WriteAheadLog(data_dir)
     datas = [{"i": i, "payload": "x" * (i * 3)} for i in range(n)]
     for data in datas:
         wal.append("test", data)
@@ -47,11 +47,6 @@ def test_reopen_continues_sequence(tmp_path):
 
 def test_read_missing_dir_is_empty(tmp_path):
     assert read_wal(tmp_path / "nope") == []
-
-
-def test_unknown_fsync_policy_rejected(tmp_path):
-    with pytest.raises(ValueError, match="fsync policy"):
-        WriteAheadLog(tmp_path, fsync="sometimes")
 
 
 def test_closed_wal_refuses_appends(tmp_path):
@@ -188,10 +183,3 @@ def test_malformed_segment_name_rejected(tmp_path):
     (Path(tmp_path) / "wal-oops.log").write_bytes(b"")
     with pytest.raises(WALError, match="malformed segment name"):
         _first_seq_of(Path(tmp_path) / "wal-oops.log")
-
-
-def test_fsync_always_and_never_both_readable(tmp_path):
-    for policy in ("always", "never"):
-        d = tmp_path / policy
-        write_records(d, n=3, fsync=policy)
-        assert [r.seq for r in read_wal(d)] == [1, 2, 3]
