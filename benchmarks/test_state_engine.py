@@ -37,7 +37,6 @@ def _big_network(entries: int):
 
     net = Network(4, NetworkConfig(use_signatures=False))
     state = _big_state(entries)
-    state.journal = net.journal
     net.contracts[state.address] = DeployedContract(
         state.address, None, None, state)
     return net, state
@@ -45,11 +44,13 @@ def _big_network(entries: int):
 
 def test_checkpoint_take_is_o1_nothing_copied():
     """Network-level guard: taking (and releasing) a checkpoint on a
-    large state must not copy, fold or journal anything, and a take →
-    write burst → restore cycle must leave the very same entry dict in
-    place — the journal undoes the writes, nothing O(entries) runs.
-    Counts, not wall time, so it cannot flake."""
+    large state must not copy, fold or journal anything, and rolling
+    back what an epoch does — a fork, a write burst through it, its
+    install — must leave the very same state and entry dict in place:
+    the journal undoes one rebind, nothing O(entries) runs.  Counts,
+    not wall time, so it cannot flake."""
     net, state = _big_network(100_000)
+    contract = net.contracts[state.address]
     entries = state.fields["balances"].entries
     before = (scilla_values.COW_COPIES, scilla_values.OVERLAY_FOLDS,
               scilla_values.OVERLAY_FOLDED_ENTRIES)
@@ -59,18 +60,21 @@ def test_checkpoint_take_is_o1_nothing_copied():
         checkpoint.release(net)
 
     checkpoint = NetworkCheckpoint.take(net)
+    nxt = state.fork()
     for i in range(32):
-        state.write(("balances", (StringVal(f"0x{i:040x}"),)),
-                    uint(999))
-    assert net.journal.depth == 32
+        nxt.write(("balances", (StringVal(f"0x{i:040x}"),)), uint(999))
+    net._rebind_state(contract, nxt)
+    assert net.journal.depth == 1
     checkpoint.restore(net)
     checkpoint.release(net)
     assert net.journal.depth == 0
+    assert contract.state is state
     assert state.fields["balances"].entries is entries
     assert entries[StringVal(f"0x{5:040x}")] == uint(5)
-    assert before == (scilla_values.COW_COPIES,
-                      scilla_values.OVERLAY_FOLDS,
-                      scilla_values.OVERLAY_FOLDED_ENTRIES)
+    # The fork's one privatisation, and no fold.
+    assert (before[0] + 1, *before[1:]) == (
+        scilla_values.COW_COPIES, scilla_values.OVERLAY_FOLDS,
+        scilla_values.OVERLAY_FOLDED_ENTRIES)
 
 
 def test_first_write_after_fork_allocates_o1():
@@ -251,8 +255,8 @@ def test_a_gap_heavy_senders_accept_stays_o1():
     today's three-table tracker (tests/test_user_rows.py, with its
     journal) takes for the same 10^4 accepts, both journaling under an
     outstanding mark, the gap set held by the mark's pre-image."""
+    from repro.chain.recovery import StateJournal
     from repro.chain.transaction import NonceTracker
-    from repro.scilla.state import StateJournal
     from tests.test_user_rows import NonceTracker as TodaysTracker
 
     def rows():

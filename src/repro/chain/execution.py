@@ -90,37 +90,34 @@ class Execution:
     # -- lanes ----------------------------------------------------------------
 
     def _run_lane(self, lane: int, queue: list[Transaction],
-                  gas_limit: int, use_global_state: bool = False,
-                  pre_states: dict | None = None):
+                  gas_limit: int,
+                  local_states: dict[str, ContractState] | None = None):
         """Execute a queue sequentially, as one shard (or the DS) does.
         What is left once the lane's gas is spent is returned deferred.
-        A shard lane's fork of a contract carries the one-key writes its
-        queue's calls make into each map field (``writes_per_call``
-        summed), so a map the lane will write past the overlay's fold
-        threshold is copied flat at its first write (docs/STATE.md §1)."""
+        Every lane writes forks, never a published state: the states in
+        ``local_states`` (the DS lane's: the merge's output), and a fork
+        of any other contract its queue reaches.  That fork carries the
+        one-key writes the queue's calls make into each map field
+        (``writes_per_call`` summed), so a map the lane will write past
+        the overlay's fold threshold is copied flat at its first write
+        (docs/STATE.md §1)."""
         mb = MicroBlock(shard=lane, epoch=self.epoch)
-        local_states: dict[str, ContractState] = {}
+        if local_states is None:
+            local_states = {}
         touched = defaultdict(list)   # contract -> successful write logs
         writes: dict[str, dict[str, int]] = {}
-        if not use_global_state:
-            contracts = self.contracts
-            for (to, transition), calls in Counter(
-                    zip(map(_TO, queue), map(_TRANSITION, queue))).items():
-                contract = contracts.get(to)
-                per_call = (contract.writes_per_call.get(transition)
-                            if contract is not None else None)
-                if per_call:
-                    into = writes.setdefault(to, {})
-                    for name, n in per_call.items():
-                        into[name] = into.get(name, 0) + n * calls
+        contracts = self.contracts
+        for (to, transition), calls in Counter(
+                zip(map(_TO, queue), map(_TRANSITION, queue))).items():
+            contract = contracts.get(to)
+            per_call = (contract.writes_per_call.get(transition)
+                        if contract is not None else None)
+            if per_call:
+                into = writes.setdefault(to, {})
+                for name, n in per_call.items():
+                    into[name] = into.get(name, 0) + n * calls
 
         def state_for(addr: str) -> ContractState:
-            if use_global_state:
-                state = self.contracts[addr].state
-                if pre_states is not None and addr not in pre_states:
-                    # Written in place from here on: pin the pre-image.
-                    pre_states[addr] = state.fork()
-                return state
             state = local_states.get(addr)
             if state is None:
                 state = local_states[addr] = \

@@ -30,7 +30,7 @@ from ..obs.tracing import NULL_TRACER
 from ..core.signature import ShardingSignature
 from ..scilla.ast import Module
 from ..scilla.interpreter import Interpreter
-from ..scilla.state import ContractState, StateJournal
+from ..scilla.state import ContractState
 from ..scilla.values import Value
 from .blocks import (
     BODY_WINDOW, BlockHeader, EpochStats, FinalBlock, MicroBlock, Receipt,
@@ -41,7 +41,9 @@ from .durability import Durability, NetworkConfig
 from .execution import FEE_RULE, FUNDING, Execution
 from .faults import FaultInjector
 from .meters import NetworkMeters
-from .recovery import DeltaViolation, NetworkCheckpoint, validate_delta
+from .recovery import (
+    DeltaViolation, NetworkCheckpoint, StateJournal, validate_delta,
+)
 # Nothing here calls it: bench/layers.py shims the names this module
 # binds, and expects this one among them.
 from .recovery import fingerprint_digest  # noqa: F401
@@ -81,9 +83,9 @@ class _EpochAttempt:
     deferred: list[tuple[int, Transaction]]
     newly_faulty: dict[int, str]
     rejected_deltas: int
-    # The DS lane's successful write logs per contract, and every
-    # touched contract's pre-epoch state (durable networks only): with
-    # the microblocks' deltas, the sources of the epoch's change set.
+    # The DS lane's successful write logs per contract, and the states
+    # the install replaced (durable networks only): with the
+    # microblocks' deltas, the sources of the epoch's change set.
     ds_logs: dict = dc_field(default_factory=dict)
     pre_states: dict | None = None
 
@@ -123,10 +125,9 @@ class Network(Execution, Durability):
                              f"not {n_shards}")
         self.n_shards = n_shards
         self.config = config = config or NetworkConfig()
-        # Network-wide undo journal: every write to a globally-visible
-        # contract state, and every account and nonce move, records its
-        # reversal here, making checkpoints O(1) marks
-        # (repro.chain.recovery).
+        # Network-wide undo journal: every contract-state install, and
+        # every account and nonce move, records its reversal here,
+        # making checkpoints O(1) marks (repro.chain.recovery).
         self.journal = StateJournal()
         self.dispatcher = Dispatcher(n_shards, config.use_signatures)
         # address -> account row (repro.chain.transaction).
@@ -277,7 +278,6 @@ class Network(Execution, Durability):
         """Adopt a deployed (or restored) contract's state and register
         it with the network and the dispatcher; ``result`` is its
         pipeline result, whose summaries give the lanes' write table."""
-        state.journal = self.journal
         self._adopt_state(state)
         deployed = self.contracts[address] = DeployedContract(
             address, result.module, interpreter, state, signature, source,
@@ -576,20 +576,16 @@ class Network(Execution, Durability):
         if newly_faulty:
             return abandoned()
 
-        # Phase 2: DS merges shard deltas (FSD).
+        # Phase 2: DS merges shard deltas (FSD) into forks: each
+        # contract's next state, which the DS lane goes on writing.
         t_merge = time.perf_counter_ns() if self.metrics.enabled else 0
         merged_locations = 0
-        # Pre-epoch states, for the ledger's pre-images: a merged
-        # contract's stays intact (the merge is fork + rebind); one only
-        # the DS lane touches is forked when first handed out.
-        pre_states = {} if self._ledger is not None else None
+        nexts: dict[str, ContractState] = {}
         with self.tracer.span("merge"):
             for addr, deltas in all_deltas.items():
-                contract = self.contracts[addr]
-                if pre_states is not None:
-                    pre_states[addr] = contract.state
                 try:
-                    merged, changed = merge_deltas(contract.state, deltas)
+                    nexts[addr], changed = merge_deltas(
+                        self.contracts[addr].state, deltas)
                 except MergeOverflow as overflow:
                     # Every lane that contributed to the location is
                     # excluded, and its queue re-runs on the DS lane,
@@ -600,23 +596,33 @@ class Network(Execution, Durability):
                                      f"lane(s) {list(overflow.shards)} "
                                      f"re-run on the DS lane")
                     return abandoned()
-                self._rebind_state(contract, merged)
                 merged_locations += changed
             for addr, bdelta in balance_deltas.items():
                 if bdelta:
-                    self.contracts[addr].state.balance += bdelta
+                    state = nexts.get(addr)
+                    if state is None:
+                        state = nexts[addr] = self.contracts[addr].state.fork()
+                    state.balance += bdelta
                     merged_locations += 1
         if self.metrics.enabled:
             self._meters.merge_ns.observe(time.perf_counter_ns() - t_merge)
 
         # Phase 3: DS executes the potentially-conflicting transactions
-        # directly on the merged global state, plus the queues of every
-        # excluded lane (the recovery path of the view change).
+        # on the merged states, plus the queues of every excluded lane
+        # (the recovery path of the view change); a contract the merge
+        # left alone is forked when first handed out.
         recovered_ids = {tx.tx_id for tx in recovered}
         with self.tracer.span("ds lane"):
             ds_block, _, ds_touched, ds_deferred = self._run_lane(
-                DS, ds_queue, ds_limit, use_global_state=True,
-                pre_states=pre_states)
+                DS, ds_queue, ds_limit, local_states=nexts)
+        # Install: one rebind per contract the epoch touched.  The
+        # states it replaces are the ledger's pre-images.
+        pre_states = {} if self._ledger is not None else None
+        for addr, state in nexts.items():
+            contract = self.contracts[addr]
+            if pre_states is not None:
+                pre_states[addr] = contract.state
+            self._rebind_state(contract, state)
         stats.deferred += len(ds_deferred)
         deferred.extend((DS, tx) for tx in ds_deferred)
         stats.recovered = len(recovered)
@@ -629,13 +635,11 @@ class Network(Execution, Durability):
 
     def _rebind_state(self, contract: DeployedContract,
                       new_state: ContractState) -> None:
-        """Swap a contract's globally-visible state (the FSD merge
-        produces a fresh fork).  The swap is journaled so a checkpoint
-        rollback rebinds the old state, and the new state is attached
-        to the journal so later writes keep recording."""
+        """Publish a contract's next state (a fork the epoch wrote).
+        The swap is journaled so a checkpoint rollback rebinds the old
+        state."""
         self.journal.record_rebind(contract, contract.state)
         contract.state = new_state
-        new_state.journal = self.journal
 
     def _delta_validator(self, delta: StateDelta) -> DeltaViolation | None:
         contract = self.contracts.get(delta.contract)

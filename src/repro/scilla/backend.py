@@ -10,7 +10,7 @@ map on (or off) the heap.  A paged map is an ordinary
   shared by every overlay on it and bounded by :data:`PAGE_CACHE`
   (``state.backend.evictions``).
 * **Writes** land in the overlay (``over`` / ``dead`` are the dirty
-  rows and tombstones), so journal rollback and CoW forks work as over
+  rows and tombstones), so write-log rollback and CoW forks work as over
   a dict base: a fork's first write copies no clean row.
 * **The fold is the write-back**, in one batch, only from the
   network's commit path with an empty journal.  It retires the old

@@ -4,11 +4,11 @@
 executable specification; this module lowers the same AST to Python
 source, once, and ``Interpreter.run_transition`` runs the result.  The
 generated code is observably the reference — success, gas, error
-strings, the rollback point, undo capture, journal entries and CoW
-privatisations (oracle: ``tests/test_compiled_equivalence.py``; lowering
-table: docs/LANGUAGE.md, "Execution") — but does only the transition's
-work.  Scilla is in A-normal form, so what that takes is syntactic:
-gas is charged once per straight-line *segment*, from a local
+strings, the rollback point, undo capture and CoW privatisations
+(oracle: ``tests/test_compiled_equivalence.py``; lowering table:
+docs/LANGUAGE.md, "Execution") — but does only the transition's work.
+Scilla is in A-normal form, so what that takes is syntactic: gas is
+charged once per straight-line *segment*, from a local
 (``_Fn.charge`` / ``fence``); a value the runtime itself builds and the
 next ``match`` / ``send`` / ``event`` takes apart again is never boxed
 (the ``_Opt`` / ``_Bool`` / ``_Msg`` / ``_List`` scope entries);

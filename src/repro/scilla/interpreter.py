@@ -572,7 +572,7 @@ class _Run:
             return self
         finally:
             interp._charge = None
-        if self.accepted:   # the balance setter is journaled
+        if self.accepted:   # on a fork: the epoch installs it
             state.balance += self.accepted
         self.success, self.error = True, None
         return self

@@ -226,15 +226,15 @@ def test_corpus_comm_marked_writes_commute_under_random_pairs():
         assert intmerge_fields, f"{name} should have IntMerge fields"
 
 
-# -- corpus-wide footprint oracle against the StateJournal ---------------------
+# -- corpus-wide footprint oracle against the write logs ----------------------
 #
 # ``transition_footprints`` (repro.core.effects) states, per
 # transition, the locations it may touch at this granularity: a
 # whole-field token, or a (field, first-map-key) token.  Its soundness
 # axiom is that every location a transition touches at runtime falls
 # inside that static over-approximation — checked here end-to-end over
-# the whole corpus, against the StateJournal's own entries, rather
-# than hand-picked transitions.
+# the whole corpus, against the runs' own write logs (a failed run's
+# too, as it rolls back), rather than hand-picked transitions.
 
 
 def _synth_value(t, probe_addr):
@@ -297,12 +297,15 @@ def _footprint_tokens(pfs, args, sender, immutables, this_address):
     return tokens
 
 
-def test_corpus_journal_writes_fall_inside_static_footprints():
-    """Every StateJournal write entry recorded while running the
-    corpus transitions lies inside ``transition_footprints``."""
+def test_corpus_writes_fall_inside_static_footprints():
+    """Every location a corpus transition writes — in a successful
+    run's write log, or in one a failed run rolls back — lies inside
+    ``transition_footprints``."""
+    from unittest import mock
+
     from repro.core.effects import transition_footprints
-    from repro.scilla.state import StateJournal
     from repro.scilla.errors import ScillaError
+    from repro.scilla.state import WriteLog
 
     from .test_interpreter import SHADOWED_LIBRARY_NAMES
 
@@ -314,6 +317,13 @@ def test_corpus_journal_writes_fall_inside_static_footprints():
     executed = 0
     succeeded = 0
     violations = []
+    rolled_back: list = []          # the writes of every failed run
+    rollback = WriteLog.rollback
+
+    def recording_rollback(log, state):
+        rolled_back.extend(log.writes)
+        rollback(log, state)
+
     for name in sorted(sources):
         module = parse_module(sources[name], name)
         params = {p.name: _synth_value(p.typ, probe)
@@ -334,12 +344,13 @@ def test_corpus_journal_writes_fall_inside_static_footprints():
                 continue
             pfs = footprints[comp.name]
             state = base.fork()
-            journal = StateJournal()
-            state.journal = journal
+            rolled_back.clear()
             try:
-                result = interp.run_transition(
-                    state, comp.name, args,
-                    TxContext(sender=probe, amount=100))
+                with mock.patch.object(WriteLog, "rollback",
+                                       recording_rollback):
+                    result = interp.run_transition(
+                        state, comp.name, args,
+                        TxContext(sender=probe, amount=100))
             except ScillaError:
                 continue
             executed += 1
@@ -348,10 +359,9 @@ def test_corpus_journal_writes_fall_inside_static_footprints():
                 continue   # ⊤ summary: everything is covered
             tokens = _footprint_tokens(pfs, args, probe,
                                        state.immutables, "0xc0")
-            for entry in journal.entries:
-                if entry[0] != "write":
-                    continue
-                _, _st, (fld, keys), _old = entry
+            written = [*rolled_back,
+                       *(result.write_log.writes if result.success else ())]
+            for fld, keys in written:
                 if (fld, None) in tokens:
                     continue
                 try:

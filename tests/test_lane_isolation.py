@@ -194,11 +194,12 @@ def test_the_exemptions_are_counted_not_checked():
     assert (tally.exempt, tally.attempts) == (1, 0)
 
 
-def _leaky_run_lane(self, lane, queue, gas_limit, use_global_state=False,
-                    pre_states=None):
-    """Mutant: shard lanes write the global state in place, so each
+def _leaky_run_lane(self, lane, queue, gas_limit, local_states=None):
+    """Mutant: shard lanes write the published states in place, so each
     lane reads what the lanes before it wrote."""
-    return RUN_LANE(self, lane, queue, gas_limit, True, pre_states)
+    if local_states is None:
+        local_states = {a: c.state for a, c in self.contracts.items()}
+    return RUN_LANE(self, lane, queue, gas_limit, local_states)
 
 
 _ACCEPT = NonceTracker.try_accept

@@ -7,12 +7,12 @@ The contract this file enforces, in three layers:
   of dict-protocol operations and write-backs — with a cache small
   enough to force faults and evictions mid-sequence — is byte-identical
   to a plain dict given the same operations, for both backends.
-* **Journal and CoW invariants survive paging.**  Rolling a
-  :class:`~repro.scilla.state.StateJournal` checkpoint back after
-  evictions restores the exact pre-mark state; a CoW fork of a paged
-  map copies its dirty entries only (never a clean row, never a nested
-  map) and isolates both sides; a fork that outlives a write-back
-  raises instead of reading the newer rows.
+* **Rollback and CoW invariants survive paging.**  Rolling a
+  :class:`~repro.scilla.state.WriteLog` back after evictions restores
+  the exact state before its writes; a CoW fork of a paged map copies
+  its dirty entries only (never a clean row, never a nested map) and
+  isolates both sides; a fork that outlives a write-back raises
+  instead of reading the newer rows.
 * **The durability spine.**  Snapshots of a sqlite-backed network pin
   a digest-verified sidecar: resume round-trips byte-identically, a
   tampered or missing sidecar is a typed ``StoreError`` (never a
@@ -41,7 +41,7 @@ import repro.scilla.backend as backend_mod
 from repro.scilla.backend import (
     MemoryBackend, RowBase, SqliteBackend, StaleRowsError, adopt, paged_base,
 )
-from repro.scilla.state import MISSING, ContractState, StateJournal
+from repro.scilla.state import MISSING, ContractState, WriteLog
 from repro.scilla.values import MapVal, OverlayDict, StringVal, uint
 from repro.workloads.generators import FTTransfer
 
@@ -162,19 +162,16 @@ class TestJournalAndCow:
     def _roll_back(self, writes, kind):
         backend = _backend(kind)
         state = _paged_state(backend, 20)
-        journal = StateJournal()
-        state.journal = journal
         before = state_fingerprint(state)
-        mark = journal.mark()
+        log = WriteLog()
         for is_delete, i, v in writes:
-            if is_delete:
-                state.map_delete("balances", (_key(i),))
-            else:
-                state.map_put("balances", (_key(i),), uint(v))
-        # The tiny cache forces evictions *between* the journaled
-        # writes; the undo entries must still restore exactly.
-        journal.rollback_to(mark)
-        journal.release(mark)
+            key = ("balances", (_key(i),))
+            value = MISSING if is_delete else uint(v)
+            log.record(state, key, value)
+            state.write(key, value)
+        # The tiny cache forces evictions *between* the logged writes;
+        # the undo entries must still restore exactly.
+        log.rollback(state)
         assert state_fingerprint(state) == before
         backend.close()
 

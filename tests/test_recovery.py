@@ -78,6 +78,28 @@ def test_checkpoint_restores_states_accounts_and_nonces():
     assert network_fingerprint(net) == before
 
 
+def test_an_epoch_leaves_a_held_published_state_untouched():
+    """The DS lane writes forks too: an epoch of DS-routed transactions
+    installs the token's next state and never writes the one it held,
+    which a checkpoint rebinds, the very object."""
+    net = ft_network(use_signatures=False)
+    mint_all(net)
+    contract = net.contracts[_pad(TOKEN)]
+    held = contract.state
+    held_print = state_fingerprint(held)
+    txns = [tx for tx in transfer_round()
+            if net.dispatcher.dispatch(tx).is_ds]
+    checkpoint = NetworkCheckpoint.take(net)
+    block = net.process_epoch(txns)
+    assert txns and block.n_committed == len(block.ds_receipts) == len(txns)
+    assert contract.state is not held
+    assert state_fingerprint(contract.state) != held_print
+    assert state_fingerprint(held) == held_print
+    checkpoint.restore(net)
+    assert contract.state is held
+    checkpoint.release(net)
+
+
 def test_checkpoint_drops_accounts_created_after_take():
     net = ft_network()
     checkpoint = NetworkCheckpoint.take(net)

@@ -1,10 +1,11 @@
 """Property tests for the state journal and copy-on-write forks.
 
-Three laws the state engine rests on:
+The laws the state engine rests on:
 
-* **Journal identity** — for any write sequence, ``rollback_to(mark)``
-  restores the exact pre-mark state, and releasing a committed mark
-  truncates without disturbing outstanding older marks.
+* **Journal identity** — for any sequence of row, gap-set and rebind
+  changes, ``rollback_to(mark)`` restores the exact pre-mark tables and
+  bindings, and releasing a committed mark truncates without
+  disturbing outstanding older marks.
 * **Nested marks** — inner rollbacks compose with outer ones: undoing
   to an inner mark then to an outer one equals undoing straight to the
   outer one.
@@ -16,11 +17,8 @@ Three laws the state engine rests on:
 
 * **The owned write** — ``owned_write`` is ``WriteLog.record`` followed
   by ``ContractState.write``, its two-walk specification, in everything
-  either leaves behind: undo log, write set, journal entries, CoW
-  privatisations, state, errors — over plain, overlaid and paged maps.
-
-Plus the O(1)-take guard: marking the journal must not materialise a
-single CoW copy nor touch any map entry.
+  either leaves behind: undo log, write set, CoW privatisations, state,
+  errors — over plain, overlaid and paged maps.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import pickle
+from types import SimpleNamespace
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -35,19 +34,18 @@ from hypothesis import given, settings
 
 import pytest
 
+from repro.chain.recovery import JournalError, StateJournal
+from repro.chain.transaction import NonceTracker, Table
 from repro.scilla import types as ty, values as scilla_values
 import repro.scilla.backend as backend_mod
 from repro.scilla.backend import MemoryBackend, adopt
 from repro.scilla.errors import ExecError
-from repro.scilla.state import (
-    ContractState, JournalError, MISSING, StateJournal, WriteLog,
-    owned_write,
-)
+from repro.scilla.state import ContractState, MISSING, WriteLog, owned_write
 from repro.scilla.values import MapVal, StringVal, canonical, uint
 
 
-def fresh_state(journal: StateJournal | None = None) -> ContractState:
-    state = ContractState(
+def fresh_state() -> ContractState:
+    return ContractState(
         address="0x01",
         fields={
             "n": uint(0),
@@ -61,8 +59,6 @@ def fresh_state(journal: StateJournal | None = None) -> ContractState:
                                  ty.MapType(ty.STRING, ty.UINT128)),
         },
     )
-    state.journal = journal
-    return state
 
 
 def snapshot(state: ContractState):
@@ -70,69 +66,80 @@ def snapshot(state: ContractState):
             state.balance)
 
 
-# One abstract operation: (kind, field/key path, value).
-def _apply(state: ContractState, op) -> None:
-    kind, key, value = op
-    if kind == "field":
-        state.write(("n", ()), uint(value))
-    elif kind == "put":
-        state.write(key, uint(value))
-    elif kind == "delete":
-        state.write(key, MISSING)
-    else:  # balance
-        state.balance = value
+# -- the journal over rows, gap sets and rebinds ----------------------------
 
+class Books:
+    """What a network journals: account rows, nonce records (whose gap
+    sets change in place) and a contract's published state."""
 
-_KEYS = st.one_of(
-    st.tuples(st.just("m"),
-              st.tuples(st.sampled_from([StringVal(c) for c in "abcd"]))),
-    st.tuples(st.just("nested"),
-              st.tuples(st.sampled_from([StringVal(c) for c in "ab"]),
-                        st.sampled_from([StringVal(c) for c in "xy"]))),
-)
+    def __init__(self) -> None:
+        self.journal = StateJournal()
+        self.accounts = Table()
+        self.nonces = NonceTracker(n_shards=2)
+        self.nonces.journal = self.journal
+        self.holder = SimpleNamespace(state=fresh_state())
+
+    def apply(self, op) -> None:
+        kind, who, n = op
+        key = f"0x{who:040x}"
+        if kind == "row":
+            self.journal.record_row(self.accounts, key,
+                                    self.accounts.get(key))
+            self.accounts[key] = (n, n + 1)
+        elif kind == "nonce":       # lane -1 is the DS lane
+            self.nonces.try_accept(key, n, who % 3 - 1)
+        else:                       # rebind
+            self.journal.record_rebind(self.holder, self.holder.state)
+            self.holder.state = fresh_state()
+
+    def snapshot(self):
+        return (dict(self.accounts), copy.deepcopy(self.nonces.records),
+                self.holder.state)
+
 
 _OPS = st.one_of(
-    st.tuples(st.just("field"), st.none(), st.integers(0, 50)),
-    st.tuples(st.just("put"), _KEYS, st.integers(0, 50)),
-    st.tuples(st.just("delete"), _KEYS, st.just(0)),
-    st.tuples(st.just("balance"), st.none(), st.integers(0, 50)),
+    st.tuples(st.just("row"), st.integers(0, 3), st.integers(0, 50)),
+    # Low nonces and replays are rejected, skipped ones open gap sets
+    # that later accepts grow and fill.
+    st.tuples(st.just("nonce"), st.integers(0, 3), st.integers(1, 8)),
+    st.tuples(st.just("rebind"), st.just(0), st.just(0)),
 )
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_OPS, max_size=20))
-def test_rollback_restores_premark_state(ops):
-    journal = StateJournal()
-    state = fresh_state(journal)
-    _apply(state, ("put", ("m", (StringVal("a"),)), 1))
-    before = snapshot(state)
-    mark = journal.mark()
+@given(st.lists(_OPS, max_size=10), st.lists(_OPS, max_size=20))
+def test_rollback_restores_premark_state(before_ops, ops):
+    books = Books()
+    for op in before_ops:           # unjournaled: no mark outstanding
+        books.apply(op)
+    assert books.journal.depth == 0
+    before = books.snapshot()
+    mark = books.journal.mark()
     for op in ops:
-        _apply(state, op)
-    journal.rollback_to(mark)
-    assert snapshot(state) == before
+        books.apply(op)
+    books.journal.rollback_to(mark)
+    assert books.snapshot() == before
     # Idempotent: a second rollback is a no-op.
-    journal.rollback_to(mark)
-    assert snapshot(state) == before
+    books.journal.rollback_to(mark)
+    assert books.snapshot() == before
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_OPS, max_size=10), st.lists(_OPS, max_size=10))
 def test_nested_marks_compose(outer_ops, inner_ops):
-    journal = StateJournal()
-    state = fresh_state(journal)
-    base = snapshot(state)
-    outer = journal.mark()
+    books = Books()
+    base = books.snapshot()
+    outer = books.journal.mark()
     for op in outer_ops:
-        _apply(state, op)
-    middle = snapshot(state)
-    inner = journal.mark()
+        books.apply(op)
+    middle = books.snapshot()
+    inner = books.journal.mark()
     for op in inner_ops:
-        _apply(state, op)
-    journal.rollback_to(inner)
-    assert snapshot(state) == middle
-    journal.rollback_to(outer)
-    assert snapshot(state) == base
+        books.apply(op)
+    books.journal.rollback_to(inner)
+    assert books.snapshot() == middle
+    books.journal.rollback_to(outer)
+    assert books.snapshot() == base
 
 
 # -- CoW forks vs. a plain-dict model ---------------------------------------
@@ -335,17 +342,14 @@ def _spec_write(state, log, key, value) -> None:
 
 @settings(max_examples=200, deadline=None)
 @given(seed=_SEEDS, kind=st.sampled_from(["plain", "overlay", "paged"]),
-       journaled=st.booleans(),
        txns=st.lists(st.tuples(st.lists(_WRITES, max_size=6), st.booleans()),
                      max_size=4))
 @mock.patch.object(backend_mod, "PAGE_CACHE", 2)
-def test_owned_write_is_record_then_write(seed, kind, journaled, txns):
+def test_owned_write_is_record_then_write(seed, kind, txns):
     traces = []
     for write in (owned_write, _spec_write):
         state, kin = _write_world(kind, seed)
         kin_before = [snapshot(s) for s in kin]
-        journal = state.journal = StateJournal() if journaled else None
-        mark = journal.mark() if journaled else None
         trace = []
         for writes, roll_back in txns:
             log = WriteLog()
@@ -361,21 +365,13 @@ def test_owned_write_is_record_then_write(seed, kind, journaled, txns):
             trace.append((
                 [(k, _plain(v)) for k, v in log.undo.items()],
                 [(k, _plain(v)) for k, v in log.writes.items()],
-                scilla_values.COW_COPIES - copies, snapshot(state),
-                journaled and [(e[2], _plain(e[3]))
-                               for e in journal.entries]))
+                scilla_values.COW_COPIES - copies, snapshot(state)))
             if roll_back:
                 try:
                     log.rollback(state)
                 except ExecError as exc:    # an ill-formed location's undo
                     trace.append(str(exc))
                 trace.append(snapshot(state))
-        if journaled:
-            try:
-                journal.rollback_to(mark)
-            except ExecError as exc:        # likewise
-                trace.append(str(exc))
-            trace.append(snapshot(state))
         assert [snapshot(s) for s in kin] == kin_before
         traces.append(trace)
     assert traces[0] == traces[1]
@@ -401,44 +397,26 @@ def test_owned_write_flags_a_captured_map_shared():
 
 
 def test_release_truncates_only_below_oldest_outstanding_mark():
-    journal = StateJournal()
-    state = fresh_state(journal)
-    older = journal.mark()
-    _apply(state, ("field", None, 1))
-    newer = journal.mark()
-    _apply(state, ("field", None, 2))
-    journal.release(newer)            # older still outstanding
-    journal.rollback_to(older)        # must still be able to undo
-    assert state.fields["n"] == uint(0)
-    journal.release(older)
-    assert journal.depth == 0
+    books = Books()
+    pre = books.snapshot()
+    older = books.journal.mark()
+    books.apply(("row", 0, 1))
+    newer = books.journal.mark()
+    books.apply(("rebind", 0, 0))
+    books.journal.release(newer)      # older still outstanding
+    books.journal.rollback_to(older)  # must still be able to undo
+    assert books.snapshot() == pre
+    books.journal.release(older)
+    assert books.journal.depth == 0
 
 
 def test_rollback_to_released_mark_raises():
-    journal = StateJournal()
-    state = fresh_state(journal)
-    mark = journal.mark()
-    _apply(state, ("field", None, 3))
-    journal.release(mark)
+    books = Books()
+    mark = books.journal.mark()
+    books.apply(("row", 0, 3))
+    books.journal.release(mark)
     with pytest.raises(JournalError):
-        journal.rollback_to(mark)
-
-
-def test_mark_is_o1_no_cow_copies_no_entries_touched():
-    """Taking a rollback point must not copy anything, however large
-    the state — the property the checkpoint bench smoke guards at
-    network level."""
-    journal = StateJournal()
-    state = fresh_state(journal)
-    big = state.fields["m"]
-    for i in range(10_000):
-        big.entries[StringVal(f"k{i}")] = uint(i)
-    before = scilla_values.COW_COPIES
-    marks = [journal.mark() for _ in range(100)]
-    assert scilla_values.COW_COPIES == before
-    assert journal.depth == 0
-    for m in reversed(marks):
-        journal.release(m)
+        books.journal.rollback_to(mark)
 
 
 def test_fork_is_o_fields_single_write_materialises_once():
