@@ -43,12 +43,12 @@ def _big_network(entries: int):
 
 
 def test_checkpoint_take_is_o1_nothing_copied():
-    """Network-level guard: taking (and releasing) a checkpoint on a
-    large state must not copy, fold or journal anything, and rolling
-    back what an epoch does — a fork, a write burst through it, its
-    install — must leave the very same state and entry dict in place:
-    the journal undoes one rebind, nothing O(entries) runs.  Counts,
-    not wall time, so it cannot flake."""
+    """Network-level guard: opening (and dropping) an epoch attempt on a
+    large state must not copy or fold anything, and an attempt that
+    writes a fork — a write burst through it — and is dropped leaves
+    the very same state and entry dict in place; committed, it installs
+    the fork with one rebind.  Nothing O(entries) runs.  Counts, not
+    wall time, so it cannot flake."""
     net, state = _big_network(100_000)
     contract = net.contracts[state.address]
     entries = state.fields["balances"].entries
@@ -56,20 +56,22 @@ def test_checkpoint_take_is_o1_nothing_copied():
               scilla_values.OVERLAY_FOLDED_ENTRIES)
     for _ in range(10):
         checkpoint = NetworkCheckpoint.take(net)
-        assert net.journal.depth == 0
-        checkpoint.release(net)
+        checkpoint.restore(net)
+        checkpoint.close(net)
 
     checkpoint = NetworkCheckpoint.take(net)
     nxt = state.fork()
     for i in range(32):
         nxt.write(("balances", (StringVal(f"0x{i:040x}"),)), uint(999))
-    net._rebind_state(contract, nxt)
-    assert net.journal.depth == 1
     checkpoint.restore(net)
-    checkpoint.release(net)
-    assert net.journal.depth == 0
+    checkpoint.close(net)
     assert contract.state is state
     assert state.fields["balances"].entries is entries
+    assert entries[StringVal(f"0x{5:040x}")] == uint(5)
+    checkpoint = NetworkCheckpoint.take(net)
+    assert checkpoint.commit(net, {state.address: nxt}) == {
+        state.address: state}
+    assert contract.state is nxt and net.attempt is None
     assert entries[StringVal(f"0x{5:040x}")] == uint(5)
     # The fork's one privatisation, and no fold.
     assert (before[0] + 1, *before[1:]) == (
@@ -132,9 +134,9 @@ class _CountingDict(dict):
 
 def test_checkpoint_take_walks_no_account_and_no_nonce_table():
     """``take`` used to copy every account's (balance, portions) and
-    every sender's nonce set; now the journal records the few that
-    move.  With 10^5 accounts and senders, take/restore/release walk
-    none of the tables."""
+    every sender's nonce set; now it opens an empty buffer that takes
+    the few rows that move.  With 10^5 accounts and senders, take,
+    restore and commit walk none of the tables."""
     from repro.chain.network import Network, NetworkConfig
 
     net = Network(4, NetworkConfig(use_signatures=False))
@@ -144,18 +146,28 @@ def test_checkpoint_take_walks_no_account_and_no_nonce_table():
     net.accounts = _CountingDict(net.accounts)
     net.nonces.records = _CountingDict(net.nonces.records)
 
-    checkpoint = NetworkCheckpoint.take(net)
     sender = f"0x{0x1000 + 5:040x}"
-    assert net._charge(sender, 0, 7)
-    net._credit("0x" + "ee" * 20, 0, 7)     # lazily created
-    assert net.nonces.try_accept(sender, 2, 1)
-    assert net.journal.depth == 3
+
+    def moves():
+        assert net._charge(sender, 0, 7)
+        net._credit("0x" + "ee" * 20, 0, 7)     # lazily created
+        assert net.nonces.try_accept(sender, 2, 1)
+
+    checkpoint = NetworkCheckpoint.take(net)
+    moves()
+    assert (len(checkpoint.accounts), len(checkpoint.nonces)) == (2, 1)
     checkpoint.restore(net)
-    checkpoint.release(net)
-    assert _CountingDict.walks == 0
+    checkpoint.close(net)
     assert len(net.accounts) == 100_000
     assert net.balance(sender) == 10**12
     assert used_runs(net.nonces.records[sender]) == [[1, 1]]
+    checkpoint = NetworkCheckpoint.take(net)
+    moves()
+    checkpoint.commit(net, {})
+    assert _CountingDict.walks == 0
+    assert len(net.accounts) == 100_001
+    assert net.balance(sender) == 10**12 - 7
+    assert used_runs(net.nonces.records[sender]) == [[1, 2]]
 
 
 def test_a_user_is_two_untracked_rows():
@@ -252,17 +264,15 @@ class _TodaysJournal:
 def test_a_gap_heavy_senders_accept_stays_o1():
     """A sender who skips every other nonce keeps a gap set that grows
     by one per accept; each accept must still be O(1) — at most 2x what
-    today's three-table tracker (tests/test_user_rows.py, with its
-    journal) takes for the same 10^4 accepts, both journaling under an
-    outstanding mark, the gap set held by the mark's pre-image."""
-    from repro.chain.recovery import StateJournal
+    the three-table tracker (tests/test_user_rows.py, with its journal)
+    takes for the same 10^4 accepts.  Both run inside an epoch attempt:
+    the rows buffer theirs, whose first accept copies the published
+    gap set, and the old tracker journals under an outstanding mark."""
     from repro.chain.transaction import NonceTracker
     from tests.test_user_rows import NonceTracker as TodaysTracker
 
     def rows():
-        tracker = NonceTracker(n_shards=4)
-        tracker.journal = StateJournal()
-        return tracker
+        return NonceTracker(n_shards=4)
 
     def todays():
         tracker = TodaysTracker()
@@ -273,8 +283,8 @@ def test_a_gap_heavy_senders_accept_stays_o1():
         tracker = make()
         for nonce in range(1, 200, 2):
             assert tracker.try_accept("0xab", nonce, 0)
-        if isinstance(tracker.journal, StateJournal):
-            tracker.journal.mark()
+        if isinstance(tracker, NonceTracker):
+            tracker.buffer = {}     # the attempt opens
         t0 = time.perf_counter()
         for nonce in range(201, 20_201, 2):
             tracker.try_accept("0xab", nonce, 0)

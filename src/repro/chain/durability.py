@@ -12,6 +12,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from ..scilla.backend import adopt, paged_base, resolve_backend
+from ..scilla.errors import ScillaError
 from ..scilla.state import ContractState
 from ..scilla import values as scilla_values
 from ..scilla.values import MapVal
@@ -193,9 +194,9 @@ class Durability:
         """The committed epoch's change set, from what the surviving
         attempt already produced: contract locations (state keys per
         contract) from the merged deltas and the DS lane's write logs;
-        touched accounts and senders from the journal entries above the
-        checkpoint's mark (recorded once per address / (sender, lane);
-        an attempt rolled back left none)."""
+        touched accounts and senders are the keys of the checkpoint's
+        buffers (a view change emptied them of the attempts it
+        dropped)."""
         locations: dict[str, set] = {}
         for mb in outcome.microblocks:
             for delta in mb.deltas:
@@ -207,14 +208,7 @@ class Durability:
             keys = locations.setdefault(addr, set())
             for log in logs:
                 keys.update(log.writes)
-        accounts, senders = set(), set()
-        tables = {id(self.accounts): accounts,
-                  id(self.nonces.records): senders}
-        depth = self.journal.seq - checkpoint.journal_mark
-        for entry in self.journal.entries[-depth:] if depth else ():
-            if entry[0] == "row":
-                tables[id(entry[1])].add(entry[2])
-        return locations, accounts, senders
+        return locations, set(checkpoint.accounts), set(checkpoint.nonces)
 
     def _fold_changes(self, pre_states: dict, changed) -> None:
         """Advance the commit digest's accumulators by the change set."""
@@ -383,20 +377,30 @@ class Durability:
                 self._create_account(address, data["balance"])
         elif record.type == "deploy":
             weak_reads = data["weak_reads"]
-            self.deploy(
-                data["source"], data["address"],
-                params={k: value_from_json(v)
-                        for k, v in data["params"].items()},
-                sharded_transitions=(
-                    tuple(data["sharded_transitions"])
-                    if data["sharded_transitions"] is not None else None),
-                weak_reads=(weak_reads if isinstance(weak_reads, str)
-                            else frozenset(weak_reads)),
-                balance=data["balance"],
-                allow_commutativity=data["allow_commutativity"],
-                proposed_signature=(
-                    signature_from_obj(data["proposed_signature"])
-                    if data["proposed_signature"] is not None else None))
+            try:
+                self.deploy(
+                    data["source"], data["address"],
+                    params={k: value_from_json(v)
+                            for k, v in data["params"].items()},
+                    sharded_transitions=(
+                        tuple(data["sharded_transitions"])
+                        if data["sharded_transitions"] is not None
+                        else None),
+                    weak_reads=(weak_reads if isinstance(weak_reads, str)
+                                else frozenset(weak_reads)),
+                    balance=data["balance"],
+                    allow_commutativity=data["allow_commutativity"],
+                    proposed_signature=(
+                        signature_from_obj(data["proposed_signature"])
+                        if data["proposed_signature"] is not None
+                        else None))
+            except (ScillaError, ValueError) as exc:
+                # Older builds logged a deployment before checking it.
+                raise WALError(
+                    f"log record {record.seq} deploys to "
+                    f"{data['address']} a contract the network refused "
+                    f"({type(exc).__name__}: {exc}); the log stops "
+                    f"there") from exc
         elif record.type == "epoch":
             if data["epoch"] != self.epoch + 1:
                 raise WALError(
@@ -496,14 +500,9 @@ class Durability:
         """Every top-level map's commit fold: a dict base takes its
         overlay in place where the overlay alone holds it
         (``MapVal.fold_pending``); with ``write_back``, each paged map
-        writes its dirty rows back.
-
-        The write-back runs only with an empty journal: with no retained
-        undo entry referencing any paged state, no rollback can cross
-        it, so overlay and backend can never disagree about what a
-        restore should produce.  The in-place fold needs no such guard:
-        a retained pre-epoch state holds the base it would write, and
-        a fold changes nothing a reader or an undo entry can see."""
+        writes its dirty rows back.  Both run at every commit: nothing
+        restores past one, and a retained pre-epoch state holds the
+        base a fold would write."""
         for contract in self.contracts.values():
             for value in contract.state.fields.values():
                 if value.__class__ is not MapVal:
@@ -517,18 +516,12 @@ class Durability:
         """The state engine's share of an epoch commit: every map's
         commit fold, and its counters into the ``state.*``
         instruments.  Call it once the epoch has dropped its pre-epoch
-        states (the checkpoint's entries, ``pre_states``): a held one
-        keeps the bases it shares from folding."""
+        states (``pre_states``): a held one keeps the bases it shares
+        from folding."""
         meters = self._meters
-        # Epoch commit is the writeback point for paged state — but
-        # only when the journal retains nothing (an outstanding caller
-        # checkpoint could still roll contract states back past this
-        # epoch, and a writeback must never race such a restore; dirty
-        # rows simply stay resident until a safe commit).
+        # Epoch commit is the writeback point for paged state.
         backend = self.state_backend
-        self._fold_overlays(backend is not None
-                            and self.journal.depth == 0)
-        meters.journal_depth.set(self.journal.depth)
+        self._fold_overlays(backend is not None)
         now, seen = _state_counters(), self._state_counters_seen
         meters.cow_copies.inc(now[0] - seen[0])
         meters.overlay_folds.inc(now[1] - seen[1])

@@ -54,23 +54,26 @@ class Execution:
 
     def _create_account(self, address: str, balance: int) -> tuple:
         address = _pad(address)
-        self.journal.record_row(self.accounts, address,
-                                self.accounts.get(address))
-        row = self.accounts[address] = funded_row(
+        row = self._account_buffer[address] = funded_row(
             balance, self.n_shards, self.dispatcher.home_shard(address))
         return row
 
     def _account_at(self, address: str) -> tuple:
-        """The account row at a canonical (already padded) address."""
-        row = self.accounts.get(address)
+        """The account row at a canonical (already padded) address, as
+        the open epoch attempt sees it.  Every account move goes through
+        here (shard lanes, DS lane, payouts): the first handout copies
+        the published row into the attempt's buffer, where every later
+        read and write of the attempt finds it."""
+        rows = self._account_buffer
+        row = rows.get(address)
         if row is None:
-            # Lazily-created zero-balance accounts are a deterministic
-            # consequence of execution; they are not WAL inputs.
-            return self._create_account(address, balance=0)
-        # Every account move goes through here (shard lanes, DS lane,
-        # payouts): the handout is where the journal takes the row's
-        # pre-image for checkpoint rollback.
-        self.journal.record_row(self.accounts, address, row)
+            row = self.accounts.get(address)
+            if row is None:
+                # Lazily-created zero-balance accounts are a
+                # deterministic consequence of execution; they are not
+                # WAL inputs.
+                return self._create_account(address, balance=0)
+            rows[address] = row
         return row
 
     def _charge(self, address: str, lane: int, amount: int,
@@ -80,12 +83,12 @@ class Execution:
         ``amount + keep``."""
         row = charged(self._account_at(address), lane, amount, keep)
         if row is not None:
-            self.accounts[address] = row
+            self._account_buffer[address] = row
         return row is not None
 
     def _credit(self, address: str, lane: int, amount: int) -> None:
-        self.accounts[address] = credited(self._account_at(address), lane,
-                                          amount)
+        self._account_buffer[address] = credited(
+            self._account_at(address), lane, amount)
 
     # -- lanes ----------------------------------------------------------------
 
@@ -144,10 +147,11 @@ class Execution:
     def _execute(self, tx: Transaction, lane: int, state_for,
                  touched: defaultdict) -> Receipt:
         """Run one transaction; success appends its logs to ``touched``.
-        The sender's row is handed out once, first (the journal takes
-        its pre-image there); every fee charge reads it back."""
-        sender, price, accounts = tx.sender, tx.gas_price, self.accounts
+        The sender's row is handed out once, first (into the attempt's
+        buffer); every fee charge reads it back from there."""
+        sender, price = tx.sender, tx.gas_price
         row = self._account_at(sender)
+        accounts = self._account_buffer
         if tx.gas_limit < 0 or price < 0:
             return Receipt(tx, False, 0, lane, error="invalid gas")
         payment = tx.transition is None

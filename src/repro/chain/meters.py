@@ -84,29 +84,20 @@ class NetworkMeters:
         self.compile_did = {key: m.counter(f"interp.compile.{key}")
                             for key in COMPILE_STATS}
         self.compile_ns = ns("interp.compile_ns")
-        # State-engine instruments: copy-on-write and journal activity
-        # varies with checkpoint lifetimes (a caller's outstanding
-        # checkpoint, a resume's replay) — non-deterministic by design.
+        # State-engine instruments: copy-on-write activity varies with
+        # what else holds a state (a caller's fork, a resume's replay)
+        # — non-deterministic by design.
         self.cow_copies = varying("state.cow.copies")
         # Overlay folds (repro.scilla.values.OverlayDict): each is one
         # O(map) dict copy, so a fold storm shows here, not in a
         # profile.  Process-wide like state.cow.copies.
         self.overlay_folds = varying("state.overlay.folds")
         self.overlay_folded_entries = varying("state.overlay.folded_entries")
-        self.journal_depth = m.gauge("state.journal.depth",
-                                     deterministic=False)
         self.checkpoint_take_ns = ns("net.checkpoint.take_ns")
         self.checkpoint_restore_ns = ns("net.checkpoint.restore_ns")
-        # Journal entries a checkpoint held when it was released: the
-        # size of the epoch's undo log (a journal that stopped
-        # truncating shows as ever-growing observations).
-        self.checkpoint_undo_entries = m.histogram(
-            "net.checkpoint.undo_entries",
-            (1, 10, 100, 1_000, 10_000, 100_000, 1_000_000),
-            deterministic=False)
         # Out-of-core state backend (repro.scilla.backend): fault,
         # eviction and writeback counts follow cache-residency history
-        # (prior epochs, checkpoint lifetimes), and the ns totals
+        # (prior epochs, a resume's replay), and the ns totals
         # follow the disk — all non-deterministic by design, so the
         # deterministic-telemetry differential contract is untouched by
         # paging (docs/STATE.md).

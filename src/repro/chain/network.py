@@ -41,9 +41,7 @@ from .durability import Durability, NetworkConfig
 from .execution import FEE_RULE, FUNDING, Execution
 from .faults import FaultInjector
 from .meters import NetworkMeters
-from .recovery import (
-    DeltaViolation, NetworkCheckpoint, StateJournal, validate_delta,
-)
+from .recovery import DeltaViolation, NetworkCheckpoint, validate_delta
 # Nothing here calls it: bench/layers.py shims the names this module
 # binds, and expects this one among them.
 from .recovery import fingerprint_digest  # noqa: F401
@@ -83,11 +81,11 @@ class _EpochAttempt:
     deferred: list[tuple[int, Transaction]]
     newly_faulty: dict[int, str]
     rejected_deltas: int
-    # The DS lane's successful write logs per contract, and the states
-    # the install replaced (durable networks only): with the
-    # microblocks' deltas, the sources of the epoch's change set.
+    # The DS lane's successful write logs per contract (with the
+    # microblocks' deltas, the epoch's contract locations), and each
+    # touched contract's next state, installed at commit.
     ds_logs: dict = dc_field(default_factory=dict)
-    pre_states: dict | None = None
+    nexts: dict = dc_field(default_factory=dict)
 
 
 class Network(Execution, Durability):
@@ -125,17 +123,17 @@ class Network(Execution, Durability):
                              f"not {n_shards}")
         self.n_shards = n_shards
         self.config = config = config or NetworkConfig()
-        # Network-wide undo journal: every contract-state install, and
-        # every account and nonce move, records its reversal here,
-        # making checkpoints O(1) marks (repro.chain.recovery).
-        self.journal = StateJournal()
         self.dispatcher = Dispatcher(n_shards, config.use_signatures)
         # address -> account row (repro.chain.transaction).
         self.accounts: dict[str, tuple] = Table()
         self.contracts: dict[str, DeployedContract] = {}
         self.nonces = NonceTracker(strict=config.strict_nonces,
                                    n_shards=n_shards)
-        self.nonces.journal = self.journal
+        # The open epoch attempt (repro.chain.recovery.NetworkCheckpoint),
+        # and where account moves write: its buffer while one is open,
+        # the published table otherwise.
+        self.attempt: NetworkCheckpoint | None = None
+        self._account_buffer = self.accounts
         self.epoch = 0
         # One entry per epoch, for reporting: the newest BODY_WINDOW
         # are the FinalBlocks process_epoch returned, older ones their
@@ -206,23 +204,11 @@ class Network(Execution, Durability):
         deploys without a sharding signature (the baseline mode).
         ``proposed_signature`` is the signature submitted alongside the
         contract (Sec. 4.3): miners re-derive it from the source and
-        reject the deployment on any mismatch.
+        reject the deployment on any mismatch.  Every check runs before
+        the ``deploy`` record is logged, so a refused deployment leaves
+        neither a contract nor a record a resume would refuse.
         """
-        self._wal_append("deploy", {
-            "source": source, "address": address,
-            "params": {k: value_to_json(v) for k, v in params.items()},
-            "sharded_transitions": (list(sharded_transitions)
-                                    if sharded_transitions is not None
-                                    else None),
-            "weak_reads": (weak_reads if isinstance(weak_reads, str)
-                           else sorted(weak_reads)),
-            "balance": balance,
-            "allow_commutativity": allow_commutativity,
-            "proposed_signature": (signature_to_obj(proposed_signature)
-                                   if proposed_signature is not None
-                                   else None),
-        }, barrier=True)
-        address = _pad(address)
+        logged_address, address = address, _pad(address)
         # Content-addressed: redeployments of an already-analysed
         # source (and miner-side validations) skip the pipeline.  The
         # hit/miss delta is attributed to this network's own telemetry
@@ -230,7 +216,6 @@ class Network(Execution, Durability):
         # is this call's).
         from ..core.cache import GLOBAL_CACHE
         meters = self._meters
-        meters.deploys.inc()
         hits0, misses0 = GLOBAL_CACHE.stats.hits, GLOBAL_CACHE.stats.misses
         t0 = time.perf_counter_ns() if self.metrics.enabled else 0
         with self.tracer.span(f"deploy {address[:10]}"):
@@ -264,6 +249,21 @@ class Network(Execution, Durability):
         elif sharded_transitions is not None and use_signatures:
             signature = result.signature(tuple(sorted(sharded_transitions)),
                                          weak_reads, allow_commutativity)
+        self._wal_append("deploy", {
+            "source": source, "address": logged_address,
+            "params": {k: value_to_json(v) for k, v in params.items()},
+            "sharded_transitions": (list(sharded_transitions)
+                                    if sharded_transitions is not None
+                                    else None),
+            "weak_reads": (weak_reads if isinstance(weak_reads, str)
+                           else sorted(weak_reads)),
+            "balance": balance,
+            "allow_commutativity": allow_commutativity,
+            "proposed_signature": (signature_to_obj(proposed_signature)
+                                   if proposed_signature is not None
+                                   else None),
+        }, barrier=True)
+        meters.deploys.inc()
         deployed = self._install(address, result, interpreter, state,
                                  signature, source)
         if self._ledger is not None:
@@ -299,12 +299,12 @@ class Network(Execution, Durability):
         An epoch only commits as a whole (the FinalBlock is the commit
         point).  If the DS committee discovers a faulty lane mid-epoch
         — a MicroBlock missing past the consensus timeout, or a
-        StateDelta that fails footprint validation — it rolls the
-        attempt back to the epoch-start checkpoint, excludes the lane,
-        and retries; the excluded lane's queue is re-executed on the DS
-        lane against the merged state (view change).  An IntMerge total
-        that overflows at the merge excludes every lane contributing
-        to it the same way.
+        StateDelta that fails footprint validation — it drops what the
+        attempt wrote (the epoch-start checkpoint's buffer), excludes
+        the lane, and retries; the excluded lane's queue is re-executed
+        on the DS lane against the merged state (view change).  An
+        IntMerge total that overflows at the merge excludes every lane
+        contributing to it the same way.
 
         A transaction a lane's gas limit leaves unexecuted gets a
         ``deferred: epoch gas limit`` receipt; a caller resubmits it
@@ -325,36 +325,37 @@ class Network(Execution, Durability):
 
     def _process_epoch(self, txns: list[Transaction], unlimited: bool,
                        wal_tag: str) -> FinalBlock:
-        # The WAL barrier here is the durability point of the epoch:
-        # once it returns, the epoch's inputs survive any crash.
-        # (Guarded here as well as in _wal_append so a network without
-        # a WAL never serialises its batch.)
-        if self.wal is not None and not self._replaying:
-            # What the service pool journaled at admission — at this
-            # point its drained, inflight entries: ServiceLoop.tick
-            # flushes the journal before it drains — is named by id;
-            # anything else travels here, whole.
-            journaled = (self.mempool.inflight
-                         if self.mempool is not None else ())
-            self._wal_append("epoch", {
-                "epoch": self.epoch + 1, "unlimited": unlimited,
-                "tag": wal_tag, "fees": FEE_RULE,
-                "txns": [tx.tx_id if tx.tx_id in journaled
-                         else transaction_to_obj(tx) for tx in txns],
-            }, barrier=True)
-        self.epoch += 1
-        cost = self.config.cost_model
-        shard_limit = 10**15 if unlimited else cost.shard_gas_limit
-        ds_limit = 10**15 if unlimited else cost.ds_gas_limit
-        fault_log: list[str] = []
-
-        incoming = list(txns)
-        if self.injector is not None:
-            incoming = self.injector.churn_mempool(self.epoch, incoming,
-                                                   fault_log)
-
+        # Opened first: an epoch refused here has logged nothing.
         checkpoint = NetworkCheckpoint.take(self)
         try:
+            # The WAL barrier here is the durability point of the
+            # epoch: once it returns, the epoch's inputs survive any
+            # crash.  (Guarded here as well as in _wal_append so a
+            # network without a WAL never serialises its batch.)
+            if self.wal is not None and not self._replaying:
+                # What the service pool journaled at admission — at
+                # this point its drained, inflight entries:
+                # ServiceLoop.tick flushes the journal before it drains
+                # — is named by id; anything else travels here, whole.
+                journaled = (self.mempool.inflight
+                             if self.mempool is not None else ())
+                self._wal_append("epoch", {
+                    "epoch": self.epoch + 1, "unlimited": unlimited,
+                    "tag": wal_tag, "fees": FEE_RULE,
+                    "txns": [tx.tx_id if tx.tx_id in journaled
+                             else transaction_to_obj(tx) for tx in txns],
+                }, barrier=True)
+            self.epoch += 1
+            cost = self.config.cost_model
+            shard_limit = 10**15 if unlimited else cost.shard_gas_limit
+            ds_limit = 10**15 if unlimited else cost.ds_gas_limit
+            fault_log: list[str] = []
+
+            incoming = list(txns)
+            if self.injector is not None:
+                incoming = self.injector.churn_mempool(
+                    self.epoch, incoming, fault_log)
+
             excluded: dict[int, str] = {}
             if self.injector is not None:
                 for shard in self.injector.crashed_shards(self.epoch):
@@ -381,21 +382,20 @@ class Network(Execution, Durability):
                 fault_log.append(
                     f"epoch {self.epoch}: view change — retrying without "
                     f"lane(s) {sorted(outcome.newly_faulty)}")
-            # Cut from the surviving attempt only, and before the
-            # release below truncates the journal.
+            # Cut from the surviving attempt's buffer and logs.
             changed = (self._cut_changes(outcome, checkpoint)
                        if self._ledger is not None else None)
+            # The epoch is the commit point: its rows and states publish.
+            pre_states = checkpoint.commit(self, outcome.nexts)
         finally:
-            # The epoch is the commit point: nothing restores to this
-            # checkpoint afterwards, so its journal entries may go.
-            checkpoint.release(self)
+            checkpoint.close(self)
 
         if self._ledger is not None:
             # Before the commit folds below: the pre-epoch states read
             # here share the backend's rows and the maps' bases, and
             # are dropped once read, so those bases may fold in place.
-            self._fold_changes(outcome.pre_states, changed)
-            outcome.pre_states = None
+            self._fold_changes(pre_states, changed)
+        del pre_states
 
         stats = outcome.stats
         stats.view_changes = attempt - 1
@@ -462,9 +462,10 @@ class Network(Execution, Durability):
         """One attempt at the epoch, with the given lanes excluded.
 
         Returns without merging anything if a new faulty lane is
-        discovered — the caller rolls back to the checkpoint and
-        retries.  Excluded lanes' queues are appended to the DS queue
-        and re-executed there against the merged global state.
+        discovered — the caller drops the attempt's buffer and retries.
+        Excluded lanes' queues are appended to the DS queue and
+        re-executed there against the merged global state.  Publishes
+        nothing: the caller commits a surviving attempt.
         """
         injector = self.injector
         stats = EpochStats(dispatched=len(incoming))
@@ -567,7 +568,8 @@ class Network(Execution, Durability):
                                         + bdelta)
 
         def abandoned() -> _EpochAttempt:
-            # The caller rolls back and retries without newly_faulty.
+            # The caller drops the buffer and retries without
+            # newly_faulty.
             return _EpochAttempt(stats, microblocks,
                                  MicroBlock(shard=DS, epoch=self.epoch),
                                  0, shard_exec_times, deferred,
@@ -615,14 +617,6 @@ class Network(Execution, Durability):
         with self.tracer.span("ds lane"):
             ds_block, _, ds_touched, ds_deferred = self._run_lane(
                 DS, ds_queue, ds_limit, local_states=nexts)
-        # Install: one rebind per contract the epoch touched.  The
-        # states it replaces are the ledger's pre-images.
-        pre_states = {} if self._ledger is not None else None
-        for addr, state in nexts.items():
-            contract = self.contracts[addr]
-            if pre_states is not None:
-                pre_states[addr] = contract.state
-            self._rebind_state(contract, state)
         stats.deferred += len(ds_deferred)
         deferred.extend((DS, tx) for tx in ds_deferred)
         stats.recovered = len(recovered)
@@ -631,15 +625,7 @@ class Network(Execution, Durability):
         return _EpochAttempt(stats, microblocks, ds_block,
                              merged_locations, shard_exec_times,
                              deferred, newly_faulty, rejected,
-                             ds_touched, pre_states)
-
-    def _rebind_state(self, contract: DeployedContract,
-                      new_state: ContractState) -> None:
-        """Publish a contract's next state (a fork the epoch wrote).
-        The swap is journaled so a checkpoint rollback rebinds the old
-        state."""
-        self.journal.record_rebind(contract, contract.state)
-        contract.state = new_state
+                             ds_touched, nexts)
 
     def _delta_validator(self, delta: StateDelta) -> DeltaViolation | None:
         contract = self.contracts.get(delta.contract)

@@ -4,17 +4,16 @@ and recovery bookkeeping.
 :mod:`repro.chain.faults` breaks the network; this module is how the
 network survives.  Four mechanisms, mirrored on real deployments:
 
-* **Per-epoch checkpoints** (:class:`NetworkCheckpoint`) — a *mark*
-  into the network's :class:`StateJournal`, taken before the shard
-  phase.  ``take`` is O(1) in contract state, accounts and senders: an
-  epoch writes no published contract state (its lanes write forks, and
-  one rebind per contract installs the next state), and the journal
-  records those rebinds and a pre-image per account and nonce row
-  moved; telemetry needs none, as an epoch counts from its surviving
-  attempt once it commits.  A FinalBlock is the only commit point: if
-  the DS committee has to exclude a lane mid-epoch (view change), the
-  whole epoch attempt is rolled back to the checkpoint — replaying the
-  undo journal down to the mark — and retried without the faulty lane.
+* **Per-epoch checkpoints** (:class:`NetworkCheckpoint`) — the epoch
+  attempt's write buffer, opened as the epoch starts.  Nothing an
+  attempt does is visible until its FinalBlock commits: lanes write
+  contract forks, and account rows and nonce records into the buffer,
+  never a published table, so ``take`` is O(1).  A FinalBlock is the
+  only commit point: if the DS committee has to exclude a lane
+  mid-epoch (view change), the attempt's buffer is dropped and the
+  epoch retried without the faulty lane; once an attempt survives, one
+  commit step publishes its rows and installs each contract's next
+  state.
 
 * **Delta footprint validation** (:func:`validate_delta`) — the DS
   committee checks every received StateDelta against the deployed
@@ -135,218 +134,81 @@ def validate_delta(delta: StateDelta, contract, dispatcher
 
 
 # --------------------------------------------------------------------------
-# The state journal and epoch checkpoints (the rollback target of a
-# view change).
+# The epoch attempt's write buffer (what a view change drops).
 # --------------------------------------------------------------------------
-
-class JournalError(Exception):
-    """Rollback to a mark the journal no longer covers."""
-
-
-class StateJournal:
-    """A network-wide undo log over what an epoch changes in place.
-
-    Contract states are never among it: an epoch writes forks and
-    installs each contract's next state with one rebind.  Entries carry
-    everything needed to reverse one change:
-
-    * ``("rebind", holder, old_state)`` — a ``DeployedContract`` whose
-      ``state`` attribute was swapped (the epoch's install step);
-    * ``("row", table, key, old)`` — ``table[key]``, an immutable row
-      (a user account or a sender's nonce record), about to be
-      replaced, or (``old`` None) created;
-    * ``("gaps", gaps, added, removed)`` — the gap set of a nonce
-      record, the one part of a row mutated in place, and what it has
-      gained (nonces) and lost (ranges) since; the lists grow in place.
-
-    Entries are recorded only while a mark is outstanding (between
-    checkpoints nothing could ever replay them), and a row once per
-    (table, key) since the newest mark: the first pre-image after a
-    mark is the one a rollback to it must reinstate, so an admin
-    sending a whole epoch costs one entry, not one per transaction.  A
-    gap set's changes are recorded only if such a pre-image holds it: a
-    set made since goes when the row's pre-image comes back.
-
-    Positions are *absolute* sequence numbers, so entries can be
-    truncated from the front without invalidating marks: a mark is
-    released when its checkpoint commits, and the log drops everything
-    below the oldest outstanding mark (everything, when none are
-    outstanding).
-    """
-
-    def __init__(self) -> None:
-        self._entries: list[tuple] = []
-        self._base = 0          # absolute sequence of _entries[0]
-        self._marks: list[int] = []   # outstanding marks (absolute)
-        # The keys whose row was journaled since the newest mark, per
-        # table (by id), and the change lists of the gap sets those
-        # pre-images hold (by the set's id).
-        self._seen: dict[int, set] = {}
-        self._held: dict[int, tuple[list, list]] = {}
-
-    @property
-    def depth(self) -> int:
-        """Entries currently retained (outstanding-mark backlog)."""
-        return len(self._entries)
-
-    @property
-    def seq(self) -> int:
-        """The absolute sequence number of the next entry."""
-        return self._base + len(self._entries)
-
-    @property
-    def entries(self) -> tuple:
-        """Read-only view of the retained undo entries, oldest first."""
-        return tuple(self._entries)
-
-    # -- recording ----------------------------------------------------------
-
-    def record_rebind(self, holder, old_state: ContractState) -> None:
-        """``holder.state`` is about to be replaced (the install)."""
-        if self._marks:
-            self._entries.append(("rebind", holder, old_state))
-
-    def record_row(self, table: dict, key, old) -> None:
-        """``table[key]`` — now the row ``old``, None when absent — is
-        about to be replaced or created."""
-        if not self._marks:
-            return
-        seen = self._seen.get(id(table))
-        if seen is None:
-            seen = self._seen[id(table)] = set()
-        elif key in seen:
-            return
-        seen.add(key)
-        self._entries.append(("row", table, key, old))
-        if old is not None and old[-1].__class__ is set:
-            log = self._held[id(old[-1])] = ([], [])
-            self._entries.append(("gaps", old[-1], *log))
-
-    def record_gaps(self, gaps: set, change: int | range) -> None:
-        """The gap set ``gaps`` (a row's last item) just gained the
-        nonce ``change``, or lost the ``range`` of nonces ``change``."""
-        log = self._held.get(id(gaps))
-        if log is not None:
-            log[change.__class__ is range].append(change)
-
-    # -- marks (checkpoint protocol) ----------------------------------------
-
-    def mark(self) -> int:
-        """Open a rollback point; pair with :meth:`release`."""
-        m = self.seq
-        self._marks.append(m)
-        self._seen.clear()
-        self._held.clear()
-        return m
-
-    def release(self, mark: int) -> None:
-        """Commit past a mark; entries below the oldest outstanding
-        mark are dropped.  Releasing an unknown mark is a no-op (a
-        checkpoint may be released at most once but restored many
-        times)."""
-        try:
-            self._marks.remove(mark)
-        except ValueError:
-            return
-        floor = min(self._marks) if self._marks else self.seq
-        if floor > self._base:
-            del self._entries[: floor - self._base]
-            self._base = floor
-        if not self._marks:
-            self._seen.clear()
-            self._held.clear()
-
-    def rollback_to(self, mark: int) -> None:
-        """Undo every entry above ``mark``, newest first.
-
-        Idempotent and repeatable: after one rollback the log head sits
-        at the mark, so rolling back again is a no-op — the contract
-        ``NetworkCheckpoint.restore`` relies on for repeated view
-        changes.
-        """
-        if mark < self._base:
-            raise JournalError(
-                f"mark {mark} was truncated (journal base {self._base}); "
-                f"the checkpoint was already released")
-        self._seen.clear()
-        self._held.clear()
-        while self.seq > mark:
-            entry = self._entries.pop()
-            kind = entry[0]
-            if kind == "rebind":
-                _, holder, old_state = entry
-                holder.state = old_state
-            elif kind == "row":
-                _, table, key, old = entry
-                if old is None:
-                    table.pop(key, None)
-                else:
-                    table[key] = old
-            else:  # "gaps": what it lost comes back, what it gained goes
-                _, gaps, added, removed = entry
-                for nonces in removed:
-                    gaps.update(nonces)
-                gaps.difference_update(added)
-
 
 @dataclass
 class NetworkCheckpoint:
-    """Everything an epoch attempt can mutate, as a rollback point.
+    """What an epoch attempt wrote, kept apart from what is published
+    until the attempt commits.
 
-    Contract states, user accounts and nonce records are *not* copied:
-    ``journal_mark`` pins a position in the network's
-    :class:`StateJournal`, and :meth:`restore` replays the undo entries
-    recorded above it — rebinding the states an install replaced.
-    Telemetry is not rolled back: an epoch's deterministic counters are
+    ``take`` opens two empty buffers — account rows and nonce records,
+    by address — and binds them as the network's write targets
+    (``Network._account_buffer``, ``NonceTracker.buffer``): a lane reads
+    a row from the buffer first and the published table second, and
+    writes only the buffer.  Contract states need no buffer: lanes write
+    forks, and the merge's forks (``nexts``) are the DS lane's working
+    states.  So ``take`` is O(1), and a published row, gap set or state
+    is never written by an attempt.
+
+    :meth:`restore` — the view change — empties the buffers; the retry
+    starts from the published tables again, as often as it must.
+    :meth:`commit`, once the attempt survives, publishes the buffered
+    rows with ``dict.update`` and installs each contract's next state.
+    Telemetry is not buffered: an epoch's deterministic counters are
     recorded once it commits, from the surviving attempt
     (``NetworkMeters.record_lanes``).
-
-    Restoring is idempotent and repeatable: after a rollback the
-    journal head sits exactly at the mark, so one checkpoint supports
-    any number of view changes within the epoch.  :meth:`release`
-    commits past the checkpoint, letting the journal truncate —
-    ``Network._process_epoch`` releases its own checkpoint when the
-    epoch commits, while a checkpoint held externally (tests, tools)
-    keeps its entries alive until released or dropped with the
-    network.
     """
 
-    journal_mark: int
-    # Addresses deployed at take-time: restore drops contracts (and
-    # their dispatcher registrations) created by an aborted attempt.
-    contract_addrs: frozenset[str]
+    accounts: dict
+    nonces: dict
 
     @classmethod
     def take(cls, net) -> "NetworkCheckpoint":
+        if net.attempt is not None:
+            raise RuntimeError("an epoch attempt is already open on this "
+                               "network")
         t0 = time.perf_counter_ns() if net.metrics.enabled else 0
-        checkpoint = cls(net.journal.mark(), frozenset(net.contracts))
+        checkpoint = net.attempt = cls({}, {})
+        net._account_buffer = checkpoint.accounts
+        net.nonces.buffer = checkpoint.nonces
         if net.metrics.enabled:
             net._meters.checkpoint_take_ns.observe(
                 time.perf_counter_ns() - t0)
         return checkpoint
 
     def restore(self, net) -> None:
+        """Drop everything the attempt wrote."""
         t0 = time.perf_counter_ns() if net.metrics.enabled else 0
-        # Contract states (by rebind), accounts (lazily created ones
-        # disappear) and nonce records all unwind through the journal.
-        net.journal.rollback_to(self.journal_mark)
-        # Contracts deployed after the checkpoint (e.g. during an
-        # attempt that is now being discarded) must disappear entirely:
-        # state, runtime, and their lookup-node registration.
-        for addr in [a for a in net.contracts
-                     if a not in self.contract_addrs]:
-            del net.contracts[addr]
-            net.dispatcher.unregister_contract(addr)
+        self.accounts.clear()
+        self.nonces.clear()
         if net.metrics.enabled:
             net._meters.checkpoint_restore_ns.observe(
                 time.perf_counter_ns() - t0)
 
-    def release(self, net) -> None:
-        """Commit past this checkpoint: the journal may truncate every
-        entry no other outstanding checkpoint still needs."""
-        net._meters.checkpoint_undo_entries.observe(
-            net.journal.seq - self.journal_mark)
-        net.journal.release(self.journal_mark)
+    def commit(self, net, nexts: dict[str, ContractState]
+               ) -> dict[str, ContractState]:
+        """Publish the attempt: its rows, then ``nexts``, each contract's
+        next state.  Returns the states those replaced (the change
+        ledger's pre-images), and closes the attempt."""
+        net.accounts.update(self.accounts)
+        net.nonces.records.update(self.nonces)
+        replaced = {}
+        for addr, state in nexts.items():
+            contract = net.contracts[addr]
+            replaced[addr] = contract.state
+            contract.state = state
+        self.close(net)
+        return replaced
+
+    def close(self, net) -> None:
+        """End the attempt: moves made from now on (account creation
+        between epochs, a test's direct charge) write the published
+        tables.  Uncommitted rows are dropped with the buffers."""
+        if net.attempt is self:
+            net.attempt = None
+            net._account_buffer = net.accounts
+            net.nonces.buffer = net.nonces.records
 
 
 # --------------------------------------------------------------------------

@@ -64,6 +64,14 @@ class ServiceConfig:
     # are the network's BODY_WINDOW (repro.chain.blocks).
     keep_blocks: int | None = 256
 
+    def __post_init__(self) -> None:
+        if self.batch_max < 1:
+            raise ValueError("batch_max must be >= 1")
+        if self.batch_min < 1:
+            raise ValueError("batch_min must be >= 1")
+        if self.max_deferrals < 0:
+            raise ValueError("max_deferrals must be >= 0")
+
 
 @dataclass
 class TickReport:
@@ -281,12 +289,13 @@ class ServiceLoop:
         rung of the degradation ladder, below the high-water mark
         where backpressure starts refusing admissions (were it the
         high mark, backpressure would cap occupancy right under the
-        shrink trigger and this rung could never engage)."""
+        shrink trigger and this rung could never engage).  ``batch_max``
+        is applied last: it is a ceiling even under ``batch_min``."""
         cfg, pool = self.config, self.mempool
         if pool.occupancy >= max(pool.config.low_mark, 1):
             target = int(pool.drain_rate * HEADROOM)
-            self.batch_size = max(cfg.batch_min,
-                                  min(cfg.batch_max, target))
+            self.batch_size = min(cfg.batch_max,
+                                  max(cfg.batch_min, target))
         else:
             self.batch_size = min(cfg.batch_max,
                                   max(self.batch_size * 2,

@@ -204,19 +204,27 @@ class NonceTracker:
     floor per lane (``n_shards`` shards, then DS) and the used nonces —
     1 to ``run``, plus the set ``gaps`` of those past ``run + 1``, None
     until the sender skips one (so a contiguous sender's row is flat).
+
+    Accepts write ``buffer``: the open epoch attempt's nonce buffer
+    (``NetworkCheckpoint``), read before ``records``, or ``records``
+    itself when no attempt is open.  A published gap set is never
+    changed by an attempt: its first change to such a sender copies
+    the set into the buffered row, once per (sender, attempt), and
+    every later change in that attempt is O(1) on the copy.
     """
 
     def __init__(self, strict: bool = False, n_shards: int = 4):
         self.strict = strict
         self.records: dict[str, tuple] = Table()
+        self.buffer = self.records
         self.blank = (None,) * (n_shards + 2) + (0, None)  # no record yet
-        # The owning network's StateJournal, if any: it takes every
-        # replaced row's pre-image and every gap set's changes.
-        self.journal = None
 
     def try_accept(self, sender: str, nonce: int, lane: int) -> bool:
-        records, journal = self.records, self.journal
-        old = records.get(sender)
+        buffer = self.buffer
+        old = buffer.get(sender)
+        owned = old is not None     # its gap set is this attempt's own
+        if old is None:
+            old = self.records.get(sender)
         row = self.blank if old is None else old
         run, gaps = row[-2], row[-1]
         if old is not None and (
@@ -229,12 +237,10 @@ class NonceTracker:
             accept = nonce > (row[i] or 0)
         if not accept:
             if old is None:     # even a rejection leaves a record
-                if journal is not None:
-                    journal.record_row(records, sender, None)
-                records[sender] = row
+                buffer[sender] = row
             return False
-        if journal is not None:
-            journal.record_row(records, sender, old)
+        if gaps is not None and not owned:
+            gaps = set(gaps)            # the published set stays as it is
         new = list(row)
         if row[0] is None or nonce > row[0]:
             new[0] = nonce
@@ -243,17 +249,17 @@ class NonceTracker:
             new[-2] = nonce             # the common case: the run grows
         elif gaps is not None and nonce != run + 1:
             gaps.add(nonce)             # one more past an open gap
-            if journal is not None:
-                journal.record_gaps(gaps, nonce)
+            new[-1] = gaps
         else:
             new[-2], new[-1] = self._use(run, gaps, nonce)
-        records[sender] = tuple(new)
+        buffer[sender] = tuple(new)
         return True
 
-    def _use(self, run: int, gaps: set | None, nonce: int):
-        """``(run, gaps)`` with ``nonce`` used too.  A gap set is mutated
-        in place (journaled), never copied: a gap-heavy accept is O(1)."""
-        journal = self.journal
+    @staticmethod
+    def _use(run: int, gaps: set | None, nonce: int):
+        """``(run, gaps)`` with ``nonce`` used too.  A gap set is the
+        caller's own (``try_accept`` copies a published one) and is
+        mutated in place, so a gap-heavy accept is O(1)."""
         if nonce == run + 1:
             run = nonce
             if gaps is not None and run + 1 in gaps:
@@ -263,16 +269,11 @@ class NonceTracker:
                 if len(gaps) == run - first + 1:
                     gaps = None     # every gap filled: the set drops
                 else:
-                    filled = range(first, run + 1)
-                    gaps.difference_update(filled)
-                    if journal is not None:
-                        journal.record_gaps(gaps, filled)
+                    gaps.difference_update(range(first, run + 1))
         elif nonce <= run or gaps is not None and nonce in gaps:
             pass                    # already used
         elif gaps is None:
             gaps = {nonce}
         else:
             gaps.add(nonce)
-            if journal is not None:
-                journal.record_gaps(gaps, nonce)
         return run, gaps

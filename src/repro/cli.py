@@ -387,6 +387,14 @@ def _shard_count(text: str) -> int:
     return n
 
 
+def _batch_ceiling(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"an epoch batch takes at least one transaction, not {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .workloads import ALL_WORKLOADS, EXTRA_WORKLOADS
     workloads = [cls.name for cls in ALL_WORKLOADS + EXTRA_WORKLOADS]
@@ -581,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mempool capacity (default: 8x --txns)")
     p.add_argument("--per-sender", type=int, default=None,
                    help="per-sender queue cap")
-    p.add_argument("--batch-max", type=int, default=None,
+    p.add_argument("--batch-max", type=_batch_ceiling, default=None,
                    help="epoch batch ceiling (default: --txns)")
     p.add_argument("--flood-rate", type=float, default=0.0,
                    help="per-tick probability of a FLOOD burst "

@@ -13,9 +13,9 @@ map on (or off) the heap.  A paged map is an ordinary
   rows and tombstones), so write-log rollback and CoW forks work as over
   a dict base: a fork's first write copies no clean row.
 * **The fold is the write-back**, in one batch, only from the
-  network's commit path with an empty journal.  It retires the old
-  base: an overlay still on it raises :class:`StaleRowsError` at its
-  next base read.
+  network's commit path, past which nothing restores.  It retires the
+  old base: an overlay still on it raises :class:`StaleRowsError` at
+  its next base read.
 
 Two backends ship, both dependency-free:
 

@@ -16,8 +16,8 @@ million-entry token map costs a wrapper per field, and a write through
 it a few overlay entries, never a copy of the map (docs/STATE.md).
 
 A network never writes a state it has published: every lane, the DS
-lane included, writes forks, and the epoch installs each contract's
-next state with one rebind (docs/STATE.md §2).
+lane included, writes forks, and the epoch's commit installs each
+contract's next state with one rebind (docs/STATE.md §2).
 """
 
 from __future__ import annotations
@@ -88,14 +88,14 @@ class ContractState:
 
     def fork(self, writes: dict[str, int] | None = None
              ) -> "ContractState":
-        """Structural-sharing copy — the single copy policy for
-        checkpoints, lane payloads, and the serial lane path.
+        """Structural-sharing copy — the single copy policy for lane
+        payloads and the serial lane path.
 
         O(number of fields): each map field becomes a CoW wrapper over
         the shared entries, and the first write through one costs an
         overlay, not a copy.  Behaviour is indistinguishable from a
         deep copy as long as every mutation flows through the owned
-        write paths (which it does — see tests/test_state_journal.py
+        write paths (which it does — see tests/test_state_forks.py
         for the aliasing property tests).
         A fork of paged state does not outlive a write-back: it raises
         ``StaleRowsError`` instead (docs/STATE.md §4).

@@ -317,8 +317,8 @@ class OverlayDict:
 
     def write_back(self) -> None:
         """The fold over a row base (``RowBase.write_back``).  Only the
-        network's commit path calls it, with an empty journal, so no
-        rollback can cross it."""
+        network's commit path calls it, and nothing restores past a
+        commit."""
         if self.over or self.dead:
             self.base = self.base.write_back(self.over, self.dead,
                                              self._count)

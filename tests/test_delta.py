@@ -854,36 +854,28 @@ def test_the_commit_leaves_each_map_flat_and_nothing_tells():
         assert fingerprint_digest(net) == fingerprint_digest(ref)
 
 
-@pytest.mark.parametrize("holder", ["state", "fork", "checkpoint"])
+@pytest.mark.parametrize("holder", ["state", "fork"])
 def test_anything_else_holding_the_base_blocks_the_commit_fold(holder):
-    from repro.chain.recovery import NetworkCheckpoint, fingerprint_digest
     wl, net, contract = _ft_net()
     net.process_epoch(wl.transactions(0))
     assert _pending(contract) == 0
-    before, digest = _image(contract.state), fingerprint_digest(net)
+    before = _image(contract.state)
     held = {"state": lambda: contract.state,
-            "fork": lambda: contract.state.fork(),
-            "checkpoint": lambda: NetworkCheckpoint.take(net)}[holder]()
+            "fork": lambda: contract.state.fork()}[holder]()
     net.process_epoch(wl.transactions(1))
     assert _pending(contract) > 0
-    if holder == "checkpoint":
-        held.restore(net)
-        assert fingerprint_digest(net) == digest
-        assert _image(contract.state) == before
-        held.release(net)
-    else:
-        assert _image(held) == before
+    assert _image(held) == before
     del held
     net.process_epoch(wl.transactions(2))
     assert _pending(contract) == 0
 
 
-def test_a_checkpoint_restores_across_a_commit_fold():
-    """A contract no transaction of the epoch touches is not rebound,
-    so nothing the checkpoint holds pins its base: its pending overlay
-    folds under an outstanding checkpoint, and restoring that
-    checkpoint still gives back the pre-epoch fingerprint."""
-    from repro.chain.recovery import NetworkCheckpoint, fingerprint_digest
+def test_an_untouched_contract_folds_in_place_at_commit():
+    """A contract no transaction of the epoch touches is not
+    reinstalled, so nothing the epoch holds pins its base: its pending
+    overlay folds in place at commit, and its contents stay as they
+    were."""
+    from repro.chain.recovery import fingerprint_digest
     from repro.chain.transaction import payment
     from repro.scilla import values
     wl, net, contract = _ft_net()
@@ -895,19 +887,14 @@ def test_a_checkpoint_restores_across_a_commit_fold():
     before, digest = _image(contract.state), fingerprint_digest(net)
     payer, payee = wl.users[:2]
     funds = net.balance(payer)
-    checkpoint = NetworkCheckpoint.take(net)
     batch = [payment(payer, payee, 5, nonce=wl.next_nonce(payer))]
     folded = values.OVERLAY_FOLDED_ENTRIES
     assert net.process_epoch(batch).n_committed == 1
     assert _pending(contract) == 0
     assert values.OVERLAY_FOLDED_ENTRIES - folded == pending  # in place
     assert _image(contract.state) == before
-    assert net.balance(payer) < funds
-    checkpoint.restore(net)
-    checkpoint.release(net)
     assert fingerprint_digest(net) == digest
-    assert _image(contract.state) == before
-    assert net.balance(payer) == funds
+    assert net.balance(payer) < funds
 
 
 def test_a_durable_network_folds_at_commit(tmp_path):

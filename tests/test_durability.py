@@ -404,6 +404,57 @@ def test_a_failed_payment_resumes_to_the_fee_it_paid(tmp_path):
     resumed.close()
 
 
+# -- a refused deployment ---------------------------------------------------
+
+_FT_PARAMS = {
+    "contract_owner": addr(ADMIN), "name": StringVal("U"),
+    "symbol": StringVal("U"), "decimals": IntVal(6, ty.UINT32),
+    "init_supply": uint(0),
+}
+_REFUSED_DEPLOYS = {
+    "parse": ("contract Broken (", {}),
+    "missing-parameter": (CORPUS["FungibleToken"],
+                          {k: v for k, v in _FT_PARAMS.items()
+                           if k != "symbol"}),
+}
+
+
+@pytest.mark.parametrize("why", sorted(_REFUSED_DEPLOYS))
+def test_a_refused_deploy_logs_nothing_and_resumes(tmp_path, why):
+    """A deployment the pipeline or the parameter check refuses raises
+    before its record is logged: the directory resumes into the network
+    without it, and a later epoch commits on both alike."""
+    from repro.scilla.errors import ScillaError
+    source, params = _REFUSED_DEPLOYS[why]
+    net = build_and_run(epochs=1, data_dir=tmp_path, snapshot_every=10**9)
+    types = [r.type for r in read_wal(tmp_path)]
+    with pytest.raises(ScillaError):
+        net.deploy(source, "0x" + "c1" * 20, params)
+    assert [r.type for r in read_wal(tmp_path)] == types
+    net.process_epoch(transfer_round(nonce=2))
+    net.close()
+    resumed = Network.resume(str(tmp_path))
+    assert network_fingerprint(resumed) == network_fingerprint(net)
+    assert dict(resumed.accounts) == dict(net.accounts)
+    resumed.close()
+
+
+def test_a_log_holding_a_refused_deploy_stops_at_it_by_name(tmp_path):
+    """Older builds logged a deployment before checking it; such a log
+    stops at that record with a ``WALError`` naming it."""
+    net = build_and_run(epochs=1, data_dir=tmp_path, snapshot_every=10**9)
+    net.wal.append("deploy", {
+        "source": "contract Broken (", "address": "0x" + "c1" * 20,
+        "params": {}, "sharded_transitions": None, "weak_reads": "auto",
+        "balance": 0, "allow_commutativity": True,
+        "proposed_signature": None})
+    seq = net.wal.last_seq
+    net.close()
+    with pytest.raises(WALError, match=rf"log record {seq} deploys .*"
+                                       rf"ParseError"):
+        Network.resume(str(tmp_path))
+
+
 # -- typed durability errors (injected disk failures) -------------------------
 
 def test_wal_append_oserror_raises_walerror_and_poisons_log(tmp_path):

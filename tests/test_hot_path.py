@@ -87,23 +87,32 @@ def test_an_ft_transfer_dispatches_within_its_frame_budget():
         f"{calls / len(batch):.2f} Python frames per FT Transfer dispatch")
 
 
+# The id predates the attempt's buffer replacing the undo journal; it
+# is kept so the recorded ids resolve.
 def test_a_row_is_journaled_once_per_epoch():
-    """One pre-image per (table, key) within an epoch, as
-    ``StateJournal.record_row`` promises: a sender's row is handed out
-    once per transaction, and a second transaction of the same sender
-    in the epoch finds its pre-image already taken."""
+    """An epoch buffers what it moves, one row per (table, key): a
+    sender's row is handed out once per transaction, and a second
+    transaction of the same sender in the epoch finds it buffered."""
+    from unittest import mock
+    from repro.chain.recovery import NetworkCheckpoint
+
     workload, net = ft_network()
-    mark = net.journal.mark()     # keeps the epoch's entries
-    try:
+    opened = []
+    take = NetworkCheckpoint.take.__func__
+
+    def capturing_take(cls, network):
+        opened.append(take(cls, network))
+        return opened[-1]
+    with mock.patch.object(NetworkCheckpoint, "take",
+                           classmethod(capturing_take)):
         block = net.process_epoch(workload.transactions(3))
-        rows = [(id(entry[1]), entry[2]) for entry in net.journal.entries
-                if entry[0] == "row"]
-    finally:
-        net.journal.release(mark)
+    (checkpoint,) = opened
     senders = {r.tx.sender for r in block.all_receipts}
     assert block.n_committed == len(block.all_receipts) > len(senders)
-    assert len(rows) == len(set(rows))
     # Every sender's account and nonce record, and no more than those
     # plus the recipients of native funds (none in an FT transfer).
-    assert {key for _, key in rows} == senders
-    assert len(rows) == 2 * len(senders)
+    assert set(checkpoint.accounts) == set(checkpoint.nonces) == senders
+    # What was buffered is what was published.
+    for sender in senders:
+        assert net.accounts[sender] is checkpoint.accounts[sender]
+        assert net.nonces.records[sender] is checkpoint.nonces[sender]

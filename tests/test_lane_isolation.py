@@ -10,9 +10,9 @@ exactly that, in every epoch attempt of every Fig. 14 workload and
 ``FT hammer`` (every lane merges into one key), fault-free and under
 a seeded fault plan: before the attempt runs, each runnable shard lane
 is re-run *alone* from the epoch-start state (``_run_lane`` +
-``compute_delta``, rolled back through a checkpoint); its receipts,
-deferrals, deltas and native-balance deltas must equal what the lane
-produced inside the attempt, after its siblings.
+``compute_delta``, the epoch's own checkpoint restored after each);
+its receipts, deferrals, deltas and native-balance deltas must equal
+what the lane produced inside the attempt, after its siblings.
 
 Exempt, and counted, are the two cases where independence does not
 hold by design: strict nonces (acceptance reads a global high-water
@@ -30,7 +30,6 @@ from repro.chain.delta import compute_delta
 from repro.chain.dispatch import DS
 from repro.chain.faults import FaultPlan
 from repro.chain.network import Network, NetworkConfig
-from repro.chain.recovery import NetworkCheckpoint
 from repro.chain.transaction import NonceTracker
 from repro.workloads.generators import ALL_WORKLOADS, FTHammer
 
@@ -107,12 +106,10 @@ def watch(net: Network, tally: Tally, name: str) -> None:
             return attempt_epoch(incoming, excluded, shard_limit,
                                  ds_limit, fault_log)
         alone = {}
-        start = NetworkCheckpoint.take(net)
         for lane in lanes:
             alone[lane] = _outcome(net, lane, RUN_LANE(
                 net, lane, queues[lane], shard_limit))
-            start.restore(net)
-        start.release(net)
+            net.attempt.restore(net)    # the epoch's own checkpoint
         in_epoch.clear()
         outcome = attempt_epoch(incoming, excluded, shard_limit, ds_limit,
                                 fault_log)

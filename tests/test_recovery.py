@@ -28,8 +28,9 @@ ADMIN = "0x" + "ad" * 20
 USERS = ["0x" + f"{i:040x}" for i in range(1, 25)]
 
 
-def ft_network(n_shards=3, **config) -> Network:
-    net = Network(n_shards, NetworkConfig(**config))
+def ft_network(n_shards=3, state_backend=None, **config) -> Network:
+    net = Network(n_shards, NetworkConfig(**config),
+                  state_backend=state_backend)
     net.create_account(ADMIN)
     for u in USERS:
         net.create_account(u)
@@ -58,46 +59,69 @@ def transfer_round(nonce=1):
 
 # -- checkpoints --------------------------------------------------------------
 
+def _gap_sets(net) -> dict:
+    """Every published gap set, by sender: the very objects."""
+    return {sender: row[-1] for sender, row in net.nonces.records.items()
+            if row[-1] is not None}
+
+
 def test_checkpoint_restores_states_accounts_and_nonces():
+    """An abandoned attempt — all three phases run, shard lanes, merge
+    and DS lane, then a view change — leaves accounts, nonce records
+    (the published gap-set objects among them, unchanged) and contract
+    states exactly as they were at ``take``: it wrote only its buffer
+    and its forks."""
     net = ft_network()
     mint_all(net)
+    # A sender with an open gap: nonces 2 and 3 skipped.
+    net.process_epoch([call(USERS[0], TOKEN, "Transfer",
+                            {"to": addr(USERS[1]), "amount": uint(1)},
+                            nonce=4)])
+    gaps = _gap_sets(net)
+    assert gaps.keys() == {_pad(USERS[0])}
+    gap_copy = {sender: set(g) for sender, g in gaps.items()}
+    pre = _books(net)
+    held = {addr_: c.state for addr_, c in net.contracts.items()}
+
+    txns = transfer_round() + [payment(USERS[2], USERS[3], 7, nonce=1)] + [
+        call(USERS[0], TOKEN, "Transfer",
+             {"to": addr(USERS[1]), "amount": uint(1)}, nonce=nonce)
+        for nonce in (2, 6)]
     checkpoint = NetworkCheckpoint.take(net)
-    before = network_fingerprint(net)
-    balance_before = net.balance(USERS[0])
-    nonces_before = dict(net.nonces.records)
-
-    net.process_epoch(transfer_round())
-    assert network_fingerprint(net) != before
-
+    limit = 10**15
+    outcome = net._attempt_epoch(txns, {}, limit, limit, [])
+    assert outcome.ds_block.receipts or outcome.microblocks
+    assert checkpoint.accounts and checkpoint.nonces and outcome.nexts
+    # What the attempt saw moved; nothing published did.
+    assert _books(net) == pre
+    assert {a: c.state for a, c in net.contracts.items()} == held
     checkpoint.restore(net)
-    assert network_fingerprint(net) == before
-    assert net.balance(USERS[0]) == balance_before
-    assert net.nonces.records == nonces_before
-    # Restoring twice is fine (the checkpoint keeps private copies).
-    checkpoint.restore(net)
-    assert network_fingerprint(net) == before
+    assert not (checkpoint.accounts or checkpoint.nonces)
+    assert _books(net) == pre
+    assert _gap_sets(net) == gaps
+    assert all(net.nonces.records[s][-1] is g for s, g in gaps.items())
+    assert gap_copy == {s: set(g) for s, g in gaps.items()}
+    checkpoint.close(net)
+    assert net.attempt is None
 
 
 def test_an_epoch_leaves_a_held_published_state_untouched():
     """The DS lane writes forks too: an epoch of DS-routed transactions
-    installs the token's next state and never writes the one it held,
-    which a checkpoint rebinds, the very object."""
-    net = ft_network(use_signatures=False)
+    installs the token's next state and never writes the one it held.
+    Dict state whatever REPRO_STATE_BACKEND says: a held paged state
+    does not outlive the commit's write-back (docs/STATE.md §4)."""
+    net = ft_network(use_signatures=False, state_backend="none")
     mint_all(net)
     contract = net.contracts[_pad(TOKEN)]
     held = contract.state
     held_print = state_fingerprint(held)
     txns = [tx for tx in transfer_round()
             if net.dispatcher.dispatch(tx).is_ds]
-    checkpoint = NetworkCheckpoint.take(net)
     block = net.process_epoch(txns)
     assert txns and block.n_committed == len(block.ds_receipts) == len(txns)
     assert contract.state is not held
     assert state_fingerprint(contract.state) != held_print
     assert state_fingerprint(held) == held_print
-    checkpoint.restore(net)
-    assert contract.state is held
-    checkpoint.release(net)
 
 
 def test_checkpoint_drops_accounts_created_after_take():
@@ -105,77 +129,23 @@ def test_checkpoint_drops_accounts_created_after_take():
     checkpoint = NetworkCheckpoint.take(net)
     net.create_account("0x" + "99" * 20)
     checkpoint.restore(net)
+    checkpoint.close(net)
     assert _pad("0x" + "99" * 20) not in net.accounts
 
 
-def test_checkpoint_drops_contracts_deployed_after_take():
-    """A contract deployed during an aborted attempt must disappear
-    entirely on restore: state, runtime, and dispatcher registration
-    (a stale registration would keep routing transactions to it)."""
-    net = ft_network()
-    mint_all(net)
-    checkpoint = NetworkCheckpoint.take(net)
-    before = network_fingerprint(net)
-
-    second = "0x" + "c1" * 20
-    net.deploy(CORPUS["FungibleToken"], second, {
-        "contract_owner": addr(ADMIN), "name": StringVal("U"),
-        "symbol": StringVal("U"), "decimals": IntVal(6, ty.UINT32),
-        "init_supply": uint(0),
-    }, sharded_transitions=("Mint", "Transfer"))
-    net.process_epoch([call(ADMIN, second, "Mint",
-                            {"recipient": addr(USERS[0]),
-                             "amount": uint(5)}, nonce=100)],
-                      unlimited=True)
-    assert _pad(second) in net.contracts
-
-    checkpoint.restore(net)
-    assert _pad(second) not in net.contracts
-    assert not net.dispatcher.is_contract(_pad(second))
-    assert _pad(second) not in net.dispatcher._field_level_cache
-    assert network_fingerprint(net) == before
-    # A payment to the undeployed address behaves like a user payment
-    # again, exactly as before the aborted deploy.
-    decision = net.dispatcher.dispatch(payment(ADMIN, second, 1, nonce=101))
-    assert not decision.is_ds
-
-
-def test_rolled_back_deploy_leaves_no_dispatch_plans():
-    """The plans lowered for a deploy that a checkpoint restore rolls
-    back go with it: calls to the address are unknown again, and a
-    *different* signature deployed there afterwards is the one that
-    dispatches."""
+def test_an_attempt_is_open_once():
+    """An epoch opens its own checkpoint: a second one, or an epoch
+    under one a caller holds, is refused before anything runs."""
     net = ft_network()
     checkpoint = NetworkCheckpoint.take(net)
-    second = "0x" + "c1" * 20
-    params = {
-        "contract_owner": addr(ADMIN), "name": StringVal("U"),
-        "symbol": StringVal("U"), "decimals": IntVal(6, ty.UINT32),
-        "init_supply": uint(0),
-    }
-    transfer = call(USERS[0], second, "Transfer",
-                    {"to": addr(USERS[1]), "amount": uint(1)}, nonce=1)
-    mint = call(ADMIN, second, "Mint",
-                {"recipient": addr(USERS[0]), "amount": uint(5)}, nonce=1)
-
-    net.deploy(CORPUS["FungibleToken"], second, params,
-               sharded_transitions=("Mint", "Transfer"))
-    dispatcher = net.dispatcher
-    assert dispatcher.dispatch(transfer).reason == "constraints satisfied"
-    assert dispatcher.dispatch(mint).reason != "transition not sharded"
-
-    checkpoint.restore(net)
-    for tx in (transfer, mint):
-        assert dispatcher.dispatch(tx).reason == "unknown contract"
-        assert dispatcher.dispatch_reference(tx).reason == "unknown contract"
-
-    net.deploy(CORPUS["FungibleToken"], second, params,
-               sharded_transitions=("Mint",))
-    for tx in (transfer, mint):
-        assert dispatcher.dispatch(tx).reason == \
-            dispatcher.dispatch_reference(tx).reason
-    assert dispatcher.dispatch(transfer).reason == "transition not sharded"
-    assert dispatcher.dispatch(mint).reason != "transition not sharded"
+    with pytest.raises(RuntimeError, match="already open"):
+        NetworkCheckpoint.take(net)
+    with pytest.raises(RuntimeError, match="already open"):
+        net.process_epoch(transfer_round())
+    assert net.epoch == 0 and not net.blocks
+    checkpoint.close(net)
+    net.process_epoch(transfer_round())
+    assert net.epoch == 1 and net.attempt is None
 
 
 def dead_lettering_loop(net, max_deferrals: int):
@@ -224,10 +194,10 @@ def test_view_change_after_dead_letter_keeps_it_exact():
     assert network_fingerprint(faulty) == network_fingerprint(clean)
 
 
-# -- checkpoint properties: the journal is the only rollback mechanism --------
+# -- checkpoint properties: an attempt publishes nothing until it commits ----
 
 def _books(net):
-    """Everything a checkpoint must reinstate, by value."""
+    """Everything a checkpoint must leave published, by value."""
     return {
         "accounts": dict(net.accounts),
         "nonces": copy.deepcopy(net.nonces.records),
@@ -246,11 +216,11 @@ _BOOK_OPS = st.one_of(
     st.tuples(st.just("lazy"), st.integers(0, 2), _LANES,
               st.integers(1, 500)),
     st.tuples(st.just("recreate"), _WHO, _LANES, st.integers(0, 500)),
-    # Fresh nonces are accepted; low ones and replays are rejected.
+    # Fresh nonces are accepted; low ones and replays are rejected, and
+    # skipped ones grow and fill the published gap sets' copies.
     st.tuples(st.just("nonce"), st.integers(0, 7), _LANES,
-              st.integers(0, 6)),
-    st.tuples(st.just("epoch"), _WHO, _LANES, st.integers(1, 5)),
-    # A view change mid-epoch: roll back, then keep going.
+              st.integers(0, 12)),
+    # A view change mid-attempt: drop the buffer, then keep going.
     st.tuples(st.just("retry"), _WHO, _LANES, st.just(0)),
 )
 
@@ -269,22 +239,20 @@ def _apply_book_op(net, op, checkpoint, pre) -> None:
     elif kind == "nonce":
         sender = (USERS + _STRANGERS)[who]
         net.nonces.try_accept(_pad(sender), n, lane)
-    elif kind == "epoch":
-        last_global = net.nonces.records.get(_pad(user), (None,))[0]
-        nonce = (last_global or 0) + 1
-        net.process_epoch([call(
-            user, TOKEN, "Transfer",
-            {"to": addr(USERS[(who + 1) % len(USERS)]),
-             "amount": uint(n)}, nonce=nonce)])
     else:  # retry
         checkpoint.restore(net)
-        assert _books(net) == pre
+    assert _books(net) == pre
 
 
 @pytest.fixture(scope="module")
 def minted_net():
     net = ft_network()
     mint_all(net)
+    # Published gap sets: the first users skipped nonces 2-3 and 5.
+    nonces = net.nonces
+    for i, user in enumerate(USERS[:4]):
+        for nonce in (1, 4, 6):
+            assert nonces.try_accept(_pad(user), nonce, i % 3)
     return net
 
 
@@ -292,53 +260,19 @@ def minted_net():
 @given(st.lists(_BOOK_OPS, max_size=14))
 def test_checkpoint_restore_equals_preimage(minted_net, ops):
     net = minted_net
-    pre = _books(net)
+    pre, gaps = _books(net), _gap_sets(net)
+    assert len(gaps) == 4
     checkpoint = NetworkCheckpoint.take(net)
-    for op in ops:
-        _apply_book_op(net, op, checkpoint, pre)
-    checkpoint.restore(net)
+    try:
+        for op in ops:
+            _apply_book_op(net, op, checkpoint, pre)
+        checkpoint.restore(net)
+        assert _books(net) == pre
+        checkpoint.restore(net)            # restoring twice is a no-op
+    finally:
+        checkpoint.close(net)
     assert _books(net) == pre
-    checkpoint.restore(net)            # restoring twice is a no-op
-    assert _books(net) == pre
-    checkpoint.release(net)
-    assert net.journal.depth == 0
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(_BOOK_OPS, max_size=8), st.lists(_BOOK_OPS, max_size=8),
-       st.sampled_from(["inner-first", "outer-first", "outer-released"]))
-def test_two_outstanding_checkpoints(minted_net, first_ops, second_ops,
-                                     order):
-    net = minted_net
-    pre = _books(net)
-    outer = NetworkCheckpoint.take(net)
-    for op in first_ops:
-        _apply_book_op(net, op, outer, pre)
-    middle = _books(net)
-    inner = NetworkCheckpoint.take(net)
-    for op in second_ops:
-        _apply_book_op(net, op, inner, middle)
-    if order == "inner-first":
-        inner.restore(net)
-        assert _books(net) == middle
-        outer.restore(net)
-        assert _books(net) == pre
-    elif order == "outer-first":
-        # Out of order: everything above the older mark is gone, so
-        # the newer checkpoint has nothing left to undo.
-        outer.restore(net)
-        assert _books(net) == pre
-        inner.restore(net)
-        assert _books(net) == pre
-    else:
-        # The older one commits first; the newer still rolls back to
-        # where *it* was taken.
-        outer.release(net)
-        inner.restore(net)
-        assert _books(net) == middle
-    inner.release(net)
-    outer.release(net)
-    assert net.journal.depth == 0
+    assert all(net.nonces.records[s][-1] is g for s, g in gaps.items())
 
 
 def test_state_fingerprint_is_insertion_order_independent():
@@ -445,6 +379,33 @@ def test_delayed_microblock_triggers_view_change():
     assert block.stats.view_changes == 1
     assert block.stats.recovered > 0
     assert network_fingerprint(faulty) == network_fingerprint(clean)
+
+
+@pytest.mark.parametrize("kind", [FaultKind.CORRUPT_DELTA,
+                                  FaultKind.DELAY_MICROBLOCK])
+def test_a_view_change_commits_what_its_surviving_attempt_alone_would(kind):
+    """The attempt a view change abandons leaves nothing behind: the
+    epoch commits the same accounts, nonce records, states and receipts
+    as a run that excluded the lane before its first attempt (a crash),
+    the serial reference with no abandoned attempt.  An abandoned
+    attempt's rows surviving into the retry would show here, as nonces
+    already used or fees charged twice."""
+    def run(event_kind):
+        net = ft_network(fault_plan=FaultPlan([FaultEvent(2, event_kind, 0)]))
+        mint_all(net)
+        return net, net.process_epoch(transfer_round())
+
+    faulty, block = run(kind)
+    reference, ref_block = run(FaultKind.CRASH_SHARD)
+    assert block.stats.view_changes == 1 and block.excluded_lanes.keys() \
+        == ref_block.excluded_lanes.keys() == {0}
+    assert ref_block.stats.view_changes == 0
+    assert block.n_committed == ref_block.n_committed > 0
+    assert _books(faulty) == _books(reference)
+    receipts = [[(r.tx.sender, r.tx.nonce, r.success, r.gas_used, r.shard,
+                  r.error) for r in b.all_receipts]
+                for b in (block, ref_block)]
+    assert receipts[0] == receipts[1]
 
 
 def test_byzantine_delta_rejected_not_merged():

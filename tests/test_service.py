@@ -281,6 +281,26 @@ class TestServiceLoop:
         loop.tick()
         assert loop.batch_size == 16
 
+    def test_batch_max_is_a_ceiling_under_backlog_too(self):
+        # batch_max below batch_min's default (8): a backlog past the
+        # pool's low-water mark (60) used to lift the batch to
+        # batch_min, draining 4, 8, 8, 4, ...
+        net = make_net()
+        wl = ScaledFTTransfer(population=100, txns_per_epoch=80)
+        wl.setup(net)
+        loop = make_loop(net, batch_max=4, pool_config=MempoolConfig(
+            capacity=100, per_sender=128))
+        assert all(loop.submit(tx).admitted for tx in wl.transactions(1))
+        drained = [loop.tick().drained for _ in range(6)]
+        assert drained == [4] * 6
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_max", 0), ("batch_max", -1), ("batch_min", 0),
+        ("max_deferrals", -1)])
+    def test_config_refuses_out_of_range_knobs(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{field: value})
+
 
 class TestHonestTps:
     def test_partial_batches_do_not_inflate_average_tps(self):
@@ -370,6 +390,16 @@ class TestHarness:
 
 
 class TestCli:
+    @pytest.mark.parametrize("batch_max", ["0", "-2"])
+    def test_serve_refuses_a_batch_max_below_one(self, capsys, batch_max):
+        # `serve --batch-max 0` used to commit nothing, report every
+        # tick idle with work pending, and exit 0.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--ticks", "2", "--txns", "5",
+                  "--batch-max", batch_max])
+        assert exc.value.code == 2
+        assert "at least one transaction" in capsys.readouterr().err
+
     def test_serve_json(self, capsys):
         rc = main(["serve", "--population", "200", "--ticks", "3",
                    "--txns", "30", "--shards", "2", "--json"])

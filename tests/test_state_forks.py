@@ -1,20 +1,12 @@
-"""Property tests for the state journal and copy-on-write forks.
+"""Property tests for copy-on-write forks and the owned write.
 
 The laws the state engine rests on:
 
-* **Journal identity** — for any sequence of row, gap-set and rebind
-  changes, ``rollback_to(mark)`` restores the exact pre-mark tables and
-  bindings, and releasing a committed mark truncates without
-  disturbing outstanding older marks.
-* **Nested marks** — inner rollbacks compose with outer ones: undoing
-  to an inner mark then to an outer one equals undoing straight to the
-  outer one.
 * **CoW isolation** — writes through a fork never leak into the
   source (or vice versa), at any nesting depth and through forks of
   forks, even though the fork is O(fields) and shares every entry
   container at birth; and an overlaid map is observationally a plain
   dict (order, ``len``, ``==``, pickle), whenever its overlay folds.
-
 * **The owned write** — ``owned_write`` is ``WriteLog.record`` followed
   by ``ContractState.write``, its two-walk specification, in everything
   either leaves behind: undo log, write set, CoW privatisations, state,
@@ -26,16 +18,11 @@ from __future__ import annotations
 import contextlib
 import copy
 import pickle
-from types import SimpleNamespace
 from unittest import mock
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-import pytest
-
-from repro.chain.recovery import JournalError, StateJournal
-from repro.chain.transaction import NonceTracker, Table
 from repro.scilla import types as ty, values as scilla_values
 import repro.scilla.backend as backend_mod
 from repro.scilla.backend import MemoryBackend, adopt
@@ -64,82 +51,6 @@ def fresh_state() -> ContractState:
 def snapshot(state: ContractState):
     return ({k: canonical(v) for k, v in state.fields.items()},
             state.balance)
-
-
-# -- the journal over rows, gap sets and rebinds ----------------------------
-
-class Books:
-    """What a network journals: account rows, nonce records (whose gap
-    sets change in place) and a contract's published state."""
-
-    def __init__(self) -> None:
-        self.journal = StateJournal()
-        self.accounts = Table()
-        self.nonces = NonceTracker(n_shards=2)
-        self.nonces.journal = self.journal
-        self.holder = SimpleNamespace(state=fresh_state())
-
-    def apply(self, op) -> None:
-        kind, who, n = op
-        key = f"0x{who:040x}"
-        if kind == "row":
-            self.journal.record_row(self.accounts, key,
-                                    self.accounts.get(key))
-            self.accounts[key] = (n, n + 1)
-        elif kind == "nonce":       # lane -1 is the DS lane
-            self.nonces.try_accept(key, n, who % 3 - 1)
-        else:                       # rebind
-            self.journal.record_rebind(self.holder, self.holder.state)
-            self.holder.state = fresh_state()
-
-    def snapshot(self):
-        return (dict(self.accounts), copy.deepcopy(self.nonces.records),
-                self.holder.state)
-
-
-_OPS = st.one_of(
-    st.tuples(st.just("row"), st.integers(0, 3), st.integers(0, 50)),
-    # Low nonces and replays are rejected, skipped ones open gap sets
-    # that later accepts grow and fill.
-    st.tuples(st.just("nonce"), st.integers(0, 3), st.integers(1, 8)),
-    st.tuples(st.just("rebind"), st.just(0), st.just(0)),
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(_OPS, max_size=10), st.lists(_OPS, max_size=20))
-def test_rollback_restores_premark_state(before_ops, ops):
-    books = Books()
-    for op in before_ops:           # unjournaled: no mark outstanding
-        books.apply(op)
-    assert books.journal.depth == 0
-    before = books.snapshot()
-    mark = books.journal.mark()
-    for op in ops:
-        books.apply(op)
-    books.journal.rollback_to(mark)
-    assert books.snapshot() == before
-    # Idempotent: a second rollback is a no-op.
-    books.journal.rollback_to(mark)
-    assert books.snapshot() == before
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(_OPS, max_size=10), st.lists(_OPS, max_size=10))
-def test_nested_marks_compose(outer_ops, inner_ops):
-    books = Books()
-    base = books.snapshot()
-    outer = books.journal.mark()
-    for op in outer_ops:
-        books.apply(op)
-    middle = books.snapshot()
-    inner = books.journal.mark()
-    for op in inner_ops:
-        books.apply(op)
-    books.journal.rollback_to(inner)
-    assert books.snapshot() == middle
-    books.journal.rollback_to(outer)
-    assert books.snapshot() == base
 
 
 # -- CoW forks vs. a plain-dict model ---------------------------------------
@@ -394,29 +305,6 @@ def test_owned_write_flags_a_captured_map_shared():
         log.rollback(state)
         state.write(("nested", (_SK[0], StringVal("x"))), uint(7))
         assert [snapshot(s) for s in kin] == kin_before
-
-
-def test_release_truncates_only_below_oldest_outstanding_mark():
-    books = Books()
-    pre = books.snapshot()
-    older = books.journal.mark()
-    books.apply(("row", 0, 1))
-    newer = books.journal.mark()
-    books.apply(("rebind", 0, 0))
-    books.journal.release(newer)      # older still outstanding
-    books.journal.rollback_to(older)  # must still be able to undo
-    assert books.snapshot() == pre
-    books.journal.release(older)
-    assert books.journal.depth == 0
-
-
-def test_rollback_to_released_mark_raises():
-    books = Books()
-    mark = books.journal.mark()
-    books.apply(("row", 0, 3))
-    books.journal.release(mark)
-    with pytest.raises(JournalError):
-        books.journal.rollback_to(mark)
 
 
 def test_fork_is_o_fields_single_write_materialises_once():

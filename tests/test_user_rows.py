@@ -3,20 +3,23 @@
 The reference below is the ``Account`` dataclass, the three-table
 ``NonceTracker`` and the restore-point column writers the network used
 before accounts and nonce records became rows, copied verbatim as the
-specification (the reference runs without a journal: it rolls back by
-restoring a deep copy taken at each mark, the trivially right answer;
-``benchmarks/test_state_engine.py`` times it with today's journal).
-A Hypothesis state machine drives a ``Network``'s rows and the
-reference through the same random create / charge / credit /
-``try_accept`` / ``mark`` / ``rollback_to`` / ``release``
-sequences — strict and relaxed nonces, 2–5 shards, repeated nonces,
-gaps, several lanes per sender — and after every step compares
-balances, portions, accept decisions and the restore point's
-``accounts`` / ``nonces`` columns.
+specification (the reference runs without a journal: a view change
+restores a deep copy taken when the attempt opened, the trivially
+right answer; ``benchmarks/test_state_engine.py`` times it with the
+journal it had).  A Hypothesis state machine drives a ``Network``'s
+rows and the reference through the same random create / charge /
+credit / ``try_accept`` sequences, between epoch attempts and inside
+one (``NetworkCheckpoint`` open / restore / commit) — strict and
+relaxed nonces, 2–5 shards, repeated nonces, gaps, several lanes per
+sender — and after every step compares balances, portions, accept
+decisions and the restore point's ``accounts`` / ``nonces`` columns
+as the attempt sees them, and, while one is open, that the published
+tables (their gap sets included) are what they were when it opened.
 """
 
 import copy
 from dataclasses import dataclass, field as dc_field
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 from hypothesis import settings
@@ -25,6 +28,7 @@ from hypothesis.stateful import (
 )
 
 from repro.chain.network import Network, NetworkConfig
+from repro.chain.recovery import NetworkCheckpoint
 from repro.chain.store import _account_columns, _nonce_columns
 
 # -- the specification: the pre-row representation ----------------------------
@@ -180,7 +184,6 @@ ADDRESSES = ["0x" + f"{0xa11ce000 + i:040x}" for i in range(4)]
 WHO = st.integers(0, len(ADDRESSES) - 1)
 LANE = st.integers(0, 99)     # folded onto the network's lanes
 NONCE = st.integers(0, 10)
-MARK = st.integers(0, 99)     # folded onto the outstanding marks
 
 
 class UserRows(RuleBasedStateMachine):
@@ -192,8 +195,9 @@ class UserRows(RuleBasedStateMachine):
                            state_backend="none")
         self.accounts: dict[str, Account] = {}
         self.nonces = NonceTracker(strict=strict)
-        # (journal mark, reference books at the mark), oldest first.
-        self.marks: list = []
+        # While an attempt is open: the reference books and the
+        # network's published tables as they were when it opened.
+        self.at_open = self.published = None
 
     def lane(self, draw: int) -> int:
         return draw % (self.n + 1) - 1      # -1 is the DS committee
@@ -236,60 +240,82 @@ class UserRows(RuleBasedStateMachine):
         assert self.net.nonces.try_accept(sender, nonce, lane) == \
             self.nonces.try_accept(sender, nonce, lane)
 
-    # -- the journal -----------------------------------------------------
+    # -- the epoch attempt ------------------------------------------------
 
+    @precondition(lambda self: self.net.attempt is None)
     @rule()
-    def mark(self):
-        self.marks.append((self.net.journal.mark(),
-                           copy.deepcopy((self.accounts, self.nonces))))
+    def open(self):
+        net = self.net
+        self.published = (dict(net.accounts),
+                          copy.deepcopy(net.nonces.records),
+                          {sender: row[-1] for sender, row
+                           in net.nonces.records.items()})
+        self.at_open = copy.deepcopy((self.accounts, self.nonces))
+        NetworkCheckpoint.take(net)
 
-    @precondition(lambda self: self.marks)
-    @rule(which=MARK)
-    def rollback_to(self, which):
-        """Back to a mark; the marks above it go."""
-        which %= len(self.marks)
-        mark, books = self.marks[which]
-        self.net.journal.rollback_to(mark)
-        for newer, _ in reversed(self.marks[which + 1:]):
-            self.net.journal.release(newer)
-        del self.marks[which + 1:]
-        self.accounts, self.nonces = copy.deepcopy(books)
+    @precondition(lambda self: self.net.attempt is not None)
+    @rule()
+    def restore(self):
+        """A view change: the attempt starts over."""
+        self.net.attempt.restore(self.net)
+        self.accounts, self.nonces = copy.deepcopy(self.at_open)
 
-    @precondition(lambda self: self.marks)
-    @rule(which=MARK)
-    def release(self, which):
-        mark, _ = self.marks.pop(which % len(self.marks))
-        self.net.journal.release(mark)
+    @precondition(lambda self: self.net.attempt is not None)
+    @rule()
+    def commit(self):
+        self.net.attempt.commit(self.net, {})
+        self.at_open = self.published = None
 
     # -- the comparison --------------------------------------------------
 
+    def view(self):
+        """The network's rows as the open attempt sees them — what its
+        commit would publish — or the network itself."""
+        net = self.net
+        if net.attempt is None:
+            return net
+        accounts = dict(net.accounts)
+        accounts.update(net.attempt.accounts)
+        records = dict(net.nonces.records)
+        records.update(net.attempt.nonces)
+        return SimpleNamespace(
+            n_shards=net.n_shards, accounts=accounts,
+            nonces=SimpleNamespace(records=records, blank=net.nonces.blank))
+
     @invariant()
     def books_agree(self):
-        net = self.net
-        assert set(net.accounts) == set(self.accounts)
-        for address, account in self.accounts.items():
+        net, view = self.net, self.view()
+        assert set(view.accounts) == set(self.accounts)
+        assert _account_columns(view, view.accounts) == \
+            ref_account_columns(self.accounts.values())
+        assert _nonce_columns(view, view.nonces.records, False) == \
+            ref_base_nonce_columns(self.nonces)
+        senders = sorted(ADDRESSES[:3])     # a delta: named senders, all lanes
+        assert _nonce_columns(view, senders, True) == ref_nonce_columns(
+            self.nonces, senders, (*range(self.n), -1))
+        published = self.accounts
+        if self.published is not None:
+            # Nothing the attempt did is published: not a row, and not
+            # a gap set, the very objects.
+            accounts, records, gaps = self.published
+            assert net.accounts == accounts and net.nonces.records == records
+            assert all(net.nonces.records[sender][-1] is gap
+                       for sender, gap in gaps.items())
+            published = self.at_open[0]
+        for address, account in published.items():
             assert net.balance(address) == account.balance
             for lane in (*range(self.n), -1):
                 assert net.balance(address, lane) == \
                     account.shard_portions.get(lane)
-        assert _account_columns(net, net.accounts) == \
-            ref_account_columns(self.accounts.values())
-        assert _nonce_columns(net, net.nonces.records, False) == \
-            ref_base_nonce_columns(self.nonces)
-        senders = sorted(ADDRESSES[:3])     # a delta: named senders, all lanes
-        assert _nonce_columns(net, senders, True) == ref_nonce_columns(
-            self.nonces, senders, (*range(self.n), -1))
-        if not self.marks:
-            assert net.journal.depth == 0
 
     @invariant()
     def rows_are_compact(self):
         """Exact tuples; a gap set only while a gap is open, holding
         only nonces past ``run + 1``."""
-        for row in (*self.net.accounts.values(),
-                    *self.net.nonces.records.values()):
+        view = self.view()
+        for row in (*view.accounts.values(), *view.nonces.records.values()):
             assert row.__class__ is tuple
-        for row in self.net.nonces.records.values():
+        for row in view.nonces.records.values():
             run, gaps = row[-2:]
             assert gaps is None or gaps and min(gaps) > (run or 0) + 1
 
@@ -300,21 +326,25 @@ TestUserRows.settings = settings(max_examples=300, stateful_step_count=40,
 
 
 def test_rollback_restores_a_partly_filled_gap_set():
-    """A gap set that exists at the mark and is partly consumed after it
-    (the run grows over 3 and 4, 6 stays) comes back whole."""
+    """A published gap set that an attempt partly consumes (the run
+    grows over 3 and 4, 6 stays) and then fills is never touched: the
+    attempt's first change copies it, and a restore finds it whole."""
     net = Network(2, state_backend="none")
     sender, nonces = ADDRESSES[0], net.nonces
     for nonce in (3, 4, 6):
         assert nonces.try_accept(sender, nonce, 0)
     before = copy.deepcopy(nonces.records)
-    mark = net.journal.mark()
+    gaps = nonces.records[sender][-1]
+    checkpoint = NetworkCheckpoint.take(net)
     assert nonces.try_accept(sender, 1, 1) and nonces.try_accept(sender, 2, -1)
-    assert nonces.records[sender][-2:] == (4, {6})
+    assert checkpoint.nonces[sender][-2:] == (4, {6})
+    assert checkpoint.nonces[sender][-1] is not gaps
     assert nonces.try_accept(sender, 5, 1)         # every gap filled
-    assert nonces.records[sender][-2:] == (6, None)
-    net.journal.rollback_to(mark)
-    assert nonces.records == before
-    net.journal.release(mark)
+    assert checkpoint.nonces[sender][-2:] == (6, None)
+    assert nonces.records == before and nonces.records[sender][-1] is gaps
+    checkpoint.restore(net)
+    checkpoint.close(net)
+    assert nonces.records == before and nonces.records[sender][-1] is gaps
 
 
 # -- the tables stay where the collector left them -----------------------------
