@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
-from ..core.joins import JoinKind, MergeConflict, MergeOverflow, int_delta
+from ..core.joins import JoinKind, MergeConflict, MergeOverflow
 from ..scilla import types as ty
 from ..scilla.state import (
     ContractState, MISSING, StateKey, WriteLog, _Missing, owned_entries,
@@ -179,7 +179,9 @@ def compute_delta(contract: str, shard: int, base: ContractState,
                 raise MergeConflict(
                     f"IntMerge declared for non-integer location {key}",
                     contract=contract, key=key, shards=(shard,))
-            diff = int_delta(old, new)
+            # ``int_delta(old, new)``, inline: both are IntVal or MISSING.
+            diff = (new.value if type(new) is IntVal else 0) - \
+                (old.value if type(old) is IntVal else 0)
             if diff:
                 column.rows[keys] = diff
                 if column.typ is None:
@@ -307,7 +309,7 @@ def _merge_field(contract: str, base: ContractState, merged: ContractState,
                 totals[path] = totals.get(path, 0) + diff
     typ = merges[0][1].typ
     lo, hi = ty.int_bounds(typ)
-    make = IntVal.checked
+    tuple_new = tuple.__new__   # IntVal.checked, without its frame
     base_get = None
     for path, diff in totals.items():
         if len(path) == 1:
@@ -321,13 +323,13 @@ def _merge_field(contract: str, base: ContractState, merged: ContractState,
                 total = (0 if old is None else old.value) + diff
                 if not lo <= total <= hi:
                     _overflow(contract, name, path, total, typ, merges)
-                entries[path[0]] = make(total, typ)
+                entries[path[0]] = tuple_new(IntVal, (total, typ))
                 continue
         old = base.read((name, path))
         total = (old.value if type(old) is IntVal else 0) + diff
         if not lo <= total <= hi:
             _overflow(contract, name, path, total, typ, merges)
-        merged.write((name, path), make(total, typ))
+        merged.write((name, path), tuple_new(IntVal, (total, typ)))
 
 
 def _overflow(contract: str, name: str, path: tuple, total: int, typ,

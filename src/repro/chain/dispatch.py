@@ -168,11 +168,6 @@ class Dispatcher:
         self._field_level_cache[address] = deployed.field_level()
         self._plans[address] = self._lower_contract(address, deployed)
 
-    def unregister_contract(self, address: str) -> None:
-        """Forget a contract (a rolled-back deploy), plans included."""
-        for table in (self.contracts, self._field_level_cache, self._plans):
-            table.pop(_pad(address), None)
-
     def is_contract(self, address: str) -> bool:
         return address in self.contracts
 
@@ -544,10 +539,14 @@ class _PlanWriter:
         return local
 
     def _argument(self, name: str) -> str:
-        """The token of argument ``name``, or None if it is absent."""
+        """The token of argument ``name``, or None if it is absent.  A
+        name the transaction carries once is read by position; a
+        missing or repeated one through a dict (last duplicate wins)."""
         self.reads_args = True
         local = f"a{len(self.tokens)}"
-        self.emit(f"v = args.get({name!r})")
+        self.emit(f"v = values[names.index({name!r})] "
+                  f"if names.count({name!r}) == 1 "
+                  f"else dict(zip(names, values)).get({name!r})")
         self.emit(f"if v is None: {local} = None")
         self.emit(f"elif v.__class__ is ByStrVal: "
                   f'{local} = f"{{v.typ!s}}|{{v.hex}}"')
@@ -609,7 +608,8 @@ class _PlanWriter:
             self.emit(f"return FREE[tx.tx_id % {self.n}]")
 
     def source(self, name: str) -> str:
-        body = ["args = dict(tx.args)"] if self.reads_args else []
+        body = (["names, values = tx.arg_names, tx.arg_values"]
+                if self.reads_args else [])
         return "\n".join([f"# {name!r}", *self.head, "def plan(tx):",
                           *(f"    {line}" for line in body + self.lines),
                           ""])

@@ -20,7 +20,7 @@ from ..scilla import types as ty
 from .blocks import MicroBlock, Receipt
 from .dispatch import DS, _pad
 from .transaction import (
-    Transaction, charged, credited, funded_row, portion_slot,
+    Transaction, charged, credited, funded_row,
 )
 
 PAYMENT_GAS = 50
@@ -103,7 +103,8 @@ class Execution:
         one-key writes the queue's calls make into each map field
         (``writes_per_call`` summed), so a map the lane will write past
         the overlay's fold threshold is copied flat at its first write
-        (docs/STATE.md §1)."""
+        (docs/STATE.md §1).  A sender's ``ByStr20`` value, the
+        ``_sender`` of its calls, is built once per lane."""
         mb = MicroBlock(shard=lane, epoch=self.epoch)
         if local_states is None:
             local_states = {}
@@ -130,11 +131,12 @@ class Execution:
         t0 = time.perf_counter_ns() if self.metrics.enabled else 0
         deferred: list[Transaction] = []
         receipts, gas = mb.receipts, 0
+        callers: dict[str, ByStrVal] = {}
         for position, tx in enumerate(queue):
             if gas >= gas_limit:
                 deferred = queue[position:]
                 break
-            receipt = self._execute(tx, lane, state_for, touched)
+            receipt = self._execute(tx, lane, state_for, touched, callers)
             receipts.append(receipt)
             gas += receipt.gas_used
         mb.gas_used = gas
@@ -145,10 +147,11 @@ class Execution:
         return mb, local_states, touched, deferred
 
     def _execute(self, tx: Transaction, lane: int, state_for,
-                 touched: defaultdict) -> Receipt:
+                 touched: defaultdict, callers: dict) -> Receipt:
         """Run one transaction; success appends its logs to ``touched``.
         The sender's row is handed out once, first (into the attempt's
-        buffer); every fee charge reads it back from there."""
+        buffer); every fee charge reads it back from there.  ``callers``
+        holds the lane's sender values by address."""
         sender, price = tx.sender, tx.gas_price
         row = self._account_at(sender)
         accounts = self._account_buffer
@@ -156,7 +159,9 @@ class Execution:
             return Receipt(tx, False, 0, lane, error="invalid gas")
         payment = tx.transition is None
         deposit = (PAYMENT_GAS if payment else tx.gas_limit) * price
-        if (row[portion_slot(lane)] or 0) < deposit or row[0] < deposit:
+        # ``portion_slot(lane)``, inline.
+        if (row[lane + 1 if lane >= 0 else -1] or 0) < deposit \
+                or row[0] < deposit:
             return Receipt(tx, False, 0, lane,
                            error="insufficient balance for gas")
         if not self.nonces.try_accept(sender, tx.nonce, lane):
@@ -190,13 +195,17 @@ class Execution:
         if contract is None:
             return Receipt(tx, False, 0, lane, error="unknown contract")
 
-        chain = _CallChain(self, lane, state_for, tx.gas_limit, deposit)
-        try:
+        caller = callers.get(sender)
+        if caller is None:
             # ``sender`` is canonical since the transaction was built:
             # its ByStr20 needs no validation.
-            chain.invoke(contract, tx.transition, dict(tx.args),
-                         tuple.__new__(ByStrVal, (sender, ty.BYSTR20)),
-                         amount, sender, 0)
+            caller = callers[sender] = tuple.__new__(
+                ByStrVal, (sender, ty.BYSTR20))
+        chain = _CallChain(self, lane, state_for, tx.gas_limit, deposit)
+        try:
+            chain.invoke(contract, tx.transition,
+                         (tx.arg_names, tx.arg_values), caller, amount,
+                         sender, 0)
         except _ChainFailed as exc:
             chain.rollback()
             gas = min(chain.gas_used, tx.gas_limit)
@@ -255,8 +264,11 @@ class _CallChain:
         self._refunds: list = []
 
     def invoke(self, contract, transition: str,
-               args: dict, caller: ByStrVal, amount: int,
+               args: dict | tuple, caller: ByStrVal, amount: int,
                payer: str | None, depth: int) -> None:
+        """Run one call of the chain; ``args`` as
+        :meth:`~repro.scilla.interpreter.Interpreter.run_transition`
+        takes them."""
         state = self.state_for(contract.address)
         # (sender, amount, origin, block_number), positionally: keyword
         # calls of a dataclass __init__ cost twice as much.

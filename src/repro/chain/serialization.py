@@ -222,7 +222,8 @@ def transaction_to_obj(tx: Transaction) -> list:
     """
     return [tx.tx_id, tx.sender, tx.to, tx.nonce, tx.amount, tx.gas_limit,
             tx.gas_price, tx.transition,
-            [[k, value_to_json(v)] for k, v in tx.args]]
+            [[k, value_to_json(v)]
+             for k, v in zip(tx.arg_names, tx.arg_values)]]
 
 
 def transaction_from_obj(data: Any) -> Transaction:
@@ -235,7 +236,7 @@ def transaction_from_obj(data: Any) -> Transaction:
         transition, args = data
     return Transaction(
         sender, to, nonce, amount, gas_limit, gas_price, transition,
-        tuple([(k, value_from_json(v)) for k, v in args]), tx_id)
+        [(k, value_from_json(v)) for k, v in args], tx_id)
 
 
 def transaction_to_json(tx: Transaction) -> str:

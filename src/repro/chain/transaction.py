@@ -27,18 +27,27 @@ class Transaction:
     """A signed user transaction.
 
     ``to`` is a user address (payment) or a contract address (call).
-    Contract calls name a ``transition`` and carry typed ``args``.
-    ``sender`` and ``to`` are canonical from construction (``0x`` + 40
-    lowercase hex, :func:`~repro.scilla.values.pad_address`), so every
-    table keyed by an address — mempool queues and nonce floors,
-    accounts, nonce records — sees one key per address whatever
-    spelling the transaction was written with.  Slotted, no instance
-    dict; the mempool, WAL and blocks share one, and nothing assigns to
-    it after construction.
+    Contract calls name a ``transition`` and carry typed ``args``,
+    ``(name, value)`` pairs, held as two columns: ``arg_names`` and, in
+    the same order, ``arg_values`` — one tuple the collector keeps
+    tracked per transaction instead of one per pair and the pairs'
+    tuple.  ``sender`` and ``to`` are canonical from construction
+    (``0x`` + 40 lowercase hex,
+    :func:`~repro.scilla.values.pad_address`), so every table keyed by
+    an address — mempool queues and nonce floors, accounts, nonce
+    records — sees one key per address whatever spelling the
+    transaction was written with.  Slotted, no instance dict; the
+    mempool, WAL and blocks share one, and nothing assigns to it after
+    construction.
     """
 
     __slots__ = ("sender", "to", "nonce", "amount", "gas_limit",
-                 "gas_price", "transition", "args", "tx_id")
+                 "gas_price", "transition", "arg_names", "arg_values",
+                 "tx_id")
+    # The constructor's parameters: what ``repr`` shows and a pickle
+    # passes back.
+    _FIELDS = ("sender", "to", "nonce", "amount", "gas_limit", "gas_price",
+               "transition", "args", "tx_id")
 
     def __init__(self, sender: str, to: str, nonce: int, amount: int = 0,
                  gas_limit: int = 50_000, gas_price: int = 1,
@@ -52,13 +61,17 @@ class Transaction:
         self.gas_limit = gas_limit
         self.gas_price = gas_price
         self.transition = transition
-        self.args = args
+        self.arg_names, self.arg_values = zip(*args) if args else ((), ())
         self.tx_id = next(_tx_counter) if tx_id is None else tx_id
+
+    @property
+    def args(self) -> tuple[tuple[str, Value], ...]:
+        return tuple(zip(self.arg_names, self.arg_values))
 
     def _fields(self) -> tuple:
         return (self.sender, self.to, self.nonce, self.amount,
-                self.gas_limit, self.gas_price, self.transition, self.args,
-                self.tx_id)
+                self.gas_limit, self.gas_price, self.transition,
+                self.arg_names, self.arg_values, self.tx_id)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -69,19 +82,19 @@ class Transaction:
         return hash(self._fields())
 
     def __reduce__(self):
-        return (Transaction, self._fields())
+        return (Transaction, tuple(getattr(self, name)
+                                   for name in self._FIELDS))
 
     def __repr__(self) -> str:
         return "Transaction(" + ", ".join(
-            f"{name}={value!r}"
-            for name, value in zip(self.__slots__, self._fields())) + ")"
+            f"{name}={getattr(self, name)!r}" for name in self._FIELDS) + ")"
 
     @property
     def is_contract_call(self) -> bool:
         return self.transition is not None
 
     def args_dict(self) -> dict[str, Value]:
-        return dict(self.args)
+        return dict(zip(self.arg_names, self.arg_values))
 
     def __str__(self) -> str:
         if self.is_contract_call:
@@ -98,7 +111,7 @@ def call(sender: str, contract: str, transition: str,
     return Transaction(
         sender=sender, to=contract, nonce=nonce, amount=amount,
         gas_limit=gas_limit, transition=transition,
-        args=tuple((args or {}).items()))
+        args=(args or {}).items())
 
 
 def payment(sender: str, to: str, amount: int, nonce: int = 0) -> Transaction:
@@ -144,7 +157,7 @@ def charged(row: tuple, lane: int, amount: int,
             keep: int = 0) -> tuple | None:
     """``row`` with ``amount`` taken from ``lane``'s portion, or None
     when that portion or the balance is short of ``amount + keep``."""
-    i = portion_slot(lane)
+    i = lane + 1 if lane >= 0 else -1       # portion_slot(lane), inline
     portion = row[i] or 0
     if portion < amount + keep or row[0] < amount + keep:
         return None
@@ -156,7 +169,7 @@ def charged(row: tuple, lane: int, amount: int,
 
 def credited(row: tuple, lane: int, amount: int) -> tuple:
     """``row`` with ``amount`` added to the balance and ``lane``'s portion."""
-    i = portion_slot(lane)
+    i = lane + 1 if lane >= 0 else -1       # portion_slot(lane), inline
     new = list(row)
     new[0] += amount
     new[i] = (row[i] or 0) + amount

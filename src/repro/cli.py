@@ -387,12 +387,16 @@ def _shard_count(text: str) -> int:
     return n
 
 
-def _batch_ceiling(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(
-            f"an epoch batch takes at least one transaction, not {n}")
-    return n
+def _at_least_one(what: str):
+    """An argparse type: an integer of at least 1, the size of ``what``
+    in transactions."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < 1:
+            raise argparse.ArgumentTypeError(
+                f"{what} takes at least one transaction, not {n}")
+        return n
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -585,11 +589,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="offered transactions per tick")
     p.add_argument("--shards", type=_shard_count, default=4)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--capacity", type=int, default=None,
-                   help="mempool capacity (default: 8x --txns)")
-    p.add_argument("--per-sender", type=int, default=None,
-                   help="per-sender queue cap")
-    p.add_argument("--batch-max", type=_batch_ceiling, default=None,
+    p.add_argument("--capacity", type=_at_least_one("a mempool"),
+                   default=None, help="mempool capacity (default: 8x --txns)")
+    p.add_argument("--per-sender", type=_at_least_one("a sender's queue"),
+                   default=None, help="per-sender queue cap")
+    p.add_argument("--batch-max", type=_at_least_one("an epoch batch"),
+                   default=None,
                    help="epoch batch ceiling (default: --txns)")
     p.add_argument("--flood-rate", type=float, default=0.0,
                    help="per-tick probability of a FLOOD burst "

@@ -209,6 +209,7 @@ def _eq(args: list[Value]) -> Value:
 
 def _fast_arith(op, impl: Impl):
     bounds = ty._INT_BOUNDS
+    tuple_new = tuple.__new__
 
     def fast(a: Value, b: Value) -> Value:
         if a.__class__ is IntVal and b.__class__ is IntVal:
@@ -217,7 +218,7 @@ def _fast_arith(op, impl: Impl):
                 value = op(a.value, b.value)
                 lo, hi = bounds[typ]
                 if lo <= value <= hi:
-                    return IntVal.checked(value, typ)
+                    return tuple_new(IntVal, (value, typ))  # IntVal.checked
         return impl([a, b])
     return fast
 

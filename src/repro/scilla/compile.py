@@ -184,15 +184,16 @@ class _Msg:
     fields: list
 
     def box(self, fn) -> str:
-        ns = fn.unit.ns
+        unit = fn.unit
         if all(_CONST_RE.fullmatch(py) for _, py in self.fields):
-            return fn.unit.const(MsgVal(tuple(
-                (k, ns[py]) for k, py in self.fields)))
-        # A pair of two constants (``_eventname``, ``_tag``) is one too.
-        # Built as ``OutMsg`` is: the named tuple's ``__new__`` is a frame.
-        return "tuple_new(MsgVal, ((%s),))" % "".join(
-            f"{fn.unit.const((k, ns[py]))}, " if _CONST_RE.fullmatch(py)
-            else f"({k!r}, {py}), " for k, py in self.fields)
+            return unit.const(MsgVal(
+                [(k, unit.ns[py]) for k, py in self.fields]))
+        # One constant names tuple per site; only the values tuple is
+        # built.  By ``tuple_new``, as ``OutMsg`` is: the named tuple's
+        # ``__new__`` is a frame.
+        names = unit.const(tuple(k for k, _ in self.fields))
+        return "tuple_new(MsgVal, (%s, (%s)))" % (
+            names, "".join(f"{py}, " for _, py in self.fields))
 
     def get(self, name: str) -> str | None:
         return next((py for k, py in self.fields if k == name), None)
@@ -259,11 +260,12 @@ class ContractUnit:
         self.scope = self._base_scope(interp)
         # Of each name the first component: where it stands (a call is
         # lowered into its caller only when the callee comes earlier) and,
-        # for transitions, the parameter names ``run_transition`` checks.
+        # for transitions, the parameter names in declaration order, the
+        # order in which ``run_transition`` hands over the values.
         components = self.contract.components
         first = {c.name: c for c in reversed(components)}
         self.order = {name: components.index(c) for name, c in first.items()}
-        self.params = {name: frozenset(p.name for p in c.params)
+        self.params = {name: tuple(p.name for p in c.params)
                        for name, c in first.items() if c.is_transition}
         for comp in self.contract.transitions:
             self.lower(comp)
@@ -333,7 +335,8 @@ class ContractUnit:
     # -- linking ---------------------------------------------------------------
 
     def entry(self, name: str):
-        """The compiled ``f(run, args)`` of transition ``name``."""
+        """The compiled ``f(run, args)`` of transition ``name``; ``args``
+        are the values of its parameters in declaration order."""
         fn = self._entries.get(name)
         if fn is None:
             pyname = f"t_{_ident(name)}"
@@ -493,8 +496,8 @@ class _Fn:
         scope = {**self.unit.scope,
                  **{p.name: n for p, n in zip(comp.params, names)}}
         if comp.is_transition:
-            first = [f"    {n} = args[{p.name!r}]"
-                     for p, n in zip(comp.params, names)]
+            # ``args``: the values in declaration order.
+            first = [f"    {', '.join(names)}, = args"] if names else []
             params = "run, args"
             self.charge(GAS_TRANSITION_BASE)
         else:

@@ -486,18 +486,28 @@ class Interpreter:
         return self._unit
 
     def run_transition(self, state: ContractState, name: str,
-                       args: dict[str, Value], ctx: TxContext,
+                       args: dict[str, Value] | tuple, ctx: TxContext,
                        gas_limit: int = 100_000) -> _Run:
         """Execute a transition; rolls state back on failure.  Runs
         its compiled unit: the entry point of the chain and the lanes.
-        The finished :class:`_Run` is the result."""
+        The finished :class:`_Run` is the result.  ``args`` maps each
+        parameter to its value, or is a transaction's ``(names,
+        values)``: when the names are the parameters in declaration
+        order, the values pass as they are, with no dict built."""
         unit = self._unit or self.unit
-        if unit.params.get(name) != args.keys():
-            self._transition(name, args)    # raises the reference's error
+        params = unit.params.get(name)
+        if args.__class__ is tuple and args[0] == params:
+            values = args[1]
+        else:
+            if args.__class__ is tuple:     # last duplicate wins
+                args = dict(zip(*args))
+            if params is None or args.keys() != set(params):
+                self._transition(name, args)    # raises the reference's error
+            values = tuple([args[p] for p in params])
         run = _Run(self, state, ctx, gas_limit)
         # Linked already (read without a frame), or linked now.
         return run.finish(unit._entries.get(name) or unit.entry(name),
-                          run, args)
+                          run, values)
 
     def interpret_transition(self, state: ContractState, name: str,
                              args: dict[str, Value], ctx: TxContext,

@@ -475,16 +475,31 @@ class TypeClosure(Value):
         return f"<tfun {self.tvar}>"
 
 
-class MsgVal(namedtuple("MsgVal", "fields"), TupleValue):
-    """A message, event or exception record."""
+class MsgVal(namedtuple("MsgVal", "names values"), TupleValue):
+    """A message, event or exception record: its field names and, in
+    the same order, their values.  A Scilla message fixes its names
+    where it is written, so compiled code builds one over a constant
+    ``names`` tuple: ``tuple.__new__(MsgVal, (NAMES, (a, b, …)))``.
+    ``MsgVal(fields)`` takes ``(name, value)`` pairs, which ``fields``
+    gives back; ``repr`` shows them."""
 
     __slots__ = ()
 
+    def __new__(cls, fields=()) -> "MsgVal":
+        names = tuple([k for k, _ in fields])
+        return tuple.__new__(cls, (names, tuple([v for _, v in fields])))
+
+    @property
+    def fields(self) -> tuple[tuple[str, Value], ...]:
+        return tuple(zip(self[0], self[1]))
+
     def get(self, name: str) -> Value | None:
-        for k, v in self.fields:
-            if k == name:
-                return v
-        return None
+        """The value of the first field called ``name``, else None."""
+        names = self[0]
+        return self[1][names.index(name)] if name in names else None
+
+    def __repr__(self) -> str:
+        return f"MsgVal(fields={self.fields!r})"
 
     def __str__(self) -> str:
         inner = "; ".join(f"{k}: {v}" for k, v in self.fields)

@@ -13,7 +13,7 @@ addresses where a user is expected.
   (two selections per contract), under signature and default dispatch;
 * payments, unknown contracts and transitions, short-form addresses;
 * registration order: a contract deployed *after* a plan was lowered
-  changes ``UserAddr``, and unregistering it changes it back.
+  changes ``UserAddr``.
 
 A disagreement prints the generated source of the plan that ran; the
 source is a function of the registered contracts alone.
@@ -24,7 +24,7 @@ import random
 import pytest
 
 from repro.chain.dispatch import (
-    DS, REASON_KINDS, DeployedSignature, Dispatcher,
+    REASON_KINDS, DeployedSignature, Dispatcher,
 )
 from repro.chain.transaction import Transaction, call, payment
 from repro.contracts import CORPUS
@@ -195,13 +195,11 @@ def test_user_addr_sees_contracts_deployed_after_lowering():
     assert agree(d, tx) in ("satisfied", "conflicting_ownership")
     d.register_contract(DeployedSignature(OTHER, None, {}))
     assert agree(d, tx) == "non_user_recipient"
-    d.unregister_contract(OTHER)
-    assert agree(d, tx) in ("satisfied", "conflicting_ownership")
 
 
-def test_registration_pads_and_unregistration_drops_the_plans():
+def test_registration_pads_the_address():
     """A short-form address registers the contract ``dispatch`` looks
-    up; once unregistered its plans are gone with it."""
+    up."""
     d = Dispatcher(4)
     result = run_pipeline_cached(CORPUS["FungibleToken"], "FungibleToken")
     d.register_contract(DeployedSignature(
@@ -210,9 +208,6 @@ def test_registration_pads_and_unregistration_drops_the_plans():
               {"to": addr(ADMIN), "amount": uint(1)})
     assert d.is_contract("0x" + "0" * 38 + "c0")
     assert agree(d, tx) != "unknown_contract"
-    d.unregister_contract("0xc0")
-    assert agree(d, tx) == "unknown_contract"
-    assert d.dispatch(tx).shard == DS
 
 
 def plan_sources(d: Dispatcher, transitions) -> list[str]:

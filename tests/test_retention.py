@@ -8,6 +8,7 @@ into a :class:`BlockHeader`, and reading a released body raises
 """
 
 import gc
+from unittest import mock
 
 import pytest
 
@@ -16,7 +17,9 @@ from repro.chain.blocks import (
 )
 from repro.chain.mempool import MempoolConfig
 from repro.chain.network import Network
+from repro.chain.recovery import NetworkCheckpoint
 from repro.chain.service import ServiceConfig, ServiceLoop
+from repro.scilla.values import addr, uint
 from repro.workloads.generators import FTTransfer
 
 
@@ -57,6 +60,59 @@ def test_tracked_objects_are_flat_in_epochs_processed():
             tracked[epoch] = len(gc.get_objects())
     # A header is a handful of objects; a 400-transfer body ≈ 8 700.
     assert abs(tracked[60] - tracked[30]) <= 10 * 30
+
+
+def tracked_objects() -> int:
+    gc.collect()
+    return len(gc.get_objects())
+
+
+def test_a_kept_transfer_holds_few_tracked_objects():
+    """EXPERIMENTS.md E19's count: what ten kept blocks and their
+    batches add to the tracked objects, per transfer.  The transaction
+    holds one tuple of argument values (its names tuple holds strings,
+    which the collector untracks); its event is one ``MsgVal`` over a
+    constant names tuple, and the transfer's ``_sender`` value is built
+    once per lane.  8.44 here; 12.58 with an args tuple of pairs and an
+    event of pairs (E27)."""
+    workload = FTTransfer(n_users=1000, txns_per_epoch=400, seed=11)
+    net = Network(4, state_backend="none")
+    workload.setup(net)
+    for epoch in range(1, 6):                       # warm-up
+        net.process_epoch(workload.transactions(epoch))
+    before = tracked_objects()
+    kept = []
+    for epoch in range(6, 16):
+        batch = workload.transactions(epoch)
+        kept.append((batch, net.process_epoch(batch)))
+    per_transfer = (tracked_objects() - before) / (10 * 400)
+    assert sum(block.n_committed for _, block in kept) == 10 * 400
+    assert per_transfer <= 9.5, f"{per_transfer:.2f} per kept transfer"
+
+
+def test_a_bulk_mint_epoch_holds_few_tracked_objects():
+    """Every Sec. 5.2 workload prepares its users in one bulk epoch;
+    the tracked objects alive when that attempt commits — the mints,
+    their receipts and events, the new balances — set the workload's
+    peak.  10.0 per mint here, 16.0 before (E27)."""
+    workload = FTTransfer(n_users=3000, seed=11)
+    net = Network(4, state_backend="none")
+    with mock.patch.object(FTTransfer, "prepare", lambda self, net: None):
+        workload.setup(net)                         # the deploy alone
+    at_commit = []
+    commit = NetworkCheckpoint.commit
+
+    def counting_commit(self, *args, **kwargs):
+        at_commit.append(tracked_objects())
+        return commit(self, *args, **kwargs)
+    before = tracked_objects()
+    with mock.patch.object(NetworkCheckpoint, "commit", counting_commit):
+        workload.prepare(net)                       # 3 000 Mints
+    assert len(at_commit) == 1
+    assert net.contracts[workload.contract_addr].state.read(
+        ("balances", (addr(workload.users[-1]),))) == uint(10**9)
+    per_mint = (at_commit[0] - before) / 3000
+    assert per_mint <= 11, f"{per_mint:.2f} per mint at the commit"
 
 
 @pytest.mark.parametrize("executor", ["serial"])

@@ -400,6 +400,19 @@ class TestCli:
         assert exc.value.code == 2
         assert "at least one transaction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, what", [
+        ("--capacity", "a mempool"), ("--per-sender", "a sender's queue")])
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_serve_refuses_a_pool_bound_below_one(self, capsys, flag, what,
+                                                  bound):
+        # Both used to end in MempoolConfig's ValueError traceback.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--ticks", "2", "--txns", "5", flag, bound])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: {what} takes at least one transaction" in err
+        assert "Traceback" not in err
+
     def test_serve_json(self, capsys):
         rc = main(["serve", "--population", "200", "--ticks", "3",
                    "--txns", "30", "--shards", "2", "--json"])

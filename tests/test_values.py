@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import pickle
+import random
 import sys
 
 import hypothesis.strategies as st
@@ -11,8 +12,12 @@ import pytest
 from hypothesis import given
 
 from repro.chain.dispatch import key_token, value_from_token
-from repro.chain.serialization import value_from_json, value_to_json
-from repro.scilla.errors import EvalError
+from repro.chain.serialization import (
+    transaction_from_obj, transaction_to_obj, value_from_json, value_to_json,
+)
+from repro.chain.transaction import Transaction, call
+from repro.contracts import CORPUS
+from repro.scilla.errors import EvalError, ScillaError
 from repro.scilla.interpreter import OutMsg
 from repro.scilla import types as ty
 from repro.scilla.values import (
@@ -20,6 +25,8 @@ from repro.scilla.values import (
     bool_val, canonical, cons, list_to_value, nil, none, pair, some,
     type_of_value, uint, value_to_list, values_equal,
 )
+
+from .test_compiled_equivalence import deploy_pair, variants
 
 
 def test_int_bounds_enforced_at_construction():
@@ -365,3 +372,109 @@ def test_json_round_trip(v):
 @given(_atoms)
 def test_key_token_round_trip(v):
     _assert_same(value_from_token(key_token(v)), v)
+
+
+# -- a message and a transaction's arguments: two columns each -----------------
+#
+# ``MsgVal`` is ``(names, values)`` and a ``Transaction`` keeps
+# ``arg_names`` / ``arg_values``; both are still built from and read as
+# ``(name, value)`` pairs.
+
+def test_a_message_is_its_names_and_its_values():
+    pairs = (("_eventname", StringVal("Minted")), ("amount", uint(5)))
+    msg = MsgVal(pairs)
+    assert msg.names == ("_eventname", "amount")
+    assert msg.values == (StringVal("Minted"), uint(5))
+    assert msg.fields == pairs and msg.get("amount") == uint(5)
+    assert msg.get("missing") is None and MsgVal(()).get("x") is None
+    # The first field of a repeated name, as a walk of the pairs found.
+    assert MsgVal((("x", uint(1)), ("x", uint(2)))).get("x") == uint(1)
+    # Compiled code builds one over a constant names tuple, no frame.
+    assert tuple.__new__(MsgVal, (msg.names, msg.values)) == msg
+    assert MsgVal(list(pairs)) == msg and MsgVal(pairs[::-1]) != msg
+
+
+def _events(run):
+    """The events of ``run()`` (a finished run), none if it raised."""
+    try:
+        return run().events
+    except ScillaError:
+        return []
+
+
+def test_compiled_and_interpreted_events_are_equal_messages():
+    """Every corpus transition, run compiled and interpreted on states
+    kept in lockstep: each event is the same ``MsgVal`` — equal, equal
+    hash, the same ``str`` / ``repr`` / ``canonical`` — and a compiled
+    event site hands every call the same names tuple."""
+    # (contract, transition, event name) -> the names tuple
+    names_of: dict[tuple, tuple] = {}
+    seen = 0
+    for name in sorted(CORPUS):
+        interp, compiled, reference = deploy_pair(name)
+        rng = random.Random(name)
+        for _ in range(2):
+            for comp in interp.contract.transitions:
+                for args, ctx in variants(comp, interp.adts, rng, 3):
+                    got = _events(lambda: interp.run_transition(
+                        compiled, comp.name, dict(args), ctx))
+                    want = _events(lambda: interp.interpret_transition(
+                        reference, comp.name, dict(args), ctx))
+                    assert got == want, (name, comp.name)
+                    for event, ref in zip(got, want):
+                        assert type(event) is type(ref) is MsgVal
+                        assert hash(event) == hash(ref)
+                        assert (str(event), repr(event),
+                                canonical(event)) == (
+                            str(ref), repr(ref), canonical(ref))
+                        assert MsgVal(event.fields) == event
+                        site = (name, comp.name, event.get("_eventname"))
+                        assert names_of.setdefault(
+                            site, event.names) is event.names, site
+                        seen += 1
+    # Vacuity floor: the corpus declares 52 event names; 49 are reached.
+    events = {site[::2] for site in names_of}
+    assert seen >= 150 and len(events) >= 45, (seen, len(events))
+
+
+def test_a_transaction_built_from_pairs_round_trips():
+    """The row, ``repr``, pickle, ``==`` and ``hash`` of a transaction
+    are what they were while it held a tuple of pairs."""
+    pairs = (("to", addr("0x01")), ("amount", uint(5)))
+    tx = Transaction("0xAB", "0xc0", 3, 7, 900, 2, "Transfer", pairs,
+                     tx_id=41)
+    assert tx.args == pairs and tx.args_dict() == dict(pairs)
+    assert tx.arg_names == ("to", "amount")
+    assert tx.arg_values == (addr("0x01"), uint(5))
+    assert repr(tx) == (
+        "Transaction(sender='0x00000000000000000000000000000000000000ab', "
+        "to='0x00000000000000000000000000000000000000c0', nonce=3, "
+        "amount=7, gas_limit=900, gas_price=2, transition='Transfer', "
+        "args=(('to', ByStrVal(hex='0x000000000000000000000000000000000000"
+        "0001', typ=PrimType(name='ByStr20'))), ('amount', IntVal(value=5, "
+        "typ=PrimType(name='Uint128')))), tx_id=41)")
+    row = transaction_to_obj(tx)
+    assert json.dumps(row) == (
+        '[41, "0x00000000000000000000000000000000000000ab", '
+        '"0x00000000000000000000000000000000000000c0", 3, 7, 900, 2, '
+        '"Transfer", [["to", {"t": "ByStr20", "v": '
+        '"0x0000000000000000000000000000000000000001"}], '
+        '["amount", {"t": "Uint128", "v": "5"}]]]')
+    clones = [transaction_from_obj(json.loads(json.dumps(row))),
+              copy.deepcopy(tx)] + [
+        pickle.loads(pickle.dumps(tx, protocol))
+        for protocol in (2, pickle.HIGHEST_PROTOCOL)]
+    for clone in clones:
+        assert clone == tx and hash(clone) == hash(tx)
+        assert clone.args == pairs and repr(clone) == repr(tx)
+    assert call("0xab", "0xc0", "Transfer", dict(pairs)).args == pairs
+    # Argument order and every repeated name are kept, as pairs kept
+    # them; ``args_dict`` is last-wins.
+    assert Transaction("0xab", "0xc0", 3, 7, 900, 2, "Transfer",
+                       pairs[::-1], tx_id=41) != tx
+    twice = (("x", uint(1)), ("x", uint(2)))
+    dup = Transaction("0xab", "0xc0", 1, transition="T", args=twice)
+    assert dup.args == twice and dup.args_dict() == {"x": uint(2)}
+    assert transaction_from_obj(transaction_to_obj(dup)) == dup
+    bare = Transaction("0xab", "0xcd", 1, 5)
+    assert bare.args == () and bare.arg_names == bare.arg_values == ()
