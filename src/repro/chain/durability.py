@@ -195,20 +195,23 @@ class Durability:
         attempt already produced: contract locations (state keys per
         contract) from the merged deltas and the DS lane's write logs;
         touched accounts and senders are the keys of the checkpoint's
-        buffers (a view change emptied them of the attempts it
-        dropped)."""
-        locations: dict[str, set] = {}
+        buffers, returned as they are (a view change emptied them of
+        the attempts it dropped).  All are dicts, in first-touched
+        order, so a delta restore point lists its rows the same under
+        every hash seed."""
+        locations: dict[str, dict] = {}
         for mb in outcome.microblocks:
             for delta in mb.deltas:
-                keys = locations.setdefault(delta.contract, set())
+                keys = locations.setdefault(delta.contract, {})
                 for column in delta.columns:
                     name = column.field
-                    keys.update([(name, path) for path in column.rows])
+                    for path in column.rows:
+                        keys[name, path] = None
         for addr, logs in outcome.ds_logs.items():
-            keys = locations.setdefault(addr, set())
+            keys = locations.setdefault(addr, {})
             for log in logs:
-                keys.update(log.writes)
-        return locations, set(checkpoint.accounts), set(checkpoint.nonces)
+                keys.update(dict.fromkeys(log.writes))
+        return locations, checkpoint.accounts, checkpoint.nonces
 
     def _fold_changes(self, pre_states: dict, changed) -> None:
         """Advance the commit digest's accumulators by the change set."""

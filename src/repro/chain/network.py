@@ -162,7 +162,7 @@ class Network(Execution, Durability):
         self._wal_append("account", {"address": address,
                                      "balance": balance})
         if self._ledger is not None:
-            self._ledger.accounts.add(_pad(address))
+            self._ledger.accounts[_pad(address)] = None
         self._create_account(address, balance)
 
     def auto_fund(self, address: str) -> None:
@@ -175,7 +175,7 @@ class Network(Execution, Durability):
         promises too."""
         if self.wal is not None:
             self._unlogged_accounts.append(address)
-            self._ledger.accounts.add(_pad(address))
+            self._ledger.accounts[_pad(address)] = None
         self._create_account(address, FUNDING)
 
     def balance(self, address: str, lane: int | None = None) -> int | None:

@@ -246,9 +246,11 @@ def network_fingerprint(net) -> dict[str, str]:
 
 
 def fingerprint_digest(net) -> str:
-    """One hash over the whole network fingerprint, compact enough to
-    embed in WAL commit records; replay verifies it after re-executing
-    each epoch."""
+    """One hash over the whole network fingerprint: O(state), so no
+    epoch computes it.  WAL commit records embed
+    :meth:`ChangeLedger.digest` instead; this digest is for whole-run
+    reports (``bench/workloads.py``), as :func:`network_fingerprint`
+    is for ``repro run`` and ``repro chaos``."""
     blob = json.dumps(network_fingerprint(net), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -333,9 +335,11 @@ class ChangeLedger:
         # written yet, a resumed network, a deploy, paged state).
         self.parent: tuple[str, str] | None = None
         self.parent_seq = self.base_rows = self.delta_rows = 0
-        self.locations: dict[str, set] = {}
-        self.accounts: set[str] = set()
-        self.senders: set[str] = set()
+        # Sets kept as dicts: a delta lists its rows in the order they
+        # were first touched, the same under every hash seed.
+        self.locations: dict[str, dict] = {}
+        self.accounts: dict[str, None] = {}
+        self.senders: dict[str, None] = {}
 
     def add_contract(self, state: ContractState) -> None:
         """A deploy: no delta can express it, so it forces a base."""
@@ -352,8 +356,8 @@ class ChangeLedger:
         blob = json.dumps(self.accumulators(net)).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def commit(self, net, pre_states: dict, locations: dict[str, set],
-               accounts: set[str], senders: set[str]) -> None:
+    def commit(self, net, pre_states: dict, locations: dict[str, dict],
+               accounts: dict, senders: dict) -> None:
         """Fold one committed epoch's change set in: per changed
         ``(field, first key)`` subtract the term of its pre-epoch value
         (read from the contract's pinned pre-epoch state) and add the
@@ -399,9 +403,9 @@ class ChangeLedger:
             self.fields[addr] = acc & _MASK
         if self.parent is not None:
             for addr, keys in locations.items():
-                self.locations.setdefault(addr, set()).update(keys)
-            self.accounts |= accounts
-            self.senders |= senders
+                self.locations.setdefault(addr, {}).update(keys)
+            self.accounts.update(dict.fromkeys(accounts))
+            self.senders.update(dict.fromkeys(senders))
 
     def pending_rows(self) -> int:
         return (sum(map(len, self.locations.values()))
@@ -421,4 +425,4 @@ class ChangeLedger:
             self.base_rows, self.delta_rows = rows, 0
         else:
             self.delta_rows += rows
-        self.locations, self.accounts, self.senders = {}, set(), set()
+        self.locations, self.accounts, self.senders = {}, {}, {}

@@ -59,7 +59,6 @@ class ServiceConfig:
     batch_min: int = 8         # never shrink the batch below this
     max_deferrals: int = 12    # gas deferrals before dead-lettering
     auto_fund: bool = True     # create unknown sender accounts at admission
-    record_committed: bool = False  # keep per-epoch committed batches
     # Headers net.blocks lists before the oldest is dropped; bodies
     # are the network's BODY_WINDOW (repro.chain.blocks).
     keep_blocks: int | None = 256
@@ -111,9 +110,6 @@ class ServiceLoop:
         self.idle_ticks = 0
         self.stalled_ticks = 0
         self.max_occupancy = 0
-        # Per-epoch committed batches, in drained order — the serial
-        # replay oracle's input (tests/test_service_differential.py).
-        self.committed_epochs: list[list[Transaction]] = []
         # Journal buffers, flushed (fsynced) at the next tick boundary
         # or sync(): admissions must hit the WAL before the epoch that
         # drains them.
@@ -191,7 +187,7 @@ class ServiceLoop:
         block = self.net.process_epoch(batch, wal_tag=SERVE_TAG)
         report.epoch = block.epoch
         report.epoch_seconds = block.epoch_seconds
-        self._absorb_outcomes(block, batch, report)
+        self._absorb_outcomes(block, report)
         self.served_committed += report.committed
         self.served_seconds += block.epoch_seconds
         pool.note_drain_rate(report.committed)
@@ -213,11 +209,9 @@ class ServiceLoop:
 
     # -- outcome settlement ------------------------------------------------
 
-    def _absorb_outcomes(self, block, batch, report: TickReport) -> None:
+    def _absorb_outcomes(self, block, report: TickReport) -> None:
         pool = self.mempool
-        committed: list[Transaction] = []
         deferred: list[PoolEntry] = []
-        committed_ids: set[int] = set()
         for receipt in block.all_receipts:
             tx_id = receipt.tx.tx_id
             entry = pool.inflight.get(tx_id)
@@ -225,16 +219,12 @@ class ServiceLoop:
                 continue  # churn duplicate of a settled transaction
             if receipt.success:
                 pool.resolve(tx_id, TerminalKind.COMMITTED)
-                committed_ids.add(tx_id)
                 report.committed += 1
             elif receipt.deferred:
                 deferred.append(pool.inflight.pop(tx_id))
             else:
                 pool.resolve(tx_id, TerminalKind.FAILED)
                 report.failed += 1
-        if self.config.record_committed:
-            committed = [tx for tx in batch if tx.tx_id in committed_ids]
-            self.committed_epochs.append(committed)
 
         # Deferrals re-enter at the front of their sender's queue, or
         # dead-letter once their budget is spent.  Receipts arrive in

@@ -585,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population", type=int, default=10_000,
                    help="sender address-space size")
     p.add_argument("--ticks", type=int, default=24)
-    p.add_argument("--txns", type=int, default=200,
+    p.add_argument("--txns", type=_at_least_one("a tick"), default=200,
                    help="offered transactions per tick")
     p.add_argument("--shards", type=_shard_count, default=4)
     p.add_argument("--seed", type=int, default=7)

@@ -265,7 +265,7 @@ def selection_context(
     intmerge = (written - noncomm) if allow_commutativity else set()
     joins = {
         f: (JoinKind.INT_MERGE if f in intmerge else JoinKind.OWN_OVERWRITE)
-        for f in written
+        for f in sorted(written)
     }
     return frozenset(written), frozenset(intmerge), joins
 

@@ -11,12 +11,12 @@ dropped client-side *before* submission (counted, never submitted), so
 a 2x-overload soak holds the whole process's memory bounded, not just
 the pool's.
 
-``replay_committed`` is the correctness oracle: it re-executes exactly
-the committed transaction stream, epoch by epoch in drained order, on
-a fresh fault-free serial network with unlimited gas, and returns its
-contract fingerprint.  Ownership/commutativity analysis promises this
-matches the service run byte for byte — regardless of floods, stalls,
-deferrals or shedding (``tests/test_service_differential.py``).
+Its correctness oracle lives with the tests: the committed
+transactions of the blocks ``process_epoch`` returns, replayed one at
+a time on one state per contract, must give the service run's
+contract states regardless of floods, stalls, deferrals or shedding
+(``tests/test_soundness.py``; the reference is in
+``tests/helpers.py``).
 
 The ``write_stream`` / ``iter_stream`` pair is the `repro loadgen` /
 `repro serve` wire format: a JSONL header describing the workload
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass
 
 from ..chain.faults import FaultPlan
 from ..chain.mempool import (
@@ -38,7 +38,6 @@ from ..chain.mempool import (
     RejectReason,
 )
 from ..chain.network import Network, NetworkConfig
-from ..chain.recovery import network_fingerprint
 from ..chain.serialization import (
     transaction_from_obj, transaction_to_obj,
 )
@@ -103,23 +102,19 @@ class ServiceRun:
     report: ServiceReport
     loop: ServiceLoop
     net: Network
-    workload: object
-    workload_kwargs: dict = dc_field(default_factory=dict)
 
 
 def _make_workload(name: str, population: int, txns_per_tick: int,
                    seed: int):
     cls = workload_by_name(name)
-    kwargs = {"txns_per_epoch": txns_per_tick, "seed": seed}
     try:
-        wl = cls(population=population, **kwargs)
-        kwargs["population"] = population
+        return cls(population=population, txns_per_epoch=txns_per_tick,
+                   seed=seed)
     except TypeError:
         # Fig. 14 workloads: the population knob is n_users, and setup
         # cost is O(n_users) — callers pick toy sizes for these.
-        wl = cls(n_users=population, **kwargs)
-        kwargs["n_users"] = population
-    return wl, kwargs
+        return cls(n_users=population, txns_per_epoch=txns_per_tick,
+                   seed=seed)
 
 
 def run_service(workload: str = "FT transfer @scale", *,
@@ -132,7 +127,6 @@ def run_service(workload: str = "FT transfer @scale", *,
                 flood_rate: float = 0.0, stall_rate: float = 0.0,
                 fault_seed: int = 0,
                 data_dir: str | None = None, cost_model=None,
-                record_committed: bool = False,
                 drain_ticks: int = 64,
                 state_backend=None,
                 setup_hook=None,
@@ -158,8 +152,7 @@ def run_service(workload: str = "FT transfer @scale", *,
         txns_per_tick = header["txns_per_tick"]
         seed = header["seed"]
         ticks = header["ticks"]
-    wl, wl_kwargs = _make_workload(workload, population,
-                                   txns_per_tick, seed)
+    wl = _make_workload(workload, population, txns_per_tick, seed)
 
     plan = None
     if flood_rate > 0 or stall_rate > 0:
@@ -187,8 +180,7 @@ def run_service(workload: str = "FT transfer @scale", *,
     svc_cfg = ServiceConfig(
         batch_max=(batch_max if batch_max is not None
                    else max(ServiceConfig.batch_min, txns_per_tick)),
-        max_deferrals=max_deferrals,
-        record_committed=record_committed)
+        max_deferrals=max_deferrals)
     loop = ServiceLoop(net, config=svc_cfg, pool_config=pool_cfg)
 
     buffer_cap = 4 * capacity     # the client's own buffer
@@ -248,7 +240,7 @@ def run_service(workload: str = "FT transfer @scale", *,
                            ticks, used_drain, generated,
                            client_dropped, len(offered),
                            unique_senders=len(seen_senders))
-    return ServiceRun(report, loop, net, wl, wl_kwargs)
+    return ServiceRun(report, loop, net)
 
 
 def _build_report(loop, net, wl, workload, shards, population, ticks,
@@ -315,38 +307,6 @@ def format_service(report: ServiceReport) -> str:
     return "\n".join(lines)
 
 
-# -- the replay oracle -----------------------------------------------------
-
-def replay_committed(run: ServiceRun) -> dict[str, str]:
-    """Re-execute the run's committed stream serially; return the
-    replay's contract fingerprint.
-
-    Requires ``record_committed=True`` on the original run.  The
-    replay network repeats the same contract setup, then processes
-    each epoch's committed transactions (in drained order) with
-    unlimited gas and no faults.  Only contract states are compared —
-    account gas balances legitimately differ because failed and
-    deferred transactions are absent from the replay (the same
-    convention as repro.eval.chaos).
-    """
-    if not run.loop.config.record_committed:
-        raise ValueError("run was not recorded: pass "
-                         "record_committed=True to run_service")
-    wl = type(run.workload)(**run.workload_kwargs)
-    net = Network(run.net.n_shards,
-                  replace(run.net.config, fault_plan=None))
-    wl.setup(net)
-    for batch in run.loop.committed_epochs:
-        if not batch:
-            continue
-        for tx in batch:
-            if tx.sender not in net.accounts and \
-                    tx.sender not in net.contracts:
-                net.create_account(tx.sender)
-        net.process_epoch(batch, unlimited=True)
-    return network_fingerprint(net)
-
-
 # -- loadgen stream format (repro loadgen | repro serve) -------------------
 
 def write_stream(fh, workload: str = "FT transfer @scale", *,
@@ -360,7 +320,7 @@ def write_stream(fh, workload: str = "FT transfer @scale", *,
         "ticks": ticks, "txns_per_tick": txns_per_tick, "seed": seed,
         "shards_hint": shards_hint,
     }
-    wl, _ = _make_workload(workload, population, txns_per_tick, seed)
+    wl = _make_workload(workload, population, txns_per_tick, seed)
     # Setup state (contract deploys, minting) is reproduced by the
     # serving side from the header; the stream carries only traffic.
     fh.write(json.dumps(header) + "\n")

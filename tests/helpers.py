@@ -1,6 +1,12 @@
 """Shared test utilities (imported as ``from .helpers import ...``)."""
 
+import functools
 import random
+
+from repro.chain import Network
+from repro.scilla.interpreter import Interpreter, TxContext
+from repro.scilla.parser import parse_module
+from repro.scilla.values import canonical
 
 
 def mutate_one_char(source: str, seed: int) -> str:
@@ -15,3 +21,84 @@ def mutate_one_char(source: str, seed: int) -> str:
     alphabet = "abcxyzXYZ01239_;()="
     replacement = rng.choice([c for c in alphabet if c != source[i]])
     return source[:i] + replacement + source[i + 1:]
+
+
+# -- the serial reference (DESIGN.md §5, invariant 1) ------------------------
+
+def _snapshot(state) -> dict:
+    """A contract state's fields (canonical) plus ``_balance``."""
+    snap = {name: canonical(value) for name, value in state.fields.items()}
+    snap["_balance"] = state.balance
+    return snap
+
+
+def contract_states(net) -> dict[str, dict]:
+    """Every contract the network deployed: its fields (canonical) and
+    ``_balance``."""
+    return {address: _snapshot(contract.state)
+            for address, contract in sorted(net.contracts.items())}
+
+
+def record_blocks(monkeypatch) -> list:
+    """From now on, keep every FinalBlock ``process_epoch`` returns —
+    the committed stream, observed without any hook in the network."""
+    blocks = []
+    process_epoch = Network.process_epoch
+
+    def recording(net, *args, **kwargs):
+        block = process_epoch(net, *args, **kwargs)
+        blocks.append(block)
+        return block
+    monkeypatch.setattr(Network, "process_epoch", recording)
+    return blocks
+
+
+def linearisation(block, rng=None) -> list:
+    """One epoch's committed transactions in a serial order consistent
+    with every lane: the shard lanes concatenated (``rng`` None) or
+    interleaved at random, then the DS lane."""
+    lanes = [[r.tx for r in mb.receipts if r.success]
+             for mb in block.microblocks]
+    order = []
+    if rng is None:
+        for lane in lanes:
+            order += lane
+    else:
+        heads = [lane[::-1] for lane in lanes if lane]
+        while heads:
+            i = rng.randrange(len(heads))
+            order.append(heads[i].pop())
+            if not heads[i]:
+                del heads[i]
+    return order + [r.tx for r in block.ds_receipts if r.success]
+
+
+@functools.lru_cache(maxsize=64)
+def _interpreter(source: str) -> Interpreter:
+    return Interpreter(parse_module(source, "reference"))
+
+
+def serial_replay(net, blocks, rng=None) -> dict[str, dict]:
+    """The serial reference: the committed transactions of ``blocks``
+    (every epoch since the contracts were deployed, in order) run one
+    at a time, in :func:`linearisation` order, on one fresh state per
+    contract of ``net`` (its source and parameters, no balance) — no
+    dispatch, merge, nonce or gas check, no call chains.  Every one
+    must succeed; returns what :func:`contract_states` returns."""
+    runs = {}
+    for address, contract in net.contracts.items():
+        interp = _interpreter(contract.source)
+        params = {name: value for name, value
+                  in contract.state.immutables.items()
+                  if name != "_this_address"}
+        runs[address] = interp, interp.deploy(address, params)
+    for block in blocks:
+        for tx in linearisation(block, rng):
+            interp, state = runs[tx.to]
+            run = interp.run_transition(
+                state, tx.transition, tx.args_dict(),
+                TxContext(tx.sender, tx.amount, None, block.epoch))
+            assert run.success, f"{tx} fails in serial order: {run.error}"
+            state.balance -= sum(msg.amount for msg in run.messages)
+    return {address: _snapshot(state)
+            for address, (_, state) in sorted(runs.items())}

@@ -21,7 +21,7 @@ state.
 * floors on what the second lowering pass did, so that routing
   everything back through the generic rules fails a test;
 * Hypothesis-generated contracts (the grammar of
-  ``tests/test_random_contracts.py``);
+  ``tests/test_soundness.py``);
 * two deployments of one source run the *same* function object, and
   nothing compiled rides on a pickled module.
 """
@@ -48,8 +48,8 @@ from repro.scilla.values import (
     canonical, uint,
 )
 
-from .test_random_contracts import (
-    CONTRACT, USERS, _transitions, _workload, render_contract,
+from .test_soundness import (
+    TOKEN as CONTRACT, USERS, _transitions, _workload, render_contract,
 )
 
 ADMIN = "0x" + "ab" * 20     # every ByStr20 contract parameter
@@ -704,7 +704,7 @@ def test_generated_contracts_compiled_equals_interpreted(
     compiled_state = interp.deploy(CONTRACT, params)
     reference_state = interp.deploy(CONTRACT, params)
     names = sorted(transitions)
-    for i, (name, sender, a, b, v) in enumerate(workload):
+    for i, (name, sender, a, b, v, _) in enumerate(workload):
         if name not in transitions:
             name = names[i % len(names)]
         args = {"who_a": addr(USERS[a]), "who_b": addr(USERS[b]),

@@ -413,6 +413,17 @@ class TestCli:
         assert f"{flag}: {what} takes at least one transaction" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("txns", ["0", "-3"])
+    def test_serve_refuses_fewer_than_one_txn_per_tick(self, capsys, txns):
+        # `serve --txns 0` without --capacity used to end in
+        # MempoolConfig's ValueError traceback (capacity 8 x 0).
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--ticks", "2", "--txns", txns])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--txns: a tick takes at least one transaction" in err
+        assert "Traceback" not in err
+
     def test_serve_json(self, capsys):
         rc = main(["serve", "--population", "200", "--ticks", "3",
                    "--txns", "30", "--shards", "2", "--json"])

@@ -1,72 +1,32 @@
 """Differential oracles for service mode.
 
-1. **Committed-replay equivalence**: a saturated ServiceLoop under
-   FLOOD bursts, consumer stalls, gas deferrals, and load shedding
-   commits a transaction stream whose serial, fault-free, unlimited-gas
-   replay produces byte-identical contract state.  Ownership +
-   commutativity analysis is exactly the licence for this claim — the
-   overload machinery may reorder, defer, shed, and batch arbitrarily,
-   but it must never change what the committed transactions compute.
-
-2. **Crash + resume loses no admitted transaction**: admissions are
+1. **Crash + resume loses no admitted transaction**: admissions are
    WAL-journaled (``svc-admit``) before the epoch that drains them, so
    killing the process mid-service and resuming restores exactly the
    pending set, and finishing the run converges to the same state as a
    never-crashed twin.
 
-3. **Overload soak**: at ~2x sustainable offered load the pool's
+2. **Overload soak**: at ~2x sustainable offered load the pool's
    occupancy stays bounded by its capacity, every submission still
-   ends in exactly one terminal state, and the committed replay still
-   matches.
+   ends in exactly one terminal state, and the serial reference
+   (``tests/helpers.py``) still replays the committed stream to the
+   run's contract states.
+
+Floods, stalls, gas deferrals and shedding under the same reference,
+over every lane-consistent order, are ``tests/test_soundness.py``.
 """
 
 import os
 import resource
 
-import pytest
-
-from repro.chain.consensus import CostModel
 from repro.chain.mempool import MempoolConfig
 from repro.chain.network import Network, NetworkConfig
 from repro.chain.recovery import network_fingerprint
 from repro.chain.service import ServiceConfig, ServiceLoop
-from repro.eval.service import replay_committed, run_service
+from repro.eval.service import run_service
 from repro.workloads import FTTransfer
 
-TIGHT_COST = CostModel(gas_per_second=25_000.0, consensus_base_s=2.0,
-                       consensus_per_node2_s=0.01,
-                       shard_gas_limit=300, ds_gas_limit=300)
-
-
-class TestCommittedReplay:
-    def test_flood_and_stall_run_replays_byte_identical(self):
-        run = run_service(population=2000, ticks=8, txns_per_tick=100,
-                          capacity=350, shards=4, seed=11,
-                          flood_rate=0.4, stall_rate=0.25,
-                          fault_seed=3, record_committed=True)
-        assert run.report.partition_ok
-        assert run.report.stalled_ticks > 0
-        assert run.report.committed > 0
-        assert network_fingerprint(run.net) == replay_committed(run)
-
-    def test_deferral_and_shed_run_replays_byte_identical(self):
-        # Tight gas limits force heavy deferral; the small capacity
-        # makes the re-admissions overflow, so the shed path runs too.
-        run = run_service(population=150, ticks=8, txns_per_tick=60,
-                          capacity=48, shards=2, seed=4,
-                          cost_model=TIGHT_COST, max_deferrals=6,
-                          record_committed=True, drain_ticks=96)
-        r = run.report
-        assert r.partition_ok
-        assert r.readmitted > 0
-        assert r.shed + r.dead_lettered > 0
-        assert network_fingerprint(run.net) == replay_committed(run)
-
-    def test_replay_requires_recording(self):
-        run = run_service(population=100, ticks=2, txns_per_tick=10,
-                          capacity=60, shards=2)
-        with pytest.raises(ValueError, match="record_committed"):
-            replay_committed(run)
+from .helpers import contract_states, record_blocks, serial_replay
 
 
 def _service_net(data_dir=None, **config):
@@ -167,14 +127,14 @@ class TestCrashResume:
 
 
 class TestOverloadSoak:
-    def test_2x_overload_stays_bounded_and_exact(self):
+    def test_2x_overload_stays_bounded_and_exact(self, monkeypatch):
         # The FIG14 cost model sustains on the order of 200 commits
         # per tick at 2 shards; offer ~2x that and cap the pool well
         # below the backlog the run accumulates.
+        blocks = record_blocks(monkeypatch)
         run = run_service(population=50_000, ticks=10,
                           txns_per_tick=400, capacity=300, shards=2,
-                          seed=13, record_committed=True,
-                          drain_ticks=96)
+                          seed=13, drain_ticks=96)
         r = run.report
         assert r.partition_ok
         assert r.max_occupancy <= 300            # pool memory bounded
@@ -185,7 +145,7 @@ class TestOverloadSoak:
         # client-side.  (Retries make submitted >= unique offered.)
         assert r.client_dropped + r.unsubmitted + r.submitted >= \
             r.generated
-        assert network_fingerprint(run.net) == replay_committed(run)
+        assert contract_states(run.net) == serial_replay(run.net, blocks)
 
         ceiling_mb = os.environ.get("REPRO_SOAK_RSS_MB")
         if ceiling_mb:

@@ -15,9 +15,10 @@ from repro.core.joins import JoinKind
 from repro.core.pipeline import run_pipeline
 from repro.core.signature import is_commutative_write
 from repro.core.summary import analyze_module
-from repro.scilla.interpreter import Interpreter, TxContext
 from repro.scilla.parser import parse_module
-from repro.scilla.values import addr, canonical, uint
+from repro.scilla.values import addr, uint
+
+from .helpers import contract_states, serial_replay
 
 USERS = ["0x" + f"{i:040x}" for i in range(1, 5)]
 CONTRACT = "0x" + "c0" * 20
@@ -98,19 +99,7 @@ def _assert_shard_equals_sequential(src: str) -> None:
                  {"who_a": target, "v": uint(10 + i)}, nonce=1)
             for i in range(3)]
     block = net.process_epoch(txns, unlimited=True)
-    committed = []
-    for mb in block.microblocks:
-        committed.extend(r.tx for r in mb.receipts if r.success)
-    committed.extend(r.tx for r in block.ds_receipts if r.success)
-    sharded = canonical(
-        net.contracts[CONTRACT].state.fields["m"])
-    interp = Interpreter(parse_module(src))
-    state = interp.deploy(CONTRACT, {"owner": addr(USERS[0])})
-    for tx in committed:
-        r = interp.run_transition(state, "Go", tx.args_dict(),
-                                  TxContext(sender=tx.sender))
-        assert r.success
-    assert sharded == canonical(state.fields["m"])
+    assert contract_states(net) == serial_replay(net, [block])
 
 
 def test_nonzero_default_is_sound_end_to_end():
