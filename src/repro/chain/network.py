@@ -212,8 +212,7 @@ class Network(Execution, Durability):
         # Content-addressed: redeployments of an already-analysed
         # source (and miner-side validations) skip the pipeline.  The
         # hit/miss delta is attributed to this network's own telemetry
-        # (deploys always run on the coordinating thread, so the delta
-        # is this call's).
+        # (the process has one thread, so the delta is this call's).
         from ..core.cache import GLOBAL_CACHE
         meters = self._meters
         hits0, misses0 = GLOBAL_CACHE.stats.hits, GLOBAL_CACHE.stats.misses

@@ -379,24 +379,26 @@ def cmd_torture(args) -> int:
     return 0 if all(o.passed for o in outcomes) else 1
 
 
-def _shard_count(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(
-            f"a network needs at least one shard, not {n}")
-    return n
-
-
-def _at_least_one(what: str):
-    """An argparse type: an integer of at least 1, the size of ``what``
-    in transactions."""
+def _at_least(low: int, why: str):
+    """An argparse type: an integer of at least ``low``; below it the
+    usage error says ``why`` ("a network needs at least one shard")."""
     def parse(text: str) -> int:
         n = int(text)
-        if n < 1:
-            raise argparse.ArgumentTypeError(
-                f"{what} takes at least one transaction, not {n}")
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{why}, not {n}")
         return n
     return parse
+
+
+_shard_count = _at_least(1, "a network needs at least one shard")
+_user_count = _at_least(1, "a workload needs at least one user")
+_population = _at_least(2, "a population needs at least two senders")
+_kept_restore_points = _at_least(
+    1, "a data dir keeps at least one restore point")
+
+
+def _some_txns(what: str):
+    return _at_least(1, f"{what} takes at least one transaction")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", default="FT transfer",
                    choices=workloads, metavar="W",
                    help="workload name as in `repro bench fig14`")
-    p.add_argument("--users", type=int, default=24)
+    p.add_argument("--users", type=_user_count, default=24)
     p.add_argument("--txns", type=int, default=40,
                    help="transactions per epoch")
     p.add_argument("--churn", action="store_true",
@@ -497,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="workload name as in `repro bench fig14`")
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--shards", type=_shard_count, default=4)
-    p.add_argument("--users", type=int, default=48)
+    p.add_argument("--users", type=_user_count, default=48)
     p.add_argument("--txns", type=int, default=60,
                    help="transactions per epoch")
     p.add_argument("--seed", type=int, default=7)
@@ -520,14 +522,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--epochs", type=int, default=3)
         p.add_argument("--shards", type=_shard_count, default=4)
-        p.add_argument("--users", type=int, default=12)
+        p.add_argument("--users", type=_user_count, default=12)
         p.add_argument("--txns", type=int, default=10,
                        help="transactions per epoch")
         p.add_argument("--fault-seed", type=int, default=None,
                        help="also inject a seeded FaultPlan")
         p.add_argument("--snapshot-every", type=int, default=4,
                        help="epoch commits between durable snapshots")
-        p.add_argument("--keep-snapshots", type=int, default=3)
+        p.add_argument("--keep-snapshots", type=_kept_restore_points,
+                       default=3)
         p.add_argument("--json", action="store_true",
                        help="machine-readable result on stdout")
         if with_crash_hooks:
@@ -565,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--shards", type=_shard_count, default=4)
-    p.add_argument("--users", type=int, default=12)
+    p.add_argument("--users", type=_user_count, default=12)
     p.add_argument("--txns", type=int, default=10)
     p.add_argument("--fault-seed", type=int, default=None)
     p.add_argument("--rng-seed", type=int, default=0,
@@ -582,18 +585,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", default=None, metavar="FILE",
                    help="serve a `repro loadgen` stream instead of "
                         "generating load ('-' reads stdin)")
-    p.add_argument("--population", type=int, default=10_000,
+    p.add_argument("--population", type=_population, default=10_000,
                    help="sender address-space size")
     p.add_argument("--ticks", type=int, default=24)
-    p.add_argument("--txns", type=_at_least_one("a tick"), default=200,
+    p.add_argument("--txns", type=_some_txns("a tick"), default=200,
                    help="offered transactions per tick")
     p.add_argument("--shards", type=_shard_count, default=4)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--capacity", type=_at_least_one("a mempool"),
+    p.add_argument("--capacity", type=_some_txns("a mempool"),
                    default=None, help="mempool capacity (default: 8x --txns)")
-    p.add_argument("--per-sender", type=_at_least_one("a sender's queue"),
+    p.add_argument("--per-sender", type=_some_txns("a sender's queue"),
                    default=None, help="per-sender queue cap")
-    p.add_argument("--batch-max", type=_at_least_one("an epoch batch"),
+    p.add_argument("--batch-max", type=_some_txns("an epoch batch"),
                    default=None,
                    help="epoch batch ceiling (default: --txns)")
     p.add_argument("--flood-rate", type=float, default=0.0,
@@ -623,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output path ('-' writes stdout)")
     p.add_argument("--workload", default="FT transfer @scale",
                    choices=workloads, metavar="W")
-    p.add_argument("--population", type=int, default=10_000)
+    p.add_argument("--population", type=_population, default=10_000)
     p.add_argument("--ticks", type=int, default=24)
     p.add_argument("--txns", type=int, default=200,
                    help="transactions per tick")

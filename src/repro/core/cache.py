@@ -15,15 +15,13 @@ analysis atomically invalidates every stale entry — a cached summary
 can never outlive the code that produced it (see
 :meth:`SummaryCache.set_version` and ``tests/test_summary_cache.py``).
 
-The cache is thread-safe and deduplicating: concurrent requests for
-the same source block on one computation and all receive the *same*
+Every lookup of one source after the first returns the *same*
 :class:`~repro.core.pipeline.DeploymentResult` object.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -59,9 +57,7 @@ class SummaryCache:
     """LRU cache of :class:`DeploymentResult`, keyed by source hash.
 
     ``maxsize`` bounds the number of retained results (LRU eviction);
-    ``None`` disables the bound.  All operations are protected by one
-    reentrant lock, and the pipeline itself runs *under* the lock so a
-    burst of identical requests performs exactly one analysis.
+    ``None`` disables the bound.
 
     ``metrics`` optionally attaches a
     :class:`~repro.obs.metrics.MetricsRegistry`: hits, misses and
@@ -76,7 +72,6 @@ class SummaryCache:
         self.maxsize = maxsize
         self.version = version
         self.stats = CacheStats()
-        self._lock = threading.RLock()
         # key -> (version, DeploymentResult); ordered for LRU.
         self._entries: OrderedDict[str, tuple[str, object]] = OrderedDict()
         m = NULL_REGISTRY if metrics is None else metrics
@@ -115,50 +110,34 @@ class SummaryCache:
     def lookup(self, source: str, with_analysis: bool = True):
         """Return the cached result or ``None`` (counts hit/miss)."""
         key = self.key(source, with_analysis)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry[0] != self.version:
-                self.stats.misses += 1
-                self._m_misses.inc()
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            self._m_hits.inc()
-            return entry[1]
+        entry = self._entries.get(key)
+        if entry is None or entry[0] != self.version:
+            self.stats.misses += 1
+            self._m_misses.inc()
+            return None
+        self._entries.move_to_end(key)
+        self.stats.hits += 1
+        self._m_hits.inc()
+        return entry[1]
 
     def put(self, source: str, result, with_analysis: bool = True) -> None:
         key = self.key(source, with_analysis)
-        with self._lock:
-            self._entries[key] = (self.version, result)
-            self._entries.move_to_end(key)
-            self._evict()
+        self._entries[key] = (self.version, result)
+        self._entries.move_to_end(key)
+        self._evict()
 
     def get_or_compute(self, source: str, name: str = "<deploy>",
                        with_analysis: bool = True):
-        """The cached result, computing (and caching) it on a miss.
-
-        Runs the pipeline while holding the lock: concurrent callers
-        with the same source get the one shared result and the
-        analysis happens exactly once (``stats.misses`` counts actual
-        pipeline runs).
-        """
+        """The cached result, computing (and caching) it on a miss
+        (``stats.misses`` counts actual pipeline runs)."""
         from .pipeline import run_pipeline
 
-        key = self.key(source, with_analysis)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] == self.version:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                self._m_hits.inc()
-                return entry[1]
-            self.stats.misses += 1
-            self._m_misses.inc()
+        result = self.lookup(source, with_analysis)
+        if result is None:
             result = run_pipeline(source, name, with_analysis)
             self._observe_run(result)
-            self._entries[key] = (self.version, result)
-            self._evict()
-            return result
+            self.put(source, result, with_analysis)
+        return result
 
     def _observe_run(self, result) -> None:
         """Record one actual pipeline run's per-phase wall times."""
@@ -177,20 +156,17 @@ class SummaryCache:
         the old version would be unreachable anyway (the version is in
         the key); purging them eagerly releases the memory.
         """
-        with self._lock:
-            if version == self.version:
-                return 0
-            self.version = version
-            stale = [k for k, (v, _) in self._entries.items()
-                     if v != version]
-            for k in stale:
-                del self._entries[k]
-            return len(stale)
+        if version == self.version:
+            return 0
+        self.version = version
+        stale = [k for k, (v, _) in self._entries.items() if v != version]
+        for k in stale:
+            del self._entries[k]
+        return len(stale)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.stats = CacheStats()
+        self._entries.clear()
+        self.stats = CacheStats()
 
     def _evict(self) -> None:
         if self.maxsize is None:
@@ -201,8 +177,7 @@ class SummaryCache:
             self._m_evictions.inc()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
 
 # The process-wide default cache, shared by ``run_pipeline_cached``,

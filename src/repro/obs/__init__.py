@@ -2,7 +2,7 @@
 
 Two primitives, both off-by-default-cheap:
 
-* :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry`
+* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry`
   of counters, gauges and fixed-bucket histograms.  Snapshots are
   plain JSON-able dicts that restore exactly (so durable network
   snapshots carry their telemetry through a crash), and split into a

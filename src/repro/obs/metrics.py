@@ -5,7 +5,7 @@ Design constraints, in priority order:
 1. **No-op when disabled.**  Instrumented code holds instrument
    handles; with the :data:`NULL_REGISTRY` those handles are shared
    null objects whose ``inc``/``set``/``observe`` bodies are ``pass``.
-   Nothing allocates, nothing locks, nothing reads a clock.
+   Nothing allocates, nothing reads a clock.
 
 2. **Deterministic counters.**  Every instrument declares whether its
    values are a pure function of the submitted workload
@@ -26,7 +26,6 @@ Design constraints, in priority order:
 from __future__ import annotations
 
 import json
-import threading
 from bisect import bisect_left
 
 # Default bucket edges (upper bounds; +Inf is implicit).  Nanosecond
@@ -40,18 +39,15 @@ GAS_BUCKETS = (10, 25, 50, 100, 200, 400, 800, 1_600, 3_200, 6_400,
 class Counter:
     """A monotonically increasing integer."""
 
-    __slots__ = ("name", "deterministic", "value", "_lock")
+    __slots__ = ("name", "deterministic", "value")
 
-    def __init__(self, name: str, deterministic: bool,
-                 lock: threading.RLock):
+    def __init__(self, name: str, deterministic: bool):
         self.name = name
         self.deterministic = deterministic
         self.value = 0
-        self._lock = lock
 
     def inc(self, n: int = 1) -> None:
-        with self._lock:
-            self.value += n
+        self.value += n
 
     def to_obj(self):
         return {"value": self.value, "deterministic": self.deterministic}
@@ -60,20 +56,17 @@ class Counter:
 class Gauge:
     """A point-in-time value; remembers whether it was ever written."""
 
-    __slots__ = ("name", "deterministic", "value", "set_", "_lock")
+    __slots__ = ("name", "deterministic", "value", "set_")
 
-    def __init__(self, name: str, deterministic: bool,
-                 lock: threading.RLock):
+    def __init__(self, name: str, deterministic: bool):
         self.name = name
         self.deterministic = deterministic
         self.value = 0
         self.set_ = False
-        self._lock = lock
 
     def set(self, value) -> None:
-        with self._lock:
-            self.value = value
-            self.set_ = True
+        self.value = value
+        self.set_ = True
 
     def to_obj(self):
         return {"value": self.value, "set": self.set_,
@@ -88,10 +81,9 @@ class Histogram:
     """
 
     __slots__ = ("name", "deterministic", "bounds", "counts", "count",
-                 "sum", "_lock")
+                 "sum")
 
-    def __init__(self, name: str, bounds, deterministic: bool,
-                 lock: threading.RLock):
+    def __init__(self, name: str, bounds, deterministic: bool):
         if not bounds or list(bounds) != sorted(bounds):
             raise ValueError(f"histogram {name!r} needs sorted, "
                              f"non-empty bucket bounds")
@@ -101,24 +93,21 @@ class Histogram:
         self.counts = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.sum = 0
-        self._lock = lock
 
     def observe(self, value) -> None:
-        with self._lock:
-            self.counts[bisect_left(self.bounds, value)] += 1
-            self.count += 1
-            self.sum += value
+        self.counts[bisect_left(self.bounds, value)] += 1
+        self.count += 1
+        self.sum += value
 
     def observe_many(self, values) -> None:
-        """``observe`` each of ``values`` in order, under one lock."""
+        """``observe`` each of ``values`` in order."""
         bounds, counts = self.bounds, self.counts
-        with self._lock:
-            total = self.sum
-            for value in values:
-                counts[bisect_left(bounds, value)] += 1
-                total += value
-            self.count += len(values)
-            self.sum = total
+        total = self.sum
+        for value in values:
+            counts[bisect_left(bounds, value)] += 1
+            total += value
+        self.count += len(values)
+        self.sum = total
 
     def to_obj(self):
         return {"bounds": list(self.bounds), "counts": list(self.counts),
@@ -134,28 +123,27 @@ class Histogram:
         """
         if not (0.0 < q <= 1.0):
             raise ValueError("quantile must be in (0, 1]")
-        with self._lock:
-            bounds, count = self.bounds, self.count
-            if count <= 0:
-                return 0.0
-            rank = q * count
-            cumulative = 0
-            for i, cell in enumerate(self.counts):
-                if cell == 0:
-                    continue
-                previous = cumulative
-                cumulative += cell
-                if cumulative >= rank:
-                    if i >= len(bounds):      # +Inf overflow bucket
-                        return float(bounds[-1])
-                    lower = float(bounds[i - 1]) if i > 0 else 0.0
-                    upper = float(bounds[i])
-                    return lower + (upper - lower) * (rank - previous) / cell
-            return float(bounds[-1])  # pragma: no cover - cumulative==count
+        bounds, count = self.bounds, self.count
+        if count <= 0:
+            return 0.0
+        rank = q * count
+        cumulative = 0
+        for i, cell in enumerate(self.counts):
+            if cell == 0:
+                continue
+            previous = cumulative
+            cumulative += cell
+            if cumulative >= rank:
+                if i >= len(bounds):      # +Inf overflow bucket
+                    return float(bounds[-1])
+                lower = float(bounds[i - 1]) if i > 0 else 0.0
+                upper = float(bounds[i])
+                return lower + (upper - lower) * (rank - previous) / cell
+        return float(bounds[-1])  # pragma: no cover - cumulative==count
 
 
 class MetricsRegistry:
-    """A named collection of instruments behind one lock.
+    """A named collection of instruments.
 
     Registering an existing name returns the same instrument object
     (so modules can re-derive their handles idempotently); a name
@@ -166,7 +154,6 @@ class MetricsRegistry:
     enabled = True
 
     def __init__(self):
-        self._lock = threading.RLock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -181,36 +168,30 @@ class MetricsRegistry:
                 raise ValueError(f"{name!r} is already a {label}")
 
     def counter(self, name: str, deterministic: bool = True) -> Counter:
-        with self._lock:
-            instrument = self._counters.get(name)
-            if instrument is None:
-                self._fresh(name, "counter")
-                instrument = Counter(name, deterministic, self._lock)
-                self._counters[name] = instrument
-            return instrument
+        instrument = self._counters.get(name)
+        if instrument is None:
+            self._fresh(name, "counter")
+            instrument = self._counters[name] = Counter(name, deterministic)
+        return instrument
 
     def gauge(self, name: str, deterministic: bool = True) -> Gauge:
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                self._fresh(name, "gauge")
-                instrument = Gauge(name, deterministic, self._lock)
-                self._gauges[name] = instrument
-            return instrument
+        instrument = self._gauges.get(name)
+        if instrument is None:
+            self._fresh(name, "gauge")
+            instrument = self._gauges[name] = Gauge(name, deterministic)
+        return instrument
 
     def histogram(self, name: str, bounds,
                   deterministic: bool = True) -> Histogram:
-        with self._lock:
-            instrument = self._histograms.get(name)
-            if instrument is None:
-                self._fresh(name, "histogram")
-                instrument = Histogram(name, bounds, deterministic,
-                                       self._lock)
-                self._histograms[name] = instrument
-            elif instrument.bounds != tuple(bounds):
-                raise ValueError(f"histogram {name!r} re-registered "
-                                 f"with different bounds")
-            return instrument
+        instrument = self._histograms.get(name)
+        if instrument is None:
+            self._fresh(name, "histogram")
+            instrument = self._histograms[name] = \
+                Histogram(name, bounds, deterministic)
+        elif instrument.bounds != tuple(bounds):
+            raise ValueError(f"histogram {name!r} re-registered "
+                             f"with different bounds")
+        return instrument
 
     # -- snapshots ------------------------------------------------------------
 
@@ -224,16 +205,14 @@ class MetricsRegistry:
         def keep(instrument) -> bool:
             return instrument.deterministic or not deterministic_only
 
-        with self._lock:
-            return {
-                "counters": {n: c.to_obj() for n, c in
-                             sorted(self._counters.items()) if keep(c)},
-                "gauges": {n: g.to_obj() for n, g in
-                           sorted(self._gauges.items()) if keep(g)},
-                "histograms": {n: h.to_obj() for n, h in
-                               sorted(self._histograms.items())
-                               if keep(h)},
-            }
+        return {
+            "counters": {n: c.to_obj() for n, c in
+                         sorted(self._counters.items()) if keep(c)},
+            "gauges": {n: g.to_obj() for n, g in
+                       sorted(self._gauges.items()) if keep(g)},
+            "histograms": {n: h.to_obj() for n, h in
+                           sorted(self._histograms.items()) if keep(h)},
+        }
 
     def deterministic_snapshot(self) -> dict:
         return self.snapshot(deterministic_only=True)
@@ -245,24 +224,23 @@ class MetricsRegistry:
         with the snapshot's determinism flag); gauges transfer only if
         the source gauge was actually set.
         """
-        with self._lock:
-            for name, data in obj.get("counters", {}).items():
-                self.counter(name, data["deterministic"]) \
-                    .inc(data["value"])
-            for name, data in obj.get("gauges", {}).items():
-                gauge = self.gauge(name, data["deterministic"])
-                if data["set"]:
-                    gauge.set(data["value"])
-            for name, data in obj.get("histograms", {}).items():
-                hist = self.histogram(name, data["bounds"],
-                                      data["deterministic"])
-                if hist.bounds != tuple(data["bounds"]):
-                    raise ValueError(f"histogram {name!r}: snapshot "
-                                     f"bounds mismatch")
-                for i, c in enumerate(data["counts"]):
-                    hist.counts[i] += c
-                hist.count += data["count"]
-                hist.sum += data["sum"]
+        for name, data in obj.get("counters", {}).items():
+            self.counter(name, data["deterministic"]) \
+                .inc(data["value"])
+        for name, data in obj.get("gauges", {}).items():
+            gauge = self.gauge(name, data["deterministic"])
+            if data["set"]:
+                gauge.set(data["value"])
+        for name, data in obj.get("histograms", {}).items():
+            hist = self.histogram(name, data["bounds"],
+                                  data["deterministic"])
+            if hist.bounds != tuple(data["bounds"]):
+                raise ValueError(f"histogram {name!r}: snapshot "
+                                 f"bounds mismatch")
+            for i, c in enumerate(data["counts"]):
+                hist.counts[i] += c
+            hist.count += data["count"]
+            hist.sum += data["sum"]
 
     def reset_to(self, obj: dict) -> None:
         """Make this registry's values exactly match a snapshot.
@@ -271,9 +249,8 @@ class MetricsRegistry:
         instruments only in the snapshot are created (a resume restores
         a restore point's telemetry this way, :mod:`repro.chain.store`).
         """
-        with self._lock:
-            self._zero()
-            self.merge_snapshot(obj)
+        self._zero()
+        self.merge_snapshot(obj)
 
     def _zero(self) -> None:
         for counter in self._counters.values():
@@ -293,8 +270,7 @@ class MetricsRegistry:
         return registry
 
     def clear(self) -> None:
-        with self._lock:
-            self._zero()
+        self._zero()
 
     # -- rendering ------------------------------------------------------------
 

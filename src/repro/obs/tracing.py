@@ -5,8 +5,8 @@ A :class:`Span` is a named ``[start_ns, end_ns]`` interval on the
 it.  Spans are only ever created through :meth:`Tracer.span`, a
 context manager, so the tree structure is enforced by scoping: a child
 cannot outlive its parent, and every finished span hangs off exactly
-one parent (or is a root).  Each thread keeps its own open-span stack,
-so worker threads trace independently without interleaving.
+one parent (or is a root).  One stack holds the open spans: the
+process has one thread (DESIGN.md §3).
 
 Export formats: :meth:`Tracer.to_obj` (JSON-able nested dicts, one per
 finished root) and :meth:`Tracer.flame` (an indented flame-style text
@@ -18,7 +18,6 @@ manager — entering it costs an empty function call, no clock read.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -63,13 +62,12 @@ class _SpanContext:
 
 
 class Tracer:
-    """Collects finished span trees, one open-span stack per thread."""
+    """Collects finished span trees; ``_stack`` holds the open spans."""
 
     enabled = True
 
     def __init__(self):
-        self._lock = threading.RLock()
-        self._local = threading.local()
+        self._stack: list[Span] = []
         self.roots: list[Span] = []
 
     # -- recording ------------------------------------------------------------
@@ -77,37 +75,28 @@ class Tracer:
     def span(self, name: str) -> _SpanContext:
         return _SpanContext(self, name)
 
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
     def _open(self, name: str) -> Span:
         span = Span(name, time.perf_counter_ns())
-        self._stack().append(span)
+        self._stack.append(span)
         return span
 
     def _close(self, span: Span) -> None:
         span.end_ns = time.perf_counter_ns()
-        stack = self._stack()
+        stack = self._stack
         assert stack and stack[-1] is span, "span closed out of order"
         stack.pop()
         if stack:
             stack[-1].children.append(span)
         else:
-            with self._lock:
-                self.roots.append(span)
+            self.roots.append(span)
 
     def clear(self) -> None:
-        with self._lock:
-            self.roots = []
+        self.roots = []
 
     # -- export ---------------------------------------------------------------
 
     def to_obj(self) -> list[dict]:
-        with self._lock:
-            return [root.to_obj() for root in self.roots]
+        return [root.to_obj() for root in self.roots]
 
     def flame(self, min_ratio: float = 0.0) -> str:
         """An indented text tree: name, milliseconds, %-of-parent.
@@ -127,9 +116,8 @@ class Tracer:
             for child in span.children:
                 walk(child, depth + 1, span.duration_ns)
 
-        with self._lock:
-            for root in self.roots:
-                walk(root, 0, 0)
+        for root in self.roots:
+            walk(root, 0, 0)
         return "\n".join(lines)
 
 

@@ -42,7 +42,6 @@ import os
 import shutil
 import sqlite3
 import tempfile
-import threading
 import time
 import weakref
 from typing import Iterable, Iterator
@@ -166,17 +165,15 @@ def _digest(rows: Iterable[tuple[int, str, str]]) -> str:
     return h.hexdigest()
 
 
-def _scan(conn, lock) -> Iterator[tuple[int, str, str]]:
-    """Every row of a sqlite store sorted by (map_id, key), in chunks,
-    holding ``lock`` only while one is read."""
+def _scan(conn) -> Iterator[tuple[int, str, str]]:
+    """Every row of a sqlite store sorted by (map_id, key), in chunks."""
     last = (-1, "")
     while True:
-        with lock:
-            rows = conn.execute(
-                "SELECT map_id, k, v FROM kv"
-                " WHERE map_id > ? OR (map_id = ? AND k > ?)"
-                " ORDER BY map_id, k LIMIT 1024",
-                (last[0], last[0], last[1])).fetchall()
+        rows = conn.execute(
+            "SELECT map_id, k, v FROM kv"
+            " WHERE map_id > ? OR (map_id = ? AND k > ?)"
+            " ORDER BY map_id, k LIMIT 1024",
+            (last[0], last[0], last[1])).fetchall()
         if not rows:
             return
         yield from rows
@@ -244,7 +241,8 @@ class SqliteBackend(StateBackend):
     replay — so the connection runs with ``journal_mode=MEMORY`` and
     ``synchronous=OFF``: page writes never fsync on the hot path, and
     durability comes from :meth:`save_copy`'s atomic-rename sidecars.
-    A single connection is shared behind a lock (a pickled paged map
+    One connection, usable only from the thread that opened it: sqlite
+    raises ``ProgrammingError`` on any other (a pickled paged map
     materialises to a plain dict, so no pickle carries the backend).
     """
 
@@ -266,8 +264,7 @@ class SqliteBackend(StateBackend):
                 except OSError:
                     pass
         self.path = path
-        self._lock = threading.Lock()
-        self._conn = sqlite3.connect(path, check_same_thread=False)
+        self._conn = sqlite3.connect(path)
         self._conn.execute("PRAGMA journal_mode=MEMORY")
         self._conn.execute("PRAGMA synchronous=OFF")
         self._conn.execute(
@@ -280,74 +277,66 @@ class SqliteBackend(StateBackend):
         self._next_map = row[0] + 1
 
     def new_map(self) -> int:
-        with self._lock:
-            map_id = self._next_map
-            self._next_map += 1
-            return map_id
+        map_id = self._next_map
+        self._next_map += 1
+        return map_id
 
     def reserve(self, map_id: int) -> None:
-        with self._lock:
-            if map_id >= self._next_map:
-                self._next_map = map_id + 1
+        if map_id >= self._next_map:
+            self._next_map = map_id + 1
 
     def get(self, map_id: int, token: str) -> str | None:
         t0 = time.perf_counter_ns()
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT v FROM kv WHERE map_id = ? AND k = ?",
-                (map_id, token)).fetchone()
+        row = self._conn.execute(
+            "SELECT v FROM kv WHERE map_id = ? AND k = ?",
+            (map_id, token)).fetchone()
         self.stats.read_ns += time.perf_counter_ns() - t0
         return row[0] if row is not None else None
 
     def put_many(self, map_id: int,
                  items: Iterable[tuple[str, str]]) -> None:
         t0 = time.perf_counter_ns()
-        with self._lock:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO kv (map_id, k, v) VALUES (?, ?, ?)",
-                ((map_id, token, blob) for token, blob in items))
-            self._conn.commit()
+        self._conn.executemany(
+            "INSERT OR REPLACE INTO kv (map_id, k, v) VALUES (?, ?, ?)",
+            ((map_id, token, blob) for token, blob in items))
+        self._conn.commit()
         self.stats.write_ns += time.perf_counter_ns() - t0
 
     def delete_many(self, map_id: int, tokens: Iterable[str]) -> None:
         t0 = time.perf_counter_ns()
-        with self._lock:
-            self._conn.executemany(
-                "DELETE FROM kv WHERE map_id = ? AND k = ?",
-                ((map_id, token) for token in tokens))
-            self._conn.commit()
+        self._conn.executemany(
+            "DELETE FROM kv WHERE map_id = ? AND k = ?",
+            ((map_id, token) for token in tokens))
+        self._conn.commit()
         self.stats.write_ns += time.perf_counter_ns() - t0
 
     def contains(self, map_id: int, token: str) -> bool:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT 1 FROM kv WHERE map_id = ? AND k = ?",
-                (map_id, token)).fetchone()
+        row = self._conn.execute(
+            "SELECT 1 FROM kv WHERE map_id = ? AND k = ?",
+            (map_id, token)).fetchone()
         return row is not None
 
     def count(self, map_id: int) -> int:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT COUNT(*) FROM kv WHERE map_id = ?",
-                (map_id,)).fetchone()
+        row = self._conn.execute(
+            "SELECT COUNT(*) FROM kv WHERE map_id = ?",
+            (map_id,)).fetchone()
         return row[0]
 
     def iter_items(self, map_id: int) -> Iterator[tuple[str, str]]:
         # Chunked so an O(n) walk (fingerprints, snapshots) never holds
-        # the whole map in memory nor the lock across the iteration.
+        # the whole map in memory.
         last = ""               # below every key token
         while True:
-            with self._lock:
-                rows = self._conn.execute(
-                    "SELECT k, v FROM kv WHERE map_id = ? AND k > ?"
-                    " ORDER BY k LIMIT 1024", (map_id, last)).fetchall()
+            rows = self._conn.execute(
+                "SELECT k, v FROM kv WHERE map_id = ? AND k > ?"
+                " ORDER BY k LIMIT 1024", (map_id, last)).fetchall()
             if not rows:
                 return
             yield from rows
             last = rows[-1][0]
 
     def _iter_all_rows(self) -> Iterator[tuple[int, str, str]]:
-        return _scan(self._conn, self._lock)
+        return _scan(self._conn)
 
     # -- durability spine hooks -----------------------------------------
 
@@ -355,13 +344,12 @@ class SqliteBackend(StateBackend):
         """Copy the live database to ``dst`` atomically (tmp + rename)
         and return the logical digest of the copied content."""
         tmp = dst + ".tmp"
-        with self._lock:
-            target = sqlite3.connect(tmp)
-            try:
-                self._conn.backup(target)
-                target.commit()
-            finally:
-                target.close()
+        target = sqlite3.connect(tmp)
+        try:
+            self._conn.backup(target)
+            target.commit()
+        finally:
+            target.close()
         fd = os.open(tmp, os.O_RDONLY)
         try:
             os.fsync(fd)
@@ -380,7 +368,7 @@ class SqliteBackend(StateBackend):
         """Logical digest of a database file at rest (sidecar verify)."""
         conn = sqlite3.connect(path)
         try:
-            return _digest(_scan(conn, threading.Lock()))
+            return _digest(_scan(conn))
         except sqlite3.DatabaseError as exc:
             raise ValueError(f"unreadable backend file {path}: {exc}")
         finally:

@@ -29,7 +29,6 @@ never on anything that is pickled.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 
 from ..core.cache import ANALYSIS_VERSION
@@ -57,8 +56,6 @@ from .values import (
 # Interpreter built for it share a unit (it grows like SummaryCache
 # does).
 _UNITS: dict[tuple, "ContractUnit"] = {}
-# Guards the table and a unit's lazy linking (threads may share units).
-_LOCK = threading.RLock()
 
 
 def unit_for(interp) -> "ContractUnit":
@@ -67,10 +64,9 @@ def unit_for(interp) -> "ContractUnit":
     if not digest:      # a module not parsed from text: nothing shares it
         return ContractUnit(interp)
     key = (ANALYSIS_VERSION, digest)
-    with _LOCK:         # once per Interpreter, which keeps the result
-        unit = _UNITS.get(key)
-        if unit is None:
-            unit = _UNITS[key] = ContractUnit(interp)
+    unit = _UNITS.get(key)     # once per Interpreter, which keeps it
+    if unit is None:
+        unit = _UNITS[key] = ContractUnit(interp)
     return unit
 
 
@@ -340,12 +336,11 @@ class ContractUnit:
         fn = self._entries.get(name)
         if fn is None:
             pyname = f"t_{_ident(name)}"
-            with _LOCK:
-                for dep in self._reach(pyname, {}):
-                    if dep not in self.ns:
-                        at = f"<scilla {self.contract.name}.{dep}>"
-                        exec(compile(self.sources[dep], at, "exec"), self.ns)
-                fn = self._entries[name] = self.ns[pyname]
+            for dep in self._reach(pyname, {}):
+                if dep not in self.ns:
+                    at = f"<scilla {self.contract.name}.{dep}>"
+                    exec(compile(self.sources[dep], at, "exec"), self.ns)
+            fn = self._entries[name] = self.ns[pyname]
         return fn
 
     def _reach(self, pyname: str, seen: dict) -> dict:

@@ -195,3 +195,22 @@ def test_shards_below_one_are_refused_by_the_parser(capsys, command,
         main([*command, "--shards", shards])
     assert exc.value.code == 2
     assert "at least one shard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, said", [
+    (["chaos", "--users", "0"], "--users: a workload needs at least one"),
+    (["metrics", "--users", "-2"], "--users: a workload needs at least one"),
+    (["run", "--data-dir", "unused", "--users", "0"],
+     "--users: a workload needs at least one"),
+    (["run", "--data-dir", "unused", "--keep-snapshots", "0"],
+     "--keep-snapshots: a data dir keeps at least one restore point"),
+    (["serve", "--population", "1"],
+     "--population: a population needs at least two senders, not 1")])
+def test_sizes_below_their_floor_are_usage_errors(capsys, argv, said):
+    # Each used to end in a traceback: an IndexError from an empty
+    # user list, SnapshotStore's or run_service's ValueError.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert said in err and "Traceback" not in err

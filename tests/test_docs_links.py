@@ -69,3 +69,44 @@ def test_named_bench_experiments_are_cli_choices():
                       for source, match in _mentions(BENCH_EXPERIMENT)
                       if match.group(1) not in experiment.choices})
     assert not unknown, "\n".join(unknown)
+
+
+def _catalogue() -> dict[str, tuple[str, bool]]:
+    """docs/OBSERVABILITY.md's catalogue tables: name -> (kind, det)."""
+    text = (ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    section = text.split("## Instrument catalogue")[1].split("\n## ")[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            names, kind, det = line.split("|")[1:4]
+            for name in re.findall(r"`([^`]+)`", names):
+                rows[name] = (kind.strip(), det.strip(" *") == "yes")
+    return rows
+
+
+def test_the_instrument_catalogue_is_the_registry(tmp_path):
+    """Every instrument an enabled registry holds is a catalogue row of
+    the same kind and determinism flag, and every row is registered."""
+    from repro.core.cache import SummaryCache
+    from repro.eval.service import run_service
+    from repro.eval.telemetry import run_instrumented
+    from repro.obs import MetricsRegistry
+    from repro.scilla.backend import SqliteBackend
+
+    cache_registry = MetricsRegistry()
+    SummaryCache(metrics=cache_registry)
+    registries = [cache_registry, run_instrumented(epochs=1).registry]
+    for durable_or_paged in (dict(data_dir=str(tmp_path)),
+                             dict(state_backend=SqliteBackend())):
+        net = run_service(ticks=2, txns_per_tick=10, population=50,
+                          drain_ticks=4, **durable_or_paged).net
+        net.close()
+        registries.append(net.metrics)
+    registered = {name: (kind[:-1], data["deterministic"])
+                  for registry in registries
+                  for kind, instruments in registry.snapshot().items()
+                  for name, data in instruments.items()}
+    catalogue = _catalogue()
+    assert sorted(set(registered) - set(catalogue)) == []
+    assert sorted(set(catalogue) - set(registered)) == []
+    assert {name: catalogue[name] for name in registered} == registered

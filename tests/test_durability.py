@@ -544,6 +544,28 @@ def test_network_survives_snapshot_disk_failure_and_resumes(
     resumed.close()
 
 
+def _under_two_hash_seeds(tmp_path, monkeypatch, argv):
+    """``repro *argv`` run in a subprocess under PYTHONHASHSEED 0 and 1,
+    each from its own directory: the two (stdout, directory) pairs."""
+    import subprocess
+    import sys
+    # Paged state writes sqlite sidecars, whose pages are not this
+    # format's bytes.
+    monkeypatch.delenv("REPRO_STATE_BACKEND", raising=False)
+    monkeypatch.setenv("PYTHONPATH", str(Path(__file__).parents[1] / "src"))
+    runs = []
+    for seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        cwd = tmp_path / f"hash-seed-{seed}"
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "repro", *argv],
+                              cwd=cwd, capture_output=True,
+                              stdin=subprocess.DEVNULL, timeout=600)
+        assert proc.returncode == 0, proc.stderr.decode()
+        runs.append((proc.stdout, cwd))
+    return runs
+
+
 def test_every_durable_byte_is_the_same_under_two_hash_seeds(
         tmp_path, monkeypatch):
     """`repro run --workload "FT transfer" --users 100 --txns 6
@@ -551,21 +573,23 @@ def test_every_durable_byte_is_the_same_under_two_hash_seeds(
     WAL segments; under PYTHONHASHSEED 0 and 1 every file is the same
     byte for byte (a restore point once listed a signature's joins and
     a delta's rows in set order)."""
-    from repro.eval.chaos import _spawn_run
-    # Paged state writes sqlite sidecars, whose pages are not this
-    # format's bytes.
-    monkeypatch.delenv("REPRO_STATE_BACKEND", raising=False)
-    files = []
-    for seed in ("0", "1"):
-        monkeypatch.setenv("PYTHONHASHSEED", seed)
-        data_dir = tmp_path / f"hash-seed-{seed}"
-        rc, _, err = _spawn_run(str(data_dir), "FT transfer", seed=0,
-                                epochs=10, shards=4, users=100, txns=6,
-                                fault_seed=None)
-        assert rc == 0, err
-        files.append({p.name: p.read_bytes()
-                      for p in sorted(data_dir.iterdir())})
+    files = [{p.name: p.read_bytes() for p in sorted(cwd.glob("data/*"))}
+             for _, cwd in _under_two_hash_seeds(
+                 tmp_path, monkeypatch,
+                 ["run", "--workload", "FT transfer", "--data-dir", "data",
+                  "--seed", "0", "--epochs", "10", "--shards", "4",
+                  "--users", "100", "--txns", "6", "--json"])]
     assert sum(".delta." in name for name in files[0]) == 2
     assert files[0].keys() == files[1].keys()
     for name in files[0]:
         assert files[0][name] == files[1][name], name
+
+
+@pytest.mark.parametrize("argv", [
+    ["metrics", "--epochs", "2", "--json", "--deterministic-only"],
+    ["chaos", "--seed", "7", "--epochs", "3"]], ids=["metrics", "chaos"])
+def test_deterministic_reports_are_the_same_under_two_hash_seeds(
+        tmp_path, monkeypatch, argv):
+    (first, _), (second, _) = _under_two_hash_seeds(tmp_path, monkeypatch,
+                                                    argv)
+    assert first and first == second

@@ -242,22 +242,10 @@ class TestTracer:
         tracer.clear()
         assert tracer.roots == []
 
-    def test_threads_trace_independently(self):
-        import threading
-
+    def test_a_span_closed_out_of_order_is_refused(self):
         tracer = Tracer()
-
-        def work(name):
-            with tracer.span(name):
-                pass
-
-        threads = [threading.Thread(target=work, args=(f"t{i}",))
-                   for i in range(4)]
-        with tracer.span("main"):
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        # Thread spans are their own roots, not children of "main".
-        assert sorted(r.name for r in tracer.roots) == \
-            ["main", "t0", "t1", "t2", "t3"]
+        outer, inner = tracer.span("outer"), tracer.span("inner")
+        outer.__enter__()
+        inner.__enter__()
+        with pytest.raises(AssertionError, match="out of order"):
+            outer.__exit__(None, None, None)

@@ -25,9 +25,7 @@ values = st.lists(
 
 
 def _hist(observations) -> Histogram:
-    import threading
-    h = Histogram("h", BOUNDS, deterministic=True,
-                  lock=threading.RLock())
+    h = Histogram("h", BOUNDS, deterministic=True)
     for v in observations:
         h.observe(v)
     return h

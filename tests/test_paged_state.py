@@ -276,6 +276,21 @@ class TestEquivalenceAgainstPlainState:
         with pytest.raises(StaleRowsError, match="written back"):
             state_fingerprint(held)
 
+    def test_a_second_thread_cannot_use_the_page_store(self):
+        """One thread per process (DESIGN.md §3): sqlite's own
+        same-thread check is the page store's guard."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        store = SqliteBackend()
+        try:
+            store.put_many(store.new_map(), [("k", "v")])
+            with ThreadPoolExecutor(1) as pool, \
+                    pytest.raises(sqlite3.ProgrammingError, match="thread"):
+                pool.submit(store.get, 0, "k").result()
+            assert store.get(0, "k") == "v"
+        finally:
+            store.close()
+
 
 class TestDurabilitySpine:
     def _durable_run(self, data_dir, *, epochs=6, backend="sqlite"):

@@ -79,37 +79,3 @@ def test_signature_derivation_deterministic():
     b = result.signature(("Bestow", "ConfigureNode"))
     assert a.constraints == b.constraints
     assert a.joins == b.joins
-
-
-# -- concurrency smoke (the cache in front of the pipeline) -----------------
-
-def test_concurrent_pipeline_runs_share_one_analysis():
-    """Two threads deploying the same source through the cache get the
-    *same* DeploymentResult object and the pipeline runs exactly once."""
-    import threading
-
-    from repro.core.cache import SummaryCache
-    from repro.core.pipeline import run_pipeline_cached
-
-    cache = SummaryCache()
-    source = CORPUS["FungibleToken"]
-    results = []
-    barrier = threading.Barrier(2)
-
-    def deploy():
-        barrier.wait()
-        results.append(run_pipeline_cached(source, "FT", cache=cache))
-
-    threads = [threading.Thread(target=deploy) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-
-    assert len(results) == 2
-    assert results[0] is results[1]
-    assert results[0].summaries == results[1].summaries
-    assert cache.stats.misses == 1     # one analysis, not two
-    assert cache.stats.hits == 1
-    fresh = run_pipeline(source, "FT")
-    assert set(results[0].summaries) == set(fresh.summaries)

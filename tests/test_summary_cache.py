@@ -6,8 +6,6 @@ entry survives an analysis-version bump.  Each property gets tested
 directly against the real pipeline over corpus contracts.
 """
 
-import threading
-
 import pytest
 
 from repro.contracts import CORPUS
@@ -93,7 +91,7 @@ def test_version_bump_flushes_stale_entries():
     assert cache.set_version(cache.version) == 0  # no-op bump purges nothing
 
 
-# -- mechanics: LRU bound, stats, concurrency ------------------------------
+# -- mechanics: LRU bound, stats -------------------------------------------
 
 def test_lru_eviction_respects_maxsize():
     cache = SummaryCache(maxsize=2)
@@ -104,26 +102,6 @@ def test_lru_eviction_respects_maxsize():
     assert cache.stats.evictions == 1
     assert cache.lookup(CORPUS["HelloWorld"]) is None     # oldest evicted
     assert cache.lookup(CORPUS["Crowdfunding"]) is not None
-
-
-def test_concurrent_get_or_compute_analyses_once():
-    cache = SummaryCache()
-    results = []
-    barrier = threading.Barrier(4)
-
-    def worker():
-        barrier.wait()
-        results.append(cache.get_or_compute(SOURCE))
-
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(results) == 4
-    assert all(r is results[0] for r in results)
-    assert cache.stats.misses == 1          # exactly one pipeline run
-    assert cache.stats.hits == 3
 
 
 def test_global_cache_serves_validate_signature():
