@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, fields
 from operator import attrgetter
+from typing import NamedTuple
 
 from .delta import StateDelta
 from .transaction import Transaction
@@ -11,9 +12,9 @@ from .transaction import Transaction
 _success = attrgetter("success")
 
 
-@dataclass(slots=True)
-class Receipt:
-    """Outcome of one transaction."""
+class Receipt(NamedTuple):
+    """Outcome of one transaction: a tuple, so a lane builds a
+    committed one with one ``tuple.__new__``."""
 
     tx: Transaction
     success: bool

@@ -2,8 +2,8 @@
 merge: :class:`Execution`, the part of :class:`~repro.chain.network.
 Network` that executes a lane's queue in order — each transaction
 checks its nonce, pays gas from the sender's portion for that lane
-(Sec. 4.2.2) and runs its call chain atomically — and the account
-moves they make."""
+(Sec. 4.2.2) and runs its call atomically, every hop of it — and the
+account moves they make."""
 
 from __future__ import annotations
 
@@ -121,13 +121,6 @@ class Execution:
                 for name, n in per_call.items():
                     into[name] = into.get(name, 0) + n * calls
 
-        def state_for(addr: str) -> ContractState:
-            state = local_states.get(addr)
-            if state is None:
-                state = local_states[addr] = \
-                    self.contracts[addr].state.fork(writes.get(addr))
-            return state
-
         t0 = time.perf_counter_ns() if self.metrics.enabled else 0
         deferred: list[Transaction] = []
         receipts, gas = mb.receipts, 0
@@ -136,7 +129,8 @@ class Execution:
             if gas >= gas_limit:
                 deferred = queue[position:]
                 break
-            receipt = self._execute(tx, lane, state_for, touched, callers)
+            receipt = self._execute(tx, lane, local_states, writes, touched,
+                                    callers)
             receipts.append(receipt)
             gas += receipt.gas_used
         mb.gas_used = gas
@@ -146,12 +140,19 @@ class Execution:
             self._meters.lane_exec_ns.observe(time.perf_counter_ns() - t0)
         return mb, local_states, touched, deferred
 
-    def _execute(self, tx: Transaction, lane: int, state_for,
+    def _execute(self, tx: Transaction, lane: int,
+                 forks: dict[str, ContractState], writes: dict,
                  touched: defaultdict, callers: dict) -> Receipt:
         """Run one transaction; success appends its logs to ``touched``.
         The sender's row is handed out once, first (into the attempt's
-        buffer); every fee charge reads it back from there.  ``callers``
-        holds the lane's sender values by address."""
+        buffer); every fee charge reads it back from there.  ``forks``
+        are the lane's contract states by address: a contract's first
+        call forks it, sized by its ``writes`` (``_run_lane``).
+        ``callers`` holds the lane's sender values by address.
+
+        The first hop runs here, on every lane: the fork, then the
+        transition, then the post-hop work every hop shares
+        (:meth:`_settle`), which on a shard lane only moves funds."""
         sender, price = tx.sender, tx.gas_price
         row = self._account_at(sender)
         accounts = self._account_buffer
@@ -201,162 +202,173 @@ class Execution:
             # its ByStr20 needs no validation.
             caller = callers[sender] = tuple.__new__(
                 ByStrVal, (sender, ty.BYSTR20))
-        chain = _CallChain(self, lane, state_for, tx.gas_limit, deposit)
+        state = forks.get(to_addr)
+        if state is None:
+            state = forks[to_addr] = contract.state.fork(writes.get(to_addr))
         try:
-            chain.invoke(contract, tx.transition,
-                         (tx.arg_names, tx.arg_values), caller, amount,
-                         sender, 0)
-        except _ChainFailed as exc:
-            chain.rollback()
-            gas = min(chain.gas_used, tx.gas_limit)
-            accounts[sender] = charged(accounts[sender], lane, gas * price)
-            return Receipt(tx, False, gas, lane, error=str(exc))
-
-        # Within the gas limit: a run past it fails.
-        gas = chain.gas_used
-        accounts[sender] = charged(accounts[sender], lane, gas * price)
-        if self.config.overflow_guard and lane != DS and \
-                not chain.within_overflow_budget():
-            chain.rollback()
-            return Receipt(tx, False, gas, lane,
-                           error="overflow guard: rerouted")
-
-        for contract, _, log in chain.logs:
-            touched[contract.address].append(log)
-        return Receipt(tx, True, gas, lane, None, tuple(chain.events))
-
-
-# --------------------------------------------------------------------------
-# Chained contract calls (atomic, DS-only beyond the first hop).
-# --------------------------------------------------------------------------
-
-class _ChainFailed(Exception):
-    """A call in the chain failed; the whole transaction rolls back."""
-
-
-class _CallChain:
-    """Executes a transaction's (possibly multi-contract) call chain.
-
-    Messages sent to user addresses move native tokens; messages sent
-    to *contract* addresses invoke the transition named by the tag —
-    but only inside the DS committee (the lookup node's single-contract
-    check routes such transactions there, Sec. 4.3).  The entire chain
-    is atomic: any failure undoes every state write and balance move.
-    """
-
-    __slots__ = ("net", "lane", "state_for", "gas_limit", "deposit",
-                 "gas_used", "events", "logs", "_refunds")
-
-    def __init__(self, net: Execution, lane: int, state_for,
-                 gas_limit: int, deposit: int):
-        self.net = net
-        self.lane = lane
-        self.state_for = state_for
-        self.gas_limit = gas_limit
-        # What the payer's portion must keep for the fee.
-        self.deposit = deposit
-        self.gas_used = 0
-        # The first hop's event list, adopted; later hops extend it.
-        self.events: list | None = None
-        # (contract, state, write log) per call, in order; and balance
-        # moves to undo on rollback: (state or address, amount to add).
-        self.logs: list = []
-        self._refunds: list = []
-
-    def invoke(self, contract, transition: str,
-               args: dict | tuple, caller: ByStrVal, amount: int,
-               payer: str | None, depth: int) -> None:
-        """Run one call of the chain; ``args`` as
-        :meth:`~repro.scilla.interpreter.Interpreter.run_transition`
-        takes them."""
-        state = self.state_for(contract.address)
-        # (sender, amount, origin, block_number), positionally: keyword
-        # calls of a dataclass __init__ cost twice as much.
-        ctx = TxContext(caller, amount, None, self.net.epoch)
-        try:
-            result = contract.interpreter.run_transition(
-                state, transition, args, ctx,
-                gas_limit=max(self.gas_limit - self.gas_used, 0))
+            run = contract.interpreter.run_transition(
+                state, tx.transition, (tx.arg_names, tx.arg_values),
+                # (sender, amount, origin, block_number, timestamp,
+                # chain_id), the last two TxContext's defaults.
+                tuple.__new__(TxContext,
+                              (caller, amount, None, self.epoch, 0, 1)),
+                tx.gas_limit)
         except ExecError as exc:
-            raise _ChainFailed(str(exc)) from exc
-        self.gas_used += result.gas_used
-        if not result.success:
-            raise _ChainFailed(result.error or "transition failed")
+            # No such transition, or not its parameters: nothing ran.
+            return Receipt(tx, False, 0, lane, error=str(exc))
 
-        self.logs.append((contract, state, result.write_log))
-        if depth == 0:
-            self.events = result.events
-        elif result.events:
-            self.events.extend(result.events)
+        undo = error = None
+        if not run.success:
+            error = run.error or "transition failed"
+        else:
+            try:
+                undo = self._settle(run, run, contract, state, sender, lane,
+                                    deposit, forks, writes, 0, None)
+            except _ChainFailed as exc:
+                error, undo = exc.args
+            if error is None and self.config.overflow_guard and \
+                    lane != DS and not self._within_overflow_budget(
+                        contract, state, run.write_log):
+                error = "overflow guard: rerouted"
+            if error is not None:
+                self._roll_back(state, run.write_log, undo, lane)
+        gas = run.gas_used
+        if gas > tx.gas_limit:  # a run stopped past its limit pays that
+            gas = tx.gas_limit
+        accounts[sender] = charged(accounts[sender], lane, gas * price)
+        if error is not None:
+            return Receipt(tx, False, gas, lane, error=error)
 
-        accepted = result.accepted
+        touched[to_addr].append(run.write_log)
+        if undo is not None:
+            for entry in undo:
+                if len(entry) == 3:     # a later hop's writes
+                    touched[entry[0].address].append(entry[2])
+        return tuple.__new__(
+            Receipt, (tx, True, gas, lane, None, tuple(run.events)))
+
+    # -- hops -----------------------------------------------------------------
+    # A later hop is a message a contract sends to another contract.
+    # Only the DS committee follows one: the lookup node's
+    # single-contract check routes every transaction that may send one
+    # there (Sec. 4.3).  A transaction's hops are atomic.
+
+    def _settle(self, top, run, contract, state: ContractState, payer,
+                lane: int, deposit: int, forks: dict, writes: dict,
+                depth: int, undo: list | None) -> list | None:
+        """The work after a hop, the same for the first and every later
+        one.  The funds ``run`` accepted (already credited to
+        ``state``) are taken from ``payer`` — the sender's address,
+        whose lane portion keeps the gas ``deposit``, for the first
+        hop; the calling contract's state after that.  Then each
+        message ``run`` sent is paid out to a user, or followed into
+        the contract it names as the next hop, on the DS lane only.
+        ``top`` is the first hop's run: a later hop adds its gas and
+        events to it.
+
+        Returns ``undo``, the transaction's journal of what to undo
+        besides the first hop's writes, grown by this hop:
+        ``(address, amount)`` credits a user's lane portion back,
+        ``(state, amount)`` adds to a contract's balance and
+        ``(contract, state, log)`` is a later hop's writes; None while
+        it is empty.  A failure raises :class:`_ChainFailed`, which
+        carries the journal."""
+        accepted = run.accepted
         if accepted:   # funds offered but not accepted stay with the payer
-            # The interpreter already credited the contract; that credit
-            # must be undone too if the chain later fails.
-            self._refunds.append((state, -accepted))
-            # Debit the payer (the user for the first hop, the calling
-            # contract afterwards).
-            if payer is not None:
-                if not self.net._charge(payer, self.lane, accepted,
-                                        self.deposit):
-                    raise _ChainFailed("insufficient balance for transfer")
-                self._refunds.append((payer, accepted))
+            if undo is None:
+                undo = []
+            undo.append((state, -accepted))
+            if payer.__class__ is str:
+                if not self._charge(payer, lane, accepted, deposit):
+                    raise _ChainFailed("insufficient balance for transfer",
+                                       undo)
+            elif payer.balance < accepted:
+                raise _ChainFailed(
+                    "insufficient contract balance for transfer", undo)
             else:
-                caller_state = self.state_for(caller.hex)
-                if caller_state.balance < accepted:
-                    raise _ChainFailed(
-                        "insufficient contract balance for transfer")
-                caller_state.balance -= accepted
-                self._refunds.append((caller_state, accepted))
+                payer.balance -= accepted
+            undo.append((payer, accepted))
 
-        for msg in result.messages:
+        for msg in run.messages:
             recipient = _pad(msg.recipient)
-            callee = self.net.contracts.get(recipient)
-            if callee is not None:
-                if self.lane != DS:
-                    raise _ChainFailed(
-                        "contract-to-contract call outside the DS committee")
-                if depth + 1 >= MAX_CALL_DEPTH:
-                    raise _ChainFailed("call depth exceeded")
-                self.invoke(callee, msg.tag, dict(msg.params),
-                            ByStrVal(contract.address, ty.BYSTR20),
-                            msg.amount, None, depth + 1)
-            elif msg.amount > 0:
-                if state.balance < msg.amount:
-                    raise _ChainFailed(
-                        "insufficient contract balance for payout")
-                state.balance -= msg.amount
-                self.net._credit(recipient, self.lane, msg.amount)
-                self._refunds += ((state, msg.amount),
-                                  (recipient, -msg.amount))
+            callee = self.contracts.get(recipient)
+            if callee is None:
+                if msg.amount > 0:
+                    if state.balance < msg.amount:
+                        raise _ChainFailed(
+                            "insufficient contract balance for payout", undo)
+                    state.balance -= msg.amount
+                    self._credit(recipient, lane, msg.amount)
+                    if undo is None:
+                        undo = []
+                    undo += ((state, msg.amount), (recipient, -msg.amount))
+                continue
+            if lane != DS:
+                raise _ChainFailed(
+                    "contract-to-contract call outside the DS committee",
+                    undo)
+            if depth + 1 >= MAX_CALL_DEPTH:
+                raise _ChainFailed("call depth exceeded", undo)
+            callee_state = forks.get(recipient)
+            if callee_state is None:
+                callee_state = forks[recipient] = \
+                    callee.state.fork(writes.get(recipient))
+            try:
+                hop = callee.interpreter.run_transition(
+                    callee_state, msg.tag, dict(msg.params),
+                    TxContext(ByStrVal(contract.address, ty.BYSTR20),
+                              msg.amount, None, self.epoch),
+                    max(top.gas_limit - top.gas_used, 0))
+            except ExecError as exc:
+                raise _ChainFailed(str(exc), undo) from exc
+            top.gas_used += hop.gas_used
+            if not hop.success:
+                raise _ChainFailed(hop.error or "transition failed", undo)
+            top.events.extend(hop.events)
+            if undo is None:
+                undo = []
+            undo.append((callee, callee_state, hop.write_log))
+            undo = self._settle(top, hop, callee, callee_state, state, lane,
+                                deposit, forks, writes, depth + 1, undo)
+        return undo
 
-    def rollback(self) -> None:
-        for _, state, log in reversed(self.logs):
-            log.rollback(state)
-        for target, amount in reversed(self._refunds):
-            if target.__class__ is str:
-                self.net._credit(target, self.lane, amount)
+    def _roll_back(self, state: ContractState, log, undo: list | None,
+                   lane: int) -> None:
+        """Undo a transaction whose first hop wrote ``log`` into
+        ``state``: its journal, newest entry first, then that hop."""
+        for entry in reversed(undo or ()):
+            if len(entry) == 3:
+                entry[2].rollback(entry[1])
+            elif entry[0].__class__ is str:
+                self._credit(entry[0], lane, entry[1])
             else:
-                target.balance += amount
-        self.logs.clear()
-        self._refunds.clear()
+                entry[0].balance += entry[1]
+        log.rollback(state)
 
-    def within_overflow_budget(self) -> bool:
+    def _within_overflow_budget(self, contract, state: ContractState,
+                                log) -> bool:
         """Sec. 6's conservative per-shard overflow budget for IntMerge
         components: a transaction may move a component at most
-        ``(MAX - v) / N`` away from its epoch-start value ``v``."""
-        for contract, state, log in self.logs:
-            base = self.net.contracts[contract.address].state
-            for key in log.writes:
-                if contract.joins.get(key[0]) is not JoinKind.INT_MERGE:
-                    continue
-                new = state.read(key)
-                old = base.read(key)
-                if not isinstance(new, IntVal):
-                    continue
-                old_v = old.value if isinstance(old, IntVal) else 0
-                _, max_v = ty.int_bounds(new.typ)
-                budget = (max_v - old_v) // self.net.n_shards
-                if abs(new.value - old_v) > budget:
-                    return False
+        ``(MAX - v) / N`` away from its epoch-start value ``v``.  Only
+        a shard lane checks it, so ``log`` is its transaction's one
+        hop."""
+        base = contract.state
+        for key in log.writes:
+            if contract.joins.get(key[0]) is not JoinKind.INT_MERGE:
+                continue
+            new = state.read(key)
+            old = base.read(key)
+            if not isinstance(new, IntVal):
+                continue
+            old_v = old.value if isinstance(old, IntVal) else 0
+            _, max_v = ty.int_bounds(new.typ)
+            budget = (max_v - old_v) // self.n_shards
+            if abs(new.value - old_v) > budget:
+                return False
         return True
+
+
+class _ChainFailed(Exception):
+    """A hop failed: the whole transaction rolls back.  Its args are the
+    receipt's error and the journal :meth:`Execution._settle` had
+    built."""

@@ -149,8 +149,11 @@ def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
         "notes": list(net.wal_notes),
         # Telemetry travels with the snapshot so a resumed network's
         # counters continue from the crash point: replay re-records
-        # only the epochs past the snapshot (None when disabled).
-        "metrics": (net.metrics.snapshot()
+        # only the epochs past the snapshot (None when disabled).  Only
+        # the deterministic instruments, so a restore point is a function
+        # of its inputs; the others (timings among them) restart from
+        # zero at a resume.
+        "metrics": (net.metrics.snapshot(deterministic_only=True)
                     if net.metrics.enabled else None),
     }
     if ledger is not None:

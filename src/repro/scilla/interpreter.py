@@ -61,9 +61,9 @@ class OutMsg(NamedTuple):
     params: tuple[tuple[str, Value], ...] = ()
 
 
-@dataclass(slots=True)
-class TxContext:
-    """Blockchain-provided context for one transition invocation."""
+class TxContext(NamedTuple):
+    """Blockchain-provided context for one transition invocation: a
+    tuple, so a lane builds it with one ``tuple.__new__``."""
 
     sender: str | ByStrVal
     amount: int = 0
@@ -505,9 +505,19 @@ class Interpreter:
                 self._transition(name, args)    # raises the reference's error
             values = tuple([args[p] for p in params])
         run = _Run(self, state, ctx, gas_limit)
-        # Linked already (read without a frame), or linked now.
-        return run.finish(unit._entries.get(name) or unit.entry(name),
-                          run, values)
+        # Meter builtins inside pure expressions while it runs.
+        self._charge = run.charge
+        try:
+            # Linked already (read without a frame), or linked now.
+            (unit._entries.get(name) or unit.entry(name))(run, values)
+        except ScillaError as exc:
+            return run.failed(exc)
+        finally:
+            self._charge = None
+        if run.accepted:    # on a fork: the epoch installs it
+            state.balance += run.accepted
+        run.success = True
+        return run
 
     def interpret_transition(self, state: ContractState, name: str,
                              args: dict[str, Value], ctx: TxContext,
@@ -516,7 +526,17 @@ class Interpreter:
         reference the differential oracle holds compiled units to."""
         component = self._transition(name, args)
         run = _Run(self, state, ctx, gas_limit)
-        return run.finish(run.interpret, component, args)
+        self._charge = run.charge
+        try:
+            run.interpret(component, args)
+        except ScillaError as exc:
+            return run.failed(exc)
+        finally:
+            self._charge = None
+        if run.accepted:
+            state.balance += run.accepted
+        run.success = True
+        return run
 
 
 _MAX_AMOUNT = ty.int_bounds(ty.UINT128)[1]
@@ -525,7 +545,7 @@ _NO_AMOUNT = IntVal(0, ty.UINT128)
 
 class _Run:
     """One transition invocation: its mutable execution context while
-    it runs, and once :meth:`finish` returns it, its result —
+    it runs, and once ``run_transition`` returns it, its result —
     ``success``, ``gas_used``, ``accepted`` (funds taken from
     ``_amount``), the ``messages`` (:class:`OutMsg`) it sent, the
     ``events`` it emitted, ``error`` (None on success) and
@@ -546,7 +566,8 @@ class _Run:
         self.accepted = 0
         self.messages: list[OutMsg] = []
         self.events: list[MsgVal] = []
-        self.write_log = WriteLog()
+        self.write_log = tuple.__new__(WriteLog, ({}, {}))
+        self.error = None
         # The implicit parameters (the chain hands the sender over as
         # a ready ByStr20 value, built once per transaction).
         raw, origin, amount = ctx.sender, ctx.origin, ctx.amount
@@ -566,25 +587,14 @@ class _Run:
         if self.gas_used > self.gas_limit:
             raise GasError(f"out of gas (limit {self.gas_limit})")
 
-    def finish(self, body, *args) -> _Run:
-        """Run ``body(*args)`` as the transition: meter builtins inside
-        pure expressions, roll back on failure, credit on success."""
-        interp, state = self.interp, self.state
-        interp._charge = self.charge
-        try:
-            body(*args)
-        except ScillaError as exc:
-            self.write_log.rollback(state)
-            self.success, self.error = False, str(exc)
-            self.accepted, self.write_log = 0, None
-            self.messages.clear()
-            self.events.clear()
-            return self
-        finally:
-            interp._charge = None
-        if self.accepted:   # on a fork: the epoch installs it
-            state.balance += self.accepted
-        self.success, self.error = True, None
+    def failed(self, exc: ScillaError) -> _Run:
+        """End the run as a failure: its writes rolled back, nothing
+        accepted, sent or emitted."""
+        self.write_log.rollback(self.state)
+        self.success, self.error = False, str(exc)
+        self.accepted, self.write_log = 0, None
+        self.messages.clear()
+        self.events.clear()
         return self
 
     def interpret(self, component: ast.Component, args) -> None:

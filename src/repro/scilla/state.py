@@ -22,7 +22,7 @@ contract's next state with one rebind (docs/STATE.md §2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 from .errors import ExecError
 from .types import MapType, ScillaType
@@ -237,12 +237,18 @@ def _apply_undo(state: ContractState, key: StateKey,
         state.map_put(name, keys, old)
 
 
-@dataclass(slots=True)
-class WriteLog:
-    """Undo + redo information for a single transition execution."""
+class WriteLog(namedtuple("WriteLog", "undo writes")):
+    """Undo + redo information for a single transition execution: the
+    pre-image of each written key (``undo``) and its last value
+    (``writes``).  A tuple of two dicts, so a run builds it with one
+    ``tuple.__new__``."""
 
-    undo: dict[StateKey, Value | _Missing] = dc_field(default_factory=dict)
-    writes: dict[StateKey, Value | _Missing] = dc_field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, undo: dict[StateKey, Value | _Missing] | None = None,
+                writes: dict[StateKey, Value | _Missing] | None = None):
+        return tuple.__new__(cls, ({} if undo is None else undo,
+                                   {} if writes is None else writes))
 
     def record(self, state: ContractState, key: StateKey,
                new_value: Value | _Missing) -> None:

@@ -570,19 +570,29 @@ def test_every_durable_byte_is_the_same_under_two_hash_seeds(
         tmp_path, monkeypatch):
     """`repro run --workload "FT transfer" --users 100 --txns 6
     --epochs 10` writes a base and two delta restore points and three
-    WAL segments; under PYTHONHASHSEED 0 and 1 every file is the same
-    byte for byte (a restore point once listed a signature's joins and
-    a delta's rows in set order)."""
-    files = [{p.name: p.read_bytes() for p in sorted(cwd.glob("data/*"))}
-             for _, cwd in _under_two_hash_seeds(
-                 tmp_path, monkeypatch,
-                 ["run", "--workload", "FT transfer", "--data-dir", "data",
-                  "--seed", "0", "--epochs", "10", "--shards", "4",
-                  "--users", "100", "--txns", "6", "--json"])]
-    assert sum(".delta." in name for name in files[0]) == 2
-    assert files[0].keys() == files[1].keys()
-    for name in files[0]:
-        assert files[0][name] == files[1][name], name
+    WAL segments, and `repro serve --ticks 24` three restore points
+    and three segments; under PYTHONHASHSEED 0 and 1 every file is the
+    same byte for byte (a restore point once listed a signature's joins
+    and a delta's rows in set order, and a served one embedded
+    wall-clock histograms)."""
+    for argv, restore_points, deltas in [
+            (["run", "--workload", "FT transfer", "--seed", "0",
+              "--epochs", "10", "--shards", "4", "--users", "100",
+              "--txns", "6", "--json"], 3, 2),
+            (["serve", "--ticks", "24", "--txns", "100", "--population",
+              "500", "--shards", "2"], 3, 0)]:
+        legs = tmp_path / argv[0]
+        legs.mkdir()
+        files = [{p.name: p.read_bytes() for p in sorted(cwd.glob("data/*"))}
+                 for _, cwd in _under_two_hash_seeds(
+                     legs, monkeypatch, [*argv, "--data-dir", "data"])]
+        names = files[0].keys()
+        assert sum(name.startswith("snap-") for name in names) == \
+            restore_points
+        assert sum(".delta." in name for name in names) == deltas
+        assert names == files[1].keys()
+        for name in names:
+            assert files[0][name] == files[1][name], (argv[0], name)
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,14 +17,17 @@ from repro.chain import Network
 from repro.workloads.generators import FTTransfer
 
 # Frames per transfer here (dispatch, lane, interpreter, delta, merge):
-# 22.62 on 3.11, 22.53 on 3.12 and 3.13, since ``IntVal.checked``,
-# ``portion_slot`` and ``int_delta`` are inlined where a transfer calls
-# them (EXPERIMENTS.md E27) — down from 28.17 before that, from 45.5
-# while dispatch plans ran closures (8 frames) and a lane read and
+# 16.62 on 3.11, 16.53 on 3.12 and 3.13, since a lane calls the first
+# hop's transition itself — no call-chain object, ``invoke``,
+# ``state_for`` or ``_Run.finish`` frame, and ``TxContext``,
+# ``WriteLog`` and ``Receipt`` are tuples built without an ``__init__``
+# (EXPERIMENTS.md E30) — down from 22.62 while it did (22.53 on 3.12),
+# from 28.17 before ``IntVal.checked``, ``portion_slot`` and
+# ``int_delta`` were inlined where a transfer calls them (E27), from
+# 45.5 while dispatch plans ran closures (8 frames) and a lane read and
 # wrote its balances through the overlay (E21), and from 58.6 before
-# that (E20).  The budget keeps the 0.75 of slack it had over the 30.25
-# it was set for.
-FRAME_BUDGET = 23.4
+# that (E20).
+FRAME_BUDGET = 17.0
 # Of those, dispatch: ``Dispatcher.dispatch`` and the generated plan.
 DISPATCH_FRAME_BUDGET = 3
 

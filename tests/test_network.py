@@ -283,6 +283,7 @@ def test_strict_nonces_break_cross_lane_parallelism():
 def test_overflow_guard_rejects_outsized_moves():
     guarded = ft_network(overflow_guard=True)
     lo, hi = 0, (1 << 128) - 1
+    before, held = guarded.balance(ADMIN), balances(guarded)
     # Mint nearly the max supply to one user in a single transaction:
     # the per-shard overflow budget (MAX - v)/N forbids it.
     block = guarded.process_epoch([
@@ -290,8 +291,13 @@ def test_overflow_guard_rejects_outsized_moves():
              {"recipient": addr(USERS[0]), "amount": uint(hi - 10)},
              nonce=1)])
     (receipt,) = block.all_receipts
-    assert not receipt.success
-    assert "overflow guard" in receipt.error
+    assert (receipt.success, receipt.error) == (
+        False, "overflow guard: rerouted")
+    # The mint's writes are undone; its gas is paid.
+    assert guarded.contracts[TOKEN].state.fields["total_supply"] == uint(0)
+    assert balances(guarded) == held
+    assert receipt.gas_used > 0
+    assert guarded.balance(ADMIN) == before - receipt.gas_used
     # A modest mint is fine.
     block = guarded.process_epoch([
         call(ADMIN, TOKEN, "Mint",
