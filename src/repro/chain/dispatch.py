@@ -113,6 +113,7 @@ _UNKNOWN_CONTRACT = _ds("unknown contract", "unknown_contract")
 _PAYMENT_TO_CONTRACT = _ds("payment to contract", "payment_to_contract")
 _NOT_SHARDED = _ds("transition not sharded", "transition_not_sharded")
 _CONFLICTING = _ds("conflicting ownership", "conflicting_ownership")
+_NO_FIELDS: frozenset[str] = frozenset()
 
 
 @dataclass
@@ -197,20 +198,33 @@ class Dispatcher:
 
     def _component_shard(self, contract: str, pf: PseudoField,
                          key_values: tuple[str, ...]) -> int:
-        if not key_values or pf.field in self._field_level_cache.get(
-                contract, set()):
-            token = f"{contract}:{pf.field}"
-        else:
-            first = key_values[0]
-            if first.startswith("ByStr20|"):
-                # Components keyed by an account address live in that
-                # account's home shard, so Owns(bal[_sender]) and
-                # SenderShard (fund acceptance) agree — the paper's
-                # "the shard that owns A's account" model.
-                token = f"addr:{first.removeprefix('ByStr20|')}"
-            else:
-                token = f"{contract}:{first}"
-        return shard_hash(token, self.n_shards)
+        if not key_values or pf.field in self.field_level(contract):
+            return self.field_shard(contract, pf.field)
+        return self.entry_shard(contract, key_values[0])
+
+    # Component owners, by canonical address: routing
+    # (``_component_shard``) and delta validation
+    # (``repro.chain.recovery.validate_delta``) both ask these.
+
+    def field_level(self, contract: str) -> set[str] | frozenset[str]:
+        """The fields of ``contract`` assigned to shards whole."""
+        return self._field_level_cache.get(contract, _NO_FIELDS)
+
+    def field_shard(self, contract: str, field: str) -> int:
+        """Shard owning the whole of ``field``."""
+        return shard_hash(f"{contract}:{field}", self.n_shards)
+
+    def entry_shard(self, contract: str, first: str) -> int:
+        """Shard owning the entries whose first key has token ``first``.
+        Components keyed by an account address live in that account's
+        home shard, so Owns(bal[_sender]) and SenderShard (fund
+        acceptance) agree — the paper's "the shard that owns A's
+        account" model.  ``shard_hash``, inline: the validator asks
+        once per distinct first key of a delta."""
+        token = (f"addr:{first[8:]}" if first.startswith("ByStr20|")
+                 else f"{contract}:{first}")
+        return _U64(hashlib.sha256(token.encode()).digest())[0] \
+            % self.n_shards
 
     # -- constraint resolution ------------------------------------------------------
 
@@ -449,8 +463,7 @@ class Dispatcher:
             if isinstance(k, ParamKey)
             else (None, self._resolve_key(k, None, deployed, ""))
             for k in c.pf.keys)
-        whole = not keys \
-            or c.pf.field in self._field_level_cache.get(to, ())
+        whole = not keys or c.pf.field in self.field_level(to)
         by_key = not whole and (keys[0] is _SENDER or keys[0][0] is not None)
         fail = _ds(f"unresolvable {c}", "unresolvable")
         for key in keys:

@@ -545,9 +545,10 @@ class Network(Execution, Durability):
                                        self._delta_validator, fault_log)
             # The DS committee validates every delta against the
             # deployed signature's write footprint before merging.
-            violations = [(delta, v) for delta in lane_deltas
-                          if (v := self._delta_validator(delta))
-                          is not None]
+            with self.tracer.span(f"validate {shard}"):
+                violations = [(delta, v) for delta in lane_deltas
+                              if (v := self._delta_validator(delta))
+                              is not None]
             if violations:
                 rejected += len(violations)
                 newly_faulty[shard] = "byzantine-delta"

@@ -19,7 +19,7 @@ network survives.  Four mechanisms, mirrored on real deployments:
   committee checks every received StateDelta against the deployed
   sharding signature before merging it.  An ``OwnOverwrite`` entry
   must live in a component the producing shard actually owns (the
-  same ``component_shard`` hash the lookup nodes route by), its join
+  same owner functions the lookup nodes route by), its join
   kind must match the signature, and its field must exist.  A delta
   violating any of these is byzantine: it is rejected with a
   structured :class:`DeltaViolation`, never merged.  ``IntMerge``
@@ -46,10 +46,11 @@ import json
 import time
 from dataclasses import dataclass
 
-from ..core.domain import PseudoField
 from ..core.joins import JoinKind
 from ..scilla.state import MISSING, ContractState, StateKey
-from ..scilla.values import ByStrVal, IntVal, MapVal, Value
+from ..scilla.values import (
+    BNumVal, ByStrVal, IntVal, MapVal, StringVal, Value, pad_address,
+)
 from .delta import StateDelta
 from .dispatch import DS, key_token
 
@@ -76,15 +77,46 @@ class DeltaViolation:
                 f"rejected ({where}{self.reason})")
 
 
+# Key classes whose token never fails (``key_token``): hashable, and
+# equal values of them are the same class with the same token.
+_PLAIN_KEYS = frozenset({ByStrVal, IntVal, StringVal, BNumVal})
+_UNUSABLE = "key not usable for ownership"
+
+
+def _usable(keys: tuple) -> bool:
+    """Whether every key has a token."""
+    for key in keys:
+        if key.__class__ not in _PLAIN_KEYS:
+            try:
+                key_token(key)
+            except ValueError:
+                return False
+    return True
+
+
+def _head(column) -> StateKey:
+    """Where a violation of a whole column is reported: its first row."""
+    return column.field, next(iter(column.rows), ())
+
+
 def validate_delta(delta: StateDelta, contract, dispatcher
                    ) -> DeltaViolation | None:
     """Check a shard's delta against the contract's write footprint.
 
     ``contract`` is the network's ``DeployedContract``; ``dispatcher``
-    the lookup-node dispatcher whose ``component_shard`` assignment
-    the validation mirrors — routing and validation agree by
-    construction because they share the hash and the field-level
-    cache.
+    the lookup-node dispatcher whose component assignment the
+    validation mirrors — routing and validation agree by construction
+    because both ask its ``field_shard`` / ``entry_shard`` owners.
+
+    Cost: the contract's canonical address, field-level set and (for a
+    contract dispatched without a signature) home shard are resolved
+    once per delta.  A field-level column asks for one owner; an
+    entry-level row finds its first key's owner in ``owners`` and
+    hashes only on a miss, so a delta asks for one owner per distinct
+    first key (equal plain keys have equal tokens).  ``IntMerge``
+    columns ask for none.  The violation found, and which one is found
+    first, are those of checking every row's keys and owner in order
+    (``validate_delta_reference`` in tests/helpers.py).
 
     Soundness: every non-commutative (``OwnOverwrite``) write in a
     selected transition carries an ``Owns`` constraint (signature
@@ -97,37 +129,60 @@ def validate_delta(delta: StateDelta, contract, dispatcher
     def bad(key: StateKey | None, reason: str) -> DeltaViolation:
         return DeltaViolation(delta.contract, delta.shard, key, reason)
 
-    if delta.shard == DS:
+    shard = delta.shard
+    if shard == DS:
         return bad(None, "the DS committee does not submit deltas")
-    joins = contract.joins
+    joins, field_types = contract.joins, contract.state.field_types
+    address = pad_address(delta.contract)
     signature_mode = (dispatcher.use_signatures
                       and contract.signature is not None)
+    field_level = dispatcher.field_level(address)
+    entry_shard, plain = dispatcher.entry_shard, _PLAIN_KEYS
+    owners: dict[Value, int] = {}
+    home = None
     for column in delta.columns:
-        field = column.field
-        first = (field, next(iter(column.rows), ()))
-        if field not in contract.state.field_types:
-            return bad(first, f"unknown field {field!r}")
+        field, rows = column.field, column.rows
+        if field not in field_types:
+            return bad(_head(column), f"unknown field {field!r}")
         declared = joins.get(field, JoinKind.OWN_OVERWRITE)
         if column.kind is not declared:
-            return bad(first,
+            return bad(_head(column),
                        f"claims {column.kind} but the deployed "
                        f"signature declares {declared}")
-        if column.kind is JoinKind.INT_MERGE:
+        if declared is JoinKind.INT_MERGE:
             continue  # commutative: any shard may contribute
         if not signature_mode:
-            owner = dispatcher.home_shard(delta.contract)
-            if owner != delta.shard:
-                return bad(first, f"component owned by shard {owner}")
+            if home is None:
+                home = dispatcher.home_shard(address)
+            if home != shard:
+                return bad(_head(column), f"component owned by shard {home}")
             continue
-        pseudo = PseudoField(field)
-        for keys in column.rows:
-            try:
-                tokens = tuple(key_token(k) for k in keys)
-            except ValueError:
-                return bad((field, keys), "key not usable for ownership")
-            owner = dispatcher.component_shard(delta.contract, pseudo,
-                                               tokens)
-            if owner != delta.shard:
+        if field in field_level:
+            owner = dispatcher.field_shard(address, field)
+            for keys in rows:
+                if not _usable(keys):
+                    return bad((field, keys), _UNUSABLE)
+                if owner != shard:
+                    return bad((field, keys),
+                               f"component owned by shard {owner}")
+            continue
+        for keys in rows:
+            if not keys:
+                owner = dispatcher.field_shard(address, field)
+            else:
+                first = keys[0]
+                owner = (owners.get(first) if first.__class__ in plain
+                         else None)
+                if owner is None:
+                    try:
+                        owner = entry_shard(address, key_token(first))
+                    except ValueError:
+                        return bad((field, keys), _UNUSABLE)
+                    if first.__class__ in plain:
+                        owners[first] = owner
+                if len(keys) > 1 and not _usable(keys[1:]):
+                    return bad((field, keys), _UNUSABLE)
+            if owner != shard:
                 return bad((field, keys),
                            f"component owned by shard {owner}")
     return None

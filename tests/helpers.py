@@ -4,6 +4,10 @@ import functools
 import random
 
 from repro.chain import Network
+from repro.chain.dispatch import DS, key_token
+from repro.chain.recovery import DeltaViolation
+from repro.core.domain import PseudoField
+from repro.core.joins import JoinKind
 from repro.scilla.interpreter import Interpreter, TxContext
 from repro.scilla.parser import parse_module
 from repro.scilla.values import canonical
@@ -102,3 +106,50 @@ def serial_replay(net, blocks, rng=None) -> dict[str, dict]:
             state.balance -= sum(msg.amount for msg in run.messages)
     return {address: _snapshot(state)
             for address, (_, state) in sorted(runs.items())}
+
+
+# -- the delta validator's specification (docs/FAULTS.md, step 3) ------------
+
+def validate_delta_reference(delta, contract, dispatcher):
+    """``repro.chain.recovery.validate_delta`` one row at a time: every
+    row of an ``OwnOverwrite`` column resolves its keys' tokens and asks
+    ``Dispatcher.component_shard`` (the routing's own assignment) for
+    its owner.  The validator must return the identical violation, or
+    None, on any delta."""
+    def bad(key, reason):
+        return DeltaViolation(delta.contract, delta.shard, key, reason)
+
+    if delta.shard == DS:
+        return bad(None, "the DS committee does not submit deltas")
+    joins = contract.joins
+    signature_mode = (dispatcher.use_signatures
+                      and contract.signature is not None)
+    for column in delta.columns:
+        field = column.field
+        first = (field, next(iter(column.rows), ()))
+        if field not in contract.state.field_types:
+            return bad(first, f"unknown field {field!r}")
+        declared = joins.get(field, JoinKind.OWN_OVERWRITE)
+        if column.kind is not declared:
+            return bad(first,
+                       f"claims {column.kind} but the deployed "
+                       f"signature declares {declared}")
+        if column.kind is JoinKind.INT_MERGE:
+            continue
+        if not signature_mode:
+            owner = dispatcher.home_shard(delta.contract)
+            if owner != delta.shard:
+                return bad(first, f"component owned by shard {owner}")
+            continue
+        pseudo = PseudoField(field)
+        for keys in column.rows:
+            try:
+                tokens = tuple(key_token(k) for k in keys)
+            except ValueError:
+                return bad((field, keys), "key not usable for ownership")
+            owner = dispatcher.component_shard(delta.contract, pseudo,
+                                               tokens)
+            if owner != delta.shard:
+                return bad((field, keys),
+                           f"component owned by shard {owner}")
+    return None
