@@ -61,9 +61,10 @@ class Execution:
     def _account_at(self, address: str) -> tuple:
         """The account row at a canonical (already padded) address, as
         the open epoch attempt sees it.  Every account move goes through
-        here (shard lanes, DS lane, payouts): the first handout copies
-        the published row into the attempt's buffer, where every later
-        read and write of the attempt finds it."""
+        here (shard lanes, DS lane, payouts; ``_execute`` does its two
+        lookups inline for a sender's existing row): the first handout
+        copies the published row into the attempt's buffer, where every
+        later read and write of the attempt finds it."""
         rows = self._account_buffer
         row = rows.get(address)
         if row is None:
@@ -152,20 +153,43 @@ class Execution:
 
         The first hop runs here, on every lane: the fork, then the
         transition, then the post-hop work every hop shares
-        (:meth:`_settle`), which on a shard lane only moves funds."""
+        (:meth:`_settle`), which on a shard lane only moves funds.  The
+        common path makes no other call: the sender's row (unless the
+        account is new), a gap-free nonce run that grows by one (what
+        :meth:`NonceTracker.try_accept` does in that case) and the fee
+        are handled here, and ``_settle`` runs only when the hop
+        accepted funds, a message carries an amount or names a
+        contract, or the lane is the DS committee's."""
         sender, price = tx.sender, tx.gas_price
-        row = self._account_at(sender)
         accounts = self._account_buffer
+        row = accounts.get(sender)
+        if row is None:     # ``_account_at``, inline while the row exists
+            row = self.accounts.get(sender)
+            if row is None:
+                row = self._account_at(sender)
+            else:
+                accounts[sender] = row
         if tx.gas_limit < 0 or price < 0:
             return Receipt(tx, False, 0, lane, error="invalid gas")
         payment = tx.transition is None
         deposit = (PAYMENT_GAS if payment else tx.gas_limit) * price
-        # ``portion_slot(lane)``, inline.
-        if (row[lane + 1 if lane >= 0 else -1] or 0) < deposit \
-                or row[0] < deposit:
+        slot = lane + 1 if lane >= 0 else -1     # portion_slot(lane)
+        if (row[slot] or 0) < deposit or row[0] < deposit:
             return Receipt(tx, False, 0, lane,
                            error="insufficient balance for gas")
-        if not self.nonces.try_accept(sender, tx.nonce, lane):
+        nonces, nonce = self.nonces, tx.nonce
+        record = nonces.buffer.get(sender) or nonces.records.get(sender)
+        floor = lane + 1 if lane >= 0 else -3   # the lane's nonce floor
+        if record is not None and record[-1] is None and \
+                nonce == record[-2] + 1 and nonce > (record[0] or 0) and \
+                nonce > (record[floor] or 0) and not nonces.strict:
+            # What ``try_accept`` does when a sender's record (buffered
+            # or published) has no gaps and its run grows by one, past
+            # every nonce it holds.
+            new = list(record)
+            new[0] = new[floor] = new[-2] = nonce
+            nonces.buffer[sender] = tuple(new)
+        elif not nonces.try_accept(sender, nonce, lane):
             return Receipt(tx, False, 0, lane, error="bad nonce")
         amount, to_addr = tx.amount, tx.to
         if not 0 <= amount <= _MAX_AMOUNT:
@@ -173,9 +197,10 @@ class Execution:
             # move funds from the recipient to the sender.
             return Receipt(tx, False, 0, lane, error="invalid amount")
 
+        contracts = self.contracts
         if payment:
             # The deposit is the fee; nothing has moved the row yet.
-            if to_addr in self.contracts:
+            if to_addr in contracts:
                 # Mirrors the dispatcher's "payment to contract"
                 # routing: the funds stay with the sender instead of
                 # landing in a shadow user account under the contract's
@@ -192,7 +217,7 @@ class Execution:
             self._credit(to_addr, lane, amount)
             return Receipt(tx, True, PAYMENT_GAS, lane)
 
-        contract = self.contracts.get(to_addr)
+        contract = contracts.get(to_addr)
         if contract is None:
             return Receipt(tx, False, 0, lane, error="unknown contract")
 
@@ -221,11 +246,21 @@ class Execution:
         if not run.success:
             error = run.error or "transition failed"
         else:
-            try:
-                undo = self._settle(run, run, contract, state, sender, lane,
-                                    deposit, forks, writes, 0, None)
-            except _ChainFailed as exc:
-                error, undo = exc.args
+            settle = run.accepted or lane == DS
+            if not settle:
+                # What ``_settle`` does with a shard lane's message to a
+                # user that carries no amount: nothing.
+                for msg in run.messages:
+                    if msg.amount or _pad(msg.recipient) in contracts:
+                        settle = True
+                        break
+            if settle:
+                try:
+                    undo = self._settle(run, run, contract, state, sender,
+                                        lane, deposit, forks, writes, 0,
+                                        None)
+                except _ChainFailed as exc:
+                    error, undo = exc.args
             if error is None and self.config.overflow_guard and \
                     lane != DS and not self._within_overflow_budget(
                         contract, state, run.write_log):
@@ -235,7 +270,13 @@ class Execution:
         gas = run.gas_used
         if gas > tx.gas_limit:  # a run stopped past its limit pays that
             gas = tx.gas_limit
-        accounts[sender] = charged(accounts[sender], lane, gas * price)
+        # ``charged(row, lane, gas * price)``, inline: the portion still
+        # holds the deposit, which covers the fee.
+        fee, row = gas * price, accounts[sender]
+        new = list(row)
+        new[0] -= fee
+        new[slot] = (row[slot] or 0) - fee
+        accounts[sender] = tuple(new)
         if error is not None:
             return Receipt(tx, False, gas, lane, error=error)
 

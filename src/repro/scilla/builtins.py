@@ -204,7 +204,9 @@ def _eq(args: list[Value]) -> Value:
 # Guarded on the operands' *class*, not on a static type: transaction
 # arguments and stored state are unchecked.  Whenever a guard or a bounds
 # test fails they call the registry ``impl`` above, which raises the
-# reference's error — so they agree with it by construction.
+# reference's error — so they agree with it by construction.  Compiled
+# code emits the guards of ``add`` / ``sub`` / ``mul`` / ``lt`` /
+# ``uint_le`` inline and calls these only when one fails.
 # --------------------------------------------------------------------------
 
 def _fast_arith(op, impl: Impl):

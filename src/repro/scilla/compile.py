@@ -13,9 +13,10 @@ charged once per straight-line *segment*, from a local
 next ``match`` / ``send`` / ``event`` takes apart again is never boxed
 (the ``_Opt`` / ``_Bool`` / ``_Msg`` / ``_List`` scope entries);
 arithmetic and comparisons run on operands whose *class* is checked,
-every failure through the registry ``impl`` (``repro.scilla.builtins``);
-a write is one owned write (``repro.scilla.state.owned_put``); and a
-procedure defined before its caller is lowered into it.
+inline, every failure through the registry ``impl``
+(``repro.scilla.builtins``); a one-key write is the owned write
+(``repro.scilla.state.owned_put``), inline; and a procedure defined
+before its caller is lowered into it.
 
 Expressions outside the first-order fragment — ``fun``/``tfun`` values,
 type and partial application, native folds, ``Emp``, anything
@@ -45,7 +46,7 @@ from .interpreter import (
     GAS_TRANSITION_BASE, OutMsg, _map_leaf_type, _to_outmsg,
 )
 from .state import MISSING, owned_put, owned_write
-from .types import BUILTIN_ADTS, UINT32, UINT64, MapType
+from .types import _INT_BOUNDS, BUILTIN_ADTS, UINT32, UINT64, MapType
 from .values import (
     ADTVal, BNumVal, ByStrVal, Closure, Env, FALSE, IntVal, MapVal, MsgVal,
     StringVal, TRUE, none, value_to_list,
@@ -92,7 +93,7 @@ _SUPPORT = {
     "UINT32": UINT32, "UINT64": UINT64, "_oog": _oog,
     "_to_outmsg": _to_outmsg, "value_to_list": value_to_list,
     "owned_put": owned_put, "owned_write": owned_write,
-    "tuple_new": tuple.__new__,
+    "tuple_new": tuple.__new__, "INT_BOUNDS": _INT_BOUNDS,
     **{f"fast_{name}": fast
        for name, fast in (*FAST_VALUES.items(), *FAST_TESTS.items())},
 }
@@ -108,6 +109,13 @@ _PROLOGUE = {
 _ACCESS = {**dict.fromkeys((Load, Store, MapGet, MapGetExists, MapUpdate,
                             MapDelete), (GAS_STATE_ACCESS,)),
            Event: (GAS_EVENT,)}
+# The class-guarded builtins emitted inline, by their Python operator:
+# ``_fast_arith`` / ``_fast_compare``'s guard (and for arithmetic the
+# bounds test) in the transition itself, and on any failure a call of
+# the fast path, which calls the registry ``impl`` and so raises the
+# reference's error.
+_INLINE_VALUES = {"add": "+", "sub": "-", "mul": "*"}
+_INLINE_TESTS = {"lt": "<", "uint_le": "<="}
 _PROLOGUE_RE = re.compile(r"\b(%s)\b" % "|".join(_PROLOGUE))
 _CONST_RE = re.compile(r"\bK\d+\b")
 
@@ -600,13 +608,17 @@ class _Fn:
             if defn is None or len(e.args) != defn.arity:
                 return self.delegate(e, scope)      # raises when reached
             # The reference's order: atoms, charge, application (can raise).
-            args = ", ".join(self.atom(a, scope) for a in e.args)
+            atoms = [self.atom(a, scope) for a in e.args]
             self.charge(defn.gas)
             fast = e.name in FAST_VALUES or e.name in FAST_TESTS
             self.stats["guarded_builtins"] += fast
             value = self.local(e.name)
-            self.emit(f"{value} = fast_{e.name}({args})" if fast else
-                      f"{value} = {unit.const(defn.impl)}([{args}])")
+            if e.name in _INLINE_VALUES or e.name in _INLINE_TESTS:
+                self.inline_builtin(e.name, value, atoms)
+            else:
+                args = ", ".join(atoms)
+                self.emit(f"{value} = fast_{e.name}({args})" if fast else
+                          f"{value} = {unit.const(defn.impl)}([{args}])")
             self.fence()
             return _Bool(value) if e.name in FAST_TESTS else value
         if isinstance(e, Let):
@@ -636,6 +648,36 @@ class _Fn:
                 f"{result} = {self.py(self.expr(body, inner))}"))
             return result
         return self.delegate(e, scope)      # Fun, TFun, TApp
+
+    def named(self, py: str, hint: str) -> str:
+        """``py`` as a name, so a line may read it more than once."""
+        if py.isidentifier():
+            return py
+        local = self.local(hint)
+        self.emit(f"{local} = {py}")
+        return local
+
+    def inline_builtin(self, name: str, value: str, atoms: list) -> None:
+        """``value = fast_<name>(a, b)`` with the fast path's guard
+        inline (``_INLINE_VALUES`` / ``_INLINE_TESTS``): the call is
+        made only when the guard or the bounds test fails."""
+        a, b = (self.named(atom, "x") for atom in atoms)
+        if name in _INLINE_TESTS:
+            self.emit(f"if {a}.__class__ is IntVal and {b}.__class__ is "
+                      f"IntVal and ({a}.typ is {b}.typ or "
+                      f"{a}.typ == {b}.typ):")
+            self.emit(f"    {value} = {a}.value {_INLINE_TESTS[name]} "
+                      f"{b}.value")
+        else:
+            typ, bounds, v = self.local("t"), self.local("b"), self.local("v")
+            self.emit(f"if {a}.__class__ is IntVal and {b}.__class__ is "
+                      f"IntVal and (({typ} := {a}.typ) is {b}.typ or "
+                      f"{typ} == {b}.typ) and ({bounds} := INT_BOUNDS["
+                      f"{typ}])[0] <= ({v} := {a}.value "
+                      f"{_INLINE_VALUES[name]} {b}.value) <= {bounds}[1]:")
+            self.emit(f"    {value} = tuple_new(IntVal, ({v}, {typ}))")
+        self.emit("else:")
+        self.emit(f"    {value} = fast_{name}({a}, {b})")
 
     # -- pattern matching -------------------------------------------------------
 
@@ -755,9 +797,25 @@ class _Fn:
             self.emit(f"ks = {key}")
             self.emit(spec.replace(key, "ks"))
             self.fence()
-        else:
+        elif value == "MISSING":     # a delete: the one call
             self.stats["fused_writes"] += 1
-            self.emit(f"owned_put(state, log, {m}, {key}, {value})")
+            self.emit(f"owned_put(state, log, {m}, {key}, MISSING)")
+        else:
+            # ``owned_put``, inline and in its order: the pre-image
+            # captured (a map flagged shared), the first one kept in
+            # ``undo``, the last value in ``writes``, the map privatised
+            # through ``MapVal._own`` (a call: the benchmark times it),
+            # the store.
+            self.stats["fused_writes"] += 1
+            k, value = self.named(keys[0], "k"), self.named(value, "w")
+            at, old = self.local("key"), self.local("old")
+            self.emit(f"{at} = ({stmt.map!r}, ({k}, ))")
+            self.emit(f"{old} = {m}.entries.get({k}, MISSING)")
+            self.emit(f"if {old}.__class__ is MapVal: {old}._cow = True")
+            self.emit(f"log.undo.setdefault({at}, {old})")
+            self.emit(f"log.writes[{at}] = {value}")
+            self.emit(f"if {m}._cow: {m}._own()")
+            self.emit(f"{m}.entries[{k}] = {value}")
 
     def stmt(self, s, scope: dict) -> dict | None:
         """Emit one statement; returns the scope it extends, if any."""

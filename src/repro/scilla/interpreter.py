@@ -489,7 +489,10 @@ class Interpreter:
                        args: dict[str, Value] | tuple, ctx: TxContext,
                        gas_limit: int = 100_000) -> _Run:
         """Execute a transition; rolls state back on failure.  Runs
-        its compiled unit: the entry point of the chain and the lanes.
+        its compiled unit: the entry point of the chain and a lane's one
+        call into the interpreter (``bench/layers.py`` times the
+        interpreter layer by wrapping this method, so nothing bypasses
+        it).
         The finished :class:`_Run` is the result.  ``args`` maps each
         parameter to its value, or is a transaction's ``(names,
         values)``: when the names are the parameters in declaration
@@ -504,7 +507,23 @@ class Interpreter:
             if params is None or args.keys() != set(params):
                 self._transition(name, args)    # raises the reference's error
             values = tuple([args[p] for p in params])
-        run = _Run(self, state, ctx, gas_limit)
+        sender, amount = ctx.sender, ctx.amount
+        if sender.__class__ is ByStrVal and ctx.origin is None and \
+                0 <= amount <= _MAX_AMOUNT:
+            # ``_Run(self, state, ctx, gas_limit)`` for what a lane hands
+            # over — a ready sender, no origin, an amount in bounds —
+            # stored slot by slot, without the ``__init__`` frame.
+            run = _new_run(_Run)
+            run.interp, run.state, run.ctx = self, state, ctx
+            run.gas_limit, run.gas_used, run.accepted = gas_limit, 0, 0
+            run.messages, run.events = [], []
+            run.write_log = _tuple_new(WriteLog, ({}, {}))
+            run.error = None
+            run.sender = run.origin = sender
+            run.amount = _NO_AMOUNT if amount == 0 else \
+                _tuple_new(IntVal, (amount, ty.UINT128))    # IntVal.checked
+        else:
+            run = _Run(self, state, ctx, gas_limit)
         # Meter builtins inside pure expressions while it runs.
         self._charge = run.charge
         try:
@@ -541,6 +560,7 @@ class Interpreter:
 
 _MAX_AMOUNT = ty.int_bounds(ty.UINT128)[1]
 _NO_AMOUNT = IntVal(0, ty.UINT128)
+_new_run, _tuple_new = object.__new__, tuple.__new__
 
 
 class _Run:

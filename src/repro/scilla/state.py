@@ -270,11 +270,13 @@ class WriteLog(namedtuple("WriteLog", "undo writes")):
 # The owned write: ``log.record(state, key, value)`` followed by
 # ``state.write(key, value)`` — its two-walk specification — in one walk
 # for the shapes compiled transitions and the FSD merge spend their time
-# on.  Everything the two calls do happens, in their order: the pre-image
-# is captured (a captured map flagged shared), ``log.undo`` keeps the
-# first one, ``log.writes`` the last value, the map is privatised through
-# ``MapVal._own`` (never inlined: the benchmark shims that method) and
-# the store goes through the container's own ``__setitem__`` / ``pop``.
+# on (a compiled one-key store emits ``owned_put``'s steps inline, in
+# the same order).  Everything the two calls do happens, in their order:
+# the pre-image is captured (a captured map flagged shared), ``log.undo``
+# keeps the first one, ``log.writes`` the last value, the map is
+# privatised through ``MapVal._own`` (never inlined: the benchmark shims
+# that method) and the store goes through the container's own
+# ``__setitem__`` / ``pop``.
 # --------------------------------------------------------------------------
 
 def owned_put(state: ContractState, log: WriteLog, m: MapVal,

@@ -79,7 +79,14 @@ def test_compile_prints_generated_source(capsys):
     # One function: the procedures it calls and ``one_msg`` are lowered
     # into the transition.
     assert "def t_Transfer(run, args):" in out and out.count("def ") == 1
-    assert "owned_put(state, log, " in out and "fast_sub(" in out
+    # The one-key writes and the Int builtins are inline: an owned write
+    # privatises through ``_own`` and stores, and ``sub`` guards its
+    # operands' class and bounds, calling ``fast_sub`` only on a failure.
+    assert "owned_put(" not in out
+    assert "log.undo.setdefault(" in out and "._own()" in out
+    assert ".entries[_sender] = " in out
+    assert "INT_BOUNDS[" in out and ".value - amount_2.value" in out
+    assert "fast_sub(" in out
     assert '= "TransferSuccess"' in out          # the constants legend
     compile(out, "<repro compile>", "exec")       # valid Python
 

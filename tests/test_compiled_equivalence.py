@@ -154,6 +154,8 @@ def variants(comp, adts, rng, n: int):
         pick = (lambda pool: pool[0]) if i == 0 else rng.choice
         args = {name: pick(pool) for name, pool in pools.items()}
         sender = ADMIN if i == 0 else rng.choice((ADMIN, ADMIN, OTHER))
+        if i % 2:   # a ready ByStr20, as a lane hands it over
+            sender = addr(sender)
         origin = rng.choice((None, None, OTHER))
         yield args, TxContext(sender=sender, origin=origin,
                               amount=rng.choice((100, 0, 100, 10**9)),
@@ -342,6 +344,27 @@ def test_wrong_kind_arguments_fail_alike():
     kind must take the reference's failure path, not crash the
     generated code."""
     interp, compiled_state, reference_state = deploy_pair("FungibleToken")
+    # The fallbacks of the guards compiled transitions inline: an amount
+    # whose type equals the balances' without being the same object
+    # (to a new recipient, then to a known one), one of another width,
+    # and a sum past the recipient's Uint128.
+    same = IntVal(1, ty.PrimType("Uint128"))
+    assert same.typ == ty.UINT128 and same.typ is not ty.UINT128
+    errors = [run_both(interp, compiled_state, reference_state, "Transfer",
+                       {"to": addr(OTHER), "amount": amount},
+                       TxContext(sender=ADMIN)).get("error")
+              for amount in (same, same, IntVal(1, ty.UINT64))]
+    assert errors[:2] == [None, None] and "same type" in errors[2]
+    for state in (compiled_state, reference_state):
+        state.map_put("balances", (addr(ADMIN),), uint(1))
+        state.map_put("balances", (addr(OTHER),),
+                      uint(ty.int_bounds(ty.UINT128)[1]))
+    overflow = run_both(interp, compiled_state, reference_state, "Transfer",
+                        {"to": addr(OTHER), "amount": uint(1)},
+                        TxContext(sender=ADMIN))
+    assert "out of bounds" in overflow["error"]
+
+    interp, compiled_state, reference_state = deploy_pair("FungibleToken")
     for bad in (uint(3), StringVal("x"), bool_val(True),
                 MapVal(ty.BYSTR20, ty.UINT128)):
         for name, args in (
@@ -445,6 +468,20 @@ transition TooDeep (k: Uint128)
   x <- m[k][k][k];
   e <- exists m[k][k][k];
   delete m[k][k][k]
+end
+
+transition ReplaceChild (k: Uint128, fail: Bool)
+  m[k][k] := zero;
+  child <- m[k];
+  e = Emp Uint128 Uint128;
+  m[k] := e;
+  match child with
+  | Some c => m[k] := c
+  end;
+  match fail with
+  | True => throw
+  | False => n := zero
+  end
 end
 
 transition EventOfInt ()

@@ -2,6 +2,11 @@
 
 import pickle
 
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from repro.chain import Network, NetworkConfig
+from repro.chain.dispatch import DS
 from repro.chain.transaction import (
     NonceTracker, Transaction, call, charged, credited, funded_row, payment,
     portion_slot, used_runs,
@@ -144,3 +149,63 @@ def test_used_nonces_are_a_run_plus_gaps():
     assert not t.try_accept("a", 9, lane=0)        # replay of a gap nonce
     assert t.try_accept("a", 7, lane=0) and t.try_accept("a", 6, lane=1)
     assert t.records["a"][-2:] == (9, None)       # gap filled: set dropped
+
+
+# -- lanes and the nonce rule ---------------------------------------------------
+# A lane checks a nonce inline when a buffered record's run grows by one
+# and calls ``try_accept`` otherwise: its verdicts, and the table an
+# epoch publishes, are a plain tracker's fed the same calls in the order
+# the lanes run (shards 0 to 3, then the DS committee).
+
+SLOTS = """
+scilla_version 0
+library Slots
+contract Slots ()
+field m : Map Uint128 Uint128 = Emp Uint128 Uint128
+transition Put (k: Uint128)
+  one = Uint128 1;
+  m[k] := one
+end
+"""
+SLOTS_ADDR = "0x" + "5a" * 20
+SENDERS = ["0x" + c * 40 for c in "123"]
+LANES = (0, 1, 2, 3, DS)
+
+
+def _lane_tx(net, keys, sender, nonce, lane):
+    """A transaction of ``sender`` that ``lane`` runs: a ``Put`` whose
+    key that shard owns, or, for the DS committee, a payment to the
+    contract (refused after its nonce is checked)."""
+    if lane == DS:
+        return Transaction(sender, SLOTS_ADDR, nonce, gas_limit=1_000)
+    return call(sender, SLOTS_ADDR, "Put", {"k": keys[lane]}, nonce=nonce,
+                gas_limit=1_000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(strict=st.booleans(),
+       epochs=st.lists(st.lists(st.tuples(
+           st.integers(0, len(SENDERS) - 1), st.integers(1, 8),
+           st.sampled_from(LANES)), max_size=14), min_size=1, max_size=3))
+def test_lane_nonce_verdicts_are_try_accept_s(strict, epochs):
+    net = Network(4, NetworkConfig(strict_nonces=strict))
+    net.deploy(SLOTS, SLOTS_ADDR, {}, sharded_transitions=("Put",))
+    for sender in SENDERS:
+        net.create_account(sender)
+    keys = {}
+    for k in range(64):
+        keys.setdefault(net.dispatcher.dispatch(
+            call(SENDERS[0], SLOTS_ADDR, "Put", {"k": uint(k)})).shard,
+            uint(k))
+    reference = NonceTracker(strict=strict, n_shards=4)
+    for drawn in epochs:
+        txs = [_lane_tx(net, keys, SENDERS[s], nonce, lane)
+               for s, nonce, lane in drawn]
+        lanes = {tx.tx_id: lane for tx, (_, _, lane) in zip(txs, drawn)}
+        receipts = net.process_epoch(txs, unlimited=True).all_receipts
+        assert len(receipts) == len(txs)
+        for r in receipts:
+            assert r.shard == lanes[r.tx.tx_id]
+            accepted = reference.try_accept(r.tx.sender, r.tx.nonce, r.shard)
+            assert (r.error == "bad nonce") is (not accepted), r
+        assert dict(net.nonces.records) == dict(reference.records)
