@@ -269,7 +269,11 @@ def _merge_field(contract: str, base: ContractState, merged: ContractState,
     """Write one field's columns into ``merged``: overwrites (a
     whole-field value first), then the IntMerge totals.  One-key rows
     store into the field's privatised entries, resolved once for the
-    field's whole row count (docs/STATE.md §1, the fold-first rule)."""
+    field's whole row count (docs/STATE.md §1, the fold-first rule):
+    those that store a plain value are collected in row order and
+    stored with one ``update`` — straight into a plain dict, which is
+    what folding first hands back — and a delete, a map-valued row or
+    a deeper path stores what was collected before it, then itself."""
     writes = 0
     overwrites, merges = [], []
     for shard, column in group:
@@ -278,58 +282,76 @@ def _merge_field(contract: str, base: ContractState, merged: ContractState,
             overwrites.append(column)
         else:
             merges.append((shard, column))
-    entries = None
-    resolved = False
     for column in overwrites:
         if () in column.rows:
             merged.write((name, ()), column.rows[()])
+    entries = None
+    resolved = False
+    rows: dict = {}     # one-key stores not yet made, in row order
     for column in overwrites:
         for path, value in column.rows.items():
+            if not path:
+                continue            # written above
+            if len(path) == 1 and not resolved:
+                entries = owned_entries(merged, name, writes)
+                resolved = True
+                if entries.__class__ is dict:
+                    rows = entries      # folded first: store straight in
+            if (len(path) == 1 and entries is not None
+                    and value.__class__ is not MapVal
+                    and value is not MISSING):
+                rows[path[0]] = value
+                continue
+            if rows:                # the stores before this row first
+                entries.update(rows)
+                rows = {}
+            if len(path) > 1 or entries is None:
+                merged.write((name, path), value)
+            elif value is MISSING:
+                entries.pop(path[0], None)
+            else:
+                entries[path[0]] = value
+    if merges:
+        if len(merges) == 1:
+            totals = merges[0][1].rows
+        else:
+            totals = dict(merges[0][1].rows)
+            for _, column in merges[1:]:
+                for path, diff in column.rows.items():
+                    totals[path] = totals.get(path, 0) + diff
+        typ = merges[0][1].typ
+        lo, hi = ty.int_bounds(typ)
+        tuple_new = tuple.__new__   # IntVal.checked, without its frame
+        base_get = None
+        for path, diff in totals.items():
             if len(path) == 1:
                 if not resolved:
                     entries = owned_entries(merged, name, writes)
                     resolved = True
+                    if entries.__class__ is dict:
+                        rows = entries
                 if entries is not None:
-                    if value is MISSING:
-                        entries.pop(path[0], None)
-                    else:
-                        entries[path[0]] = value
+                    if base_get is None:
+                        base_get = base.fields[name].entries.get
+                    key = path[0]
+                    old = base_get(key)
+                    total = diff if old is None else old.value + diff
+                    if not lo <= total <= hi:
+                        # First the stores a row-by-row merge made.
+                        entries.update(rows)
+                        _overflow(contract, name, path, total, typ, merges)
+                    rows[key] = tuple_new(IntVal, (total, typ))
                     continue
-            elif not path:
-                continue        # written above
-            merged.write((name, path), value)
-    if not merges:
-        return
-    if len(merges) == 1:
-        totals = merges[0][1].rows
-    else:
-        totals = dict(merges[0][1].rows)
-        for _, column in merges[1:]:
-            for path, diff in column.rows.items():
-                totals[path] = totals.get(path, 0) + diff
-    typ = merges[0][1].typ
-    lo, hi = ty.int_bounds(typ)
-    tuple_new = tuple.__new__   # IntVal.checked, without its frame
-    base_get = None
-    for path, diff in totals.items():
-        if len(path) == 1:
-            if not resolved:
-                entries = owned_entries(merged, name, writes)
-                resolved = True
-            if entries is not None:
-                if base_get is None:
-                    base_get = base.fields[name].entries.get
-                old = base_get(path[0])
-                total = (0 if old is None else old.value) + diff
-                if not lo <= total <= hi:
-                    _overflow(contract, name, path, total, typ, merges)
-                entries[path[0]] = tuple_new(IntVal, (total, typ))
-                continue
-        old = base.read((name, path))
-        total = (old.value if type(old) is IntVal else 0) + diff
-        if not lo <= total <= hi:
-            _overflow(contract, name, path, total, typ, merges)
-        merged.write((name, path), tuple_new(IntVal, (total, typ)))
+            if rows:
+                entries.update(rows)
+                rows = {}
+            old = base.read((name, path))
+            total = (old.value if type(old) is IntVal else 0) + diff
+            if not lo <= total <= hi:
+                _overflow(contract, name, path, total, typ, merges)
+            merged.write((name, path), tuple_new(IntVal, (total, typ)))
+    if rows:
+        entries.update(rows)
 
 
 def _overflow(contract: str, name: str, path: tuple, total: int, typ,

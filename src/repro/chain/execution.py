@@ -155,8 +155,9 @@ class Execution:
         transition, then the post-hop work every hop shares
         (:meth:`_settle`), which on a shard lane only moves funds.  The
         common path makes no other call: the sender's row (unless the
-        account is new), a gap-free nonce run that grows by one (what
-        :meth:`NonceTracker.try_accept` does in that case) and the fee
+        account is new), a gap-free nonce run that grows by one, a first
+        nonce included (what :meth:`NonceTracker.try_accept` does in
+        that case) and the fee
         are handled here, and ``_settle`` runs only when the hop
         accepted funds, a message carries an amount or names a
         contract, or the lane is the DS committee's."""
@@ -178,14 +179,15 @@ class Execution:
             return Receipt(tx, False, 0, lane,
                            error="insufficient balance for gas")
         nonces, nonce = self.nonces, tx.nonce
-        record = nonces.buffer.get(sender) or nonces.records.get(sender)
+        record = (nonces.buffer.get(sender) or nonces.records.get(sender)
+                  or nonces.blank)
         floor = lane + 1 if lane >= 0 else -3   # the lane's nonce floor
-        if record is not None and record[-1] is None and \
-                nonce == record[-2] + 1 and nonce > (record[0] or 0) and \
+        if record[-1] is None and nonce == record[-2] + 1 and \
+                nonce > (record[0] or 0) and \
                 nonce > (record[floor] or 0) and not nonces.strict:
-            # What ``try_accept`` does when a sender's record (buffered
-            # or published) has no gaps and its run grows by one, past
-            # every nonce it holds.
+            # What ``try_accept`` does when a sender's record (buffered,
+            # published, or the blank one of a sender never seen) has no
+            # gaps and its run grows by one, past every nonce it holds.
             new = list(record)
             new[0] = new[floor] = new[-2] = nonce
             nonces.buffer[sender] = tuple(new)

@@ -393,6 +393,11 @@ class _Fn:
         # path to here; ``kills`` counts what invalidated any.
         self.guarded: dict[str, str] = {}
         self.kills = 0
+        # (field, key atom) -> local holding the raw entry a one-key read
+        # on every path to here left, no write to that field, procedure
+        # call or arm boundary since; ``forgets`` counts what dropped any.
+        self.reads: dict[tuple[str, str], str] = {}
+        self.forgets = 0
 
     # -- emission -------------------------------------------------------------
 
@@ -460,6 +465,7 @@ class _Fn:
         """Lower one arm of a branch (or a loop body) one level in: a
         segment cannot start outside it and end inside."""
         guarded, self.guarded = self.guarded, dict(self.guarded)
+        reads, self.reads = self.reads, dict(self.reads)
         outer, self.seg = self.seg, None
         self.depth += 1
         mark = len(self.lines)
@@ -468,20 +474,31 @@ class _Fn:
             self.emit("pass")
         self.close()
         self.depth -= 1
-        self.seg, self.guarded = outer, guarded
+        self.seg, self.guarded, self.reads = outer, guarded, reads
 
     def branch(self):
         """``join = self.branch()`` before the arms, ``join()`` after: the
         open segment goes on only past arms that neither charged nor can
-        raise, guards only past ones that replaced no map field."""
-        ticks, kills = self.ticks, self.kills
+        raise, guards only past ones that replaced no map field, reads
+        only past ones that dropped none."""
+        ticks, kills, forgets = self.ticks, self.kills, self.forgets
 
         def join() -> None:
             if self.ticks != ticks:
                 self.close()
             if self.kills != kills:
                 self.guarded = {}
+            if self.forgets != forgets:
+                self.reads = {}
         return join
+
+    def forget(self, name: str | None = None) -> None:
+        """Drop the reads of field ``name`` (of every field: None)."""
+        kept = {} if name is None else {
+            at: raw for at, raw in self.reads.items() if at[0] != name}
+        if len(kept) != len(self.reads):
+            self.reads = kept
+            self.forgets += 1
 
     def finish(self, params: str, first: list[str]) -> None:
         self.close()
@@ -775,7 +792,9 @@ class _Fn:
         return m
 
     def map_read(self, stmt, scope: dict) -> str:
-        """Emit the raw read of ``stmt.map[stmt.keys]`` into a local."""
+        """Emit the raw read of ``stmt.map[stmt.keys]`` into a local;
+        a one-key read of plain values is kept for a write's pre-image
+        (``reads``)."""
         raw, keys = self.local("raw"), [self.atom(k, scope) for k in stmt.keys]
         read = f"state.map_get({stmt.map!r}, ({', '.join(keys)},))"
         m = self.map_field(stmt.map, keys, read)
@@ -784,6 +803,9 @@ class _Fn:
             self.fence()
         else:
             self.emit(f"{raw} = {m}.entries.get({keys[0]}, MISSING)")
+            if keys[0].isidentifier() and not isinstance(
+                    self.unit.field_types[stmt.map].value, MapType):
+                self.reads[stmt.map, keys[0]] = raw
         return raw
 
     def map_write(self, stmt, value: str, scope: dict) -> None:
@@ -793,6 +815,8 @@ class _Fn:
         spec = (f"log.record(state, {key}, {value}); "
                 f"state.write({key}, {value})")
         m = self.map_field(stmt.map, keys, spec)
+        pre = self.reads.get((stmt.map, keys[0])) if m else None
+        self.forget(stmt.map)
         if m is None:
             self.emit(f"ks = {key}")
             self.emit(spec.replace(key, "ks"))
@@ -802,16 +826,19 @@ class _Fn:
             self.emit(f"owned_put(state, log, {m}, {key}, MISSING)")
         else:
             # ``owned_put``, inline and in its order: the pre-image
-            # captured (a map flagged shared), the first one kept in
-            # ``undo``, the last value in ``writes``, the map privatised
-            # through ``MapVal._own`` (a call: the benchmark times it),
-            # the store.
+            # captured (a map flagged shared) — or the read of this
+            # entry made on the way here, which holds no map — the
+            # first one kept in ``undo``, the last value in ``writes``,
+            # the map privatised through ``MapVal._own`` (a call: the
+            # benchmark times it), the store.
             self.stats["fused_writes"] += 1
             k, value = self.named(keys[0], "k"), self.named(value, "w")
-            at, old = self.local("key"), self.local("old")
+            at, old = self.local("key"), pre
             self.emit(f"{at} = ({stmt.map!r}, ({k}, ))")
-            self.emit(f"{old} = {m}.entries.get({k}, MISSING)")
-            self.emit(f"if {old}.__class__ is MapVal: {old}._cow = True")
+            if old is None:
+                old = self.local("old")
+                self.emit(f"{old} = {m}.entries.get({k}, MISSING)")
+                self.emit(f"if {old}.__class__ is MapVal: {old}._cow = True")
             self.emit(f"log.undo.setdefault({at}, {old})")
             self.emit(f"log.writes[{at}] = {value}")
             self.emit(f"if {m}._cow: {m}._own()")
@@ -862,6 +889,7 @@ class _Fn:
                       f"{self.atom(s.rhs, scope)})")
             if self.guarded.pop(s.field, None):
                 self.kills += 1
+            self.forget(s.field)
         elif isinstance(s, MapUpdate):
             self.map_write(s, self.atom(s.rhs, scope), scope)
         elif isinstance(s, MapDelete):
@@ -951,9 +979,11 @@ class _Fn:
                       f"{self.unit.const(s.loc)})")
             return self.fence()
         args = [self.atom(a, scope) for a in s.args]
+        self.forget()       # no read is a pre-image across a call
         if self.unit.order[proc.name] < self.order:
-            return self.body(proc, {**self.unit.scope, **{
+            self.body(proc, {**self.unit.scope, **{
                 p.name: a for p, a in zip(proc.params, args)}})
+            return self.forget()
         callee = self.unit.lower(proc)
         self.deps.add(callee)
         self.emit(f"{callee}(run{''.join(', ' + a for a in args)})")

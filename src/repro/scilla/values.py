@@ -158,9 +158,14 @@ class OverlayDict:
     copies one *up* into ``over`` before it goes through it.  ``kids``
     names the keys of ``over`` holding a ``MapVal``; a child there with
     ``_cow`` clear belongs to this overlay alone.
+
+    ``_room`` is the fold budget: the threshold minus what is pending
+    (``over`` and ``dead``, owned children not counted), kept as the
+    three change, so a new key costs a decrement, not a recount.  A
+    write that leaves it below zero folds.
     """
 
-    __slots__ = ("base", "over", "dead", "kids", "_count")
+    __slots__ = ("base", "over", "dead", "kids", "_count", "_room")
 
     def __init__(self, base: dict):
         self.base = base
@@ -168,6 +173,7 @@ class OverlayDict:
         self.dead: set[Value] = set()
         self.kids: set[Value] = set()
         self._count = len(base)
+        self._room = len(base) // OVERLAY_FOLD_DIVISOR + OVERLAY_FOLD_SLACK
 
     # -- reads ---------------------------------------------------------------
 
@@ -242,13 +248,39 @@ class OverlayDict:
         held = len(over)
         over[key] = value
         if type(value) is MapVal:
-            self.kids.add(key)
-        elif self.kids:
+            if key not in self.kids:
+                self.kids.add(key)
+                self._room += 1
+        elif self.kids and key in self.kids:
             self.kids.discard(key)
+            self._room -= 1
         if len(over) != held:
             if key not in self.base or key in self.dead:
                 self._count += 1
-            self._fold_if_due()
+            self._room -= 1
+            if self._room < 0:
+                self._fold()
+
+    def update(self, rows: dict) -> None:
+        """The dict protocol's bulk store: ``self[key] = value`` for each
+        of ``rows`` in order — the same entries, order, ``len``,
+        ``kids`` and folds.  One ``over.update`` when no row stores a
+        child, no child is pending and the new keys cannot pass the
+        fold threshold; else row by row."""
+        # No local names the base: a fold below counts its holders.
+        fresh = set(rows).difference(self.over)
+        if (len(fresh) > self._room or self.kids
+                or self.base.__class__ is not dict
+                or MapVal in map(type, rows.values())):
+            for key, value in rows.items():
+                self[key] = value
+            return
+        self.over.update(rows)
+        self._room -= len(fresh)
+        # A new key is live unless a live base entry stood under it.
+        self._count += len(fresh.difference(self.base))
+        if self.dead:
+            self._count += len(fresh.intersection(self.dead))
 
     def pop(self, key: Value, *default):
         value = self.over.pop(key, _ABSENT)
@@ -264,23 +296,15 @@ class OverlayDict:
             if key in self.base:
                 self.dead.add(key)
         self._count -= 1
-        self._fold_if_due()
+        self._room = (len(self.base) // OVERLAY_FOLD_DIVISOR
+                      + OVERLAY_FOLD_SLACK - len(self.over) - len(self.dead)
+                      + len(self.kids))
+        if self._room < 0:
+            self._fold()
         return value
 
     def __delitem__(self, key: Value) -> None:
         self.pop(key)
-
-    def _fold_if_due(self, writes: int = 0) -> bool:
-        """Fold, and say so, once what is pending — plus ``writes`` the
-        caller is about to make — passes the threshold."""
-        # Owned children stay in ``over`` across a fold, so they do not
-        # count as pending (or one fold would trigger the next).
-        pending = len(self.over) + len(self.dead) - len(self.kids) + writes
-        due = pending > (len(self.base) // OVERLAY_FOLD_DIVISOR
-                         + OVERLAY_FOLD_SLACK)
-        if due:
-            self._fold()
-        return due
 
     def _fold(self, copy: bool = True) -> bool:
         """Fold what is pending into a flat base, and say whether it
@@ -310,9 +334,12 @@ class OverlayDict:
         OVERLAY_FOLDED_ENTRIES += (len(over) + len(dead) if in_place
                                    else len(flat))
         # The new base first: every intermediate state reads the same.
+        # Owned children stay in ``over``; they do not count as pending
+        # (or one fold would trigger the next).
         self.base = flat
         self.over = {key: over[key] for key in self.kids}
         self.dead = set()
+        self._room = len(flat) // OVERLAY_FOLD_DIVISOR + OVERLAY_FOLD_SLACK
         return True
 
     def write_back(self) -> None:
@@ -325,6 +352,8 @@ class OverlayDict:
             self.over = {}
             self.dead = set()
             self.kids = set()
+            self._room = (len(self.base) // OVERLAY_FOLD_DIVISOR
+                          + OVERLAY_FOLD_SLACK)
 
     # -- copy-on-write hooks (MapVal._own / ContractState._descend) ----------
 
@@ -341,6 +370,7 @@ class OverlayDict:
         clone.dead = self.dead.copy()
         clone.kids = self.kids.copy()
         clone._count = self._count
+        clone._room = self._room
         return clone
 
     def own_child(self, key: Value) -> Value:
@@ -413,9 +443,11 @@ class MapVal(Value):
             entries = (entries.private_copy()
                        if entries.__class__ is OverlayDict
                        else OverlayDict(entries))
-            if (writes and isinstance(entries.base, dict)
+            # Over a dict base ``_fold`` always folds (into a copy here).
+            if (writes and writes > entries._room
+                    and isinstance(entries.base, dict)
                     and not isinstance(self.value_type, ty.MapType)
-                    and entries._fold_if_due(writes)):
+                    and entries._fold()):
                 entries = entries.base
             self.entries = entries
             self._cow = False

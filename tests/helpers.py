@@ -4,13 +4,16 @@ import functools
 import random
 
 from repro.chain import Network
+from repro.chain.delta import _check_disjoint, _overflow
 from repro.chain.dispatch import DS, key_token
 from repro.chain.recovery import DeltaViolation
 from repro.core.domain import PseudoField
 from repro.core.joins import JoinKind
 from repro.scilla.interpreter import Interpreter, TxContext
+from repro.scilla import types as ty
 from repro.scilla.parser import parse_module
-from repro.scilla.values import canonical
+from repro.scilla.state import MISSING, owned_entries
+from repro.scilla.values import IntVal, canonical
 
 
 def mutate_one_char(source: str, seed: int) -> str:
@@ -153,3 +156,79 @@ def validate_delta_reference(delta, contract, dispatcher):
                 return bad((field, keys),
                            f"component owned by shard {owner}")
     return None
+
+
+# -- the FSD merge's specification (docs/STATE.md §1) ------------------------
+
+def merge_deltas_reference(base, deltas):
+    """``repro.chain.delta.merge_deltas`` one row at a time: per field,
+    the whole-field overwrites, then every other overwrite row, then
+    each IntMerge total, each stored on its own — a one-key row into
+    the field's privatised entries (resolved once for the field's row
+    count: the fold-first rule), anything else through
+    ``ContractState.write``.  The merge must build the identical state
+    (entries and their order), count the same changed locations, make
+    the same privatisations and folds, and raise the identical
+    ``MergeConflict`` / ``MergeOverflow``."""
+    merged = base.fork()
+    changed = 0
+    fields: dict = {}
+    for delta in deltas:
+        for column in delta.columns:
+            changed += len(column.rows)
+            fields.setdefault(column.field, []).append((delta.shard, column))
+    contract = deltas[0].contract if deltas else base.address
+    for group in fields.values():
+        if len(group) > 1:
+            _check_disjoint(contract, group)
+    for name, group in fields.items():
+        writes = sum(len(column.rows) for _, column in group)
+        overwrites = [column for _, column in group
+                      if column.kind is JoinKind.OWN_OVERWRITE]
+        merges = [(shard, column) for shard, column in group
+                  if column.kind is JoinKind.INT_MERGE]
+        entries, resolved = None, False
+        for column in overwrites:
+            if () in column.rows:
+                merged.write((name, ()), column.rows[()])
+        for column in overwrites:
+            for path, value in column.rows.items():
+                if len(path) == 1:
+                    if not resolved:
+                        entries = owned_entries(merged, name, writes)
+                        resolved = True
+                    if entries is not None:
+                        if value is MISSING:
+                            entries.pop(path[0], None)
+                        else:
+                            entries[path[0]] = value
+                        continue
+                elif not path:
+                    continue
+                merged.write((name, path), value)
+        if not merges:
+            continue
+        totals: dict = {}
+        for _, column in merges:
+            for path, diff in column.rows.items():
+                totals[path] = totals.get(path, 0) + diff
+        typ = merges[0][1].typ
+        lo, hi = ty.int_bounds(typ)
+        for path, diff in totals.items():
+            if len(path) == 1:
+                if not resolved:
+                    entries = owned_entries(merged, name, writes)
+                    resolved = True
+                if entries is not None:
+                    old = base.fields[name].entries.get(path[0])
+                    total = (0 if old is None else old.value) + diff
+                    if not lo <= total <= hi:
+                        _overflow(contract, name, path, total, typ, merges)
+                    entries[path[0]] = IntVal(total, typ)
+                    continue
+            old = base.read((name, path))
+            total = (old.value if isinstance(old, IntVal) else 0) + diff
+            if not lo <= total <= hi:
+                _overflow(contract, name, path, total, typ, merges)
+            merged.write((name, path), IntVal(total, typ))
+    return merged, changed

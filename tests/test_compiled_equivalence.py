@@ -629,6 +629,192 @@ def test_the_finished_run_is_the_result_and_a_failed_one_carries_nothing():
         (("n", ()), plain(uint(1)))]
 
 
+# -- the owned write's pre-image ----------------------------------------------
+# A one-key write takes its pre-image from a read of the same field at the
+# same key made earlier on the same path, unless a write or delete to that
+# field, a whole-field write, a procedure call or an arm boundary lies in
+# between — and never for a field whose values are maps.
+
+PREIMAGE = """
+scilla_version 0
+
+library Preimage
+
+let zero = Uint128 0
+
+contract Preimage ()
+
+field m : Map ByStr20 Uint128 = Emp ByStr20 Uint128
+field mm : Map ByStr20 (Map ByStr20 Uint128) = Emp ByStr20 (Map ByStr20 Uint128)
+
+procedure Clear ()
+  e = Emp ByStr20 Uint128;
+  m := e
+end
+
+transition Seed (a: ByStr20, b: ByStr20, v: Uint128)
+  m[a] := v;
+  e = Emp ByStr20 Uint128;
+  inner = builtin put e b v;
+  mm[a] := inner
+end
+
+transition OtherKey (a: ByStr20, b: ByStr20, v: Uint128)
+  x <- m[a];
+  m[b] := zero;
+  m[a] := v
+end
+
+transition DeletedKey (a: ByStr20, b: ByStr20, v: Uint128)
+  x <- m[a];
+  delete m[b];
+  m[a] := v
+end
+
+transition WholeField (a: ByStr20, v: Uint128)
+  x <- m[a];
+  e = Emp ByStr20 Uint128;
+  m := e;
+  m[a] := v
+end
+
+transition ReadInAnArm (a: ByStr20, flag: Bool, v: Uint128)
+  match flag with
+  | True =>
+    x <- m[a]
+  | False =>
+  end;
+  m[a] := v
+end
+
+transition WriteInAnArm (a: ByStr20, b: ByStr20, flag: Bool, v: Uint128)
+  x <- m[a];
+  match flag with
+  | True =>
+    m[b] := zero
+  | False =>
+  end;
+  m[a] := v
+end
+
+transition ThroughProcedure (a: ByStr20, v: Uint128)
+  x <- m[a];
+  Clear;
+  m[a] := v
+end
+
+transition ThroughLaterProcedure (a: ByStr20, v: Uint128)
+  x <- m[a];
+  ClearLater;
+  m[a] := v
+end
+
+transition MapOfMaps (a: ByStr20, b: ByStr20, v: Uint128)
+  inner <- mm[a];
+  e = Emp ByStr20 Uint128;
+  fresh = builtin put e b v;
+  mm[a] := fresh
+end
+
+transition Rollback (a: ByStr20, v: Uint128, fail: Bool)
+  x <- m[a];
+  m[a] := v;
+  match fail with
+  | True => throw
+  | False =>
+  end
+end
+
+transition ExistsThenWrite (a: ByStr20, v: Uint128)
+  there <- exists m[a];
+  m[a] := v
+end
+
+procedure ClearLater ()
+  e = Emp ByStr20 Uint128;
+  m := e
+end
+"""
+
+# Entry reads in each transition's code: one per map read, plus one per
+# write that does not reuse a read (a delete reads in ``owned_put``).
+PREIMAGE_GETS = {
+    "OtherKey": 3, "DeletedKey": 2, "WholeField": 2, "ReadInAnArm": 2,
+    "WriteInAnArm": 3, "ThroughProcedure": 2, "ThroughLaterProcedure": 2,
+    "MapOfMaps": 2, "Rollback": 1, "ExistsThenWrite": 1,
+}
+
+
+def _preimage_calls():
+    """Every transition under both key aliasings, each flag, twice."""
+    for name in ("Seed", "OtherKey", "DeletedKey", "WholeField",
+                 "ReadInAnArm", "WriteInAnArm", "ThroughProcedure",
+                 "ThroughLaterProcedure", "MapOfMaps", "Rollback",
+                 "ExistsThenWrite", "Seed"):
+        for a, b in ((ADMIN, OTHER), (OTHER, OTHER), (OTHER, ADMIN)):
+            for flag in (True, False):
+                yield name, {"a": addr(a), "b": addr(b), "v": uint(5),
+                             "flag": bool_val(flag), "fail": bool_val(flag)}
+
+
+def test_an_owned_write_reuses_its_read_only_where_nothing_intervenes():
+    """On a fork of a fork, as a lane runs it: success, gas, error,
+    writes, the undo log (keys, pre-images, order), the CoW
+    privatisations, the state after — the rolled-back one on a throw —
+    and the parent left alone; then every gas limit of each call."""
+    interp = Interpreter(parse_module(PREIMAGE))
+    roots = [interp.deploy(THIS, {}) for _ in range(2)]
+    for root in roots:
+        for a, b in ((ADMIN, OTHER), (OTHER, ADMIN)):
+            assert interp.interpret_transition(
+                root, "Seed", {"a": addr(a), "b": addr(b), "v": uint(3)},
+                TxContext(sender=ADMIN)).success
+    parents = [root.fork() for root in roots]
+    before = [snapshot(parent) for parent in parents]
+    states = [parent.fork() for parent in parents]
+    # The gas sweeps fork a third state in lockstep, so that their
+    # forks flag no map of the two compared.
+    swept = parents[1].fork()
+    methods = (interp.run_transition, interp.interpret_transition)
+    ctx = TxContext(sender=ADMIN)
+
+    def run(side, name, args, gas_limit=100_000):
+        state, copies = states[side], scilla_values.COW_COPIES
+        result = methods[side](state, name, dict(args), ctx,
+                               gas_limit=gas_limit)
+        seen = observed(result, state)
+        log = result.write_log
+        seen["undo"] = None if log is None else [
+            (plain_key(k), plain(v)) for k, v in log.undo.items()]
+        seen["cow_copies"] = scilla_values.COW_COPIES - copies
+        return seen
+
+    outcomes = set()
+    for name, args in _preimage_calls():
+        comp = interp.contract.component(name)
+        args = {p.name: args[p.name] for p in comp.params}
+        got, want = run(0, name, args), run(1, name, args)
+        assert got == want, f"{name} {args}:\n  {got}\n  {want}"
+        outcomes.add((name, got["success"]))
+        gas_sweep(interp, swept, name, args, ctx)
+        interp.interpret_transition(swept, name, dict(args), ctx)
+    assert snapshot(states[0]) == snapshot(states[1])
+    assert [snapshot(parent) for parent in parents] == before
+    assert ("Rollback", False) in outcomes and ("Rollback", True) in outcomes
+
+
+def test_which_owned_writes_reuse_a_read():
+    """The lowering itself: a write whose pre-image is reused reads the
+    entry once, a write after anything that invalidates the read reads
+    it again.  FT ``Transfer`` reads each balance once."""
+    unit = Interpreter(parse_module(PREIMAGE)).unit
+    gets = {name: unit.source(name).count(".entries.get(")
+            for name in PREIMAGE_GETS}
+    assert gets == PREIMAGE_GETS
+    ft = Interpreter(parse_module(CORPUS["FungibleToken"])).unit
+    assert ft.source("Transfer").count(".entries.get(") == 2
+
+
 # -- gas ---------------------------------------------------------------------
 
 FT_SETUP = [("Mint", {"recipient": addr(OTHER), "amount": uint(500)}, ADMIN),

@@ -3,7 +3,7 @@
 import pickle
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.chain import Network, NetworkConfig
 from repro.chain.dispatch import DS
@@ -152,10 +152,11 @@ def test_used_nonces_are_a_run_plus_gaps():
 
 
 # -- lanes and the nonce rule ---------------------------------------------------
-# A lane checks a nonce inline when a buffered record's run grows by one
-# and calls ``try_accept`` otherwise: its verdicts, and the table an
-# epoch publishes, are a plain tracker's fed the same calls in the order
-# the lanes run (shards 0 to 3, then the DS committee).
+# A lane checks a nonce inline when a sender's record (buffered, published
+# or, for a sender never seen, the blank one) has no gaps and its run
+# grows by one, and calls ``try_accept`` otherwise: its verdicts, and the
+# table an epoch publishes, are a plain tracker's fed the same calls in
+# the order the lanes run (shards 0 to 3, then the DS committee).
 
 SLOTS = """
 scilla_version 0
@@ -182,12 +183,9 @@ def _lane_tx(net, keys, sender, nonce, lane):
                 gas_limit=1_000)
 
 
-@settings(max_examples=40, deadline=None)
-@given(strict=st.booleans(),
-       epochs=st.lists(st.lists(st.tuples(
-           st.integers(0, len(SENDERS) - 1), st.integers(1, 8),
-           st.sampled_from(LANES)), max_size=14), min_size=1, max_size=3))
-def test_lane_nonce_verdicts_are_try_accept_s(strict, epochs):
+def _slots_network(strict: bool):
+    """The Slots contract on four shards, each sender with an account,
+    and a key of ``m`` per shard lane."""
     net = Network(4, NetworkConfig(strict_nonces=strict))
     net.deploy(SLOTS, SLOTS_ADDR, {}, sharded_transitions=("Put",))
     for sender in SENDERS:
@@ -197,10 +195,36 @@ def test_lane_nonce_verdicts_are_try_accept_s(strict, epochs):
         keys.setdefault(net.dispatcher.dispatch(
             call(SENDERS[0], SLOTS_ADDR, "Put", {"k": uint(k)})).shard,
             uint(k))
+    return net, keys
+
+
+# Every epoch, first-ever senders too: a fresh account per lane and mode
+# whose first nonce is 1 (the blank record's run grows by one), or not.
+FIRST_NONCES = [[(-1, 1, lane) for lane in LANES]
+                + [(-1, 2, lane) for lane in LANES]
+                + [(0, 1, lane) for lane in LANES]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(strict=st.booleans(),
+       epochs=st.lists(st.lists(st.tuples(
+           st.integers(-1, len(SENDERS) - 1), st.integers(1, 8),
+           st.sampled_from(LANES)), max_size=14), min_size=1, max_size=3))
+@example(strict=False, epochs=FIRST_NONCES)
+@example(strict=True, epochs=FIRST_NONCES)
+def test_lane_nonce_verdicts_are_try_accept_s(strict, epochs):
+    """A sender index of -1 is a first-ever sender: an account created
+    just before the epoch, with no nonce record anywhere."""
+    net, keys = _slots_network(strict)
     reference = NonceTracker(strict=strict, n_shards=4)
+    fresh = iter(f"0x{i:040x}" for i in range(1, 10**6))
     for drawn in epochs:
-        txs = [_lane_tx(net, keys, SENDERS[s], nonce, lane)
-               for s, nonce, lane in drawn]
+        senders = [SENDERS[s] if s >= 0 else next(fresh)
+                   for s, _, _ in drawn]
+        for sender in set(senders) - set(SENDERS):
+            net.create_account(sender)
+        txs = [_lane_tx(net, keys, sender, nonce, lane)
+               for sender, (_, nonce, lane) in zip(senders, drawn)]
         lanes = {tx.tx_id: lane for tx, (_, _, lane) in zip(txs, drawn)}
         receipts = net.process_epoch(txs, unlimited=True).all_receipts
         assert len(receipts) == len(txs)
@@ -209,3 +233,31 @@ def test_lane_nonce_verdicts_are_try_accept_s(strict, epochs):
             accepted = reference.try_accept(r.tx.sender, r.tx.nonce, r.shard)
             assert (r.error == "bad nonce") is (not accepted), r
         assert dict(net.nonces.records) == dict(reference.records)
+
+
+def test_a_first_nonce_is_checked_inline(monkeypatch):
+    """A sender with no record anywhere whose first nonce is 1 is
+    accepted without ``try_accept``: its blank record's run grows by
+    one.  Any other first nonce, and strict mode, still call it."""
+    calls = []
+    accept = NonceTracker.try_accept
+
+    def counted(self, sender, nonce, lane):
+        calls.append((sender, nonce, lane))
+        return accept(self, sender, nonce, lane)
+    monkeypatch.setattr(NonceTracker, "try_accept", counted)
+    for strict in (False, True):
+        net, keys = _slots_network(strict)
+        firsts = [f"0x{i:040x}" for i in range(1, 11)]
+        for sender in firsts:
+            net.create_account(sender)
+        txs = [_lane_tx(net, keys, sender, 1 + (i >= 5), LANES[i % 5])
+               for i, sender in enumerate(firsts)]
+        del calls[:]
+        receipts = net.process_epoch(txs, unlimited=True).all_receipts
+        refused = sorted(r.tx.sender for r in receipts
+                         if r.error == "bad nonce")
+        # Nonce 2 leaves a gap (relaxed) or is not the next (strict).
+        assert refused == (firsts[5:] if strict else [])
+        checked = firsts if strict else firsts[5:]
+        assert sorted(sender for sender, _, _ in calls) == checked
