@@ -399,6 +399,49 @@ def test_a_privatisation_copies_only_the_epochs_own_writes(monkeypatch):
     assert max(copied, default=0) <= 2 * txns, max(copied)
 
 
+def test_a_map_of_maps_privatises_only_the_epochs_own_children(monkeypatch):
+    """A map of maps folds its children into its base at commit like
+    any other map, so a privatisation copies what the epoch wrote, not
+    every child ever written.  ProofIPFS ``Register`` writes one entry
+    under its sender in ``user_files``; seeded with 200, 2 000 and
+    20 000 children, no epoch after the first makes its
+    privatisations copy more than 2 entries per transaction in all.
+    Before, the map kept every child it had ever copied up pending
+    and each privatisation copied them all.  Counts, not wall time."""
+    from repro.chain.network import Network
+    from repro.scilla.values import addr
+    from repro.workloads.generators import ProofIPFSRegister
+
+    class SeededProofIPFS(ProofIPFSRegister):
+        def prepare(self, net):
+            user_files = net.contracts[self.contract_addr] \
+                .state.fields["user_files"]
+            for user in self.users:
+                user_files.put(addr(user), MapVal(ty.BYSTR32, ty.BOOL))
+
+    txns, epochs = 40, 12
+    private_copy = scilla_values.OverlayDict.private_copy
+    copied: list[int] = []
+
+    def counting(overlay):
+        copied[-1] += len(overlay.over) + len(overlay.dead)
+        return private_copy(overlay)
+    monkeypatch.setattr(scilla_values.OverlayDict, "private_copy", counting)
+    worst = {}
+    for children in (200, 2_000, 20_000):
+        wl = SeededProofIPFS(n_users=children, txns_per_epoch=txns, seed=5)
+        net = Network(4, state_backend="none")
+        wl.setup(net)
+        del copied[:]
+        for epoch in range(epochs):
+            copied.append(0)
+            assert net.process_epoch(
+                wl.transactions(epoch)).n_committed == txns
+        worst[children] = max(copied[1:])
+        net.close()
+    assert all(n <= 2 * txns for n in worst.values()), worst
+
+
 def test_durable_commit_and_restore_points_are_o_touched(tmp_path,
                                                          monkeypatch):
     """A steady-state durable commit walks no state — zero

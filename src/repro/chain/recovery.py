@@ -282,16 +282,23 @@ def _canonical(value: Value):
     return key_token(value)
 
 
+def _json_sha256(obj) -> str:
+    """The sha256 of ``json.dumps(obj, sort_keys=True)``, hashed as the
+    encoder yields it: the text is never whole in memory."""
+    digest = hashlib.sha256()
+    for chunk in json.JSONEncoder(sort_keys=True).iterencode(obj):
+        digest.update(chunk.encode())
+    return digest.hexdigest()
+
+
 def state_fingerprint(state: ContractState) -> str:
     """A stable hash of one contract's semantic state."""
-    payload = {
+    return _json_sha256({
         "address": state.address,
         "balance": state.balance,
         "fields": {name: _canonical(value)
                    for name, value in sorted(state.fields.items())},
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    })
 
 
 def network_fingerprint(net) -> dict[str, str]:
@@ -306,8 +313,7 @@ def fingerprint_digest(net) -> str:
     :meth:`ChangeLedger.digest` instead; this digest is for whole-run
     reports (``bench/workloads.py``), as :func:`network_fingerprint`
     is for ``repro run`` and ``repro chaos``."""
-    blob = json.dumps(network_fingerprint(net), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return _json_sha256(network_fingerprint(net))
 
 
 # --------------------------------------------------------------------------

@@ -46,7 +46,7 @@ import time
 import weakref
 from typing import Iterable, Iterator
 
-from .values import MapVal, OverlayDict, Value
+from .values import OverlayDict, Value
 
 # Clean rows one row base keeps cached, oldest-touched evicted first.
 PAGE_CACHE = 4096
@@ -508,8 +508,6 @@ class RowBase:
         for key in dead:
             cache.pop(key, None)
         for key, value in over.items():
-            if value.__class__ is MapVal:
-                value._cow = True       # a base child from now on
             cache.pop(key, None)
             cache[key] = value
         self.live = False

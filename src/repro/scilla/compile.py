@@ -826,11 +826,11 @@ class _Fn:
             self.emit(f"owned_put(state, log, {m}, {key}, MISSING)")
         else:
             # ``owned_put``, inline and in its order: the pre-image
-            # captured (a map flagged shared) — or the read of this
-            # entry made on the way here, which holds no map — the
-            # first one kept in ``undo``, the last value in ``writes``,
-            # the map privatised through ``MapVal._own`` (a call: the
-            # benchmark times it), the store.
+            # captured — or the read of this entry made on the way
+            # here, which holds no map — the first one kept in
+            # ``undo``, the last value in ``writes``, the map privatised
+            # through ``MapVal._own`` (a call: the benchmark times it),
+            # the store.
             self.stats["fused_writes"] += 1
             k, value = self.named(keys[0], "k"), self.named(value, "w")
             at, old = self.local("key"), pre
@@ -838,7 +838,6 @@ class _Fn:
             if old is None:
                 old = self.local("old")
                 self.emit(f"{old} = {m}.entries.get({k}, MISSING)")
-                self.emit(f"if {old}.__class__ is MapVal: {old}._cow = True")
             self.emit(f"log.undo.setdefault({at}, {old})")
             self.emit(f"log.writes[{at}] = {value}")
             self.emit(f"if {m}._cow: {m}._own()")

@@ -26,7 +26,7 @@ from collections import namedtuple
 
 from .errors import ExecError
 from .types import MapType, ScillaType
-from .values import MapVal, OverlayDict, Value
+from .values import MapVal, Value
 
 
 # Sentinel for "entry was absent" in undo logs and write sets.  A true
@@ -129,9 +129,8 @@ class ContractState:
         With ``create=True`` missing intermediate maps are created, as
         Scilla's in-place map update semantics prescribes.  With
         ``own=True`` (write paths) every map along the walk is first
-        privatised, and each child is taken as one its overlay owns (a
-        plain dict owns its children outright), so the mutation can
-        never leak into a structurally-shared fork.
+        privatised and each child taken through ``MapVal.own_child``,
+        so the mutation can never leak into a structurally-shared fork.
         """
         current = self.get_field(name)
         typ = self.field_types.get(name)
@@ -140,16 +139,16 @@ class ContractState:
                 raise ExecError(f"field {name!r} is not a nested map")
             if own:
                 current._own()
-            entries = current.entries
-            child = entries.get(key, MISSING)
-            if child is MISSING:
+                child = current.own_child(key)
+            else:
+                child = current.entries.get(key)
+            if child is None:
                 if not create:
                     return None
                 if not isinstance(typ, MapType) or not isinstance(typ.value, MapType):
                     raise ExecError(f"cannot create nested map in {name!r}")
-                child = entries[key] = MapVal(typ.value.key, typ.value.value)
-            if own and entries.__class__ is OverlayDict:
-                child = entries.own_child(key)
+                child = current.adopt(key, MapVal(typ.value.key,
+                                                  typ.value.value))
             current = child
             typ = typ.value if isinstance(typ, MapType) else None
         if not isinstance(current, MapVal):
@@ -182,12 +181,15 @@ class ContractState:
         return self.map_get(name, keys)
 
     def write(self, key: StateKey, value: Value | _Missing) -> None:
-        """Write any state location; MISSING deletes a map entry."""
+        """Write any state location; MISSING deletes a map entry.  A
+        whole field takes a copy of a map: the writer (a transition's
+        local, a delta's row) keeps its own."""
         name, keys = key
         if not keys:
             if isinstance(value, _Missing):
                 raise ExecError("cannot delete a whole field")
-            self.fields[name] = value
+            self.fields[name] = (value.copy() if value.__class__ is MapVal
+                                 else value)
             return
         if isinstance(value, _Missing):
             self.map_delete(name, keys)
@@ -205,9 +207,8 @@ def _capture_undo(state: ContractState, key: StateKey
     reference*: a replaced value drops out of the live tree at the
     write, and everything still in the tree is only ever mutated
     through the owned (CoW-safe) write paths — so the reference stays
-    valid without a deep copy.  A captured map is flagged shared: it
-    may sit in a frozen overlay base, so whoever gets it back on
-    rollback must fork it before writing through it.
+    valid without a deep copy.  A captured map put back on rollback is
+    still held by whatever else held it: ``MapVal.own_child`` sees it.
     """
     name, keys = key
     current: Value | _Missing = state.fields.get(name, MISSING)
@@ -218,8 +219,6 @@ def _capture_undo(state: ContractState, key: StateKey
             current = MISSING
         if current is MISSING:
             return (name, keys[: i + 1]), MISSING
-    if isinstance(current, MapVal):
-        current._cow = True
     return key, current
 
 
@@ -272,11 +271,10 @@ class WriteLog(namedtuple("WriteLog", "undo writes")):
 # for the shapes compiled transitions and the FSD merge spend their time
 # on (a compiled one-key store emits ``owned_put``'s steps inline, in
 # the same order).  Everything the two calls do happens, in their order:
-# the pre-image is captured (a captured map flagged shared), ``log.undo``
-# keeps the first one, ``log.writes`` the last value, the map is
-# privatised through ``MapVal._own`` (never inlined: the benchmark shims
-# that method) and the store goes through the container's own
-# ``__setitem__`` / ``pop``.
+# the pre-image is captured, ``log.undo`` keeps the first one,
+# ``log.writes`` the last value, the map is privatised through
+# ``MapVal._own`` (never inlined: the benchmark shims that method) and
+# the store goes through the container's own ``__setitem__`` / ``pop``.
 # --------------------------------------------------------------------------
 
 def owned_put(state: ContractState, log: WriteLog, m: MapVal,
@@ -286,8 +284,6 @@ def owned_put(state: ContractState, log: WriteLog, m: MapVal,
     ``MapVal``.  A single key has no prefix to create or delete."""
     k = key[1][0]
     old = m.entries.get(k, MISSING)
-    if old.__class__ is MapVal:
-        old._cow = True
     log.undo.setdefault(key, old)
     log.writes[key] = value
     if m._cow:
@@ -307,12 +303,10 @@ def owned_write(state: ContractState, log: WriteLog, key: StateKey,
     name, keys = key
     if not keys:
         if value is not MISSING:
-            old = state.fields.get(name, MISSING)
-            if old.__class__ is MapVal:
-                old._cow = True
-            log.undo.setdefault(key, old)
+            log.undo.setdefault(key, state.fields.get(name, MISSING))
             log.writes[key] = value
-            state.fields[name] = value
+            state.fields[name] = (value.copy() if value.__class__ is MapVal
+                                  else value)
             return
     elif len(keys) == 1:
         m = state.fields.get(name)

@@ -12,6 +12,7 @@ the first write through either side lays a small private overlay
 
 from __future__ import annotations
 
+import itertools
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -111,6 +112,9 @@ class ADTVal(namedtuple("ADTVal", "adt constructor targs args",
         return f"({self.constructor} {' '.join(str(a) for a in self.args)})"
 
 
+# Privatisation marks (``MapVal._mark``), never reused.
+_MARKS = itertools.count(1)
+
 # Process-wide count of copy-on-write privatisations (``MapVal._own``
 # calls that found the wrapper shared).  Read by the chain telemetry
 # (``state.cow.copies``) and by the benchmark's golden values.
@@ -153,25 +157,22 @@ class OverlayDict:
     base key (in both ``dead`` and ``over``) moves to the end.  A fold
     preserves exactly that order, so *when* it happens is unobservable.
 
-    Map-valued children: those in ``base`` are shared with every other
-    overlay on it and are never mutated in place; a nested write
-    copies one *up* into ``over`` before it goes through it.  ``kids``
-    names the keys of ``over`` holding a ``MapVal``; a child there with
-    ``_cow`` clear belongs to this overlay alone.
+    Map-valued children are entries like any other (a fold moves them
+    into the base); :meth:`MapVal.own_child` says which ones a nested
+    write may go through in place.
 
     ``_room`` is the fold budget: the threshold minus what is pending
-    (``over`` and ``dead``, owned children not counted), kept as the
-    three change, so a new key costs a decrement, not a recount.  A
-    write that leaves it below zero folds.
+    (``over`` and ``dead``), kept as the two change, so a new key costs
+    a decrement, not a recount.  A write that leaves it below zero
+    folds.
     """
 
-    __slots__ = ("base", "over", "dead", "kids", "_count", "_room")
+    __slots__ = ("base", "over", "dead", "_count", "_room")
 
     def __init__(self, base: dict):
         self.base = base
         self.over: dict[Value, Value] = {}
         self.dead: set[Value] = set()
-        self.kids: set[Value] = set()
         self._count = len(base)
         self._room = len(base) // OVERLAY_FOLD_DIVISOR + OVERLAY_FOLD_SLACK
 
@@ -247,13 +248,6 @@ class OverlayDict:
         over = self.over
         held = len(over)
         over[key] = value
-        if type(value) is MapVal:
-            if key not in self.kids:
-                self.kids.add(key)
-                self._room += 1
-        elif self.kids and key in self.kids:
-            self.kids.discard(key)
-            self._room -= 1
         if len(over) != held:
             if key not in self.base or key in self.dead:
                 self._count += 1
@@ -263,15 +257,12 @@ class OverlayDict:
 
     def update(self, rows: dict) -> None:
         """The dict protocol's bulk store: ``self[key] = value`` for each
-        of ``rows`` in order — the same entries, order, ``len``,
-        ``kids`` and folds.  One ``over.update`` when no row stores a
-        child, no child is pending and the new keys cannot pass the
+        of ``rows`` in order — the same entries, order, ``len`` and
+        folds.  One ``over.update`` when the new keys cannot pass the
         fold threshold; else row by row."""
         # No local names the base: a fold below counts its holders.
         fresh = set(rows).difference(self.over)
-        if (len(fresh) > self._room or self.kids
-                or self.base.__class__ is not dict
-                or MapVal in map(type, rows.values())):
+        if len(fresh) > self._room or self.base.__class__ is not dict:
             for key, value in rows.items():
                 self[key] = value
             return
@@ -291,14 +282,11 @@ class OverlayDict:
                 raise KeyError(key)
             value = self.base[key]
             self.dead.add(key)
-        else:
-            self.kids.discard(key)
-            if key in self.base:
-                self.dead.add(key)
+        elif key in self.base:
+            self.dead.add(key)
         self._count -= 1
         self._room = (len(self.base) // OVERLAY_FOLD_DIVISOR
-                      + OVERLAY_FOLD_SLACK - len(self.over) - len(self.dead)
-                      + len(self.kids))
+                      + OVERLAY_FOLD_SLACK - len(self.over) - len(self.dead))
         if self._room < 0:
             self._fold()
         return value
@@ -334,10 +322,8 @@ class OverlayDict:
         OVERLAY_FOLDED_ENTRIES += (len(over) + len(dead) if in_place
                                    else len(flat))
         # The new base first: every intermediate state reads the same.
-        # Owned children stay in ``over``; they do not count as pending
-        # (or one fold would trigger the next).
         self.base = flat
-        self.over = {key: over[key] for key in self.kids}
+        self.over = {}
         self.dead = set()
         self._room = len(flat) // OVERLAY_FOLD_DIVISOR + OVERLAY_FOLD_SLACK
         return True
@@ -351,41 +337,20 @@ class OverlayDict:
                                              self._count)
             self.over = {}
             self.dead = set()
-            self.kids = set()
             self._room = (len(self.base) // OVERLAY_FOLD_DIVISOR
                           + OVERLAY_FOLD_SLACK)
 
-    # -- copy-on-write hooks (MapVal._own / ContractState._descend) ----------
+    # -- copy-on-write hook (MapVal._own) ------------------------------------
 
     def private_copy(self) -> "OverlayDict":
         """The privatisation step of ``MapVal._own``: a fresh overlay
-        on the same base.  Children owned so far become shared by the
-        two sides, so they are flagged; either side copies them up
-        again before writing through them."""
-        over = self.over
-        for key in self.kids:
-            over[key]._cow = True
+        on the same base, with a copy of what is pending — O(pending)."""
         clone = OverlayDict(self.base)
-        clone.over = over.copy()
+        clone.over = self.over.copy()
         clone.dead = self.dead.copy()
-        clone.kids = self.kids.copy()
         clone._count = self._count
         clone._room = self._room
         return clone
-
-    def own_child(self, key: Value) -> Value:
-        """The (present) entry at ``key`` as a child this overlay may
-        mutate in place: a base child, or one flagged shared, is
-        replaced in ``over`` by a fork of itself first."""
-        child = self.over.get(key, _ABSENT)
-        shared = child is _ABSENT
-        if shared:
-            child = self.base[key]
-        if type(child) is MapVal and (shared or child._cow):
-            child = child.copy()
-            self.over[key] = child
-            self.kids.add(key)
-        return child
 
 
 @dataclass
@@ -397,10 +362,9 @@ class MapVal(Value):
     first write through either wrapper privatises it (``_own``): a
     shared dict becomes the frozen base of a small private
     :class:`OverlayDict` (O(1)), a shared overlay is copied onto its
-    own base (O(overlay)), and map-valued children are forked lazily,
-    when a nested write walks through them.  The
-    invariant: a ``MapVal`` whose ``_cow`` flag is clear is referenced
-    by exactly one owner chain, so writing its entries is private.
+    own base (O(overlay)).  ``_cow`` means only that: this wrapper's
+    entry container is shared (the two sides of ``copy()`` set it).
+    Child maps follow :meth:`own_child`'s rule.
 
     Mutate only through :meth:`put` / :meth:`remove` or the owned
     write paths of ``ContractState``; writing ``entries`` directly is
@@ -415,6 +379,11 @@ class MapVal(Value):
     # (``ContractState.fork``): its first privatisation passes them to
     # ``_own`` as the merge passes its count, once.
     _writes = 0
+    # The mark of this map's current privatisation (renewed by each
+    # ``_own`` that finds it shared), and the one a child was adopted
+    # under (``own_child``).
+    _mark = 0
+    _owner = 0
 
     def copy(self) -> "MapVal":
         """O(1) structural-sharing copy (both sides become CoW)."""
@@ -430,12 +399,12 @@ class MapVal(Value):
         it is about to make (the FSD merge, or a lane through the
         count its fork carries) says so: when they would fold the
         overlay anyway it folds first — one flat copy — and the writes
-        land in that plain private dict.  Never for a map of maps (a
-        flat copy shares the children an overlay copies up) nor over a
-        row base (its fold is the commit's write-back)."""
+        land in that plain private dict.  Never over a row base (its
+        fold is the commit's write-back)."""
         if self._cow:
             global COW_COPIES
             COW_COPIES += 1
+            self._mark = next(_MARKS)
             if self._writes:
                 writes = writes or self._writes
                 self._writes = 0
@@ -446,27 +415,60 @@ class MapVal(Value):
             # Over a dict base ``_fold`` always folds (into a copy here).
             if (writes and writes > entries._room
                     and isinstance(entries.base, dict)
-                    and not isinstance(self.value_type, ty.MapType)
                     and entries._fold()):
                 entries = entries.base
             self.entries = entries
             self._cow = False
 
+    def own_child(self, key: Value) -> Value | None:
+        """The entry at ``key`` (None if none) of a map ``_own`` has
+        privatised, ready for a nested write: a child map is written in
+        place iff this map put it there (copied it up or created it,
+        :meth:`adopt`, since it last shared its entries) and nothing
+        else holds it; otherwise a copy takes its place first.  Over a
+        row base, always a copy."""
+        entries = held = self.entries
+        if entries.__class__ is OverlayDict:
+            held = entries.over
+            if key not in held:
+                if key in entries.dead:
+                    return None
+                held = entries.base
+        child = held.get(key)
+        if child.__class__ is MapVal:
+            # ``_fold``'s sole-holder test, on the child: its container,
+            # the local and the argument hold it.
+            alone = {}
+            if (child._owner != self._mark or held.__class__ is not dict
+                    or sys.getrefcount(child) != sys.getrefcount(alone) + 1):
+                child = self.adopt(key, child.copy())
+        return child
+
+    def adopt(self, key: Value, child: "MapVal") -> "MapVal":
+        """Store a child map nothing else holds at ``key``, as this
+        (privatised) map's own."""
+        child._owner = self._mark
+        self.entries[key] = child
+        return child
+
     def fold_pending(self) -> bool:
         """The commit's fold: an overlay this wrapper alone writes, over
         a dict base nothing else holds, folds into that base, and the
-        map holds the plain dict from then on.  Say whether it did.
+        map holds the plain dict from then on; each child map it had
+        pending folds the same way.  Say whether this map folded.
         Anything else stays as it is: a shared wrapper, a paged map
-        (its commit fold is the write-back), a map of maps (the base
-        would take children the overlay copied up) and a base some
-        other overlay, map, fork or iterator still holds."""
+        (its commit fold is the write-back) and a base some other
+        overlay, map, fork or iterator still holds."""
         entries = self.entries
         if (self._cow or entries.__class__ is not OverlayDict
-                or not (entries.over or entries.dead)
-                or isinstance(self.value_type, ty.MapType)
-                or not entries._fold(copy=False)):
+                or not (entries.over or entries.dead)):
+            return False
+        children = [v for v in entries.over.values() if v.__class__ is MapVal]
+        if not entries._fold(copy=False):
             return False
         self.entries = entries.base
+        for child in children:
+            child.fold_pending()
         return True
 
     def put(self, key: Value, value: Value) -> None:

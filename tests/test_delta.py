@@ -596,6 +596,40 @@ def _fold_first_deltas(state, rng, n):
             for shard, entries in enumerate(shards)]
 
 
+def _maps(value, out: list) -> list:
+    """Every map reachable from ``value``, the value itself first."""
+    if isinstance(value, MapVal):
+        out.append(value)
+        for child in value.entries.values():
+            _maps(child, out)
+    return out
+
+
+def test_two_merges_of_one_delta_share_no_map_and_leave_it_as_it_was():
+    """A merge never writes through a map a delta holds: a whole-field
+    map row goes in as a copy.  Two merges of one hand-built delta
+    (``own`` replaced by ``{z}``, then ``own[k1] := 9``) return states
+    that share no map with each other or with the delta, whose map
+    still holds ``{z}`` alone — also after a write through either."""
+    base = ContractState("0xc", {"own": _map({"a": 1})},
+                         {"own": ty.MapType(ty.STRING, ty.UINT128)})
+    whole = _map({"z": 5})
+    delta = StateDelta.from_entries("0xc", 0, [
+        DeltaEntry(("own", ()), OWN, new_value=whole),
+        DeltaEntry(("own", (StringVal("k1"),)), OWN, new_value=uint(9))])
+    before = canonical(whole)
+    a, _ = merge_deltas(base, [delta])
+    b, _ = merge_deltas(base, [delta])
+    in_a = {id(m) for m in _maps(a.fields["own"], [])}
+    assert not in_a & {id(m) for m in _maps(b.fields["own"], [whole])}
+    assert canonical(whole) == before
+    want = canonical(_map({"z": 5, "k1": 9}))
+    assert canonical(a.fields["own"]) == canonical(b.fields["own"]) == want
+    a.write(("own", (StringVal("k2"),)), uint(1))
+    assert canonical(b.fields["own"]) == want
+    assert canonical(whole) == before
+
+
 def test_merge_folds_first_into_the_state_the_overlay_path_builds():
     import random
     from repro.scilla import values
@@ -631,8 +665,8 @@ def test_merge_folds_first_into_the_state_the_overlay_path_builds():
         assert _image(state) == before
         flat = [type(merged.fields[f].entries) is dict
                 for f in ("bal", "own", "nest")]
-        # A map of maps is never copied flat, whatever the count.
-        assert flat == [n > limit, n > limit, False]
+        # A map of maps folds first like any other map.
+        assert flat == [n > limit] * 3
         if n > limit:
             assert folds[0] >= 2 and folds[1] >= 2 * size
         state = merged
@@ -716,10 +750,10 @@ def test_a_hinted_lane_fork_writes_the_dict_the_overlay_path_builds():
         assert _image(hinted) == _image(plain)      # entries and order
         assert _image(state) == before              # the epoch-start state
         assert type(plain.fields["bal"].entries) is not dict
-        # Past the threshold the lane writes a plain dict; a map of maps
-        # never is one, whatever the count.
+        # Past the threshold the lane writes a plain dict, a map of maps
+        # too.
         assert [type(hinted.fields[f].entries) is dict
-                for f in ("bal", "nest")] == [n > limit, False]
+                for f in ("bal", "nest")] == [n > limit] * 2
         # The count is spent on the first privatisation.
         assert hinted.fields["bal"]._writes == 0
 
@@ -907,10 +941,10 @@ def test_a_durable_network_folds_at_commit(tmp_path):
     net.close()
 
 
-def test_a_map_of_maps_and_a_paged_map_keep_their_overlay():
-    """The commit fold's exclusions, each over a base nothing else
-    holds: a map whose values are maps (the base would take children
-    its overlay copied up) and a paged map (its fold is the commit's
+def test_a_map_of_maps_folds_at_commit_and_a_paged_map_keeps_its_overlay():
+    """The commit fold over a base nothing else holds: a map whose
+    values are maps folds like a flat one (its children move into the
+    base), and a paged map keeps its overlay (its fold is the commit's
     write-back)."""
     from repro.scilla.backend import MemoryBackend, adopt
     from repro.scilla.values import OverlayDict
@@ -928,7 +962,7 @@ def test_a_map_of_maps_and_a_paged_map_keep_their_overlay():
     paged = MapVal(ty.STRING, ty.UINT128,
                    adopt(MemoryBackend(), {StringVal("a"): uint(1)}))
     paged.put(StringVal("b"), uint(2))
-    for value, folds in ((flat, True), (nested, False), (paged, False)):
+    for value, folds in ((flat, True), (nested, True), (paged, False)):
         before = _ordered(value)
         assert type(value.entries) is OverlayDict and value.entries.over
         assert value.fold_pending() is folds

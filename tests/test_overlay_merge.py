@@ -1,8 +1,8 @@
 """The bulk store ≡ a store per row, in the overlay and in the merge.
 
 ``OverlayDict.update(rows)`` must equal ``overlay[key] = value`` for
-each row in order — entries and iteration order, ``len``, ``kids`` and
-every fold decision — over dict bases with tombstones and with kids,
+each row in order — entries and iteration order, ``len`` and every
+fold decision — over dict bases with tombstones and with child maps,
 below, at and across the fold threshold.  ``merge_deltas`` stores a
 column's one-key rows with one ``update``; ``merge_deltas_reference``
 (tests/helpers.py) stores them one at a time.  Both must build the
@@ -52,8 +52,8 @@ def _value(i: int):
 def _state(overlay: OverlayDict) -> tuple:
     # The stored fold budget is the recount it replaces.
     assert overlay._room == _threshold(len(overlay.base)) - (
-        len(overlay.over) + len(overlay.dead) - len(overlay.kids))
-    return (list(overlay._flat().items()), len(overlay), set(overlay.kids),
+        len(overlay.over) + len(overlay.dead))
+    return (list(overlay._flat().items()), len(overlay),
             type(overlay.base) is dict, len(overlay.over), len(overlay.dead))
 
 
@@ -84,7 +84,7 @@ def test_update_equals_a_store_per_row(size, fill, history, rows, after,
                                        held):
     """``fill`` new keys first puts the pending count anywhere from
     none to past the threshold (64 + ``size // 8``), so the rows land
-    below, at or across it; ``history`` leaves tombstones and kids;
+    below, at or across it; ``history`` leaves tombstones and children;
     ``after`` checks that both sides keep deciding folds alike."""
     sides = []
     for _ in range(2):

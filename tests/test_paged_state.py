@@ -223,9 +223,9 @@ class TestJournalAndCow:
         fork.write(("allowances", (_key(2), _key(5))), uint(7))
         owned = fork.fields["allowances"].entries
         # The fork's first write copied the overlay: the child it owned
-        # came along shared and flagged, not forked.
+        # came along shared, not forked.
         assert set(owned.over) == {_key(1), _key(2)}
-        assert owned.over[_key(1)] is child and child._cow
+        assert owned.over[_key(1)] is child
         # A write through it copies it up first; both sides stay apart.
         fork.write(("allowances", (_key(1), _key(6))), uint(8))
         assert owned.over[_key(1)] is not child

@@ -288,6 +288,31 @@ def test_state_fingerprint_is_insertion_order_independent():
         state_fingerprint(net2.contracts[TOKEN].state)
 
 
+def test_streamed_fingerprints_hash_the_bytes_json_dumps_writes():
+    """The fingerprints hash their JSON text chunk by chunk; the digest
+    is still the sha256 of ``json.dumps(..., sort_keys=True)``, per
+    contract and over the network, on a Fig. 14-mix network (nested
+    maps, strings, byte strings, block numbers, integers)."""
+    import hashlib
+    import json
+
+    from repro.chain.recovery import _canonical
+
+    from .test_delta_validation import mix_network
+
+    def dumped(obj) -> str:
+        return hashlib.sha256(
+            json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+    net, _ = mix_network(use_signatures=True, epochs=2)
+    for state in (contract.state for contract in net.contracts.values()):
+        assert state_fingerprint(state) == dumped({
+            "address": state.address, "balance": state.balance,
+            "fields": {name: _canonical(value)
+                       for name, value in sorted(state.fields.items())}})
+    assert fingerprint_digest(net) == dumped(network_fingerprint(net))
+
+
 # -- delta validation ---------------------------------------------------------
 
 def test_legitimate_deltas_validate_clean():

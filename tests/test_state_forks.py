@@ -288,11 +288,11 @@ def test_owned_write_is_record_then_write(seed, kind, txns):
     assert traces[0] == traces[1]
 
 
-def test_owned_write_flags_a_captured_map_shared():
+def test_owned_write_never_writes_through_a_captured_map():
     """A map-valued pre-image may sit in a frozen base other forks
     read.  Rollback puts that very object back into this fork's
-    overlay, so it must come back flagged ``_cow`` — or the next write
-    through it would land in the parent's map."""
+    overlay, where the base still holds it, so the next write through
+    it copies it up first — or it would land in the parent's map."""
     for write in (owned_write, _spec_write):
         state, kin = _write_world(
             "overlay", {"m": {}, "nested": {"a": {"x": 1}}})
@@ -301,9 +301,9 @@ def test_owned_write_flags_a_captured_map_shared():
         write(state, log, ("nested", (_SK[0],)), MISSING)
         captured = log.undo["nested", (_SK[0],)]
         assert captured is kin[0].fields["nested"].entries[_SK[0]]
-        assert captured._cow
         log.rollback(state)
         state.write(("nested", (_SK[0], StringVal("x"))), uint(7))
+        assert state.fields["nested"].entries[_SK[0]] is not captured
         assert [snapshot(s) for s in kin] == kin_before
 
 
