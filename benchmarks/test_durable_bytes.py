@@ -79,7 +79,7 @@ def test_wal_bytes_per_transaction_and_delta_bytes_per_row(tmp_path):
     # first one on: the ticks after it are what gets counted.
     net = Network(4, data_dir=str(tmp_path),
                   snapshot_every=EVERY, keep_snapshots=10**6,
-                  state_backend="none", metrics=MetricsRegistry())
+                  metrics=MetricsRegistry())
     gen = SteadyScaledFT(population=100_000, txns_per_epoch=BATCH,
                          seed=7, revisit=0.95)
     gen.setup(net)

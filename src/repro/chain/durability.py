@@ -127,6 +127,15 @@ class Durability:
         self._commits_since_snapshot = 0
         # Accumulators + dirty set; kept while durable or replaying.
         self._ledger: ChangeLedger | None = None
+        # Out-of-core state (repro.scilla.backend): page cold map
+        # entries to the sqlite row store, faulting them back on demand.
+        # A pure runtime choice — results are byte-identical with or
+        # without it (tests/test_paged_state.py and the suite's paged
+        # legs are the oracle) — made here once, off by default.  A
+        # paged run's ``init`` record says so, for a resume that finds
+        # no restore point; a plain run's is unchanged.  Created after
+        # the fresh-directory check so a WALError on a reused data_dir
+        # never clobbers an existing backend file.
         if data_dir is not None:
             wal, store = _open_log(data_dir, keep_snapshots,
                                    crash_at_barrier, crash_at_append)
@@ -137,17 +146,16 @@ class Durability:
                     f"use Network.resume to continue it")
             self.wal, self.store = wal, store
             self._ledger = ChangeLedger(self)
-            self._wal_append("init", self.config.to_obj(self.n_shards),
-                             barrier=True)
-        # Out-of-core state (repro.scilla.backend): page cold map
-        # entries to a pluggable row store, faulting them back on
-        # demand.  A pure runtime choice — results are byte-identical
-        # with or without a backend (tests/test_paged_state.py and the
-        # suite's sqlite legs are the oracle) — defaulting off, opt-in
-        # via REPRO_STATE_BACKEND.  Created after the durability attach
-        # so a WALError on a reused data_dir never clobbers an existing
-        # backend file.
-        self.state_backend = resolve_backend(state_backend, data_dir)
+        try:
+            self.state_backend = resolve_backend(state_backend, data_dir)
+        except ValueError:
+            self.close()
+            raise
+        if self.wal is not None:
+            init = self.config.to_obj(self.n_shards)
+            if self.state_backend is not None:
+                init["state_backend"] = self.state_backend.kind
+            self._wal_append("init", init, barrier=True)
         self._backend_stats_seen = (
             self.state_backend.stats.snapshot()
             if self.state_backend is not None else None)
@@ -250,22 +258,23 @@ class Durability:
             self._log_accounts()
         t0 = time.perf_counter_ns() if self.metrics.enabled else 0
         from .store import snapshot_network
+        wal_seq = self.wal.last_seq
         backend_obj = None
-        if self.state_backend is not None and self.state_backend.external:
-            # Sidecar first: the snapshot JSON names the sidecar file
-            # and pins its digest, so a torn sidecar write can never be
-            # adopted (resume verifies before trusting any row).
+        if self.state_backend is not None \
+                and self._ledger.wants_base(wal_seq):
+            # A paged base pins a copy of the page store, written
+            # first: the base names the sidecar and its digest, so a
+            # torn sidecar is never adopted (resume verifies it before
+            # trusting a row).  A delta reads the rows it lists from
+            # the paged maps themselves.
             backend_obj = self.store.save_backend(
-                self.state_backend, epoch=self.epoch,
-                wal_seq=self.wal.last_seq)
-        obj = snapshot_network(self, wal_seq=self.wal.last_seq,
+                self.state_backend, epoch=self.epoch, wal_seq=wal_seq)
+        obj = snapshot_network(self, wal_seq=wal_seq,
                                backend_obj=backend_obj)
         path = self.store.save(obj)
         is_base = "parent" not in obj
-        # Paged state keeps writing bases (PagedMap references).
         self._ledger.restore_point_written(
-            self.store.tip if backend_obj is None else None,
-            obj["wal_seq"], obj["rows"], is_base)
+            self.store.tip, obj["wal_seq"], obj["rows"], is_base)
         self.wal.rotate()
         self.store.compact()
         # Never past the oldest restore point resume could fall back to.
@@ -311,13 +320,16 @@ class Durability:
         try:
             chain = store.load_chain()
             snap = chain[0] if chain else None
-            # The live backend file is never trusted across a crash
-            # (its pragmas skip fsync): restore_backend rebuilds it
-            # from the snapshot's digest-verified sidecar, or fresh
-            # when the snapshot predates (or never had) a backend —
-            # replay then repopulates the rows deterministically.
-            backend = store.restore_backend(snap, data_dir)
+            # Whether the state pages is the data dir's to say: the
+            # base's ``backend`` section, or the ``init`` record's
+            # marker.  The live page store is never trusted across a
+            # crash (its pragmas skip fsync): it is rebuilt from the
+            # base's digest-verified sidecar, or fresh for a WAL-only
+            # resume, whose replay repopulates the rows.
             if snap is not None:
+                info = snap.get("backend")
+                backend = (store.restore_backend(info, data_dir)
+                           if info is not None else None)
                 net = network_from_snapshot(snap, state_backend=backend,
                                             metrics=metrics,
                                             tracer=tracer)
@@ -329,10 +341,13 @@ class Durability:
                     raise WALError(
                         f"nothing to resume in {data_dir}: no valid "
                         f"snapshot and no init record")
-                net = cls(*NetworkConfig.from_obj(wal.recovered[0].data),
+                init = wal.recovered[0]
+                backend = resolve_backend(init.data.get("state_backend"),
+                                          data_dir)
+                net = cls(*NetworkConfig.from_obj(init.data),
                           state_backend=backend, metrics=metrics,
                           tracer=tracer)
-                start_seq = wal.recovered[0].seq
+                start_seq = init.seq
             net._meters.resume_skipped.set(len(store.skipped))
             net.restored_deltas = max(len(chain) - 1, 0)
             ledger = net._ledger = ChangeLedger(net)

@@ -393,7 +393,7 @@ class ChangeLedger:
                        for addr, c in net.contracts.items()}
         # (file name, digest) of the restore point the next delta
         # builds on; None makes the next restore point a base (none
-        # written yet, a resumed network, a deploy, paged state).
+        # written yet, a resumed network, a deploy).
         self.parent: tuple[str, str] | None = None
         self.parent_seq = self.base_rows = self.delta_rows = 0
         # Sets kept as dicts: a delta lists its rows in the order they

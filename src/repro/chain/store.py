@@ -133,12 +133,12 @@ def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
     delta against the previous restore point when the network's change
     ledger allows one, the full state otherwise.
 
-    ``backend_obj`` is the descriptor returned by
-    :meth:`SnapshotStore.save_backend` when the network pages state
-    through an external backend: contract map fields then serialise as
-    compact ``PagedMap`` references (dirty overlay + tombstones only)
-    against the sidecar the descriptor pins by digest, instead of
-    inlining every entry — always as a base.
+    ``backend_obj`` is the descriptor :meth:`SnapshotStore.save_backend`
+    returned for a base of a paged network: its paged map fields then
+    serialise as compact ``PagedMap`` references (dirty overlay +
+    tombstones only) against the sidecar the descriptor pins by
+    digest, instead of inlining every entry.  A delta needs none: it
+    reads the locations it lists through the maps, paged or not.
     """
     ledger = net._ledger
     obj: dict[str, Any] = {
@@ -180,8 +180,7 @@ def snapshot_network(net, wal_seq: int, backend_obj: Any = None) -> Any:
                  inflight[tx_id].deferrals + 1]
                 for tx_id in sorted(net.blocks[-1].deferred_ids())
                 if tx_id in inflight]
-    if ledger is not None and backend_obj is None \
-            and not ledger.wants_base(wal_seq):
+    if ledger is not None and not ledger.wants_base(wal_seq):
         obj["parent"] = list(ledger.parent)
         obj["rows"] = ledger.pending_rows()
         obj["contracts"] = {
@@ -361,8 +360,8 @@ class SnapshotStore:
         return list(self._sidecars)
 
     def save_backend(self, backend, epoch: int, wal_seq: int) -> dict:
-        """Persist a consistent copy of the external page store as a
-        snapshot sidecar, returning the descriptor the snapshot JSON
+        """Persist a consistent copy of the page store as a base
+        restore point's sidecar, returning the descriptor the base
         embeds (``{"kind", "file", "digest"}``).
 
         Written *before* the snapshot JSON: the JSON pins the sidecar's
@@ -381,21 +380,15 @@ class SnapshotStore:
         return {"kind": backend.kind, "file": target.name,
                 "digest": digest}
 
-    def restore_backend(self, snap: Any | None, data_dir: str):
-        """Rebuild the page-store backend a snapshot was taken against.
-
-        With a ``backend`` section the referenced sidecar is digest-
+    def restore_backend(self, info: dict, data_dir: str):
+        """Rebuild the page store a base restore point pinned: ``info``
+        is its ``backend`` section.  The referenced sidecar is digest-
         verified and copied over the live page store; a missing,
         unreadable, or digest-mismatched sidecar is a hard
         :class:`StoreError` — never a silent fall-back to an empty
         store, which would resume with silently truncated state.
-        Without a section, the ``REPRO_STATE_BACKEND`` environment
-        knob decides (possibly no backend at all, returning ``None``).
         """
-        from ..scilla.backend import SqliteBackend, resolve_backend
-        info = (snap or {}).get("backend")
-        if info is None:
-            return resolve_backend(None, data_dir)
+        from ..scilla.backend import SqliteBackend
         if info.get("kind") != "sqlite":
             raise StoreError(
                 f"snapshot pins unsupported backend kind "

@@ -269,7 +269,8 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _run_durable_cmd(args, require_existing: bool) -> int:
+def _run_durable_cmd(args, require_existing: bool,
+                     state_backend: str | None = None) -> int:
     import json as json_mod
 
     from .eval.chaos import run_durable
@@ -281,7 +282,8 @@ def _run_durable_cmd(args, require_existing: bool) -> int:
         keep_snapshots=args.keep_snapshots,
         crash_at_barrier=args.crash_at_barrier,
         crash_at_append=args.crash_at_append,
-        require_existing=require_existing)
+        require_existing=require_existing,
+        state_backend=state_backend)
     if args.json:
         print(json_mod.dumps({
             "completed": True, "workload": result.workload,
@@ -307,7 +309,8 @@ def _run_durable_cmd(args, require_existing: bool) -> int:
 
 
 def cmd_run(args) -> int:
-    return _run_durable_cmd(args, require_existing=False)
+    return _run_durable_cmd(args, require_existing=False,
+                            state_backend=args.state_backend)
 
 
 def cmd_resume(args) -> int:
@@ -541,11 +544,19 @@ def build_parser() -> argparse.ArgumentParser:
                            help="SIGKILL self halfway through the Nth "
                                 "WAL append (torn-write testing)")
 
+    def add_state_backend_arg(p) -> None:
+        p.add_argument("--state-backend", default=None,
+                       choices=["none", "sqlite"],
+                       help="out-of-core page store for contract map "
+                            "state (default: none, in-memory dicts; a "
+                            "resumed data dir pages as it was written)")
+
     p = sub.add_parser(
         "run",
         help="run a workload with WAL-backed durability (resumes "
              "automatically if the data dir already holds a log)")
     add_durable_args(p, with_crash_hooks=True)
+    add_state_backend_arg(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser(
@@ -609,11 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extra ticks granted to finish admitted work")
     p.add_argument("--data-dir", default=None,
                    help="attach WAL-backed durability")
-    p.add_argument("--state-backend", default=None,
-                   choices=["none", "sqlite"],
-                   help="out-of-core page store for contract map "
-                        "state (default: REPRO_STATE_BACKEND env, "
-                        "else in-memory dicts)")
+    add_state_backend_arg(p)
     p.add_argument("--json", action="store_true",
                    help="machine-readable report on stdout")
     p.set_defaults(func=cmd_serve)

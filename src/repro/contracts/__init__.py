@@ -93,13 +93,6 @@ EVAL_CONTRACTS: dict[str, tuple[str, ...]] = {
 }
 
 
-def get_source(name: str) -> str:
-    """Fetch a corpus contract's Scilla source by name."""
-    if name not in CORPUS:
-        raise KeyError(f"unknown corpus contract {name!r}")
-    return CORPUS[name]
-
-
 def contract_loc(name: str) -> int:
     """Non-blank lines of code of a corpus contract."""
     return sum(1 for line in CORPUS[name].splitlines() if line.strip())

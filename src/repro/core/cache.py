@@ -45,10 +45,6 @@ class CacheStats:
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
     def snapshot(self) -> "CacheStats":
         return CacheStats(self.hits, self.misses, self.evictions)
 

@@ -80,11 +80,6 @@ def is_bot(constraints: frozenset[Constraint]) -> bool:
     return any(isinstance(c, Bot) for c in constraints)
 
 
-def owned_components(constraints: frozenset[Constraint]) -> list[PseudoField]:
-    return sorted((c.pf for c in constraints if isinstance(c, Owns)),
-                  key=str)
-
-
 def hogged_fields(constraints: frozenset[Constraint]) -> set[str]:
     """Fields the transition *hogs* (Def. 5.1): whole-field ownership.
 

@@ -117,9 +117,6 @@ class PseudoField:
     def is_whole_field(self) -> bool:
         return not self.keys
 
-    def same_field(self, other: "PseudoField") -> bool:
-        return self.field == other.field
-
     def may_alias(self, other: "PseudoField") -> bool:
         """Whether two pseudo-fields may denote the same location.
 

@@ -210,6 +210,7 @@ def run_durable(workload: str = "FT transfer", *,
                 crash_at_barrier: int | None = None,
                 crash_at_append: int | None = None,
                 require_existing: bool = False,
+                state_backend: str | None = None,
                 metrics: MetricsRegistry | None = None
                 ) -> DurableRunResult:
     """Run (or continue) one workload with WAL-backed durability.
@@ -223,6 +224,11 @@ def run_durable(workload: str = "FT transfer", *,
     setup code.  Identical parameters therefore converge on the same
     final fingerprint no matter how many times the process is killed
     and relaunched (see :func:`run_crash_torture`).
+
+    ``state_backend`` (``"sqlite"`` / ``"none"``) pages a fresh run's
+    contract maps; a resumed or restarted run pages as its data dir
+    says, and a data dir that says otherwise than an explicit
+    ``state_backend`` is refused.
     """
     cls = workload_by_name(workload)
     plan = (FaultPlan.random(fault_seed, epochs=epochs + 2,
@@ -249,6 +255,13 @@ def run_durable(workload: str = "FT transfer", *,
             raise ValueError(
                 f"{data_dir} belongs to a different run: logged "
                 f"{found_meta}, requested {meta}")
+        paged = net.state_backend is not None
+        if state_backend not in (None, "sqlite" if paged else "none"):
+            net.close()
+            raise ValueError(
+                f"{data_dir} holds a {'paged' if paged else 'plain'} "
+                f"run; requested state backend {state_backend!r}")
+        state_backend = "sqlite" if paged else None     # a restart too
         if any(isinstance(n, dict) and n.get("kind") == "setup-complete"
                for n in net.wal_notes):
             resumed = True
@@ -277,7 +290,7 @@ def run_durable(workload: str = "FT transfer", *,
                       keep_snapshots=keep_snapshots,
                       crash_at_barrier=crash_at_barrier,
                       crash_at_append=crash_at_append,
-                      metrics=metrics)
+                      state_backend=state_backend, metrics=metrics)
         net.wal_note(meta)
         w.setup(net)
         net.wal_note({"kind": "setup-complete"})
@@ -323,7 +336,8 @@ def _spawn_run(data_dir: str, workload: str, *, seed: int, epochs: int,
                shards: int, users: int, txns: int,
                fault_seed: int | None,
                crash_at_barrier: int | None = None,
-               crash_at_append: int | None = None
+               crash_at_append: int | None = None,
+               state_backend: str | None = None
                ) -> tuple[int, str, str]:
     """Run ``repro run`` in a subprocess; returns (rc, stdout, stderr).
 
@@ -346,6 +360,8 @@ def _spawn_run(data_dir: str, workload: str, *, seed: int, epochs: int,
         cmd += ["--crash-at-barrier", str(crash_at_barrier)]
     if crash_at_append is not None:
         cmd += ["--crash-at-append", str(crash_at_append)]
+    if state_backend is not None:
+        cmd += ["--state-backend", state_backend]
     proc = subprocess.run(cmd, capture_output=True, text=True,
                           stdin=subprocess.DEVNULL, env=env, timeout=600)
     return proc.returncode, proc.stdout, proc.stderr

@@ -138,9 +138,8 @@ def run_service(workload: str = "FT transfer @scale", *,
     workload used for contract setup.
 
     ``state_backend`` selects the out-of-core page store for contract
-    map state (``"sqlite"``/``"none"``, a
-    ``StateBackend`` instance, or None for the ``REPRO_STATE_BACKEND``
-    environment default).
+    map state (``"sqlite"``, a ``SqliteBackend``, or None / ``"none"``
+    for plain dict state).
     """
     if cost_model is None:
         from .throughput import FIG14_COST_MODEL

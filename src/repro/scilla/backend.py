@@ -1,7 +1,7 @@
-"""Pluggable out-of-core storage backends for contract map state.
+"""The out-of-core page store for contract map state.
 
-A :class:`StateBackend` holds the authoritative key/value rows of a
-map on (or off) the heap.  A paged map is an ordinary
+A :class:`SqliteBackend` holds the authoritative key/value rows of
+paged maps off the heap.  A paged map is an ordinary
 :class:`~repro.scilla.values.OverlayDict` whose frozen base is a
 :class:`RowBase` — ``(backend, map_id)`` — instead of a dict:
 
@@ -17,16 +17,18 @@ map on (or off) the heap.  A paged map is an ordinary
   old base: an overlay still on it raises :class:`StaleRowsError` at
   its next base read.
 
-Two backends ship, both dependency-free:
+The store is a stdlib :mod:`sqlite3` KV table; a plain dict is the
+reference the property battery (tests/test_paged_state.py) proves a
+paged map observationally identical to.  The live file is a cache,
+not a durability artifact: crash recovery rebuilds it from the base
+restore point's sidecar plus the deltas and WAL replay past it
+(:mod:`repro.chain.store`), so the live connection runs with
+fsync-free pragmas.
 
-* :class:`MemoryBackend` — encoded rows in nested dicts.  The test
-  reference: the property battery proves a paged map observationally
-  identical to a plain dict on it and on sqlite.
-* :class:`SqliteBackend` — a stdlib :mod:`sqlite3` KV table.  The live
-  file is a cache, not a durability artifact: crash recovery always
-  rebuilds from the snapshot sidecar plus WAL replay
-  (:mod:`repro.chain.store`), so the live connection runs with
-  fsync-free pragmas.
+Paging is chosen once, when a network is built
+(``Network(..., state_backend="sqlite")``, ``repro run`` / ``repro
+serve --state-backend sqlite``); a resume reads the choice from its
+data dir, never from the resuming process.
 
 Values cross the boundary through the same JSON wire format durable
 snapshots use (:mod:`repro.chain.serialization`), so backend blobs and
@@ -75,7 +77,7 @@ decode_key = decode_value
 
 
 # --------------------------------------------------------------------------
-# Backends.
+# The page store.
 # --------------------------------------------------------------------------
 
 class BackendStats:
@@ -97,65 +99,6 @@ class BackendStats:
                 self.read_ns, self.write_ns)
 
 
-class StateBackend:
-    """Authoritative row store for paged maps.
-
-    Rows are ``(map_id, key_token) -> value_blob`` with both sides
-    text (see :func:`encode_value`).  ``external`` backends keep rows
-    off the Python heap and are snapshotted as sidecar files; the
-    in-memory backend serialises inline with the snapshot JSON.
-    """
-
-    external = False
-    kind = "abstract"
-
-    def __init__(self) -> None:
-        self.stats = BackendStats()
-
-    # -- row API (implemented by subclasses) ----------------------------
-
-    def new_map(self) -> int:
-        raise NotImplementedError
-
-    def reserve(self, map_id: int) -> None:
-        """Mark ``map_id`` as taken (snapshot restore re-binds maps by
-        id; later ``new_map`` calls must never collide — an *empty*
-        restored map leaves no rows to infer the watermark from)."""
-        if map_id >= self._next_map:
-            self._next_map = map_id + 1
-
-    def get(self, map_id: int, token: str) -> str | None:
-        raise NotImplementedError
-
-    def put_many(self, map_id: int,
-                 items: Iterable[tuple[str, str]]) -> None:
-        raise NotImplementedError
-
-    def delete_many(self, map_id: int, tokens: Iterable[str]) -> None:
-        raise NotImplementedError
-
-    def contains(self, map_id: int, token: str) -> bool:
-        raise NotImplementedError
-
-    def count(self, map_id: int) -> int:
-        raise NotImplementedError
-
-    def iter_items(self, map_id: int) -> Iterator[tuple[str, str]]:
-        """All rows of one map, ordered by key token (deterministic)."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-    # -- digest ---------------------------------------------------------
-
-    def _iter_all_rows(self) -> Iterator[tuple[int, str, str]]:
-        raise NotImplementedError
-
-    def digest(self) -> str:
-        return _digest(self._iter_all_rows())
-
-
 def _digest(rows: Iterable[tuple[int, str, str]]) -> str:
     """Logical content digest over every row, order-independent of
     physical layout (rows stream sorted by (map_id, key))."""
@@ -166,79 +109,19 @@ def _digest(rows: Iterable[tuple[int, str, str]]) -> str:
 
 
 def _scan(conn) -> Iterator[tuple[int, str, str]]:
-    """Every row of a sqlite store sorted by (map_id, key), in chunks."""
-    last = (-1, "")
-    while True:
-        rows = conn.execute(
-            "SELECT map_id, k, v FROM kv"
-            " WHERE map_id > ? OR (map_id = ? AND k > ?)"
-            " ORDER BY map_id, k LIMIT 1024",
-            (last[0], last[0], last[1])).fetchall()
-        if not rows:
-            return
-        yield from rows
-        last = rows[-1]
+    """Every row of a sqlite store sorted by (map_id, key): one cursor
+    walking the primary key, O(rows) steps in all."""
+    return conn.execute("SELECT map_id, k, v FROM kv ORDER BY map_id, k")
 
 
-class MemoryBackend(StateBackend):
-    """Encoded rows in nested dicts — the in-memory reference backend."""
-
-    external = False
-    kind = "memory"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._maps: dict[int, dict[str, str]] = {}
-        self._next_map = 0
-
-    def new_map(self) -> int:
-        map_id = self._next_map
-        self._next_map += 1
-        self._maps[map_id] = {}
-        return map_id
-
-    def get(self, map_id: int, token: str) -> str | None:
-        t0 = time.perf_counter_ns()
-        out = self._maps.get(map_id, {}).get(token)
-        self.stats.read_ns += time.perf_counter_ns() - t0
-        return out
-
-    def put_many(self, map_id: int,
-                 items: Iterable[tuple[str, str]]) -> None:
-        t0 = time.perf_counter_ns()
-        rows = self._maps.setdefault(map_id, {})
-        for token, blob in items:
-            rows[token] = blob
-        self.stats.write_ns += time.perf_counter_ns() - t0
-
-    def delete_many(self, map_id: int, tokens: Iterable[str]) -> None:
-        t0 = time.perf_counter_ns()
-        rows = self._maps.get(map_id, {})
-        for token in tokens:
-            rows.pop(token, None)
-        self.stats.write_ns += time.perf_counter_ns() - t0
-
-    def contains(self, map_id: int, token: str) -> bool:
-        return token in self._maps.get(map_id, {})
-
-    def count(self, map_id: int) -> int:
-        return len(self._maps.get(map_id, {}))
-
-    def iter_items(self, map_id: int) -> Iterator[tuple[str, str]]:
-        yield from sorted(self._maps.get(map_id, {}).items())
-
-    def _iter_all_rows(self) -> Iterator[tuple[int, str, str]]:
-        for map_id in sorted(self._maps):
-            for token, blob in sorted(self._maps[map_id].items()):
-                yield map_id, token, blob
-
-
-class SqliteBackend(StateBackend):
-    """Stdlib sqlite3 KV store; the out-of-core backend.
+class SqliteBackend:
+    """The page store: a stdlib sqlite3 KV table, rows
+    ``(map_id, key_token) -> value_blob`` with both sides text (see
+    :func:`encode_value`).
 
     The live file is *not* trusted across a crash — ``Network.resume``
-    rebuilds it from the newest snapshot's sidecar copy plus WAL
-    replay — so the connection runs with ``journal_mode=MEMORY`` and
+    rebuilds it from the base restore point's sidecar copy plus the
+    deltas and WAL replay past it — so the connection runs with ``journal_mode=MEMORY`` and
     ``synchronous=OFF``: page writes never fsync on the hot path, and
     durability comes from :meth:`save_copy`'s atomic-rename sidecars.
     One connection, usable only from the thread that opened it: sqlite
@@ -246,11 +129,10 @@ class SqliteBackend(StateBackend):
     materialises to a plain dict, so no pickle carries the backend).
     """
 
-    external = True
     kind = "sqlite"
 
     def __init__(self, path: str | None = None, fresh: bool = False):
-        super().__init__()
+        self.stats = BackendStats()
         self._tmpdir = None
         if path is None:
             self._tmpdir = tempfile.mkdtemp(prefix="repro-state-")
@@ -282,6 +164,9 @@ class SqliteBackend(StateBackend):
         return map_id
 
     def reserve(self, map_id: int) -> None:
+        """Mark ``map_id`` as taken (snapshot restore re-binds maps by
+        id; later ``new_map`` calls must never collide — an *empty*
+        restored map leaves no rows to infer the watermark from)."""
         if map_id >= self._next_map:
             self._next_map = map_id + 1
 
@@ -323,8 +208,9 @@ class SqliteBackend(StateBackend):
         return row[0]
 
     def iter_items(self, map_id: int) -> Iterator[tuple[str, str]]:
-        # Chunked so an O(n) walk (fingerprints, snapshots) never holds
-        # the whole map in memory.
+        """All rows of one map, ordered by key token (deterministic).
+        Chunked so an O(n) walk (fingerprints, snapshots) never holds
+        the whole map in memory."""
         last = ""               # below every key token
         while True:
             rows = self._conn.execute(
@@ -334,9 +220,6 @@ class SqliteBackend(StateBackend):
                 return
             yield from rows
             last = rows[-1][0]
-
-    def _iter_all_rows(self) -> Iterator[tuple[int, str, str]]:
-        return _scan(self._conn)
 
     # -- durability spine hooks -----------------------------------------
 
@@ -384,25 +267,20 @@ class SqliteBackend(StateBackend):
 
 
 def resolve_backend(spec, data_dir: str | None = None
-                    ) -> StateBackend | None:
-    """Build (or pass through) a backend from a knob value.
-
-    ``spec`` is a :class:`StateBackend` instance, ``"sqlite"``,
-    ``"none"``, or None, which defers to the ``REPRO_STATE_BACKEND``
-    environment variable; empty/unset means no backend (plain dict
-    state, the default).
-    """
-    if isinstance(spec, StateBackend):
-        return spec
-    if spec is None:
-        spec = os.environ.get("REPRO_STATE_BACKEND", "")
-    kind = str(spec).strip().lower()
-    if kind in ("", "none"):
+                    ) -> SqliteBackend | None:
+    """The page store a network is built with: ``spec`` is a
+    :class:`SqliteBackend`, ``"sqlite"`` (a fresh store, in
+    ``data_dir`` when there is one), or ``None`` / ``"none"`` for plain
+    dict state, the default.  Anything else is refused."""
+    if spec is None or spec == "none":
         return None
-    if kind == "sqlite":
+    if isinstance(spec, SqliteBackend):
+        return spec
+    if spec == "sqlite":
         path = os.path.join(data_dir, "state.sqlite") if data_dir else None
         return SqliteBackend(path, fresh=True)
-    raise ValueError(f"unknown state backend {spec!r}")
+    raise ValueError(f"unknown state backend {spec!r}: "
+                     f"expected None, 'none' or 'sqlite'")
 
 
 # --------------------------------------------------------------------------
@@ -429,7 +307,7 @@ class RowBase:
 
     __slots__ = ("backend", "map_id", "count", "cache", "live")
 
-    def __init__(self, backend: StateBackend, map_id: int, count: int,
+    def __init__(self, backend: SqliteBackend, map_id: int, count: int,
                  cache: dict | None = None):
         self.backend = backend
         self.map_id = map_id
@@ -561,7 +439,7 @@ class RowView:
         return (dict, (), None, None, self.items())
 
 
-def adopt(backend: StateBackend, entries) -> OverlayDict:
+def adopt(backend: SqliteBackend, entries) -> OverlayDict:
     """Write a map's entries into a new backend map and return the
     empty overlay over its rows that replaces them."""
     map_id = backend.new_map()

@@ -177,14 +177,6 @@ def is_unsigned(t: ScillaType) -> bool:
     return isinstance(t, PrimType) and t.name in UNSIGNED_INT_NAMES
 
 
-def int_width(t: ScillaType) -> int:
-    """Bit width of an integer type; raises for non-integers."""
-    if not is_int_type(t):
-        raise ValueError(f"not an integer type: {t}")
-    assert isinstance(t, PrimType)
-    return int(t.name.removeprefix("Uint").removeprefix("Int"))
-
-
 # Inclusive (min, max) per integer type name, worked out once: every
 # IntVal construction and arithmetic builtin asks.
 _INT_BOUNDS: dict[str, tuple[int, int]] = {

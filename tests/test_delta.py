@@ -766,7 +766,7 @@ def _ft_lane(hinted: bool):
     from repro.chain.dispatch import DS
     from repro.workloads.generators import FTTransfer
     workload = FTTransfer(n_users=100, txns_per_epoch=400)
-    net = Network(4, state_backend="none")
+    net = Network(4)
     workload.setup(net)
     contract = net.contracts[workload.contract_addr]
     assert contract.writes_per_call["Transfer"] == {"balances": 2}
@@ -946,7 +946,7 @@ def test_a_map_of_maps_folds_at_commit_and_a_paged_map_keeps_its_overlay():
     values are maps folds like a flat one (its children move into the
     base), and a paged map keeps its overlay (its fold is the commit's
     write-back)."""
-    from repro.scilla.backend import MemoryBackend, adopt
+    from repro.scilla.backend import SqliteBackend, adopt
     from repro.scilla.values import OverlayDict
 
     def sole(value_type, entries, key, value):
@@ -960,7 +960,7 @@ def test_a_map_of_maps_folds_at_commit_and_a_paged_map_keeps_its_overlay():
     nested = sole(ty.MapType(ty.STRING, ty.UINT128),
                   {StringVal("a"): _map({"x": 1})}, "b", _map({"y": 2}))
     paged = MapVal(ty.STRING, ty.UINT128,
-                   adopt(MemoryBackend(), {StringVal("a"): uint(1)}))
+                   adopt(SqliteBackend(), {StringVal("a"): uint(1)}))
     paged.put(StringVal("b"), uint(2))
     for value, folds in ((flat, True), (nested, True), (paged, False)):
         before = _ordered(value)

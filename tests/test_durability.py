@@ -106,10 +106,12 @@ def test_resume_clean_close_equivalent_and_continues(tmp_path):
     again.close()
 
 
-def test_resume_from_snapshot_plus_wal_suffix(tmp_path):
+@pytest.mark.parametrize("state_backend", [None, "sqlite"],
+                         ids=["dict", "sqlite"])
+def test_resume_from_snapshot_plus_wal_suffix(tmp_path, state_backend):
     reference = build_and_run(epochs=4)
     net = build_and_run(epochs=2, data_dir=tmp_path,
-                        snapshot_every=10**9)
+                        snapshot_every=10**9, state_backend=state_backend)
     net.snapshot()  # snapshot now …
     net.process_epoch(transfer_round(nonce=3), wal_tag="measure")
     net.process_epoch(transfer_round(nonce=4), wal_tag="measure")
@@ -119,6 +121,7 @@ def test_resume_from_snapshot_plus_wal_suffix(tmp_path):
     assert network_fingerprint(resumed) == \
         network_fingerprint(reference)
     assert resumed.epoch_tags == {"epoch": 1, "measure": 4}
+    assert (resumed.state_backend is None) is (state_backend is None)
     resumed.close()
 
 
@@ -549,9 +552,6 @@ def _under_two_hash_seeds(tmp_path, monkeypatch, argv):
     each from its own directory: the two (stdout, directory) pairs."""
     import subprocess
     import sys
-    # Paged state writes sqlite sidecars, whose pages are not this
-    # format's bytes.
-    monkeypatch.delenv("REPRO_STATE_BACKEND", raising=False)
     monkeypatch.setenv("PYTHONPATH", str(Path(__file__).parents[1] / "src"))
     runs = []
     for seed in ("0", "1"):

@@ -167,10 +167,7 @@ def test_base_and_two_deltas_resume_to_the_live_network(first, second,
                                                         third):
     with tempfile.TemporaryDirectory() as data_dir, \
             mock.patch.object(recovery, "DELTA_FOLD_DIVISOR", 0):
-        # Paged state (REPRO_STATE_BACKEND=sqlite) writes bases only;
-        # the writer opts out, the resume below does not.
-        net = Network(3, data_dir=data_dir, snapshot_every=10**9,
-                      state_backend="none")
+        net = Network(3, data_dir=data_dir, snapshot_every=10**9)
         for user in (ADMIN, *USERS):
             net.create_account(user)
         net.deploy(ONCE, ONCE_ADDR, {"admin": addr(ADMIN)},
@@ -196,8 +193,7 @@ def test_delta_rows_follow_the_declared_type(tmp_path):
     """One delta, read as JSON: primitives as literals in columns, a
     deleted entry as null, everything else as a self-describing row."""
     with mock.patch.object(recovery, "DELTA_FOLD_DIVISOR", 0):
-        net = Network(3, data_dir=str(tmp_path), snapshot_every=10**9,
-                      state_backend="none")
+        net = Network(3, data_dir=str(tmp_path), snapshot_every=10**9)
         for user in (ADMIN, *USERS):
             net.create_account(user)
         net.deploy(ONCE, ONCE_ADDR, {"admin": addr(ADMIN)},

@@ -62,9 +62,7 @@ OVERLAY_FRAME_BUDGET = 12.6
 
 def ft_network(n_users=200, txns_per_epoch=400):
     workload = FTTransfer(n_users=n_users, txns_per_epoch=txns_per_epoch)
-    # Dict state whatever REPRO_STATE_BACKEND says: the budget is the
-    # in-memory path's (a paged map reads through its backend).
-    net = Network(4, state_backend="none")
+    net = Network(4)
     workload.setup(net)
     for epoch in range(3):                          # warm-up
         net.process_epoch(workload.transactions(epoch))

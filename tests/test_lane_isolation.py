@@ -127,12 +127,14 @@ def watch(net: Network, tally: Tally, name: str) -> None:
     net._run_lane = capturing_run_lane
 
 
-def run_battery(faults: bool, workloads=WORKLOADS) -> Tally:
+def run_battery(faults: bool, workloads=WORKLOADS,
+                state_backend=None) -> Tally:
     tally = Tally()
     for cls in workloads:
         plan = (FaultPlan.random(11, epochs=EPOCHS + 2, n_shards=SHARDS)
                 if faults else None)
-        net = Network(SHARDS, NetworkConfig(fault_plan=plan))
+        net = Network(SHARDS, NetworkConfig(fault_plan=plan),
+                      state_backend=state_backend)
         watch(net, tally, cls.name)
         workload = cls(n_users=24, txns_per_epoch=40, seed=11)
         workload.setup(net)
@@ -142,11 +144,15 @@ def run_battery(faults: bool, workloads=WORKLOADS) -> Tally:
     return tally
 
 
+@pytest.mark.parametrize("state_backend", [None, "sqlite"],
+                         ids=["dict", "sqlite"])
 @pytest.mark.parametrize("faults", [False, True],
                          ids=["fault-free", "fault-plan"])
 def test_a_lane_depends_only_on_the_epoch_start_state_and_its_queue(
-        faults):
-    tally = run_battery(faults)
+        faults, state_backend):
+    """Over plain dict state and over every map paged through sqlite:
+    lanes forked from paged state are as independent."""
+    tally = run_battery(faults, state_backend=state_backend)
     assert not tally.mismatches, tally.mismatches
     # Not vacuous: most attempts compared two or more busy lanes (FT
     # fund and ProofIPFS keep one busy lane, by their signatures), and

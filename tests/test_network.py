@@ -406,19 +406,17 @@ def test_tps_zero_when_no_time():
     assert block.n_committed == 0
 
 
-@pytest.mark.parametrize("value, error", [
-    pytest.param("foo", "unknown state backend",
-                 id="REPRO_STATE_BACKEND=foo"),
-    # Empty means unset: no backend.
-    pytest.param("", None, id="REPRO_STATE_BACKEND="),
-])
-def test_env_knobs_reject_malformed_values(monkeypatch, value, error):
-    monkeypatch.setenv("REPRO_STATE_BACKEND", value)
-    if error is None:
-        assert Network(2).state_backend is None
-        return
-    with pytest.raises(ValueError, match=f"{error}.*{value!r}"):
-        Network(2)
+@pytest.mark.parametrize("value", ["foo", "", "memory", "SQLite"])
+def test_the_state_backend_argument_refuses_a_bad_value(value, tmp_path):
+    """Paging is chosen by the constructor argument alone (None /
+    ``"none"`` / ``"sqlite"`` / a ``SqliteBackend``); anything else is
+    refused, and a durable network leaves its data dir open to retry."""
+    with pytest.raises(ValueError, match=f"unknown state backend {value!r}"):
+        Network(2, state_backend=value)
+    with pytest.raises(ValueError, match="unknown state backend"):
+        Network(2, data_dir=str(tmp_path), state_backend=value)
+    Network(2, data_dir=str(tmp_path)).close()
+    assert Network(2, state_backend="none").state_backend is None
 
 
 def test_lanes_run_serially_and_nothing_else():

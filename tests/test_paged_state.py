@@ -6,18 +6,18 @@ The contract this file enforces, in three layers:
   over a :class:`~repro.scilla.backend.RowBase`, under any interleaving
   of dict-protocol operations and write-backs — with a cache small
   enough to force faults and evictions mid-sequence — is byte-identical
-  to a plain dict given the same operations, for both backends.
+  to a plain dict given the same operations.
 * **Rollback and CoW invariants survive paging.**  Rolling a
   :class:`~repro.scilla.state.WriteLog` back after evictions restores
   the exact state before its writes; a CoW fork of a paged map copies
   its dirty entries only (never a clean row, never a nested map) and
   isolates both sides; a fork that outlives a write-back raises
   instead of reading the newer rows.
-* **The durability spine.**  Snapshots of a sqlite-backed network pin
-  a digest-verified sidecar: resume round-trips byte-identically, a
-  tampered or missing sidecar is a typed ``StoreError`` (never a
-  silent empty store), and retention reclaims sidecars with their
-  snapshots.
+* **The durability spine.**  A paged network takes restore points by
+  the plain network's rule, and only a base pins a digest-verified
+  sidecar: resume round-trips byte-identically, a tampered or missing
+  sidecar is a typed ``StoreError`` (never a silent empty store), and
+  retention reclaims sidecars with their bases.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ from hypothesis import given, settings
 
 from repro.chain.network import Network
 from repro.chain.recovery import network_fingerprint, state_fingerprint
-from repro.chain.store import SnapshotStore, StoreError
+from repro.chain.store import DELTA_SUFFIX, SnapshotStore, StoreError
 from repro.scilla import types as ty
 import repro.scilla.backend as backend_mod
 from repro.scilla.backend import (
-    MemoryBackend, RowBase, SqliteBackend, StaleRowsError, adopt, paged_base,
+    RowBase, SqliteBackend, StaleRowsError, adopt, paged_base,
 )
 from repro.scilla.state import MISSING, ContractState, WriteLog
 from repro.scilla.values import MapVal, OverlayDict, StringVal, uint
@@ -53,10 +53,6 @@ FIXTURE = Path(__file__).parent / "fixtures" / "paged_restore_point_v4"
 
 def _key(i: int) -> StringVal:
     return StringVal(f"k{i:04d}")
-
-
-def _backend(kind: str):
-    return MemoryBackend() if kind == "memory" else SqliteBackend()
 
 
 def _cache(rows: int):
@@ -75,15 +71,14 @@ SEED_ENTRIES = st.dictionaries(
 
 class TestPagedMatchesDict:
     @settings(max_examples=60, deadline=None)
-    @given(seed=SEED_ENTRIES, ops=OPS, kind=st.sampled_from(
-        ["memory", "sqlite"]), cache=st.integers(1, 6))
-    def test_arbitrary_interleavings(self, seed, ops, kind, cache):
+    @given(seed=SEED_ENTRIES, ops=OPS, cache=st.integers(1, 6))
+    def test_arbitrary_interleavings(self, seed, ops, cache):
         with _cache(cache):
-            self._interleave(seed, ops, kind)
+            self._interleave(seed, ops)
 
-    def _interleave(self, seed, ops, kind):
+    def _interleave(self, seed, ops):
         plain = {_key(i): uint(v) for i, v in seed.items()}
-        backend = _backend(kind)
+        backend = SqliteBackend()
         paged = adopt(backend, dict(plain))
         for code, i, v in ops:
             k = _key(i)
@@ -113,27 +108,6 @@ class TestPagedMatchesDict:
             == plain
         backend.close()
 
-    @settings(max_examples=25, deadline=None)
-    @given(seed=SEED_ENTRIES, ops=OPS, cache=st.integers(1, 4))
-    def test_backends_agree_on_digest(self, seed, ops, cache):
-        digests = []
-        for kind in ("memory", "sqlite"):
-            backend = _backend(kind)
-            with _cache(cache):
-                paged = adopt(backend,
-                              {_key(i): uint(v) for i, v in seed.items()})
-                for code, i, v in ops:
-                    if code == 0:
-                        paged[_key(i)] = uint(v)
-                    elif code == 1:
-                        paged.pop(_key(i), None)
-                    elif code == 6:
-                        paged.write_back()
-                paged.write_back()
-            digests.append(backend.digest())
-            backend.close()
-        assert digests[0] == digests[1]
-
 
 def _paged_state(backend, n: int) -> ContractState:
     balances = MapVal(ty.STRING, ty.UINT128)
@@ -152,15 +126,13 @@ class TestJournalAndCow:
     @settings(max_examples=40, deadline=None)
     @given(writes=st.lists(
         st.tuples(st.booleans(), st.integers(0, 30), st.integers(0, 99)),
-        max_size=30),
-        kind=st.sampled_from(["memory", "sqlite"]))
-    def test_rollback_after_eviction_restores_exact_state(
-            self, writes, kind):
+        max_size=30))
+    def test_rollback_after_eviction_restores_exact_state(self, writes):
         with _cache(2):
-            self._roll_back(writes, kind)
+            self._roll_back(writes)
 
-    def _roll_back(self, writes, kind):
-        backend = _backend(kind)
+    def _roll_back(self, writes):
+        backend = SqliteBackend()
         state = _paged_state(backend, 20)
         before = state_fingerprint(state)
         log = WriteLog()
@@ -215,7 +187,7 @@ class TestJournalAndCow:
         state = ContractState(
             address="0x" + "ce" * 20, fields={"allowances": allowances},
             field_types={"allowances": ty.MapType(ty.STRING, inner)})
-        allowances.entries = adopt(MemoryBackend(), allowances.entries)
+        allowances.entries = adopt(SqliteBackend(), allowances.entries)
         state.write(("allowances", (_key(1), _key(5))), uint(5))
         child = allowances.entries.over[_key(1)]
 
@@ -235,7 +207,7 @@ class TestJournalAndCow:
         assert state.read(("allowances", (_key(2), _key(5)))) is MISSING
 
     def test_own_counts_one_cow_copy(self):
-        backend = MemoryBackend()
+        backend = SqliteBackend()
         state = _paged_state(backend, 10)
         fork = state.fields["balances"].copy()
         before = values_mod.COW_COPIES
@@ -245,8 +217,10 @@ class TestJournalAndCow:
 
 
 class TestEquivalenceAgainstPlainState:
-    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
-    def test_workload_fingerprints_identical(self, kind):
+    @pytest.mark.parametrize("spec", ["sqlite", "instance"])
+    def test_workload_fingerprints_identical(self, spec):
+        """Paged by name or by a store the caller built: the same
+        fingerprints as plain dict state."""
         def run(backend_spec):
             wl = FTTransfer(n_users=12, txns_per_epoch=25, seed=3)
             net = Network(4, state_backend=backend_spec)
@@ -255,7 +229,8 @@ class TestEquivalenceAgainstPlainState:
                 net.process_epoch(wl.transactions(epoch))
             return network_fingerprint(net)
 
-        assert run("none") == run(_backend(kind))
+        assert run(None) == run(
+            SqliteBackend() if spec == "instance" else spec)
 
     @mock.patch.object(backend_mod, "PAGE_CACHE", 1)
     def test_a_fork_does_not_outlive_a_write_back(self):
@@ -263,7 +238,7 @@ class TestEquivalenceAgainstPlainState:
         used to read the rows written back after it was taken, once its
         own resident rows were evicted; now it raises instead."""
         wl = FTTransfer(n_users=12, txns_per_epoch=25, seed=3)
-        net = Network(4, state_backend=MemoryBackend())
+        net = Network(4, state_backend="sqlite")
         wl.setup(net)
         net.process_epoch(wl.transactions(1))
         c = next(iter(net.contracts.values()))
@@ -294,6 +269,8 @@ class TestEquivalenceAgainstPlainState:
 
 class TestDurabilitySpine:
     def _durable_run(self, data_dir, *, epochs=6, backend="sqlite"):
+        """An FT run restoring every 2 epochs: bases and deltas
+        alternate, and the newest restore point is a base."""
         wl = FTTransfer(n_users=10, txns_per_epoch=20, seed=5)
         net = Network(2, data_dir=data_dir, snapshot_every=2,
                       state_backend=backend)
@@ -320,7 +297,7 @@ class TestDurabilitySpine:
     def test_resume_matches_backendless_resume(self, tmp_path):
         plain = str(tmp_path / "plain")
         paged = str(tmp_path / "paged")
-        fp_plain = self._durable_run(plain, backend="none")
+        fp_plain = self._durable_run(plain, backend=None)
         fp_paged = self._durable_run(paged, backend="sqlite")
         assert fp_plain == fp_paged
         a = Network.resume(plain)
@@ -422,15 +399,42 @@ class TestDurabilitySpine:
         d = str(tmp_path)
         self._durable_run(d, epochs=12)
         store = SnapshotStore(d)
-        snaps = {p.name[len("snap-"):-len(".json")]
-                 for p in store.paths()}
+        bases = {p.name[len("snap-"):-len(".json")]
+                 for p in store.paths() if not p.name.endswith(DELTA_SUFFIX)}
         sidecars = {p.name[len("state-"):-len(".sqlite")]
                     for p in store.backend_paths()}
-        # Retention kept `keep` snapshots; every surviving sidecar is
-        # paired with a surviving snapshot, and the newest snapshot's
-        # sidecar survived.
-        assert sidecars <= snaps
-        assert max(snaps) in sidecars
+        # Retention kept `keep` restore points and the base under them;
+        # each retained base kept its sidecar, and nothing else did.
+        assert bases and sidecars == bases
+
+    def test_restore_points_follow_the_plain_rule(self, tmp_path):
+        """The same run, plain and paged, writes the same kinds of
+        restore point — 1 base + 5 deltas over 12 epochs at
+        ``snapshot_every=2`` — and the paged one pins one sidecar, its
+        base's; both resume to the uninterrupted state."""
+        def run(data_dir, backend):
+            wl = FTTransfer(n_users=200, txns_per_epoch=10, seed=5)
+            net = Network(2, data_dir=data_dir, snapshot_every=2,
+                          keep_snapshots=10, state_backend=backend)
+            wl.setup(net)
+            for epoch in range(1, 13):
+                net.process_epoch(wl.transactions(epoch))
+            fp = network_fingerprint(net)
+            net.close()
+            store = SnapshotStore(data_dir)
+            kinds = "".join("D" if p.name.endswith(DELTA_SUFFIX) else "B"
+                            for p in store.paths())
+            resumed = Network.resume(data_dir)
+            assert network_fingerprint(resumed) == fp
+            assert (resumed.state_backend is None) is (backend is None)
+            assert resumed.restored_deltas == kinds.count("D")
+            resumed.close()
+            return kinds, len(store.backend_paths()), fp
+
+        plain = run(str(tmp_path / "plain"), None)
+        paged = run(str(tmp_path / "paged"), "sqlite")
+        assert plain == ("BDDDDD", 0, paged[2])
+        assert paged == ("BDDDDD", 1, plain[2])
 
 
 class TestOutOfCoreSoak:

@@ -108,9 +108,9 @@ def test_checkpoint_restores_states_accounts_and_nonces():
 def test_an_epoch_leaves_a_held_published_state_untouched():
     """The DS lane writes forks too: an epoch of DS-routed transactions
     installs the token's next state and never writes the one it held.
-    Dict state whatever REPRO_STATE_BACKEND says: a held paged state
-    does not outlive the commit's write-back (docs/STATE.md §4)."""
-    net = ft_network(use_signatures=False, state_backend="none")
+    (A held paged state does not outlive the commit's write-back,
+    docs/STATE.md §4.)"""
+    net = ft_network(use_signatures=False)
     mint_all(net)
     contract = net.contracts[_pad(TOKEN)]
     held = contract.state

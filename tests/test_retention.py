@@ -76,7 +76,7 @@ def test_a_kept_transfer_holds_few_tracked_objects():
     once per lane.  8.44 here; 12.58 with an args tuple of pairs and an
     event of pairs (E27)."""
     workload = FTTransfer(n_users=1000, txns_per_epoch=400, seed=11)
-    net = Network(4, state_backend="none")
+    net = Network(4)
     workload.setup(net)
     for epoch in range(1, 6):                       # warm-up
         net.process_epoch(workload.transactions(epoch))
@@ -96,7 +96,7 @@ def test_a_bulk_mint_epoch_holds_few_tracked_objects():
     their receipts and events, the new balances — set the workload's
     peak.  10.0 per mint here, 16.0 before (E27)."""
     workload = FTTransfer(n_users=3000, seed=11)
-    net = Network(4, state_backend="none")
+    net = Network(4)
     with mock.patch.object(FTTransfer, "prepare", lambda self, net: None):
         workload.setup(net)                         # the deploy alone
     at_commit = []

@@ -493,18 +493,11 @@ def kinds(data_dir) -> str:
                    for p in SnapshotStore(data_dir).paths())
 
 
-# The tests below pin the kinds of the restore points written; paged
-# state (REPRO_STATE_BACKEND=sqlite) writes bases only, so the writing
-# network opts out of the environment's backend.  Resumes do not.
-NO_BACKEND = {"state_backend": "none"}
-
-
 def token_run(data_dir=None, epochs=8, **kwargs) -> Network:
     """A token network big enough that a two-epoch interval touches a
     fraction of it (60 holders, 12 senders per epoch)."""
-    net = Network(3, **NO_BACKEND,
-                  **({"data_dir": str(data_dir), **kwargs}
-                     if data_dir is not None else kwargs))
+    net = Network(3, **({"data_dir": str(data_dir), **kwargs}
+                        if data_dir is not None else kwargs))
     holders = ["0x" + f"{i:040x}" for i in range(1, 61)]
     net.create_account(ADMIN)
     for holder in holders:
@@ -623,7 +616,7 @@ def test_resume_falls_back_past_a_corrupt_restore_point(
     monkeypatch.setattr(recovery, "DELTA_FOLD_DIVISOR", divisor)
     twin = build_and_run(epochs=6)
     net = build_and_run(epochs=6, data_dir=tmp_path, snapshot_every=2,
-                        keep_snapshots=3, **NO_BACKEND)
+                        keep_snapshots=3)
     net.close()
     assert kinds(tmp_path) == shape
     paths = SnapshotStore(tmp_path).paths()
@@ -646,7 +639,7 @@ def test_compaction_keeps_what_retained_restore_points_build_on(
         tmp_path, monkeypatch):
     monkeypatch.setattr(recovery, "DELTA_FOLD_DIVISOR", 0)
     net = build_and_run(epochs=8, data_dir=tmp_path, snapshot_every=2,
-                        keep_snapshots=2, **NO_BACKEND)
+                        keep_snapshots=2)
     net.close()
     # keep=2 retains the newest two deltas — and the whole chain under
     # them, without which neither could be restored.

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 
 from repro.scilla import types as ty, values as scilla_values
 import repro.scilla.backend as backend_mod
-from repro.scilla.backend import MemoryBackend, adopt
+from repro.scilla.backend import SqliteBackend, adopt
 from repro.scilla.errors import ExecError
 from repro.scilla.state import ContractState, MISSING, WriteLog, owned_write
 from repro.scilla.values import MapVal, StringVal, canonical, uint
@@ -231,7 +231,7 @@ def _write_world(kind: str, seed: dict):
     flat = {StringVal(k): uint(v) for k, v in seed["m"].items()}
     nested = {StringVal(k): _inner_map(v) for k, v in seed["nested"].items()}
     if kind == "paged":
-        backend = MemoryBackend()
+        backend = SqliteBackend()
         flat = adopt(backend, flat)
         nested = adopt(backend, nested)
     state.fields["m"].entries = flat

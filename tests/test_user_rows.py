@@ -191,8 +191,7 @@ class UserRows(RuleBasedStateMachine):
     @initialize(n_shards=st.integers(2, 5), strict=st.booleans())
     def start(self, n_shards, strict):
         self.n = n_shards
-        self.net = Network(n_shards, NetworkConfig(strict_nonces=strict),
-                           state_backend="none")
+        self.net = Network(n_shards, NetworkConfig(strict_nonces=strict))
         self.accounts: dict[str, Account] = {}
         self.nonces = NonceTracker(strict=strict)
         # While an attempt is open: the reference books and the
@@ -329,7 +328,7 @@ def test_rollback_restores_a_partly_filled_gap_set():
     """A published gap set that an attempt partly consumes (the run
     grows over 3 and 4, 6 stays) and then fills is never touched: the
     attempt's first change copies it, and a restore finds it whole."""
-    net = Network(2, state_backend="none")
+    net = Network(2)
     sender, nonces = ADDRESSES[0], net.nonces
     for nonce in (3, 4, 6):
         assert nonces.try_accept(sender, nonce, 0)
