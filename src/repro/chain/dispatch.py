@@ -83,6 +83,33 @@ def shard_hash(token: str, n_shards: int) -> int:
     return _U64(hashlib.sha256(token.encode()).digest())[0] % n_shards
 
 
+# How many addresses a dispatcher remembers the home shard of before it
+# forgets them all: the memo never grows with the address space.
+HOME_MEMO_CAP = 1 << 15
+
+
+class HomeShards(dict):
+    """Canonical address -> its home shard, ``shard_hash("addr:" +
+    address)``, computed on a miss (``d[address]`` costs one dict
+    lookup, and a Python frame only the first time).  Keyed by the
+    address string the caller already holds; emptied once it holds
+    ``HOME_MEMO_CAP`` addresses."""
+
+    __slots__ = ("n_shards",)
+
+    def __init__(self, n_shards: int):
+        super().__init__()
+        self.n_shards = n_shards
+
+    def __missing__(self, address: str) -> int:
+        if len(self) >= HOME_MEMO_CAP:
+            self.clear()
+        # ``shard_hash``, inline.
+        shard = self[address] = _U64(hashlib.sha256(
+            f"addr:{address}".encode()).digest())[0] % self.n_shards
+        return shard
+
+
 # Reason classes: ``net.dispatch.reason.<kind>`` (docs/OBSERVABILITY.md).
 REASON_KINDS = (
     "satisfied", "unconstrained", "bot", "unresolvable", "aliasing_keys",
@@ -146,6 +173,8 @@ class Dispatcher:
         self.use_signatures = use_signatures
         self.contracts: dict[str, DeployedSignature] = {}
         self._field_level_cache: dict[str, set[str]] = {}
+        # Canonical address -> its home shard: every reader's memo.
+        self.homes = HomeShards(n_shards)
         # address -> (transition -> plan, plan of any other transition)
         self._plans: dict[str, tuple[dict, object]] = {}
         self._satisfied = [
@@ -158,6 +187,7 @@ class Dispatcher:
         self._support = {
             "sha256": hashlib.sha256, "u64": _U64, "ByStrVal": ByStrVal,
             "key_token": key_token, "CONTRACTS": self.contracts,
+            "HOMES": self.homes,
             "SAT": self._satisfied, "FREE": self._unconstrained,
             "CONFLICTING": _CONFLICTING}
 
@@ -175,10 +205,7 @@ class Dispatcher:
     # -- shard assignment primitives --------------------------------------------
 
     def home_shard(self, address: str) -> int:
-        return self._home(_pad(address))
-
-    def _home(self, padded: str) -> int:
-        return shard_hash(f"addr:{padded}", self.n_shards)
+        return self.homes[_pad(address)]
 
     def component_shard(self, contract: str, pf: PseudoField,
                         key_values: tuple[str, ...]) -> int:
@@ -219,12 +246,13 @@ class Dispatcher:
         Components keyed by an account address live in that account's
         home shard, so Owns(bal[_sender]) and SenderShard (fund
         acceptance) agree — the paper's "the shard that owns A's
-        account" model.  ``shard_hash``, inline: the validator asks
-        once per distinct first key of a delta."""
-        token = (f"addr:{first[8:]}" if first.startswith("ByStr20|")
-                 else f"{contract}:{first}")
-        return _U64(hashlib.sha256(token.encode()).digest())[0] \
-            % self.n_shards
+        account" model.  The validator asks once per distinct first key
+        of a delta: an account's shard comes from the home-shard memo,
+        any other key's is ``shard_hash``, inline."""
+        if first.startswith("ByStr20|"):
+            return self.homes[first[8:]]
+        return _U64(hashlib.sha256(f"{contract}:{first}".encode())
+                    .digest())[0] % self.n_shards
 
     # -- constraint resolution ------------------------------------------------------
 
@@ -278,7 +306,7 @@ class Dispatcher:
         if tx.transition is None:
             if to in self.contracts:
                 return _PAYMENT_TO_CONTRACT
-            return DispatchDecision(self._home(tx.sender),
+            return DispatchDecision(self.homes[tx.sender],
                                     "payment", "payment")
         entry = self._plans.get(to)
         if entry is None:
@@ -297,7 +325,7 @@ class Dispatcher:
                 return DispatchDecision(DS, "payment to contract")
             # User-to-user payment: sender's home shard (double-spend
             # detection stays local, Sec. 4.1).
-            return DispatchDecision(self._home(sender), "payment")
+            return DispatchDecision(self.homes[sender], "payment")
         deployed = self.contracts.get(to)
         if deployed is None:
             return DispatchDecision(DS, "unknown contract")
@@ -313,9 +341,9 @@ class Dispatcher:
             if isinstance(c, Bot):
                 return DispatchDecision(DS, f"⊥: {c.reason}")
             if isinstance(c, SenderShard):
-                required.add(self._home(sender))
+                required.add(self.homes[sender])
             elif isinstance(c, ContractShard):
-                required.add(self._home(to))
+                required.add(self.homes[to])
             elif isinstance(c, Owns):
                 tokens = []
                 for key in c.pf.keys:
@@ -346,8 +374,8 @@ class Dispatcher:
         """Plain Zilliqa (Sec. 4.1): contract transactions run in the
         contract's shard only when the sender lives there; otherwise in
         the DS committee."""
-        sender_home = self._home(sender)
-        contract_home = self._home(to)
+        sender_home = self.homes[sender]
+        contract_home = self.homes[to]
         if sender_home == contract_home:
             return DispatchDecision(contract_home, "co-located")
         return DispatchDecision(DS, "cross-shard contract call")
@@ -399,11 +427,11 @@ class Dispatcher:
             writer.emit(f"return {writer.const(_NOT_SHARDED)}")
         else:
             writer = _PlanWriter(self.n_shards)     # _default_strategy
-            home = self._home(to)
+            home = self.homes[to]
             co_located = DispatchDecision(home, "co-located", "co_located")
             cross = _ds("cross-shard contract call", "cross_shard_call")
-            writer.emit(f"if {_hash(_SENDER_ADDR, self.n_shards)} == "
-                        f"{home}: return {writer.const(co_located)}")
+            writer.emit(f"if HOMES[tx.sender] == {home}: "
+                        f"return {writer.const(co_located)}")
             writer.emit(f"return {writer.const(cross)}")
         return (sig.contract if sig is not None else to), writer
 
@@ -439,7 +467,7 @@ class Dispatcher:
             if isinstance(c, SenderShard):
                 w.shard((_SENDER,))
             elif isinstance(c, ContractShard):
-                const_shards.add(self._home(to))
+                const_shards.add(self.homes[to])
             elif isinstance(c, Owns):
                 self._lower_owns(to, deployed, c, w, const_shards)
             elif isinstance(c, NoAliases):
@@ -485,10 +513,9 @@ class Dispatcher:
 
 
 # A lowered key: ``_SENDER``, or ``(argument name or None, constant
-# token or None)`` — the argument's token if it is present, else the
+# token or None)`` — the argument's key if it is present, else the
 # constant.
 _SENDER = object()
-_SENDER_ADDR = 'f"addr:{tx.sender}"'      # the sender's component token
 
 
 def _hash(text: str, n: int) -> str:
@@ -497,19 +524,26 @@ def _hash(text: str, n: int) -> str:
 
 
 class _PlanWriter:
-    """The generated source of one plan ``plan(tx)``: straight-line
-    statements whose only branches are early returns, so a key resolved
-    by one statement is resolved for every later one.  Decisions it
-    returns are constants ``D<n>`` (``consts``); tokens are locals
-    ``a<n>`` (an argument's, None while it is absent), ``t<n>`` and
-    ``ts`` (the sender's); shards are ``s<n>``."""
+    """The generated source of one plan ``plan(tx)``: statements whose
+    only branches are early returns or pick how a key is read, so a key
+    resolved by one statement is resolved for every later one.
+    Decisions it returns are constants ``D<n>`` (``consts``); shards are
+    locals ``s<n>``, an account's read from ``HOMES``.
+
+    A key is a local ``a<n>`` (an argument's, None while it is absent)
+    or ``t<n>`` holding a ``ByStrVal``, which stands for its token
+    ``typ|hex`` and is compared in place — no type name holds ``|``, so
+    two such tokens are equal iff their ``(hex, typ)`` are — or the
+    ``key_token`` string of any other value, which equals no byte
+    string's token.  A constant byte-string token is a ``ByStrVal``
+    constant ``K<n>``; the sender is ``tx.sender``, a ByStr20."""
 
     def __init__(self, n_shards: int, prefix: str = ""):
         self.n = n_shards
         self.prefix = prefix        # of a component token: "<contract>:"
         self.head: list[str] = []
         self.lines: list[str] = []
-        self.consts: dict[str, DispatchDecision] = {}
+        self.consts: dict[str, object] = {}
         self.tokens: dict = {}      # key -> its local
         self.maybe_none: set[str] = set()
         self.shards: dict = {}      # first key -> its shard's local
@@ -524,19 +558,27 @@ class _PlanWriter:
         self.head.append(f"# {name} = {decision.reason!r}")
         return name
 
+    def literal(self, token: str | None) -> str:
+        """Python for a constant key: a byte string's token as the
+        ``ByStrVal`` it stands for, any other token (or None) as is."""
+        kind, bar, payload = (token or "").partition("|")
+        if not bar or not kind.startswith("ByStr"):
+            return repr(token)
+        name = f"K{len(self.consts)}"
+        self.consts[name] = tuple.__new__(ByStrVal, (payload, ty.prim(kind)))
+        self.head.append(f"# {name} = {token!r}")
+        return name
+
     def token(self, key) -> str:
-        """The local holding ``key``'s token, resolved here first time
-        (a value that is no key raises in ``key_token``, as in the
-        reference)."""
+        """The local holding ``key`` (not the sender), resolved here
+        first time (a value that is no key raises in ``key_token``, as
+        in the reference)."""
         local = self.tokens.get(key)
         if local is not None:
             return local
-        if key is _SENDER:
-            local = "ts"
-            self.emit('ts = f"ByStr20|{tx.sender}"')
-        elif key[0] is None:                        # a constant
+        if key[0] is None:                          # a constant
             local = f"t{len(self.tokens)}"
-            self.emit(f"{local} = {key[1]!r}")
+            self.emit(f"{local} = {self.literal(key[1])}")
             if key[1] is None:
                 self.maybe_none.add(local)
         else:
@@ -546,24 +588,22 @@ class _PlanWriter:
                 local = self.tokens[name, None] = self._argument(name)
             if fallback is not None and local in self.maybe_none:
                 arg, local = local, f"t{len(self.tokens)}"
-                self.emit(f"{local} = {fallback!r} if {arg} is None "
-                          f"else {arg}")
+                self.emit(f"{local} = {self.literal(fallback)} "
+                          f"if {arg} is None else {arg}")
         self.tokens[key] = local
         return local
 
     def _argument(self, name: str) -> str:
-        """The token of argument ``name``, or None if it is absent.  A
-        name the transaction carries once is read by position; a
-        missing or repeated one through a dict (last duplicate wins)."""
+        """Argument ``name`` as a key, or None if it is absent.  A name
+        the transaction carries once is read by position; a missing or
+        repeated one through a dict (last duplicate wins)."""
         self.reads_args = True
         local = f"a{len(self.tokens)}"
         self.emit(f"v = values[names.index({name!r})] "
                   f"if names.count({name!r}) == 1 "
                   f"else dict(zip(names, values)).get({name!r})")
-        self.emit(f"if v is None: {local} = None")
-        self.emit(f"elif v.__class__ is ByStrVal: "
-                  f'{local} = f"{{v.typ!s}}|{{v.hex}}"')
-        self.emit(f"else: {local} = key_token(v)")
+        self.emit(f"{local} = v if v is None or v.__class__ is ByStrVal "
+                  f"else key_token(v)")
         self.maybe_none.add(local)
         return local
 
@@ -574,34 +614,58 @@ class _PlanWriter:
 
     def shard(self, keys: tuple) -> None:
         """The shard of a component whose first key is ``keys[0]``
-        (resolved already, unless it is the sender)."""
+        (resolved already, unless it is the sender): an account's home
+        shard if that key is a ByStr20."""
         first = keys[0]
         if first in self.shards:
             return
         local = self.shards[first] = f"s{len(self.shards)}"
         if first is _SENDER:
-            text = _SENDER_ADDR
-        else:
-            t = self.tokens[first]
-            text = (f'(f"addr:{{{t}[8:]}}" if {t}.startswith("ByStr20|") '
-                    f"else {self.prefix!r} + {t})")
-        self.emit(f"{local} = {_hash(text, self.n)}")
+            self.emit(f"{local} = HOMES[tx.sender]")
+            return
+        t, prefix = self.tokens[first], self.prefix
+        self.emit(f"if {t}.__class__ is ByStrVal: {local} = HOMES[{t}.hex] "
+                  f"if {t}.typ == 'ByStr20' else "
+                  + _hash(f'({prefix!r} + f"{{{t}.typ!s}}|{{{t}.hex}}")',
+                          self.n))
+        self.emit(f"else: {local} = HOMES[{t}[8:]] "
+                  f"if {t}.startswith('ByStr20|') else "
+                  + _hash(f"({prefix!r} + {t})", self.n))
 
     def aliases(self, x, y, fail: DispatchDecision) -> None:
-        a, b = self.token(x), self.token(y)
-        tests = [f"{t} is None" for t in dict.fromkeys((a, b))
-                 if t in self.maybe_none]
-        self.emit(f"if {' or '.join([*tests, f'{a} == {b}'])}: "
+        if x is _SENDER and y is _SENDER:
+            self.emit(f"return {self.const(fail)}")
+            return
+        if x is _SENDER or y is _SENDER:
+            t = self.token(y if x is _SENDER else x)
+            held = (t,)
+            equal = (f"{t}.__class__ is ByStrVal and {t}.hex == tx.sender "
+                     f"and {t}.typ == 'ByStr20'")
+        else:
+            a, b = self.token(x), self.token(y)
+            held = tuple(dict.fromkeys((a, b)))
+            equal = f"{a} == {b}"
+        tests = [f"{t} is None" for t in held if t in self.maybe_none]
+        self.emit(f"if {' or '.join([*tests, equal])}: "
                   f"return {self.const(fail)}")
-        self.maybe_none -= {a, b}
+        self.maybe_none.difference_update(held)
 
     def user(self, symbol, fail: DispatchDecision) -> None:
+        d = self.const(fail)
+        if symbol is _SENDER:
+            self.emit(f"if tx.sender in CONTRACTS: return {d}")
+            return
         t = self.token(symbol)
-        text = f"({t} or '')" if t in self.maybe_none else t
-        self.emit(f"kind, bar, payload = {text}.partition('|')")
-        self.maybe_none.discard(t)
-        self.emit(f"if not bar or not kind.startswith('ByStr') "
-                  f"or payload in CONTRACTS: return {self.const(fail)}")
+        if t in self.maybe_none:
+            self.emit(f"if {t} is None: return {d}")
+            self.maybe_none.discard(t)
+        self.emit(f"if {t}.__class__ is ByStrVal:")
+        self.emit(f"    if not {t}.typ.startswith('ByStr') "
+                  f"or {t}.hex in CONTRACTS: return {d}")
+        self.emit("else:")
+        self.emit(f"    kind, bar, payload = {t}.partition('|')")
+        self.emit(f"    if not bar or not kind.startswith('ByStr') "
+                  f"or payload in CONTRACTS: return {d}")
 
     def finish(self, final: DispatchDecision | None,
                const_shards: set[int]) -> None:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 
-from ..scilla.backend import adopt, paged_base, resolve_backend
+from ..scilla.backend import (
+    SqliteBackend, adopt, paged_base, resolve_backend,
+)
 from ..scilla.errors import ScillaError
 from ..scilla.state import ContractState
 from ..scilla import values as scilla_values
@@ -146,6 +148,10 @@ class Durability:
                     f"use Network.resume to continue it")
             self.wal, self.store = wal, store
             self._ledger = ChangeLedger(self)
+        # A store this network opened is closed by ``close``; one the
+        # caller handed in stays the caller's.
+        self.state_backend = None
+        self._owns_backend = not isinstance(state_backend, SqliteBackend)
         try:
             self.state_backend = resolve_backend(state_backend, data_dir)
         except ValueError:
@@ -288,8 +294,12 @@ class Durability:
             meters.snapshot_ns.observe(time.perf_counter_ns() - t0)
 
     def close(self) -> None:
+        """Close the WAL and the page store this network opened (from
+        ``"sqlite"``, or for a resumed data dir)."""
         if self.wal is not None:
             self.wal.close()
+        if self._owns_backend and self.state_backend is not None:
+            self.state_backend.close()
 
     # -- resume and replay ----------------------------------------------------
 
@@ -317,6 +327,7 @@ class Durability:
         )
         wal, store = _open_log(data_dir, keep_snapshots,
                                crash_at_barrier, crash_at_append)
+        backend = None
         try:
             chain = store.load_chain()
             snap = chain[0] if chain else None
@@ -348,6 +359,7 @@ class Durability:
                           state_backend=backend, metrics=metrics,
                           tracer=tracer)
                 start_seq = init.seq
+            net._owns_backend = True    # opened here, for this network
             net._meters.resume_skipped.set(len(store.skipped))
             net.restored_deltas = max(len(chain) - 1, 0)
             ledger = net._ledger = ChangeLedger(net)
@@ -371,6 +383,8 @@ class Durability:
                     "from-scratch recomputation during replay")
         except BaseException:
             wal.close()
+            if backend is not None:
+                backend.close()
             raise
         net.wal = wal
         net.store = store

@@ -55,7 +55,7 @@ class Execution:
     def _create_account(self, address: str, balance: int) -> tuple:
         address = _pad(address)
         row = self._account_buffer[address] = funded_row(
-            balance, self.n_shards, self.dispatcher.home_shard(address))
+            balance, self.n_shards, self.dispatcher.homes[address])
         return row
 
     def _account_at(self, address: str) -> tuple:
@@ -251,9 +251,13 @@ class Execution:
             settle = run.accepted or lane == DS
             if not settle:
                 # What ``_settle`` does with a shard lane's message to a
-                # user that carries no amount: nothing.
+                # user that carries no amount: nothing.  A recipient
+                # already canonical is looked up as it is.
                 for msg in run.messages:
-                    if msg.amount or _pad(msg.recipient) in contracts:
+                    r = msg.recipient
+                    if msg.amount or (
+                            r if len(r) == 42 and r[:2] == "0x"
+                            and r.islower() else _pad(r)) in contracts:
                         settle = True
                         break
             if settle:

@@ -282,23 +282,27 @@ def _canonical(value: Value):
     return key_token(value)
 
 
-def _json_sha256(obj) -> str:
-    """The sha256 of ``json.dumps(obj, sort_keys=True)``, hashed as the
-    encoder yields it: the text is never whole in memory."""
-    digest = hashlib.sha256()
-    for chunk in json.JSONEncoder(sort_keys=True).iterencode(obj):
-        digest.update(chunk.encode())
-    return digest.hexdigest()
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True)
 
 
 def state_fingerprint(state: ContractState) -> str:
-    """A stable hash of one contract's semantic state."""
-    return _json_sha256({
-        "address": state.address,
-        "balance": state.balance,
-        "fields": {name: _canonical(value)
-                   for name, value in sorted(state.fields.items())},
-    })
+    """A stable hash of one contract's semantic state: the sha256 of
+    ``json.dumps({"address", "balance", "fields"}, sort_keys=True)``,
+    ``fields`` holding each field's ``_canonical`` form by name.  The
+    text is hashed a field at a time, each encoded by ``json``'s C
+    encoder inside the same framing, so no more than one field's text
+    is in memory at once."""
+    digest = hashlib.sha256(
+        f'{{"address": {_dumps(state.address)}, '
+        f'"balance": {_dumps(state.balance)}, "fields": {{'.encode())
+    sep = ""
+    for name, value in sorted(state.fields.items()):
+        digest.update(
+            f"{sep}{_dumps(name)}: {_dumps(_canonical(value))}".encode())
+        sep = ", "
+    digest.update(b"}}")
+    return digest.hexdigest()
 
 
 def network_fingerprint(net) -> dict[str, str]:
@@ -313,7 +317,8 @@ def fingerprint_digest(net) -> str:
     :meth:`ChangeLedger.digest` instead; this digest is for whole-run
     reports (``bench/workloads.py``), as :func:`network_fingerprint`
     is for ``repro run`` and ``repro chaos``."""
-    return _json_sha256(network_fingerprint(net))
+    return hashlib.sha256(
+        _dumps(network_fingerprint(net)).encode()).hexdigest()
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,10 @@ addresses where a user is expected.
   (two selections per contract), under signature and default dispatch;
 * payments, unknown contracts and transitions, short-form addresses;
 * registration order: a contract deployed *after* a plan was lowered
-  changes ``UserAddr``.
+  changes ``UserAddr``;
+* byte strings a plan compares in place (``NoAliases``, ``UserAddr``):
+  the sender's own address, the same hex at another ``ByStr`` width,
+  non-canonical hex, a contract's address likewise.
 
 A disagreement prints the generated source of the plan that ran; the
 source is a function of the registered contracts alone.
@@ -31,7 +34,9 @@ from repro.contracts import CORPUS
 from repro.core.pipeline import run_pipeline_cached
 from repro.scilla.interpreter import Interpreter
 from repro.scilla import types as ty
-from repro.scilla.values import MapVal, StringVal, addr, uint
+from repro.scilla.values import (
+    ByStrVal, MapVal, StringVal, addr, pad_address, uint,
+)
 
 from .test_compiled_equivalence import ADMIN, OTHER, THIS, candidates
 
@@ -149,6 +154,21 @@ def transactions(comp, adts, rng):
             for bad in (StringVal("x"), MapVal(ty.BYSTR20, ty.UINT128)):
                 yield Transaction(sender, THIS, 1, transition=comp.name,
                                   args=tuple([(names[0], bad)] + args[1:]))
+            # Byte strings a plan compares in place: equal to the
+            # sender's (or a contract's) token only at ByStr20 and in
+            # canonical hex.  Every byte-string argument, then the first.
+            slots = [n for n, p in zip(names, comp.params)
+                     if str(p.typ).startswith("ByStr")]
+            me = pad_address(sender)
+            for odd in (addr(me), ByStrVal(me, ty.BYSTR32),
+                        ByStrVal(me.upper().replace("X", "x", 1), ty.BYSTR20),
+                        ByStrVal(OTHER.upper().replace("X", "x", 1),
+                                 ty.BYSTR20),
+                        ByStrVal(OTHER, ty.BYSTR32), ByStrVal(OTHER, ty.BYSTR)):
+                for chosen in (slots, slots[:1]):
+                    yield Transaction(sender, THIS, 1, transition=comp.name,
+                                      args=tuple((n, odd if n in chosen else v)
+                                                 for n, v in args))
 
 
 def corpus_kinds(name: str) -> list[str]:

@@ -24,8 +24,10 @@ from repro.workloads.generators import FTTransfer
 from .test_cross_contract import net, priced, run_alone  # noqa: F401
 
 # Frames per transfer here (dispatch, lane, interpreter, delta, merge):
-# 6.67 on 3.10 and 3.11, 6.58 on 3.12 and 3.13, since ``_execute``
-# reads the sender's row, grows a gap-free nonce run by one and charges
+# 5.64 on 3.11, 5.57 on 3.12 and 3.13, since ``_execute`` looks a
+# canonical message recipient up as it is (no ``pad_address`` frame,
+# EXPERIMENTS.md E36) — down from 6.64 (6.57), since ``_execute`` reads
+# the sender's row, grows a gap-free nonce run by one and charges
 # the fee itself and calls ``_settle`` only when a hop moves funds or
 # calls a contract, ``run_transition`` builds its ``_Run`` without
 # ``__init__``, and compiled transitions inline their Int builtins and
@@ -42,14 +44,15 @@ from .test_cross_contract import net, priced, run_alone  # noqa: F401
 # 45.5 while dispatch plans ran closures (8 frames) and a lane read and
 # wrote its balances through the overlay (E21), and from 58.6 before
 # that (E20).
-FRAME_BUDGET = 7.0
+FRAME_BUDGET = 6.0
 # Of those, dispatch: ``Dispatcher.dispatch`` and the generated plan.
 DISPATCH_FRAME_BUDGET = 3
 # The same on the overlay shape: 3 000 balances at 100 transfers per
 # epoch (``ft_transfer_30k``'s shape at test size), where neither a lane
 # nor the merge writes enough to fold ``balances`` first, so every store
-# goes through ``OverlayDict``.  12.52 on 3.10 and 3.11, 12.21 on 3.12
-# and 3.13, since a new key's store decrements a stored fold budget
+# goes through ``OverlayDict``.  11.52 on 3.11 (one ``pad_address``
+# less, E36) — down from 12.52 (12.21 on 3.12 and 3.13), since a new
+# key's store decrements a stored fold budget
 # (no ``_fold_if_due`` frame), the merge stores a column's one-key rows
 # with one ``OverlayDict.update``, an owned write takes its pre-image
 # from the read of its entry before it (no second ``OverlayDict.get``)
@@ -57,7 +60,7 @@ DISPATCH_FRAME_BUDGET = 3
 # — down from 21.30 (20.99 on 3.12 and 3.13), when a transfer cost
 # four ``_fold_if_due``, four ``__setitem__``, four ``get`` and most of
 # a ``try_accept``.
-OVERLAY_FRAME_BUDGET = 12.6
+OVERLAY_FRAME_BUDGET = 11.6
 
 
 def ft_network(n_users=200, txns_per_epoch=400):
@@ -133,6 +136,62 @@ def test_an_ft_transfer_dispatches_within_its_frame_budget():
     assert {d.kind for d in decisions} == {"satisfied"}
     assert calls / len(batch) <= DISPATCH_FRAME_BUDGET, (
         f"{calls / len(batch):.2f} Python frames per FT Transfer dispatch")
+
+
+def test_a_steady_state_ft_dispatch_hashes_nothing():
+    """A sender's home shard is ``sha256("addr:" + sender)``; the
+    dispatcher computes it once per address (``HomeShards``), so a
+    transfer between known accounts makes no SHA-256 call at all."""
+    import hashlib
+
+    workload, net = ft_network()
+    batch = workload.transactions(3)
+    hashes = 0
+
+    def count(frame, event, arg):
+        nonlocal hashes
+        if event == "c_call" and arg is hashlib.sha256:
+            hashes += 1
+
+    dispatch = net.dispatcher.dispatch
+    sys.setprofile(count)
+    try:
+        decisions = [dispatch(tx) for tx in batch]
+    finally:
+        sys.setprofile(None)
+    assert {d.kind for d in decisions} == {"satisfied"}
+    assert hashes == 0, f"{hashes / len(batch):.2f} SHA-256 calls a dispatch"
+
+
+def test_the_home_shard_memo_stays_bounded_and_exact():
+    """More distinct senders than ``HOME_MEMO_CAP``: the memo never
+    holds more than the cap, every entry is the hash it stands for, and
+    every decision still equals ``dispatch_reference``."""
+    from unittest import mock
+
+    from repro.chain import dispatch as dispatch_mod
+    from repro.chain.dispatch import shard_hash
+    from repro.chain.transaction import call, payment
+    from repro.scilla.values import addr, uint
+
+    from .test_dispatch_plan import THIS, agree, ft_dispatcher
+
+    cap = 16
+    d = ft_dispatcher()
+    users = ["0x" + f"{i + 1:040x}" for i in range(5 * cap)]
+    with mock.patch.object(dispatch_mod, "HOME_MEMO_CAP", cap):
+        for i, user in enumerate(users):
+            other = users[(7 * i + 3) % len(users)]
+            for tx in (call(user, THIS, "Transfer",
+                            {"to": addr(other), "amount": uint(1)}),
+                       call(user, THIS, "Transfer",
+                            {"to": addr(user), "amount": uint(1)}),
+                       payment(user, other, 1)):
+                agree(d, tx)
+                assert len(d.homes) <= cap
+    assert d.homes
+    for address, shard in d.homes.items():
+        assert shard == shard_hash(f"addr:{address}", d.n_shards)
 
 
 # The id predates the attempt's buffer replacing the undo journal; it

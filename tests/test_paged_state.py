@@ -306,6 +306,30 @@ class TestDurabilitySpine:
         a.close()
         b.close()
 
+    def test_close_closes_the_page_store_the_network_opened(self, tmp_path):
+        """``close`` closes a store opened from ``"sqlite"`` (with or
+        without a data dir) or for a resumed data dir, so a restart may
+        delete its file; a store the caller handed in stays open, the
+        caller's to close."""
+        d = str(tmp_path / "resumed")
+        self._durable_run(d)
+        supplied = SqliteBackend()
+        nets = [Network.resume(d),
+                Network(2, data_dir=str(tmp_path / "fresh"),
+                        state_backend="sqlite"),
+                Network(2, state_backend="sqlite"),
+                Network(2, state_backend=supplied)]
+        for net in nets:
+            net.close()
+        for net in nets[:-1]:
+            with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+                net.state_backend._conn.execute("select count(*) from kv")
+        try:
+            assert nets[-1].state_backend is supplied
+            supplied._conn.execute("select count(*) from kv").fetchone()
+        finally:
+            supplied.close()
+
     def test_no_map_stays_resident_and_sidecar_holds_every_entry(
             self, tmp_path):
         """No silent resident fallback: FungibleToken's ``balances``
